@@ -143,22 +143,23 @@ let pack (p : Platform.t) ~capacities ~rho =
         let trees =
           List.filter_map
             (fun j ->
-              let w = sol.Simplex.values.(y.(j)) in
+              let w = sol.Lp_model.values.(y.(j)) in
               if w > eps then Some (cols.(j), w) else None)
             (List.init (Array.length cols) Fun.id)
         in
-        let current = { trees; achieved = sol.Simplex.objective } in
+        let current = { trees; achieved = sol.Lp_model.objective } in
         if current.achieved > !best.achieved then best := current;
-        (* The exact fallback carries no duals to price new columns with:
-           accept the best packing over the current column pool. *)
+        (* An exact fallback flags a numerically shaky master: accept the
+           best packing over the current column pool rather than price on
+           it. *)
         if tag = `Exact || round >= 60 || current.achieved >= rho -. 1e-9 then !best
         else begin
           (* Pricing: duals of the capacity rows (+ the rho row). *)
           let duals = Hashtbl.create 32 in
           Array.iteri
-            (fun i (e, _) -> Hashtbl.replace duals e (max 0.0 sol.Simplex.row_duals.(i)))
+            (fun i (e, _) -> Hashtbl.replace duals e (max 0.0 sol.Lp_model.row_duals.(i)))
             cap_edges;
-          let sigma = max 0.0 sol.Simplex.row_duals.(n_caps) in
+          let sigma = max 0.0 sol.Lp_model.row_duals.(n_caps) in
           match price_arborescence p ~usable ~duals with
           | None -> !best
           | Some arbo ->

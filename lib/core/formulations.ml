@@ -8,8 +8,6 @@ type solution = {
   commodity_flows : ((int * int) * ((int * int) * float) list) list;
 }
 
-let debug = Sys.getenv_opt "MCAST_LP_DEBUG" <> None
-
 (* ------------------------------------------------------------------ *)
 (* Scatter-style programs (Multicast-UB, MulticastMultiSource-UB):
    per-edge occupation is the sum of the commodities crossing it
@@ -88,12 +86,12 @@ let solve_sum_colgen (p : Platform.t) groups =
       match Solver_chain.solve_with_fallback m with
       | Solver_chain.Infeasible | Solver_chain.Unbounded -> None
       | Solver_chain.Optimal (sol, `Exact) ->
-        (* Exact fallback means both float engines had trouble on this
+        (* Exact fallback means the float engine had trouble on this
            master: accept its optimum rather than keep pricing on a model
            that is numerically shaky (the exact duals exist but one
            degenerate master rarely prices a useful column). *)
         Some (cols, y, sol)
-      | Solver_chain.Optimal (sol, (`Float | `Revised)) ->
+      | Solver_chain.Optimal (sol, `Revised) ->
         if round >= 300 then Some (cols, y, sol)
         else begin
           (* Duals: pi_out/pi_in per node (port rows), mu per group (value
@@ -101,7 +99,7 @@ let solve_sum_colgen (p : Platform.t) groups =
           let pi_out = Array.make n 0.0 and pi_in = Array.make n 0.0 in
           Array.iteri
             (fun i kind ->
-              let d = max 0.0 sol.Simplex.row_duals.(ng + i) in
+              let d = max 0.0 sol.Lp_model.row_duals.(ng + i) in
               match kind with `Out v -> pi_out.(v) <- d | `In v -> pi_in.(v) <- d)
             port_rows;
           (* Pricing: for each group, cheapest path under edge price
@@ -118,7 +116,7 @@ let solve_sum_colgen (p : Platform.t) groups =
               (* A path column's reduced cost is -(mu_g + price): it improves
                  while price < -mu_g (the value-row duals are negative, they
                  sum to -1 by rho's optimality). *)
-              let mu = sol.Simplex.row_duals.(gid) in
+              let mu = sol.Lp_model.row_duals.(gid) in
               let r = Paths.dijkstra_cost g ~cost:price ~sources:origins in
               match (Paths.extract_path r dest, r.Paths.dist.(dest)) with
               | Some path, Some d ->
@@ -132,16 +130,13 @@ let solve_sum_colgen (p : Platform.t) groups =
                 end
               | _ -> ())
             groups;
-          if debug then
-            Printf.eprintf "[scatter-colgen] round %d rho %.6f added %d cols %d\n%!" round
-              sol.Simplex.values.(rho) !added (List.length !columns);
           if !added = 0 then Some (cols, y, sol) else iterate (round + 1)
         end
     in
     match iterate 0 with
     | None -> None
     | Some (cols, y, sol) ->
-      let throughput = sol.Simplex.values.(0) in
+      let throughput = sol.Lp_model.values.(0) in
       if throughput < eps then None
       else begin
         (* Reassemble per-group edge flows from the path weights. *)
@@ -150,7 +145,7 @@ let solve_sum_colgen (p : Platform.t) groups =
         let per_group = Array.make ng [] in
         Array.iteri
           (fun j (gid, path) ->
-            let w = sol.Simplex.values.(y.(j)) in
+            let w = sol.Lp_model.values.(y.(j)) in
             if w > eps then
               List.iter
                 (fun (u, v) ->
@@ -263,7 +258,7 @@ let solve_sum_dense (p : Platform.t) groups =
   match Solver_chain.solve_with_fallback m with
   | Solver_chain.Infeasible | Solver_chain.Unbounded -> None
   | Solver_chain.Optimal (sol, _) ->
-    let v i = sol.Simplex.values.(i) in
+    let v i = sol.Lp_model.values.(i) in
     let throughput = v rho in
     if throughput < eps then None
     else begin
@@ -308,8 +303,8 @@ let solve_sum_dense (p : Platform.t) groups =
     end
 
 (* Arc formulation for small instances (lower constant factors), path
-   column generation beyond that: the dense tableau grows as
-   |groups| * |E| and becomes the bottleneck on the 65-node platforms. *)
+   column generation beyond that: the arc LP grows as |groups| * |E|
+   columns and becomes the bottleneck on the 65-node platforms. *)
 let solve_sum (p : Platform.t) groups =
   let size = List.length groups * Digraph.n_edges p.Platform.graph in
   if size <= 2000 then solve_sum_dense p groups else solve_sum_colgen p groups
@@ -493,14 +488,14 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
            of the stored best. *)
         let keep =
           match !best_seen with
-          | Some (r_best, _, _, _, _) when r_best <= sol.Simplex.values.(rho) -> !best_seen
-          | _ -> Some (sol.Simplex.values.(rho), sol, rho, nv, basis)
+          | Some (r_best, _, _, _, _) when r_best <= sol.Lp_model.values.(rho) -> !best_seen
+          | _ -> Some (sol.Lp_model.values.(rho), sol, rho, nv, basis)
         in
         best_seen := keep;
         if round >= 400 then Option.map (fun (_, s, r, n, b) -> (s, r, n, b)) !best_seen
         else begin
-          let r = sol.Simplex.values.(rho) in
-          let caps = cap_edges sol.Simplex.values nv in
+          let r = sol.Lp_model.values.(rho) in
+          let caps = cap_edges sol.Lp_model.values nv in
           let violated = ref 0 in
           List.iter
             (fun t ->
@@ -533,9 +528,6 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
                 end
               end)
             targets;
-          if debug then
-            Printf.eprintf "[lb-cuts] round %d rho %.6f violated %d pool %d\n%!" round r
-              !violated (Hashtbl.length pool);
           (* On convergence return the CURRENT solution: it satisfies every
              pooled cut, which the stored minimum (an earlier round plus
              perturbation noise) need not. best_seen only serves the
@@ -546,12 +538,12 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
     match iterate 0 with
     | None -> None
     | Some (sol, rho, nv, basis) ->
-      let throughput = sol.Simplex.values.(rho) in
+      let throughput = sol.Lp_model.values.(rho) in
       if throughput < eps then None
       else begin
         (* Recover per-target flows of value rho under the optimal edge
            occupations, for node contributions and schedule building. *)
-        let caps = cap_edges sol.Simplex.values nv in
+        let caps = cap_edges sol.Lp_model.values nv in
         let node_inflow = Array.make (Digraph.n_nodes g) 0.0 in
         let usage = Array.make ne 0.0 in
         let commodity_flows =

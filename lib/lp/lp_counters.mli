@@ -2,14 +2,15 @@
 
     Monotonic tallies of solver activity — how many times each engine ran and
     how many pivots it spent — maintained atomically so that concurrent
-    solves on separate domains count correctly. Since PR 4 the storage is
-    the {!Metrics} registry (names [lp.solves.float], [lp.solves.exact],
+    solves on separate domains count correctly. The storage is the
+    {!Metrics} registry (names [lp.solves.float], [lp.solves.exact],
     [lp.pivots.float], [lp.pivots.exact]), so the same tallies appear in
     every metrics snapshot; this module remains the typed, record-shaped
     view the solvers and benches use. These are {e telemetry only}:
-    per-solve counts live in the solution records ({!Simplex.solution.pivots},
-    {!Simplex_exact.solution.pivots}); nothing in the solvers reads these
-    counters back, so they cannot affect results.
+    per-solve counts live in the solution records
+    ({!Lp_model.solution.pivots}, {!Simplex_exact.solution.pivots});
+    nothing in the solvers reads these counters back, so they cannot
+    affect results.
 
     [reset] is not linearizable against in-flight solves; call it only from
     sequential sections (benchmark setup, CLI entry), or use [snapshot] +
@@ -17,9 +18,9 @@
 
 type snapshot = {
   float_solves : int;
-      (** calls to the float engines ({!Revised_simplex} and {!Simplex}) *)
+      (** calls to the float engine {!Revised_simplex.solve} *)
   exact_solves : int;  (** calls to {!Simplex_exact.solve} *)
-  pivots : int;  (** total float-engine pivots, both phases *)
+  pivots : int;  (** total float-engine pivots, all phases *)
   exact_pivots : int;  (** total exact-engine pivots *)
   warm_hits : int;
       (** solves that successfully started from a caller-supplied basis

@@ -1,6 +1,13 @@
 type cmp = Le | Ge | Eq
 type expr = (float * int) list
 
+type solution = {
+  values : float array;
+  objective : float;
+  row_duals : float array;
+  pivots : int;
+}
+
 type t = {
   mutable names : string array;
   mutable nv : int;

@@ -13,6 +13,22 @@ type cmp = Le | Ge | Eq
 (** Sparse linear expression: list of (coefficient, variable). *)
 type expr = (float * int) list
 
+(** An optimal vertex with its duals, as {!Solver_chain} returns it
+    whichever engine solved the model. *)
+type solution = {
+  values : float array;  (** one value per structural variable *)
+  objective : float;
+  row_duals : float array;
+      (** shadow price of each constraint, in the order the rows were added
+          ([d objective / d rhs]); valid as-is for rows with non-negative
+          right-hand sides (rows normalized by negation get a flipped
+          sign). Read by the cut- and column-generation loops. *)
+  pivots : int;
+      (** pivot count of this solve. Per-solve and never accumulated: the
+          engines keep no state across calls, so concurrent solves on
+          separate domains are independent. *)
+}
+
 val create : unit -> t
 
 (** [add_var m name] registers a fresh variable and returns its index.

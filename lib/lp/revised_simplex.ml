@@ -1,15 +1,15 @@
 (* Revised primal/dual simplex over a sparse column-major model.
 
-   Same standard form as the dense engine (Simplex): rows normalized to
-   rhs >= 0, one slack/surplus column per inequality, one artificial per
-   Ge/Eq row, internal minimization with maximization handled by a sign
-   flip. Instead of a dense tableau we keep only the basis header plus an
-   LU factorization with eta updates (Basis); each iteration recomputes
-   y = B^-T c_B, prices reduced costs against the sparse columns, and
-   FTRANs the entering column. That keeps per-pivot work at O(m^2 + nnz)
-   instead of O(m * n), and — the point of the exercise — makes the basis
-   a first-class value that can be exported by name and re-imported to
-   warm-start a related model.
+   Standard form: rows normalized to rhs >= 0, one slack/surplus column
+   per inequality, one artificial per Ge/Eq row, internal minimization
+   with maximization handled by a sign flip. Instead of a dense tableau
+   we keep only the basis header plus an LU factorization with eta
+   updates (Basis); each iteration recomputes y = B^-T c_B, prices
+   reduced costs against the sparse columns, and FTRANs the entering
+   column. That keeps per-pivot work at O(m^2 + nnz) instead of O(m * n),
+   and — the point of the exercise — makes the basis a first-class value
+   that can be exported by name and re-imported to warm-start a related
+   model.
 
    Warm starts: a basis is an array of column names (structural variables
    by their Lp_model name, slack of row r as "s:<row name>", artificials
@@ -40,8 +40,32 @@ type solution = {
 
 type status = Optimal of solution | Infeasible | Unbounded | Stalled
 
-let epsilon = Simplex.epsilon
+let epsilon = 1e-9
 let max_iterations = 200_000
+let stall_window = 512
+
+(* Anti-cycling controller: Dantzig pricing until the objective stalls
+   for [stall_window] consecutive pivots, then Bland's rule for the
+   remainder of the phase. The latch is one-way: releasing it on progress
+   would void Bland's termination guarantee — a cycle that alternates tiny
+   non-zero progress with degenerate stretches would re-arm Dantzig
+   forever. *)
+module Anti_cycle = struct
+  type t = { mutable stall : int; mutable bland : bool; mutable last_obj : float }
+
+  let create obj = { stall = 0; bland = false; last_obj = obj }
+  let bland t = t.bland
+
+  let observe t obj =
+    if abs_float (obj -. t.last_obj) < epsilon then begin
+      t.stall <- t.stall + 1;
+      if t.stall > stall_window then t.bland <- true
+    end
+    else begin
+      t.stall <- 0;
+      t.last_obj <- obj
+    end
+end
 
 (* Residual tolerance on B x_B = b before forcing an early
    refactorization; an order looser than the feasibility tolerances so
@@ -201,10 +225,10 @@ let compute_xb std bs =
 type phase_result = P_optimal | P_unbounded | P_stalled
 
 (* One primal phase over cost vector [cost], entering restricted to
-   [allow]. Shares the Anti_cycle controller (Dantzig until the
-   objective stalls, then a one-way Bland latch) and the dense engine's
-   ratio test, including the eager eviction of artificials basic at
-   zero. Returns the verdict and the final x_B. *)
+   [allow]. Pricing follows the Anti_cycle controller (Dantzig until
+   the objective stalls, then a one-way Bland latch); the ratio test
+   evicts artificials basic at zero eagerly. Returns the verdict and the
+   final x_B. *)
 let primal std bs is_basic cost ~allow ~max_iter pivots =
   let m = std.m in
   let header = Basis.header bs in
@@ -220,7 +244,7 @@ let primal std bs is_basic cost ~allow ~max_iter pivots =
     done;
     !s
   in
-  let ac = Simplex.Anti_cycle.create (objective ()) in
+  let ac = Anti_cycle.create (objective ()) in
   let iter = ref 0 in
   let result = ref None in
   while !result = None do
@@ -228,7 +252,7 @@ let primal std bs is_basic cost ~allow ~max_iter pivots =
     else begin
       let y = Basis.btran bs cb in
       let q =
-        if Simplex.Anti_cycle.bland ac then begin
+        if Anti_cycle.bland ac then begin
           let rec go j =
             if j >= std.ncols then None
             else if
@@ -257,8 +281,11 @@ let primal std bs is_basic cost ~allow ~max_iter pivots =
       | Some q ->
         let w = Basis.ftran bs (dense_col std q) in
         let r = ref (-1) in
-        (* Eager eviction of artificials basic at zero (see
-           Simplex.leaving): degenerate pivot, either sign. *)
+        (* Artificials basic at zero are evicted eagerly: when a
+           structural column enters and touches such a row at all (either
+           sign), pivot there first. The pivot is degenerate, and it keeps
+           the artificial from ever rising above zero, which would
+           silently violate its equality row. *)
         if q < std.art_start then begin
           let i = ref 0 in
           while !r < 0 && !i < m do
@@ -308,7 +335,7 @@ let primal std bs is_basic cost ~allow ~max_iter pivots =
           x_b := compute_xb std bs;
           incr iter;
           incr pivots;
-          Simplex.Anti_cycle.observe ac (objective ())
+          Anti_cycle.observe ac (objective ())
         end
     end
   done;
@@ -406,9 +433,9 @@ let extract std bs x_b ~pivots ~warm_used =
   for i = 0 to m - 1 do
     internal := !internal +. (cb.(i) *. x_b.(i))
   done;
-  (* Duals for the NORMALIZED rows (rhs >= 0), matching Simplex: for a
-     minimization y itself, sign-flipped when the objective was negated
-     for maximization. *)
+  (* Duals for the NORMALIZED rows (rhs >= 0), as Lp_model.solution
+     documents them: for a minimization y itself, sign-flipped when the
+     objective was negated for maximization. *)
   let row_duals = Array.map (fun yi -> std.sign *. yi) y in
   {
     values;

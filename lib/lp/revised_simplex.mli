@@ -1,19 +1,17 @@
 (** Revised primal/dual simplex over a sparse column-major model.
 
-    The preferred float engine ({!Solver_chain} tries it ahead of the
-    dense tableau {!Simplex}). Works from the basis header plus an
+    The float engine ({!Solver_chain} tries it ahead of the exact
+    oracle {!Simplex_exact}). Works from the basis header plus an
     LU-with-eta factorization ({!Basis}) that is rebuilt every
     {!Basis.refactor_interval} pivots or earlier when a residual check
-    detects drift. Pricing is Dantzig with the shared
-    {!Simplex.Anti_cycle} one-way Bland latch; tolerances and the
-    standard form (row normalization, slack/artificial layout, eager
-    eviction of zero-valued basic artificials) match the dense engine,
-    so both engines agree on the same models.
+    detects drift. Pricing is Dantzig with the {!Anti_cycle} one-way
+    Bland latch; the standard form normalizes rows to rhs ≥ 0, adds one
+    slack per inequality and one artificial per Ge/Eq row, and evicts
+    zero-valued basic artificials eagerly.
 
-    What the dense engine cannot do: the optimal basis is exported by
-    {e name} — structural variables by their {!Lp_model} name, the
-    slack of a row named [r] as ["s:r"], plus the full row-name list of
-    the source model — and can be fed back via [?warm] to a {e related}
+    The optimal basis is exported by {e name} — structural variables by
+    their {!Lp_model} name, the slack of a row named [r] as ["s:r"], plus
+    the full row-name list of the source model — and can be fed back via [?warm] to a {e related}
     model (same naming scheme, possibly different rows/columns). A warm
     solve resolves the names, repairs them into a nonsingular basis of
     the new model (rows the source model never had get their slacks
@@ -39,7 +37,7 @@ type solution = {
   objective : float;
   row_duals : float array;
       (** shadow prices in input row order, for the normalized (rhs ≥ 0)
-          rows — same convention as {!Simplex.solution.row_duals} *)
+          rows — same convention as {!Lp_model.solution.row_duals} *)
   pivots : int;
       (** pivots spent in this call, warm attempt and any cold restart
           included *)
@@ -60,6 +58,31 @@ type status = Optimal of solution | Infeasible | Unbounded | Stalled
 val max_iterations : int
 
 (** [solve ?max_iter ?warm model]. [Stalled] means the iteration budget
-    ran out or the numerics gave way — callers fall back to another
-    engine, exactly as with {!Simplex.solve}. *)
+    ran out or the numerics gave way — {!Solver_chain} then re-solves the
+    model on the exact engine. Tests use tiny caps to provoke stalls
+    deterministically. *)
 val solve : ?max_iter:int -> ?warm:warm -> Lp_model.t -> status
+
+(** Degenerate pivots tolerated before the pricing rule switches to Bland. *)
+val stall_window : int
+
+(** Anti-cycling controller of the primal engine: Dantzig pricing until
+    the objective has stalled for {!stall_window} consecutive pivots,
+    then Bland's rule for the remainder of the phase. The switch is a
+    one-way latch — once engaged it stays engaged even if the objective
+    later improves, because releasing it would void Bland's termination
+    guarantee (a cycle alternating tiny progress with degenerate stretches
+    would re-arm Dantzig forever). Exposed so the latch semantics are
+    regression-testable. *)
+module Anti_cycle : sig
+  type t
+
+  (** [create obj] starts a controller at objective value [obj]. *)
+  val create : float -> t
+
+  (** [observe t obj] accounts one pivot that ended at objective [obj]. *)
+  val observe : t -> float -> unit
+
+  (** Whether Bland's rule is engaged. *)
+  val bland : t -> bool
+end

@@ -1,9 +1,7 @@
 type status =
-  | Optimal of Simplex.solution * [ `Revised | `Float | `Exact ]
+  | Optimal of Lp_model.solution * [ `Revised | `Exact ]
   | Infeasible
   | Unbounded
-
-let debug = Sys.getenv_opt "MCAST_LP_DEBUG" <> None
 
 (* Lp_model coefficients are floats, i.e. dyadic rationals: of_float_exact
    reproduces the model bit-for-bit in exact arithmetic. *)
@@ -24,19 +22,14 @@ let solve_exact model =
   | Simplex_exact.Optimal sol ->
     Optimal
       ( {
-          Simplex.values = Array.map Rat.to_float sol.Simplex_exact.values;
+          Lp_model.values = Array.map Rat.to_float sol.Simplex_exact.values;
           objective = Rat.to_float sol.Simplex_exact.objective;
           row_duals = Array.map Rat.to_float sol.Simplex_exact.row_duals;
           pivots = sol.Simplex_exact.pivots;
         },
         `Exact )
 
-let finite_solution (s : Simplex.solution) =
-  Float.is_finite s.Simplex.objective
-  && Array.for_all Float.is_finite s.Simplex.values
-
 let fallbacks = Metrics.counter "solver_chain.fallbacks"
-let revised_fallbacks = Metrics.counter "solver_chain.revised_fallbacks"
 
 (* Span args are built in the ?result closure, so a disabled trace pays
    only the closure allocation — the per-solve span is the finest-grained
@@ -45,50 +38,34 @@ let span_args model status =
   let size = [ ("vars", Trace.Int (Lp_model.n_vars model)); ("rows", Trace.Int (Lp_model.n_constraints model)) ] in
   match status with
   | Optimal (sol, engine) ->
-    ( "engine",
-      Trace.Str
-        (match engine with `Revised -> "revised" | `Float -> "float" | `Exact -> "exact") )
-    :: ("pivots", Trace.Int sol.Simplex.pivots)
-    :: ("objective", Trace.Float sol.Simplex.objective)
+    ("engine", Trace.Str (match engine with `Revised -> "revised" | `Exact -> "exact"))
+    :: ("pivots", Trace.Int sol.Lp_model.pivots)
+    :: ("objective", Trace.Float sol.Lp_model.objective)
     :: size
   | Infeasible -> ("outcome", Trace.Str "infeasible") :: size
   | Unbounded -> ("outcome", Trace.Str "unbounded") :: size
-
-let of_revised (s : Revised_simplex.solution) : Simplex.solution =
-  {
-    Simplex.values = s.Revised_simplex.values;
-    objective = s.Revised_simplex.objective;
-    row_duals = s.Revised_simplex.row_duals;
-    pivots = s.Revised_simplex.pivots;
-  }
-
-let dense_then_exact ?max_iter model =
-  match Simplex.solve ?max_iter model with
-  | Simplex.Optimal sol when finite_solution sol -> Optimal (sol, `Float)
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Unbounded -> Unbounded
-  | Simplex.Stalled | Simplex.Optimal _ ->
-    if debug then
-      Printf.eprintf "[solver-chain] float engine failed (%d vars, %d rows); exact retry\n%!"
-      (Lp_model.n_vars model) (Lp_model.n_constraints model);
-    Metrics.incr fallbacks;
-    solve_exact model
 
 let solve_warm ?max_iter ?warm model =
   Trace.with_span ~cat:"lp" "lp.solve"
     ~result:(fun (st, _) -> span_args model st)
     (fun () ->
       match Revised_simplex.solve ?max_iter ?warm model with
-      | Revised_simplex.Optimal rsol when finite_solution (of_revised rsol) ->
-        (Optimal (of_revised rsol, `Revised), Some rsol.Revised_simplex.basis)
+      | Revised_simplex.Optimal r
+        when Float.is_finite r.Revised_simplex.objective
+             && Array.for_all Float.is_finite r.Revised_simplex.values ->
+        ( Optimal
+            ( {
+                Lp_model.values = r.Revised_simplex.values;
+                objective = r.Revised_simplex.objective;
+                row_duals = r.Revised_simplex.row_duals;
+                pivots = r.Revised_simplex.pivots;
+              },
+              `Revised ),
+          Some r.Revised_simplex.basis )
       | Revised_simplex.Infeasible -> (Infeasible, None)
       | Revised_simplex.Unbounded -> (Unbounded, None)
       | Revised_simplex.Stalled | Revised_simplex.Optimal _ ->
-        if debug then
-          Printf.eprintf
-            "[solver-chain] revised engine failed (%d vars, %d rows); dense retry\n%!"
-            (Lp_model.n_vars model) (Lp_model.n_constraints model);
-        Metrics.incr revised_fallbacks;
-        (dense_then_exact ?max_iter model, None))
+        Metrics.incr fallbacks;
+        (solve_exact model, None))
 
 let solve_with_fallback ?max_iter model = fst (solve_warm ?max_iter model)

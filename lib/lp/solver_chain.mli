@@ -1,31 +1,29 @@
-(** Solver robustness chain: revised simplex, dense simplex, exact fallback.
+(** Solver robustness chain: revised simplex, then exact fallback.
 
-    Every model runs through the same ladder. {!Revised_simplex} goes
-    first — sparse pricing, factorized basis, and the only engine that
-    can import/export warm-start bases. If it stalls or returns
-    non-finite numbers, the dense tableau {!Simplex} retries; if that
-    fails too (degraded or near-degenerate platforms from the resilience
+    Every model runs through the same two rungs. {!Revised_simplex} goes
+    first — sparse pricing, factorized basis, and the engine that can
+    import/export warm-start bases. If it stalls or returns non-finite
+    numbers (degraded or near-degenerate platforms from the resilience
     subsystem produce such LPs), the {e same} model is re-solved on
     {!Simplex_exact}: every [Lp_model] coefficient is a float, hence a
     dyadic rational, so the exact re-solve is faithful to the model as
     stated. The exact engine stays the cross-check oracle in tests.
 
-    All three engines report duals: exact duals are converted with
+    Both engines report duals: exact duals are converted with
     {!Rat.to_float}, so cut- and column-generation loops can price after
-    any fallback. The [`Exact] tag still tells them the float engines had
+    a fallback. The [`Exact] tag still tells them the float engine had
     trouble, which the column-generation loop uses to stop early rather
     than iterate on a shaky model.
 
     Observability: every solve runs inside an [lp.solve] trace span
-    tagged with the model size, the engine that won
-    ([revised]/[float]/[exact]) and the final status. Falls from revised
-    to dense count under [solver_chain.revised_fallbacks]; falls from
-    dense to exact under [solver_chain.fallbacks]. Warm-start successes
-    count under [lp.warm.hits]. Per-engine solve and pivot totals live
-    in {!Lp_counters} (a typed view over the metrics registry). *)
+    tagged with the model size, the engine that won ([revised]/[exact])
+    and the final status. Each revised-to-exact retry counts under
+    [solver_chain.fallbacks]. Warm-start successes count under
+    [lp.warm.hits]. Per-engine solve and pivot totals live in
+    {!Lp_counters} (a typed view over the metrics registry). *)
 
 type status =
-  | Optimal of Simplex.solution * [ `Revised | `Float | `Exact ]
+  | Optimal of Lp_model.solution * [ `Revised | `Exact ]
       (** which engine produced the accepted solution *)
   | Infeasible
   | Unbounded
@@ -36,7 +34,7 @@ type status =
     basis when the revised engine won, for the caller to thread into its
     next solve. A useless warm basis costs a cold restart inside the
     revised engine, never a different verdict. [max_iter] is forwarded
-    to both float engines. *)
+    to the revised engine; the exact fallback runs uncapped. *)
 val solve_warm :
   ?max_iter:int ->
   ?warm:Revised_simplex.warm ->

@@ -13,7 +13,6 @@ let default_rules ?(tolerance = 0.25) ?time_tolerance () =
     { r_prefix = "lp.solves"; r_dir = Not_above; r_tol = tolerance };
     { r_prefix = "lp.warm.hits"; r_dir = Not_below; r_tol = tolerance };
     { r_prefix = "formulations.lb_cut_rounds.sum"; r_dir = Not_above; r_tol = tolerance };
-    { r_prefix = "solver_chain.revised_fallbacks"; r_dir = Not_above; r_tol = tolerance };
     { r_prefix = "solver_chain.fallbacks"; r_dir = Not_above; r_tol = tolerance };
     { r_prefix = "heuristics.method_seconds.sum"; r_dir = Not_above; r_tol = tt };
     { r_prefix = "pool.task_seconds.sum"; r_dir = Not_above; r_tol = tt };

@@ -43,9 +43,10 @@ type direction =
 type rule = { r_prefix : string; r_dir : direction; r_tol : float }
 
 (** The standard gate: [lp.pivots*], [lp.solves*],
-    [formulations.lb_cut_rounds.sum], [solver_chain.fallbacks] and
-    [repair.fallback] (incremental patches escalating to full re-plans)
-    must not grow more than [tolerance] (default [0.25]);
+    [formulations.lb_cut_rounds.sum], [solver_chain.fallbacks] (every
+    revised-to-exact LP retry) and [repair.fallback] (incremental
+    patches escalating to full re-plans) must not grow more than
+    [tolerance] (default [0.25]);
     [heuristics.method_seconds.sum], [pool.task_seconds.sum] and
     [recovery.replan_seconds.sum] must not grow more than
     [time_tolerance] (default [max 1.0 (4 * tolerance)] — wall time is

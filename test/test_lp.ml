@@ -4,6 +4,21 @@
 let feps = 1e-6
 let check_f = Alcotest.(check (float feps))
 
+(* The float cases run through the solver chain and must be answered by
+   its first rung: no exact retry, and [`Revised] on every optimum. *)
+let fallbacks = Metrics.counter "solver_chain.fallbacks"
+
+let chain_no_retry m =
+  let before = Metrics.counter_value fallbacks in
+  let st = Solver_chain.solve_with_fallback m in
+  Alcotest.(check int) "no exact retry" before (Metrics.counter_value fallbacks);
+  st
+
+let solve_revised m =
+  match chain_no_retry m with
+  | Solver_chain.Optimal (s, `Revised) -> s
+  | _ -> Alcotest.fail "expected a revised-engine optimum"
+
 (* maximize 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18  (Dantzig's classic):
    optimum 36 at (2, 6). *)
 let test_float_classic () =
@@ -13,10 +28,10 @@ let test_float_classic () =
   Lp_model.add_constraint m [ (2.0, y) ] Le 12.0;
   Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Le 18.0;
   Lp_model.set_objective m ~maximize:true [ (3.0, x); (5.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 36.0 s.Simplex.objective;
-  check_f "x" 2.0 s.Simplex.values.(x);
-  check_f "y" 6.0 s.Simplex.values.(y)
+  let s = solve_revised m in
+  check_f "objective" 36.0 s.Lp_model.objective;
+  check_f "x" 2.0 s.Lp_model.values.(x);
+  check_f "y" 6.0 s.Lp_model.values.(y)
 
 (* minimize with >= rows (needs phase 1): min 2x + 3y st x + y >= 4, x >= 1.
    Optimum 8 at (4, 0) since 2 < 3. *)
@@ -26,9 +41,9 @@ let test_float_phase1 () =
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Ge 4.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 1.0;
   Lp_model.set_objective m ~maximize:false [ (2.0, x); (3.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 8.0 s.Simplex.objective;
-  check_f "x" 4.0 s.Simplex.values.(x)
+  let s = solve_revised m in
+  check_f "objective" 8.0 s.Lp_model.objective;
+  check_f "x" 4.0 s.Lp_model.values.(x)
 
 let test_float_equality () =
   (* max x + y st x + y = 3, x - y = 1 -> unique point (2,1). *)
@@ -37,10 +52,10 @@ let test_float_equality () =
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Eq 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x); (1.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 3.0 s.Simplex.objective;
-  check_f "x" 2.0 s.Simplex.values.(x);
-  check_f "y" 1.0 s.Simplex.values.(y)
+  let s = solve_revised m in
+  check_f "objective" 3.0 s.Lp_model.objective;
+  check_f "x" 2.0 s.Lp_model.values.(x);
+  check_f "y" 1.0 s.Lp_model.values.(y)
 
 let test_float_infeasible () =
   let m = Lp_model.create () in
@@ -48,8 +63,8 @@ let test_float_infeasible () =
   Lp_model.add_constraint m [ (1.0, x) ] Le 1.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 2.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  match Simplex.solve m with
-  | Infeasible -> ()
+  match chain_no_retry m with
+  | Solver_chain.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_float_unbounded () =
@@ -57,8 +72,8 @@ let test_float_unbounded () =
   let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Le 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  match Simplex.solve m with
-  | Unbounded -> ()
+  match chain_no_retry m with
+  | Solver_chain.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let test_float_negative_rhs () =
@@ -67,18 +82,19 @@ let test_float_negative_rhs () =
   let x = Lp_model.add_var m "x" in
   Lp_model.add_constraint m [ (-1.0, x) ] Ge (-5.0);
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 5.0 s.Simplex.objective
+  let s = solve_revised m in
+  check_f "objective" 5.0 s.Lp_model.objective
 
 let test_float_redundant_equalities () =
-  (* Linearly dependent equality rows exercise the dead-row purge. *)
+  (* Linearly dependent equality rows: phase 1 ends with a redundant row
+     that no structural column can take over. *)
   let m = Lp_model.create () in
   let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (2.0, x); (2.0, y) ] Eq 6.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 3.0 s.Simplex.objective
+  let s = solve_revised m in
+  check_f "objective" 3.0 s.Lp_model.objective
 
 let test_float_degenerate () =
   (* Highly degenerate LP (many constraints tight at the optimum). *)
@@ -90,8 +106,8 @@ let test_float_degenerate () =
   Lp_model.add_constraint m [ (2.0, x); (1.0, y) ] Le 2.0;
   Lp_model.add_constraint m [ (1.0, x); (2.0, y) ] Le 2.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x); (1.0, y) ];
-  let s = Simplex.solve_exn m in
-  check_f "objective" 1.0 s.Simplex.objective
+  let s = solve_revised m in
+  check_f "objective" 1.0 s.Lp_model.objective
 
 let test_model_accessors () =
   let m = Lp_model.create () in
@@ -151,7 +167,7 @@ let test_exact_statuses () =
 (* --- fallback chain: stalled float solver rescued by the exact engine --- *)
 
 (* max x st x <= 3, x >= 1. The Ge row forces a phase-1 artificial, so with
-   a zero iteration budget the float simplex stalls deterministically —
+   a zero iteration budget the revised engine stalls deterministically —
    exactly the failure mode solve_with_fallback must absorb. *)
 let stall_model () =
   let m = Lp_model.create () in
@@ -163,22 +179,28 @@ let stall_model () =
 
 let test_fallback_on_stall () =
   let m = stall_model () in
-  (match Simplex.solve ~max_iter:0 m with
-  | Simplex.Stalled -> ()
-  | _ -> Alcotest.fail "expected the capped float solver to stall");
-  match Solver_chain.solve_with_fallback ~max_iter:0 m with
-  | Solver_chain.Optimal (sol, `Exact) ->
-    check_f "exact objective" 3.0 sol.Simplex.objective;
-    check_f "exact x" 3.0 sol.Simplex.values.(0)
-  | Solver_chain.Optimal (_, `Float) -> Alcotest.fail "float engine should have stalled"
-  | _ -> Alcotest.fail "fallback did not recover the optimum"
+  (match Revised_simplex.solve ~max_iter:0 m with
+  | Revised_simplex.Stalled -> ()
+  | _ -> Alcotest.fail "expected the capped revised engine to stall");
+  (* The retry counts once under solver_chain.fallbacks, and no basis
+     escapes it: the exact engine has none to hand back, so a caller
+     threading bases restarts cold. *)
+  let before = Metrics.counter_value fallbacks in
+  (match Solver_chain.solve_warm ~max_iter:0 m with
+  | Solver_chain.Optimal (sol, `Exact), None ->
+    check_f "exact objective" 3.0 sol.Lp_model.objective;
+    check_f "exact x" 3.0 sol.Lp_model.values.(0)
+  | Solver_chain.Optimal (_, `Exact), Some _ -> Alcotest.fail "basis leaked from the exact fallback"
+  | Solver_chain.Optimal (_, `Revised), _ -> Alcotest.fail "revised engine should have stalled"
+  | _ -> Alcotest.fail "fallback did not recover the optimum");
+  Alcotest.(check int) "one fallback counted" (before + 1) (Metrics.counter_value fallbacks)
 
 let test_fallback_passthrough () =
   (* A healthy model stays on the first engine of the chain... *)
   let m = stall_model () in
   (match Solver_chain.solve_with_fallback m with
   | Solver_chain.Optimal (sol, `Revised) ->
-    check_f "revised objective" 3.0 sol.Simplex.objective
+    check_f "revised objective" 3.0 sol.Lp_model.objective
   | _ -> Alcotest.fail "expected a revised-engine optimum");
   (* ...and infeasibility is never masked by the fallback. *)
   let m = Lp_model.create () in
@@ -198,14 +220,14 @@ let test_fallback_duals () =
   let m = stall_model () in
   match Solver_chain.solve_with_fallback ~max_iter:0 m with
   | Solver_chain.Optimal (sol, `Exact) ->
-    Alcotest.(check int) "dual per row" 2 (Array.length sol.Simplex.row_duals);
+    Alcotest.(check int) "dual per row" 2 (Array.length sol.Lp_model.row_duals);
     (* max x st x <= 3 (binding, shadow price 1), x >= 1 (slack). *)
-    check_f "binding row dual" 1.0 sol.Simplex.row_duals.(0);
-    check_f "slack row dual" 0.0 sol.Simplex.row_duals.(1)
+    check_f "binding row dual" 1.0 sol.Lp_model.row_duals.(0);
+    check_f "slack row dual" 0.0 sol.Lp_model.row_duals.(1)
   | _ -> Alcotest.fail "expected the exact fallback"
 
 (* Exact duals follow the float engine's conventions: same model, same
-   duals, on a mixed instance where all engines are nondegenerate. *)
+   duals, on a mixed instance where both engines are nondegenerate. *)
 let test_exact_duals_match_float () =
   let mk () =
     let m = Lp_model.create () in
@@ -216,12 +238,12 @@ let test_exact_duals_match_float () =
     Lp_model.set_objective m ~maximize:true [ (3.0, x); (5.0, y) ];
     m
   in
-  let dense = Simplex.solve_exn (mk ()) in
+  let revised = solve_revised (mk ()) in
   match Solver_chain.solve_exact (mk ()) with
   | Solver_chain.Optimal (exact, `Exact) ->
     Array.iteri
-      (fun i d -> check_f (Printf.sprintf "row %d dual" i) d exact.Simplex.row_duals.(i))
-      dense.Simplex.row_duals
+      (fun i d -> check_f (Printf.sprintf "row %d dual" i) d exact.Lp_model.row_duals.(i))
+      revised.Lp_model.row_duals
   | _ -> Alcotest.fail "exact solve failed"
 
 (* Regression (PR 8): the Bland anti-cycling latch must be one-way. The old
@@ -229,20 +251,20 @@ let test_exact_duals_match_float () =
    alternating tiny progress with degenerate stretches escaped Bland
    forever. *)
 let test_bland_latch_is_one_way () =
-  let ac = Simplex.Anti_cycle.create 0.0 in
-  for _ = 1 to Simplex.stall_window + 2 do
-    Simplex.Anti_cycle.observe ac 0.0
+  let module Ac = Revised_simplex.Anti_cycle in
+  let ac = Ac.create 0.0 in
+  for _ = 1 to Revised_simplex.stall_window + 2 do
+    Ac.observe ac 0.0
   done;
-  Alcotest.(check bool) "latch engages after a stall" true (Simplex.Anti_cycle.bland ac);
-  Simplex.Anti_cycle.observe ac 1.0;
-  Alcotest.(check bool) "progress does not release the latch" true
-    (Simplex.Anti_cycle.bland ac);
+  Alcotest.(check bool) "latch engages after a stall" true (Ac.bland ac);
+  Ac.observe ac 1.0;
+  Alcotest.(check bool) "progress does not release the latch" true (Ac.bland ac);
   (* Progress before the window fills keeps Dantzig. *)
-  let ac2 = Simplex.Anti_cycle.create 0.0 in
-  for i = 1 to 10 * Simplex.stall_window do
-    Simplex.Anti_cycle.observe ac2 (float_of_int i)
+  let ac2 = Ac.create 0.0 in
+  for i = 1 to 10 * Revised_simplex.stall_window do
+    Ac.observe ac2 (float_of_int i)
   done;
-  Alcotest.(check bool) "improving run stays on Dantzig" false (Simplex.Anti_cycle.bland ac2)
+  Alcotest.(check bool) "improving run stays on Dantzig" false (Ac.bland ac2)
 
 (* Regression (PR 8): the eager-eviction rule in the ratio test used a
    magic 1e-7 pivot tolerance while the rest of the engine uses
@@ -264,9 +286,11 @@ let check_near_degenerate name (values : float array) (objective : float) =
     (Printf.sprintf "%s: equality row satisfied (residual %.2e)" name residual)
     true (residual < 1e-6)
 
-let test_tiny_pivot_eviction_dense () =
-  let s = Simplex.solve_exn (near_degenerate_model ()) in
-  check_near_degenerate "dense" s.Simplex.values s.Simplex.objective
+(* The same model through the solver chain: the revised rung must answer
+   it, with no exact retry hiding a bad claimed optimum. *)
+let test_tiny_pivot_eviction_chain () =
+  let s = solve_revised (near_degenerate_model ()) in
+  check_near_degenerate "chain" s.Lp_model.values s.Lp_model.objective
 
 let test_tiny_pivot_eviction_revised () =
   match Revised_simplex.solve (near_degenerate_model ()) with
@@ -288,7 +312,7 @@ let test_revised_classic () =
     check_f "objective" 36.0 s.Revised_simplex.objective;
     check_f "x" 2.0 s.Revised_simplex.values.(x);
     check_f "y" 6.0 s.Revised_simplex.values.(y);
-    (* Unique primal/dual optimum: duals must match the dense engine. *)
+    (* Unique primal/dual optimum: duals 0, 3/2 and 1. *)
     check_f "dual row 0" 0.0 s.Revised_simplex.row_duals.(0);
     check_f "dual row 1" 1.5 s.Revised_simplex.row_duals.(1);
     check_f "dual row 2" 1.0 s.Revised_simplex.row_duals.(2);
@@ -412,39 +436,6 @@ let arb_rand_lp = QCheck.make ~print:print_rand_lp gen_rand_lp
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
-let engines_agree lp =
-  let m = Lp_model.create () in
-  let vars = Array.init lp.nv (fun i -> Lp_model.add_var m (Printf.sprintf "v%d" i)) in
-  List.iter
-    (fun (coefs, rhs) ->
-      let expr =
-        List.filter_map
-          (fun i -> if coefs.(i) <> 0 then Some (float_of_int coefs.(i), vars.(i)) else None)
-          (List.init lp.nv Fun.id)
-      in
-      Lp_model.add_constraint m expr Le (float_of_int rhs))
-    lp.rows_i;
-  Lp_model.set_objective m ~maximize:true
-    (List.init lp.nv (fun i -> (float_of_int lp.obj.(i), vars.(i))));
-  let exact_rows =
-    List.map
-      (fun (coefs, rhs) ->
-        ( List.filter_map
-            (fun i -> if coefs.(i) <> 0 then Some (Rat.of_int coefs.(i), i) else None)
-            (List.init lp.nv Fun.id),
-          Lp_model.Le,
-          Rat.of_int rhs ))
-      lp.rows_i
-  in
-  let exact =
-    Simplex_exact.solve_exn ~n_vars:lp.nv ~maximize:true
-      ~objective:(List.init lp.nv (fun i -> (Rat.of_int lp.obj.(i), i)))
-      exact_rows
-  in
-  let float_sol = Simplex.solve_exn m in
-  abs_float (float_sol.Simplex.objective -. Rat.to_float exact.Simplex_exact.objective)
-  < 1e-6
-
 let model_of_rand_lp lp =
   let m = Lp_model.create () in
   let vars = Array.init lp.nv (fun i -> Lp_model.add_var m (Printf.sprintf "v%d" i)) in
@@ -461,15 +452,37 @@ let model_of_rand_lp lp =
     (List.init lp.nv (fun i -> (float_of_int lp.obj.(i), vars.(i))));
   m
 
-(* Revised vs dense vs warm-restarted-revised: all three must agree with
-   the dense engine's objective, and re-solving warm from the revised
-   engine's own optimal basis must stay at the optimum. *)
+(* The same LP on the exact engine: the reference every float answer is
+   checked against. *)
+let exact_of_rand_lp lp =
+  Simplex_exact.solve_exn ~n_vars:lp.nv ~maximize:true
+    ~objective:(List.init lp.nv (fun i -> (Rat.of_int lp.obj.(i), i)))
+    (List.map
+       (fun (coefs, rhs) ->
+         ( List.filter_map
+             (fun i -> if coefs.(i) <> 0 then Some (Rat.of_int coefs.(i), i) else None)
+             (List.init lp.nv Fun.id),
+           Lp_model.Le,
+           Rat.of_int rhs ))
+       lp.rows_i)
+
+(* The solver chain answers on its revised rung, with the exact optimum. *)
+let engines_agree lp =
+  let exact = exact_of_rand_lp lp in
+  match Solver_chain.solve_with_fallback (model_of_rand_lp lp) with
+  | Solver_chain.Optimal (s, `Revised) ->
+    abs_float (s.Lp_model.objective -. Rat.to_float exact.Simplex_exact.objective) < 1e-6
+  | _ -> false
+
+(* Revised vs exact vs warm-restarted-revised: the revised optimum must
+   be feasible and match the exact objective, and re-solving warm from the
+   revised engine's own optimal basis must stay at the optimum. *)
 let revised_agrees lp =
-  let dense = Simplex.solve_exn (model_of_rand_lp lp) in
+  let exact = Rat.to_float (exact_of_rand_lp lp).Simplex_exact.objective in
   match Revised_simplex.solve (model_of_rand_lp lp) with
   | Revised_simplex.Optimal r ->
     let close a b = abs_float (a -. b) < 1e-6 *. (1.0 +. abs_float a) in
-    close dense.Simplex.objective r.Revised_simplex.objective
+    close exact r.Revised_simplex.objective
     && List.for_all
          (fun (coefs, rhs) ->
            let lhs = ref 0.0 in
@@ -483,38 +496,29 @@ let revised_agrees lp =
     (match Revised_simplex.solve ~warm:r.Revised_simplex.basis (model_of_rand_lp lp) with
     | Revised_simplex.Optimal w ->
       w.Revised_simplex.warm_used
-      && close dense.Simplex.objective w.Revised_simplex.objective
+      && close exact w.Revised_simplex.objective
       && w.Revised_simplex.pivots <= r.Revised_simplex.pivots
     | _ -> false)
   | _ -> false
+
+(* The reference itself: its optimum satisfies every row exactly. *)
+let exact_is_feasible lp =
+  let s = exact_of_rand_lp lp in
+  List.for_all
+    (fun (coefs, rhs) ->
+      let lhs = ref Rat.zero in
+      Array.iteri
+        (fun i c -> lhs := Rat.add !lhs (Rat.mul (Rat.of_int c) s.Simplex_exact.values.(i)))
+        coefs;
+      Rat.( <= ) !lhs (Rat.of_int rhs))
+    lp.rows_i
+  && Array.for_all (fun v -> Rat.sign v >= 0) s.Simplex_exact.values
 
 let lp_props =
   [
     prop "float and exact engines agree" 150 arb_rand_lp engines_agree;
     prop "revised engine agrees and restarts warm" 150 arb_rand_lp revised_agrees;
-    prop "optimal solutions are feasible" 150 arb_rand_lp (fun lp ->
-        let m = Lp_model.create () in
-        let vars = Array.init lp.nv (fun i -> Lp_model.add_var m (Printf.sprintf "v%d" i)) in
-        List.iter
-          (fun (coefs, rhs) ->
-            let expr =
-              List.filter_map
-                (fun i ->
-                  if coefs.(i) <> 0 then Some (float_of_int coefs.(i), vars.(i)) else None)
-                (List.init lp.nv Fun.id)
-            in
-            Lp_model.add_constraint m expr Le (float_of_int rhs))
-          lp.rows_i;
-        Lp_model.set_objective m ~maximize:true
-          (List.init lp.nv (fun i -> (float_of_int lp.obj.(i), vars.(i))));
-        let s = Simplex.solve_exn m in
-        List.for_all
-          (fun (coefs, rhs) ->
-            let lhs = ref 0.0 in
-            Array.iteri (fun i c -> lhs := !lhs +. (float_of_int c *. s.Simplex.values.(i))) coefs;
-            !lhs <= float_of_int rhs +. 1e-6)
-          lp.rows_i
-        && Array.for_all (fun v -> v >= -1e-9) s.Simplex.values);
+    prop "optimal solutions are feasible" 150 arb_rand_lp exact_is_feasible;
   ]
 
 let suite =
@@ -536,7 +540,7 @@ let suite =
     ("fallback: exact solutions carry duals", `Quick, test_fallback_duals);
     ("exact duals match the float engine", `Quick, test_exact_duals_match_float);
     ("anti-cycle: Bland latch is one-way", `Quick, test_bland_latch_is_one_way);
-    ("tiny-pivot eviction: dense", `Quick, test_tiny_pivot_eviction_dense);
+    ("tiny-pivot eviction: chain", `Quick, test_tiny_pivot_eviction_chain);
     ("tiny-pivot eviction: revised", `Quick, test_tiny_pivot_eviction_revised);
     ("revised: classic with duals and basis", `Quick, test_revised_classic);
     ("revised: warm dual re-solve beats cold", `Quick, test_revised_warm_dual_resolve);
