@@ -2,12 +2,21 @@
 
    The basis matrix B is the set of columns [header] drawn from a sparse
    column-major constraint matrix. We keep P B0 = L U from the last
-   refactorization (dense, partial pivoting — basis dimensions here are a
-   few hundred at most) plus an eta file recording the pivots applied
-   since: B_k = B_0 E_1 ... E_k where eta E_t replaces column r_t of the
+   refactorization plus an eta file recording the pivots applied since:
+   B_k = B_0 E_1 ... E_k where eta E_t replaces column r_t of the
    identity with w_t = B_{t-1}^{-1} a_q. FTRAN applies the LU solve then
    the eta inverses oldest-to-newest; BTRAN applies the transposed eta
    inverses newest-to-oldest then the transposed LU solve.
+
+   The elimination runs on a dense m x m workspace with partial pivoting
+   (first row of largest magnitude), after which L and U are compressed
+   twice: by rows for FTRAN and by columns for BTRAN, each with entries
+   in ascending index order, plus U's diagonal. Etas keep only the
+   nonzeros of w (minus the pivot entry, stored beside its row). Every
+   solve walks stored nonzeros in the order the textbook dense loops
+   visit indices, so each result is the dense computation term for term
+   with the exact-zero terms left out — the same numbers, at a cost of
+   O(m + nnz(L + U) + nnz(etas)) per solve instead of O(m^2 + k m).
 
    The eta file is bounded: once [refactor_interval] updates accumulate,
    the next update triggers a fresh factorization instead of a 65th eta.
@@ -17,18 +26,103 @@
 let refactor_interval = 64
 let singular_tol = 1e-11
 
+(* Compressed sparse lines (rows, columns or etas): line [l] holds the
+   entries [start.(l) .. start.(l + 1) - 1] of [idx]/[v]. The entry
+   buffers grow by doubling and are reused across refactorizations. *)
+type lines = {
+  start : int array;
+  mutable idx : int array;
+  mutable v : float array;
+}
+
+let lines n = { start = Array.make (n + 1) 0; idx = [||]; v = [||] }
+
+let reserve s n =
+  let cap = Array.length s.idx in
+  if n > cap then begin
+    let cap' = max n (2 * cap) in
+    let idx = Array.make cap' 0 and v = Array.make cap' 0.0 in
+    Array.blit s.idx 0 idx 0 cap;
+    Array.blit s.v 0 v 0 cap;
+    s.idx <- idx;
+    s.v <- v
+  end
+
+let push s k i x =
+  reserve s (k + 1);
+  Array.unsafe_set s.idx k i;
+  Array.unsafe_set s.v k x
+
+(* [cols] := [rows] transposed, by counting: rows are read in ascending
+   order, so every column lists its rows in ascending order too. *)
+let transpose m rows cols cursor =
+  let nnz = rows.start.(m) in
+  Array.fill cols.start 0 (m + 1) 0;
+  for k = 0 to nnz - 1 do
+    let j = rows.idx.(k) in
+    cols.start.(j + 1) <- cols.start.(j + 1) + 1
+  done;
+  for j = 0 to m - 1 do
+    cols.start.(j + 1) <- cols.start.(j + 1) + cols.start.(j)
+  done;
+  Array.blit cols.start 0 cursor 0 m;
+  reserve cols nnz;
+  for i = 0 to m - 1 do
+    for k = rows.start.(i) to rows.start.(i + 1) - 1 do
+      let j = rows.idx.(k) in
+      let p = cursor.(j) in
+      cols.idx.(p) <- i;
+      cols.v.(p) <- rows.v.(k);
+      cursor.(j) <- p + 1
+    done
+  done
+
 type t = {
   m : int;
   cols : (int array * float array) array;
   header : int array; (* owned jointly with the caller; [update] mutates it *)
-  lu : float array array; (* L strictly below diagonal (unit), U on/above *)
+  lu : float array array; (* elimination workspace: L below diagonal (unit), U on/above *)
   perm : int array; (* perm.(i) = original row now at position i *)
-  etas : (int * float array) array;
+  diag : float array; (* U's diagonal *)
+  l_rows : lines; (* strict lower triangle of L, by row *)
+  u_rows : lines; (* strict upper triangle of U, by row *)
+  l_cols : lines;
+  u_cols : lines;
+  cursor : int array; (* transposition scratch *)
+  etas : lines; (* nonzeros of each w_t, pivot entry excluded *)
+  eta_row : int array;
+  eta_piv : float array; (* w_t.(r_t) *)
   mutable n_etas : int;
 }
 
 let header t = t.header
-let updates_since_refactor t = t.n_etas
+
+(* Compress the eliminated workspace into the sparse factors. *)
+let compress t =
+  let m = t.m and lu = t.lu in
+  let nl = ref 0 and nu = ref 0 in
+  for i = 0 to m - 1 do
+    let li = lu.(i) in
+    for j = 0 to i - 1 do
+      let x = Array.unsafe_get li j in
+      if x <> 0.0 then begin
+        push t.l_rows !nl j x;
+        incr nl
+      end
+    done;
+    t.l_rows.start.(i + 1) <- !nl;
+    t.diag.(i) <- li.(i);
+    for j = i + 1 to m - 1 do
+      let x = Array.unsafe_get li j in
+      if x <> 0.0 then begin
+        push t.u_rows !nu j x;
+        incr nu
+      end
+    done;
+    t.u_rows.start.(i + 1) <- !nu
+  done;
+  transpose m t.l_rows t.l_cols t.cursor;
+  transpose m t.u_rows t.u_cols t.cursor
 
 let refactor t =
   let m = t.m in
@@ -83,7 +177,11 @@ let refactor t =
     end;
     incr col
   done;
-  if !ok then Ok () else Error "singular basis"
+  if !ok then begin
+    compress t;
+    Ok ()
+  end
+  else Error "singular basis"
 
 let create ~cols ~header =
   let m = Array.length header in
@@ -94,7 +192,15 @@ let create ~cols ~header =
       header;
       lu = Array.init m (fun _ -> Array.make m 0.0);
       perm = Array.init m Fun.id;
-      etas = Array.make refactor_interval (0, [||]);
+      diag = Array.make m 0.0;
+      l_rows = lines m;
+      u_rows = lines m;
+      l_cols = lines m;
+      u_cols = lines m;
+      cursor = Array.make m 0;
+      etas = lines refactor_interval;
+      eta_row = Array.make refactor_interval 0;
+      eta_piv = Array.make refactor_interval 0.0;
       n_etas = 0;
     }
   in
@@ -107,28 +213,30 @@ let ftran t b =
   for i = 0 to m - 1 do
     x.(i) <- b.(t.perm.(i))
   done;
+  let { start; idx; v } = t.l_rows in
   for i = 0 to m - 1 do
-    let li = t.lu.(i) in
     let s = ref x.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (Array.unsafe_get li j *. Array.unsafe_get x j)
+    for k = start.(i) to start.(i + 1) - 1 do
+      s := !s -. (Array.unsafe_get v k *. Array.unsafe_get x (Array.unsafe_get idx k))
     done;
     x.(i) <- !s
   done;
+  let { start; idx; v } = t.u_rows in
   for i = m - 1 downto 0 do
-    let li = t.lu.(i) in
     let s = ref x.(i) in
-    for j = i + 1 to m - 1 do
-      s := !s -. (Array.unsafe_get li j *. Array.unsafe_get x j)
+    for k = start.(i) to start.(i + 1) - 1 do
+      s := !s -. (Array.unsafe_get v k *. Array.unsafe_get x (Array.unsafe_get idx k))
     done;
-    x.(i) <- !s /. li.(i)
+    x.(i) <- !s /. t.diag.(i)
   done;
-  for k = 0 to t.n_etas - 1 do
-    let r, w = t.etas.(k) in
-    let xr = x.(r) /. w.(r) in
+  let { start; idx; v } = t.etas in
+  for e = 0 to t.n_etas - 1 do
+    let r = t.eta_row.(e) in
+    let xr = x.(r) /. t.eta_piv.(e) in
     if xr <> 0.0 then
-      for i = 0 to m - 1 do
-        x.(i) <- x.(i) -. (Array.unsafe_get w i *. xr)
+      for k = start.(e) to start.(e + 1) - 1 do
+        let i = Array.unsafe_get idx k in
+        Array.unsafe_set x i (Array.unsafe_get x i -. (Array.unsafe_get v k *. xr))
       done;
     x.(r) <- xr
   done;
@@ -139,25 +247,28 @@ let ftran t b =
 let btran t c =
   let m = t.m in
   let x = Array.copy c in
-  for k = t.n_etas - 1 downto 0 do
-    let r, w = t.etas.(k) in
+  let { start; idx; v } = t.etas in
+  for e = t.n_etas - 1 downto 0 do
+    let r = t.eta_row.(e) in
     let s = ref x.(r) in
-    for i = 0 to m - 1 do
-      if i <> r then s := !s -. (Array.unsafe_get w i *. Array.unsafe_get x i)
+    for k = start.(e) to start.(e + 1) - 1 do
+      s := !s -. (Array.unsafe_get v k *. Array.unsafe_get x (Array.unsafe_get idx k))
     done;
-    x.(r) <- !s /. w.(r)
+    x.(r) <- !s /. t.eta_piv.(e)
   done;
+  let { start; idx; v } = t.u_cols in
   for i = 0 to m - 1 do
     let s = ref x.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (t.lu.(j).(i) *. Array.unsafe_get x j)
+    for k = start.(i) to start.(i + 1) - 1 do
+      s := !s -. (Array.unsafe_get v k *. Array.unsafe_get x (Array.unsafe_get idx k))
     done;
-    x.(i) <- !s /. t.lu.(i).(i)
+    x.(i) <- !s /. t.diag.(i)
   done;
+  let { start; idx; v } = t.l_cols in
   for i = m - 1 downto 0 do
     let s = ref x.(i) in
-    for j = i + 1 to m - 1 do
-      s := !s -. (t.lu.(j).(i) *. Array.unsafe_get x j)
+    for k = start.(i) to start.(i + 1) - 1 do
+      s := !s -. (Array.unsafe_get v k *. Array.unsafe_get x (Array.unsafe_get idx k))
     done;
     x.(i) <- !s
   done;
@@ -173,8 +284,20 @@ let update t ~row ~col ~w =
     t.header.(row) <- col;
     if t.n_etas >= refactor_interval then refactor t
     else begin
-      t.etas.(t.n_etas) <- (row, Array.copy w);
-      t.n_etas <- t.n_etas + 1;
+      let e = t.n_etas in
+      let etas = t.etas in
+      let k = ref etas.start.(e) in
+      for i = 0 to t.m - 1 do
+        let x = w.(i) in
+        if x <> 0.0 && i <> row then begin
+          push etas !k i x;
+          incr k
+        end
+      done;
+      etas.start.(e + 1) <- !k;
+      t.eta_row.(e) <- row;
+      t.eta_piv.(e) <- w.(row);
+      t.n_etas <- e + 1;
       Ok ()
     end
   end

@@ -6,14 +6,24 @@
     and BTRAN (Bᵀ y = c). Pivots are absorbed as product-form eta
     vectors; after {!refactor_interval} of them the factorization is
     rebuilt from scratch, and callers can force an earlier rebuild when
-    {!residual} shows the eta file has drifted. Dimensions in this
-    codebase are a few hundred rows at most, so the LU factors are dense
-    with partial pivoting. *)
+    {!residual} shows the eta file has drifted.
+
+    The factorization is a dense partial-pivoting elimination whose L
+    and U factors are then stored sparsely (by rows and by columns), and
+    each eta keeps only the nonzeros of its pivot column. FTRAN and BTRAN
+    walk those nonzeros in the order a dense triangular solve visits
+    indices, so they return exactly what the dense solves would (up to
+    the sign of a zero) at a cost proportional to [m] plus the stored
+    nonzeros. *)
 
 type t
 
 (** Updates between automatic refactorizations (64). *)
 val refactor_interval : int
+
+(** Pivot magnitude at or below which a factorization is singular and
+    an update is refused (1e-11). *)
+val singular_tol : float
 
 (** [create ~cols ~header] factorizes the basis made of columns
     [header.(0..m-1)] of [cols], where [cols.(j)] is column [j] as
@@ -28,8 +38,6 @@ val create :
 
 (** The live header array (shared, not a copy). *)
 val header : t -> int array
-
-val updates_since_refactor : t -> int
 
 (** [ftran t b] solves [B x = b]. Returns a fresh array. *)
 val ftran : t -> float array -> float array

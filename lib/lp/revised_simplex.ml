@@ -6,10 +6,11 @@
    we keep only the basis header plus an LU factorization with eta
    updates (Basis); each iteration recomputes y = B^-T c_B, prices
    reduced costs against the sparse columns, and FTRANs the entering
-   column. That keeps per-pivot work at O(m^2 + nnz) instead of O(m * n),
-   and — the point of the exercise — makes the basis a first-class value
-   that can be exported by name and re-imported to warm-start a related
-   model.
+   column. The factors and etas are stored sparsely, so a solve costs
+   O(m + nnz(L + U) + nnz(etas)) and a pivot O(m + nnz(A) + those
+   nonzeros) instead of the O(m * n) of a dense tableau — and, the point
+   of the exercise, the basis is a first-class value that can be
+   exported by name and re-imported to warm-start a related model.
 
    Warm starts: a basis is an array of column names (structural variables
    by their Lp_model name, slack of row r as "s:<row name>", artificials
@@ -506,6 +507,8 @@ let cold std ~max_iter pivots =
       | `Done st -> st
       | `Fallback -> Stalled (* unreachable: cold finish never asks to fall back *)))
 
+module Int_set = Set.Make (Int)
+
 (* Resolve a warm basis against this model and repair it into a
    nonsingular basis of the current one:
 
@@ -567,43 +570,87 @@ let resolve_warm std warm =
       end)
     std.row_names;
   let resolved = List.filter (fun j -> not (Hashtbl.mem forced j)) resolved in
-  let k = List.length resolved in
-  let mat = Array.make_matrix std.m k 0.0 in
-  List.iteri
-    (fun c j ->
-      let rows, vals = std.cols.(j) in
+  (* Left-looking sparse elimination, term for term the right-looking
+     dense one: column c receives the updates of the earlier pivots in
+     pivot order (a set of pending pivots, added when their row
+     enters c's pattern), then picks its pivot — the first row of
+     largest magnitude above 1e-9 — among the shared rows still unused.
+     A pivot keeps its column's entries on the rows still unused, the
+     only ones later columns read. *)
+  let m = std.m in
+  let work = Array.make m 0.0 in
+  let pattern = Array.make m 0 and in_pattern = Array.make m false and np = ref 0 in
+  let pivot_of_row = Array.make m (-1) in
+  (* pivot p: its row, its value, and its column's entries *)
+  let piv_row = Array.make m 0 and piv_val = Array.make m 0.0 and n_piv = ref 0 in
+  let col_rows = Array.make m [||] and col_vals = Array.make m [||] in
+  let pending = ref Int_set.empty in
+  let touch i =
+    if not in_pattern.(i) then begin
+      in_pattern.(i) <- true;
+      pattern.(!np) <- i;
+      incr np;
+      let p = pivot_of_row.(i) in
+      if p >= 0 then pending := Int_set.add p !pending
+    end
+  in
+  List.iter
+    (fun j ->
+      let rows, vs = std.cols.(j) in
       for e = 0 to Array.length rows - 1 do
-        mat.(rows.(e)).(c) <- mat.(rows.(e)).(c) +. vals.(e)
-      done)
-    resolved;
-  List.iteri
-    (fun c j ->
+        let i = rows.(e) in
+        touch i;
+        work.(i) <- work.(i) +. vs.(e)
+      done;
+      while not (Int_set.is_empty !pending) do
+        let p = Int_set.min_elt !pending in
+        pending := Int_set.remove p !pending;
+        let f = work.(piv_row.(p)) /. piv_val.(p) in
+        if f <> 0.0 then
+          Array.iteri
+            (fun k i ->
+              touch i;
+              work.(i) <- work.(i) -. (f *. col_vals.(p).(k)))
+            col_rows.(p)
+      done;
       let best = ref (-1) and best_v = ref 1e-9 in
-      for i = 0 to std.m - 1 do
+      for q = 0 to !np - 1 do
+        let i = pattern.(q) in
         if not row_used.(i) then begin
-          let v = abs_float mat.(i).(c) in
-          if v > !best_v then begin
+          let v = abs_float work.(i) in
+          if v > !best_v || (v = !best_v && !best >= 0 && i < !best) then begin
             best_v := v;
             best := i
           end
         end
       done;
-      match !best with
+      (match !best with
       | -1 -> () (* dependent on the columns kept so far: drop *)
       | r ->
         row_used.(r) <- true;
-        if !pos < std.m then begin
+        if !pos < m then begin
           header.(!pos) <- j;
           incr pos
         end;
-        let piv = mat.(r).(c) in
-        for c' = c + 1 to k - 1 do
-          let f = mat.(r).(c') /. piv in
-          if f <> 0.0 then
-            for i = 0 to std.m - 1 do
-              mat.(i).(c') <- mat.(i).(c') -. (f *. mat.(i).(c))
-            done
-        done)
+        let p = !n_piv in
+        piv_row.(p) <- r;
+        piv_val.(p) <- work.(r);
+        pivot_of_row.(r) <- p;
+        let rows =
+          Array.of_list
+            (List.filter
+               (fun i -> (not row_used.(i)) && work.(i) <> 0.0)
+               (List.init !np (Array.get pattern)))
+        in
+        col_rows.(p) <- rows;
+        col_vals.(p) <- Array.map (Array.get work) rows;
+        n_piv := p + 1);
+      for q = 0 to !np - 1 do
+        let i = pattern.(q) in
+        work.(i) <- 0.0;
+        in_pattern.(i) <- false
+      done;
+      np := 0)
     resolved;
   for i = 0 to std.m - 1 do
     if (not row_used.(i)) && !pos < std.m then begin

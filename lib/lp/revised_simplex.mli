@@ -2,9 +2,10 @@
 
     The float engine ({!Solver_chain} tries it ahead of the exact
     oracle {!Simplex_exact}). Works from the basis header plus an
-    LU-with-eta factorization ({!Basis}) that is rebuilt every
-    {!Basis.refactor_interval} pivots or earlier when a residual check
-    detects drift. Pricing is Dantzig with the {!Anti_cycle} one-way
+    LU-with-eta factorization ({!Basis}, factors and etas stored as
+    nonzeros only, so a solve costs [O(m)] plus the stored nonzeros)
+    that is rebuilt every {!Basis.refactor_interval} pivots or earlier
+    when a residual check detects drift. Pricing is Dantzig with the {!Anti_cycle} one-way
     Bland latch; the standard form normalizes rows to rhs ≥ 0, adds one
     slack per inequality and one artificial per Ge/Eq row, and evicts
     zero-valued basic artificials eagerly.

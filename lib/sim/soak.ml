@@ -300,7 +300,9 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
   let tokens = ref (float_of_int cfg.token_capacity) in
   let t_prev = ref Rat.zero in
   (* accumulators *)
-  let avail = ref 0.0 and degraded = ref 0.0 and delivered = ref 0.0 in
+  (* Covered time is summed exactly on the fault-time grid, so the
+     availability fraction lies in [0, 1] by construction. *)
+  let avail = ref Rat.zero and degraded = ref 0.0 and delivered = ref 0.0 in
   let full_replans = ref 0 and patches = ref 0 and suppressions = ref 0 in
   let releases = ref 0 and reintegrations = ref 0 and exhaustions = ref 0 in
   let epochs = ref 0 and cache_hits = ref 0 in
@@ -340,10 +342,11 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     then ticks := List.sort Rat.compare (t :: !ticks)
   in
   let accrue t =
-    let dt = Rat.to_float (Rat.sub t !t_prev) in
+    let span = Rat.sub t !t_prev in
+    let dt = Rat.to_float span in
     if dt > 0.0 then begin
       delivered := !delivered +. (!cur_rate *. dt);
-      if !full_cov then avail := !avail +. dt;
+      if !full_cov then avail := Rat.add !avail span;
       if not (!full_cov && !cur_rate >= thr0 -. 1e-9) then degraded := !degraded +. dt;
       tokens :=
         Float.min (float_of_int cfg.token_capacity) (!tokens +. (dt /. cfg.token_refill));
@@ -627,7 +630,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
   drive batches;
   accrue horizon;
   let hf = Rat.to_float horizon in
-  let availability = !avail /. hf in
+  let availability = Rat.to_float (Rat.div !avail horizon) in
   let nominal_integral = thr0 *. hf in
   let rph = float_of_int !full_replans /. (hf /. cfg.hour) in
   Metrics.set_gauge availability_g availability;

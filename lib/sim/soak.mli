@@ -106,7 +106,9 @@ type report = {
   sk_epochs : int;  (** decision instants (event batches + controller ticks) *)
   sk_availability : float;
       (** fraction of the horizon at full target coverage: every target of
-          the nominal platform served by the running schedule *)
+          the nominal platform served by the running schedule. Covered time
+          is summed exactly, so the value is in [[0, 1]] and a run that
+          never loses coverage reports exactly [1.0]. *)
   sk_degraded_time : float;
       (** simulated time {e not} at full nominal service — coverage
           incomplete or throughput below the initial schedule's *)

@@ -399,6 +399,237 @@ let test_revised_warm_skipped_on_artificials () =
     Alcotest.(check bool) "warm path skipped" false s.Revised_simplex.warm_used
   | _ -> Alcotest.fail "equality model failed"
 
+(* --- Basis: sparse solves against a dense reference --- *)
+
+(* The textbook dense kernel the sparse one must reproduce bit for bit:
+   partial-pivoting LU of the header columns (first row of largest
+   magnitude), triangular solves over every index, and full-length etas.
+   [None] when a pivot falls to [Basis.singular_tol] or below. *)
+module Dense_basis = struct
+  type t = {
+    m : int;
+    cols : (int array * float array) array;
+    header : int array;
+    mutable lu : float array array;
+    mutable perm : int array;
+    mutable etas : (int * float array) list; (* newest first *)
+  }
+
+  let factor t =
+    let m = t.m in
+    let lu = Array.make_matrix m m 0.0 and perm = Array.init m Fun.id in
+    Array.iteri
+      (fun p j ->
+        let rows, vals = t.cols.(j) in
+        Array.iteri (fun k r -> lu.(r).(p) <- lu.(r).(p) +. vals.(k)) rows)
+      t.header;
+    let ok = ref true in
+    for c = 0 to m - 1 do
+      if !ok then begin
+        let best = ref c in
+        for r = c + 1 to m - 1 do
+          if abs_float lu.(r).(c) > abs_float lu.(!best).(c) then best := r
+        done;
+        if abs_float lu.(!best).(c) <= Basis.singular_tol then ok := false
+        else begin
+          let row = lu.(c) and p = perm.(c) in
+          lu.(c) <- lu.(!best);
+          lu.(!best) <- row;
+          perm.(c) <- perm.(!best);
+          perm.(!best) <- p;
+          for r = c + 1 to m - 1 do
+            let f = lu.(r).(c) /. lu.(c).(c) in
+            if f <> 0.0 then begin
+              lu.(r).(c) <- f;
+              for j = c + 1 to m - 1 do
+                lu.(r).(j) <- lu.(r).(j) -. (f *. lu.(c).(j))
+              done
+            end
+          done
+        end
+      end
+    done;
+    t.lu <- lu;
+    t.perm <- perm;
+    t.etas <- [];
+    !ok
+
+  let create cols header =
+    let t = { m = Array.length header; cols; header = Array.copy header; lu = [||]; perm = [||]; etas = [] } in
+    if factor t then Some t else None
+
+  let ftran t b =
+    let m = t.m and lu = t.lu in
+    let x = Array.init m (fun i -> b.(t.perm.(i))) in
+    for i = 0 to m - 1 do
+      for j = 0 to i - 1 do
+        x.(i) <- x.(i) -. (lu.(i).(j) *. x.(j))
+      done
+    done;
+    for i = m - 1 downto 0 do
+      for j = i + 1 to m - 1 do
+        x.(i) <- x.(i) -. (lu.(i).(j) *. x.(j))
+      done;
+      x.(i) <- x.(i) /. lu.(i).(i)
+    done;
+    List.iter
+      (fun (r, w) ->
+        let xr = x.(r) /. w.(r) in
+        if xr <> 0.0 then Array.iteri (fun i wi -> x.(i) <- x.(i) -. (wi *. xr)) w;
+        x.(r) <- xr)
+      (List.rev t.etas);
+    x
+
+  let btran t c =
+    let m = t.m and lu = t.lu in
+    let x = Array.copy c in
+    List.iter
+      (fun (r, w) ->
+        let s = ref x.(r) in
+        Array.iteri (fun i wi -> if i <> r then s := !s -. (wi *. x.(i))) w;
+        x.(r) <- !s /. w.(r))
+      t.etas;
+    for i = 0 to m - 1 do
+      for j = 0 to i - 1 do
+        x.(i) <- x.(i) -. (lu.(j).(i) *. x.(j))
+      done;
+      x.(i) <- x.(i) /. lu.(i).(i)
+    done;
+    for i = m - 1 downto 0 do
+      for j = i + 1 to m - 1 do
+        x.(i) <- x.(i) -. (lu.(j).(i) *. x.(j))
+      done
+    done;
+    let y = Array.make m 0.0 in
+    Array.iteri (fun i p -> y.(p) <- x.(i)) t.perm;
+    y
+
+  let update t ~row ~col ~w =
+    t.header.(row) <- col;
+    if List.length t.etas >= Basis.refactor_interval then ignore (factor t)
+    else t.etas <- (row, Array.copy w) :: t.etas
+end
+
+(* A random sparse nonsingular basis: column p carries a diagonal entry
+   of magnitude 1-3 on row sigma(p) plus up to three entries in [-4, 4]
+   on rows sigma(q), q < p — a row-permuted upper triangle, so the basis
+   is nonsingular, while the off-diagonal magnitudes force row swaps.
+   The [m] spare columns hold one to three entries anywhere; the header
+   starts as the triangle. *)
+let random_sparse_basis rng m =
+  let sigma = Array.init m Fun.id in
+  for i = m - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = sigma.(i) in
+    sigma.(i) <- sigma.(j);
+    sigma.(j) <- t
+  done;
+  let value lo hi =
+    let v = lo +. Random.State.float rng (hi -. lo) in
+    if Random.State.bool rng then v else -.v
+  in
+  let column entries =
+    let entries = List.sort_uniq (fun (a, _) (b, _) -> compare a b) entries in
+    (Array.of_list (List.map fst entries), Array.of_list (List.map snd entries))
+  in
+  let tri =
+    Array.init m (fun p ->
+        let extra =
+          if p = 0 then []
+          else List.init (Random.State.int rng 4) (fun _ -> (sigma.(Random.State.int rng p), value 0.0 4.0))
+        in
+        column ((sigma.(p), value 1.0 3.0) :: List.filter (fun (r, _) -> r <> sigma.(p)) extra))
+  in
+  let spare =
+    Array.init m (fun _ ->
+        column (List.init (1 + Random.State.int rng 3) (fun _ -> (Random.State.int rng m, value 0.5 2.0))))
+  in
+  (Array.append tri spare, Array.init m Fun.id)
+
+(* Right-hand sides with a mix of zeros, so both dense and sparse inputs
+   are covered. *)
+let random_rhs rng m =
+  Array.init m (fun _ -> if Random.State.int rng 3 = 0 then 0.0 else Random.State.float rng 10.0 -. 5.0)
+
+let check_solves rng label bs reference =
+  let m = Array.length (Basis.header bs) in
+  for k = 1 to 3 do
+    let b = random_rhs rng m in
+    if Basis.ftran bs b <> Dense_basis.ftran reference b then
+      Alcotest.failf "%s: ftran #%d differs from the dense solve" label k;
+    if Basis.btran bs b <> Dense_basis.btran reference b then
+      Alcotest.failf "%s: btran #%d differs from the dense solve" label k
+  done
+
+let test_basis_matches_dense () =
+  (* Seeded bases of 3-40 rows, each driven through more eta updates than
+     one refactorization interval: the solves must equal the dense ones
+     exactly after [create], after every eta, and across the automatic
+     refactorization at update [refactor_interval + 1]. *)
+  for seed = 1 to 12 do
+    let rng = Random.State.make [| seed; 4111 |] in
+    let m = 3 + Random.State.int rng 38 in
+    let cols, header = random_sparse_basis rng m in
+    match (Basis.create ~cols ~header, Dense_basis.create cols header) with
+    | Error e, _ -> Alcotest.failf "seed %d: nonsingular basis rejected: %s" seed e
+    | _, None -> Alcotest.failf "seed %d: dense reference found the basis singular" seed
+    | Ok bs, Some reference ->
+      check_solves rng (Printf.sprintf "seed %d, fresh" seed) bs reference;
+      let basic = Array.make (Array.length cols) false in
+      Array.iter (fun j -> basic.(j) <- true) header;
+      for u = 1 to Basis.refactor_interval + 6 do
+        (* enter a random non-basic column on its largest pivot *)
+        let candidates = List.filter (fun j -> not basic.(j)) (List.init (Array.length cols) Fun.id) in
+        let q = List.nth candidates (Random.State.int rng (List.length candidates)) in
+        let a = Array.make m 0.0 in
+        let rows, vals = cols.(q) in
+        Array.iteri (fun k r -> a.(r) <- a.(r) +. vals.(k)) rows;
+        let w = Basis.ftran bs a in
+        let row = ref 0 in
+        Array.iteri (fun i x -> if abs_float x > abs_float w.(!row) then row := i) w;
+        let leave = (Basis.header bs).(!row) in
+        (match Basis.update bs ~row:!row ~col:q ~w with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "seed %d, update %d: %s" seed u e);
+        Dense_basis.update reference ~row:!row ~col:q ~w;
+        basic.(leave) <- false;
+        basic.(q) <- true;
+        check_solves rng (Printf.sprintf "seed %d, update %d" seed u) bs reference
+      done
+  done
+
+let test_basis_singular () =
+  (* A repeated column, and a row no header column touches. *)
+  let cols = [| ([| 0; 1 |], [| 1.0; 2.0 |]); ([| 1 |], [| 1.0 |]); ([| 0 |], [| 3.0 |]) |] in
+  (match Basis.create ~cols ~header:[| 0; 0 |] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "repeated column accepted");
+  (match Basis.create ~cols ~header:[| 2; 2 |] with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "basis with an empty row accepted");
+  match Basis.create ~cols ~header:[| 0; 1 |] with
+  | Error e -> Alcotest.fail e
+  | Ok _ -> ()
+
+let test_basis_tiny_pivot () =
+  (* A pivot element at or below [singular_tol] is refused and leaves the
+     header alone; just above it is absorbed. *)
+  let cols = [| ([| 0 |], [| 1.0 |]); ([| 1 |], [| 1.0 |]); ([| 0; 1 |], [| 1.0; 1.0 |]) |] in
+  let fresh () =
+    match Basis.create ~cols ~header:[| 0; 1 |] with Ok bs -> bs | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun piv ->
+      let bs = fresh () in
+      match Basis.update bs ~row:1 ~col:2 ~w:[| 1.0; piv |] with
+      | Ok () -> Alcotest.failf "pivot %g accepted" piv
+      | Error _ -> Alcotest.(check (array int)) "header unchanged" [| 0; 1 |] (Basis.header bs))
+    [ Basis.singular_tol; Basis.singular_tol /. 2.0; -.Basis.singular_tol; 0.0 ];
+  let bs = fresh () in
+  match Basis.update bs ~row:1 ~col:2 ~w:[| 1.0; 2.0 *. Basis.singular_tol |] with
+  | Ok () -> Alcotest.(check (array int)) "header updated" [| 0; 2 |] (Basis.header bs)
+  | Error e -> Alcotest.fail e
+
 (* --- engines agree on random bounded instances --- *)
 
 (* Random LP: maximize a non-negative objective over rows sum(coef x) <= rhs
@@ -548,3 +779,8 @@ let suite =
     ("revised: warm skipped on artificials", `Quick, test_revised_warm_skipped_on_artificials);
   ]
   @ lp_props
+  @ [
+      ("basis: sparse solves equal the dense ones", `Quick, test_basis_matches_dense);
+      ("basis: singular header is an error", `Quick, test_basis_singular);
+      ("basis: tiny pivot is an error", `Quick, test_basis_tiny_pivot);
+    ]

@@ -96,6 +96,25 @@ let test_patch_only_mode () =
     Alcotest.(check bool) "the run still completes and reports" true
       (r.Soak.sk_epochs > 0 && r.Soak.sk_availability >= 0.0 && r.Soak.sk_availability <= 1.0)
 
+let test_full_coverage_is_exactly_one () =
+  (* Flapping timelines that never break the schedule's coverage. Summed
+     in floats over their 51 and 35 decision instants, the covered spans
+     read 1.0000000000000002 and 0.99999999999999989 of the horizon;
+     summed exactly on the fault-time grid they are the whole horizon. *)
+  List.iter
+    (fun seed ->
+      let p = tiers seed ~n_targets:8 in
+      let sched = mcph_sched p in
+      match
+        Soak.run ~now:(fake_clock ()) p sched (flapping_scenario seed p) ~horizon:(Rat.of_int 400)
+      with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "seed %d: availability is exactly 1" seed)
+          1.0 r.Soak.sk_availability)
+    [ 14; 19 ]
+
 let test_soak_property_sweep () =
   (* Seeded 200-case sweep across platform shapes, scenario families and
      both controllers: the soak loop must never crash, and every schedule it
@@ -128,7 +147,7 @@ let test_soak_property_sweep () =
     match Soak.run ~now:(fake_clock ()) ~config p sched scenario ~horizon with
     | Error e -> Alcotest.failf "case %d: soak failed: %s" i e
     | Ok r ->
-      if r.Soak.sk_availability < -1e-9 || r.Soak.sk_availability > 1.0 +. 1e-9 then
+      if r.Soak.sk_availability < 0.0 || r.Soak.sk_availability > 1.0 then
         Alcotest.failf "case %d: availability %.4f outside [0,1]" i r.Soak.sk_availability;
       List.iteri
         (fun j s ->
@@ -144,4 +163,5 @@ let suite =
     ("damped vs naive controller ablation", `Quick, test_damped_vs_naive_ablation);
     ("empty token bucket means patch-only", `Quick, test_patch_only_mode);
     ("soak property sweep: 200 seeded cases", `Slow, test_soak_property_sweep);
+    ("never-broken coverage has availability exactly 1", `Quick, test_full_coverage_is_exactly_one);
   ]
