@@ -5,7 +5,10 @@ let make num den =
   if Zint.is_zero num then { n = Zint.zero; d = Zint.one }
   else begin
     let g = Zint.gcd num den in
-    let n, _ = Zint.ediv_rem num g and d, _ = Zint.ediv_rem den g in
+    let n, d =
+      if Zint.equal g Zint.one then (num, den)
+      else (fst (Zint.ediv_rem num g), fst (Zint.ediv_rem den g))
+    in
     if Zint.sign d < 0 then { n = Zint.neg n; d = Zint.neg d } else { n; d }
   end
 

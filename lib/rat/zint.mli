@@ -1,4 +1,14 @@
-(** Arbitrary-precision signed integers, layered over {!Nat}. *)
+(** Arbitrary-precision signed integers, layered over {!Nat}.
+
+    A value whose magnitude fits an OCaml [int] (|v| <= [max_int]) is held
+    as a native int, and arithmetic on such values runs in native
+    instructions with overflow checks. Larger values ([min_int] included,
+    whose magnitude is 2{^62}) are held in sign-magnitude form over {!Nat}.
+    An overflowing result moves to the {!Nat} form, and a result that
+    shrinks back into range returns to the native form. The form is
+    canonical: a value that fits is always native, so structural equality
+    agrees with {!equal}. Hashes and polymorphic ordering of a [t] are not
+    part of the interface; use {!equal} and {!compare}. *)
 
 type t
 

@@ -64,6 +64,7 @@ type outcome = {
     | `Fallback of Schedule.t ];
   attempts_used : int;
   sim_time : Rat.t;
+  detection : Event_sim.fault_stats;
 }
 
 let fault_time = Fault.event_time
@@ -104,7 +105,13 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
   let horizon = max pol.horizon_periods (Schedule.init_periods sched + 3) in
   let fs = Event_sim.run_with_faults sched ~faults:scenario ~periods:horizon in
   if fs.Event_sim.f_losses = [] then
-    { events = []; final = `No_failure; attempts_used = 0; sim_time = Rat.zero }
+    {
+      events = [];
+      final = `No_failure;
+      attempts_used = 0;
+      sim_time = Rat.zero;
+      detection = fs;
+    }
   else begin
     let events = ref [] in
     let emit e =
@@ -178,6 +185,7 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
         final;
         attempts_used = !attempts;
         sim_time = !clock;
+        detection = fs;
       }
     in
     (* Phase 1: re-plan for the full surviving target set, with exponential

@@ -91,6 +91,11 @@ type outcome = {
       (** every attempt failed; the last checkpointed schedule stands *) ];
   attempts_used : int;
   sim_time : Rat.t;  (** simulated clock when the controller stopped *)
+  detection : Event_sim.fault_stats;
+      (** the detection replay {!run} made on entry: [sched] against the
+          scenario over [max horizon_periods (Schedule.init_periods sched + 3)]
+          periods. A caller that keeps [sched] running after [`Fallback]
+          reads its surviving rate here instead of replaying again. *)
 }
 
 (** [run p sched scenario] drives the loop. The policy is validated on

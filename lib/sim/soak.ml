@@ -394,11 +394,8 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     schedules := rep.Repair.schedule :: !schedules;
     Hashtbl.replace cache key (!cur, !cur_rate, !full_cov)
   in
-  let go_stale t eff =
-    let fs =
-      Event_sim.run_with_faults !cur ~faults:(scenario_of_damage eff)
-        ~periods:(replay_periods !cur)
-    in
+  (* [fs] is the running schedule replayed against the current damage. *)
+  let go_stale t (fs : Event_sim.fault_stats) =
     cur_rate := fs.Event_sim.f_measured_throughput;
     full_cov := false;
     stale := true;
@@ -442,7 +439,9 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
           adopt ~key rep ~extra_dropped:dropped;
           "degraded"
         | `Fallback _ ->
-          go_stale t eff;
+          (* the loop's detection replay is exactly the replay of the
+             running schedule against this damage *)
+          go_stale t o.Recovery_loop.detection;
           "fallback"
       in
       emit (Episode { at = t; outcome; patched })
@@ -489,7 +488,10 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
       (* the naive ablation writes the cache too but never reads it *)
       adopt ~key:(damage_key eff) rep ~extra_dropped:[];
       emit (Episode { at = t; outcome = "recovered"; patched = false })
-    | Error _ -> go_stale t eff
+    | Error _ ->
+      go_stale t
+        (Event_sim.run_with_faults !cur ~faults:(scenario_of_damage eff)
+           ~periods:(replay_periods !cur))
   in
   let epoch t evs =
     accrue t;

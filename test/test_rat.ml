@@ -85,6 +85,135 @@ let test_zint_ediv () =
   check_pair "6/3" (2, 0) (6, 3);
   check_pair "-6/3" (-2, 0) (-6, 3)
 
+(* Reference integers as (sign, magnitude) over Nat, normalized so a zero
+   magnitude has sign 0. Zint keeps native ints below 2^62 and Nat beyond,
+   so every operation below is checked against plain Nat arithmetic. *)
+let ref_norm (s, m) = if Nat.is_zero m then (0, Nat.zero) else (s, m)
+let ref_to_zint (s, m) = if s < 0 then Zint.neg (Zint.of_nat m) else Zint.of_nat m
+
+let ref_to_string (s, m) = (if s < 0 then "-" else "") ^ Nat.to_string m
+
+let ref_add (sa, ma) (sb, mb) =
+  if sa = 0 then (sb, mb)
+  else if sb = 0 then (sa, ma)
+  else if sa = sb then (sa, Nat.add ma mb)
+  else if Nat.compare ma mb >= 0 then ref_norm (sa, Nat.sub ma mb)
+  else (sb, Nat.sub mb ma)
+
+let ref_mul (sa, ma) (sb, mb) = ref_norm (sa * sb, Nat.mul ma mb)
+
+let ref_ediv_rem (sa, ma) (sb, mb) =
+  let q, r = Nat.divmod ma mb in
+  if sa >= 0 || Nat.is_zero r then (ref_norm (sa * sb, q), ref_norm (1, r))
+  else (ref_norm (-sb, Nat.add q Nat.one), ref_norm (1, Nat.sub mb r))
+
+let ref_compare (sa, ma) (sb, mb) =
+  if sa <> sb then compare sa sb
+  else if sa >= 0 then Nat.compare ma mb
+  else Nat.compare mb ma
+
+(* [z] must be the reference value [r], in canonical form: structurally equal
+   to the same value parsed from its decimal string. *)
+let check_zint name r z =
+  let expect = ref_to_string r in
+  Alcotest.(check string) name expect (Zint.to_string z);
+  Alcotest.(check bool) (name ^ ": canonical") true (z = Zint.of_string expect)
+
+let check_zint_pair (a, b) =
+  let za = ref_to_zint a and zb = ref_to_zint b in
+  let name = Printf.sprintf "(%s, %s)" (ref_to_string a) (ref_to_string b) in
+  check_zint (name ^ " add") (ref_add a b) (Zint.add za zb);
+  check_zint (name ^ " sub") (ref_add a (ref_norm (-fst b, snd b))) (Zint.sub za zb);
+  check_zint (name ^ " mul") (ref_mul a b) (Zint.mul za zb);
+  check_zint (name ^ " gcd") (ref_norm (1, Nat.gcd (snd a) (snd b))) (Zint.gcd za zb);
+  Alcotest.(check int) (name ^ " compare") (ref_compare a b) (Zint.compare za zb);
+  if fst b = 0 then
+    Alcotest.check_raises (name ^ " ediv_rem") Division_by_zero (fun () ->
+        ignore (Zint.ediv_rem za zb))
+  else begin
+    let rq, rr = ref_ediv_rem a b and q, r = Zint.ediv_rem za zb in
+    check_zint (name ^ " quotient") rq q;
+    check_zint (name ^ " remainder") rr r
+  end
+
+let check_zint_unary ((s, m) as a) =
+  let z = ref_to_zint a and name = ref_to_string a in
+  Alcotest.(check (option int)) (name ^ " to_int")
+    (Option.map (fun i -> s * i) (Nat.to_int m))
+    (Zint.to_int z);
+  Alcotest.(check (float 0.0)) (name ^ " to_float")
+    (float_of_int s *. Nat.to_float m)
+    (Zint.to_float z);
+  Alcotest.(check int) (name ^ " sign") s (Zint.sign z);
+  check_zint (name ^ " of_string") a (Zint.of_string (Zint.to_string z));
+  check_nat (name ^ " abs_nat") m (Zint.abs_nat z)
+
+let zint_boundaries =
+  let p k = Nat.shift_left Nat.one k in
+  let mags =
+    [ Nat.zero; Nat.one; p 24; p 31; Nat.sub (p 31) Nat.one; p 48; Nat.of_int max_int;
+      p 62; Nat.add (p 62) Nat.one; p 63; p 70; Nat.mul (p 40) (Nat.of_int 3) ]
+  in
+  List.concat_map (fun m -> List.map ref_norm [ (1, m); (-1, m) ]) mags
+
+let test_zint_boundaries () =
+  List.iter check_zint_unary zint_boundaries;
+  List.iter
+    (fun a -> List.iter (fun b -> check_zint_pair (a, b)) zint_boundaries)
+    zint_boundaries
+
+let test_zint_random_sweep () =
+  let rng = Random.State.make [| 2024; 62 |] in
+  (* Magnitudes up to 80 bits, skewed towards the 62-bit boundary. *)
+  let gen () =
+    let bits =
+      match Random.State.int rng 4 with
+      | 0 -> 62
+      | 1 -> 63
+      | 2 -> 31
+      | _ -> Random.State.int rng 81
+    in
+    let m = ref Nat.zero in
+    for _ = 1 to (bits + 29) / 30 do
+      m := Nat.add (Nat.shift_left !m 30) (Nat.of_int (Random.State.bits rng))
+    done;
+    let m = Nat.shift_right !m (max 0 (Nat.bits !m - bits)) in
+    ref_norm ((if Random.State.bool rng then 1 else -1), m)
+  in
+  for _ = 1 to 3000 do
+    let a = gen () and b = gen () in
+    check_zint_unary a;
+    check_zint_pair (a, b)
+  done
+
+let test_zint_canonical () =
+  let z = Zint.of_int in
+  let big = Zint.add (z max_int) Zint.one in
+  Alcotest.(check (option int)) "max_int + 1 is not an int" None (Zint.to_int big);
+  Alcotest.(check bool) "(max_int + 1) - 1 = max_int, structurally" true
+    (Zint.sub big Zint.one = z max_int);
+  Alcotest.check zint "(max_int + 1) - 1 equal" (z max_int) (Zint.sub big Zint.one);
+  let wide = Zint.mul (z max_int) (z 6) in
+  Alcotest.(check bool) "quotient back in range is small" true
+    (fst (Zint.ediv_rem wide (z 6)) = z max_int);
+  Alcotest.(check bool) "gcd back in range is small" true (Zint.gcd wide (z 4) = z 2);
+  Alcotest.(check bool) "product with zero is small" true (Zint.mul wide Zint.zero = Zint.zero);
+  Alcotest.(check bool) "-0 parses to zero" true (Zint.of_string "-0" = Zint.zero)
+
+let test_min_int () =
+  let m = Zint.of_int min_int in
+  Alcotest.(check string) "of_int min_int" (string_of_int min_int) (Zint.to_string m);
+  Alcotest.check zint "min_int + 1" (Zint.of_int (min_int + 1)) (Zint.add m Zint.one);
+  Alcotest.check zint "(min_int + 1) - 1" m (Zint.sub (Zint.of_int (min_int + 1)) Zint.one);
+  Alcotest.(check bool) "min_int + 1 is small again" true
+    (Zint.add m Zint.one = Zint.of_int (min_int + 1));
+  Alcotest.(check string) "-min_int" "4611686018427387904" (Zint.to_string (Zint.neg m));
+  Alcotest.(check string) "Rat.of_ints min_int 1" (string_of_int min_int)
+    (Rat.to_string (Rat.of_ints min_int 1));
+  Alcotest.(check string) "Rat.of_ints 1 min_int" "-1/4611686018427387904"
+    (Rat.to_string (Rat.of_ints 1 min_int));
+  check_rat "Rat.of_ints min_int min_int" Rat.one (Rat.of_ints min_int min_int)
+
 (* --- Rat unit tests --- *)
 
 let test_rat_normalization () =
@@ -212,6 +341,10 @@ let suite =
     ("nat: strings", `Quick, test_nat_string);
     ("zint: arith", `Quick, test_zint_arith);
     ("zint: euclidean division", `Quick, test_zint_ediv);
+    ("zint: boundary values vs Nat reference", `Quick, test_zint_boundaries);
+    ("zint: seeded random sweep vs Nat reference", `Quick, test_zint_random_sweep);
+    ("zint: canonical form", `Quick, test_zint_canonical);
+    ("zint: min_int is total", `Quick, test_min_int);
     ("rat: normalization", `Quick, test_rat_normalization);
     ("rat: arith", `Quick, test_rat_arith);
     ("rat: compare", `Quick, test_rat_compare);

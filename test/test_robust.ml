@@ -147,9 +147,20 @@ let run_ok ?now ?policy ?planner p sched scenario =
   | Ok o -> o
   | Error e -> Alcotest.failf "recovery loop rejected a valid policy: %s" e
 
+(* [o.detection] must be the replay [run] promises: [sched] against the
+   scenario over [max horizon_periods (init_periods + 3)] periods. *)
+let check_detection policy o sched scenario =
+  let periods =
+    max policy.Recovery_loop.horizon_periods (Schedule.init_periods sched + 3)
+  in
+  Alcotest.(check bool) "detection is the entry replay" true
+    (o.Recovery_loop.detection = Event_sim.run_with_faults sched ~faults:scenario ~periods)
+
 let test_recovery_no_failure () =
   let p = Paper_platforms.two_relay () in
-  let o = run_ok p (two_relay_sched ()) [] in
+  let sched = two_relay_sched () in
+  let o = run_ok p sched [] in
+  check_detection (Recovery_loop.default_policy p) o sched [];
   (match o.Recovery_loop.final with
   | `No_failure -> ()
   | _ -> Alcotest.fail "expected `No_failure");
@@ -268,6 +279,9 @@ let test_recovery_deadline_fallback () =
     }
   in
   let o = run_ok ~now ~policy ~planner:slow p sched scenario in
+  check_detection policy o sched scenario;
+  Alcotest.(check bool) "the dead relay cost deliveries" true
+    (o.Recovery_loop.detection.Event_sim.f_losses <> []);
   Alcotest.(check (list string)) "deadline sequence"
     [
       "failure-observed"; "replan-attempt"; "deadline-exceeded";

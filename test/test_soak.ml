@@ -1,7 +1,8 @@
 (* Tests for the chaos soak driver: fake-clock determinism, the
    damped-vs-naive controller ablation, patch-only operation with an empty
-   token bucket, and a seeded property sweep asserting the soak loop never
-   crashes and never adopts an unchecked schedule. *)
+   token bucket, a seeded property sweep asserting the soak loop never
+   crashes and never adopts an unchecked schedule, and the one-replay-per-
+   episode budget on fallbacks. *)
 
 (* A deterministic wall clock: strictly increasing, no Unix dependence, so
    two runs with fresh instances behave identically. *)
@@ -157,6 +158,42 @@ let test_soak_property_sweep () =
         r.Soak.sk_schedules
   done
 
+let test_fallback_reuses_detection_replay () =
+  (* When every re-plan attempt fails, the controller keeps the running
+     schedule and reads its surviving rate from the recovery loop's own
+     detection replay, so a damped soak makes exactly one faulty replay per
+     recovery episode. A tiny token bucket makes episodes fall back. *)
+  let replays = Metrics.counter "sim.faulty_replays" in
+  let runs = Metrics.counter "recovery.runs" in
+  let fallbacks = ref 0 in
+  List.iter
+    (fun seed ->
+      let p = tiers seed ~n_targets:8 in
+      let horizon = Rat.of_int 400 in
+      let scenario =
+        Fault.renewal_link_faults
+          (Random.State.make [| seed; 6151 |])
+          p ~mtbf:60.0 ~mttr:10.0 ~horizon
+      in
+      let config =
+        { (Soak.default_config p) with Soak.token_capacity = 2; token_refill = 40.0 }
+      in
+      let replays0 = Metrics.counter_value replays and runs0 = Metrics.counter_value runs in
+      match Soak.run ~now:(fake_clock ()) ~config p (mcph_sched p) scenario ~horizon with
+      | Error e -> Alcotest.failf "seed %d: soak failed: %s" seed e
+      | Ok r ->
+        List.iter
+          (function
+            | Soak.Episode { outcome = "fallback"; _ } -> incr fallbacks
+            | _ -> ())
+          r.Soak.sk_log;
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: one faulty replay per recovery run" seed)
+          (Metrics.counter_value runs - runs0)
+          (Metrics.counter_value replays - replays0))
+    [ 1; 2 ];
+  Alcotest.(check bool) "some episode fell back" true (!fallbacks > 0)
+
 let suite =
   [
     ("fake clock makes soaks deterministic", `Quick, test_fake_clock_determinism);
@@ -164,4 +201,5 @@ let suite =
     ("empty token bucket means patch-only", `Quick, test_patch_only_mode);
     ("soak property sweep: 200 seeded cases", `Slow, test_soak_property_sweep);
     ("never-broken coverage has availability exactly 1", `Quick, test_full_coverage_is_exactly_one);
+    ("fallback reuses the detection replay", `Quick, test_fallback_reuses_detection_replay);
   ]
