@@ -180,17 +180,37 @@ let with_seed_reporting ~seed f =
 
 (* --- generate --- *)
 
+let platform_kinds =
+  [
+    ("tiers-small", `Tiers_small);
+    ("tiers-big", `Tiers_big);
+    ("random", `Random);
+    ("fig1", `Fig1);
+    ("fig4", `Fig4);
+    ("two-relay", `Two_relay);
+  ]
+
 let platform_of_kind rng kind ~n_targets =
   match kind with
-  | "tiers-small" -> Tiers.generate rng Tiers.small_params ~n_targets
-  | "tiers-big" -> Tiers.generate rng Tiers.big_params ~n_targets
-  | "random" ->
+  | `Tiers_small -> Tiers.generate rng Tiers.small_params ~n_targets
+  | `Tiers_big -> Tiers.generate rng Tiers.big_params ~n_targets
+  | `Random ->
     Generators.random_connected rng ~nodes:20 ~extra_edges:10 ~min_cost:1 ~max_cost:50
       ~n_targets
-  | "fig1" -> Paper_platforms.fig1 ()
-  | "fig4" -> Paper_platforms.fig4 ()
-  | "two-relay" -> Paper_platforms.two_relay ()
-  | other -> failwith ("unknown platform kind: " ^ other)
+  | `Fig1 -> Paper_platforms.fig1 ()
+  | `Fig4 -> Paper_platforms.fig4 ()
+  | `Two_relay -> Paper_platforms.two_relay ()
+
+(* Every flag whose value comes from a fixed list of names is an [Arg.enum]:
+   cmdliner rejects any other value as a usage error (exit 124) before the
+   command does any work. *)
+let kind_term ~doc =
+  Arg.(value & opt (enum platform_kinds) `Tiers_small & info [ "kind" ] ~docv:"KIND" ~doc)
+
+let kind_arg = kind_term ~doc:"Platform kind when no file is given (see $(b,generate))."
+
+(* The name an enumerated flag's value was given by. *)
+let enum_name choices v = fst (List.find (fun (_, v') -> v' = v) choices)
 
 let generate kind seed n_targets out trace metrics =
   with_observability ~trace ~metrics @@ fun () ->
@@ -205,8 +225,7 @@ let generate kind seed n_targets out trace metrics =
 
 let generate_cmd =
   let kind =
-    let doc = "Platform kind: tiers-small, tiers-big, random, fig1, fig4, two-relay." in
-    Arg.(value & opt string "tiers-small" & info [ "kind" ] ~docv:"KIND" ~doc)
+    kind_term ~doc:(Printf.sprintf "Platform kind, %s." (Arg.doc_alts_enum platform_kinds))
   in
   let n_targets =
     let doc = "Number of multicast targets." in
@@ -443,10 +462,9 @@ let resilience file kind seed n_targets kill_edges kill_nodes degrades at period
       let rng = Random.State.make [| seed; 6007 |] in
       scenario
       @ (match s with
-        | "burst" -> Fault.random_burst rng p ~k:storm_k ~window:Rat.one ~at
-        | "endpoint" -> Fault.shared_endpoint_kills rng p ~endpoints:storm_k ~at
-        | "subtree" -> Fault.subtree_outage rng p ~at
-        | other -> failwith ("unknown --storm kind: " ^ other))
+        | `Burst -> Fault.random_burst rng p ~k:storm_k ~window:Rat.one ~at
+        | `Endpoint -> Fault.shared_endpoint_kills rng p ~endpoints:storm_k ~at
+        | `Subtree -> Fault.subtree_outage rng p ~at)
   in
   if scenario = [] then
     failwith "no fault events: pass --kill-edge, --kill-node, --degrade or --storm";
@@ -530,10 +548,7 @@ let resilience file kind seed n_targets kill_edges kill_nodes degrades at period
       print_perf_counters ())
 
 let resilience_cmd =
-  let kind =
-    let doc = "Platform kind when no file is given (see $(b,generate))." in
-    Arg.(value & opt string "tiers-small" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
+  let kind = kind_arg in
   let n_targets =
     let doc = "Number of multicast targets for generated platforms." in
     Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
@@ -581,7 +596,8 @@ let resilience_cmd =
        inside a one-unit window), $(b,endpoint) (every link of k shared endpoints), \
        or $(b,subtree) (a MAN router and all its LAN hosts)."
     in
-    Arg.(value & opt (some string) None & info [ "storm" ] ~docv:"KIND" ~doc)
+    let storms = [ ("burst", `Burst); ("endpoint", `Endpoint); ("subtree", `Subtree) ] in
+    Arg.(value & opt (some (enum storms)) None & info [ "storm" ] ~docv:"KIND" ~doc)
   in
   let storm_k =
     let doc = "Burst size / endpoint count for --storm." in
@@ -661,10 +677,7 @@ let robust file kind seed n_targets loss_bound max_scenarios with_lb storms jobs
     print_perf_counters ()
 
 let robust_cmd =
-  let kind =
-    let doc = "Platform kind when no file is given (see $(b,generate))." in
-    Arg.(value & opt string "tiers-small" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
+  let kind = kind_arg in
   let n_targets =
     let doc = "Number of multicast targets for generated platforms." in
     Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
@@ -702,6 +715,15 @@ let rat_arg ~what s =
   | r -> r
   | exception _ -> failwith (Printf.sprintf "bad %s: %s" what s)
 
+let soak_scenarios =
+  [
+    ("renewal", `Renewal);
+    ("renewal-nodes", `Renewal_nodes);
+    ("renewal-mixed", `Renewal_mixed);
+    ("flapping", `Flapping);
+    ("diurnal", `Diurnal);
+  ]
+
 let soak file kind seed n_targets horizon scenario_kind mtbf mttr flap_links flaps
     mean_up mean_down waves wave_period wave_factor wave_rate controller tokens
     token_refill hysteresis min_availability show_log slo timeseries trace metrics =
@@ -721,25 +743,25 @@ let soak file kind seed n_targets horizon scenario_kind mtbf mttr flap_links fla
   let rng = Random.State.make [| seed; 7001 |] in
   let scenario =
     match scenario_kind with
-    | "renewal" -> Fault.renewal_link_faults rng p ~mtbf ~mttr ~horizon
-    | "renewal-nodes" -> Fault.renewal_node_faults rng p ~mtbf ~mttr ~horizon
-    | "renewal-mixed" ->
+    | `Renewal -> Fault.renewal_link_faults rng p ~mtbf ~mttr ~horizon
+    | `Renewal_nodes -> Fault.renewal_node_faults rng p ~mtbf ~mttr ~horizon
+    | `Renewal_mixed ->
       (* Node failures are rarer than link failures on real platforms;
          double the node MTBF so mixed runs are link-dominated. *)
       Fault.renewal_link_faults rng p ~mtbf ~mttr ~horizon
       @ Fault.renewal_node_faults rng p ~mtbf:(2. *. mtbf) ~mttr ~horizon
-    | "flapping" ->
+    | `Flapping ->
       Fault.flapping_links rng p ~links:flap_links ~flaps ~mean_up ~mean_down
         ~at:Rat.zero
-    | "diurnal" ->
+    | `Diurnal ->
       Fault.diurnal_degradation rng p ~waves
         ~period:(rat_arg ~what:"--wave-period" wave_period)
         ~factor:(rat_arg ~what:"--wave-factor" wave_factor)
         ~rate:wave_rate
-    | other -> failwith ("unknown --scenario kind: " ^ other)
   in
   Printf.printf "%s\n" (Platform.describe p);
-  Printf.printf "scenario: %s, %d fault events, horizon %s\n" scenario_kind
+  Printf.printf "scenario: %s, %d fault events, horizon %s\n"
+    (enum_name soak_scenarios scenario_kind)
     (List.length scenario) (Rat.to_string horizon);
   match Mcph.run p with
   | None -> failwith "some target is unreachable"
@@ -751,12 +773,6 @@ let soak file kind seed n_targets horizon scenario_kind mtbf mttr flap_links fla
     | Ok () -> ()
     | Error e -> failwith ("baseline schedule check failed: " ^ e));
     let base = Soak.default_config p in
-    let controller =
-      match controller with
-      | "damped" -> Soak.Damped Soak.default_damping
-      | "naive" -> Soak.Naive
-      | other -> failwith ("unknown --controller: " ^ other)
-    in
     let config =
       { base with Soak.controller; token_capacity = tokens; token_refill; hysteresis }
     in
@@ -779,10 +795,7 @@ let soak file kind seed n_targets horizon scenario_kind mtbf mttr flap_links fla
       | _ -> ()))
 
 let soak_cmd =
-  let kind =
-    let doc = "Platform kind when no file is given (see $(b,generate))." in
-    Arg.(value & opt string "tiers-small" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
+  let kind = kind_arg in
   let n_targets =
     let doc = "Number of multicast targets for generated platforms." in
     Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
@@ -798,7 +811,7 @@ let soak_cmd =
        $(b,flapping) (a few links cycling up/down fast), or $(b,diurnal) \
        (congestion waves degrading links, then clearing)."
     in
-    Arg.(value & opt string "renewal" & info [ "scenario" ] ~docv:"KIND" ~doc)
+    Arg.(value & opt (enum soak_scenarios) `Renewal & info [ "scenario" ] ~docv:"KIND" ~doc)
   in
   let mtbf =
     let doc =
@@ -849,7 +862,8 @@ let soak_cmd =
        re-integration hysteresis) or $(b,naive) (full re-plan on every change — \
        the ablation baseline)."
     in
-    Arg.(value & opt string "damped" & info [ "controller" ] ~docv:"C" ~doc)
+    let controllers = [ ("damped", Soak.Damped); ("naive", Soak.Naive) ] in
+    Arg.(value & opt (enum controllers) Soak.Damped & info [ "controller" ] ~docv:"C" ~doc)
   in
   let tokens =
     let doc = "Full-re-plan token bucket capacity (0 = incremental patches only)." in
@@ -882,6 +896,9 @@ let soak_cmd =
       $ min_availability $ show_log $ slo_arg $ timeseries_arg $ trace_arg $ metrics_arg)
 
 (* --- sessions --- *)
+
+let session_scenarios =
+  [ ("none", `None); ("renewal", `Renewal); ("burst", `Burst); ("flapping", `Flapping) ]
 
 let sessions file kind seed n_targets horizon arrival_rate hold_mean demand_lo
     demand_hi flash_rate epoch mode jobs scenario_kind mtbf mttr burst_k burst_at
@@ -919,34 +936,23 @@ let sessions file kind seed n_targets horizon arrival_rate hold_mean demand_lo
   let frng = Random.State.make [| seed; 9002 |] in
   let faults =
     match scenario_kind with
-    | "none" -> []
-    | "renewal" -> Fault.renewal_link_faults frng p ~mtbf ~mttr ~horizon
-    | "burst" ->
+    | `None -> []
+    | `Renewal -> Fault.renewal_link_faults frng p ~mtbf ~mttr ~horizon
+    | `Burst ->
       Fault.random_burst frng p ~k:burst_k ~window:Rat.one
         ~at:(rat_arg ~what:"--burst-at" burst_at)
-    | "flapping" ->
+    | `Flapping ->
       Fault.flapping_links frng p ~links:3 ~flaps:6 ~mean_up:40. ~mean_down:5.
         ~at:Rat.zero
-    | other -> failwith ("unknown --scenario kind: " ^ other)
-  in
-  let mode =
-    match mode with
-    | "incremental" -> `Incremental
-    | "cold" -> `Cold
-    | other -> failwith ("unknown --mode: " ^ other)
   in
   let config =
-    {
-      Horizon.default_config with
-      epoch = rat_arg ~what:"--epoch" epoch;
-      replan_mode = mode;
-      jobs;
-    }
+    { Horizon.epoch = rat_arg ~what:"--epoch" epoch; replan_mode = mode; jobs }
   in
   Printf.printf "%s\n" (Platform.describe p);
   Printf.printf "workload: %s\n" (Workload.describe workload);
   Printf.printf "scenario: %s, %d fault events, horizon %s, epoch %s (%s)\n"
-    scenario_kind (List.length faults) (Rat.to_string horizon)
+    (enum_name session_scenarios scenario_kind)
+    (List.length faults) (Rat.to_string horizon)
     (Rat.to_string config.Horizon.epoch)
     (match mode with `Incremental -> "incremental" | `Cold -> "cold");
   match
@@ -985,10 +991,7 @@ let sessions file kind seed n_targets horizon arrival_rate hold_mean demand_lo
     | _ -> ())
 
 let sessions_cmd =
-  let kind =
-    let doc = "Platform kind when no file is given (see $(b,generate))." in
-    Arg.(value & opt string "tiers-small" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
+  let kind = kind_arg in
   let n_targets =
     let doc = "Number of multicast targets for generated platforms." in
     Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
@@ -1027,14 +1030,15 @@ let sessions_cmd =
        $(b,cold) (every live session from scratch each epoch — the S1 ablation \
        baseline). Both modes admit the same sessions at the same rates."
     in
-    Arg.(value & opt string "incremental" & info [ "mode" ] ~docv:"M" ~doc)
+    let modes = [ ("incremental", `Incremental); ("cold", `Cold) ] in
+    Arg.(value & opt (enum modes) `Incremental & info [ "mode" ] ~docv:"M" ~doc)
   in
   let scenario =
     let doc =
       "Fault timeline: $(b,none), $(b,renewal) (per-link fail/repair renewal \
        process), $(b,burst) (one correlated failure burst), or $(b,flapping)."
     in
-    Arg.(value & opt string "none" & info [ "scenario" ] ~docv:"KIND" ~doc)
+    Arg.(value & opt (enum session_scenarios) `None & info [ "scenario" ] ~docv:"KIND" ~doc)
   in
   let mtbf =
     let doc = "Mean time between failures (renewal scenario)." in
@@ -1158,10 +1162,7 @@ let incidents file kind seed n_targets horizon mtbf mttr slo lookback json_out
         Printf.printf "incidents json: wrote %s\n" path))
 
 let incidents_cmd =
-  let kind =
-    let doc = "Platform kind when no file is given (see $(b,generate))." in
-    Arg.(value & opt string "tiers-small" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
+  let kind = kind_arg in
   let n_targets =
     let doc = "Number of multicast targets for generated platforms." in
     Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
@@ -1204,12 +1205,19 @@ let incidents_cmd =
    the profile (self-time table, LP attribution, pool utilization), not the
    planning report. *)
 
-let profile_workloads = [ "robust"; "resilience"; "heuristics"; "sessions"; "soak" ]
+let profile_workloads =
+  [
+    ("robust", `Robust);
+    ("resilience", `Resilience);
+    ("heuristics", `Heuristics);
+    ("sessions", `Sessions);
+    ("soak", `Soak);
+  ]
 
 let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jobs
     ~periods ~tries p =
   match workload with
-  | "robust" -> (
+  | `Robust -> (
     match Robust_plan.plan ~loss_bound ~max_scenarios ~seed ~with_lb ~jobs p with
     | Error e -> failwith e
     | Ok r ->
@@ -1219,7 +1227,7 @@ let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jo
         c.Robust_plan.label
         (100. *. c.Robust_plan.cand_score.Robust_plan.worst_case)
         c.Robust_plan.cand_score.Robust_plan.nominal)
-  | "resilience" -> (
+  | `Resilience -> (
     match Mcph.run p with
     | None -> failwith "some target is unreachable"
     | Some r -> (
@@ -1240,7 +1248,7 @@ let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jo
       | Ok rep ->
         Printf.printf "workload resilience: repair retention %.3f\n" rep.Repair.retention
       | Error e -> Printf.printf "workload resilience: unrecoverable (%s)\n" e))
-  | "heuristics" ->
+  | `Heuristics ->
     let report = Heuristics.run_all ?max_tries_per_round:tries p in
     let best =
       List.fold_left
@@ -1257,7 +1265,7 @@ let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jo
       Printf.printf "workload heuristics: %d methods, best %s (period %.4f)\n"
         (List.length report.Heuristics.entries)
         e.Heuristics.name e.Heuristics.period)
-  | "sessions" -> (
+  | `Sessions -> (
     let horizon = Rat.of_int 200 in
     let workload =
       Workload.generate
@@ -1272,7 +1280,7 @@ let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jo
         "workload sessions: %d admitted, %d rejected, %d re-plans (%d skipped)\n"
         rep.Horizon.hz_admitted rep.Horizon.hz_rejected rep.Horizon.hz_replans
         rep.Horizon.hz_replans_skipped)
-  | "soak" -> (
+  | `Soak -> (
     match Mcph.run p with
     | None -> failwith "some target is unreachable"
     | Some r -> (
@@ -1287,10 +1295,6 @@ let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jo
       | Ok rep ->
         Printf.printf "workload soak: availability %.4f, %d full re-plans, %d patches\n"
           rep.Soak.sk_availability rep.Soak.sk_full_replans rep.Soak.sk_patches))
-  | other ->
-    failwith
-      (Printf.sprintf "unknown workload %s (expected one of: %s)" other
-         (String.concat ", " profile_workloads))
 
 (* LP-solve attribution from the metrics delta: solves/pivots by kind, the
    per-caller cache traffic (the dynamic lp_cache.{hits,misses}.<caller>
@@ -1357,7 +1361,8 @@ let profile file kind seed n_targets workload loss_bound max_scenarios with_lb p
       platform_of_kind rng kind ~n_targets
   in
   Printf.printf "%s\n" (Platform.describe p);
-  Printf.printf "profiling workload %s (jobs %d)...\n%!" workload jobs;
+  let name = enum_name profile_workloads workload in
+  Printf.printf "profiling workload %s (jobs %d)...\n%!" name jobs;
   let before = Metrics.snapshot () in
   Trace.enable ~capacity:(1 lsl 18) ();
   (try
@@ -1400,7 +1405,7 @@ let profile file kind seed n_targets workload loss_bound max_scenarios with_lb p
     in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\n";
-    Buffer.add_string buf (Printf.sprintf "  \"workload\": %S,\n" workload);
+    Buffer.add_string buf (Printf.sprintf "  \"workload\": %S,\n" name);
     Buffer.add_string buf (Printf.sprintf "  \"platform\": %S,\n" (Platform.describe p));
     Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
     Buffer.add_string buf ("  \"metrics\": " ^ indent (Metrics.to_json delta) ^ ",\n");
@@ -1410,10 +1415,7 @@ let profile file kind seed n_targets workload loss_bound max_scenarios with_lb p
     Printf.printf "profile json: wrote %s\n" path
 
 let profile_cmd =
-  let kind =
-    let doc = "Platform kind when no file is given (see $(b,generate))." in
-    Arg.(value & opt string "tiers-small" & info [ "kind" ] ~docv:"KIND" ~doc)
-  in
+  let kind = kind_arg in
   let n_targets =
     let doc = "Number of multicast targets for generated platforms." in
     Arg.(value & opt int 6 & info [ "targets" ] ~docv:"N" ~doc)
@@ -1425,7 +1427,7 @@ let profile_cmd =
        method portfolio), $(b,sessions) (the rolling-horizon session engine) or \
        $(b,soak) (the chaos-soak recovery controller)."
     in
-    Arg.(value & opt string "robust" & info [ "workload" ] ~docv:"W" ~doc)
+    Arg.(value & opt (enum profile_workloads) `Robust & info [ "workload" ] ~docv:"W" ~doc)
   in
   let loss_bound =
     let doc = "Robust-planning loss bound (workload robust)." in

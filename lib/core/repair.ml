@@ -4,35 +4,43 @@ type damage = {
   degraded : ((int * int) * Rat.t) list;
 }
 
-let no_damage = { dead_edges = []; dead_nodes = []; degraded = [] }
-
-(* Order-insensitive equality: the soak controller compares the effective
-   damage set across epochs to decide whether anything changed, and the set
-   is assembled from unordered scans. Degradation entries on the same edge
-   are compared by net factor (their product), matching apply_damage's
-   multiplicative composition. *)
-let damage_equal a b =
-  let edges d = List.sort_uniq compare d.dead_edges in
-  let nodes d = List.sort_uniq compare d.dead_nodes in
-  let net d =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (e, f) ->
-        let cur = match Hashtbl.find_opt tbl e with Some x -> x | None -> Rat.one in
-        Hashtbl.replace tbl e (Rat.mul cur f))
-      d.degraded;
-    List.sort compare
-      (Hashtbl.fold
-         (fun e f acc -> if Rat.equal f Rat.one then acc else (e, f) :: acc)
-         tbl [])
+(* Every damage value is built here, in canonical form: the dead sets
+   sorted without duplicates, and one degradation entry per edge, sorted by
+   edge, carrying the net factor (the product of the edge's factors, as
+   apply_damage composes them), with net factors of exactly one dropped.
+   The soak controller and the session engine compare damage across epochs
+   to decide whether anything changed, and their damage is assembled from
+   unordered scans, so equal states must have one representation. *)
+let damage ?(dead_edges = []) ?(dead_nodes = []) ?(degraded = []) () =
+  let by_edge = List.stable_sort (fun (a, _) (b, _) -> compare a b) degraded in
+  let net =
+    List.fold_left
+      (fun acc (e, f) ->
+        match acc with
+        | (e', f') :: rest when e' = e -> (e, Rat.mul f' f) :: rest
+        | _ -> (e, f) :: acc)
+      [] by_edge
   in
-  edges a = edges b && nodes a = nodes b
-  && List.for_all2 (fun (e, f) (e', f') -> e = e' && Rat.equal f f')
-       (net a) (net b)
+  {
+    dead_edges = List.sort_uniq compare dead_edges;
+    dead_nodes = List.sort_uniq compare dead_nodes;
+    degraded = List.rev (List.filter (fun (_, f) -> not (Rat.equal f Rat.one)) net);
+  }
 
-let damage_equal a b =
-  (* List.for_all2 raises on length mismatch; unequal lengths mean unequal. *)
-  try damage_equal a b with Invalid_argument _ -> false
+let no_damage = damage ()
+
+let compare_damage a b =
+  let factor ((e : int * int), f) (e', f') =
+    match compare e e' with 0 -> Rat.compare f f' | c -> c
+  in
+  match compare a.dead_edges b.dead_edges with
+  | 0 -> (
+    match compare a.dead_nodes b.dead_nodes with
+    | 0 -> List.compare factor a.degraded b.degraded
+    | c -> c)
+  | c -> c
+
+let damage_equal a b = compare_damage a b = 0
 
 type repair_method = [ `Full_replan | `Patched | `Fell_back of string ]
 
@@ -76,11 +84,7 @@ let apply_damage (p : Platform.t) damage =
       let dead_edge = Hashtbl.create 16 in
       List.iter (fun e -> Hashtbl.replace dead_edge e ()) damage.dead_edges;
       let factor = Hashtbl.create 16 in
-      List.iter
-        (fun (e, f) ->
-          let prev = Option.value ~default:Rat.one (Hashtbl.find_opt factor e) in
-          Hashtbl.replace factor e (Rat.mul prev f))
-        damage.degraded;
+      List.iter (fun (e, f) -> Hashtbl.replace factor e f) damage.degraded;
       let g' = Digraph.create n in
       for v = 0 to n - 1 do
         Digraph.set_label g' v (Digraph.label g v)
@@ -111,6 +115,15 @@ let apply_damage (p : Platform.t) damage =
       end
     end
 
+let survivor p damage =
+  match apply_damage p damage with
+  | Ok survivor when not (Platform.is_feasible survivor) ->
+    Error "unrecoverable: a surviving target is unreachable from the source"
+  | r -> r
+
+let lost_targets (p : Platform.t) damage =
+  List.filter (fun t -> List.mem t damage.dead_nodes) p.Platform.targets
+
 let plans = Metrics.counter "repair.plans"
 
 let plan ?(now = Unix.gettimeofday) ?before (p : Platform.t) damage =
@@ -121,7 +134,7 @@ let plan ?(now = Unix.gettimeofday) ?before (p : Platform.t) damage =
         [ ("retention", Trace.Float r.retention); ("refill_periods", Trace.Int r.refill_periods) ]
       | Error e -> [ ("error", Trace.Str e) ])
   @@ fun () ->
-  match apply_damage p damage with
+  match survivor p damage with
   | Error e -> Error e
   | Ok survivor ->
     let baseline, throughput_before =
@@ -133,42 +146,37 @@ let plan ?(now = Unix.gettimeofday) ?before (p : Platform.t) damage =
         | None -> nan
         | Some r -> Rat.to_float (Rat.inv r.Mcph.period))
     in
-    if not (Platform.is_feasible survivor) then
-      Error "unrecoverable: a surviving target is unreachable from the source"
-    else begin
-      let t0 = now () in
-      match Mcph.run survivor with
-      | None -> Error "unrecoverable: no multicast tree on the surviving platform"
-      | Some r ->
-        let set = Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ] in
-        let schedule = Schedule.of_tree_set set in
-        let replan_seconds = now () -. t0 in
-        let throughput_after = Rat.to_float schedule.Schedule.throughput in
-        let lb_after =
-          (* Survivor LB solves warm-start from the nominal platform's
-             optimal basis: one link/node of damage leaves most of the
-             basis valid, so the re-solve is a short dual correction. *)
-          let warm = Lp_cache.multicast_lb_basis ~caller:"repair" p in
-          Option.map
-            (fun (s : Formulations.solution) -> s.Formulations.throughput)
-            (Lp_cache.multicast_lb ~caller:"repair" ?warm survivor)
-        in
-        Ok
-          {
-            survivor;
-            schedule;
-            baseline;
-            repair_method = `Full_replan;
-            throughput_before;
-            throughput_after;
-            retention = throughput_after /. throughput_before;
-            lb_after;
-            replan_seconds;
-            refill_periods = Schedule.init_periods schedule;
-            lost_targets =
-              List.filter (fun t -> List.mem t damage.dead_nodes) p.Platform.targets;
-          }
-    end
+    let t0 = now () in
+    match Mcph.run survivor with
+    | None -> Error "unrecoverable: no multicast tree on the surviving platform"
+    | Some r ->
+      let set = Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ] in
+      let schedule = Schedule.of_tree_set set in
+      let replan_seconds = now () -. t0 in
+      let throughput_after = Rat.to_float schedule.Schedule.throughput in
+      let lb_after =
+        (* Survivor LB solves warm-start from the nominal platform's
+           optimal basis: one link/node of damage leaves most of the
+           basis valid, so the re-solve is a short dual correction. *)
+        let warm = Lp_cache.multicast_lb_basis ~caller:"repair" p in
+        Option.map
+          (fun (s : Formulations.solution) -> s.Formulations.throughput)
+          (Lp_cache.multicast_lb ~caller:"repair" ?warm survivor)
+      in
+      Ok
+        {
+          survivor;
+          schedule;
+          baseline;
+          repair_method = `Full_replan;
+          throughput_before;
+          throughput_after;
+          retention = throughput_after /. throughput_before;
+          lb_after;
+          replan_seconds;
+          refill_periods = Schedule.init_periods schedule;
+          lost_targets = lost_targets p damage;
+        }
 
 (* --- incremental repair ------------------------------------------------- *)
 
@@ -358,49 +366,44 @@ let plan_incremental ?(now = Unix.gettimeofday) ?(retention_floor = 0.0)
         Metrics.incr fallback_plans;
         Ok { r with repair_method = `Fell_back reason }
   in
-  match apply_damage p damage with
+  match survivor p damage with
   | Error e -> Error e
   | Ok survivor ->
-    if not (Platform.is_feasible survivor) then
-      Error "unrecoverable: a surviving target is unreachable from the source"
-    else begin
-      let throughput_before = Rat.to_float before.Schedule.throughput in
-      let t0 = now () in
-      match
-        let set = patch_tree_set ~survivor before in
-        let schedule = Schedule.of_tree_set set in
-        (schedule, Schedule.check schedule)
-      with
-      | exception Patch_failed m -> fall m
-      | exception Invalid_argument m -> fall ("patched tree set does not schedule: " ^ m)
-      | _, Error e -> fall ("patched schedule fails check: " ^ e)
-      | schedule, Ok () ->
-        let replan_seconds = now () -. t0 in
-        let throughput_after = Rat.to_float schedule.Schedule.throughput in
-        let retention = throughput_after /. throughput_before in
-        if retention < retention_floor -. 1e-12 then
-          fall
-            (Printf.sprintf "patched retention %.1f%% below the %.1f%% floor"
-               (100. *. retention) (100. *. retention_floor))
-        else begin
-          Metrics.incr patched_plans;
-          Ok
-            {
-              survivor;
-              schedule;
-              baseline = `Given;
-              repair_method = `Patched;
-              throughput_before;
-              throughput_after;
-              retention;
-              lb_after = None;
-              replan_seconds;
-              refill_periods = Schedule.init_periods schedule;
-              lost_targets =
-                List.filter (fun t -> List.mem t damage.dead_nodes) p.Platform.targets;
-            }
-        end
-    end
+    let throughput_before = Rat.to_float before.Schedule.throughput in
+    let t0 = now () in
+    match
+      let set = patch_tree_set ~survivor before in
+      let schedule = Schedule.of_tree_set set in
+      (schedule, Schedule.check schedule)
+    with
+    | exception Patch_failed m -> fall m
+    | exception Invalid_argument m -> fall ("patched tree set does not schedule: " ^ m)
+    | _, Error e -> fall ("patched schedule fails check: " ^ e)
+    | schedule, Ok () ->
+      let replan_seconds = now () -. t0 in
+      let throughput_after = Rat.to_float schedule.Schedule.throughput in
+      let retention = throughput_after /. throughput_before in
+      if retention < retention_floor -. 1e-12 then
+        fall
+          (Printf.sprintf "patched retention %.1f%% below the %.1f%% floor"
+             (100. *. retention) (100. *. retention_floor))
+      else begin
+        Metrics.incr patched_plans;
+        Ok
+          {
+            survivor;
+            schedule;
+            baseline = `Given;
+            repair_method = `Patched;
+            throughput_before;
+            throughput_after;
+            retention;
+            lb_after = None;
+            replan_seconds;
+            refill_periods = Schedule.init_periods schedule;
+            lost_targets = lost_targets p damage;
+          }
+      end
 
 let pp_report fmt r =
   Format.fprintf fmt

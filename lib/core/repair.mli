@@ -15,26 +15,54 @@
     lower bound re-solved on the survivor ([lb_after]) says how much of the
     drop is intrinsic to the degraded platform rather than to the planner. *)
 
-type damage = {
+(** A damage state, always in canonical form: both dead sets sorted
+    without duplicates, and [degraded] holding one entry per edge, sorted by
+    edge, whose factor is the edge's {e net} factor (the product of every
+    factor stated for it) and never exactly one. Only {!damage} builds the
+    record, so two states are the same damage exactly when {!compare_damage}
+    says so, and a state can be used directly as a map key. *)
+type damage = private {
   dead_edges : (int * int) list;  (** directed edges that no longer exist *)
   dead_nodes : int list;  (** failed processors (never the source) *)
   degraded : ((int * int) * Rat.t) list;
       (** surviving edges whose cost is multiplied by the factor ([>= 1]) *)
 }
 
+(** [damage ?dead_edges ?dead_nodes ?degraded ()] is the canonical form of
+    the stated damage: duplicates and order in the dead sets do not matter,
+    factors stated for the same edge multiply, and an edge whose factors
+    multiply to one is not degraded. Each list defaults to empty. *)
+val damage :
+  ?dead_edges:(int * int) list ->
+  ?dead_nodes:int list ->
+  ?degraded:((int * int) * Rat.t) list ->
+  unit ->
+  damage
+
 val no_damage : damage
 
-(** Order-insensitive damage equality: same dead edge/node sets and the same
-    net (multiplicatively composed) degradation factor per edge. The soak
-    controller uses it to detect whether an epoch actually changed the
-    effective damage before spending any re-planning work. *)
+(** A total order on damage states: dead edges, then dead nodes, then the
+    net factors ({!Rat.compare}), each compared lexicographically. *)
+val compare_damage : damage -> damage -> int
+
+(** [damage_equal a b] is [compare_damage a b = 0]: the same dead sets and
+    the same net factor per edge. The soak controller and the session
+    engine use it to detect whether an epoch changed the effective damage
+    before spending any re-planning work. *)
 val damage_equal : damage -> damage -> bool
 
 (** [apply_damage p damage] is the surviving platform: dead edges removed,
     degraded edge costs scaled, dead nodes (and their targets) restricted
     away. Node ids are stable. Errors on: killing the source, killing every
-    target, damaging edges the platform does not have, or factors [< 1]. *)
+    target, damaging edges the platform does not have, or net factors
+    [< 1]. *)
 val apply_damage : Platform.t -> damage -> (Platform.t, string) result
+
+(** [survivor p damage] is {!apply_damage} followed by the reachability
+    check {!plan} and {!plan_incremental} make first: it errors when a
+    surviving target is unreachable from the source, so [Ok s] means the
+    source still reaches every target of [s]. *)
+val survivor : Platform.t -> damage -> (Platform.t, string) result
 
 type repair_method =
   [ `Full_replan  (** {!plan}: MCPH re-run on the whole survivor *)

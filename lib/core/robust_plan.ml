@@ -35,8 +35,8 @@ let damage_of_failure (p : Platform.t) = function
     let dirs =
       List.filter (fun (a, b) -> Digraph.mem_edge g ~src:a ~dst:b) [ (u, v); (v, u) ]
     in
-    { Repair.no_damage with Repair.dead_edges = dirs }
-  | Node v -> { Repair.no_damage with Repair.dead_nodes = [ v ] }
+    Repair.damage ~dead_edges:dirs ()
+  | Node v -> Repair.damage ~dead_nodes:[ v ] ()
   | Correlated (_, damage) -> damage
 
 type scenario_score = {

@@ -1,40 +1,18 @@
 type replan_mode = [ `Incremental | `Cold ]
 
-type config = {
-  epoch : Rat.t;
-  admit_floor : float;
-  degrade_floor : float;
-  slo_retention : float;
-  replan_mode : replan_mode;
-  jobs : int;
-  rate_grid : int;
-  max_preemptions : int;
-}
+type config = { epoch : Rat.t; replan_mode : replan_mode; jobs : int }
 
-let default_config =
-  {
-    epoch = Rat.of_int 5;
-    admit_floor = 0.5;
-    degrade_floor = 0.25;
-    slo_retention = 0.7;
-    replan_mode = `Incremental;
-    jobs = 1;
-    rate_grid = 960;
-    max_preemptions = 4;
-  }
+let default_config = { epoch = Rat.of_int 5; replan_mode = `Incremental; jobs = 1 }
+
+(* The admission ladder's fixed parameters (see horizon.mli). *)
+let admit_floor = 0.5
+let degrade_floor = Rat.of_ints 1 4
+let slo_retention = 0.7
+let rate_grid = 960
+let max_preemptions = 4
 
 let validate_config c =
-  let err m = Error ("horizon config: " ^ m) in
-  if Rat.sign c.epoch <= 0 then err "epoch must be positive"
-  else if not (c.admit_floor > 0.0 && c.admit_floor <= 1.0) then
-    err "admit_floor must be in (0, 1]"
-  else if not (c.degrade_floor >= 0.0 && c.degrade_floor <= c.admit_floor) then
-    err "degrade_floor must be in [0, admit_floor]"
-  else if not (c.slo_retention >= 0.0 && c.slo_retention <= 1.0) then
-    err "slo_retention must be in [0, 1]"
-  else if c.rate_grid < 1 then err "rate_grid must be >= 1"
-  else if c.max_preemptions < 0 then err "max_preemptions must be >= 0"
-  else Ok ()
+  if Rat.sign c.epoch <= 0 then Error "horizon config: epoch must be positive" else Ok ()
 
 type outcome = Completed | Active | Rejected | Preempted
 
@@ -113,15 +91,15 @@ let m_df_min = Metrics.gauge "session.delivered_fraction.min"
 
 (* --- exact-rate helpers ------------------------------------------------ *)
 
-(* Floor onto the 1/grid lattice, exactly: float rounding here could nudge
-   a rate above the residual it was derived from and oversubscribe a
+(* Floor onto the 1/rate_grid lattice, exactly: float rounding here could
+   nudge a rate above the residual it was derived from and oversubscribe a
    port, so the division is Euclidean on the numerator. *)
-let quantize_rate q ~grid =
+let quantize_rate q =
   if Rat.sign q <= 0 then Rat.zero
   else
-    let scaled = Rat.mul q (Rat.of_int grid) in
+    let scaled = Rat.mul q (Rat.of_int rate_grid) in
     let units, _ = Zint.ediv_rem (Rat.num scaled) (Rat.den scaled) in
-    Rat.make units (Zint.of_int grid)
+    Rat.make units (Zint.of_int rate_grid)
 
 let rat_ceil_div a b =
   let q = Rat.div a b in
@@ -287,7 +265,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
      [1 - slo_retention] of its lifetime degraded; its burn rate is the
      degraded-epoch fraction over that budget (SRE burn-rate form, same
      math as {!Slo} but per session and over the whole lifetime). *)
-  let session_budget = Float.max 0.001 (1.0 -. config.slo_retention) in
+  let session_budget = 1.0 -. slo_retention in
   let burn_of l =
     if l.l_epochs_live = 0 then 0.0
     else float_of_int l.l_burn_epochs /. float_of_int l.l_epochs_live /. session_budget
@@ -306,7 +284,6 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
      same workload) only changes pivot counts, never results; dropping
      them keeps runs fully independent. *)
   List.iter (fun s -> Warm_registry.remove (registry_key s)) sessions;
-  let grid = config.rate_grid in
   let contribution rate l = List.map (fun (v, o) -> (v, Rat.mul rate o)) l in
   let apply_occ sign rate l tot =
     List.iter
@@ -399,7 +376,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
     Hashtbl.remove live l.l_sess.Session.id;
     let slo_ok =
       Rat.to_float l.l_min_rate
-      >= (config.slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
+      >= (slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
     in
     records :=
       {
@@ -590,7 +567,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                  | Error _ -> Ok None  (* incumbent stands *)
                  | Ok pl -> (
                    let fs, fr = free_excluding l in
-                   let cap y = quantize_rate (Rat.min l.l_sess.Session.demand y) ~grid in
+                   let cap y = quantize_rate (Rat.min l.l_sess.Session.demand y) in
                    let rate_new = cap (plan_ymax pl ~free_send:fs ~free_recv:fr) in
                    let rate_old =
                      if broken then Rat.zero
@@ -635,7 +612,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                    l.l_lb <- pl.pl_lb);
                  if
                    Rat.to_float l.l_rate
-                   < (config.slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
+                   < (slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
                  then begin
                    l.l_degraded_epochs <- l.l_degraded_epochs + 1;
                    incr ep_deg
@@ -666,7 +643,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                if !failure = None then begin
                  let fits rate =
                    Rat.to_float rate
-                   >= (config.admit_floor *. Rat.to_float s.Session.demand) -. 1e-12
+                   >= (admit_floor *. Rat.to_float s.Session.demand) -. 1e-12
                  in
                  (* dry-run ladder state: residual copies plus an undo-free
                     action log, committed only when the arrival fits *)
@@ -680,7 +657,6 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                      let rate =
                        quantize_rate
                          (Rat.min s.Session.demand (plan_ymax pl ~free_send:fs ~free_recv:fr))
-                         ~grid
                      in
                      if Rat.sign rate > 0 && fits rate then Some (pl, rate) else None
                  in
@@ -783,7 +759,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                        (contribution rate l.l_recv)
                    in
                    let rec ladder vs steps degrades preempts =
-                     if steps >= config.max_preemptions then begin
+                     if steps >= max_preemptions then begin
                        incr rejected;
                        incr ep_rej;
                        Metrics.incr m_rejected;
@@ -798,11 +774,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                          reject s
                        | v :: rest -> (
                          let floor_rate =
-                           quantize_rate
-                             (Rat.mul
-                                (Rat.of_float_approx ~max_den:1000 config.degrade_floor)
-                                v.l_sess.Session.demand)
-                             ~grid
+                           quantize_rate (Rat.mul degrade_floor v.l_sess.Session.demand)
                          in
                          let can_degrade =
                            Rat.sign v.l_rate > 0 && Rat.(floor_rate < v.l_rate)
@@ -827,7 +799,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                            | None -> ladder rest (steps + 1) degrades (v :: preempts)
                          end)
                    in
-                   if victims = [] || config.max_preemptions = 0 then begin
+                   if victims = [] then begin
                      incr rejected;
                      incr ep_rej;
                      Metrics.incr m_rejected;
@@ -858,7 +830,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                if
                  Rat.sign l.l_admitted > 0
                  && Rat.to_float l.l_rate
-                    < (config.slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
+                    < (slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
                then l.l_burn_epochs <- l.l_burn_epochs + 1)
              live;
            (* Epoch-boundary sampling: throughput, admissions, port

@@ -28,7 +28,7 @@
     occupations (see {!Schedule.occupations}): a session running at rate
     [y] occupies [y * o_v] of each port [v] its tree touches. All
     admission arithmetic is exact ({!Rat}); admitted rates are floored
-    onto the [1/rate_grid] lattice, so the per-port sums provably never
+    onto the [1/960] lattice, so the per-port sums provably never
     exceed one. The LP sees the same residuals as float [send_cap] /
     [recv_cap] right-hand sides ({!Formulations.multicast_lb_warm}) —
     row names are unchanged across epochs, which is what makes the
@@ -59,26 +59,21 @@ type replan_mode =
   [ `Incremental  (** warm-started, change-driven re-planning *)
   | `Cold  (** full re-plan of every live session each epoch *) ]
 
+(** The admission ladder's parameters are fixed:
+    - a session is admitted only at [>= 0.5 * demand] (the admit floor);
+    - preemption first degrades victims to [0.25 * demand] (the degrade
+      floor), and considers at most 4 victims per arriving session;
+    - an epoch at rate [< 0.7 * admitted_rate] counts as degraded, and a
+      session whose minimum rate stays above that fraction (the SLO
+      retention) has [sr_slo_ok];
+    - admitted rates are multiples of [1/960] (the rate grid). *)
 type config = {
   epoch : Rat.t;  (** planning period (positive) *)
-  admit_floor : float;
-      (** admit a session only at [>= admit_floor * demand], in [(0, 1]] *)
-  degrade_floor : float;
-      (** preemption first degrades victims to [degrade_floor * demand],
-          in [[0, admit_floor]] *)
-  slo_retention : float;
-      (** an epoch at rate [< slo_retention * admitted_rate] counts as
-          degraded; a session whose minimum rate stays above this
-          fraction has [sr_slo_ok] *)
   replan_mode : replan_mode;
   jobs : int;  (** {!Pool.map} fan-out for the per-epoch re-plans *)
-  rate_grid : int;  (** admitted rates are multiples of [1/rate_grid] *)
-  max_preemptions : int;  (** victim budget per arriving session *)
 }
 
-(** Epoch 5, admit floor 0.5, degrade floor 0.25, SLO retention 0.7,
-    incremental re-planning, sequential, rate grid 960, at most 4
-    victims per arrival. *)
+(** Epoch 5, incremental re-planning, sequential. *)
 val default_config : config
 
 val validate_config : config -> (unit, string) result
@@ -93,7 +88,7 @@ val outcome_name : outcome -> string
 
 (** Per-session summary. [sr_min_rate] is the lowest rate the session
     was ever held at while live (zero if it was ever suspended);
-    [sr_slo_ok] compares it against [slo_retention * sr_admitted_rate].
+    [sr_slo_ok] compares it against [0.7 * sr_admitted_rate].
     [sr_lb] is the last LP certificate the session planned against. *)
 type session_record = {
   sr_session : Session.t;
@@ -105,7 +100,7 @@ type session_record = {
   sr_replans : int;
   sr_degraded_epochs : int;
   sr_burn_epochs : int;
-      (** epochs spent below [slo_retention * sr_admitted_rate] at an
+      (** epochs spent below [0.7 * sr_admitted_rate] at an
           epoch boundary, suspended epochs included — the error-budget
           spend behind the burn rate [slo_enforce] feeds back (PR 10).
           [sr_degraded_epochs] counts degrade {e actions}; this counts
@@ -193,7 +188,7 @@ type report = {
 
     {b In-lifetime SLO enforcement (PR 10, closes the ROADMAP item 3
     follow-on).} With [slo_enforce], the per-session burn rate — the
-    out-of-SLO epoch fraction over the [1 - slo_retention] error
+    out-of-SLO epoch fraction over the [1 - 0.7] error
     budget, the same SRE burn-rate form {!Slo} uses — feeds back into
     two decision points: sessions spending their budget apply their
     re-plans {e first} (worst burn first, capturing freed capacity

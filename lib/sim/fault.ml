@@ -199,56 +199,6 @@ let slowdown s ~src ~dst ~at =
     (fun acc (_, k) -> match k with `Clear -> Rat.one | `Degrade f -> Rat.mul acc f)
     Rat.one evs
 
-(* First-occurrence dedup: duplicate kills are idempotent (see validate),
-   so the damage lists each entity once, in first-mention order. *)
-let dedup xs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun x ->
-      if Hashtbl.mem seen x then false
-      else begin
-        Hashtbl.replace seen x ();
-        true
-      end)
-    xs
-
-let damage_at s ~at =
-  let edges =
-    dedup
-      (List.filter_map
-         (function
-           | Kill_edge { src; dst; _ } | Revive_edge { src; dst; _ } -> Some (src, dst)
-           | _ -> None)
-         s)
-  in
-  let nodes =
-    dedup
-      (List.filter_map
-         (function
-           | Kill_node { node; _ } | Revive_node { node; _ } -> Some node | _ -> None)
-         s)
-  in
-  let deg_edges =
-    dedup
-      (List.filter_map
-         (function
-           | Degrade_edge { src; dst; _ } | Clear_degrade { src; dst; _ } ->
-             Some (src, dst)
-           | _ -> None)
-         s)
-  in
-  {
-    Repair.dead_edges =
-      List.filter (fun (src, dst) -> dead_in (edge_events s ~src ~dst) ~at) edges;
-    dead_nodes = List.filter (fun v -> dead_in (node_events s v) ~at) nodes;
-    degraded =
-      List.filter_map
-        (fun (src, dst) ->
-          let f = slowdown s ~src ~dst ~at in
-          if Rat.equal f Rat.one then None else Some ((src, dst), f))
-        deg_edges;
-  }
-
 let event_time = function
   | Kill_edge { at; _ }
   | Kill_node { at; _ }
@@ -257,48 +207,61 @@ let event_time = function
   | Revive_node { at; _ }
   | Clear_degrade { at; _ } -> at
 
+(* An event is in force at [at] when it fired at or before [at] and nothing
+   undoing it has fired since: no revive after a kill, no clear after a
+   degradation (a clear firing at the degradation's own instant applies
+   first, so it does not undo it). Validated kill/revive timelines
+   alternate, so a kill in force is exactly {!edge_dead}'s latest-event-wins
+   verdict, and the degradations in force on an edge multiply to its
+   {!slowdown}; Repair.damage dedups the kills and nets the factors. *)
+let damage_at s ~at =
+  let in_force t0 undoes =
+    Rat.(t0 <= at)
+    && not
+         (List.exists
+            (fun ev ->
+              undoes ev
+              &&
+              let t = event_time ev in
+              Rat.(t0 < t && t <= at))
+            s)
+  in
+  Repair.damage
+    ~dead_edges:
+      (List.filter_map
+         (function
+           | Kill_edge k
+             when in_force k.at (function
+                    | Revive_edge r -> r.src = k.src && r.dst = k.dst
+                    | _ -> false) ->
+             Some (k.src, k.dst)
+           | _ -> None)
+         s)
+    ~dead_nodes:
+      (List.filter_map
+         (function
+           | Kill_node k
+             when in_force k.at (function Revive_node r -> r.node = k.node | _ -> false) ->
+             Some k.node
+           | _ -> None)
+         s)
+    ~degraded:
+      (List.filter_map
+         (function
+           | Degrade_edge d
+             when in_force d.at (function
+                    | Clear_degrade c -> c.src = d.src && c.dst = d.dst
+                    | _ -> false) ->
+             Some ((d.src, d.dst), d.factor)
+           | _ -> None)
+         s)
+    ()
+
 let scenario_end = function
   | [] -> Rat.zero
   | ev :: rest -> List.fold_left (fun acc e -> Rat.max acc (event_time e)) (event_time ev) rest
 
 let damage s = damage_at s ~at:(scenario_end s)
-
-(* Re-base the timeline at an observation instant: the state at [at]
-   (dead entities, net degradation factors) is materialized as events at
-   time 0, and everything firing strictly after [at] is shifted left by
-   [at]. A kill materialized at 0 is legally followed by the entity's
-   next (shifted) event, which alternation guarantees is a revive; a
-   degradation materialized at 0 composes with later shifted factors
-   exactly as the originals did, because a Clear_degrade resets to one
-   regardless of history. The result therefore validates whenever the
-   input did — it is the fault history a session arriving at [at]
-   actually experiences. *)
-let rebase s ~at =
-  if Rat.sign at < 0 then invalid_arg "Fault.rebase: negative instant";
-  let st = damage_at s ~at in
-  let opening =
-    List.map (fun (src, dst) -> Kill_edge { src; dst; at = Rat.zero }) st.Repair.dead_edges
-    @ List.map (fun node -> Kill_node { node; at = Rat.zero }) st.Repair.dead_nodes
-    @ List.map
-        (fun ((src, dst), factor) -> Degrade_edge { src; dst; at = Rat.zero; factor })
-        st.Repair.degraded
-  in
-  let shift ev =
-    let t = Rat.sub (event_time ev) at in
-    match ev with
-    | Kill_edge e -> Kill_edge { e with at = t }
-    | Kill_node e -> Kill_node { e with at = t }
-    | Degrade_edge e -> Degrade_edge { e with at = t }
-    | Revive_edge e -> Revive_edge { e with at = t }
-    | Revive_node e -> Revive_node { e with at = t }
-    | Clear_degrade e -> Clear_degrade { e with at = t }
-  in
-  let future =
-    List.filter_map
-      (fun ev -> if Rat.(event_time ev > at) then Some (shift ev) else None)
-      s
-  in
-  opening @ future
 
 let random_link_kills rng (p : Platform.t) ~rate ~at =
   let g = p.Platform.graph in

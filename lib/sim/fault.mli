@@ -65,7 +65,8 @@ val slowdown : scenario -> src:int -> dst:int -> at:Rat.t -> Rat.t
 (** [damage_at s ~at] is the scenario's state at time [at] in the recovery
     planner's vocabulary: entities whose latest kill/revive at-or-before
     [at] is a kill, and edges whose net degradation factor at [at] is above
-    one. Entities appear once, in first-mention order. *)
+    one, built through {!Repair.damage} and so in its canonical form
+    (sorted, each entity once, one net factor per edge). *)
 val damage_at : scenario -> at:Rat.t -> Repair.damage
 
 (** The event's fire time. *)
@@ -80,21 +81,6 @@ val scenario_end : scenario -> Rat.t
     with kill-only scenarios this is the union of all kills, exactly the
     pre-revival behaviour. *)
 val damage : scenario -> Repair.damage
-
-(** [rebase s ~at] is the fault history as observed from time [at]: the
-    scenario's state at [at] — entities currently dead, edges' net
-    degradation factors — is materialized as events at time [0], and
-    every event firing {e strictly after} [at] is shifted left by [at].
-    The result validates whenever [s] does (a materialized kill is
-    followed, if at all, by the entity's revive; materialized
-    degradation composes with later factors exactly as the originals
-    did), and [damage_at (rebase s ~at) ~at:t] equals
-    [damage_at s ~at:(at + t)] for [t > 0]. This is the {e session-aware
-    replay} primitive: a multicast session arriving at absolute time
-    [at] replays its schedule against [rebase scenario ~at], seeing
-    exactly the platform state and future faults its lifetime spans.
-    Raises [Invalid_argument] when [at] is negative. *)
-val rebase : scenario -> at:Rat.t -> scenario
 
 (** [random_link_kills rng p ~rate ~at] kills each {e undirected} link
     (both directions) independently with probability [rate], all at time

@@ -17,7 +17,6 @@ type policy = {
   drop_order : int list;
   horizon_periods : int;
   prefer_incremental : bool;
-  patch_retention_floor : float;
 }
 
 let default_policy (p : Platform.t) =
@@ -29,7 +28,6 @@ let default_policy (p : Platform.t) =
     drop_order = List.rev p.Platform.targets;
     horizon_periods = 12;
     prefer_incremental = true;
-    patch_retention_floor = 0.0;
   }
 
 let validate_policy (p : Platform.t) pol =
@@ -45,8 +43,6 @@ let validate_policy (p : Platform.t) pol =
     err "policy: replan_deadline must be positive (got %g)" pol.replan_deadline
   else if pol.horizon_periods < 1 then
     err "policy: horizon_periods must be >= 1 (got %d)" pol.horizon_periods
-  else if not (pol.patch_retention_floor >= 0.0 && pol.patch_retention_floor <= 1.0)
-  then err "policy: patch_retention_floor must be in [0, 1] (got %g)" pol.patch_retention_floor
   else
     match List.find_opt (fun v -> v < 0 || v >= n) pol.drop_order with
     | Some v -> err "policy: drop_order node %d out of range [0, %d)" v n
@@ -154,8 +150,7 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
             | Error e -> [ ("outcome", Trace.Str e) ])
           (fun () ->
             if incremental then
-              Repair.plan_incremental ~now ~fallback:false
-                ~retention_floor:pol.patch_retention_floor ~before:sched plat damage
+              Repair.plan_incremental ~now ~fallback:false ~before:sched plat damage
             else planner ~before:sched plat damage)
       in
       let dt = now () -. t0 in

@@ -54,24 +54,21 @@ type policy = {
   prefer_incremental : bool;
       (** try one {!Repair.plan_incremental} rung (O(damage) patch of the
           running schedule) before the full-re-plan ladder; a failed patch
-          escalates immediately without consuming a [max_attempts] slot *)
-  patch_retention_floor : float;
-      (** minimum fraction of the pre-failure throughput an incremental
-          patch must retain; below it the rung fails and the controller
-          escalates to a full re-plan *)
+          escalates immediately without consuming a [max_attempts] slot.
+          The rung sets no retention floor: any patch that schedules and
+          passes {!Schedule.check} is accepted, whatever it retains. *)
 }
 
 (** [default_policy p]: 5 attempts, backoff of one time unit doubling,
     1s deadline, drop order = reversed target list (the highest-numbered
-    target is sacrificed first), 12-period horizon, incremental-first with
-    no retention floor. *)
+    target is sacrificed first), 12-period horizon, incremental-first. *)
 val default_policy : Platform.t -> policy
 
 (** [validate_policy p pol] is the check {!run} performs on entry: rejects
     [max_attempts < 1], [backoff_factor < 1], negative [base_backoff],
-    non-positive [replan_deadline], [horizon_periods < 1],
-    [patch_retention_floor] outside [[0, 1]] and [drop_order] ids outside
-    the platform's node range, each with a descriptive message. *)
+    non-positive [replan_deadline], [horizon_periods < 1] and [drop_order]
+    ids outside the platform's node range, each with a descriptive
+    message. *)
 val validate_policy : Platform.t -> policy -> (unit, string) result
 
 (** The planning function the controller drives — injectable so tests can

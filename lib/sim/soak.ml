@@ -1,38 +1,32 @@
-type damping = {
-  penalty_per_flap : float;
-  half_life : float;
-  suppress_threshold : float;
-  reuse_threshold : float;
-  hold_down : float;
-}
-
-type controller = Naive | Damped of damping
+type controller = Naive | Damped
 
 type config = {
   controller : controller;
   token_capacity : int;
   token_refill : float;
   hysteresis : float;
-  hour : float;
   policy : Recovery_loop.policy;
 }
 
-let default_damping =
-  {
-    penalty_per_flap = 1.0;
-    half_life = 30.0;
-    suppress_threshold = 3.0;
-    reuse_threshold = 1.5;
-    hold_down = 20.0;
-  }
+(* Flap damping, in simulated-time units: each kill/revive transition adds
+   one penalty unit, decaying with a 30-unit half-life; a component is
+   suppressed at penalty 3 and trusted again below 1.5, once up and quiet
+   for 20 units. *)
+let penalty_per_flap = 1.0
+let half_life = 30.0
+let suppress_threshold = 3.0
+let reuse_threshold = 1.5
+let hold_down = 20.0
+
+(* Simulated-time units per reported "hour". *)
+let hour = 3600.0
 
 let default_config (p : Platform.t) =
   {
-    controller = Damped default_damping;
+    controller = Damped;
     token_capacity = 4;
     token_refill = 60.0;
     hysteresis = 0.05;
-    hour = 3600.0;
     policy = { (Recovery_loop.default_policy p) with Recovery_loop.max_attempts = 2 };
   }
 
@@ -104,8 +98,7 @@ type health = {
   mutable suppressed : bool;
 }
 
-let decayed (d : damping) h ~at =
-  h.penalty *. (0.5 ** (Rat.to_float (Rat.sub at h.last) /. d.half_life))
+let decayed h ~at = h.penalty *. (0.5 ** (Rat.to_float (Rat.sub at h.last) /. half_life))
 
 (* --- damage plumbing ------------------------------------------------------ *)
 
@@ -118,59 +111,18 @@ let dedup xs =
         true
       end) xs
 
-let merge_damage (a : Repair.damage) (b : Repair.damage) =
-  {
-    Repair.dead_edges = dedup (a.Repair.dead_edges @ b.Repair.dead_edges);
-    dead_nodes = dedup (a.Repair.dead_nodes @ b.Repair.dead_nodes);
-    degraded = a.Repair.degraded @ b.Repair.degraded;
-  }
-
 let suppression_damage (p : Platform.t) comps =
   let g = p.Platform.graph in
-  {
-    Repair.dead_edges =
-      List.concat_map
-        (function
-          | Link (u, v) ->
-            List.filter (fun (a, b) -> Digraph.mem_edge g ~src:a ~dst:b) [ (u, v); (v, u) ]
-          | Node _ -> [])
-        comps;
-    dead_nodes = List.filter_map (function Node v -> Some v | Link _ -> None) comps;
-    degraded = [];
-  }
-
-(* Suppressing a component only pays if the platform can still cover every
-   target with it treated dead: damping a host's sole uplink would trade a
-   briefly-flapping link for an indefinitely-dropped target, so critical
-   components are never suppressed — their flaps keep being handled
-   reactively. The check is a plain reachability sweep, not a plan. *)
-let coverage_survives (p : Platform.t) (d : Repair.damage) =
-  let g = p.Platform.graph in
-  let n = Digraph.n_nodes g in
-  let dead_node = Array.make n false in
-  List.iter (fun v -> if v >= 0 && v < n then dead_node.(v) <- true) d.Repair.dead_nodes;
-  let dead_edge = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace dead_edge e ()) d.Repair.dead_edges;
-  if dead_node.(p.Platform.source) then false
-  else begin
-    let seen = Array.make n false in
-    seen.(p.Platform.source) <- true;
-    let rec bfs = function
-      | [] -> ()
-      | u :: rest ->
-        let next =
-          List.filter
-            (fun v ->
-              (not seen.(v)) && (not dead_node.(v))
-              && not (Hashtbl.mem dead_edge (u, v)))
-            (Digraph.succs g u)
-        in
-        List.iter (fun v -> seen.(v) <- true) next;
-        bfs (rest @ next)
-    in
-    bfs [ p.Platform.source ];
-    List.for_all (fun t -> seen.(t) && not dead_node.(t)) p.Platform.targets
-  end
+  Repair.damage
+    ~dead_edges:
+      (List.concat_map
+         (function
+           | Link (u, v) ->
+             List.filter (fun (a, b) -> Digraph.mem_edge g ~src:a ~dst:b) [ (u, v); (v, u) ]
+           | Node _ -> [])
+         comps)
+    ~dead_nodes:(List.filter_map (function Node v -> Some v | Link _ -> None) comps)
+    ()
 
 (* The current effective damage re-encoded as an instantaneous scenario, so
    one Recovery_loop episode can replay the running schedule against it:
@@ -183,31 +135,11 @@ let scenario_of_damage (d : Repair.damage) : Fault.scenario =
       (fun ((src, dst), factor) -> Fault.Degrade_edge { src; dst; at = Rat.zero; factor })
       d.Repair.degraded
 
-(* Canonical cache key for an effective-damage state: sorted dead sets plus
-   the net (multiplicatively composed) degradation per edge — the same view
-   {!Repair.damage_equal} compares, so equal damages get equal keys. *)
-let damage_key (d : Repair.damage) =
-  let b = Buffer.create 64 in
-  List.iter
-    (fun (u, v) -> Buffer.add_string b (Printf.sprintf "e%d,%d;" u v))
-    (List.sort_uniq compare d.Repair.dead_edges);
-  List.iter
-    (fun v -> Buffer.add_string b (Printf.sprintf "n%d;" v))
-    (List.sort_uniq compare d.Repair.dead_nodes);
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e, f) ->
-      let cur = Option.value (Hashtbl.find_opt tbl e) ~default:Rat.one in
-      Hashtbl.replace tbl e (Rat.mul cur f))
-    d.Repair.degraded;
-  let net =
-    Hashtbl.fold (fun e f acc -> if Rat.equal f Rat.one then acc else (e, f) :: acc) tbl []
-  in
-  List.iter
-    (fun ((u, v), f) ->
-      Buffer.add_string b (Printf.sprintf "d%d,%d=%s;" u v (Rat.to_string f)))
-    (List.sort (fun ((a : int * int), _) (b, _) -> compare a b) net);
-  Buffer.contents b
+module Damage_map = Map.Make (struct
+  type t = Repair.damage
+
+  let compare = Repair.compare_damage
+end)
 
 let worsened (eff : Repair.damage) (prev : Repair.damage) =
   List.exists (fun e -> not (List.mem e prev.Repair.dead_edges)) eff.Repair.dead_edges
@@ -224,35 +156,13 @@ let worsened (eff : Repair.damage) (prev : Repair.damage) =
 
 let validate_config (p : Platform.t) cfg =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let damping_ok =
-    match cfg.controller with
-    | Naive -> Ok ()
-    | Damped d ->
-      if not (d.penalty_per_flap > 0.0) then
-        err "damping: penalty_per_flap must be positive (got %g)" d.penalty_per_flap
-      else if not (d.half_life > 0.0) then
-        err "damping: half_life must be positive (got %g)" d.half_life
-      else if not (d.suppress_threshold > 0.0) then
-        err "damping: suppress_threshold must be positive (got %g)" d.suppress_threshold
-      else if not (d.reuse_threshold > 0.0 && d.reuse_threshold <= d.suppress_threshold)
-      then
-        err "damping: need 0 < reuse_threshold <= suppress_threshold (got %g > %g)"
-          d.reuse_threshold d.suppress_threshold
-      else if not (d.hold_down >= 0.0) then
-        err "damping: hold_down must be >= 0 (got %g)" d.hold_down
-      else Ok ()
-  in
-  match damping_ok with
-  | Error _ as e -> e
-  | Ok () ->
-    if cfg.token_capacity < 0 then
-      err "config: token_capacity must be >= 0 (got %d)" cfg.token_capacity
-    else if not (cfg.token_refill > 0.0) then
-      err "config: token_refill must be positive (got %g)" cfg.token_refill
-    else if not (cfg.hysteresis >= 0.0) then
-      err "config: hysteresis must be >= 0 (got %g)" cfg.hysteresis
-    else if not (cfg.hour > 0.0) then err "config: hour must be positive (got %g)" cfg.hour
-    else Recovery_loop.validate_policy p cfg.policy
+  if cfg.token_capacity < 0 then
+    err "config: token_capacity must be >= 0 (got %d)" cfg.token_capacity
+  else if not (cfg.token_refill > 0.0) then
+    err "config: token_refill must be positive (got %g)" cfg.token_refill
+  else if not (cfg.hysteresis >= 0.0) then
+    err "config: hysteresis must be >= 0 (got %g)" cfg.hysteresis
+  else Recovery_loop.validate_policy p cfg.policy
 
 (* --- the soak loop -------------------------------------------------------- *)
 
@@ -308,13 +218,16 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
   let epochs = ref 0 and cache_hits = ref 0 in
   let log = ref [] and schedules = ref [ sched ] in
   let health : (component, health) Hashtbl.t = Hashtbl.create 16 in
+  let suppressed () =
+    Hashtbl.fold (fun c h acc -> if h.suppressed then c :: acc else acc) health []
+  in
   (* RIB-style schedule memory (damped controller only): every schedule
      ever adopted, keyed by the effective-damage state it was planned for.
      A flapping component alternates between a handful of joint states, so
      after the first full cycle the controller serves every recurring state
      from cache — zero tokens, zero planner work. *)
-  let cache : (string, Schedule.t * float * bool) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.replace cache (damage_key Repair.no_damage) (sched, thr0, true);
+  let cache = ref (Damage_map.singleton Repair.no_damage (sched, thr0, true)) in
+  let remember key = cache := Damage_map.add key (!cur, !cur_rate, !full_cov) !cache in
   let ticks = ref [] in
   let emit e = log := e :: !log in
   (* Epoch-boundary sampling (PR 10): pure observers — nothing below ever
@@ -392,7 +305,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     full_cov := rep.Repair.lost_targets = [] && extra_dropped = [];
     stale := false;
     schedules := rep.Repair.schedule :: !schedules;
-    Hashtbl.replace cache key (!cur, !cur_rate, !full_cov)
+    remember key
   in
   (* [fs] is the running schedule replayed against the current damage. *)
   let go_stale t (fs : Event_sim.fault_stats) =
@@ -405,7 +318,6 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
   in
   let episode t eff =
     paid := false;
-    let key = damage_key eff in
     match
       Recovery_loop.run ~now ~policy:cfg.policy ~planner:gated_planner ?telemetry
         ~sim_offset:(Rat.to_float t) p !cur (scenario_of_damage eff)
@@ -430,13 +342,13 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
           (* the change does not touch the running schedule: keep it — and
              remember that the running schedule answers this state too *)
           stale := false;
-          Hashtbl.replace cache key (!cur, !cur_rate, !full_cov);
+          remember eff;
           "no-failure"
         | `Recovered rep ->
-          adopt ~key rep ~extra_dropped:[];
+          adopt ~key:eff rep ~extra_dropped:[];
           "recovered"
         | `Degraded (rep, dropped) ->
-          adopt ~key rep ~extra_dropped:dropped;
+          adopt ~key:eff rep ~extra_dropped:dropped;
           "degraded"
         | `Fallback _ ->
           (* the loop's detection replay is exactly the replay of the
@@ -470,7 +382,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
             Metrics.incr reintegrations_m;
             Trace.instant ~cat:"soak" "soak.reintegrated";
             let before = !cur_rate in
-            adopt ~key:(damage_key eff) rep ~extra_dropped:[];
+            adopt ~key:eff rep ~extra_dropped:[];
             emit (Reintegrated { at = t; before; after = rep.Repair.throughput_after })
           end
           else
@@ -486,7 +398,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     match Repair.plan ~now ~before:!cur p eff with
     | Ok rep ->
       (* the naive ablation writes the cache too but never reads it *)
-      adopt ~key:(damage_key eff) rep ~extra_dropped:[];
+      adopt ~key:eff rep ~extra_dropped:[];
       emit (Episode { at = t; outcome = "recovered"; patched = false })
     | Error _ ->
       go_stale t
@@ -498,9 +410,10 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     incr epochs;
     Metrics.incr epochs_m;
     exhausted_this_epoch := false;
-    (match cfg.controller with
-    | Naive -> ()
-    | Damped d ->
+    (* Only the damped controller records flaps: under [Naive], [health]
+       stays empty, so nothing below is suppressed or released and the
+       effective damage is the actual one. *)
+    if cfg.controller = Damped then
       List.iter
         (fun (c, up) ->
           let h =
@@ -511,17 +424,22 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
               Hashtbl.replace health c h;
               h
           in
-          h.penalty <- decayed d h ~at:t +. d.penalty_per_flap;
+          h.penalty <- decayed h ~at:t +. penalty_per_flap;
           h.last <- t;
           emit (Flap { at = t; what = component_name c; up; penalty = h.penalty });
-          if (not h.suppressed) && h.penalty >= d.suppress_threshold then begin
-            let sup =
-              c
-              :: Hashtbl.fold
-                   (fun c' h' acc -> if h'.suppressed then c' :: acc else acc)
-                   health []
+          if (not h.suppressed) && h.penalty >= suppress_threshold then begin
+            (* Suppressing a component only pays if the platform can still
+               cover every target with it treated dead: damping a host's
+               sole uplink would trade a briefly-flapping link for an
+               indefinitely-dropped target, so critical components are
+               never suppressed — their flaps keep being handled
+               reactively. The check is a reachability sweep, not a plan. *)
+            let keeps_every_target =
+              match Repair.survivor p (suppression_damage p (c :: suppressed ())) with
+              | Ok s -> s.Platform.targets = p.Platform.targets
+              | Error _ -> false
             in
-            if coverage_survives p (suppression_damage p sup) then begin
+            if keeps_every_target then begin
               h.suppressed <- true;
               incr suppressions;
               Metrics.incr suppressions_m;
@@ -529,50 +447,45 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
               emit (Suppressed { at = t; what = component_name c; penalty = h.penalty })
             end
           end)
-        (dedup (List.filter_map flap_of evs)));
+        (dedup (List.filter_map flap_of evs));
     let actual = Fault.damage_at scenario ~at:t in
-    (match cfg.controller with
-    | Naive -> ()
-    | Damped d ->
-      Hashtbl.iter
-        (fun c h ->
-          if h.suppressed then begin
-            let up =
-              match c with
-              | Node v -> not (List.mem v actual.Repair.dead_nodes)
-              | Link (u, v) ->
-                not
-                  (List.mem (u, v) actual.Repair.dead_edges
-                  || List.mem (v, u) actual.Repair.dead_edges)
-            in
-            if
-              up
-              && decayed d h ~at:t < d.reuse_threshold
-              && Rat.to_float (Rat.sub t h.last) >= d.hold_down -. 1e-9
-            then begin
-              h.suppressed <- false;
-              incr releases;
-              Trace.instant ~cat:"soak" "soak.released";
-              emit (Released { at = t; what = component_name c })
-            end
-          end)
-        health);
+    Hashtbl.iter
+      (fun c h ->
+        if h.suppressed then begin
+          let up =
+            match c with
+            | Node v -> not (List.mem v actual.Repair.dead_nodes)
+            | Link (u, v) ->
+              not
+                (List.mem (u, v) actual.Repair.dead_edges
+                || List.mem (v, u) actual.Repair.dead_edges)
+          in
+          if
+            up
+            && decayed h ~at:t < reuse_threshold
+            && Rat.to_float (Rat.sub t h.last) >= hold_down -. 1e-9
+          then begin
+            h.suppressed <- false;
+            incr releases;
+            Trace.instant ~cat:"soak" "soak.released";
+            emit (Released { at = t; what = component_name c })
+          end
+        end)
+      health;
     let eff =
-      match cfg.controller with
-      | Naive -> actual
-      | Damped _ ->
-        let sup =
-          Hashtbl.fold (fun c h acc -> if h.suppressed then c :: acc else acc) health []
-        in
-        merge_damage actual (suppression_damage p sup)
+      let sup = suppression_damage p (suppressed ()) in
+      Repair.damage
+        ~dead_edges:(actual.Repair.dead_edges @ sup.Repair.dead_edges)
+        ~dead_nodes:(actual.Repair.dead_nodes @ sup.Repair.dead_nodes)
+        ~degraded:actual.Repair.degraded ()
     in
     if (not (Repair.damage_equal eff !prev_eff)) || !stale then begin
       let was = !prev_eff in
       prev_eff := eff;
       match cfg.controller with
       | Naive -> naive_epoch t eff
-      | Damped _ -> (
-        match Hashtbl.find_opt cache (damage_key eff) with
+      | Damped -> (
+        match Damage_map.find_opt eff !cache with
         | Some (s, r, fc) ->
           (* this exact state was planned for before: re-adopt for free *)
           cur := s;
@@ -587,15 +500,10 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     end;
     (* While components sit suppressed, the fault timeline alone will not
        wake the controller to release them — schedule a tick. *)
-    (match cfg.controller with
-    | Damped d when Hashtbl.fold (fun _ h acc -> acc || h.suppressed) health false ->
-      push_tick (Rat.add t (rat_of_float (Float.max d.hold_down 1.0)))
-    | _ -> ());
+    if suppressed () <> [] then
+      push_tick (Rat.add t (rat_of_float (Float.max hold_down 1.0)));
     if sampling then begin
       let tf = Rat.to_float t in
-      let suppressed_n =
-        Hashtbl.fold (fun _ h acc -> if h.suppressed then acc + 1 else acc) health 0
-      in
       observe "soak.throughput" ~time:tf !cur_rate;
       observe "soak.delivered_fraction" ~time:tf
         (if thr0 > 0.0 then !cur_rate /. thr0 else 0.0);
@@ -604,7 +512,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
          what a burn rate over an availability objective wants. *)
       observe "soak.availability" ~time:tf (if !full_cov then 1.0 else 0.0);
       observe "soak.tokens" ~time:tf !tokens;
-      observe "soak.suppressed" ~time:tf (float_of_int suppressed_n)
+      observe "soak.suppressed" ~time:tf (float_of_int (List.length (suppressed ())))
     end
   in
   let rec drive batches =
@@ -634,7 +542,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
   let hf = Rat.to_float horizon in
   let availability = Rat.to_float (Rat.div !avail horizon) in
   let nominal_integral = thr0 *. hf in
-  let rph = float_of_int !full_replans /. (hf /. cfg.hour) in
+  let rph = float_of_int !full_replans /. (hf /. hour) in
   Metrics.set_gauge availability_g availability;
   Metrics.set_gauge delivered_g
     (if nominal_integral > 0.0 then !delivered /. nominal_integral else 0.0);

@@ -11,14 +11,12 @@
     {b Controller machinery} (the damped controller; {!Naive} re-plans
     fully on every change, the ablation baseline):
     - {e Flap damping}, BGP-style: every kill/revive transition of a
-      component adds {!damping.penalty_per_flap} to its exponentially
-      decaying penalty (half-life {!damping.half_life}). When the penalty
-      crosses {!damping.suppress_threshold} the component is {e suppressed}
-      — treated as dead for planning even while it is momentarily up — and
-      is trusted again only once the penalty has decayed below
-      {!damping.reuse_threshold}, the component is actually up, and at
-      least {!damping.hold_down} simulated time has passed since its last
-      flap. Damping is {e criticality-aware}: a component whose loss would
+      component adds one unit to its exponentially decaying penalty
+      (half-life 30 simulated time units). When the penalty reaches 3 the
+      component is {e suppressed} — treated as dead for planning even while
+      it is momentarily up — and is trusted again only once the penalty has
+      decayed below 1.5, the component is actually up, and at least 20
+      simulated time units have passed since its last flap. Damping is {e criticality-aware}: a component whose loss would
       disconnect a target (with the already-suppressed set also treated
       dead) is never suppressed — damping a host's sole uplink would trade
       a briefly-flapping link for an indefinitely-dropped target.
@@ -47,20 +45,12 @@
       the realized gain clears the same bar. Everything else keeps the
       running schedule: no re-plan thrash on marginal heals. *)
 
-(** Flap-damping parameters, all in simulated-time units ({!Fault} event
-    time). See the module doc for the state machine. *)
-type damping = {
-  penalty_per_flap : float;  (** added per kill/revive transition (> 0) *)
-  half_life : float;  (** penalty decay half-life (> 0) *)
-  suppress_threshold : float;  (** suppress when the penalty reaches this *)
-  reuse_threshold : float;  (** trust again below this ([<= suppress]) *)
-  hold_down : float;  (** minimum quiet time after the last flap (>= 0) *)
-}
-
 type controller =
   | Naive  (** full re-plan on every effective-damage change — no damping,
                no token bucket, no hysteresis. The ablation baseline. *)
-  | Damped of damping
+  | Damped
+      (** flap damping with the fixed parameters of the module doc, the
+          token bucket, schedule memory and re-integration hysteresis *)
 
 type config = {
   controller : controller;
@@ -68,15 +58,12 @@ type config = {
       (** full-re-plan episode bucket size (>= 0; 0 = patch-only) *)
   token_refill : float;  (** simulated time per regained token (> 0) *)
   hysteresis : float;  (** min relative throughput gain to re-integrate (>= 0) *)
-  hour : float;  (** simulated-time units per reported "hour" (> 0) *)
   policy : Recovery_loop.policy;  (** per-episode recovery policy *)
 }
 
-val default_damping : damping
-
 (** Damped controller, 4-token bucket refilling every 60 simulated units,
-    5% hysteresis, 3600-unit hours, and the platform's default recovery
-    policy capped at 2 full attempts per episode. *)
+    5% hysteresis, and the platform's default recovery policy capped at 2
+    full attempts per episode. *)
 val default_config : Platform.t -> config
 
 (** {!default_config} with the {!Naive} controller. *)
@@ -115,10 +102,16 @@ type report = {
   sk_delivered_integral : float;
       (** ∫ delivered throughput dt — multicasts completed to the
           currently-served target set *)
-  sk_nominal_integral : float;  (** initial throughput × horizon (upper bound) *)
+  sk_nominal_integral : float;
+      (** initial schedule's throughput × horizon. A reference, not a bound:
+          re-plans may adopt trees better than the initial one, so the
+          delivered integral can exceed it. The bound that holds is the
+          Multicast-LB throughput × horizon. *)
   sk_full_replans : int;  (** {!Repair.plan} invocations (the costly ones) *)
   sk_patches : int;  (** episodes resolved by the incremental rung *)
-  sk_replans_per_hour : float;  (** [full_replans / (horizon / hour)] *)
+  sk_replans_per_hour : float;
+      (** [full_replans / (horizon / 3600)]: an "hour" is 3600 simulated
+          time units *)
   sk_suppressions : int;
   sk_releases : int;
   sk_reintegrations : int;

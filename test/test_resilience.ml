@@ -450,13 +450,12 @@ let test_repair_degradation_costs_throughput () =
      relay's send load sets the MCPH period.) *)
   let p = Paper_platforms.two_relay () in
   let damage =
-    {
-      Repair.no_damage with
-      Repair.degraded =
-        Digraph.fold_edges
-          (fun acc e -> ((e.Digraph.src, e.Digraph.dst), Rat.of_int 2) :: acc)
-          [] p.Platform.graph;
-    }
+    Repair.damage
+      ~degraded:
+        (Digraph.fold_edges
+           (fun acc e -> ((e.Digraph.src, e.Digraph.dst), Rat.of_int 2) :: acc)
+           [] p.Platform.graph)
+      ()
   in
   match Repair.plan p damage with
   | Error e -> Alcotest.fail e
@@ -488,9 +487,9 @@ let test_repair_unrecoverable () =
          Fault.Kill_edge { src = 0; dst = 2; at = Rat.zero };
        ]);
   (* damage referencing a missing edge is rejected outright *)
-  expect_error { Repair.no_damage with Repair.dead_edges = [ (3, 0) ] };
+  expect_error (Repair.damage ~dead_edges:[ (3, 0) ] ());
   (* a speedup disguised as degradation is rejected *)
-  expect_error { Repair.no_damage with Repair.degraded = [ ((0, 1), q 1 2) ] }
+  expect_error (Repair.damage ~degraded:[ ((0, 1), q 1 2) ] ())
 
 let test_random_kills_respect_rate () =
   let p = Paper_platforms.two_relay () in
@@ -570,7 +569,7 @@ let test_incremental_matches_full_plan () =
               [] p.Platform.graph
           in
           let u, v = List.nth edges (Random.State.int rng (List.length edges)) in
-          { Repair.no_damage with Repair.dead_edges = [ (u, v) ] }
+          Repair.damage ~dead_edges:[ (u, v) ] ()
         end
         else begin
           let nodes =
@@ -579,7 +578,7 @@ let test_incremental_matches_full_plan () =
               (List.init (Platform.n_nodes p) Fun.id)
           in
           let v = List.nth nodes (Random.State.int rng (List.length nodes)) in
-          { Repair.no_damage with Repair.dead_nodes = [ v ] }
+          Repair.damage ~dead_nodes:[ v ] ()
         end
       in
       match Repair.plan ~before:sched p damage with
@@ -690,6 +689,200 @@ let test_subtree_outage_shape () =
   Alcotest.(check bool) "degenerate case still kills something" true
     (killed_links_of s2 <> [])
 
+(* --- canonical damage ----------------------------------------------------- *)
+
+(* The order-insensitive equality Repair used before damage became
+   canonical, kept as the reference over raw (edges, nodes, degraded)
+   lists: sorted dead sets and the net factor per edge. *)
+let reference_damage_equal (ea, na, da) (eb, nb, db) =
+  let edges d = List.sort_uniq compare d in
+  let nodes d = List.sort_uniq compare d in
+  let net d =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun (e, f) ->
+        let cur = match Hashtbl.find_opt tbl e with Some x -> x | None -> Rat.one in
+        Hashtbl.replace tbl e (Rat.mul cur f))
+      d;
+    List.sort compare
+      (Hashtbl.fold
+         (fun e f acc -> if Rat.equal f Rat.one then acc else (e, f) :: acc)
+         tbl [])
+  in
+  try
+    edges ea = edges eb && nodes na = nodes nb
+    && List.for_all2 (fun (e, f) (e', f') -> e = e' && Rat.equal f f') (net da) (net db)
+  with Invalid_argument _ -> false
+
+let of_raw (dead_edges, dead_nodes, degraded) = Repair.damage ~dead_edges ~dead_nodes ~degraded ()
+
+let is_canonical (d : Repair.damage) =
+  let rec strictly cmp = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && strictly cmp rest
+    | _ -> true
+  in
+  strictly compare d.Repair.dead_edges
+  && strictly compare d.Repair.dead_nodes
+  && strictly (fun ((a : int * int), _) (b, _) -> compare a b) d.Repair.degraded
+  && List.for_all (fun (_, f) -> not (Rat.equal f Rat.one)) d.Repair.degraded
+
+let shuffle rng l =
+  List.map snd
+    (List.sort
+       (fun (a, _) (b, _) -> compare a b)
+       (List.map (fun x -> (Random.State.bits rng, x)) l))
+
+(* A random raw damage on [p], drawn with replacement so entries repeat;
+   factors are on a 1/2 grid from 1 to 2, so some are exactly one. *)
+let random_raw_damage rng (p : Platform.t) =
+  let edges =
+    Digraph.fold_edges (fun acc e -> (e.Digraph.src, e.Digraph.dst) :: acc) [] p.Platform.graph
+  in
+  let nodes =
+    List.filter (fun v -> v <> p.Platform.source) (List.init (Platform.n_nodes p) Fun.id)
+  in
+  let pick l k = List.init k (fun _ -> List.nth l (Random.State.int rng (List.length l))) in
+  ( pick edges (Random.State.int rng 5),
+    pick nodes (Random.State.int rng 3),
+    List.map
+      (fun e -> (e, q (2 + Random.State.int rng 3) 2))
+      (pick edges (Random.State.int rng 6)) )
+
+(* The same damage stated differently: shuffled, dead entries repeated,
+   and some factors split in two whose product is the original. *)
+let restate rng (e, n, d) =
+  let dup l = l @ List.filter (fun _ -> Random.State.bool rng) l in
+  let split =
+    List.concat_map
+      (fun (edge, f) ->
+        if Random.State.bool rng then
+          let g = q (1 + Random.State.int rng 4) 2 in
+          [ (edge, g); (edge, Rat.div f g) ]
+        else [ (edge, f) ])
+      d
+  in
+  (shuffle rng (dup e), shuffle rng (dup n), shuffle rng split)
+
+let survivor_shape = function
+  | Error e -> Error e
+  | Ok (s : Platform.t) ->
+    Ok
+      ( s.Platform.targets,
+        List.sort compare
+          (List.map
+             (fun e -> (e.Digraph.src, e.Digraph.dst, Rat.to_string e.Digraph.cost))
+             (Digraph.edges s.Platform.graph)) )
+
+let test_canonical_damage_sweep () =
+  for i = 1 to 300 do
+    let rng = Random.State.make [| 4242; i |] in
+    let nodes = 5 + Random.State.int rng 6 in
+    let p =
+      Generators.random_connected rng ~nodes ~extra_edges:(Random.State.int rng 6) ~min_cost:1
+        ~max_cost:9 ~n_targets:(1 + Random.State.int rng 3)
+    in
+    let raw = random_raw_damage rng p in
+    let raw' = restate rng raw in
+    let other = random_raw_damage rng p in
+    let d = of_raw raw and d' = of_raw raw' in
+    let case what = Printf.sprintf "case %d: %s" i what in
+    Alcotest.(check bool) (case "canonical") true (is_canonical d);
+    (* idempotent: rebuilding from a canonical value changes nothing *)
+    let again =
+      Repair.damage ~dead_edges:d.Repair.dead_edges ~dead_nodes:d.Repair.dead_nodes
+        ~degraded:d.Repair.degraded ()
+    in
+    Alcotest.(check bool) (case "idempotent") true
+      (again.Repair.dead_edges = d.Repair.dead_edges
+      && again.Repair.dead_nodes = d.Repair.dead_nodes
+      && List.equal
+           (fun (e, f) (e', f') -> e = e' && Rat.equal f f')
+           again.Repair.degraded d.Repair.degraded);
+    (* equality agrees with the reference, on equal and unrelated pairs *)
+    Alcotest.(check bool) (case "restated damage is equal") true (Repair.damage_equal d d');
+    Alcotest.(check bool) (case "reference agrees on restated damage") true
+      (reference_damage_equal raw raw');
+    Alcotest.(check bool) (case "equality agrees with the reference")
+      (reference_damage_equal raw other)
+      (Repair.damage_equal d (of_raw other));
+    Alcotest.(check bool) (case "compare is antisymmetric") true
+      (compare (Repair.compare_damage d (of_raw other)) 0
+      = - compare (Repair.compare_damage (of_raw other) d) 0);
+    (* the survivor does not depend on how the damage was stated, and each
+       edge's cost carries the product of every factor stated for it *)
+    let shape = survivor_shape (Repair.apply_damage p d) in
+    Alcotest.(check bool) (case "same survivor for restated damage") true
+      (shape = survivor_shape (Repair.apply_damage p d'));
+    match Repair.apply_damage p d with
+    | Error _ -> ()
+    | Ok s ->
+      let _, _, degraded = raw in
+      Digraph.iter_edges
+        (fun e ->
+          let key = (e.Digraph.src, e.Digraph.dst) in
+          let net =
+            List.fold_left
+              (fun acc (e', f) -> if e' = key then Rat.mul acc f else acc)
+              Rat.one degraded
+          in
+          let orig =
+            List.find
+              (fun (o : Digraph.edge) -> o.Digraph.dst = e.Digraph.dst)
+              (Digraph.out_edges p.Platform.graph e.Digraph.src)
+          in
+          Alcotest.(check bool) (case "survivor cost is the net factor") true
+            (Rat.equal e.Digraph.cost (Rat.mul orig.Digraph.cost net)))
+        s.Platform.graph
+  done
+
+let test_damage_at_is_canonical () =
+  (* Fault.damage_at on shuffled scenarios with repeated events: always
+     canonical, and in agreement with the edge_dead / slowdown predicates
+     the replay uses. Link-only timelines pin dead edges and factors;
+     node-only timelines pin dead nodes. *)
+  for seed = 1 to 30 do
+    let rng = Random.State.make [| 777; seed |] in
+    let p = tiers_platform seed in
+    let horizon = Rat.of_int 300 in
+    let restated s = shuffle rng (s @ List.filter (fun _ -> Random.State.int rng 4 = 0) s) in
+    let links =
+      restated
+        (Fault.renewal_link_faults rng p ~mtbf:80. ~mttr:20. ~horizon
+        @ Fault.diurnal_degradation rng p ~waves:3 ~period:(Rat.of_int 100)
+            ~factor:(Rat.of_int 2) ~rate:0.5)
+    in
+    let nodes = restated (Fault.renewal_node_faults rng p ~mtbf:80. ~mttr:20. ~horizon) in
+    List.iter
+      (fun s ->
+        match Fault.validate p s with
+        | Error e -> Alcotest.failf "seed %d: scenario rejected: %s" seed e
+        | Ok () -> ())
+      [ links; nodes ];
+    for k = 0 to 60 do
+      let at = q (k * 5) 1 in
+      let case what = Printf.sprintf "seed %d, t=%d: %s" seed (k * 5) what in
+      let dl = Fault.damage_at links ~at and dn = Fault.damage_at nodes ~at in
+      Alcotest.(check bool) (case "canonical (links)") true (is_canonical dl);
+      Alcotest.(check bool) (case "canonical (nodes)") true (is_canonical dn);
+      Alcotest.(check (list int)) (case "no dead nodes from link faults") [] dl.Repair.dead_nodes;
+      Digraph.iter_edges
+        (fun e ->
+          let src = e.Digraph.src and dst = e.Digraph.dst in
+          Alcotest.(check bool) (case "dead edge agrees with edge_dead")
+            (Fault.edge_dead links ~src ~dst ~at)
+            (List.mem (src, dst) dl.Repair.dead_edges);
+          let factor =
+            Option.value ~default:Rat.one (List.assoc_opt (src, dst) dl.Repair.degraded)
+          in
+          Alcotest.(check bool) (case "factor agrees with slowdown") true
+            (Rat.equal factor (Fault.slowdown links ~src ~dst ~at));
+          Alcotest.(check bool) (case "dead node agrees with edge_dead")
+            (Fault.edge_dead nodes ~src ~dst ~at)
+            (List.mem src dn.Repair.dead_nodes || List.mem dst dn.Repair.dead_nodes))
+        p.Platform.graph
+    done
+  done
+
 let suite =
   [
     ("faulty replay: no faults, no losses", `Quick, test_no_faults_is_lossless);
@@ -717,4 +910,6 @@ let suite =
     ("storm: random burst shape", `Quick, test_random_burst_shape);
     ("storm: shared-endpoint kills shape", `Quick, test_shared_endpoint_kills_shape);
     ("storm: subtree outage shape", `Quick, test_subtree_outage_shape);
+    ("damage: canonical form, 300-case sweep", `Quick, test_canonical_damage_sweep);
+    ("damage: damage_at is canonical", `Quick, test_damage_at_is_canonical);
   ]

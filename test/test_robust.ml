@@ -403,7 +403,7 @@ let test_repair_plan_total () =
           else None)
         edges
     in
-    let damage = { Repair.dead_edges; dead_nodes; degraded } in
+    let damage = Repair.damage ~dead_edges ~dead_nodes ~degraded () in
     match Repair.plan p damage with
     | Ok r -> (
       match Schedule.check r.Repair.schedule with
@@ -446,9 +446,6 @@ let test_policy_validation () =
     "replan_deadline";
   expect_reject "horizon_periods 0" { ok with Recovery_loop.horizon_periods = 0 }
     "horizon_periods";
-  expect_reject "retention floor above 1"
-    { ok with Recovery_loop.patch_retention_floor = 1.5 }
-    "patch_retention_floor";
   expect_reject "drop_order id out of range" { ok with Recovery_loop.drop_order = [ 99 ] }
     "drop_order";
   (* run performs the same validation on entry *)

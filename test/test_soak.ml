@@ -194,6 +194,43 @@ let test_fallback_reuses_detection_replay () =
     [ 1; 2 ];
   Alcotest.(check bool) "some episode fell back" true (!fallbacks > 0)
 
+let test_delivered_within_lb_bound () =
+  (* The paper's bound on what any schedule delivers is the Multicast-LB
+     throughput. Re-plans may adopt trees better than the initial MCPH
+     schedule, so the delivered integral can exceed the nominal one
+     (initial throughput x horizon), but never horizon x LB. Platforms and
+     timelines are the ones [mcast soak] builds for these seeds. *)
+  let case ~seed ~scenario ~horizon =
+    let p = Tiers.generate (Random.State.make [| seed |]) Tiers.small_params ~n_targets:8 in
+    let rng = Random.State.make [| seed; 7001 |] in
+    let horizon = Rat.of_int horizon in
+    let faults =
+      match scenario with
+      | `Renewal -> Fault.renewal_link_faults rng p ~mtbf:1500. ~mttr:30. ~horizon
+      | `Renewal_mixed ->
+        Fault.renewal_link_faults rng p ~mtbf:1500. ~mttr:30. ~horizon
+        @ Fault.renewal_node_faults rng p ~mtbf:3000. ~mttr:30. ~horizon
+    in
+    let lb =
+      match Formulations.multicast_lb p with
+      | Some s -> s.Formulations.throughput
+      | None -> Alcotest.fail "Multicast-LB infeasible on a connected platform"
+    in
+    let bound = Rat.to_float horizon *. lb in
+    List.iter
+      (fun config ->
+        match Soak.run ~now:(fake_clock ()) ~config p (mcph_sched p) faults ~horizon with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          let delivered = r.Soak.sk_delivered_integral in
+          if delivered > bound *. (1.0 +. 1e-9) then
+            Alcotest.failf "seed %d: delivered %.4f above horizon x LB %.4f" seed delivered
+              bound)
+      [ Soak.default_config p; Soak.naive_config p ]
+  in
+  case ~seed:2 ~scenario:`Renewal_mixed ~horizon:3000;
+  case ~seed:42 ~scenario:`Renewal ~horizon:600
+
 let suite =
   [
     ("fake clock makes soaks deterministic", `Quick, test_fake_clock_determinism);
@@ -202,4 +239,5 @@ let suite =
     ("soak property sweep: 200 seeded cases", `Slow, test_soak_property_sweep);
     ("never-broken coverage has availability exactly 1", `Quick, test_full_coverage_is_exactly_one);
     ("fallback reuses the detection replay", `Quick, test_fallback_reuses_detection_replay);
+    ("delivered integral within horizon x Multicast-LB", `Quick, test_delivered_within_lb_bound);
   ]

@@ -34,13 +34,13 @@ let case_of_seed seed =
   let kill_edge () =
     let es = Digraph.edges p.Platform.graph in
     let e = List.nth es (Random.State.int rng (List.length es)) in
-    { Repair.no_damage with Repair.dead_edges = [ (e.Digraph.src, e.Digraph.dst) ] }
+    Repair.damage ~dead_edges:[ (e.Digraph.src, e.Digraph.dst) ] ()
   in
   let damage =
     match Platform.intermediates p with
     | inter when inter <> [] && Random.State.bool rng ->
       let v = List.nth inter (Random.State.int rng (List.length inter)) in
-      { Repair.no_damage with Repair.dead_nodes = [ v ] }
+      Repair.damage ~dead_nodes:[ v ] ()
     | _ -> kill_edge ()
   in
   (p, damage)
