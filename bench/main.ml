@@ -1279,17 +1279,20 @@ let slo_bench () =
       Fault.random_burst (Random.State.make [| seed; 9002 |]) p ~k:3 ~window:Rat.one
         ~at:burst_at
     in
-    let run ?telemetry ?(slo = []) ?(slo_enforce = false) () =
-      match Horizon.run ~faults ?telemetry ~slo ~slo_enforce p sessions ~horizon with
+    let run ?telemetry ?(slo_enforce = false) () =
+      match Horizon.run ~faults ?telemetry ~slo_enforce p sessions ~horizon with
       | Error e -> failwith ("slo bench: " ^ e)
       | Ok rep -> rep
     in
     let t0 = Unix.gettimeofday () in
     let bare = run () in
     let t1 = Unix.gettimeofday () in
-    let off = run ~telemetry:(Timeseries.create ()) ~slo:objectives () in
+    let off_sink = Timeseries.create ~slo:objectives () in
+    let off = run ~telemetry:off_sink () in
     let t2 = Unix.gettimeofday () in
-    let enforced = run ~telemetry:(Timeseries.create ()) ~slo:objectives ~slo_enforce:true () in
+    let enforced =
+      run ~telemetry:(Timeseries.create ~slo:objectives ()) ~slo_enforce:true ()
+    in
     incr ran;
     bare_secs := !bare_secs +. (t1 -. t0);
     sampled_secs := !sampled_secs +. (t2 -. t1);
@@ -1299,7 +1302,7 @@ let slo_bench () =
     let n_breach =
       List.length
         (List.filter (fun (e : Slo.event) -> e.Slo.e_kind = `Breach)
-           off.Horizon.hz_slo_events)
+           (Timeseries.slo_events off_sink))
     in
     breaches := !breaches + n_breach;
     let s_off = mean_shortfall off and s_on = mean_shortfall enforced in

@@ -12,13 +12,17 @@
                          (--online drives the recovery-loop controller)
      robust              proactive robust planning: worst-case retention report
      soak                chaos soak: continuous recovery over a fail/repair timeline
+                         (--slo evaluates objectives, --incidents reports
+                         fault -> breach -> repair -> recovery timelines)
      sessions            online session engine: rolling-horizon admission and
                          incremental re-planning over a churning session stream
-     incidents           soak under SLO objectives, report fault -> breach ->
-                         repair -> recovery incident timelines
-     profile             run a workload under tracing, print a self-time profile
      prefix              Theorem 5 parallel-prefix gadget walk-through
-     gadget              set-cover gadget and the Theorem 1 correspondence *)
+     gadget              set-cover gadget and the Theorem 1 correspondence
+
+   Every subcommand takes the observability flags: --trace (Chrome trace),
+   --metrics (registry deltas), --profile (self-time table, LP attribution
+   and a JSON document) and --folded (flamegraph stacks). They observe the
+   subcommand's own run. *)
 
 open Cmdliner
 
@@ -47,45 +51,246 @@ let jobs_arg =
   in
   Arg.(value & opt int (Pool.default_jobs ()) & info [ "jobs" ] ~docv:"N" ~doc)
 
-let trace_arg =
-  let doc =
-    "Record a Chrome-trace of the run into $(docv) (JSON; open in \
-     chrome://tracing or https://ui.perfetto.dev). Spans carry the worker \
-     domain id, so a --jobs N run shows pool utilization directly."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+let platform_kinds =
+  [
+    ("tiers-small", `Tiers_small);
+    ("tiers-big", `Tiers_big);
+    ("random", `Random);
+    ("fig1", `Fig1);
+    ("fig4", `Fig4);
+    ("two-relay", `Two_relay);
+  ]
 
-let metrics_arg =
-  let doc = "Print the metrics-registry deltas accumulated during the run." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
+let platform_of_kind rng kind ~n_targets =
+  match kind with
+  | `Tiers_small -> Tiers.generate rng Tiers.small_params ~n_targets
+  | `Tiers_big -> Tiers.generate rng Tiers.big_params ~n_targets
+  | `Random ->
+    Generators.random_connected rng ~nodes:20 ~extra_edges:10 ~min_cost:1 ~max_cost:50
+      ~n_targets
+  | `Fig1 -> Paper_platforms.fig1 ()
+  | `Fig4 -> Paper_platforms.fig4 ()
+  | `Two_relay -> Paper_platforms.two_relay ()
+
+(* Every flag whose value comes from a fixed list of names is an [Arg.enum]:
+   cmdliner rejects any other value as a usage error (exit 124) before the
+   command does any work. *)
+let kind_term ~doc =
+  Arg.(value & opt (enum platform_kinds) `Tiers_small & info [ "kind" ] ~docv:"KIND" ~doc)
+
+let periods_arg default =
+  Arg.(value & opt int default & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods to replay.")
+
+let targets_arg =
+  let doc = "Number of multicast targets for generated platforms." in
+  Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
+
+(* [-p FILE], or else a platform of [--kind] with [--targets] targets drawn
+   from [--seed]. Evaluates to the seed, from which the stochastic
+   subcommands derive their other streams, and a loader the subcommand
+   runs inside its own error reporting. *)
+let platform_term =
+  let source file kind seed n_targets =
+    ( seed,
+      fun () ->
+        match file with
+        | Some _ -> read_platform file
+        | None -> platform_of_kind (Random.State.make [| seed |]) kind ~n_targets )
+  in
+  let kind = kind_term ~doc:"Platform kind when no file is given (see $(b,generate))." in
+  Term.(const source $ platform_arg $ kind $ seed_arg $ targets_arg)
+
+(* The name an enumerated flag's value was given by. *)
+let enum_name choices v = fst (List.find (fun (_, v') -> v' = v) choices)
+
+let rat_arg ~what s =
+  match Rat.of_string s with
+  | r -> r
+  | exception _ -> failwith (Printf.sprintf "bad %s: %s" what s)
+
+(* The MCPH tree as a checked one-tree schedule: the baseline simulate,
+   resilience and soak start from. *)
+let mcph_schedule p =
+  match Mcph.run p with
+  | None -> failwith "some target is unreachable"
+  | Some r ->
+    let sched =
+      Schedule.of_tree_set (Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ])
+    in
+    (match Schedule.check sched with
+    | Ok () -> ()
+    | Error e -> failwith ("baseline schedule check failed: " ^ e));
+    sched
+
+(* Check a schedule, then replay it for [periods] periods, or longer when
+   its pipeline needs more to fill. *)
+let replay_checked sched ~periods =
+  (match Schedule.check sched with
+  | Ok () -> ()
+  | Error e -> failwith ("schedule check failed: " ^ e));
+  match Event_sim.run sched ~periods:(max periods (Schedule.init_periods sched + 3)) with
+  | Error e -> failwith ("simulation failed: " ^ e)
+  | Ok stats -> stats
+
+(* --- observability ---------------------------------------------------- *)
+
+type obs = {
+  trace : string option;
+  metrics : bool;
+  profile : string option;
+  folded : string option;
+}
+
+let obs_term =
+  let trace =
+    let doc =
+      "Record a Chrome-trace of the run into $(docv) (JSON; open in \
+       chrome://tracing or https://ui.perfetto.dev). Spans carry the worker \
+       domain id, so a --jobs N run shows pool utilization directly."
+    in
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  in
+  let metrics =
+    let doc = "Print the metrics-registry deltas accumulated during the run." in
+    Arg.(value & flag & info [ "metrics" ] ~doc)
+  in
+  let profile =
+    let doc =
+      "Trace the run and print its self-time profile and LP attribution; write \
+       the profile and the metrics delta as JSON to $(docv) (consumable by \
+       $(b,bench --check-against))."
+    in
+    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
+  in
+  let folded =
+    let doc =
+      "Trace the run and write flamegraph folded stacks to $(docv) (feed to \
+       flamegraph.pl or speedscope)."
+    in
+    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE" ~doc)
+  in
+  Term.(
+    const (fun trace metrics profile folded -> { trace; metrics; profile; folded })
+    $ trace $ metrics $ profile $ folded)
+
+(* LP-solve attribution from the metrics delta: solves/pivots by kind, the
+   per-caller cache traffic (the dynamic lp_cache.{hits,misses}.<caller>
+   counters) and the pool summary. *)
+let print_lp_attribution (delta : Metrics.snapshot) =
+  let c name =
+    match Metrics.find delta name with Some (Metrics.Counter n) -> n | _ -> 0
+  in
+  Printf.printf "lp attribution:\n";
+  Printf.printf
+    "  solves %d float + %d exact; pivots %d float + %d exact; fallbacks %d; LB cut \
+     rounds %d\n"
+    (c "lp.solves.float") (c "lp.solves.exact") (c "lp.pivots.float")
+    (c "lp.pivots.exact")
+    (c "solver_chain.fallbacks")
+    (c "formulations.lb_cut_rounds");
+  let callers = Hashtbl.create 8 in
+  let note prefix is_hits =
+    let pl = String.length prefix in
+    List.iter
+      (fun (name, v) ->
+        if String.length name > pl && String.sub name 0 pl = prefix then
+          match v with
+          | Metrics.Counter n ->
+            let caller = String.sub name pl (String.length name - pl) in
+            let h, m = Option.value ~default:(0, 0) (Hashtbl.find_opt callers caller) in
+            Hashtbl.replace callers caller (if is_hits then (h + n, m) else (h, m + n))
+          | _ -> ())
+      delta
+  in
+  note "lp_cache.hits." true;
+  note "lp_cache.misses." false;
+  let rows = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) callers []) in
+  if rows = [] then Printf.printf "  lp cache: no lookups recorded\n"
+  else
+    List.iter
+      (fun (caller, (h, m)) ->
+        let total = h + m in
+        Printf.printf "  lp cache [%s]: %d hits / %d misses (%.1f%% hit rate)\n" caller h
+          m
+          (if total = 0 then 0.0 else 100. *. float_of_int h /. float_of_int total))
+      rows;
+  let maps = c "pool.maps" and tasks = c "pool.tasks" in
+  let util =
+    match Metrics.find delta "pool.utilization" with
+    | Some (Metrics.Gauge g) -> g
+    | _ -> 0.0
+  in
+  match Metrics.find delta "pool.task_seconds" with
+  | Some (Metrics.Histogram h) when h.Metrics.h_count > 0 ->
+    Printf.printf
+      "  pool: %d map(s), %d task(s), task time %.3fs total (max %.3fs); last map \
+       utilization %.0f%%\n"
+      maps tasks h.Metrics.h_sum h.Metrics.h_max (100. *. util)
+  | _ -> if maps > 0 then Printf.printf "  pool: %d map(s), %d task(s)\n" maps tasks
+
+(* Reindent an embedded JSON document so the wrapper stays readable; the
+   first line keeps the wrapper's own indentation. *)
+let indent s =
+  match String.split_on_char '\n' (String.trim s) with
+  | [] -> s
+  | first :: rest ->
+    String.concat "\n" (first :: List.map (fun l -> if l = "" then l else "  " ^ l) rest)
+
+let write_profile_json path ~delta prof =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n  \"command\": ";
+  Json.add_string buf (String.concat " " (List.tl (Array.to_list Sys.argv)));
+  Buffer.add_string buf (",\n  \"metrics\": " ^ indent (Metrics.to_json delta));
+  Buffer.add_string buf (",\n  \"profile\": " ^ indent (Trace_stats.to_json prof) ^ "\n}\n");
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf);
+  Printf.printf "profile json: wrote %s\n" path
 
 (* Bracket a subcommand body with the observability layer: start tracing if
-   --trace was given, snapshot the metric registry if --metrics was, and on
-   the way out (even on failure) export the trace and print the deltas.
-   [counters] is evaluated at export time so drivers that sample a
-   Timeseries sink during the run get their series appended to the trace
-   as Perfetto counter tracks. *)
-let with_observability ?(counters = fun () -> []) ~trace ~metrics f =
-  if trace <> None then Trace.enable ();
-  let before = if metrics then Some (Metrics.snapshot ()) else None in
+   any traced output was asked for, snapshot the metric registry if a delta
+   will be reported, and on the way out (even on failure) export the trace,
+   print the profile and the deltas. [counters] is evaluated at export time
+   so drivers that sample a Timeseries sink during the run get their series
+   appended to the trace as Perfetto counter tracks. *)
+let with_observability ?(counters = fun () -> []) o f =
+  if o.trace <> None || o.profile <> None || o.folded <> None then
+    Trace.enable ~capacity:(1 lsl 18) ();
+  let before =
+    if o.metrics || o.profile <> None then Some (Metrics.snapshot ()) else None
+  in
   Fun.protect
     ~finally:(fun () ->
-      (match trace with
+      let events = Trace.events () and dropped = Trace.dropped () in
+      (match o.trace with
       | None -> ()
       | Some path ->
-        let n = List.length (Trace.events ()) and d = Trace.dropped () in
         Trace.export ~counters:(counters ()) path;
-        Trace.disable ();
-        Printf.printf "trace: wrote %d events to %s (%d dropped%s)\n" n path d
-          (if d > 0 then ": ring full, trace is partial" else ""));
-      match before with
+        Printf.printf "trace: wrote %d events to %s (%d dropped%s)\n" (List.length events)
+          path dropped
+          (if dropped > 0 then ": ring full, trace is partial" else ""));
+      Trace.disable ();
+      let delta = Option.map (fun before -> Metrics.delta ~before (Metrics.snapshot ())) before in
+      (match (o.profile, delta) with
+      | Some path, Some delta ->
+        let prof = Trace_stats.of_events ~dropped events in
+        print_newline ();
+        print_string (Trace_stats.to_text ~top:15 prof);
+        print_lp_attribution delta;
+        write_profile_json path ~delta prof
+      | _ -> ());
+      (match o.folded with
       | None -> ()
-      | Some before ->
+      | Some path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Folded.of_events events));
+        Printf.printf "folded stacks: wrote %s\n" path);
+      match delta with
+      | Some delta when o.metrics ->
         print_string "metrics:\n";
-        print_string (Metrics.to_text (Metrics.delta ~before (Metrics.snapshot ()))))
+        print_string (Metrics.to_text delta)
+      | _ -> ())
     f
 
-(* --- time-series / SLO plumbing shared by soak, sessions and incidents --- *)
+(* --- time-series / SLO plumbing shared by soak and sessions --- *)
 
 let slo_arg =
   let doc =
@@ -93,7 +298,8 @@ let slo_arg =
      optionally followed by comma-separated tuning keys, e.g. \
      $(b,soak.availability>=0.99,fast=20,slow=100,hold=25) (keys: budget, fast, \
      slow, fastburn, slowburn, hold, name). Repeatable. Breaches are evaluated \
-     with the standard fast/slow error-budget burn-rate pair."
+     with the standard fast/slow error-budget burn-rate pair. An objective over \
+     a series the run never samples is an error (exit 1)."
   in
   Arg.(value & opt_all string [] & info [ "slo" ] ~docv:"SPEC" ~doc)
 
@@ -114,9 +320,9 @@ let parse_slo_specs specs =
 
 (* The sink exists whenever something will consume it: an export file, SLO
    objectives to evaluate, or a trace to append counter tracks to. *)
-let make_sink ~timeseries ~slo ~trace =
-  if timeseries = [] && slo = [] && trace = None then None
-  else Some (Timeseries.create ())
+let make_sink ~timeseries ~objectives o =
+  if timeseries = [] && objectives = [] && o.trace = None then None
+  else Some (Timeseries.create ~slo:objectives ())
 
 let sink_counters sink () =
   match sink with Some s -> Timeseries.counter_tracks s | None -> []
@@ -137,8 +343,19 @@ let export_timeseries sink paths =
           path)
       paths
 
-let print_slo_events objectives events =
-  if objectives <> [] then begin
+(* After the run: an objective over a series the run never sampled was
+   never evaluated, so it fails the run instead of passing silently. *)
+let print_slo_events sink objectives =
+  match sink with
+  | Some s when objectives <> [] ->
+    (match Timeseries.unsampled s with
+    | [] -> ()
+    | o :: _ ->
+      failwith
+        (Printf.sprintf "--slo %s: the run never sampled series %s (sampled: %s)"
+           (Slo.spec o) o.Slo.o_series
+           (match Timeseries.names s with [] -> "none" | ns -> String.concat ", " ns)));
+    let events = Timeseries.slo_events s in
     let breaches =
       List.length (List.filter (fun (e : Slo.event) -> e.Slo.e_kind = `Breach) events)
     in
@@ -151,7 +368,7 @@ let print_slo_events objectives events =
           (match e.Slo.e_kind with `Breach -> "breach" | `Recovery -> "recovery")
           e.Slo.e_objective e.Slo.e_fast_burn e.Slo.e_slow_burn)
       events
-  end
+  | _ -> ()
 
 (* One-line solver/cache telemetry, printed after the heavy subcommands. *)
 let print_perf_counters () =
@@ -180,40 +397,8 @@ let with_seed_reporting ~seed f =
 
 (* --- generate --- *)
 
-let platform_kinds =
-  [
-    ("tiers-small", `Tiers_small);
-    ("tiers-big", `Tiers_big);
-    ("random", `Random);
-    ("fig1", `Fig1);
-    ("fig4", `Fig4);
-    ("two-relay", `Two_relay);
-  ]
-
-let platform_of_kind rng kind ~n_targets =
-  match kind with
-  | `Tiers_small -> Tiers.generate rng Tiers.small_params ~n_targets
-  | `Tiers_big -> Tiers.generate rng Tiers.big_params ~n_targets
-  | `Random ->
-    Generators.random_connected rng ~nodes:20 ~extra_edges:10 ~min_cost:1 ~max_cost:50
-      ~n_targets
-  | `Fig1 -> Paper_platforms.fig1 ()
-  | `Fig4 -> Paper_platforms.fig4 ()
-  | `Two_relay -> Paper_platforms.two_relay ()
-
-(* Every flag whose value comes from a fixed list of names is an [Arg.enum]:
-   cmdliner rejects any other value as a usage error (exit 124) before the
-   command does any work. *)
-let kind_term ~doc =
-  Arg.(value & opt (enum platform_kinds) `Tiers_small & info [ "kind" ] ~docv:"KIND" ~doc)
-
-let kind_arg = kind_term ~doc:"Platform kind when no file is given (see $(b,generate))."
-
-(* The name an enumerated flag's value was given by. *)
-let enum_name choices v = fst (List.find (fun (_, v') -> v' = v) choices)
-
-let generate kind seed n_targets out trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let generate kind seed n_targets out obs =
+  with_observability obs @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let p = platform_of_kind rng kind ~n_targets in
   let text = Platform_io.to_string p in
@@ -227,22 +412,18 @@ let generate_cmd =
   let kind =
     kind_term ~doc:(Printf.sprintf "Platform kind, %s." (Arg.doc_alts_enum platform_kinds))
   in
-  let n_targets =
-    let doc = "Number of multicast targets." in
-    Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
-  in
   let out =
     let doc = "Output file (defaults to stdout)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a platform instance")
-    Term.(const generate $ kind $ seed_arg $ n_targets $ out $ trace_arg $ metrics_arg)
+    Term.(const generate $ kind $ seed_arg $ targets_arg $ out $ obs_term)
 
 (* --- bounds --- *)
 
-let bounds file trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let bounds file obs =
+  with_observability obs @@ fun () ->
   let p = read_platform file in
   Printf.printf "%s\n" (Platform.describe p);
   Format.printf "topology: %a@." Topology_stats.pp (Topology_stats.compute p);
@@ -262,12 +443,12 @@ let bounds file trace metrics =
 
 let bounds_cmd =
   Cmd.v (Cmd.info "bounds" ~doc:"LP bounds of an instance")
-    Term.(const bounds $ platform_arg $ trace_arg $ metrics_arg)
+    Term.(const bounds $ platform_arg $ obs_term)
 
 (* --- heuristics --- *)
 
-let heuristics file tries sources trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let heuristics file tries sources obs =
+  with_observability obs @@ fun () ->
   let p = read_platform file in
   Printf.printf "%s\n" (Platform.describe p);
   let report = Heuristics.run_all ?max_tries_per_round:tries ~max_sources:sources p in
@@ -289,12 +470,12 @@ let heuristics_cmd =
   in
   Cmd.v
     (Cmd.info "heuristics" ~doc:"Run the paper's heuristic portfolio")
-    Term.(const heuristics $ platform_arg $ tries $ sources $ trace_arg $ metrics_arg)
+    Term.(const heuristics $ platform_arg $ tries $ sources $ obs_term)
 
 (* --- tree --- *)
 
-let tree file dot_out trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let tree file dot_out obs =
+  with_observability obs @@ fun () ->
   let p = read_platform file in
   match Mcph.run p with
   | None -> failwith "some target is unreachable"
@@ -323,46 +504,34 @@ let tree_cmd =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
   Cmd.v (Cmd.info "tree" ~doc:"One-port MCPH multicast tree")
-    Term.(const tree $ platform_arg $ dot $ trace_arg $ metrics_arg)
+    Term.(const tree $ platform_arg $ dot $ obs_term)
 
 (* --- simulate --- *)
 
-let simulate file periods trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
-  let p = read_platform file in
-  match Mcph.run p with
-  | None -> failwith "some target is unreachable"
-  | Some r ->
-    let set = Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ] in
-    let sched = Schedule.of_tree_set set in
-    (match Schedule.check sched with
-    | Ok () -> ()
-    | Error e -> failwith ("schedule check failed: " ^ e));
-    Printf.printf "schedule: period %s, %d messages/period, %d transfers\n"
-      (Rat.to_string sched.Schedule.period)
-      sched.Schedule.messages_per_period
-      (List.length sched.Schedule.transfers);
-    (match Event_sim.run sched ~periods with
-    | Error e -> failwith ("simulation failed: " ^ e)
-    | Ok stats ->
-      Printf.printf "simulated %d periods: throughput %.6f (predicted %.6f), max latency %.1f\n"
-        stats.Event_sim.periods stats.Event_sim.measured_throughput
-        (Rat.to_float (Rat.inv r.Mcph.period))
-        stats.Event_sim.max_latency)
+let simulate file periods obs =
+  with_observability obs @@ fun () ->
+  let sched = mcph_schedule (read_platform file) in
+  Printf.printf "schedule: period %s, %d messages/period, %d transfers\n"
+    (Rat.to_string sched.Schedule.period)
+    sched.Schedule.messages_per_period
+    (List.length sched.Schedule.transfers);
+  match Event_sim.run sched ~periods with
+  | Error e -> failwith ("simulation failed: " ^ e)
+  | Ok stats ->
+    Printf.printf "simulated %d periods: throughput %.6f (predicted %.6f), max latency %.1f\n"
+      stats.Event_sim.periods stats.Event_sim.measured_throughput
+      (Rat.to_float sched.Schedule.throughput)
+      stats.Event_sim.max_latency
 
 let simulate_cmd =
-  let periods =
-    let doc = "Number of periods to replay." in
-    Arg.(value & opt int 12 & info [ "periods" ] ~docv:"N" ~doc)
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Schedule the MCPH tree and replay it")
-    Term.(const simulate $ platform_arg $ periods $ trace_arg $ metrics_arg)
+    Term.(const simulate $ platform_arg $ periods_arg 12 $ obs_term)
 
 (* --- broadcast-schedule --- *)
 
-let broadcast_schedule file periods trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let broadcast_schedule file periods obs =
+  with_observability obs @@ fun () ->
   let p = read_platform file in
   match Formulations.broadcast_eb p with
   | None -> failwith "broadcast infeasible (disconnected platform)"
@@ -375,28 +544,19 @@ let broadcast_schedule file periods trace metrics =
       Printf.printf "packed into %d arborescences, schedulable throughput %s\n"
         (Array.length sched.Schedule.trees)
         (Rat.to_string thr);
-      (match Schedule.check sched with
-      | Ok () -> ()
-      | Error e -> failwith ("schedule check failed: " ^ e));
-      (match Event_sim.run sched ~periods:(max periods (Schedule.init_periods sched + 3)) with
-      | Error e -> failwith ("simulation failed: " ^ e)
-      | Ok stats ->
-        Printf.printf "simulated: measured throughput %.6f\n"
-          stats.Event_sim.measured_throughput))
+      let stats = replay_checked sched ~periods in
+      Printf.printf "simulated: measured throughput %.6f\n" stats.Event_sim.measured_throughput)
 
 let broadcast_schedule_cmd =
-  let periods =
-    Arg.(value & opt int 10 & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods.")
-  in
   Cmd.v
     (Cmd.info "broadcast-schedule"
        ~doc:"Pack Broadcast-EB into arborescences, schedule and simulate")
-    Term.(const broadcast_schedule $ platform_arg $ periods $ trace_arg $ metrics_arg)
+    Term.(const broadcast_schedule $ platform_arg $ periods_arg 10 $ obs_term)
 
 (* --- scatter-schedule --- *)
 
-let scatter_schedule file periods trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let scatter_schedule file periods obs =
+  with_observability obs @@ fun () ->
   let p = read_platform file in
   match Formulations.multicast_ub p with
   | None -> failwith "some target is unreachable"
@@ -409,50 +569,30 @@ let scatter_schedule file periods trace metrics =
       Printf.printf "schedule: %d chains, message rate %s per time unit\n"
         (Array.length sched.Schedule.trees)
         (Rat.to_string (Scatter_schedule.message_rate sched));
-      (match Schedule.check sched with
-      | Ok () -> ()
-      | Error e -> failwith ("schedule check failed: " ^ e));
-      (match Event_sim.run sched ~periods:(max periods (Schedule.init_periods sched + 3)) with
-      | Error e -> failwith ("simulation failed: " ^ e)
-      | Ok stats ->
-        Printf.printf "simulated: measured message rate %.6f\n"
-          stats.Event_sim.measured_throughput))
+      let stats = replay_checked sched ~periods in
+      Printf.printf "simulated: measured message rate %.6f\n"
+        stats.Event_sim.measured_throughput)
 
 let scatter_schedule_cmd =
-  let periods =
-    Arg.(value & opt int 10 & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods.")
-  in
   Cmd.v
     (Cmd.info "scatter-schedule"
        ~doc:"Build and simulate the schedule realizing Multicast-UB")
-    Term.(const scatter_schedule $ platform_arg $ periods $ trace_arg $ metrics_arg)
+    Term.(const scatter_schedule $ platform_arg $ periods_arg 10 $ obs_term)
 
 (* --- resilience --- *)
 
-let resilience file kind seed n_targets kill_edges kill_nodes degrades at periods online
-    max_attempts drop_order storm storm_k incremental jobs trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let resilience (seed, load) kill_edges kill_nodes degrades at periods online
+    max_attempts drop_order storm storm_k incremental jobs obs =
+  with_observability obs @@ fun () ->
   with_seed_reporting ~seed @@ fun () ->
-  let p =
-    match file with
-    | Some _ -> read_platform file
-    | None ->
-      let rng = Random.State.make [| seed |] in
-      platform_of_kind rng kind ~n_targets
-  in
-  let at =
-    match Rat.of_string at with
-    | r -> r
-    | exception _ -> failwith ("bad --at time: " ^ at)
-  in
+  let p = load () in
+  let at = rat_arg ~what:"--at time" at in
   let scenario =
     List.map (fun (u, v) -> Fault.Kill_edge { src = u; dst = v; at }) kill_edges
     @ List.map (fun v -> Fault.Kill_node { node = v; at }) kill_nodes
     @ List.map
         (fun (u, v, f) ->
-          match Rat.of_string f with
-          | factor -> Fault.Degrade_edge { src = u; dst = v; at; factor }
-          | exception _ -> failwith ("bad degrade factor: " ^ f))
+          Fault.Degrade_edge { src = u; dst = v; at; factor = rat_arg ~what:"degrade factor" f })
         degrades
   in
   let scenario =
@@ -471,88 +611,69 @@ let resilience file kind seed n_targets kill_edges kill_nodes degrades at period
   (match Fault.validate p scenario with Ok () -> () | Error e -> failwith e);
   Printf.printf "%s\n" (Platform.describe p);
   Printf.printf "scenario: %s\n" (Fault.describe scenario);
-  match Mcph.run p with
-  | None -> failwith "some target is unreachable"
-  | Some r -> (
-    let set = Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ] in
-    let sched = Schedule.of_tree_set set in
-    (match Schedule.check sched with
-    | Ok () -> ()
-    | Error e -> failwith ("baseline schedule check failed: " ^ e));
-    let periods = max periods (Schedule.init_periods sched + 3) in
-    (* The pristine and faulted replays are independent; run them on the
-       pool (order-preserving, so the output is the same for any --jobs). *)
-    let base, fs =
-      match
-        Pool.map ~jobs
-          (fun run -> run ())
-          [
-            (fun () -> `Base (Event_sim.run sched ~periods));
-            (fun () ->
-              `Faulted (Event_sim.run_with_faults sched ~faults:scenario ~periods));
-          ]
-      with
-      | [ `Base b; `Faulted fs ] -> (b, fs)
-      | _ -> assert false
-    in
-    (match base with
-    | Error e -> failwith ("baseline replay failed: " ^ e)
-    | Ok stats ->
-      Printf.printf "baseline: throughput %.6f (replay measured %.6f over %d periods)\n"
-        (Rat.to_float sched.Schedule.throughput)
-        stats.Event_sim.measured_throughput periods);
-    Printf.printf
-      "under faults: %d deliveries lost, %d deliveries made, %d multicasts still \
-       complete, surviving throughput %.6f\n"
-      (List.length fs.Event_sim.f_losses)
-      fs.Event_sim.f_delivered fs.Event_sim.f_completed fs.Event_sim.f_measured_throughput;
-    if online then begin
-      let policy =
-        let d = Recovery_loop.default_policy p in
-        {
-          d with
-          Recovery_loop.max_attempts;
-          horizon_periods = periods;
-          drop_order = (if drop_order = [] then d.Recovery_loop.drop_order else drop_order);
-        }
-      in
-      match Recovery_loop.run ~policy p sched scenario with
-      | Error e -> failwith ("recovery policy rejected: " ^ e)
-      | Ok o -> (
-        Format.printf "%a@." Recovery_loop.pp_outcome o;
-        print_perf_counters ();
-        (* Unrecovered runs exit nonzero so CI and scripts can detect them. *)
-        match o.Recovery_loop.final with
-        | `Fallback _ -> exit_with_seed ~seed 1
-        | _ -> ())
-    end
-    else
+  let sched = mcph_schedule p in
+  let periods = max periods (Schedule.init_periods sched + 3) in
+  (* The pristine and faulted replays are independent; run them on the
+     pool (order-preserving, so the output is the same for any --jobs). *)
+  let base, fs =
     match
-      if incremental then Repair.plan_incremental ~before:sched p (Fault.damage scenario)
-      else Repair.plan ~before:sched p (Fault.damage scenario)
+      Pool.map ~jobs
+        (fun run -> run ())
+        [
+          (fun () -> `Base (Event_sim.run sched ~periods));
+          (fun () ->
+            `Faulted (Event_sim.run_with_faults sched ~faults:scenario ~periods));
+        ]
     with
-    | Error e -> failwith ("repair failed: " ^ e)
-    | Ok rep ->
-      (match Schedule.check rep.Repair.schedule with
-      | Ok () -> ()
-      | Error e -> failwith ("repaired schedule check failed: " ^ e));
-      let rp = max periods (Schedule.init_periods rep.Repair.schedule + 3) in
-      (match Event_sim.run rep.Repair.schedule ~periods:rp with
-      | Error e -> failwith ("repaired schedule replay failed: " ^ e)
-      | Ok stats ->
-        Printf.printf
-          "repaired schedule verified: Schedule.check OK, replay measured %.6f over %d \
-           periods\n"
-          stats.Event_sim.measured_throughput rp);
-      Format.printf "%a@." Repair.pp_report rep;
-      print_perf_counters ())
+    | [ `Base b; `Faulted fs ] -> (b, fs)
+    | _ -> assert false
+  in
+  (match base with
+  | Error e -> failwith ("baseline replay failed: " ^ e)
+  | Ok stats ->
+    Printf.printf "baseline: throughput %.6f (replay measured %.6f over %d periods)\n"
+      (Rat.to_float sched.Schedule.throughput)
+      stats.Event_sim.measured_throughput periods);
+  Printf.printf
+    "under faults: %d deliveries lost, %d deliveries made, %d multicasts still \
+     complete, surviving throughput %.6f\n"
+    (List.length fs.Event_sim.f_losses)
+    fs.Event_sim.f_delivered fs.Event_sim.f_completed fs.Event_sim.f_measured_throughput;
+  if online then begin
+    let policy =
+      let d = Recovery_loop.default_policy p in
+      {
+        d with
+        Recovery_loop.max_attempts;
+        horizon_periods = periods;
+        drop_order = (if drop_order = [] then d.Recovery_loop.drop_order else drop_order);
+      }
+    in
+    match Recovery_loop.run ~policy p sched scenario with
+    | Error e -> failwith ("recovery policy rejected: " ^ e)
+    | Ok o -> (
+      Format.printf "%a@." Recovery_loop.pp_outcome o;
+      print_perf_counters ();
+      (* Unrecovered runs exit nonzero so CI and scripts can detect them. *)
+      match o.Recovery_loop.final with
+      | `Fallback _ -> exit_with_seed ~seed 1
+      | _ -> ())
+  end
+  else
+  match
+    if incremental then Repair.plan_incremental ~before:sched p (Fault.damage scenario)
+    else Repair.plan ~before:sched p (Fault.damage scenario)
+  with
+  | Error e -> failwith ("repair failed: " ^ e)
+  | Ok rep ->
+    let stats = replay_checked rep.Repair.schedule ~periods in
+    Printf.printf
+      "repaired schedule verified: Schedule.check OK, replay measured %.6f over %d periods\n"
+      stats.Event_sim.measured_throughput stats.Event_sim.periods;
+    Format.printf "%a@." Repair.pp_report rep;
+    print_perf_counters ()
 
 let resilience_cmd =
-  let kind = kind_arg in
-  let n_targets =
-    let doc = "Number of multicast targets for generated platforms." in
-    Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
-  in
   let kill_edge =
     let doc = "Kill the directed edge $(docv) at time --at (repeatable)." in
     Arg.(value & opt_all (pair ~sep:',' int int) [] & info [ "kill-edge" ] ~docv:"U,V" ~doc)
@@ -568,9 +689,6 @@ let resilience_cmd =
   let at =
     let doc = "Fire time of every fault event (rational)." in
     Arg.(value & opt string "0" & info [ "at" ] ~docv:"T" ~doc)
-  in
-  let periods =
-    Arg.(value & opt int 12 & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods.")
   in
   let online =
     let doc =
@@ -614,9 +732,9 @@ let resilience_cmd =
     (Cmd.info "resilience"
        ~doc:"Inject failures into a replay, re-plan on the survivors, report retention")
     Term.(
-      const resilience $ platform_arg $ kind $ seed_arg $ n_targets $ kill_edge $ kill_node
-      $ degrade $ at $ periods $ online $ max_attempts $ drop_order $ storm $ storm_k
-      $ incremental $ jobs_arg $ trace_arg $ metrics_arg)
+      const resilience $ platform_term $ kill_edge $ kill_node
+      $ degrade $ at $ periods_arg 12 $ online $ max_attempts $ drop_order $ storm $ storm_k
+      $ incremental $ jobs_arg $ obs_term)
 
 (* --- robust --- *)
 
@@ -636,17 +754,10 @@ let storm_failures p ~seed ~storms =
         (Printf.sprintf "%s-storm %d: %s" name i (Fault.describe scenario),
          Fault.damage scenario))
 
-let robust file kind seed n_targets loss_bound max_scenarios with_lb storms jobs trace
-    metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let robust (seed, load) loss_bound max_scenarios with_lb storms jobs obs =
+  with_observability obs @@ fun () ->
   with_seed_reporting ~seed @@ fun () ->
-  let p =
-    match file with
-    | Some _ -> read_platform file
-    | None ->
-      let rng = Random.State.make [| seed |] in
-      platform_of_kind rng kind ~n_targets
-  in
+  let p = load () in
   Printf.printf "%s\n" (Platform.describe p);
   let extra_failures = storm_failures p ~seed ~storms in
   match Robust_plan.plan ~loss_bound ~max_scenarios ~seed ~with_lb ~extra_failures ~jobs p with
@@ -677,11 +788,6 @@ let robust file kind seed n_targets loss_bound max_scenarios with_lb storms jobs
     print_perf_counters ()
 
 let robust_cmd =
-  let kind = kind_arg in
-  let n_targets =
-    let doc = "Number of multicast targets for generated platforms." in
-    Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
-  in
   let loss_bound =
     let doc = "Maximum tolerated nominal-throughput loss (fraction of the best nominal)." in
     Arg.(value & opt float 0.1 & info [ "loss-bound" ] ~docv:"F" ~doc)
@@ -705,15 +811,21 @@ let robust_cmd =
     (Cmd.info "robust"
        ~doc:"Proactive robust planning: maximize worst-case single-failure retention")
     Term.(
-      const robust $ platform_arg $ kind $ seed_arg $ n_targets $ loss_bound
-      $ max_scenarios $ with_lb $ storms $ jobs_arg $ trace_arg $ metrics_arg)
+      const robust $ platform_term $ loss_bound
+      $ max_scenarios $ with_lb $ storms $ jobs_arg $ obs_term)
 
 (* --- soak --- *)
 
-let rat_arg ~what s =
-  match Rat.of_string s with
-  | r -> r
-  | exception _ -> failwith (Printf.sprintf "bad %s: %s" what s)
+let mtbf_arg =
+  let doc =
+    "Mean time between failures for the renewal scenarios (per component; with ~60 \
+     links, mtbf 1500 over a 600-unit horizon means roughly 25 failures)."
+  in
+  Arg.(value & opt float 1500. & info [ "mtbf" ] ~docv:"T" ~doc)
+
+let mttr_arg =
+  let doc = "Mean time to repair for the renewal scenarios." in
+  Arg.(value & opt float 30. & info [ "mttr" ] ~docv:"T" ~doc)
 
 let soak_scenarios =
   [
@@ -724,20 +836,14 @@ let soak_scenarios =
     ("diurnal", `Diurnal);
   ]
 
-let soak file kind seed n_targets horizon scenario_kind mtbf mttr flap_links flaps
+let soak (seed, load) horizon scenario_kind mtbf mttr flap_links flaps
     mean_up mean_down waves wave_period wave_factor wave_rate controller tokens
-    token_refill hysteresis min_availability show_log slo timeseries trace metrics =
+    token_refill hysteresis min_availability show_log (slo, incidents) timeseries obs =
   let objectives = parse_slo_specs slo in
-  let sink = make_sink ~timeseries ~slo ~trace in
-  with_observability ~counters:(sink_counters sink) ~trace ~metrics @@ fun () ->
+  let sink = make_sink ~timeseries ~objectives obs in
+  with_observability ~counters:(sink_counters sink) obs @@ fun () ->
   with_seed_reporting ~seed @@ fun () ->
-  let p =
-    match file with
-    | Some _ -> read_platform file
-    | None ->
-      let rng = Random.State.make [| seed |] in
-      platform_of_kind rng kind ~n_targets
-  in
+  let p = load () in
   let horizon = rat_arg ~what:"--horizon" horizon in
   if Rat.sign horizon <= 0 then failwith "--horizon must be positive";
   let rng = Random.State.make [| seed; 7001 |] in
@@ -763,43 +869,38 @@ let soak file kind seed n_targets horizon scenario_kind mtbf mttr flap_links fla
   Printf.printf "scenario: %s, %d fault events, horizon %s\n"
     (enum_name soak_scenarios scenario_kind)
     (List.length scenario) (Rat.to_string horizon);
-  match Mcph.run p with
-  | None -> failwith "some target is unreachable"
-  | Some r -> (
-    let sched =
-      Schedule.of_tree_set (Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ])
-    in
-    (match Schedule.check sched with
-    | Ok () -> ()
-    | Error e -> failwith ("baseline schedule check failed: " ^ e));
-    let base = Soak.default_config p in
-    let config =
-      { base with Soak.controller; token_capacity = tokens; token_refill; hysteresis }
-    in
-    match Soak.run ~config ?telemetry:sink ~slo:objectives p sched scenario ~horizon with
-    | Error e -> failwith ("soak rejected: " ^ e)
-    | Ok rep ->
-      Format.printf "%a@." Soak.pp_report rep;
-      if show_log then begin
-        Printf.printf "event log:\n";
-        List.iter (fun ev -> Format.printf "  %a@." Soak.pp_event ev) rep.Soak.sk_log
-      end;
-      print_slo_events objectives rep.Soak.sk_slo_events;
-      export_timeseries sink timeseries;
-      print_perf_counters ();
-      (match min_availability with
-      | Some m when rep.Soak.sk_availability < m ->
-        Printf.eprintf "soak: availability %.4f below the required %.4f\n%!"
-          rep.Soak.sk_availability m;
-        exit_with_seed ~seed 1
-      | _ -> ()))
+  let sched = mcph_schedule p in
+  let base = Soak.default_config p in
+  let config =
+    { base with Soak.controller; token_capacity = tokens; token_refill; hysteresis }
+  in
+  match Soak.run ~config ?telemetry:sink p sched scenario ~horizon with
+  | Error e -> failwith ("soak rejected: " ^ e)
+  | Ok rep ->
+    Format.printf "%a@." Soak.pp_report rep;
+    if show_log then begin
+      Printf.printf "event log:\n";
+      List.iter (fun ev -> Format.printf "  %a@." Soak.pp_event ev) rep.Soak.sk_log
+    end;
+    print_slo_events sink objectives;
+    (match (incidents, sink) with
+    | Some path, Some s ->
+      let incidents = Incident.of_soak ~faults:scenario rep (Timeseries.slo_events s) in
+      print_string (Incident.to_text incidents);
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Incident.to_json incidents));
+      Printf.printf "incidents json: wrote %s\n" path
+    | _ -> ());
+    export_timeseries sink timeseries;
+    print_perf_counters ();
+    match min_availability with
+    | Some m when rep.Soak.sk_availability < m ->
+      Printf.eprintf "soak: availability %.4f below the required %.4f\n%!"
+        rep.Soak.sk_availability m;
+      exit_with_seed ~seed 1
+    | _ -> ()
 
 let soak_cmd =
-  let kind = kind_arg in
-  let n_targets =
-    let doc = "Number of multicast targets for generated platforms." in
-    Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
-  in
   let horizon =
     let doc = "Simulated soak horizon (rational time units)." in
     Arg.(value & opt string "600" & info [ "horizon" ] ~docv:"T" ~doc)
@@ -812,17 +913,6 @@ let soak_cmd =
        (congestion waves degrading links, then clearing)."
     in
     Arg.(value & opt (enum soak_scenarios) `Renewal & info [ "scenario" ] ~docv:"KIND" ~doc)
-  in
-  let mtbf =
-    let doc =
-      "Mean time between failures for the renewal scenarios (per component; with ~60 \
-       links, mtbf 1500 over a 600-unit horizon means roughly 25 failures)."
-    in
-    Arg.(value & opt float 1500. & info [ "mtbf" ] ~docv:"T" ~doc)
-  in
-  let mttr =
-    let doc = "Mean time to repair for the renewal scenarios." in
-    Arg.(value & opt float 30. & info [ "mttr" ] ~docv:"T" ~doc)
   in
   let flap_links =
     let doc = "Number of flapping links (with --scenario flapping)." in
@@ -885,35 +975,44 @@ let soak_cmd =
     let doc = "Print the full timestamped controller event log." in
     Arg.(value & flag & info [ "log" ] ~doc)
   in
+  (* --incidents reports on the --slo objectives, so it needs one. *)
+  let slo_incidents =
+    let doc =
+      "Print the fault -> breach -> repair -> recovery incident timelines of the \
+       $(b,--slo) objectives (at least one required) and write them as JSON to \
+       $(docv). Faults up to 25 time units before a breach count as probable causes."
+    in
+    let incidents = Arg.(value & opt (some string) None & info [ "incidents" ] ~docv:"FILE" ~doc) in
+    let check slo path =
+      if path <> None && slo = [] then
+        `Error (true, "--incidents needs at least one --slo objective")
+      else `Ok (slo, path)
+    in
+    Term.(ret (const check $ slo_arg $ incidents))
+  in
   Cmd.v
     (Cmd.info "soak"
        ~doc:"Chaos soak: run the recovery controller continuously over a fail/repair \
              timeline")
     Term.(
-      const soak $ platform_arg $ kind $ seed_arg $ n_targets $ horizon $ scenario
-      $ mtbf $ mttr $ flap_links $ flaps $ mean_up $ mean_down $ waves $ wave_period
+      const soak $ platform_term $ horizon $ scenario
+      $ mtbf_arg $ mttr_arg $ flap_links $ flaps $ mean_up $ mean_down $ waves $ wave_period
       $ wave_factor $ wave_rate $ controller $ tokens $ token_refill $ hysteresis
-      $ min_availability $ show_log $ slo_arg $ timeseries_arg $ trace_arg $ metrics_arg)
+      $ min_availability $ show_log $ slo_incidents $ timeseries_arg $ obs_term)
 
 (* --- sessions --- *)
 
 let session_scenarios =
   [ ("none", `None); ("renewal", `Renewal); ("burst", `Burst); ("flapping", `Flapping) ]
 
-let sessions file kind seed n_targets horizon arrival_rate hold_mean demand_lo
+let sessions (seed, load) horizon arrival_rate hold_mean demand_lo
     demand_hi flash_rate epoch mode jobs scenario_kind mtbf mttr burst_k burst_at
-    min_admitted show_digest show_epochs slo slo_enforce timeseries trace metrics =
+    min_admitted show_digest show_epochs slo slo_enforce timeseries obs =
   let objectives = parse_slo_specs slo in
-  let sink = make_sink ~timeseries ~slo ~trace in
-  with_observability ~counters:(sink_counters sink) ~trace ~metrics @@ fun () ->
+  let sink = make_sink ~timeseries ~objectives obs in
+  with_observability ~counters:(sink_counters sink) obs @@ fun () ->
   with_seed_reporting ~seed @@ fun () ->
-  let p =
-    match file with
-    | Some _ -> read_platform file
-    | None ->
-      let rng = Random.State.make [| seed |] in
-      platform_of_kind rng kind ~n_targets
-  in
+  let p = load () in
   let horizon = rat_arg ~what:"--horizon" horizon in
   if Rat.sign horizon <= 0 then failwith "--horizon must be positive";
   let params =
@@ -955,10 +1054,7 @@ let sessions file kind seed n_targets horizon arrival_rate hold_mean demand_lo
     (List.length faults) (Rat.to_string horizon)
     (Rat.to_string config.Horizon.epoch)
     (match mode with `Incremental -> "incremental" | `Cold -> "cold");
-  match
-    Horizon.run ~config ~faults ?telemetry:sink ~slo:objectives ~slo_enforce p workload
-      ~horizon
-  with
+  match Horizon.run ~config ~faults ?telemetry:sink ~slo_enforce p workload ~horizon with
   | Error e -> failwith ("sessions rejected: " ^ e)
   | Ok rep ->
     Format.printf "%a@." Horizon.pp_report rep;
@@ -980,7 +1076,7 @@ let sessions file kind seed n_targets horizon arrival_rate hold_mean demand_lo
         rep.Horizon.hz_epochs
     end;
     if show_digest then Printf.printf "digest: %s\n" (Horizon.digest rep);
-    print_slo_events objectives rep.Horizon.hz_slo_events;
+    print_slo_events sink objectives;
     export_timeseries sink timeseries;
     print_perf_counters ();
     (match min_admitted with
@@ -991,11 +1087,6 @@ let sessions file kind seed n_targets horizon arrival_rate hold_mean demand_lo
     | _ -> ())
 
 let sessions_cmd =
-  let kind = kind_arg in
-  let n_targets =
-    let doc = "Number of multicast targets for generated platforms." in
-    Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
-  in
   let horizon =
     let doc = "Simulated horizon (rational time units)." in
     Arg.(value & opt string "300" & info [ "horizon" ] ~docv:"T" ~doc)
@@ -1028,7 +1119,9 @@ let sessions_cmd =
     let doc =
       "Re-planning mode: $(b,incremental) (change-driven, warm-started) or \
        $(b,cold) (every live session from scratch each epoch — the S1 ablation \
-       baseline). Both modes admit the same sessions at the same rates."
+       baseline). The modes share every decision rule but are not guaranteed to \
+       admit the same sessions: capacity a re-plan frees mid-epoch goes at once \
+       to a hungry session in cold mode, one epoch later in incremental mode."
     in
     let modes = [ ("incremental", `Incremental); ("cold", `Cold) ] in
     Arg.(value & opt (enum modes) `Incremental & info [ "mode" ] ~docv:"M" ~doc)
@@ -1039,14 +1132,6 @@ let sessions_cmd =
        process), $(b,burst) (one correlated failure burst), or $(b,flapping)."
     in
     Arg.(value & opt (enum session_scenarios) `None & info [ "scenario" ] ~docv:"KIND" ~doc)
-  in
-  let mtbf =
-    let doc = "Mean time between failures (renewal scenario)." in
-    Arg.(value & opt float 1500. & info [ "mtbf" ] ~docv:"T" ~doc)
-  in
-  let mttr =
-    let doc = "Mean time to repair (renewal scenario)." in
-    Arg.(value & opt float 30. & info [ "mttr" ] ~docv:"T" ~doc)
   in
   let burst_k =
     let doc = "Entities killed by the burst scenario." in
@@ -1084,402 +1169,15 @@ let sessions_cmd =
        ~doc:"Online session engine: rolling-horizon admission, incremental \
              re-planning and priority preemption over a churning session stream")
     Term.(
-      const sessions $ platform_arg $ kind $ seed_arg $ n_targets $ horizon
+      const sessions $ platform_term $ horizon
       $ arrival_rate $ hold_mean $ demand_lo $ demand_hi $ flash_rate $ epoch $ mode
-      $ jobs_arg $ scenario $ mtbf $ mttr $ burst_k $ burst_at $ min_admitted
-      $ show_digest $ show_epochs $ slo_arg $ slo_enforce $ timeseries_arg $ trace_arg
-      $ metrics_arg)
-
-(* --- incidents --- *)
-
-(* Seeded soak under SLO objectives, distilled into incident timelines:
-   fault -> breach -> repair -> recovery chains. Same seed streams as the
-   soak subcommand, so `mcast incidents --seed S` narrates the run
-   `mcast soak --seed S` reports on. *)
-
-let incidents file kind seed n_targets horizon mtbf mttr slo lookback json_out
-    timeseries trace metrics =
-  let slo = if slo = [] then [ "soak.availability>=0.995" ] else slo in
-  let objectives = parse_slo_specs slo in
-  let sink = make_sink ~timeseries ~slo ~trace in
-  with_observability ~counters:(sink_counters sink) ~trace ~metrics @@ fun () ->
-  with_seed_reporting ~seed @@ fun () ->
-  let p =
-    match file with
-    | Some _ -> read_platform file
-    | None ->
-      let rng = Random.State.make [| seed |] in
-      platform_of_kind rng kind ~n_targets
-  in
-  let horizon = rat_arg ~what:"--horizon" horizon in
-  if Rat.sign horizon <= 0 then failwith "--horizon must be positive";
-  let rng = Random.State.make [| seed; 7001 |] in
-  let scenario = Fault.renewal_link_faults rng p ~mtbf ~mttr ~horizon in
-  Printf.printf "%s\n" (Platform.describe p);
-  Printf.printf "scenario: renewal, %d fault events, horizon %s; objectives: %s\n"
-    (List.length scenario) (Rat.to_string horizon)
-    (String.concat ", " (List.map Slo.spec objectives));
-  match Mcph.run p with
-  | None -> failwith "some target is unreachable"
-  | Some r -> (
-    let sched =
-      Schedule.of_tree_set (Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ])
-    in
-    (match Schedule.check sched with
-    | Ok () -> ()
-    | Error e -> failwith ("baseline schedule check failed: " ^ e));
-    match Soak.run ?telemetry:sink ~slo:objectives p sched scenario ~horizon with
-    | Error e -> failwith ("soak rejected: " ^ e)
-    | Ok rep ->
-      (* Repair actions as the incident layer sees them: recovery episodes
-         and capacity re-integrations from the controller log. *)
-      let repairs =
-        List.filter_map
-          (function
-            | Soak.Episode { at; outcome; patched } when outcome <> "cached" ->
-              Some
-                ( Rat.to_float at,
-                  Printf.sprintf "recovery episode: %s%s" outcome
-                    (if patched then " (incremental patch)" else "") )
-            | Soak.Reintegrated { at; before; after } ->
-              Some
-                ( Rat.to_float at,
-                  Printf.sprintf "reintegrated healed capacity %.3f -> %.3f" before
-                    after )
-            | _ -> None)
-          rep.Soak.sk_log
-      in
-      let incidents =
-        Incident.build ~lookback ~faults:scenario ~repairs rep.Soak.sk_slo_events
-      in
-      print_string (Incident.to_text incidents);
-      export_timeseries sink timeseries;
-      (match json_out with
-      | None -> ()
-      | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Incident.to_json incidents));
-        Printf.printf "incidents json: wrote %s\n" path))
-
-let incidents_cmd =
-  let kind = kind_arg in
-  let n_targets =
-    let doc = "Number of multicast targets for generated platforms." in
-    Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
-  in
-  let horizon =
-    let doc = "Simulated soak horizon (rational time units)." in
-    Arg.(value & opt string "600" & info [ "horizon" ] ~docv:"T" ~doc)
-  in
-  let mtbf =
-    let doc = "Mean time between failures (per link)." in
-    Arg.(value & opt float 1500. & info [ "mtbf" ] ~docv:"T" ~doc)
-  in
-  let mttr =
-    let doc = "Mean time to repair." in
-    Arg.(value & opt float 30. & info [ "mttr" ] ~docv:"T" ~doc)
-  in
-  let lookback =
-    let doc =
-      "Attribute faults up to $(docv) time units before a breach as probable causes."
-    in
-    Arg.(value & opt float 25. & info [ "lookback" ] ~docv:"T" ~doc)
-  in
-  let json_out =
-    let doc = "Write the incident list as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "incidents"
-       ~doc:"Soak under SLO objectives and report fault -> breach -> repair -> \
-             recovery incident timelines")
-    Term.(
-      const incidents $ platform_arg $ kind $ seed_arg $ n_targets $ horizon $ mtbf
-      $ mttr $ slo_arg $ lookback $ json_out $ timeseries_arg $ trace_arg $ metrics_arg)
-
-(* --- profile --- *)
-
-(* Run one of the existing workloads under tracing and distill the span
-   buffer into a profile. The workload bodies are one-line condensations of
-   the robust / resilience / heuristics subcommands: the product here is
-   the profile (self-time table, LP attribution, pool utilization), not the
-   planning report. *)
-
-let profile_workloads =
-  [
-    ("robust", `Robust);
-    ("resilience", `Resilience);
-    ("heuristics", `Heuristics);
-    ("sessions", `Sessions);
-    ("soak", `Soak);
-  ]
-
-let run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jobs
-    ~periods ~tries p =
-  match workload with
-  | `Robust -> (
-    match Robust_plan.plan ~loss_bound ~max_scenarios ~seed ~with_lb ~jobs p with
-    | Error e -> failwith e
-    | Ok r ->
-      let c = r.Robust_plan.chosen in
-      Printf.printf
-        "workload robust: chose %s (worst-case retention %.1f%%, nominal %.6f)\n"
-        c.Robust_plan.label
-        (100. *. c.Robust_plan.cand_score.Robust_plan.worst_case)
-        c.Robust_plan.cand_score.Robust_plan.nominal)
-  | `Resilience -> (
-    match Mcph.run p with
-    | None -> failwith "some target is unreachable"
-    | Some r -> (
-      let sched =
-        Schedule.of_tree_set (Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ])
-      in
-      let periods = max periods (Schedule.init_periods sched + 3) in
-      let rng = Random.State.make [| seed; 9011 |] in
-      let scenario =
-        Fault.random_mixed_kills rng p ~link_rate:0.1 ~node_rate:0.05
-          ~at:(Rat.mul (Rat.of_int 2) sched.Schedule.period)
-      in
-      let fs = Event_sim.run_with_faults sched ~faults:scenario ~periods in
-      Printf.printf "workload resilience: %d deliveries lost, %d made under %s\n"
-        (List.length fs.Event_sim.f_losses)
-        fs.Event_sim.f_delivered (Fault.describe scenario);
-      match Repair.plan ~before:sched p (Fault.damage scenario) with
-      | Ok rep ->
-        Printf.printf "workload resilience: repair retention %.3f\n" rep.Repair.retention
-      | Error e -> Printf.printf "workload resilience: unrecoverable (%s)\n" e))
-  | `Heuristics ->
-    let report = Heuristics.run_all ?max_tries_per_round:tries p in
-    let best =
-      List.fold_left
-        (fun acc (e : Heuristics.entry) ->
-          match acc with
-          | Some (b : Heuristics.entry) when b.Heuristics.period <= e.Heuristics.period ->
-            acc
-          | _ -> Some e)
-        None report.Heuristics.entries
-    in
-    (match best with
-    | None -> ()
-    | Some e ->
-      Printf.printf "workload heuristics: %d methods, best %s (period %.4f)\n"
-        (List.length report.Heuristics.entries)
-        e.Heuristics.name e.Heuristics.period)
-  | `Sessions -> (
-    let horizon = Rat.of_int 200 in
-    let workload =
-      Workload.generate
-        (Random.State.make [| seed; 9001 |])
-        p Workload.default_params ~horizon
-    in
-    let config = { Horizon.default_config with Horizon.jobs } in
-    match Horizon.run ~config p workload ~horizon with
-    | Error e -> failwith e
-    | Ok rep ->
-      Printf.printf
-        "workload sessions: %d admitted, %d rejected, %d re-plans (%d skipped)\n"
-        rep.Horizon.hz_admitted rep.Horizon.hz_rejected rep.Horizon.hz_replans
-        rep.Horizon.hz_replans_skipped)
-  | `Soak -> (
-    match Mcph.run p with
-    | None -> failwith "some target is unreachable"
-    | Some r -> (
-      let sched =
-        Schedule.of_tree_set (Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ])
-      in
-      let horizon = Rat.of_int 400 in
-      let rng = Random.State.make [| seed; 7001 |] in
-      let scenario = Fault.renewal_link_faults rng p ~mtbf:400. ~mttr:25. ~horizon in
-      match Soak.run p sched scenario ~horizon with
-      | Error e -> failwith e
-      | Ok rep ->
-        Printf.printf "workload soak: availability %.4f, %d full re-plans, %d patches\n"
-          rep.Soak.sk_availability rep.Soak.sk_full_replans rep.Soak.sk_patches))
-
-(* LP-solve attribution from the metrics delta: solves/pivots by kind, the
-   per-caller cache traffic (the dynamic lp_cache.{hits,misses}.<caller>
-   counters) and the pool summary. *)
-let print_lp_attribution (delta : Metrics.snapshot) =
-  let c name =
-    match Metrics.find delta name with Some (Metrics.Counter n) -> n | _ -> 0
-  in
-  Printf.printf "lp attribution:\n";
-  Printf.printf
-    "  solves %d float + %d exact; pivots %d float + %d exact; fallbacks %d; LB cut \
-     rounds %d\n"
-    (c "lp.solves.float") (c "lp.solves.exact") (c "lp.pivots.float")
-    (c "lp.pivots.exact")
-    (c "solver_chain.fallbacks")
-    (c "formulations.lb_cut_rounds");
-  let callers = Hashtbl.create 8 in
-  let note prefix is_hits =
-    let pl = String.length prefix in
-    List.iter
-      (fun (name, v) ->
-        if String.length name > pl && String.sub name 0 pl = prefix then
-          match v with
-          | Metrics.Counter n ->
-            let caller = String.sub name pl (String.length name - pl) in
-            let h, m = Option.value ~default:(0, 0) (Hashtbl.find_opt callers caller) in
-            Hashtbl.replace callers caller (if is_hits then (h + n, m) else (h, m + n))
-          | _ -> ())
-      delta
-  in
-  note "lp_cache.hits." true;
-  note "lp_cache.misses." false;
-  let rows = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) callers []) in
-  if rows = [] then Printf.printf "  lp cache: no lookups recorded\n"
-  else
-    List.iter
-      (fun (caller, (h, m)) ->
-        let total = h + m in
-        Printf.printf "  lp cache [%s]: %d hits / %d misses (%.1f%% hit rate)\n" caller h
-          m
-          (if total = 0 then 0.0 else 100. *. float_of_int h /. float_of_int total))
-      rows;
-  let maps = c "pool.maps" and tasks = c "pool.tasks" in
-  let util =
-    match Metrics.find delta "pool.utilization" with
-    | Some (Metrics.Gauge g) -> g
-    | _ -> 0.0
-  in
-  match Metrics.find delta "pool.task_seconds" with
-  | Some (Metrics.Histogram h) when h.Metrics.h_count > 0 ->
-    Printf.printf
-      "  pool: %d map(s), %d task(s), task time %.3fs total (max %.3fs); last map \
-       utilization %.0f%%\n"
-      maps tasks h.Metrics.h_sum h.Metrics.h_max (100. *. util)
-  | _ -> if maps > 0 then Printf.printf "  pool: %d map(s), %d task(s)\n" maps tasks
-
-let profile file kind seed n_targets workload loss_bound max_scenarios with_lb periods
-    tries jobs top folded_out json_out trace_out =
-  let p =
-    match file with
-    | Some _ -> read_platform file
-    | None ->
-      let rng = Random.State.make [| seed |] in
-      platform_of_kind rng kind ~n_targets
-  in
-  Printf.printf "%s\n" (Platform.describe p);
-  let name = enum_name profile_workloads workload in
-  Printf.printf "profiling workload %s (jobs %d)...\n%!" name jobs;
-  let before = Metrics.snapshot () in
-  Trace.enable ~capacity:(1 lsl 18) ();
-  (try
-     run_profile_workload ~workload ~seed ~loss_bound ~max_scenarios ~with_lb ~jobs
-       ~periods ~tries p
-   with e ->
-     Trace.disable ();
-     raise e);
-  let events = Trace.events () in
-  let dropped = Trace.dropped () in
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    Trace.export path;
-    Printf.printf "trace: wrote %d events to %s (%d dropped%s)\n" (List.length events)
-      path dropped
-      (if dropped > 0 then ": ring full, trace is partial" else ""));
-  Trace.disable ();
-  let delta = Metrics.delta ~before (Metrics.snapshot ()) in
-  let prof = Trace_stats.of_events ~dropped events in
-  print_newline ();
-  print_string (Trace_stats.to_text ~top prof);
-  print_lp_attribution delta;
-  (match folded_out with
-  | None -> ()
-  | Some path ->
-    Out_channel.with_open_text path (fun oc -> output_string oc (Folded.of_events events));
-    Printf.printf "folded stacks: wrote %s\n" path);
-  match json_out with
-  | None -> ()
-  | Some path ->
-    (* Reindent an embedded JSON document so the wrapper stays readable;
-       the first line keeps the wrapper's own indentation. *)
-    let indent s =
-      match String.split_on_char '\n' (String.trim s) with
-      | [] -> s
-      | first :: rest ->
-        String.concat "\n"
-          (first :: List.map (fun l -> if l = "" then l else "  " ^ l) rest)
-    in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf (Printf.sprintf "  \"workload\": %S,\n" name);
-    Buffer.add_string buf (Printf.sprintf "  \"platform\": %S,\n" (Platform.describe p));
-    Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-    Buffer.add_string buf ("  \"metrics\": " ^ indent (Metrics.to_json delta) ^ ",\n");
-    Buffer.add_string buf ("  \"profile\": " ^ indent (Trace_stats.to_json prof) ^ "\n");
-    Buffer.add_string buf "}\n";
-    Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf);
-    Printf.printf "profile json: wrote %s\n" path
-
-let profile_cmd =
-  let kind = kind_arg in
-  let n_targets =
-    let doc = "Number of multicast targets for generated platforms." in
-    Arg.(value & opt int 6 & info [ "targets" ] ~docv:"N" ~doc)
-  in
-  let workload =
-    let doc =
-      "Workload to run under tracing: $(b,robust) (proactive robust planning), \
-       $(b,resilience) (fault injection + repair), $(b,heuristics) (the paper's \
-       method portfolio), $(b,sessions) (the rolling-horizon session engine) or \
-       $(b,soak) (the chaos-soak recovery controller)."
-    in
-    Arg.(value & opt (enum profile_workloads) `Robust & info [ "workload" ] ~docv:"W" ~doc)
-  in
-  let loss_bound =
-    let doc = "Robust-planning loss bound (workload robust)." in
-    Arg.(value & opt float 0.25 & info [ "loss-bound" ] ~docv:"F" ~doc)
-  in
-  let max_scenarios =
-    let doc = "Scenario cap for robust planning (workload robust)." in
-    Arg.(value & opt int 48 & info [ "max-scenarios" ] ~docv:"N" ~doc)
-  in
-  let with_lb =
-    let doc = "Solve the survivor Multicast-LB per scenario (workload robust)." in
-    Arg.(value & opt bool true & info [ "with-lb" ] ~docv:"BOOL" ~doc)
-  in
-  let periods =
-    Arg.(
-      value & opt int 12
-      & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods (workload resilience).")
-  in
-  let tries =
-    let doc = "Cap LP probes per improvement round (workload heuristics)." in
-    Arg.(value & opt (some int) (Some 3) & info [ "tries" ] ~docv:"K" ~doc)
-  in
-  let top =
-    let doc = "Rows of the self-time table." in
-    Arg.(value & opt int 15 & info [ "top" ] ~docv:"N" ~doc)
-  in
-  let folded_out =
-    let doc =
-      "Write flamegraph folded stacks to $(docv) (feed to flamegraph.pl or \
-       speedscope)."
-    in
-    Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE" ~doc)
-  in
-  let json_out =
-    let doc =
-      "Write the profile and the metrics delta as JSON to $(docv) (consumable by \
-       $(b,bench --check-against))."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Run a workload under tracing and print a self-time profile")
-    Term.(
-      const profile $ platform_arg $ kind $ seed_arg $ n_targets $ workload $ loss_bound
-      $ max_scenarios $ with_lb $ periods $ tries $ jobs_arg $ top $ folded_out
-      $ json_out $ trace_arg)
+      $ jobs_arg $ scenario $ mtbf_arg $ mttr_arg $ burst_k $ burst_at $ min_admitted
+      $ show_digest $ show_epochs $ slo_arg $ slo_enforce $ timeseries_arg $ obs_term)
 
 (* --- prefix --- *)
 
-let prefix_cmd_run seed universe n_sets bound trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let prefix_cmd_run seed universe n_sets bound obs =
+  with_observability obs @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let cover = Set_cover.random rng ~universe ~n_sets ~density:0.4 in
   Format.printf "instance: %a@." Set_cover.pp cover;
@@ -1502,12 +1200,12 @@ let prefix_cmd =
   let bound = Arg.(value & opt int 2 & info [ "bound" ] ~docv:"B" ~doc:"Cover size bound.") in
   Cmd.v
     (Cmd.info "prefix" ~doc:"Theorem 5 parallel-prefix gadget walk-through")
-    Term.(const prefix_cmd_run $ seed_arg $ universe $ n_sets $ bound $ trace_arg $ metrics_arg)
+    Term.(const prefix_cmd_run $ seed_arg $ universe $ n_sets $ bound $ obs_term)
 
 (* --- gadget --- *)
 
-let gadget seed universe n_sets bound trace metrics =
-  with_observability ~trace ~metrics @@ fun () ->
+let gadget seed universe n_sets bound obs =
+  with_observability obs @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let cover = Set_cover.random rng ~universe ~n_sets ~density:0.35 in
   Format.printf "instance: %a@." Set_cover.pp cover;
@@ -1534,7 +1232,7 @@ let gadget_cmd =
   let bound = Arg.(value & opt int 2 & info [ "bound" ] ~docv:"B" ~doc:"Cover size bound.") in
   Cmd.v
     (Cmd.info "gadget" ~doc:"Set-cover gadget and the NP-hardness correspondence")
-    Term.(const gadget $ seed_arg $ universe $ n_sets $ bound $ trace_arg $ metrics_arg)
+    Term.(const gadget $ seed_arg $ universe $ n_sets $ bound $ obs_term)
 
 let main_cmd =
   let doc = "steady-state pipelined multicast on heterogeneous platforms" in
@@ -1551,8 +1249,6 @@ let main_cmd =
       robust_cmd;
       soak_cmd;
       sessions_cmd;
-      incidents_cmd;
-      profile_cmd;
       prefix_cmd;
       gadget_cmd;
     ]

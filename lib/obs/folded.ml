@@ -34,9 +34,3 @@ let of_events events =
     |> List.sort compare
   in
   String.concat "" (List.map (fun l -> l ^ "\n") lines)
-
-let export path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (of_events (Trace.events ())))

@@ -4,8 +4,8 @@
     [frame;frame;...;frame value] — is the lingua franca of flamegraph
     tools ([flamegraph.pl], [inferno], speedscope's "folded" importer).
     This module renders the span trees reconstructed by
-    {!Trace_stats.forests} into it, so a [mcast profile --folded out.folded]
-    run plugs straight into [flamegraph.pl out.folded > out.svg].
+    {!Trace_stats.forests} into it, so the file an [mcast <command> --folded
+    out.folded] run writes plugs straight into [flamegraph.pl out.folded > out.svg].
 
     Conventions: the leading frame of every stack is [domain<tid>], so a
     [--jobs N] run yields one flame per pool domain side by side; the
@@ -17,6 +17,3 @@
 
 (** Render an event list (see {!Trace.events}) as folded stacks. *)
 val of_events : Trace.event list -> string
-
-(** [export path] writes {!of_events} of the live buffer to [path]. *)
-val export : string -> unit

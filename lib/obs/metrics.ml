@@ -203,22 +203,6 @@ let to_text snap =
     snap;
   Buffer.contents buf
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else json_escape buf (string_of_float f)
-
 let to_json snap =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{";
@@ -226,38 +210,25 @@ let to_json snap =
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "\n  ";
-      json_escape buf name;
+      Json.add_string buf name;
       Buffer.add_string buf ": ";
       match v with
       | Counter n -> Buffer.add_string buf (string_of_int n)
-      | Gauge g -> json_float buf g
+      | Gauge g -> Json.add_float buf g
       | Histogram h ->
         Buffer.add_string buf (Printf.sprintf "{\"count\": %d, \"sum\": " h.h_count);
-        json_float buf h.h_sum;
+        Json.add_float buf h.h_sum;
         Buffer.add_string buf ", \"min\": ";
-        json_float buf h.h_min;
+        Json.add_float buf h.h_min;
         Buffer.add_string buf ", \"max\": ";
-        json_float buf h.h_max;
+        Json.add_float buf h.h_max;
         Buffer.add_string buf ", \"p50\": ";
-        json_float buf (histo_percentile h 0.50);
+        Json.add_float buf (histo_percentile h 0.50);
         Buffer.add_string buf ", \"p90\": ";
-        json_float buf (histo_percentile h 0.90);
+        Json.add_float buf (histo_percentile h 0.90);
         Buffer.add_string buf ", \"p99\": ";
-        json_float buf (histo_percentile h 0.99);
+        Json.add_float buf (histo_percentile h 0.99);
         Buffer.add_string buf "}")
     snap;
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf
-
-let reset () =
-  with_registry (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | M_counter c -> Atomic.set c.c_cell 0
-          | M_gauge g -> Atomic.set g.g_cell 0.0
-          | M_histogram h ->
-            Mutex.lock h.hs_mutex;
-            h.hs <- empty_histo ();
-            Mutex.unlock h.hs_mutex)
-        registry)

@@ -105,7 +105,3 @@ val to_text : snapshot -> string
     "p90":..,"p99":..}] objects (percentiles via {!histo_percentile},
     so {!Regress} rules can gate tail latency, not just sums). *)
 val to_json : snapshot -> string
-
-(** Zero every registered metric (the registry keeps its names). Same
-    caveat as {!set_counter}: sequential sections only. *)
-val reset : unit -> unit

@@ -85,8 +85,8 @@ let flatten_snapshot snap =
 
 (* --- minimal JSON reader ---------------------------------------------- *)
 
-(* Just enough JSON to read back what Metrics.to_json and mcast profile
-   --json write (plus anything structurally similar). No external deps,
+(* Just enough JSON to read back what Metrics.to_json and mcast --profile
+   write (plus anything structurally similar). No external deps,
    like the rest of lib/obs. *)
 
 type json =
@@ -239,7 +239,7 @@ let load path =
     match parse_json text with
     | exception Bad_json e -> Error (path ^ ": " ^ e)
     | JObj fields ->
-      (* mcast profile --json nests the registry under "metrics"; a bare
+      (* mcast --profile nests the registry under "metrics"; a bare
          Metrics.to_json object is the registry itself. *)
       let root =
         match List.assoc_opt "metrics" fields with

@@ -12,8 +12,8 @@
     {b Snapshot sources.} A snapshot is a flat [name -> float] list.
     {!load} reads one from disk, accepting both file shapes the repo
     produces: the bare metrics-registry object ([bench_out/BENCH_5.json],
-    written by {!Metrics.to_json}) and the [mcast profile --json] output
-    (whose metrics live under a top-level ["metrics"] key). Histogram
+    written by {!Metrics.to_json}) and the document [mcast <command>
+    --profile FILE] writes (whose metrics live under a top-level ["metrics"] key). Histogram
     objects flatten to [name.count] / [name.sum] / [name.min] /
     [name.max] / [name.p50] / [name.p90] / [name.p99]; non-numeric
     values are ignored. {!flatten_snapshot} does

@@ -150,8 +150,6 @@ let engine objs =
     en_max_burn = 0.0;
   }
 
-let objectives e = List.map (fun s -> s.os_obj) e.en_states
-
 let is_bad o v = match o.o_dir with At_least -> v < o.o_threshold | At_most -> v > o.o_threshold
 
 let burn_over samples ~since ~budget =
@@ -234,22 +232,6 @@ let events en = List.rev en.en_events
 
 let breach_epochs en = en.en_breach_epochs
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else json_escape buf (string_of_float f)
-
 let to_json en =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n  \"objectives\": [";
@@ -258,17 +240,17 @@ let to_json en =
       if i > 0 then Buffer.add_char buf ',';
       let o = st.os_obj in
       Buffer.add_string buf "\n    {\"name\": ";
-      json_escape buf o.o_name;
+      Json.add_string buf o.o_name;
       Buffer.add_string buf ", \"spec\": ";
-      json_escape buf (spec o);
+      Json.add_string buf (spec o);
       Buffer.add_string buf ", \"budget\": ";
-      json_float buf o.o_budget;
+      Json.add_float buf o.o_budget;
       Buffer.add_string buf
         (Printf.sprintf ", \"breached\": %b, \"fast_burn\": " st.os_breached);
       let fb, sb = match st.os_burn with Some b -> b | None -> (0.0, 0.0) in
-      json_float buf fb;
+      Json.add_float buf fb;
       Buffer.add_string buf ", \"slow_burn\": ";
-      json_float buf sb;
+      Json.add_float buf sb;
       Buffer.add_string buf "}")
     en.en_states;
   Buffer.add_string buf "\n  ],\n  \"events\": [";
@@ -278,13 +260,13 @@ let to_json en =
       Buffer.add_string buf
         (Printf.sprintf "\n    {\"kind\": \"%s\", \"at\": "
            (match e.e_kind with `Breach -> "breach" | `Recovery -> "recovery"));
-      json_float buf e.e_at;
+      Json.add_float buf e.e_at;
       Buffer.add_string buf ", \"objective\": ";
-      json_escape buf e.e_objective;
+      Json.add_string buf e.e_objective;
       Buffer.add_string buf ", \"fast_burn\": ";
-      json_float buf e.e_fast_burn;
+      Json.add_float buf e.e_fast_burn;
       Buffer.add_string buf ", \"slow_burn\": ";
-      json_float buf e.e_slow_burn;
+      Json.add_float buf e.e_slow_burn;
       Buffer.add_string buf "}")
     (events en);
   Buffer.add_string buf

@@ -87,7 +87,6 @@ type event = {
 type engine
 
 val engine : objective list -> engine
-val objectives : engine -> objective list
 
 (** [observe e ~time series v] feeds one sample to every objective
     watching [series] and returns the events (breaches/recoveries) this

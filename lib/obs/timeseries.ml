@@ -32,6 +32,8 @@ type t = {
   sink_capacity : int;
   sink_mutex : Mutex.t;
   sink_series : (string, series) Hashtbl.t;
+  sink_objectives : Slo.objective list;
+  sink_slo : Slo.engine;
 }
 
 let dummy_bucket =
@@ -40,11 +42,13 @@ let dummy_bucket =
 let empty_rollup =
   { r_count = 0; r_sum = 0.0; r_min = 0.0; r_max = 0.0; r_last = 0.0; r_last_time = 0.0 }
 
-let create ?(capacity = 512) () =
+let create ?(capacity = 512) ?(slo = []) () =
   {
     sink_capacity = max 4 capacity;
     sink_mutex = Mutex.create ();
     sink_series = Hashtbl.create 16;
+    sink_objectives = slo;
+    sink_slo = Slo.engine slo;
   }
 
 let locked t f =
@@ -122,7 +126,8 @@ let sample t name ~time v =
              r_max = Float.max r.r_max v;
              r_last = v;
              r_last_time = time;
-           }))
+           });
+      ignore (Slo.observe t.sink_slo ~time name v))
 
 let names t =
   locked t (fun () -> Hashtbl.fold (fun name _ acc -> name :: acc) t.sink_series [])
@@ -139,6 +144,10 @@ let rollup t name =
       match Hashtbl.find_opt t.sink_series name with
       | None -> None
       | Some s -> if s.s_roll.r_count = 0 then None else Some s.s_roll)
+
+let slo_events t = locked t (fun () -> Slo.events t.sink_slo)
+
+let unsampled t = List.filter (fun o -> rollup t o.Slo.o_series = None) t.sink_objectives
 
 let mean r = if r.r_count = 0 then 0.0 else r.r_sum /. float_of_int r.r_count
 
@@ -177,22 +186,6 @@ let window t name ~t0 ~t1 =
 
 (* --- exporters --------------------------------------------------------- *)
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else json_escape buf (string_of_float f)
-
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{";
@@ -200,36 +193,36 @@ let to_json t =
     (fun i name ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "\n  ";
-      json_escape buf name;
+      Json.add_string buf name;
       Buffer.add_string buf ": {";
       let r = match rollup t name with Some r -> r | None -> empty_rollup in
       Buffer.add_string buf (Printf.sprintf "\"count\": %d, \"sum\": " r.r_count);
-      json_float buf r.r_sum;
+      Json.add_float buf r.r_sum;
       Buffer.add_string buf ", \"min\": ";
-      json_float buf r.r_min;
+      Json.add_float buf r.r_min;
       Buffer.add_string buf ", \"max\": ";
-      json_float buf r.r_max;
+      Json.add_float buf r.r_max;
       Buffer.add_string buf ", \"mean\": ";
-      json_float buf (mean r);
+      Json.add_float buf (mean r);
       Buffer.add_string buf ", \"last\": ";
-      json_float buf r.r_last;
+      Json.add_float buf r.r_last;
       Buffer.add_string buf (Printf.sprintf ", \"compactions\": %d" (compactions t name));
       Buffer.add_string buf ", \"points\": [";
       List.iteri
         (fun j b ->
           if j > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf "{\"t0\": ";
-          json_float buf b.b_t0;
+          Json.add_float buf b.b_t0;
           Buffer.add_string buf ", \"t1\": ";
-          json_float buf b.b_t1;
+          Json.add_float buf b.b_t1;
           Buffer.add_string buf (Printf.sprintf ", \"count\": %d, \"sum\": " b.b_count);
-          json_float buf b.b_sum;
+          Json.add_float buf b.b_sum;
           Buffer.add_string buf ", \"min\": ";
-          json_float buf b.b_min;
+          Json.add_float buf b.b_min;
           Buffer.add_string buf ", \"max\": ";
-          json_float buf b.b_max;
+          Json.add_float buf b.b_max;
           Buffer.add_string buf ", \"last\": ";
-          json_float buf b.b_last;
+          Json.add_float buf b.b_last;
           Buffer.add_string buf "}")
         (buckets t name);
       Buffer.add_string buf "]}")

@@ -54,15 +54,28 @@ type rollup = {
 
 type t
 
-(** [create ?capacity ()] makes an empty sink. [capacity] (default
+(** [create ?capacity ?slo ()] makes an empty sink. [capacity] (default
     [512], clamped to at least [4]) bounds the buckets retained per
-    series. *)
-val create : ?capacity:int -> unit -> t
+    series. The [slo] objectives (default none) are evaluated over every
+    sample the sink receives, so a driver that samples into a sink gets
+    SLO evaluation without knowing about it. *)
+val create : ?capacity:int -> ?slo:Slo.objective list -> unit -> t
 
-(** [sample t name ~time v] appends one observation. Series are created
-    on first use; times should be non-decreasing per series (out-of-order
-    samples are accepted but land in the current bucket ordering). *)
+(** [sample t name ~time v] appends one observation, then feeds it to the
+    sink's SLO objectives. Series are created on first use; times should
+    be non-decreasing per series (out-of-order samples are accepted but
+    land in the current bucket ordering). *)
 val sample : t -> string -> time:float -> float -> unit
+
+(** Breach and recovery events the sink's objectives have emitted so
+    far, oldest first; empty without objectives. *)
+val slo_events : t -> Slo.event list
+
+(** The sink's objectives whose series has no sample, in [create]
+    order. Such an objective was never evaluated: a run that reports on
+    it passes no matter what happened, so callers treat it as an error
+    (a misspelled series name, or a series this driver never samples). *)
+val unsampled : t -> Slo.objective list
 
 (** Registered series names, sorted. *)
 val names : t -> string list

@@ -109,31 +109,10 @@ let dropped () =
 
 (* --- Chrome trace-event JSON ----------------------------------------- *)
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-(* JSON has no NaN/Infinity literals; quote them rather than emit an
-   invalid document. *)
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else json_escape buf (string_of_float f)
-
 let json_arg buf = function
-  | Str s -> json_escape buf s
+  | Str s -> Json.add_string buf s
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> json_float buf f
+  | Float f -> Json.add_float buf f
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
 
 let json_args buf args =
@@ -141,7 +120,7 @@ let json_args buf args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      json_escape buf k;
+      Json.add_string buf k;
       Buffer.add_char buf ':';
       json_arg buf v)
     args;
@@ -149,9 +128,9 @@ let json_args buf args =
 
 let json_event buf ev =
   Buffer.add_string buf "{\"name\":";
-  json_escape buf ev.ev_name;
+  Json.add_string buf ev.ev_name;
   Buffer.add_string buf ",\"cat\":";
-  json_escape buf ev.ev_cat;
+  Json.add_string buf ev.ev_cat;
   (* ts/dur are microseconds in the trace-event format. *)
   Buffer.add_string buf (Printf.sprintf ",\"ts\":%.3f" (ev.ev_ts *. 1e6));
   (match ev.ev_dur with
@@ -168,10 +147,10 @@ let json_event buf ev =
    tracks. Times are the caller's (seconds → µs), values go in args. *)
 let json_counter buf ~name ~t ~v =
   Buffer.add_string buf "{\"name\":";
-  json_escape buf name;
+  Json.add_string buf name;
   Buffer.add_string buf (Printf.sprintf ",\"cat\":\"timeseries\",\"ph\":\"C\",\"ts\":%.3f" (t *. 1e6));
   Buffer.add_string buf ",\"pid\":1,\"tid\":0,\"args\":{\"value\":";
-  json_float buf v;
+  Json.add_float buf v;
   Buffer.add_string buf "}}"
 
 let to_chrome_json ?(counters = []) () =

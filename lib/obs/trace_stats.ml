@@ -274,32 +274,16 @@ let to_text ?(top = 15) p =
   end;
   Buffer.contents buf
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else json_escape buf (string_of_float f)
-
 let to_json p =
   let buf = Buffer.create 2048 in
   let field name render =
-    json_escape buf name;
+    Json.add_string buf name;
     Buffer.add_string buf ": ";
     render ()
   in
   let sep () = Buffer.add_string buf ", " in
   Buffer.add_string buf "{";
-  field "wall_seconds" (fun () -> json_float buf p.p_wall);
+  field "wall_seconds" (fun () -> Json.add_float buf p.p_wall);
   sep ();
   field "spans" (fun () -> Buffer.add_string buf (string_of_int p.p_spans));
   sep ();
@@ -313,19 +297,19 @@ let to_json p =
         (fun i s ->
           if i > 0 then sep ();
           Buffer.add_string buf "{";
-          field "name" (fun () -> json_escape buf s.ns_name);
+          field "name" (fun () -> Json.add_string buf s.ns_name);
           sep ();
-          field "cat" (fun () -> json_escape buf s.ns_cat);
+          field "cat" (fun () -> Json.add_string buf s.ns_cat);
           sep ();
           field "count" (fun () -> Buffer.add_string buf (string_of_int s.ns_count));
           sep ();
-          field "total_seconds" (fun () -> json_float buf s.ns_total);
+          field "total_seconds" (fun () -> Json.add_float buf s.ns_total);
           sep ();
-          field "self_seconds" (fun () -> json_float buf s.ns_self);
+          field "self_seconds" (fun () -> Json.add_float buf s.ns_self);
           sep ();
-          field "min_seconds" (fun () -> json_float buf s.ns_min);
+          field "min_seconds" (fun () -> Json.add_float buf s.ns_min);
           sep ();
-          field "max_seconds" (fun () -> json_float buf s.ns_max);
+          field "max_seconds" (fun () -> Json.add_float buf s.ns_max);
           Buffer.add_string buf "}")
         p.p_names;
       Buffer.add_string buf "]");
@@ -340,11 +324,11 @@ let to_json p =
           sep ();
           field "spans" (fun () -> Buffer.add_string buf (string_of_int d.ds_spans));
           sep ();
-          field "busy_seconds" (fun () -> json_float buf d.ds_busy);
+          field "busy_seconds" (fun () -> Json.add_float buf d.ds_busy);
           sep ();
-          field "busy_fraction" (fun () -> json_float buf d.ds_busy_fraction);
+          field "busy_fraction" (fun () -> Json.add_float buf d.ds_busy_fraction);
           sep ();
-          field "max_idle_seconds" (fun () -> json_float buf d.ds_max_gap);
+          field "max_idle_seconds" (fun () -> Json.add_float buf d.ds_max_gap);
           Buffer.add_string buf "}")
         p.p_domains;
       Buffer.add_string buf "]");
@@ -355,15 +339,15 @@ let to_json p =
         (fun i s ->
           if i > 0 then sep ();
           Buffer.add_string buf "{";
-          field "name" (fun () -> json_escape buf s.st_name);
+          field "name" (fun () -> Json.add_string buf s.st_name);
           sep ();
-          field "cat" (fun () -> json_escape buf s.st_cat);
+          field "cat" (fun () -> Json.add_string buf s.st_cat);
           sep ();
-          field "ts_seconds" (fun () -> json_float buf s.st_ts);
+          field "ts_seconds" (fun () -> Json.add_float buf s.st_ts);
           sep ();
-          field "dur_seconds" (fun () -> json_float buf s.st_dur);
+          field "dur_seconds" (fun () -> Json.add_float buf s.st_dur);
           sep ();
-          field "self_seconds" (fun () -> json_float buf s.st_self);
+          field "self_seconds" (fun () -> Json.add_float buf s.st_self);
           Buffer.add_string buf "}")
         p.p_critical;
       Buffer.add_string buf "]");

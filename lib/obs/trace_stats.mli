@@ -15,7 +15,7 @@
     subtracts the durations of its direct children. Self times are the
     quantity that partitions the run: within one domain, the self times
     of all spans sum to the domain's busy time (the union of its root
-    spans), which is what the [mcast profile] sum check relies on.
+    spans), which is what the [mcast --profile] sum check relies on.
 
     {b Tree reconstruction.} The ring buffer stores completed intervals,
     not an explicit tree, and completion order is innermost-first. The
@@ -105,5 +105,5 @@ val to_text : ?top:int -> profile -> string
 
 (** The profile as a JSON object ([wall_seconds], [spans], [instants],
     [dropped], [names], [domains], [critical_path]) — embedded by
-    [mcast profile --json] and consumed by {!Regress}. *)
+    [mcast --profile] and consumed by {!Regress}. *)
 val to_json : profile -> string

@@ -71,7 +71,6 @@ type report = {
   hz_admitted_rate_sum : float;
   hz_mean_lb_gap : float;
   hz_schedules : (int * int * Schedule.t) list;
-  hz_slo_events : Slo.event list;
   hz_min_delivered_fraction : float;
 }
 
@@ -237,7 +236,7 @@ let percentile sorted q =
 (* --- the rolling-horizon loop ------------------------------------------ *)
 
 let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?telemetry
-    ?(slo = []) ?(slo_enforce = false) (p : Platform.t) sessions ~horizon =
+    ?(slo_enforce = false) (p : Platform.t) sessions ~horizon =
   let ( let* ) = Result.bind in
   let* () = validate_config config in
   let* () = if Rat.sign horizon > 0 then Ok () else Error "horizon must be positive" in
@@ -254,13 +253,12 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
   let release_version = ref 0 in
   let bump_release () = incr release_version in
   let live : (int, live) Hashtbl.t = Hashtbl.create 64 in
-  (* SLO machinery. The engine and the sink are pure observers: they
-     consume values the planner already computed, on epoch boundaries
-     only, and nothing below reads them back — so sampling cannot
-     perturb the decision digest (pinned by a seeded test). Enforcement
-     is separate and explicit: [slo_enforce] changes re-plan apply
-     order and victim preference using the per-session burn rate. *)
-  let slo_engine = if slo = [] then None else Some (Slo.engine slo) in
+  (* SLO machinery. The sink (and the objectives it evaluates) is a pure
+     observer: it consumes values the planner already computed, on epoch
+     boundaries only, and nothing below reads it back — so sampling
+     cannot perturb the decision digest (pinned by a seeded test).
+     Enforcement is separate and explicit: [slo_enforce] changes re-plan
+     apply order and victim preference using the per-session burn rate. *)
   (* Per-session error budget: a session may spend at most
      [1 - slo_retention] of its lifetime degraded; its burn rate is the
      degraded-epoch fraction over that budget (SRE burn-rate form, same
@@ -835,9 +833,11 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
              live;
            (* Epoch-boundary sampling: throughput, admissions, port
               headroom and the worst per-session retention/delivered
-              fraction, into the sink and through the SLO engine. All
-              values are reads of state already computed above. *)
-           if telemetry <> None || slo_engine <> None then begin
+              fraction. All values are reads of state already computed
+              above. *)
+           (match telemetry with
+           | None -> ()
+           | Some sink ->
              let tf = Rat.to_float t in
              let throughput =
                Hashtbl.fold (fun _ l acc -> acc +. Rat.to_float l.l_rate) live 0.0
@@ -870,16 +870,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                  ("session.delivered_fraction", delivered_min);
                ]
              in
-             List.iter
-               (fun (name, v) ->
-                 (match telemetry with
-                 | Some sink -> Timeseries.sample sink name ~time:tf v
-                 | None -> ());
-                 match slo_engine with
-                 | Some en -> ignore (Slo.observe en ~time:tf name v)
-                 | None -> ())
-               samples
-           end;
+             List.iter (fun (name, v) -> Timeseries.sample sink name ~time:tf v) samples);
            epochs :=
              {
                ep_index = i;
@@ -974,7 +965,6 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
             0.0 session_list;
         hz_mean_lb_gap = mean_gap;
         hz_schedules = List.rev !schedules;
-        hz_slo_events = (match slo_engine with Some en -> Slo.events en | None -> []);
         hz_min_delivered_fraction = min_df;
       }
 

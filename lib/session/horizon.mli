@@ -155,9 +155,6 @@ type report = {
       (** every in-force schedule ever adopted, as
           [(epoch, session id, schedule)] in adoption order; each passed
           {!Schedule.check} when adopted *)
-  hz_slo_events : Slo.event list;
-      (** breach/recovery events emitted by the [?slo] objectives,
-          chronological; empty without objectives *)
   hz_min_delivered_fraction : float;
       (** worst instantaneous delivered fraction vs admitted rate over
           all non-rejected sessions (1.0 = nobody ever degraded, 0 =
@@ -179,12 +176,11 @@ type report = {
     [horizon.active], [horizon.admitted] (this epoch),
     [horizon.headroom] (1 − worst port occupation), and the worst live
     [session.retention] (rate/admitted) and [session.delivered_fraction]
-    (rate/demand). [?slo] objectives are evaluated over the same
-    samples; their breach/recovery events land in [hz_slo_events].
-    Both are pure observers — sampling happens on epoch boundaries
-    only and nothing reads the sink or the engine back into a
-    decision, so the {!digest} is bit-identical with sampling on or
-    off (pinned by a seeded test).
+    (rate/demand). The sink evaluates its own SLO objectives over these
+    samples ({!Timeseries.slo_events}). It is a pure observer —
+    sampling happens on epoch boundaries only and nothing reads the
+    sink back into a decision, so the {!digest} is bit-identical with
+    sampling on or off (pinned by a seeded test).
 
     {b In-lifetime SLO enforcement (PR 10, closes the ROADMAP item 3
     follow-on).} With [slo_enforce], the per-session burn rate — the
@@ -209,7 +205,6 @@ val run :
   ?config:config ->
   ?faults:Fault.scenario ->
   ?telemetry:Timeseries.t ->
-  ?slo:Slo.objective list ->
   ?slo_enforce:bool ->
   Platform.t ->
   Session.t list ->

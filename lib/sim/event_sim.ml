@@ -240,13 +240,6 @@ let run (sched : Schedule.t) ~periods =
           in
           Hashtbl.replace complete key (cnt + 1, Rat.max latest d.time))
         !deliveries;
-      let full =
-        Hashtbl.fold
-          (fun (k, _) (c, _) acc ->
-            if c = List.length (tree_targets k) then acc + 1 else acc)
-          complete 0
-      in
-      ignore full;
       (* Steady-state rate: count completions inside a window of whole
          periods that starts after the pipeline warm-up — each such period
          completes exactly [messages_per_period] multicasts in steady

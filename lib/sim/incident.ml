@@ -89,6 +89,23 @@ let build ?(lookback = 25.0) ?(faults = []) ?(repairs = []) slo_events =
       { i_objective = b.Slo.e_objective; i_start = t_start; i_end = t_end; i_entries = entries })
     (pair slo_events [])
 
+let of_soak ~faults (rep : Soak.report) slo_events =
+  let repairs =
+    List.filter_map
+      (function
+        | Soak.Episode { at; outcome; patched } when outcome <> Soak.Cached ->
+          Some
+            ( Rat.to_float at,
+              Printf.sprintf "recovery episode: %s%s" (Soak.outcome_name outcome)
+                (if patched then " (incremental patch)" else "") )
+        | Soak.Reintegrated { at; before; after } ->
+          Some
+            (Rat.to_float at, Printf.sprintf "reintegrated healed capacity %.3f -> %.3f" before after)
+        | _ -> None)
+      rep.Soak.sk_log
+  in
+  build ~faults ~repairs slo_events
+
 let chain_line inc =
   let tag = function
     | E_fault { at; _ } -> Printf.sprintf "fault(t=%g)" at
@@ -129,22 +146,6 @@ let to_text incidents =
     Buffer.contents buf
   end
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_float buf f =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  else json_escape buf (string_of_float f)
-
 let to_json incidents =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "[";
@@ -152,11 +153,11 @@ let to_json incidents =
     (fun i inc ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "\n  {\"objective\": ";
-      json_escape buf inc.i_objective;
+      Json.add_string buf inc.i_objective;
       Buffer.add_string buf ", \"start\": ";
-      json_float buf inc.i_start;
+      Json.add_float buf inc.i_start;
       Buffer.add_string buf ", \"end\": ";
-      (match inc.i_end with Some t -> json_float buf t | None -> Buffer.add_string buf "null");
+      (match inc.i_end with Some t -> Json.add_float buf t | None -> Buffer.add_string buf "null");
       Buffer.add_string buf ", \"entries\": [";
       List.iteri
         (fun j e ->
@@ -164,28 +165,28 @@ let to_json incidents =
           (match e with
           | E_fault { at; desc } ->
             Buffer.add_string buf "{\"kind\": \"fault\", \"at\": ";
-            json_float buf at;
+            Json.add_float buf at;
             Buffer.add_string buf ", \"desc\": ";
-            json_escape buf desc
+            Json.add_string buf desc
           | E_breach { at; objective; fast_burn; slow_burn } ->
             Buffer.add_string buf "{\"kind\": \"breach\", \"at\": ";
-            json_float buf at;
+            Json.add_float buf at;
             Buffer.add_string buf ", \"objective\": ";
-            json_escape buf objective;
+            Json.add_string buf objective;
             Buffer.add_string buf ", \"fast_burn\": ";
-            json_float buf fast_burn;
+            Json.add_float buf fast_burn;
             Buffer.add_string buf ", \"slow_burn\": ";
-            json_float buf slow_burn
+            Json.add_float buf slow_burn
           | E_repair { at; desc } ->
             Buffer.add_string buf "{\"kind\": \"repair\", \"at\": ";
-            json_float buf at;
+            Json.add_float buf at;
             Buffer.add_string buf ", \"desc\": ";
-            json_escape buf desc
+            Json.add_string buf desc
           | E_recovery { at; objective } ->
             Buffer.add_string buf "{\"kind\": \"recovery\", \"at\": ";
-            json_float buf at;
+            Json.add_float buf at;
             Buffer.add_string buf ", \"objective\": ";
-            json_escape buf objective);
+            Json.add_string buf objective);
           Buffer.add_string buf "}")
         inc.i_entries;
       Buffer.add_string buf "]}")

@@ -47,6 +47,14 @@ val build :
   Slo.event list ->
   incident list
 
+(** [of_soak ~faults report slo_events] is {!build} (default lookback)
+    for one {!Soak.run}: [faults] is the scenario the soak ran against,
+    [slo_events] the events of the sink it sampled into
+    ({!Timeseries.slo_events}), and the repairs are read from the
+    controller log — every recovery episode except cached re-adoptions,
+    and every capacity re-integration. *)
+val of_soak : faults:Fault.scenario -> Soak.report -> Slo.event list -> incident list
+
 (** Human-readable report: a header and a [chain:] summary line per
     incident — [chain: fault(t=150) -> breach(t=152) -> repair(t=155)
     -> recovery(t=190)] — then one line per entry. Ends with a one-line

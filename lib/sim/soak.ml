@@ -32,11 +32,20 @@ let default_config (p : Platform.t) =
 
 let naive_config p = { (default_config p) with controller = Naive }
 
+type outcome = No_failure | Recovered | Degraded | Fallback | Cached
+
+let outcome_name = function
+  | No_failure -> "no-failure"
+  | Recovered -> "recovered"
+  | Degraded -> "degraded"
+  | Fallback -> "fallback"
+  | Cached -> "cached"
+
 type soak_event =
   | Flap of { at : Rat.t; what : string; up : bool; penalty : float }
   | Suppressed of { at : Rat.t; what : string; penalty : float }
   | Released of { at : Rat.t; what : string }
-  | Episode of { at : Rat.t; outcome : string; patched : bool }
+  | Episode of { at : Rat.t; outcome : outcome; patched : bool }
   | Reintegrated of { at : Rat.t; before : float; after : float }
   | Reintegration_skipped of { at : Rat.t; reason : string }
   | Tokens_exhausted of { at : Rat.t }
@@ -61,7 +70,6 @@ type report = {
   sk_final_throughput : float;
   sk_schedules : Schedule.t list;
   sk_log : soak_event list;
-  sk_slo_events : Slo.event list;
 }
 
 let runs_m = Metrics.counter "soak.runs"
@@ -187,7 +195,7 @@ let group_batches scenario ~horizon =
   in
   (List.length clipped, group sorted)
 
-let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t)
+let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
     scenario ~horizon =
   Metrics.incr runs_m;
   Trace.with_span ~cat:"soak" "soak.run"
@@ -230,19 +238,6 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
   let remember key = cache := Damage_map.add key (!cur, !cur_rate, !full_cov) !cache in
   let ticks = ref [] in
   let emit e = log := e :: !log in
-  (* Epoch-boundary sampling (PR 10): pure observers — nothing below ever
-     reads the sink or the SLO engine back into a decision, so a sampled
-     run takes exactly the decisions an unsampled one does. *)
-  let slo_engine = match slo with [] -> None | objectives -> Some (Slo.engine objectives) in
-  let sampling = Option.is_some telemetry || Option.is_some slo_engine in
-  let observe name ~time v =
-    (match telemetry with
-    | Some sink -> Timeseries.sample sink name ~time v
-    | None -> ());
-    match slo_engine with
-    | Some en -> ignore (Slo.observe en ~time name v)
-    | None -> ()
-  in
   (* A tick is only a "wake me up by then" request: if an earlier tick is
      already pending, that epoch will re-examine the same state, so the
      later request is dropped. This keeps the queue from chaining — one
@@ -343,18 +338,18 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
              remember that the running schedule answers this state too *)
           stale := false;
           remember eff;
-          "no-failure"
+          No_failure
         | `Recovered rep ->
           adopt ~key:eff rep ~extra_dropped:[];
-          "recovered"
+          Recovered
         | `Degraded (rep, dropped) ->
           adopt ~key:eff rep ~extra_dropped:dropped;
-          "degraded"
+          Degraded
         | `Fallback _ ->
           (* the loop's detection replay is exactly the replay of the
              running schedule against this damage *)
           go_stale t o.Recovery_loop.detection;
-          "fallback"
+          Fallback
       in
       emit (Episode { at = t; outcome; patched })
   in
@@ -399,7 +394,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     | Ok rep ->
       (* the naive ablation writes the cache too but never reads it *)
       adopt ~key:eff rep ~extra_dropped:[];
-      emit (Episode { at = t; outcome = "recovered"; patched = false })
+      emit (Episode { at = t; outcome = Recovered; patched = false })
     | Error _ ->
       go_stale t
         (Event_sim.run_with_faults !cur ~faults:(scenario_of_damage eff)
@@ -494,7 +489,7 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
           stale := false;
           incr cache_hits;
           schedules := s :: !schedules;
-          emit (Episode { at = t; outcome = "cached"; patched = false })
+          emit (Episode { at = t; outcome = Cached; patched = false })
         | None ->
           if worsened eff was || !stale then episode t eff else reintegrate t ~was eff)
     end;
@@ -502,18 +497,22 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
        wake the controller to release them — schedule a tick. *)
     if suppressed () <> [] then
       push_tick (Rat.add t (rat_of_float (Float.max hold_down 1.0)));
-    if sampling then begin
+    (* Epoch-boundary sampling (PR 10): a pure observer — nothing above
+       ever reads the sink back into a decision, so a sampled run takes
+       exactly the decisions an unsampled one does. *)
+    match telemetry with
+    | None -> ()
+    | Some sink ->
       let tf = Rat.to_float t in
-      observe "soak.throughput" ~time:tf !cur_rate;
-      observe "soak.delivered_fraction" ~time:tf
-        (if thr0 > 0.0 then !cur_rate /. thr0 else 0.0);
+      let observe name v = Timeseries.sample sink name ~time:tf v in
+      observe "soak.throughput" !cur_rate;
+      observe "soak.delivered_fraction" (if thr0 > 0.0 then !cur_rate /. thr0 else 0.0);
       (* Instantaneous coverage indicator: the SLO engine's windows turn the
          0/1 samples into a windowed availability fraction, which is exactly
          what a burn rate over an availability objective wants. *)
-      observe "soak.availability" ~time:tf (if !full_cov then 1.0 else 0.0);
-      observe "soak.tokens" ~time:tf !tokens;
-      observe "soak.suppressed" ~time:tf (float_of_int (List.length (suppressed ())))
-    end
+      observe "soak.availability" (if !full_cov then 1.0 else 0.0);
+      observe "soak.tokens" !tokens;
+      observe "soak.suppressed" (float_of_int (List.length (suppressed ())))
   in
   let rec drive batches =
     match (batches, !ticks) with
@@ -566,10 +565,9 @@ let run_validated ~now ~cfg ~telemetry ~slo (p : Platform.t) (sched : Schedule.t
     sk_final_throughput = !cur_rate;
     sk_schedules = List.rev !schedules;
     sk_log = List.rev !log;
-    sk_slo_events = (match slo_engine with Some en -> Slo.events en | None -> []);
   }
 
-let run ?(now = Unix.gettimeofday) ?config ?telemetry ?(slo = []) (p : Platform.t)
+let run ?(now = Unix.gettimeofday) ?config ?telemetry (p : Platform.t)
     (sched : Schedule.t) scenario ~horizon =
   let cfg = match config with Some c -> c | None -> default_config p in
   match validate_config p cfg with
@@ -582,7 +580,7 @@ let run ?(now = Unix.gettimeofday) ?config ?telemetry ?(slo = []) (p : Platform.
       | Ok () -> (
         match Schedule.check sched with
         | Error e -> Error ("soak: initial schedule fails check: " ^ e)
-        | Ok () -> Ok (run_validated ~now ~cfg ~telemetry ~slo p sched scenario ~horizon)))
+        | Ok () -> Ok (run_validated ~now ~cfg ~telemetry p sched scenario ~horizon)))
 
 let pp_event fmt = function
   | Flap e ->
@@ -594,7 +592,8 @@ let pp_event fmt = function
       e.penalty
   | Released e -> Format.fprintf fmt "[t=%s] %s trusted again" (Rat.to_string e.at) e.what
   | Episode e ->
-    Format.fprintf fmt "[t=%s] recovery episode: %s%s" (Rat.to_string e.at) e.outcome
+    Format.fprintf fmt "[t=%s] recovery episode: %s%s" (Rat.to_string e.at)
+      (outcome_name e.outcome)
       (if e.patched then " (incremental patch)" else "")
   | Reintegrated e ->
     Format.fprintf fmt "[t=%s] re-integrated healed capacity: %.6f -> %.6f"

@@ -69,17 +69,29 @@ val default_config : Platform.t -> config
 (** {!default_config} with the {!Naive} controller. *)
 val naive_config : Platform.t -> config
 
+(** How a recovery episode ended. *)
+type outcome =
+  | No_failure  (** the damage does not touch the running schedule *)
+  | Recovered  (** a re-plan serves every target *)
+  | Degraded  (** a re-plan serves a reduced target set *)
+  | Fallback  (** recovery failed; the stale schedule stays in force *)
+  | Cached
+      (** the state recurred and its remembered schedule was re-adopted
+          without any planning *)
+
+(** ["no-failure"], ["recovered"], ["degraded"], ["fallback"] or
+    ["cached"], as {!pp_event} prints it. *)
+val outcome_name : outcome -> string
+
 (** Timestamped controller decisions, in order. [what] names a component
     ("link 3-7", "node 5"). *)
 type soak_event =
   | Flap of { at : Rat.t; what : string; up : bool; penalty : float }
   | Suppressed of { at : Rat.t; what : string; penalty : float }
   | Released of { at : Rat.t; what : string }
-  | Episode of { at : Rat.t; outcome : string; patched : bool }
-      (** one {!Recovery_loop} run (damped) or direct re-plan (naive);
-          [outcome] is [no-failure]/[recovered]/[degraded]/[fallback], or
-          [cached] when the state recurred and its remembered schedule was
-          re-adopted without any planning *)
+  | Episode of { at : Rat.t; outcome : outcome; patched : bool }
+      (** one {!Recovery_loop} run (damped), direct re-plan (naive) or
+          cached re-adoption *)
   | Reintegrated of { at : Rat.t; before : float; after : float }
   | Reintegration_skipped of { at : Rat.t; reason : string }
   | Tokens_exhausted of { at : Rat.t }
@@ -122,9 +134,6 @@ type report = {
       (** every schedule that was ever in force, chronological, the initial
           one first — each passed {!Schedule.check} before adoption *)
   sk_log : soak_event list;
-  sk_slo_events : Slo.event list;
-      (** breach/recovery events emitted by the [?slo] objectives,
-          chronological; empty without objectives *)
 }
 
 (** [run ?now ?config p sched scenario ~horizon] soaks [sched] (the
@@ -144,17 +153,16 @@ type report = {
     fraction), [soak.tokens] (re-plan budget) and [soak.suppressed]
     (flap-damped components held out of service). The sink is also handed
     to {!Recovery_loop.run}, so per-attempt [recovery.replan_seconds]
-    samples land at episode time. [?slo] objectives are evaluated over the
-    same samples; their breach/recovery events land in [sk_slo_events] —
-    joined with the fault timeline and the [sk_log] repair actions they
-    become {!Incident} timelines. Both are pure observers: nothing reads
-    them back into a decision, so a sampled run takes exactly the
-    decisions an unsampled one does. *)
+    samples land at episode time. The sink evaluates its own SLO
+    objectives over these samples ({!Timeseries.slo_events}); joined with
+    the fault timeline and the [sk_log] repair actions, the events become
+    {!Incident} timelines ({!Incident.of_soak}). The sink is a pure
+    observer: nothing reads it back into a decision, so a sampled run
+    takes exactly the decisions an unsampled one does. *)
 val run :
   ?now:(unit -> float) ->
   ?config:config ->
   ?telemetry:Timeseries.t ->
-  ?slo:Slo.objective list ->
   Platform.t ->
   Schedule.t ->
   Fault.scenario ->

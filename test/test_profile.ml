@@ -256,7 +256,7 @@ let test_regress_load () =
     Alcotest.(check (option (float 0.0))) "non-numeric skipped" None
       (List.assoc_opt "note" flat));
   Sys.remove bare;
-  (* mcast profile --json shape: only the "metrics" subtree is the registry *)
+  (* mcast --profile shape: only the "metrics" subtree is the registry *)
   let wrapped =
     write_file
       {|{ "workload": "robust", "metrics": { "lp.pivots.float": 7 }, "profile": { "wall_seconds": 1.25 } }|}

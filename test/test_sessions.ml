@@ -171,6 +171,7 @@ let test_slo_sampling_digest_invariant () =
      at any Pool fan-out — must leave every planning decision, and so
      the digest, bit-identical. The sink check keeps the property
      non-vacuous. *)
+  let slo_events = ref 0 in
   for seed = 1 to 3 do
     let p = tiers seed ~n_targets:8 in
     let horizon = Rat.of_int 150 in
@@ -185,37 +186,56 @@ let test_slo_sampling_digest_invariant () =
       | Error e -> Alcotest.fail e
     in
     let go ~jobs ~sampled =
-      let sink = if sampled then Some (Timeseries.create ()) else None in
-      let slo = if sampled then objectives else [] in
+      let sink = if sampled then Some (Timeseries.create ~slo:objectives ()) else None in
       match
         Horizon.run ~now:(fake_clock ())
           ~config:{ Horizon.default_config with Horizon.jobs }
-          ~faults ?telemetry:sink ~slo p sessions ~horizon
+          ~faults ?telemetry:sink p sessions ~horizon
       with
       | Error e -> Alcotest.fail e
       | Ok rep -> (rep, sink)
     in
     let plain, _ = go ~jobs:1 ~sampled:false in
     let sampled1, sink1 = go ~jobs:1 ~sampled:true in
-    let sampled3, _ = go ~jobs:3 ~sampled:true in
+    let sampled3, sink3 = go ~jobs:3 ~sampled:true in
     Alcotest.(check string)
       (Printf.sprintf "seed %d: sampling leaves the digest alone" seed)
       (Horizon.digest plain) (Horizon.digest sampled1);
     Alcotest.(check string)
       (Printf.sprintf "seed %d: sampled digest stable across job counts" seed)
       (Horizon.digest sampled1) (Horizon.digest sampled3);
-    (match sink1 with
-    | Some sink ->
+    match (sink1, sink3) with
+    | Some sink, Some sink3 ->
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: the sink actually collected series" seed)
         true
-        (List.mem "horizon.throughput" (Timeseries.names sink))
-    | None -> Alcotest.fail "sampled run lost its sink");
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: sampled run kept its SLO event log" seed)
-      true
-      (sampled1.Horizon.hz_slo_events = sampled3.Horizon.hz_slo_events)
-  done
+        (List.mem "horizon.throughput" (Timeseries.names sink));
+      (* The sink's SLO evaluation is exactly a standalone engine fed the
+         same samples: replay the watched series (one sample per bucket
+         while the ring has not compacted) through a fresh engine. *)
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: no compaction, one sample per bucket" seed)
+        0
+        (Timeseries.compactions sink "session.retention");
+      let engine = Slo.engine objectives in
+      List.iter
+        (fun (b : Timeseries.bucket) ->
+          ignore
+            (Slo.observe engine ~time:b.Timeseries.b_t1 "session.retention"
+               b.Timeseries.b_last))
+        (Timeseries.buckets sink "session.retention");
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: sink SLO events equal a standalone engine's" seed)
+        true
+        (Timeseries.slo_events sink = Slo.events engine);
+      slo_events := !slo_events + List.length (Slo.events engine);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: sampled run kept its SLO event log" seed)
+        true
+        (Timeseries.slo_events sink = Timeseries.slo_events sink3)
+    | _ -> Alcotest.fail "sampled run lost its sink"
+  done;
+  Alcotest.(check bool) "the objective breached on some seed" true (!slo_events > 0)
 
 let test_slo_enforce_admissions_equal () =
   (* Enforcement re-orders re-plan application and victim choice, never

@@ -98,6 +98,21 @@ let test_ts_exporters () =
     Alcotest.(check int) "track points" 2 (List.length points)
   | l -> Alcotest.failf "expected one counter track, got %d" (List.length l)
 
+let test_ts_unsampled_objective () =
+  (* A misspelled series name is never sampled, so its objective is never
+     evaluated; the sink must report it rather than let the run pass. *)
+  let objective spec = match Slo.parse spec with Ok o -> o | Error e -> Alcotest.fail e in
+  let watched = objective "soak.availability>=0.995"
+  and misspelled = objective "soak.availabilty>=0.995" in
+  let t = Timeseries.create ~slo:[ watched; misspelled ] () in
+  Alcotest.(check int) "before any sample both are unsampled" 2
+    (List.length (Timeseries.unsampled t));
+  Timeseries.sample t "soak.availability" ~time:1.0 1.0;
+  Timeseries.sample t "soak.tokens" ~time:1.0 4.0;
+  Alcotest.(check (list string)) "only the misspelled series is unsampled"
+    [ "soak.availabilty" ]
+    (List.map (fun o -> o.Slo.o_series) (Timeseries.unsampled t))
+
 (* ---------------- Slo ---------------- *)
 
 let test_slo_parse () =
@@ -338,6 +353,8 @@ let suite =
       test_ts_decay_no_data_loss;
     Alcotest.test_case "timeseries: windowed aggregation" `Quick test_ts_window;
     Alcotest.test_case "timeseries: exporters" `Quick test_ts_exporters;
+    Alcotest.test_case "timeseries: objectives over unsampled series" `Quick
+      test_ts_unsampled_objective;
     Alcotest.test_case "slo: spec parsing" `Quick test_slo_parse;
     Alcotest.test_case "slo: default budgets" `Quick test_slo_default_budget;
     Alcotest.test_case "slo: burn arithmetic" `Quick test_slo_burn_math;

@@ -184,7 +184,7 @@ let test_fallback_reuses_detection_replay () =
       | Ok r ->
         List.iter
           (function
-            | Soak.Episode { outcome = "fallback"; _ } -> incr fallbacks
+            | Soak.Episode { outcome = Soak.Fallback; _ } -> incr fallbacks
             | _ -> ())
           r.Soak.sk_log;
         Alcotest.(check int)
@@ -231,6 +231,65 @@ let test_delivered_within_lb_bound () =
   case ~seed:2 ~scenario:`Renewal_mixed ~horizon:3000;
   case ~seed:42 ~scenario:`Renewal ~horizon:600
 
+let test_incidents_of_soak () =
+  (* [Incident.of_soak] must join the controller log exactly as the
+     reference below does: every episode except cached re-adoptions, and
+     every re-integration, as repairs. The run is [mcast soak --seed 3
+     --horizon 600 --mtbf 900 --mttr 40 --slo 'soak.availability>=0.995'
+     --incidents FILE], whose incident JSON CI pins. *)
+  let p = Tiers.generate (Random.State.make [| 3 |]) Tiers.small_params ~n_targets:8 in
+  let horizon = Rat.of_int 600 in
+  let faults =
+    Fault.renewal_link_faults (Random.State.make [| 3; 7001 |]) p ~mtbf:900. ~mttr:40. ~horizon
+  in
+  let objectives =
+    match Slo.parse "soak.availability>=0.995" with Ok o -> [ o ] | Error e -> Alcotest.fail e
+  in
+  let sink = Timeseries.create ~slo:objectives () in
+  match Soak.run ~now:(fake_clock ()) ~telemetry:sink p (mcph_sched p) faults ~horizon with
+  | Error e -> Alcotest.fail e
+  | Ok rep ->
+    let events = Timeseries.slo_events sink in
+    let repairs =
+      List.filter_map
+        (function
+          | Soak.Episode { at; outcome; patched } when outcome <> Soak.Cached ->
+            Some
+              ( Rat.to_float at,
+                Printf.sprintf "recovery episode: %s%s" (Soak.outcome_name outcome)
+                  (if patched then " (incremental patch)" else "") )
+          | Soak.Reintegrated { at; before; after } ->
+            Some
+              ( Rat.to_float at,
+                Printf.sprintf "reintegrated healed capacity %.3f -> %.3f" before after )
+          | _ -> None)
+        rep.Soak.sk_log
+    in
+    let reference = Incident.build ~lookback:25.0 ~faults ~repairs events in
+    let incidents = Incident.of_soak ~faults rep events in
+    Alcotest.(check bool) "of_soak equals the reference join" true (incidents = reference);
+    Alcotest.(check int) "four incidents" 4 (List.length incidents);
+    Alcotest.(check int) "three resolved" 3
+      (List.length (List.filter (fun i -> i.Incident.i_end <> None) incidents));
+    let kinds inc =
+      List.map
+        (function
+          | Incident.E_fault _ -> 'f'
+          | Incident.E_breach _ -> 'b'
+          | Incident.E_repair _ -> 'r'
+          | Incident.E_recovery _ -> 'v')
+        inc.Incident.i_entries
+    in
+    let rec chain want = function
+      | [] -> want = []
+      | k :: rest -> (
+        match want with
+        | w :: want' when w = k -> chain want' rest
+        | _ -> chain want rest)
+    in
+    Alcotest.(check bool) "some incident runs fault -> breach -> repair -> recovery" true
+      (List.exists (fun inc -> chain [ 'f'; 'b'; 'r'; 'v' ] (kinds inc)) incidents)
+
 let suite =
   [
     ("fake clock makes soaks deterministic", `Quick, test_fake_clock_determinism);
@@ -240,4 +299,5 @@ let suite =
     ("never-broken coverage has availability exactly 1", `Quick, test_full_coverage_is_exactly_one);
     ("fallback reuses the detection replay", `Quick, test_fallback_reuses_detection_replay);
     ("delivered integral within horizon x Multicast-LB", `Quick, test_delivered_within_lb_bound);
+    ("incident timelines of a soak", `Quick, test_incidents_of_soak);
   ]
