@@ -105,8 +105,8 @@ let rat_ceil_div a b =
   let n = Rat.num q and d = Rat.den q in
   let units, _ = Zint.ediv_rem (Zint.add n (Zint.sub d Zint.one)) d in
   match Zint.to_int units with
-  | Some k -> k
-  | None -> invalid_arg "Horizon: horizon/epoch out of range"
+  | Some k -> Ok k
+  | None -> Error "horizon/epoch out of range"
 
 (* --- per-session plan -------------------------------------------------- *)
 
@@ -242,6 +242,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
   let* () = if Rat.sign horizon > 0 then Ok () else Error "horizon must be positive" in
   let* () = Workload.validate p sessions in
   let* () = Fault.validate p faults in
+  let* n_epochs = rat_ceil_div horizon config.epoch in
   Trace.with_span ~cat:"session" "session.run" @@ fun () ->
   let n = Platform.n_nodes p in
   let send_tot = Array.make n Rat.zero and recv_tot = Array.make n Rat.zero in
@@ -269,34 +270,36 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
     else float_of_int l.l_burn_epochs /. float_of_int l.l_epochs_live /. session_budget
   in
   let burning l = burn_of l >= 1.0 in
+  let below_retention l rate =
+    Rat.to_float rate < (slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
+  in
+  let live_by_id () =
+    List.sort
+      (fun a b -> compare a.l_sess.Session.id b.l_sess.Session.id)
+      (Hashtbl.fold (fun _ l acc -> l :: acc) live [])
+  in
   let records = ref [] in
   let epochs = ref [] in
   let schedules = ref [] in
   let degradations = ref 0 and suspensions = ref 0 in
-  let total_replans = ref 0 and total_skipped = ref 0 in
-  let admitted = ref 0 and rejected = ref 0 and preempted = ref 0 and completed = ref 0 in
-  let peak_active = ref 0 in
   let max_port = ref Rat.zero in
-  let planner_seconds = ref 0.0 in
   (* Any stale basis under this run's keys (e.g. a previous run over the
      same workload) only changes pivot counts, never results; dropping
      them keeps runs fully independent. *)
   List.iter (fun s -> Warm_registry.remove (registry_key s)) sessions;
   let contribution rate l = List.map (fun (v, o) -> (v, Rat.mul rate o)) l in
-  let apply_occ sign rate l tot =
-    List.iter
-      (fun (v, d) ->
-        tot.(v) <- (if sign > 0 then Rat.add tot.(v) d else Rat.sub tot.(v) d))
-      (contribution rate l)
-  in
   let free_of tot = Array.init n (fun v -> Rat.sub Rat.one tot.(v)) in
+  (* Give [rate] times a session's occupations back to residual copies. *)
+  let credit (fs, fr) rate l =
+    List.iter (fun (v, d) -> fs.(v) <- Rat.add fs.(v) d) (contribution rate l.l_send);
+    List.iter (fun (v, d) -> fr.(v) <- Rat.add fr.(v) d) (contribution rate l.l_recv)
+  in
   (* Residuals as one live session sees them: global free plus its own
      contribution. *)
   let free_excluding l =
-    let fs = free_of send_tot and fr = free_of recv_tot in
-    List.iter (fun (v, d) -> fs.(v) <- Rat.add fs.(v) d) (contribution l.l_rate l.l_send);
-    List.iter (fun (v, d) -> fr.(v) <- Rat.add fr.(v) d) (contribution l.l_rate l.l_recv);
-    (fs, fr)
+    let free = (free_of send_tot, free_of recv_tot) in
+    credit free l.l_rate l;
+    free
   in
   let record_port_peak () =
     Array.iter (fun o -> if Rat.(o > !max_port) then max_port := o) send_tot;
@@ -316,66 +319,57 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
       schedules := (epoch_idx, l.l_sess.Session.id, sched) :: !schedules
     | _ -> l.l_sched <- None
   in
-  (* Install a plan at an exact rate: swap the occupation contribution,
-     persist the LP basis, and release-stamp. If any port's contribution
-     shrank, capacity was freed — wake the hungry sessions. *)
-  let install ~epoch_idx l pl rate =
-    let freed =
-      let shrank old_rate old_l new_l =
-        List.exists
-          (fun (v, o) ->
-            let now =
-              match List.assoc_opt v new_l with
-              | Some o' -> Rat.mul rate o'
-              | None -> Rat.zero
-            in
-            Rat.(now < Rat.mul old_rate o))
-          old_l
-      in
-      shrank l.l_rate l.l_send pl.pl_send || shrank l.l_rate l.l_recv pl.pl_recv
+  (* The one writer of the port totals: swap a session's occupation
+     contribution for [rate] times the new per-port lists. If any port's
+     share shrank, capacity was freed — wake the hungry sessions. *)
+  let set_usage l ~send ~recv rate =
+    let shrank old_l new_l =
+      List.exists
+        (fun (v, o) ->
+          let after =
+            match List.assoc_opt v new_l with Some o' -> Rat.mul rate o' | None -> Rat.zero
+          in
+          Rat.(after < Rat.mul l.l_rate o))
+        old_l
     in
-    apply_occ (-1) l.l_rate l.l_send send_tot;
-    apply_occ (-1) l.l_rate l.l_recv recv_tot;
-    l.l_tree <- Some pl.pl_tree;
-    l.l_send <- pl.pl_send;
-    l.l_recv <- pl.pl_recv;
+    let freed = shrank l.l_send send || shrank l.l_recv recv in
+    let shift op rate occ tot =
+      List.iter (fun (v, d) -> tot.(v) <- op tot.(v) d) (contribution rate occ)
+    in
+    shift Rat.sub l.l_rate l.l_send send_tot;
+    shift Rat.sub l.l_rate l.l_recv recv_tot;
+    l.l_send <- send;
+    l.l_recv <- recv;
     l.l_rate <- rate;
-    l.l_lb <- pl.pl_lb;
-    apply_occ 1 rate l.l_send send_tot;
-    apply_occ 1 rate l.l_recv recv_tot;
     l.l_min_rate <- Rat.min l.l_min_rate rate;
-    (match pl.pl_basis with
-    | Some b -> Warm_registry.store (registry_key l.l_sess) b
-    | None -> ());
-    if freed then bump_release ();
+    shift Rat.add rate send send_tot;
+    shift Rat.add rate recv recv_tot;
+    record_port_peak ();
+    if freed then bump_release ()
+  in
+  (* Keep the fresh plan's certificate and LP basis, and release-stamp. *)
+  let refresh l pl =
     l.l_release <- !release_version;
-    adopt_schedule ~epoch_idx l;
-    record_port_peak ()
+    l.l_lb <- pl.pl_lb;
+    match pl.pl_basis with
+    | Some b -> Warm_registry.store (registry_key l.l_sess) b
+    | None -> ()
+  in
+  let install ~epoch_idx l pl rate =
+    l.l_tree <- Some pl.pl_tree;
+    set_usage l ~send:pl.pl_send ~recv:pl.pl_recv rate;
+    refresh l pl;
+    adopt_schedule ~epoch_idx l
   in
   let suspend l =
-    apply_occ (-1) l.l_rate l.l_send send_tot;
-    apply_occ (-1) l.l_rate l.l_recv recv_tot;
-    if Rat.sign l.l_rate > 0 then bump_release ();
+    set_usage l ~send:[] ~recv:[] Rat.zero;
     l.l_tree <- None;
-    l.l_send <- [];
-    l.l_recv <- [];
-    l.l_rate <- Rat.zero;
-    l.l_min_rate <- Rat.zero;
     l.l_release <- !release_version;
     l.l_sched <- None;
     incr suspensions;
     Metrics.incr m_suspended
   in
   let finish outcome l =
-    apply_occ (-1) l.l_rate l.l_send send_tot;
-    apply_occ (-1) l.l_rate l.l_recv recv_tot;
-    if Rat.sign l.l_rate > 0 then bump_release ();
-    Warm_registry.remove (registry_key l.l_sess);
-    Hashtbl.remove live l.l_sess.Session.id;
-    let slo_ok =
-      Rat.to_float l.l_min_rate
-      >= (slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
-    in
     records :=
       {
         sr_session = l.l_sess;
@@ -387,25 +381,12 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
         sr_replans = l.l_replans;
         sr_degraded_epochs = l.l_degraded_epochs;
         sr_burn_epochs = l.l_burn_epochs;
-        sr_slo_ok = slo_ok;
+        sr_slo_ok = not (below_retention l l.l_min_rate);
       }
-      :: !records
-  in
-  let reject (s : Session.t) =
-    records :=
-      {
-        sr_session = s;
-        sr_outcome = Rejected;
-        sr_admitted_rate = Rat.zero;
-        sr_final_rate = Rat.zero;
-        sr_min_rate = Rat.zero;
-        sr_lb = 0.0;
-        sr_replans = 0;
-        sr_degraded_epochs = 0;
-        sr_burn_epochs = 0;
-        sr_slo_ok = false;
-      }
-      :: !records
+      :: !records;
+    set_usage l ~send:[] ~recv:[] Rat.zero;
+    Warm_registry.remove (registry_key l.l_sess);
+    Hashtbl.remove live l.l_sess.Session.id
   in
   let dmg_ref = ref Repair.no_damage in
   let pd_ref = ref p in
@@ -420,7 +401,6 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
     Repair.apply_damage (Platform.with_targets p all) dmg
   in
   let pending = ref sessions in
-  let n_epochs = rat_ceil_div horizon config.epoch in
   let failure = ref None in
   (try
      for i = 1 to n_epochs do
@@ -434,17 +414,13 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
              [ ("epoch", Trace.Int i); ("replans", Trace.Int !ep_rpl) ])
          @@ fun () ->
          (* 1. departures *)
-         let departed =
-           Hashtbl.fold
-             (fun _ l acc -> if Rat.(l.l_sess.Session.departure <= t) then l :: acc else acc)
-             live []
-         in
          List.iter
            (fun l ->
-             incr completed;
-             Metrics.incr m_completed;
-             finish Completed l)
-           (List.sort (fun a b -> compare a.l_sess.Session.id b.l_sess.Session.id) departed);
+             if Rat.(l.l_sess.Session.departure <= t) then begin
+               Metrics.incr m_completed;
+               finish Completed l
+             end)
+           (live_by_id ());
          (* 2. damage state *)
          let dmg = Fault.damage_at faults ~at:t in
          if not (Repair.damage_equal dmg !dmg_ref) then begin
@@ -470,11 +446,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                    || not (Digraph.mem_edge pd.Platform.graph ~src:u ~dst:v))
                  (Multicast_tree.edges tree)
            in
-           let all_live =
-             List.sort
-               (fun a b -> compare a.l_sess.Session.id b.l_sess.Session.id)
-               (Hashtbl.fold (fun _ l acc -> l :: acc) live [])
-           in
+           let all_live = live_by_id () in
            (* A session at full demand with an intact tree needs nothing:
               the exact invariant keeps its plan feasible whatever the
               others do. A hungry one (below demand, or suspended) took
@@ -496,8 +468,6 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                  all_live
            in
            ep_skip := List.length all_live - List.length replan_set;
-           total_skipped := !total_skipped + !ep_skip;
-           Metrics.add m_skipped !ep_skip;
            (* 4. re-plan in parallel against a consistent snapshot, apply
               sequentially in id order against live residuals. *)
            let chain = config.replan_mode = `Incremental in
@@ -540,17 +510,8 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
            List.iter
              (fun ((l, _, _, _), result) ->
                incr ep_rpl;
-               incr total_replans;
                l.l_replans <- l.l_replans + 1;
-               Metrics.incr m_replans;
                let broken = tree_broken l in
-               let refresh pl =
-                 l.l_release <- !release_version;
-                 l.l_lb <- pl.pl_lb;
-                 match pl.pl_basis with
-                 | Some b -> Warm_registry.store (registry_key l.l_sess) b
-                 | None -> ()
-               in
                (* The candidate actually adopted: a working tree is never
                   abandoned unless the new one admits a strictly higher
                   rate — MCPH optimizes a heuristic proxy, so its fresh
@@ -559,11 +520,10 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                   did nothing wrong. This also keeps [`Cold] re-plans
                   from drifting: with equal residuals they adopt exactly
                   what [`Incremental] kept. *)
-               let outcome =
+               let decision =
                  match result with
-                 | Error e when broken -> Error e
-                 | Error _ -> Ok None  (* incumbent stands *)
-                 | Ok pl -> (
+                 | Error _ -> if broken then `Suspend else `Keep
+                 | Ok pl ->
                    let fs, fr = free_excluding l in
                    let cap y = quantize_rate (Rat.min l.l_sess.Session.demand y) in
                    let rate_new = cap (plan_ymax pl ~free_send:fs ~free_recv:fr) in
@@ -576,242 +536,197 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                             ~free_send:fs ~free_recv:fr)
                    in
                    if (not broken) && Rat.(rate_old >= rate_new) then
-                     if Rat.equal rate_old l.l_rate then Ok (Some (pl, None))
+                     if Rat.equal rate_old l.l_rate then `Refresh pl
                      else
                        (* grow in place on the incumbent tree *)
-                       Ok
-                         (Some
-                            ( pl,
-                              Some
-                                ( {
-                                    pl with
-                                    pl_tree = Option.get l.l_tree;
-                                    pl_send = l.l_send;
-                                    pl_recv = l.l_recv;
-                                  },
-                                  rate_old ) ))
-                   else if Rat.sign rate_new > 0 then Ok (Some (pl, Some (pl, rate_new)))
-                   else Error "no admissible rate on the re-planned tree")
+                       `Install
+                         ( {
+                             pl with
+                             pl_tree = Option.get l.l_tree;
+                             pl_send = l.l_send;
+                             pl_recv = l.l_recv;
+                           },
+                           rate_old )
+                   else if Rat.sign rate_new > 0 then `Install (pl, rate_new)
+                   else `Suspend
                in
-               (match outcome with
-               | Error _ ->
-                 if Rat.sign l.l_rate > 0 || l.l_tree <> None then suspend l
-                 else l.l_release <- !release_version;
-                 incr ep_sus
-               | Ok None ->
-                 (* plan failed but the incumbent tree still works: keep
-                    it and wait for the next release *)
-                 l.l_release <- !release_version
-               | Ok (Some (pl, change)) ->
-                 (match change with
-                 | None -> refresh pl
-                 | Some (adopted, rate) ->
-                   install ~epoch_idx:i l adopted rate;
-                   l.l_lb <- pl.pl_lb);
-                 if
-                   Rat.to_float l.l_rate
-                   < (slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
-                 then begin
-                   l.l_degraded_epochs <- l.l_degraded_epochs + 1;
-                   incr ep_deg
-                 end))
+               let planned =
+                 match decision with
+                 | `Keep ->
+                   (* plan failed but the incumbent tree still works: keep
+                      it and wait for the next release *)
+                   l.l_release <- !release_version;
+                   false
+                 | `Suspend ->
+                   if l.l_tree <> None then suspend l
+                   else l.l_release <- !release_version;
+                   incr ep_sus;
+                   false
+                 | `Refresh pl ->
+                   refresh l pl;
+                   true
+                 | `Install (pl, rate) ->
+                   install ~epoch_idx:i l pl rate;
+                   true
+               in
+               if planned && below_retention l l.l_rate then begin
+                 l.l_degraded_epochs <- l.l_degraded_epochs + 1;
+                 incr ep_deg
+               end)
              pairs;
            (* 5. admission control over this epoch's arrivals *)
+           let reject (s : Session.t) =
+             incr ep_rej;
+             records :=
+               {
+                 sr_session = s;
+                 sr_outcome = Rejected;
+                 sr_admitted_rate = Rat.zero;
+                 sr_final_rate = Rat.zero;
+                 sr_min_rate = Rat.zero;
+                 sr_lb = 0.0;
+                 sr_replans = 0;
+                 sr_degraded_epochs = 0;
+                 sr_burn_epochs = 0;
+                 sr_slo_ok = false;
+               }
+               :: !records
+           in
            let arrivals, later =
              List.partition (fun (s : Session.t) -> Rat.(s.Session.arrival <= t)) !pending
            in
            pending := later;
-           let arrivals =
-             List.filter
-               (fun (s : Session.t) ->
-                 if Rat.(s.Session.departure <= t) then begin
-                   (* arrived and departed within one epoch: never planned *)
-                   reject s;
-                   incr rejected;
-                   incr ep_rej;
-                   Metrics.incr m_rejected;
-                   false
-                 end
-                 else true)
-               arrivals
+           (* arrived and departed within one epoch: never planned *)
+           let arrivals, instant =
+             List.partition (fun (s : Session.t) -> Rat.(t < s.Session.departure)) arrivals
            in
+           List.iter reject instant;
            let arrivals = List.sort Session.admission_order arrivals in
            List.iter
              (fun (s : Session.t) ->
-               if !failure = None then begin
-                 let fits rate =
-                   Rat.to_float rate
-                   >= (admit_floor *. Rat.to_float s.Session.demand) -. 1e-12
+               let fits rate =
+                 Rat.to_float rate >= (admit_floor *. Rat.to_float s.Session.demand) -. 1e-12
+               in
+               (* dry-run ladder state: residual copies plus an undo-free
+                  action log, committed only when the arrival fits *)
+               let fs = free_of send_tot and fr = free_of recv_tot in
+               let warm = ref None in
+               let commit_admit pl rate degrades preempts =
+                 (* replay the ladder's actions on the real state *)
+                 List.iter
+                   (fun (victim, new_rate) ->
+                     set_usage victim ~send:victim.l_send ~recv:victim.l_recv new_rate;
+                     adopt_schedule ~epoch_idx:i victim;
+                     victim.l_degraded_epochs <- victim.l_degraded_epochs + 1;
+                     incr degradations;
+                     incr ep_deg;
+                     Metrics.incr m_degraded)
+                   degrades;
+                 List.iter
+                   (fun victim ->
+                     incr ep_pre;
+                     finish Preempted victim)
+                   preempts;
+                 let l =
+                   {
+                     l_sess = s;
+                     l_tree = None;
+                     l_send = [];
+                     l_recv = [];
+                     l_rate = Rat.zero;
+                     l_admitted = rate;
+                     l_min_rate = rate;
+                     l_lb = pl.pl_lb;
+                     l_replans = 0;
+                     l_degraded_epochs = 0;
+                     l_epochs_live = 0;
+                     l_burn_epochs = 0;
+                     l_release = !release_version;
+                     l_sched = None;
+                   }
                  in
-                 (* dry-run ladder state: residual copies plus an undo-free
-                    action log, committed only when the arrival fits *)
-                 let fs = free_of send_tot and fr = free_of recv_tot in
-                 let warm = ref None in
-                 let attempt () =
-                   match plan_session ~chain:true pd s ~free_send:fs ~free_recv:fr ~warm:!warm with
-                   | Error _ -> None
-                   | Ok pl ->
-                     (match pl.pl_basis with Some b -> warm := Some b | None -> ());
-                     let rate =
-                       quantize_rate
-                         (Rat.min s.Session.demand (plan_ymax pl ~free_send:fs ~free_recv:fr))
-                     in
-                     if Rat.sign rate > 0 && fits rate then Some (pl, rate) else None
-                 in
-                 let commit_admit pl rate degrades preempts =
-                   (* replay the ladder's actions on the real state *)
-                   List.iter
-                     (fun (victim, new_rate) ->
-                       (match victim.l_tree with
-                       | Some _ ->
-                         apply_occ (-1) victim.l_rate victim.l_send send_tot;
-                         apply_occ (-1) victim.l_rate victim.l_recv recv_tot;
-                         victim.l_rate <- new_rate;
-                         victim.l_min_rate <- Rat.min victim.l_min_rate new_rate;
-                         apply_occ 1 new_rate victim.l_send send_tot;
-                         apply_occ 1 new_rate victim.l_recv recv_tot;
-                         bump_release ();
-                         adopt_schedule ~epoch_idx:i victim
-                       | None -> ());
-                       victim.l_degraded_epochs <- victim.l_degraded_epochs + 1;
-                       incr degradations;
-                       incr ep_deg;
-                       Metrics.incr m_degraded)
-                     degrades;
-                   List.iter
-                     (fun victim ->
-                       incr preempted;
-                       incr ep_pre;
-                       Metrics.incr m_preempted;
-                       finish Preempted victim)
-                     preempts;
-                   let l =
-                     {
-                       l_sess = s;
-                       l_tree = None;
-                       l_send = [];
-                       l_recv = [];
-                       l_rate = Rat.zero;
-                       l_admitted = rate;
-                       l_min_rate = rate;
-                       l_lb = pl.pl_lb;
-                       l_replans = 0;
-                       l_degraded_epochs = 0;
-                       l_epochs_live = 0;
-                       l_burn_epochs = 0;
-                       l_release = !release_version;
-                       l_sched = None;
-                     }
+                 Hashtbl.replace live s.Session.id l;
+                 install ~epoch_idx:i l pl rate;
+                 incr ep_adm
+               in
+               (* Plan against the dry-run residuals; admit (committing the
+                  ladder's actions so far) if the rate fits. *)
+               let admit_with degrades preempts =
+                 match plan_session ~chain:true pd s ~free_send:fs ~free_recv:fr ~warm:!warm with
+                 | Error _ -> false
+                 | Ok pl ->
+                   (match pl.pl_basis with Some b -> warm := Some b | None -> ());
+                   let rate =
+                     quantize_rate
+                       (Rat.min s.Session.demand (plan_ymax pl ~free_send:fs ~free_recv:fr))
                    in
-                   Hashtbl.replace live s.Session.id l;
-                   install ~epoch_idx:i l pl rate;
-                   incr admitted;
-                   incr ep_adm;
-                   Metrics.incr m_admitted
+                   Rat.sign rate > 0 && fits rate
+                   && (commit_admit pl rate degrades preempts;
+                       true)
+               in
+               (* preempt/degrade lowest-priority sessions first *)
+               let victims () =
+                 let vs =
+                   List.filter
+                     (fun l ->
+                       l.l_sess.Session.priority < s.Session.priority && Rat.sign l.l_rate > 0)
+                     (live_by_id ())
                  in
-                 match attempt () with
-                 | Some (pl, rate) -> commit_admit pl rate [] []
-                 | None ->
-                   (* preempt/degrade lowest-priority sessions first *)
-                   let victims =
-                     List.filter
-                       (fun l ->
-                         l.l_sess.Session.priority < s.Session.priority
-                         && Rat.sign l.l_rate > 0)
-                       (Hashtbl.fold (fun _ l acc -> l :: acc) live [])
-                   in
-                   (* Enforcement lever 2: within a priority class,
-                      victims already burning their budget are degraded
-                      first — their budget is sunk cost, so charging
-                      them keeps a slack-rich peer inside its SLO
-                      instead of starting a fresh breach. (The naive
-                      opposite — sparing the burning — measurably burns
-                      more total budget: the spared session is often
-                      unroutable after a fault, so protecting it just
-                      degrades healthy peers for nothing.) Off, the
-                      PR 9 ordering is unchanged. *)
-                   let victims =
-                     List.sort
-                       (fun a b ->
-                         match compare a.l_sess.Session.priority b.l_sess.Session.priority with
-                         | 0 -> (
-                           match
-                             if slo_enforce then compare (burning b) (burning a) else 0
-                           with
-                           | 0 -> (
-                             match
-                               Rat.compare b.l_sess.Session.arrival a.l_sess.Session.arrival
-                             with
-                             | 0 -> compare b.l_sess.Session.id a.l_sess.Session.id
-                             | c -> c)
-                           | c -> c)
+                 (* Enforcement lever 2: within a priority class,
+                    victims already burning their budget are degraded
+                    first — their budget is sunk cost, so charging
+                    them keeps a slack-rich peer inside its SLO
+                    instead of starting a fresh breach. (The naive
+                    opposite — sparing the burning — measurably burns
+                    more total budget: the spared session is often
+                    unroutable after a fault, so protecting it just
+                    degrades healthy peers for nothing.) Off, victims
+                    go by priority, then latest arrival, then highest
+                    id. *)
+                 List.sort
+                   (fun a b ->
+                     match compare a.l_sess.Session.priority b.l_sess.Session.priority with
+                     | 0 -> (
+                       match if slo_enforce then compare (burning b) (burning a) else 0 with
+                       | 0 -> (
+                         match Rat.compare b.l_sess.Session.arrival a.l_sess.Session.arrival with
+                         | 0 -> compare b.l_sess.Session.id a.l_sess.Session.id
                          | c -> c)
-                       victims
+                       | c -> c)
+                     | c -> c)
+                   vs
+               in
+               let release = credit (fs, fr) in
+               (* Whether the arrival was admitted after degrading or
+                  preempting victims from [vs], at most [max_preemptions]. *)
+               let rec ladder vs steps degrades preempts =
+                 match vs with
+                 | v :: rest when steps < max_preemptions ->
+                   let floor_rate =
+                     quantize_rate (Rat.mul degrade_floor v.l_sess.Session.demand)
                    in
-                   let release rate l =
-                     List.iter
-                       (fun (v, d) -> fs.(v) <- Rat.add fs.(v) d)
-                       (contribution rate l.l_send);
-                     List.iter
-                       (fun (v, d) -> fr.(v) <- Rat.add fr.(v) d)
-                       (contribution rate l.l_recv)
-                   in
-                   let rec ladder vs steps degrades preempts =
-                     if steps >= max_preemptions then begin
-                       incr rejected;
-                       incr ep_rej;
-                       Metrics.incr m_rejected;
-                       reject s
+                   let can_degrade = Rat.sign v.l_rate > 0 && Rat.(floor_rate < v.l_rate) in
+                   let degraded_enough =
+                     can_degrade
+                     && begin
+                       release (Rat.sub v.l_rate floor_rate) v;
+                       admit_with ((v, floor_rate) :: degrades) preempts
                      end
-                     else
-                       match vs with
-                       | [] ->
-                         incr rejected;
-                         incr ep_rej;
-                         Metrics.incr m_rejected;
-                         reject s
-                       | v :: rest -> (
-                         let floor_rate =
-                           quantize_rate (Rat.mul degrade_floor v.l_sess.Session.demand)
-                         in
-                         let can_degrade =
-                           Rat.sign v.l_rate > 0 && Rat.(floor_rate < v.l_rate)
-                         in
-                         if can_degrade then begin
-                           release (Rat.sub v.l_rate floor_rate) v;
-                           match attempt () with
-                           | Some (pl, rate) ->
-                             commit_admit pl rate ((v, floor_rate) :: degrades) preempts
-                           | None ->
-                             (* degrading was not enough: preempt outright *)
-                             release floor_rate v;
-                             (match attempt () with
-                             | Some (pl, rate) ->
-                               commit_admit pl rate degrades (v :: preempts)
-                             | None -> ladder rest (steps + 1) degrades (v :: preempts))
-                         end
-                         else begin
-                           release v.l_rate v;
-                           match attempt () with
-                           | Some (pl, rate) -> commit_admit pl rate degrades (v :: preempts)
-                           | None -> ladder rest (steps + 1) degrades (v :: preempts)
-                         end)
                    in
-                   if victims = [] then begin
-                     incr rejected;
-                     incr ep_rej;
-                     Metrics.incr m_rejected;
-                     reject s
+                   degraded_enough
+                   || begin
+                     (* degrading was not enough: preempt outright *)
+                     release (if can_degrade then floor_rate else v.l_rate) v;
+                     admit_with degrades (v :: preempts)
                    end
-                   else ladder victims 0 [] []
-               end)
+                   || ladder rest (steps + 1) degrades (v :: preempts)
+                 | _ -> false
+               in
+               if not (admit_with [] [] || ladder (victims ()) 0 [] []) then reject s)
              arrivals;
            let active = Hashtbl.length live in
-           peak_active := max !peak_active active;
            Metrics.set_gauge m_active (float_of_int active);
-           record_port_peak ();
            let dt = now () -. t0 in
-           planner_seconds := !planner_seconds +. dt;
            Metrics.observe m_epoch_seconds dt;
            let port_now =
              Array.fold_left Rat.max
@@ -825,11 +740,8 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
            Hashtbl.iter
              (fun _ l ->
                l.l_epochs_live <- l.l_epochs_live + 1;
-               if
-                 Rat.sign l.l_admitted > 0
-                 && Rat.to_float l.l_rate
-                    < (slo_retention *. Rat.to_float l.l_admitted) -. 1e-12
-               then l.l_burn_epochs <- l.l_burn_epochs + 1)
+               if Rat.sign l.l_admitted > 0 && below_retention l l.l_rate then
+                 l.l_burn_epochs <- l.l_burn_epochs + 1)
              live;
            (* Epoch-boundary sampling: throughput, admissions, port
               headroom and the worst per-session retention/delivered
@@ -871,7 +783,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                ]
              in
              List.iter (fun (name, v) -> Timeseries.sample sink name ~time:tf v) samples);
-           epochs :=
+           let ep =
              {
                ep_index = i;
                ep_time = t;
@@ -887,7 +799,13 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
                ep_seconds = dt;
                ep_max_port = port_now;
              }
-             :: !epochs
+           in
+           Metrics.add m_admitted ep.ep_admitted;
+           Metrics.add m_rejected ep.ep_rejected;
+           Metrics.add m_preempted ep.ep_preempted;
+           Metrics.add m_replans ep.ep_replans;
+           Metrics.add m_skipped ep.ep_replans_skipped;
+           epochs := ep :: !epochs
          end
        end
      done
@@ -896,13 +814,9 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
   | Some e -> Error e
   | None ->
     (* sessions still live at the horizon *)
-    let still =
-      List.sort
-        (fun a b -> compare a.l_sess.Session.id b.l_sess.Session.id)
-        (Hashtbl.fold (fun _ l acc -> l :: acc) live [])
-    in
-    List.iter (fun l -> finish Active l) still;
+    List.iter (finish Active) (live_by_id ());
     let epoch_list = List.rev !epochs in
+    let sum f = List.fold_left (fun acc e -> acc + f e) 0 epoch_list in
     let secs =
       Array.of_list (List.sort compare (List.map (fun e -> e.ep_seconds) epoch_list))
     in
@@ -911,6 +825,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
         (fun a b -> compare a.sr_session.Session.id b.sr_session.Session.id)
         !records
     in
+    let count p = List.length (List.filter p session_list) in
     let gaps =
       List.filter_map
         (fun r ->
@@ -941,21 +856,17 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
       {
         hz_epochs = epoch_list;
         hz_sessions = session_list;
-        hz_admitted = !admitted;
-        hz_rejected = !rejected;
-        hz_preempted = !preempted;
-        hz_completed = !completed;
+        hz_admitted = sum (fun e -> e.ep_admitted);
+        hz_rejected = sum (fun e -> e.ep_rejected);
+        hz_preempted = sum (fun e -> e.ep_preempted);
+        hz_completed = count (fun r -> r.sr_outcome = Completed);
         hz_degradations = !degradations;
         hz_suspensions = !suspensions;
-        hz_replans = !total_replans;
-        hz_replans_skipped = !total_skipped;
-        hz_slo_violations =
-          List.length
-            (List.filter
-               (fun r -> r.sr_outcome <> Rejected && not r.sr_slo_ok)
-               session_list);
-        hz_peak_active = !peak_active;
-        hz_planner_seconds = !planner_seconds;
+        hz_replans = sum (fun e -> e.ep_replans);
+        hz_replans_skipped = sum (fun e -> e.ep_replans_skipped);
+        hz_slo_violations = count (fun r -> r.sr_outcome <> Rejected && not r.sr_slo_ok);
+        hz_peak_active = List.fold_left (fun acc e -> max acc e.ep_active) 0 epoch_list;
+        hz_planner_seconds = List.fold_left (fun acc e -> acc +. e.ep_seconds) 0.0 epoch_list;
         hz_p50_epoch_seconds = percentile secs 0.5;
         hz_p99_epoch_seconds = percentile secs 0.99;
         hz_max_port_occupation = !max_port;

@@ -127,6 +127,14 @@ type epoch_record = {
   ep_max_port : Rat.t;
 }
 
+(** The run's totals are folds of its two logs, so they always agree with
+    them: [hz_admitted], [hz_rejected], [hz_preempted], [hz_replans] and
+    [hz_replans_skipped] are the sums of the matching [ep_*] fields over
+    [hz_epochs], [hz_peak_active] is the largest [ep_active], and
+    [hz_planner_seconds] is the in-order sum of [ep_seconds].
+    [hz_completed] counts the [Completed] records of [hz_sessions], whose
+    non-[Rejected] records number [hz_admitted], and whose [sr_replans]
+    sum to [hz_replans]. *)
 type report = {
   hz_epochs : epoch_record list;
   hz_sessions : session_record list;  (** sorted by session id *)

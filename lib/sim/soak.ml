@@ -221,9 +221,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
   (* Covered time is summed exactly on the fault-time grid, so the
      availability fraction lies in [0, 1] by construction. *)
   let avail = ref Rat.zero and degraded = ref 0.0 and delivered = ref 0.0 in
-  let full_replans = ref 0 and patches = ref 0 and suppressions = ref 0 in
-  let releases = ref 0 and reintegrations = ref 0 and exhaustions = ref 0 in
-  let epochs = ref 0 and cache_hits = ref 0 in
+  let full_replans = ref 0 and epochs = ref 0 in
   let log = ref [] and schedules = ref [ sched ] in
   let health : (component, health) Hashtbl.t = Hashtbl.create 16 in
   let suppressed () =
@@ -265,8 +263,6 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
   let note_exhaustion () =
     if not !exhausted_this_epoch then begin
       exhausted_this_epoch := true;
-      incr exhaustions;
-      Metrics.incr token_exhaustions_m;
       Trace.instant ~cat:"soak" "soak.tokens-exhausted";
       emit (Tokens_exhausted { at = !t_prev })
     end
@@ -327,10 +323,6 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
           match rep.Repair.repair_method with `Patched -> true | _ -> false)
         | _ -> false
       in
-      if patched then begin
-        incr patches;
-        Metrics.incr patches_m
-      end;
       let outcome =
         match o.Recovery_loop.final with
         | `No_failure ->
@@ -373,8 +365,6 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
             rep.Repair.throughput_after > !cur_rate *. (1.0 +. cfg.hysteresis)
             || regains_coverage
           then begin
-            incr reintegrations;
-            Metrics.incr reintegrations_m;
             Trace.instant ~cat:"soak" "soak.reintegrated";
             let before = !cur_rate in
             adopt ~key:eff rep ~extra_dropped:[];
@@ -436,8 +426,6 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
             in
             if keeps_every_target then begin
               h.suppressed <- true;
-              incr suppressions;
-              Metrics.incr suppressions_m;
               Trace.instant ~cat:"soak" "soak.suppressed";
               emit (Suppressed { at = t; what = component_name c; penalty = h.penalty })
             end
@@ -461,7 +449,6 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
             && Rat.to_float (Rat.sub t h.last) >= hold_down -. 1e-9
           then begin
             h.suppressed <- false;
-            incr releases;
             Trace.instant ~cat:"soak" "soak.released";
             emit (Released { at = t; what = component_name c })
           end
@@ -487,7 +474,6 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
           cur_rate := r;
           full_cov := fc;
           stale := false;
-          incr cache_hits;
           schedules := s :: !schedules;
           emit (Episode { at = t; outcome = Cached; patched = false })
         | None ->
@@ -546,26 +532,35 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
   Metrics.set_gauge delivered_g
     (if nominal_integral > 0.0 then !delivered /. nominal_integral else 0.0);
   Metrics.set_gauge replans_per_hour_g rph;
-  {
-    sk_horizon = hf;
-    sk_events = n_events;
-    sk_epochs = !epochs;
-    sk_availability = availability;
-    sk_degraded_time = !degraded;
-    sk_delivered_integral = !delivered;
-    sk_nominal_integral = nominal_integral;
-    sk_full_replans = !full_replans;
-    sk_patches = !patches;
-    sk_replans_per_hour = rph;
-    sk_suppressions = !suppressions;
-    sk_releases = !releases;
-    sk_reintegrations = !reintegrations;
-    sk_cache_hits = !cache_hits;
-    sk_token_exhaustions = !exhaustions;
-    sk_final_throughput = !cur_rate;
-    sk_schedules = List.rev !schedules;
-    sk_log = List.rev !log;
-  }
+  let log = List.rev !log in
+  let count p = List.length (List.filter p log) in
+  let r =
+    {
+      sk_horizon = hf;
+      sk_events = n_events;
+      sk_epochs = !epochs;
+      sk_availability = availability;
+      sk_degraded_time = !degraded;
+      sk_delivered_integral = !delivered;
+      sk_nominal_integral = nominal_integral;
+      sk_full_replans = !full_replans;
+      sk_patches = count (function Episode { patched; _ } -> patched | _ -> false);
+      sk_replans_per_hour = rph;
+      sk_suppressions = count (function Suppressed _ -> true | _ -> false);
+      sk_releases = count (function Released _ -> true | _ -> false);
+      sk_reintegrations = count (function Reintegrated _ -> true | _ -> false);
+      sk_cache_hits = count (function Episode { outcome = Cached; _ } -> true | _ -> false);
+      sk_token_exhaustions = count (function Tokens_exhausted _ -> true | _ -> false);
+      sk_final_throughput = !cur_rate;
+      sk_schedules = List.rev !schedules;
+      sk_log = log;
+    }
+  in
+  Metrics.add patches_m r.sk_patches;
+  Metrics.add suppressions_m r.sk_suppressions;
+  Metrics.add reintegrations_m r.sk_reintegrations;
+  Metrics.add token_exhaustions_m r.sk_token_exhaustions;
+  r
 
 let run ?(now = Unix.gettimeofday) ?config ?telemetry (p : Platform.t)
     (sched : Schedule.t) scenario ~horizon =

@@ -99,6 +99,12 @@ type soak_event =
       (** recovery failed; the broken schedule stays in force at the
           replay-measured rate until the next epoch *)
 
+(** The damping counts are counts over [sk_log], so the report and the
+    log always agree: [sk_patches] counts the [patched] [Episode]s,
+    [sk_cache_hits] the [Cached] ones, and [sk_suppressions],
+    [sk_releases], [sk_reintegrations] and [sk_token_exhaustions] count
+    the [Suppressed], [Released], [Reintegrated] and [Tokens_exhausted]
+    events. *)
 type report = {
   sk_horizon : float;
   sk_events : int;  (** fault events inside the horizon *)

@@ -118,8 +118,28 @@ let test_full_coverage_is_exactly_one () =
 
 let test_soak_property_sweep () =
   (* Seeded 200-case sweep across platform shapes, scenario families and
-     both controllers: the soak loop must never crash, and every schedule it
-     ever put in force must pass Schedule.check. *)
+     both controllers: the soak loop must never crash, every schedule it
+     ever put in force must pass Schedule.check, and each report count must
+     equal its event's count in the log (and the matching counter's
+     increase, where there is one). *)
+  let counter name = Some (Metrics.counter name) in
+  let tallies =
+    [
+      ( "patches", counter "soak.incremental_patches", (fun r -> r.Soak.sk_patches),
+        function Soak.Episode { patched; _ } -> patched | _ -> false );
+      ( "suppressions", counter "soak.suppressions", (fun r -> r.Soak.sk_suppressions),
+        function Soak.Suppressed _ -> true | _ -> false );
+      ( "releases", None, (fun r -> r.Soak.sk_releases),
+        function Soak.Released _ -> true | _ -> false );
+      ( "reintegrations", counter "soak.reintegrations", (fun r -> r.Soak.sk_reintegrations),
+        function Soak.Reintegrated _ -> true | _ -> false );
+      ( "cache hits", None, (fun r -> r.Soak.sk_cache_hits),
+        function Soak.Episode { outcome = Soak.Cached; _ } -> true | _ -> false );
+      ( "token exhaustions", counter "soak.token_exhaustions",
+        (fun r -> r.Soak.sk_token_exhaustions),
+        function Soak.Tokens_exhausted _ -> true | _ -> false );
+    ]
+  in
   for i = 1 to 200 do
     let rng = Random.State.make [| i; 7717 |] in
     let p =
@@ -145,9 +165,20 @@ let test_soak_property_sweep () =
     let base = if i mod 2 = 0 then Soak.default_config p else Soak.naive_config p in
     (* a tiny bucket exercises the exhaustion and stale paths *)
     let config = { base with Soak.token_capacity = 2; token_refill = 40.0 } in
+    let before = List.map (fun (_, c, _, _) -> Option.map Metrics.counter_value c) tallies in
     match Soak.run ~now:(fake_clock ()) ~config p sched scenario ~horizon with
     | Error e -> Alcotest.failf "case %d: soak failed: %s" i e
     | Ok r ->
+      List.iter2
+        (fun (what, c, field, is_event) v0 ->
+          let n = field r and in_log = List.length (List.filter is_event r.Soak.sk_log) in
+          if n <> in_log then Alcotest.failf "case %d: %s: report %d, log %d" i what n in_log;
+          match (c, v0) with
+          | Some c, Some v0 when Metrics.counter_value c - v0 <> n ->
+            Alcotest.failf "case %d: %s: report %d, counter +%d" i what n
+              (Metrics.counter_value c - v0)
+          | _ -> ())
+        tallies before;
       if r.Soak.sk_availability < 0.0 || r.Soak.sk_availability > 1.0 then
         Alcotest.failf "case %d: availability %.4f outside [0,1]" i r.Soak.sk_availability;
       List.iteri
