@@ -1,9 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md experiment index E1..E11).
 
-   Usage: dune exec bench/main.exe -- [--only fig11a,fig5] [--trials N]
+   Usage: dune exec bench/main.exe -- [--only fig11,fig5] [--trials N]
             [--big-trials N] [--fast] [--out-dir DIR]
             [--check-against FILE] [--check-tolerance F] [--check-time-tolerance F]
+
+   --only takes section names from the [sections] table at the end of this
+   file; an unknown name, a malformed value or a count below 1 is a usage
+   error (exit 2) before any section runs.
 
    --check-against gates the run's final metrics snapshot against a
    committed baseline (bench/baseline.json in CI): counter growth past the
@@ -25,60 +29,62 @@ let check_against : string option ref = ref None
 let check_tolerance = ref 0.25
 let check_time_tolerance : float option ref = ref None
 
-let parse_args () =
-  let rec go = function
-    | [] -> ()
-    | "--fast" :: rest ->
-      fast := true;
-      trials := 2;
-      big_trials := 1;
-      go rest
-    | "--trials" :: n :: rest ->
-      trials := int_of_string n;
-      go rest
-    | "--big-trials" :: n :: rest ->
-      big_trials := int_of_string n;
-      go rest
-    | "--only" :: s :: rest ->
-      only := String.split_on_char ',' s;
-      go rest
-    | "--out-dir" :: d :: rest ->
-      out_dir := d;
-      go rest
-    | "--jobs" :: n :: rest ->
-      jobs := int_of_string n;
-      go rest
-    | "--trace" :: f :: rest ->
-      trace_out := Some f;
-      go rest
-    | "--check-against" :: f :: rest ->
-      check_against := Some f;
-      go rest
-    | "--check-tolerance" :: x :: rest ->
-      check_tolerance := float_of_string x;
-      go rest
-    | "--check-time-tolerance" :: x :: rest ->
-      check_time_tolerance := Some (float_of_string x);
-      go rest
-    | other :: _ -> failwith ("unknown argument: " ^ other)
-  in
-  go (List.tl (Array.to_list Sys.argv))
-
-let want section = !only = [] || List.mem section !only
 let banner title = Printf.printf "\n==== %s ====\n%!" title
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+let mean = function
+  | [] -> nan
+  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+
+(* Nearest-rank percentile. *)
+let percentile q xs =
+  match List.sort compare xs with
+  | [] -> nan
+  | sorted ->
+    let n = List.length sorted in
+    List.nth sorted (max 0 (min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
+
+let ensure_out_dir () =
+  try Unix.mkdir !out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+
+let write_out fname text =
+  ensure_out_dir ();
+  Out_channel.with_open_text (Filename.concat !out_dir fname) (fun oc -> output_string oc text)
+
+(* Gnuplot-ready data: a header, then one row per [(label, values)]. *)
+let write_dat fname header rows =
+  let row (label, xs) = label ^ String.concat "" (List.map (Printf.sprintf " %.4f") xs) ^ "\n" in
+  write_out fname (String.concat "" (("# " ^ header ^ "\n") :: List.map row rows));
+  Printf.printf "gnuplot data: %s/%s\n" !out_dir fname
+
+let check text ok =
+  Printf.printf "shape check: %s — %s\n" text (if ok then "OK" else "MISMATCH")
+
+(* Prints each [(key, text, ok)] verdict and returns them as the summary's
+   "shape" object. *)
+let checks cs =
+  List.iter (fun (_, text, ok) -> check text ok) cs;
+  Json.JObj (List.map (fun (key, _, ok) -> (key, Json.JBool ok)) cs)
+
+(* Machine-readable summaries, BENCH_<n>.json in the output directory: 2
+   (robustness tables), 3 (parallel engine), 5 (metrics registry, the
+   regression-gate baseline format), 6-9 (storms, soak, sessions, SLO).
+   CI archives bench_out/BENCH_*.json. *)
+let summary n label fields =
+  let fname = Printf.sprintf "BENCH_%d.json" n in
+  write_out fname (Json.to_string (Json.JObj fields));
+  Printf.printf "%s summary: %s\n" label (Filename.concat !out_dir fname)
+
+let num f = Json.JNum f
+let str s = Json.JStr s
 
 let period_of = function
   | None -> infinity
   | Some (s : Formulations.solution) -> s.Formulations.period
 
-(* Machine-readable summary of the robustness experiments (R1/R2), written
-   to BENCH_2.json at the end of the run for CI to archive and diff. *)
-let r1_table : (float * (string * float) list) list ref = ref []
+(* The robustness experiments (R1/R2) each fill one member of
+   BENCH_2.json, written at the end of the run for CI to archive and diff. *)
+let r1_means : (string * Json.t) list ref = ref []
+let r2_rows : (string * Json.t) list ref = ref []
 
 type r2_row = {
   r2_kind : string;
@@ -89,8 +95,6 @@ type r2_row = {
   r2_nominal_thr : float;  (* nominal throughput of the MCPH plan *)
   r2_robust_thr : float;  (* nominal throughput of the robust plan *)
 }
-
-let r2_table : r2_row list ref = ref []
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Fig. 1: a single tree is not enough.                            *)
@@ -117,12 +121,9 @@ let fig1 () =
     (if Tree_set.is_feasible set then "yes" else "no");
   Printf.printf "%-44s %10s %10.3f\n" "two-tree throughput (simulated)" "1"
     sim.Event_sim.measured_throughput;
-  Printf.printf "shape check: single tree strictly below 1, combination reaches it — %s\n"
-    (if
-       Rat.(Multicast_tree.throughput best < one)
-       && abs_float (sim.Event_sim.measured_throughput -. 1.0) < 0.05
-     then "OK"
-     else "MISMATCH")
+  check "single tree strictly below 1, combination reaches it"
+    (Rat.(Multicast_tree.throughput best < one)
+    && abs_float (sim.Event_sim.measured_throughput -. 1.0) < 0.05)
 
 (* ------------------------------------------------------------------ *)
 (* E2 — §4 complexity table: gadget correspondence.                     *)
@@ -145,8 +146,7 @@ let table_complexity () =
       thr
       (if ok then "OK" else "FAIL")
   done;
-  Printf.printf "shape check: single-tree optimum always equals B/K* (Theorems 1-2) — %s\n"
-    (if !all_ok then "OK" else "MISMATCH")
+  check "single-tree optimum always equals B/K* (Theorems 1-2)" !all_ok
 
 (* ------------------------------------------------------------------ *)
 (* E3 — Fig. 4: neither bound tight.                                    *)
@@ -164,12 +164,8 @@ let fig4 () =
   Printf.printf "%-36s %10s %10.4f\n" "best multicast (tree packing)" "1/2" opt_thr;
   Printf.printf "%-36s %10s %10.4f\n" "Multicast-UB (scatter)" "1/3"
     ub.Formulations.throughput;
-  Printf.printf "shape check: LB > OPT > UB strictly — %s\n"
-    (if
-       lb.Formulations.throughput > opt_thr +. 0.01
-       && opt_thr > ub.Formulations.throughput +. 0.01
-     then "OK"
-     else "MISMATCH")
+  check "LB > OPT > UB strictly"
+    (lb.Formulations.throughput > opt_thr +. 0.01 && opt_thr > ub.Formulations.throughput +. 0.01)
 
 (* ------------------------------------------------------------------ *)
 (* E4 — Fig. 5: the |T| gap family.                                     *)
@@ -187,8 +183,7 @@ let fig5 () =
       if abs_float (ratio -. float_of_int n) > 0.15 then ok := false;
       Printf.printf "%10d %12.4f %12.4f %12.3f %10d\n" n lb ub ratio n)
     [ 2; 3; 4; 6; 8 ];
-  Printf.printf "shape check: ratio tracks the target count — %s\n"
-    (if !ok then "OK" else "MISMATCH")
+  check "ratio tracks the target count" !ok
 
 (* ------------------------------------------------------------------ *)
 (* E5-E8 — Fig. 11: the main heuristic comparison.                      *)
@@ -225,56 +220,31 @@ let fig11_data params n_trials ~tries =
                   (e.Heuristics.period :: Hashtbl.find per_method e.Heuristics.name))
             report.Heuristics.entries
         done;
-        let mean name =
-          let xs = Hashtbl.find per_method name in
-          List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-        in
-        (d, mean))
+        (d, fun name -> mean (Hashtbl.find per_method name)))
       densities
   in
   (table, !lan)
 
-let ensure_out_dir () =
-  try Unix.mkdir !out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-(* Single point of truth for the machine-readable summary names: BENCH_2
-   (robustness tables), BENCH_3 (parallel engine), BENCH_5 (metrics
-   registry, the regression-gate baseline format). CI archives
-   bench_out/BENCH_*.json. *)
-let bench_json_file n = Filename.concat !out_dir (Printf.sprintf "BENCH_%d.json" n)
-
-(* Gnuplot-ready data files: one row per density, one column per method —
-   the paper's Fig. 11 panels are plots of exactly these series. *)
-let write_fig11_dat fname ~vs table =
-  ensure_out_dir ();
-  let oc = open_out (Filename.concat !out_dir fname) in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        ("# density " ^ String.concat " " (List.map (String.map (fun c -> if c = ' ' then '_' else c)) ("scatter" :: ratio_methods)) ^ "\n");
-      List.iter
-        (fun (d, mean) ->
-          let base = mean vs in
-          output_string oc (Printf.sprintf "%.2f" d);
-          List.iter
-            (fun m -> output_string oc (Printf.sprintf " %.4f" (mean m /. base)))
-            ("scatter" :: ratio_methods);
-          output_string oc "\n")
-        table)
-
-let print_fig11 name ~vs table =
-  Printf.printf "\n-- %s: mean period ratio to \"%s\" --\n" name vs;
+(* One Fig. 11 panel: each method's mean period as a ratio to [vs]'s,
+   printed and written as gnuplot data (one row per density, one column
+   per method) — the paper's panels plot exactly these series. *)
+let fig11_panel letter ~vs table =
+  let methods = "scatter" :: ratio_methods in
+  let rows = List.map (fun (d, mean) -> (d, List.map (fun m -> mean m /. mean vs) methods)) table in
+  Printf.printf "\n-- Fig.11(%s): mean period ratio to \"%s\" --\n" letter vs;
   Printf.printf "%8s" "density";
-  List.iter (fun m -> Printf.printf " %14s" m) ("scatter" :: ratio_methods);
+  List.iter (fun m -> Printf.printf " %14s" m) methods;
   Printf.printf "\n";
   List.iter
-    (fun (d, mean) ->
-      let base = mean vs in
+    (fun (d, ratios) ->
       Printf.printf "%8.2f" d;
-      List.iter (fun m -> Printf.printf " %14.3f" (mean m /. base)) ("scatter" :: ratio_methods);
+      List.iter (Printf.printf " %14.3f") ratios;
       Printf.printf "\n")
-    table
+    rows;
+  let column = String.map (fun c -> if c = ' ' then '_' else c) in
+  write_dat ("fig11" ^ letter ^ ".dat")
+    ("density " ^ String.concat " " (List.map column methods))
+    (List.map (fun (d, ratios) -> (Printf.sprintf "%.2f" d, ratios)) rows)
 
 let shape_checks_fig11 table =
   (* The §7 findings: (1) the refined LP heuristics sit close to the lower
@@ -293,36 +263,26 @@ let shape_checks_fig11 table =
         if mean "broadcast" > 1.7 *. best_lp then ok3 := false
       end)
     table;
-  Printf.printf "shape check: LP heuristics close to LB, well below scatter — %s\n"
-    (if !ok1 then "OK" else "MISMATCH");
-  Printf.printf "shape check: MCPH close to the LP heuristics — %s\n"
-    (if !ok2 then "OK" else "MISMATCH");
-  Printf.printf "shape check: plain broadcast competitive at density >= 0.4 — %s\n"
-    (if !ok3 then "OK" else "MISMATCH")
+  check "LP heuristics close to LB, well below scatter" !ok1;
+  check "MCPH close to the LP heuristics" !ok2;
+  check "plain broadcast competitive at density >= 0.4" !ok3
+
+let fig11 title params n_trials ~tries (scatter_panel, lb_panel) =
+  banner title;
+  Printf.printf "trials per density: %d\n%!" n_trials;
+  let table, lan = fig11_data params n_trials ~tries in
+  Printf.printf "LAN host pool: %d\n" lan;
+  fig11_panel scatter_panel ~vs:"scatter" table;
+  fig11_panel lb_panel ~vs:"lower bound" table;
+  shape_checks_fig11 table
 
 let fig11_small () =
-  banner "E5/E6 / Fig.11(a,b) — small platforms (30 nodes, 17 LAN hosts)";
-  Printf.printf "trials per density: %d\n%!" !trials;
-  let table, lan = fig11_data Tiers.small_params !trials ~tries:3 in
-  Printf.printf "LAN host pool: %d\n" lan;
-  print_fig11 "Fig.11(a)" ~vs:"scatter" table;
-  print_fig11 "Fig.11(b)" ~vs:"lower bound" table;
-  write_fig11_dat "fig11a.dat" ~vs:"scatter" table;
-  write_fig11_dat "fig11b.dat" ~vs:"lower bound" table;
-  Printf.printf "gnuplot data: %s/fig11{a,b}.dat\n" !out_dir;
-  shape_checks_fig11 table
+  fig11 "E5/E6 / Fig.11(a,b) — small platforms (30 nodes, 17 LAN hosts)" Tiers.small_params
+    !trials ~tries:3 ("a", "b")
 
 let fig11_big () =
-  banner "E7/E8 / Fig.11(c,d) — big platforms (65 nodes, 47 LAN hosts)";
-  Printf.printf "trials per density: %d\n%!" !big_trials;
-  let table, lan = fig11_data Tiers.big_params !big_trials ~tries:2 in
-  Printf.printf "LAN host pool: %d\n" lan;
-  print_fig11 "Fig.11(c)" ~vs:"scatter" table;
-  print_fig11 "Fig.11(d)" ~vs:"lower bound" table;
-  write_fig11_dat "fig11c.dat" ~vs:"scatter" table;
-  write_fig11_dat "fig11d.dat" ~vs:"lower bound" table;
-  Printf.printf "gnuplot data: %s/fig11{c,d}.dat\n" !out_dir;
-  shape_checks_fig11 table
+  fig11 "E7/E8 / Fig.11(c,d) — big platforms (65 nodes, 47 LAN hosts)" Tiers.big_params
+    !big_trials ~tries:2 ("c", "d")
 
 (* ------------------------------------------------------------------ *)
 (* E9 — Fig. 12: one topology, MCPH vs Multisource MC, DOT dumps.       *)
@@ -355,9 +315,8 @@ let fig12 () =
     (String.concat ", "
        (List.map (Digraph.label p.Platform.graph) (List.tl ms.Multisource.sources)));
   Printf.printf "DOT dumps in %s/ (fig12_{topology,mcph,multisource}.dot)\n" !out_dir;
-  Printf.printf
-    "shape check: Multisource MC at least as fast as the MCPH tree (paper: 789 vs 1000) — %s\n"
-    (if ms.Multisource.period <= mcph_period +. 1e-6 then "OK" else "MISMATCH")
+  check "Multisource MC at least as fast as the MCPH tree (paper: 789 vs 1000)"
+    (ms.Multisource.period <= mcph_period +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* E10 — §7 running-time comparison (bechamel).                         *)
@@ -399,9 +358,8 @@ let speed () =
   List.iter (fun (name, ns) -> Printf.printf "%-45s %12.4f s\n" name (ns /. 1e9)) rows;
   match rows with
   | (fastest, _) :: _ ->
-    Printf.printf "shape check: MCPH is the fastest (paper: it solves no LP) — %s\n"
-      (if contains fastest "MCPH" then "OK" else "MISMATCH")
-  | [] -> Printf.printf "shape check: no measurements — MISMATCH\n"
+    check "MCPH is the fastest (paper: it solves no LP)" (String.starts_with ~prefix:"MCPH" fastest)
+  | [] -> check "no measurements" false
 
 (* ------------------------------------------------------------------ *)
 (* A1 — ablation: one-sided vs two-sided cut separation.                *)
@@ -432,9 +390,7 @@ let ablation_cuts () =
   done;
   Printf.printf "total rounds: one-sided %d, two-sided %d
 " !tot1 !tot2;
-  Printf.printf "shape check: two-sided separation needs at most as many rounds — %s
-"
-    (if !tot2 <= !tot1 then "OK" else "MISMATCH")
+  check "two-sided separation needs at most as many rounds" (!tot2 <= !tot1)
 
 (* ------------------------------------------------------------------ *)
 (* A2 — ablation: one-port MCPH vs classical Steiner trees.             *)
@@ -469,11 +425,9 @@ let ablation_mcph () =
     Printf.printf "%6d | %10.1f %10.1f %10.1f %10.1f | %10.1f
 " seed mcph tm pd kmb lb
   done;
-  Printf.printf
-    "shape check: the re-metricised MCPH is never beaten by a classical tree (%d/%d) — %s
-"
-    !wins !n
-    (if !wins >= !n - 1 then "OK" else "MISMATCH")
+  check
+    (Printf.sprintf "the re-metricised MCPH is never beaten by a classical tree (%d/%d)" !wins !n)
+    (!wins >= !n - 1)
 
 (* ------------------------------------------------------------------ *)
 (* A3 — ablation: greedy peeling vs column-generation packing.          *)
@@ -505,10 +459,7 @@ let ablation_packing () =
       Printf.printf "%6d | %9.1f%% %9.1f%%
 " seed (100. *. g) (100. *. c)
   done;
-  Printf.printf
-    "shape check: column generation always realizes the full Broadcast-EB value — %s
-"
-    (if !ok then "OK" else "MISMATCH")
+  check "column generation always realizes the full Broadcast-EB value" !ok
 
 (* ------------------------------------------------------------------ *)
 (* R1 — resilience sweep: failure rate x platform kind -> retention.    *)
@@ -549,19 +500,20 @@ let resilience () =
         | Ok rep -> Some (min 1.0 rep.Repair.retention)
         | Error _ -> Some 0.0
     in
-    let retentions =
-      List.filter_map Fun.id
-        (Pool.map ~jobs:!jobs one (List.init n_trials (fun i -> i + 1)))
-    in
-    match retentions with
-    | [] -> nan
-    | rs -> List.fold_left ( +. ) 0.0 rs /. float_of_int (List.length rs)
+    mean (List.filter_map Fun.id (Pool.map ~jobs:!jobs one (List.init n_trials (fun i -> i + 1))))
   in
   let table =
     List.map (fun rate -> (rate, List.map (fun kind -> cell kind rate) resilience_kinds)) resilience_rates
   in
-  r1_table :=
-    List.map (fun (rate, cells) -> (rate, List.combine resilience_kinds cells)) table;
+  r1_means :=
+    List.mapi
+      (fun k kind ->
+        ( kind,
+          Json.JObj
+            (List.map
+               (fun (rate, cells) -> (Printf.sprintf "%.2f" rate, num (List.nth cells k)))
+               table) ))
+      resilience_kinds;
   Printf.printf "%8s" "rate";
   List.iter (fun k -> Printf.printf " %14s" k) resilience_kinds;
   Printf.printf "\n";
@@ -571,22 +523,10 @@ let resilience () =
       List.iter (fun c -> Printf.printf " %14.3f" c) cells;
       Printf.printf "\n")
     table;
-  ensure_out_dir ();
-  let oc = open_out (Filename.concat !out_dir "resilience.dat") in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc ("# rate " ^ String.concat " " resilience_kinds ^ "\n");
-      List.iter
-        (fun (rate, cells) ->
-          output_string oc (Printf.sprintf "%.2f" rate);
-          List.iter (fun c -> output_string oc (Printf.sprintf " %.4f" c)) cells;
-          output_string oc "\n")
-        table);
-  Printf.printf "gnuplot data: %s/resilience.dat\n" !out_dir;
-  let row_at rate =
-    List.assoc rate table
-  in
+  write_dat "resilience.dat"
+    ("rate " ^ String.concat " " resilience_kinds)
+    (List.map (fun (rate, cells) -> (Printf.sprintf "%.2f" rate, cells)) table);
+  let row_at rate = List.assoc rate table in
   let ok_baseline = List.for_all (fun c -> abs_float (c -. 1.0) < 1e-9) (row_at 0.0) in
   (* Retention should not rise as failures get denser (small-sample noise
      tolerated: allow a 5% upward wiggle between consecutive rates). *)
@@ -598,10 +538,8 @@ let resilience () =
         List.for_all2 (fun a b -> b <= a +. 0.05) prev cur)
       [ 1; 2; 3; 4 ]
   in
-  Printf.printf "shape check: retention is exactly 1 with no failures — %s\n"
-    (if ok_baseline then "OK" else "MISMATCH");
-  Printf.printf "shape check: retention does not improve with failure rate — %s\n"
-    (if ok_monotone then "OK" else "MISMATCH")
+  check "retention is exactly 1 with no failures" ok_baseline;
+  check "retention does not improve with failure rate" ok_monotone
 
 (* ------------------------------------------------------------------ *)
 (* R2 — robust planning: worst-case retention vs nominal-throughput cost. *)
@@ -612,7 +550,7 @@ let robust () =
   banner "R2 / robust — proactive planning: worst-case retention vs nominal cost";
   let loss_bound = 0.25 in
   (* two-relay is a fixed 5-node example; one trial is the population. *)
-  let trials_of = function "two-relay" -> 1 | _ -> max 1 !trials in
+  let trials_of = function "two-relay" -> 1 | _ -> !trials in
   let gen kind seed =
     let rng = Random.State.make [| seed; 5501 |] in
     match kind with
@@ -635,24 +573,41 @@ let robust () =
     match !acc with
     | [] -> None
     | reps ->
-      let mean f = List.fold_left (fun s r -> s +. f r) 0.0 reps /. float_of_int (List.length reps) in
+      let avg f = mean (List.map f reps) in
       let nominal_score (r : Robust_plan.report) = r.Robust_plan.nominal_plan.Robust_plan.cand_score in
       let chosen_score (r : Robust_plan.report) = r.Robust_plan.chosen.Robust_plan.cand_score in
       Some
         {
           r2_kind = kind;
-          r2_nominal_wc = mean (fun r -> (nominal_score r).Robust_plan.worst_case);
-          r2_robust_wc = mean (fun r -> (chosen_score r).Robust_plan.worst_case);
-          r2_nominal_mean = mean (fun r -> (nominal_score r).Robust_plan.mean);
-          r2_robust_mean = mean (fun r -> (chosen_score r).Robust_plan.mean);
-          r2_nominal_thr = mean (fun r -> (nominal_score r).Robust_plan.nominal);
-          r2_robust_thr = mean (fun r -> (chosen_score r).Robust_plan.nominal);
+          r2_nominal_wc = avg (fun r -> (nominal_score r).Robust_plan.worst_case);
+          r2_robust_wc = avg (fun r -> (chosen_score r).Robust_plan.worst_case);
+          r2_nominal_mean = avg (fun r -> (nominal_score r).Robust_plan.mean);
+          r2_robust_mean = avg (fun r -> (chosen_score r).Robust_plan.mean);
+          r2_nominal_thr = avg (fun r -> (nominal_score r).Robust_plan.nominal);
+          r2_robust_thr = avg (fun r -> (chosen_score r).Robust_plan.nominal);
         }
   in
   Printf.printf "loss bound: %.0f%%; scenario cap: 48; trials per kind: %d (two-relay: 1)\n%!"
-    (100. *. loss_bound) (max 1 !trials);
+    (100. *. loss_bound) !trials;
   let rows = List.filter_map row robust_kinds in
-  r2_table := rows;
+  r2_rows :=
+    List.map
+      (fun r ->
+        ( r.r2_kind,
+          Json.JObj
+            [
+              ("worst_case_nominal", num r.r2_nominal_wc);
+              ("worst_case_robust", num r.r2_robust_wc);
+              ("worst_case_delta", num (r.r2_robust_wc -. r.r2_nominal_wc));
+              ("mean_nominal", num r.r2_nominal_mean);
+              ("mean_robust", num r.r2_robust_mean);
+              ("throughput_nominal", num r.r2_nominal_thr);
+              ("throughput_robust", num r.r2_robust_thr);
+              ( "throughput_ratio",
+                if r.r2_nominal_thr > 0.0 then num (r.r2_robust_thr /. r.r2_nominal_thr)
+                else Json.JNull );
+            ] ))
+      rows;
   Printf.printf "%-12s %10s %10s | %10s %10s | %10s %10s\n" "kind" "wc(mcph)" "wc(robust)"
     "mean(mcph)" "mean(rob)" "thr(mcph)" "thr(rob)";
   List.iter
@@ -661,21 +616,19 @@ let robust () =
         r.r2_nominal_wc r.r2_robust_wc r.r2_nominal_mean r.r2_robust_mean r.r2_nominal_thr
         r.r2_robust_thr)
     rows;
-  ensure_out_dir ();
-  let oc = open_out (Filename.concat !out_dir "robust.dat") in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        "# kind wc_mcph wc_robust mean_mcph mean_robust thr_mcph thr_robust\n";
-      List.iter
-        (fun r ->
-          output_string oc
-            (Printf.sprintf "%s %.4f %.4f %.4f %.4f %.4f %.4f\n" r.r2_kind r.r2_nominal_wc
-               r.r2_robust_wc r.r2_nominal_mean r.r2_robust_mean r.r2_nominal_thr
-               r.r2_robust_thr))
-        rows);
-  Printf.printf "gnuplot data: %s/robust.dat\n" !out_dir;
+  write_dat "robust.dat" "kind wc_mcph wc_robust mean_mcph mean_robust thr_mcph thr_robust"
+    (List.map
+       (fun r ->
+         ( r.r2_kind,
+           [
+             r.r2_nominal_wc;
+             r.r2_robust_wc;
+             r.r2_nominal_mean;
+             r.r2_robust_mean;
+             r.r2_nominal_thr;
+             r.r2_robust_thr;
+           ] ))
+       rows);
   let ok_wc =
     rows <> [] && List.for_all (fun r -> r.r2_robust_wc >= r.r2_nominal_wc -. 1e-9) rows
   in
@@ -688,13 +641,9 @@ let robust () =
   let ok_margin =
     List.exists (fun r -> r.r2_robust_wc > r.r2_nominal_wc +. 0.1) rows
   in
-  Printf.printf "shape check: robust worst-case never below nominal's — %s\n"
-    (if ok_wc then "OK" else "MISMATCH");
-  Printf.printf "shape check: robust nominal throughput within the loss bound — %s\n"
-    (if ok_thr then "OK" else "MISMATCH");
-  Printf.printf
-    "shape check: some kind gains >0.1 worst-case retention (two-relay: 0 -> 1/2) — %s\n"
-    (if ok_margin then "OK" else "MISMATCH")
+  check "robust worst-case never below nominal's" ok_wc;
+  check "robust nominal throughput within the loss bound" ok_thr;
+  check "some kind gains >0.1 worst-case retention (two-relay: 0 -> 1/2)" ok_margin
 
 (* ------------------------------------------------------------------ *)
 (* R3 — failure storms: incremental repair vs full re-plan (BENCH_6).   *)
@@ -719,13 +668,10 @@ let robust () =
 let storms () =
   banner "R3 / storms — incremental repair vs full re-plan under correlated outages";
   let lp_before = Lp_counters.snapshot () in
-  let seeds = max 1 !trials in
-  let full_times = ref [] and inc_times = ref [] in
-  let full_constr = ref [] and inc_constr = ref [] in
-  let full_rets = ref [] and inc_rets = ref [] in
-  let patched = ref 0 and fell_back = ref 0 and forced = ref 0 in
+  let seeds = !trials in
+  let patched_runs = ref [] in
+  let fell_back = ref 0 and forced = ref 0 in
   let unrecoverable = ref 0 and total = ref 0 in
-  let max_shortfall = ref 0.0 in
   let recovered = ref 0 and degraded = ref 0 and fallback_final = ref 0 in
   Printf.printf "seeds: %d; storms per seed: 3x burst(k=3), endpoint(2), subtree\n%!" seeds;
   Printf.printf "%6s %-10s %-11s %10s %10s %9s %9s\n" "seed" "storm" "method"
@@ -771,16 +717,7 @@ let storms () =
               let meth =
                 match inc.Repair.repair_method with
                 | `Patched ->
-                  incr patched;
-                  full_times := t_full :: !full_times;
-                  inc_times := t_inc :: !inc_times;
-                  full_constr := full.Repair.replan_seconds :: !full_constr;
-                  inc_constr := inc.Repair.replan_seconds :: !inc_constr;
-                  full_rets := full.Repair.retention :: !full_rets;
-                  inc_rets := inc.Repair.retention :: !inc_rets;
-                  max_shortfall :=
-                    Float.max !max_shortfall
-                      (full.Repair.retention -. inc.Repair.retention);
+                  patched_runs := (t_full, t_inc, full, inc) :: !patched_runs;
                   "patched"
                 | `Fell_back _ ->
                   incr fell_back;
@@ -822,92 +759,84 @@ let storms () =
           | `Fallback _ -> incr fallback_final))
       | [] -> ())
   done;
-  let mean = function
-    | [] -> nan
-    | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-  in
-  let percentile q = function
-    | [] -> nan
-    | xs ->
-      let sorted = List.sort compare xs in
-      let n = List.length sorted in
-      List.nth sorted (max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-  in
-  let mean_full = mean !full_times and mean_inc = mean !inc_times in
+  (* Both legs of every patched storm, newest first. *)
+  let legs f = List.map f !patched_runs in
+  let patched = List.length !patched_runs in
+  let full_times = legs (fun (t, _, _, _) -> t) and inc_times = legs (fun (_, t, _, _) -> t) in
+  let full_constr = legs (fun (_, _, f, _) -> f.Repair.replan_seconds)
+  and inc_constr = legs (fun (_, _, _, i) -> i.Repair.replan_seconds) in
+  let full_rets = legs (fun (_, _, f, _) -> f.Repair.retention)
+  and inc_rets = legs (fun (_, _, _, i) -> i.Repair.retention) in
+  let max_shortfall = List.fold_left Float.max 0.0 (List.map2 ( -. ) full_rets inc_rets) in
+  let mean_full = mean full_times and mean_inc = mean inc_times in
   let speedup = if mean_inc > 0.0 then mean_full /. mean_inc else nan in
   Printf.printf
     "scenarios: %d (%d unrecoverable); patched %d, fell back %d, forced fallbacks %d\n"
-    !total !unrecoverable !patched !fell_back !forced;
+    !total !unrecoverable patched !fell_back !forced;
   Printf.printf "full re-plan:    mean %.3fms  p50 %.3fms  p99 %.3fms  (construction only %.3fms)\n"
-    (1e3 *. mean_full) (1e3 *. percentile 0.5 !full_times)
-    (1e3 *. percentile 0.99 !full_times) (1e3 *. mean !full_constr);
+    (1e3 *. mean_full) (1e3 *. percentile 0.5 full_times)
+    (1e3 *. percentile 0.99 full_times) (1e3 *. mean full_constr);
   Printf.printf "incremental:     mean %.3fms  p50 %.3fms  p99 %.3fms  (construction only %.3fms; speedup %.1fx)\n"
-    (1e3 *. mean_inc) (1e3 *. percentile 0.5 !inc_times)
-    (1e3 *. percentile 0.99 !inc_times) (1e3 *. mean !inc_constr) speedup;
+    (1e3 *. mean_inc) (1e3 *. percentile 0.5 inc_times)
+    (1e3 *. percentile 0.99 inc_times) (1e3 *. mean inc_constr) speedup;
   Printf.printf "retention:       full mean %.4f, incremental mean %.4f, max shortfall %.4f\n"
-    (mean !full_rets) (mean !inc_rets) !max_shortfall;
+    (mean full_rets) (mean inc_rets) max_shortfall;
   Printf.printf "online recovery: %d recovered, %d degraded, %d fallback\n" !recovered
     !degraded !fallback_final;
   let lp_d = Lp_counters.since lp_before in
   Printf.printf "warm starts:     %d hits across %d float solves (survivor LBs seeded from the nominal basis)\n"
     lp_d.Lp_counters.warm_hits lp_d.Lp_counters.float_solves;
-  let ok_speedup = !patched > 0 && speedup >= 3.0 in
-  let ok_retention = !patched > 0 && !max_shortfall <= 0.02 +. 1e-9 in
-  let ok_fallback = !forced >= 1 in
-  let ok_warm = lp_d.Lp_counters.warm_hits > 0 in
-  Printf.printf "shape check: incremental repair >= 3x faster than full re-plan (mean) — %s\n"
-    (if ok_speedup then "OK" else "MISMATCH");
-  Printf.printf "shape check: every patched storm within 2%% of full re-plan retention — %s\n"
-    (if ok_retention then "OK" else "MISMATCH");
-  Printf.printf "shape check: fallback leg exercised by the sweep — %s\n"
-    (if ok_fallback then "OK" else "MISMATCH");
-  Printf.printf "shape check: warm starts engaged during repair re-planning — %s\n"
-    (if ok_warm then "OK" else "MISMATCH");
-  ensure_out_dir ();
-  let buf = Buffer.create 1024 in
-  let fld ?(indent = "  ") last name v =
-    Buffer.add_string buf (Printf.sprintf "%s%S: %s%s\n" indent name v (if last then "" else ","))
+  let shape =
+    checks
+      [
+        ( "speedup_3x",
+          "incremental repair >= 3x faster than full re-plan (mean)",
+          patched > 0 && speedup >= 3.0 );
+        ( "retention_within_2pct",
+          "every patched storm within 2% of full re-plan retention",
+          patched > 0 && max_shortfall <= 0.02 +. 1e-9 );
+        ("fallback_exercised", "fallback leg exercised by the sweep", !forced >= 1);
+        ( "warm_starts_engaged",
+          "warm starts engaged during repair re-planning",
+          lp_d.Lp_counters.warm_hits > 0 );
+      ]
   in
-  Buffer.add_string buf "{\n";
-  fld false "platform" "\"tiers-small (8 targets)\"";
-  fld false "seeds" (string_of_int seeds);
-  fld false "storm_kinds" "[\"burst\",\"endpoint\",\"subtree\"]";
-  fld false "scenarios" (string_of_int !total);
-  fld false "unrecoverable" (string_of_int !unrecoverable);
-  fld false "patched" (string_of_int !patched);
-  fld false "fell_back" (string_of_int !fell_back);
-  fld false "forced_fallbacks" (string_of_int !forced);
-  let leg name times last =
-    Buffer.add_string buf (Printf.sprintf "  %S: {\n" name);
-    fld ~indent:"    " false "mean_seconds" (Printf.sprintf "%.6f" (mean times));
-    fld ~indent:"    " false "p50_seconds" (Printf.sprintf "%.6f" (percentile 0.5 times));
-    fld ~indent:"    " true "p99_seconds" (Printf.sprintf "%.6f" (percentile 0.99 times));
-    Buffer.add_string buf (Printf.sprintf "  }%s\n" (if last then "" else ","))
+  let leg times =
+    Json.JObj
+      [
+        ("mean_seconds", num (mean times));
+        ("p50_seconds", num (percentile 0.5 times));
+        ("p99_seconds", num (percentile 0.99 times));
+      ]
   in
-  leg "full_replan" !full_times false;
-  leg "incremental" !inc_times false;
-  fld false "full_replan_construction_mean_seconds" (Printf.sprintf "%.6f" (mean !full_constr));
-  fld false "incremental_construction_mean_seconds" (Printf.sprintf "%.6f" (mean !inc_constr));
-  fld false "mean_speedup" (Printf.sprintf "%.4f" speedup);
-  fld false "retention_full_mean" (Printf.sprintf "%.4f" (mean !full_rets));
-  fld false "retention_incremental_mean" (Printf.sprintf "%.4f" (mean !inc_rets));
-  fld false "retention_max_shortfall" (Printf.sprintf "%.4f" !max_shortfall);
-  fld false "warm_hits" (string_of_int lp_d.Lp_counters.warm_hits);
-  Buffer.add_string buf "  \"online_recovery\": {\n";
-  fld ~indent:"    " false "recovered" (string_of_int !recovered);
-  fld ~indent:"    " false "degraded" (string_of_int !degraded);
-  fld ~indent:"    " true "fallback" (string_of_int !fallback_final);
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"shape\": {\n";
-  fld ~indent:"    " false "speedup_3x" (if ok_speedup then "true" else "false");
-  fld ~indent:"    " false "retention_within_2pct" (if ok_retention then "true" else "false");
-  fld ~indent:"    " false "fallback_exercised" (if ok_fallback then "true" else "false");
-  fld ~indent:"    " true "warm_starts_engaged" (if ok_warm then "true" else "false");
-  Buffer.add_string buf "  }\n}\n";
-  let fname = bench_json_file 6 in
-  let oc = open_out fname in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "storm summary: %s\n" fname
+  summary 6 "storm"
+    [
+      ("platform", str "tiers-small (8 targets)");
+      ("seeds", Json.int seeds);
+      ("storm_kinds", Json.JList [ str "burst"; str "endpoint"; str "subtree" ]);
+      ("scenarios", Json.int !total);
+      ("unrecoverable", Json.int !unrecoverable);
+      ("patched", Json.int patched);
+      ("fell_back", Json.int !fell_back);
+      ("forced_fallbacks", Json.int !forced);
+      ("full_replan", leg full_times);
+      ("incremental", leg inc_times);
+      ("full_replan_construction_mean_seconds", num (mean full_constr));
+      ("incremental_construction_mean_seconds", num (mean inc_constr));
+      ("mean_speedup", num speedup);
+      ("retention_full_mean", num (mean full_rets));
+      ("retention_incremental_mean", num (mean inc_rets));
+      ("retention_max_shortfall", num max_shortfall);
+      ("warm_hits", Json.int lp_d.Lp_counters.warm_hits);
+      ( "online_recovery",
+        Json.JObj
+          [
+            ("recovered", Json.int !recovered);
+            ("degraded", Json.int !degraded);
+            ("fallback", Json.int !fallback_final);
+          ] );
+      ("shape", shape);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* R4 — chaos soak: damped controller vs naive re-planning (BENCH_7).   *)
@@ -928,15 +857,9 @@ let storms () =
    records and the regression gate compares. *)
 let soak_bench () =
   banner "R4 / soak — flap-damped recovery controller vs naive re-planning";
-  let seeds = max 1 !trials in
+  let seeds = !trials in
   let horizon = Rat.of_int 400 in
-  let naive_replans = ref 0 and damped_replans = ref 0 in
-  let naive_delivered = ref 0.0 and damped_delivered = ref 0.0 in
-  let nominal_integral = ref 0.0 in
-  let naive_avail = ref [] and damped_avail = ref [] in
-  let damped_patches = ref 0 and suppressions = ref 0 and reintegrations = ref 0 in
-  let exhaustions = ref 0 and epochs = ref 0 and events = ref 0 in
-  let soaked = ref 0 in
+  let runs = ref [] in
   Printf.printf
     "seeds: %d; flapping 3 links x 6 flaps (mean up 40, down 5), horizon %s\n%!" seeds
     (Rat.to_string horizon);
@@ -962,104 +885,99 @@ let soak_bench () =
       in
       let naive = run (Soak.naive_config p) in
       let damped = run (Soak.default_config p) in
-      incr soaked;
-      naive_replans := !naive_replans + naive.Soak.sk_full_replans;
-      damped_replans := !damped_replans + damped.Soak.sk_full_replans;
-      naive_delivered := !naive_delivered +. naive.Soak.sk_delivered_integral;
-      damped_delivered := !damped_delivered +. damped.Soak.sk_delivered_integral;
-      nominal_integral := !nominal_integral +. naive.Soak.sk_nominal_integral;
-      naive_avail := naive.Soak.sk_availability :: !naive_avail;
-      damped_avail := damped.Soak.sk_availability :: !damped_avail;
-      damped_patches := !damped_patches + damped.Soak.sk_patches;
-      suppressions := !suppressions + damped.Soak.sk_suppressions;
-      reintegrations := !reintegrations + damped.Soak.sk_reintegrations;
-      exhaustions := !exhaustions + damped.Soak.sk_token_exhaustions;
-      epochs := !epochs + damped.Soak.sk_epochs;
-      events := !events + damped.Soak.sk_events;
+      runs := (naive, damped) :: !runs;
       Printf.printf "%6d %8d | %10d %10d | %10.3f %10.3f | %9d\n" seed
         damped.Soak.sk_events naive.Soak.sk_full_replans damped.Soak.sk_full_replans
         naive.Soak.sk_delivered_integral damped.Soak.sk_delivered_integral
         damped.Soak.sk_suppressions
   done;
-  let mean = function
-    | [] -> nan
-    | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-  in
+  (* Totals over the seeds, summed in seed order. *)
+  let naive = List.rev_map fst !runs and damped = List.rev_map snd !runs in
+  let count f = List.fold_left (fun a r -> a + f r) 0 in
+  let sum f = List.fold_left (fun a r -> a +. f r) 0.0 in
+  let soaked = List.length naive in
+  let naive_replans = count (fun r -> r.Soak.sk_full_replans) naive
+  and damped_replans = count (fun r -> r.Soak.sk_full_replans) damped
+  and naive_delivered = sum (fun r -> r.Soak.sk_delivered_integral) naive
+  and damped_delivered = sum (fun r -> r.Soak.sk_delivered_integral) damped
+  and nominal_integral = sum (fun r -> r.Soak.sk_nominal_integral) naive
+  and damped_patches = count (fun r -> r.Soak.sk_patches) damped
+  and suppressions = count (fun r -> r.Soak.sk_suppressions) damped
+  and reintegrations = count (fun r -> r.Soak.sk_reintegrations) damped
+  and exhaustions = count (fun r -> r.Soak.sk_token_exhaustions) damped
+  and epochs = count (fun r -> r.Soak.sk_epochs) damped
+  and events = count (fun r -> r.Soak.sk_events) damped in
+  let avail reps = mean (List.map (fun r -> r.Soak.sk_availability) reps) in
   let delivered_ratio =
-    if !naive_delivered > 0.0 then !damped_delivered /. !naive_delivered else nan
+    if naive_delivered > 0.0 then damped_delivered /. naive_delivered else nan
   in
   let replan_ratio =
-    if !damped_replans > 0 then
-      float_of_int !naive_replans /. float_of_int !damped_replans
+    if damped_replans > 0 then
+      float_of_int naive_replans /. float_of_int damped_replans
     else infinity
   in
-  Printf.printf "full re-plans:  naive %d, damped %d (%.1fx fewer)\n" !naive_replans
-    !damped_replans replan_ratio;
+  Printf.printf "full re-plans:  naive %d, damped %d (%.1fx fewer)\n" naive_replans
+    damped_replans replan_ratio;
   Printf.printf "delivered:      naive %.3f, damped %.3f of %.3f nominal (ratio %.4f)\n"
-    !naive_delivered !damped_delivered !nominal_integral delivered_ratio;
-  Printf.printf "availability:   naive mean %.4f, damped mean %.4f\n" (mean !naive_avail)
-    (mean !damped_avail);
+    naive_delivered damped_delivered nominal_integral delivered_ratio;
+  Printf.printf "availability:   naive mean %.4f, damped mean %.4f\n" (avail naive)
+    (avail damped);
   Printf.printf
     "damped extras:  %d patches, %d suppressions, %d re-integrations, %d token \
      exhaustions over %d epochs\n"
-    !damped_patches !suppressions !reintegrations !exhaustions !epochs;
-  let ok_replans = !soaked > 0 && !naive_replans >= 3 * max 1 !damped_replans in
-  let ok_delivered = !soaked > 0 && delivered_ratio >= 0.95 in
-  let ok_damping = !suppressions >= 1 in
-  Printf.printf
-    "shape check: damped controller does >= 3x fewer full re-plans than naive — %s\n"
-    (if ok_replans then "OK" else "MISMATCH");
-  Printf.printf
-    "shape check: damped delivered-throughput integral within 5%% of naive — %s\n"
-    (if ok_delivered then "OK" else "MISMATCH");
-  Printf.printf "shape check: flap damping exercised (suppressions happened) — %s\n"
-    (if ok_damping then "OK" else "MISMATCH");
-  ensure_out_dir ();
-  let buf = Buffer.create 1024 in
-  let fld ?(indent = "  ") last name v =
-    Buffer.add_string buf
-      (Printf.sprintf "%s%S: %s%s\n" indent name v (if last then "" else ","))
+    damped_patches suppressions reintegrations exhaustions epochs;
+  let shape =
+    checks
+      [
+        ( "replans_3x_fewer",
+          "damped controller does >= 3x fewer full re-plans than naive",
+          soaked > 0 && naive_replans >= 3 * max 1 damped_replans );
+        ( "delivered_within_5pct",
+          "damped delivered-throughput integral within 5% of naive",
+          soaked > 0 && delivered_ratio >= 0.95 );
+        ("damping_exercised", "flap damping exercised (suppressions happened)", suppressions >= 1);
+      ]
   in
-  Buffer.add_string buf "{\n";
-  fld false "platform" "\"tiers-small (8 targets)\"";
-  fld false "scenario" "\"flapping: 3 links x 6 flaps, mean up 40, mean down 5\"";
-  fld false "horizon" (Rat.to_string horizon);
-  fld false "seeds" (string_of_int seeds);
-  fld false "soaked" (string_of_int !soaked);
-  fld false "fault_events" (string_of_int !events);
-  fld false "epochs_damped" (string_of_int !epochs);
-  fld false "full_replans_naive" (string_of_int !naive_replans);
-  fld false "full_replans_damped" (string_of_int !damped_replans);
-  fld false "replan_ratio"
-    (if Float.is_finite replan_ratio then Printf.sprintf "%.4f" replan_ratio
-     else "\"inf\"");
-  fld false "delivered_naive" (Printf.sprintf "%.6f" !naive_delivered);
-  fld false "delivered_damped" (Printf.sprintf "%.6f" !damped_delivered);
-  fld false "nominal_integral" (Printf.sprintf "%.6f" !nominal_integral);
-  fld false "delivered_ratio" (Printf.sprintf "%.6f" delivered_ratio);
-  fld false "availability_naive_mean" (Printf.sprintf "%.6f" (mean !naive_avail));
-  fld false "availability_damped_mean" (Printf.sprintf "%.6f" (mean !damped_avail));
-  fld false "damped_patches" (string_of_int !damped_patches);
-  fld false "suppressions" (string_of_int !suppressions);
-  fld false "reintegrations" (string_of_int !reintegrations);
-  fld false "token_exhaustions" (string_of_int !exhaustions);
-  Buffer.add_string buf "  \"shape\": {\n";
-  fld ~indent:"    " false "replans_3x_fewer" (if ok_replans then "true" else "false");
-  fld ~indent:"    " false "delivered_within_5pct" (if ok_delivered then "true" else "false");
-  fld ~indent:"    " true "damping_exercised" (if ok_damping then "true" else "false");
-  Buffer.add_string buf "  }\n}\n";
-  let fname = bench_json_file 7 in
-  let oc = open_out fname in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "soak summary: %s\n" fname
+  summary 7 "soak"
+    [
+      ("platform", str "tiers-small (8 targets)");
+      ("scenario", str "flapping: 3 links x 6 flaps, mean up 40, mean down 5");
+      ("horizon", num (Rat.to_float horizon));
+      ("seeds", Json.int seeds);
+      ("soaked", Json.int soaked);
+      ("fault_events", Json.int events);
+      ("epochs_damped", Json.int epochs);
+      ("full_replans_naive", Json.int naive_replans);
+      ("full_replans_damped", Json.int damped_replans);
+      ("replan_ratio", num replan_ratio);
+      ("delivered_naive", num naive_delivered);
+      ("delivered_damped", num damped_delivered);
+      ("nominal_integral", num nominal_integral);
+      ("delivered_ratio", num delivered_ratio);
+      ("availability_naive_mean", num (avail naive));
+      ("availability_damped_mean", num (avail damped));
+      ("damped_patches", Json.int damped_patches);
+      ("suppressions", Json.int suppressions);
+      ("reintegrations", Json.int reintegrations);
+      ("token_exhaustions", Json.int exhaustions);
+      ("shape", shape);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* S1 — online sessions: incremental warm re-planning vs per-epoch cold
    re-plans, on identical seeded workloads and fault scenarios. *)
 
+(* One seed's S1 instance: the platform, its session workload and a
+   3-link burst at [burst_at], each from its own seed stream. *)
+let s1_instance wl_params ~horizon ~burst_at seed =
+  let p = Tiers.generate (Random.State.make [| seed; 6271 |]) Tiers.small_params ~n_targets:8 in
+  ( p,
+    Workload.generate (Random.State.make [| seed; 9001 |]) p wl_params ~horizon,
+    Fault.random_burst (Random.State.make [| seed; 9002 |]) p ~k:3 ~window:Rat.one ~at:burst_at )
+
 let sessions_bench () =
   banner "S1 / sessions — incremental warm re-planning vs per-epoch cold re-plans";
-  let seeds = max 1 !trials in
+  let seeds = !trials in
   let horizon = Rat.of_int (if !fast then 200 else 300) in
   (* Long-lived sessions at modest demand fractions: plenty of quiet
      epochs where incremental planning has nothing to do while cold mode
@@ -1076,12 +994,7 @@ let sessions_bench () =
     }
   in
   let burst_at = Rat.div horizon (Rat.of_int 2) in
-  let inc_secs = ref [] and cold_secs = ref [] in
-  let inc_replans = ref 0 and cold_replans = ref 0 and skipped = ref 0 in
-  let inc_admitted = ref 0 and cold_admitted = ref 0 in
-  let admitted_equal = ref true in
-  let inc_rate = ref 0.0 and cold_rate = ref 0.0 in
-  let offered = ref 0 and ran = ref 0 in
+  let runs = ref [] in
   Printf.printf "seeds: %d; tiers-small (8 targets), horizon %s, epoch %s, burst at %s\n%!"
     seeds (Rat.to_string horizon)
     (Rat.to_string Horizon.default_config.Horizon.epoch)
@@ -1089,16 +1002,7 @@ let sessions_bench () =
   Printf.printf "%6s %8s | %9s %9s | %9s %9s %8s | %10s %10s\n" "seed" "offered"
     "inc-adm" "cold-adm" "inc-rpl" "cold-rpl" "skipped" "inc-p99" "cold-p99";
   for seed = 1 to seeds do
-    let p =
-      Tiers.generate (Random.State.make [| seed; 6271 |]) Tiers.small_params ~n_targets:8
-    in
-    let sessions =
-      Workload.generate (Random.State.make [| seed; 9001 |]) p wl_params ~horizon
-    in
-    let faults =
-      Fault.random_burst (Random.State.make [| seed; 9002 |]) p ~k:3 ~window:Rat.one
-        ~at:burst_at
-    in
+    let p, sessions, faults = s1_instance wl_params ~horizon ~burst_at seed in
     let run mode =
       let config = { Horizon.default_config with Horizon.replan_mode = mode } in
       match Horizon.run ~config ~faults p sessions ~horizon with
@@ -1107,100 +1011,81 @@ let sessions_bench () =
     in
     let inc = run `Incremental in
     let cold = run `Cold in
-    incr ran;
-    offered := !offered + List.length sessions;
-    if inc.Horizon.hz_admitted <> cold.Horizon.hz_admitted then admitted_equal := false;
-    inc_admitted := !inc_admitted + inc.Horizon.hz_admitted;
-    cold_admitted := !cold_admitted + cold.Horizon.hz_admitted;
-    inc_replans := !inc_replans + inc.Horizon.hz_replans;
-    cold_replans := !cold_replans + cold.Horizon.hz_replans;
-    skipped := !skipped + inc.Horizon.hz_replans_skipped;
-    inc_rate := !inc_rate +. inc.Horizon.hz_admitted_rate_sum;
-    cold_rate := !cold_rate +. cold.Horizon.hz_admitted_rate_sum;
-    let push acc rep =
-      List.iter
-        (fun (e : Horizon.epoch_record) -> acc := e.Horizon.ep_seconds :: !acc)
-        rep.Horizon.hz_epochs
-    in
-    push inc_secs inc;
-    push cold_secs cold;
+    runs := (List.length sessions, inc, cold) :: !runs;
     Printf.printf "%6d %8d | %9d %9d | %9d %9d %8d | %10.4f %10.4f\n%!" seed
       (List.length sessions) inc.Horizon.hz_admitted cold.Horizon.hz_admitted
       inc.Horizon.hz_replans cold.Horizon.hz_replans inc.Horizon.hz_replans_skipped
       inc.Horizon.hz_p99_epoch_seconds cold.Horizon.hz_p99_epoch_seconds
   done;
-  (* Nearest-rank percentile over all epochs of all seeds: per-seed p99
-     on ~60 epochs is just the max, which a single heavy admission epoch
-     (identical work in both modes) can dominate. *)
-  let percentile q xs =
-    match List.sort compare xs with
-    | [] -> nan
-    | sorted ->
-      let n = List.length sorted in
-      let idx = min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1) in
-      List.nth sorted (max 0 idx)
+  (* Totals over the seeds, summed in seed order. *)
+  let runs = List.rev !runs in
+  let ran = List.length runs in
+  let count f = List.fold_left (fun a run -> a + f run) 0 runs in
+  let sum f = List.fold_left (fun a run -> a +. f run) 0.0 runs in
+  let offered = count (fun (n, _, _) -> n)
+  and inc_admitted = count (fun (_, i, _) -> i.Horizon.hz_admitted)
+  and cold_admitted = count (fun (_, _, c) -> c.Horizon.hz_admitted)
+  and inc_replans = count (fun (_, i, _) -> i.Horizon.hz_replans)
+  and cold_replans = count (fun (_, _, c) -> c.Horizon.hz_replans)
+  and skipped = count (fun (_, i, _) -> i.Horizon.hz_replans_skipped)
+  and inc_rate = sum (fun (_, i, _) -> i.Horizon.hz_admitted_rate_sum)
+  and cold_rate = sum (fun (_, _, c) -> c.Horizon.hz_admitted_rate_sum) in
+  let admitted_equal =
+    List.for_all (fun (_, i, c) -> i.Horizon.hz_admitted = c.Horizon.hz_admitted) runs
   in
-  let inc_p99 = percentile 0.99 !inc_secs and cold_p99 = percentile 0.99 !cold_secs in
+  let epoch_seconds (rep : Horizon.report) =
+    List.map (fun (e : Horizon.epoch_record) -> e.Horizon.ep_seconds) rep.Horizon.hz_epochs
+  in
+  (* p99 over all epochs of all seeds: per-seed p99 on ~60 epochs is just
+     the max, which a single heavy admission epoch (identical work in both
+     modes) can dominate. *)
+  let inc_p99 = percentile 0.99 (List.concat_map (fun (_, i, _) -> epoch_seconds i) runs)
+  and cold_p99 = percentile 0.99 (List.concat_map (fun (_, _, c) -> epoch_seconds c) runs) in
   let p99_ratio = if inc_p99 > 0.0 then cold_p99 /. inc_p99 else infinity in
   let replan_ratio =
-    if !inc_replans > 0 then float_of_int !cold_replans /. float_of_int !inc_replans
+    if inc_replans > 0 then float_of_int cold_replans /. float_of_int inc_replans
     else infinity
   in
   Printf.printf "admissions:  incremental %d, cold %d of %d offered (equal per seed: %b)\n"
-    !inc_admitted !cold_admitted !offered !admitted_equal;
+    inc_admitted cold_admitted offered admitted_equal;
   Printf.printf "re-plans:    incremental %d (+%d skipped), cold %d (%.1fx more)\n"
-    !inc_replans !skipped !cold_replans replan_ratio;
+    inc_replans skipped cold_replans replan_ratio;
   Printf.printf "epoch p99:   incremental %.4fs, cold %.4fs (%.1fx)\n" inc_p99 cold_p99
     p99_ratio;
-  Printf.printf "rate sums:   incremental %.4f, cold %.4f msg/unit\n" !inc_rate !cold_rate;
-  let ok_admit = !ran > 0 && !admitted_equal in
-  let ok_p99 = !ran > 0 && cold_p99 >= 3.0 *. inc_p99 in
-  let ok_skip = !skipped > !inc_replans in
-  Printf.printf
-    "shape check: incremental admits exactly the sessions cold admits — %s\n"
-    (if ok_admit then "OK" else "MISMATCH");
-  Printf.printf
-    "shape check: incremental beats cold by >= 3x p99 epoch latency — %s\n"
-    (if ok_p99 then "OK" else "MISMATCH");
-  Printf.printf "shape check: most per-epoch re-plan work is skipped — %s\n"
-    (if ok_skip then "OK" else "MISMATCH");
-  ensure_out_dir ();
-  let buf = Buffer.create 1024 in
-  let fld ?(indent = "  ") last name v =
-    Buffer.add_string buf
-      (Printf.sprintf "%s%S: %s%s\n" indent name v (if last then "" else ","))
+  Printf.printf "rate sums:   incremental %.4f, cold %.4f msg/unit\n" inc_rate cold_rate;
+  let shape =
+    checks
+      [
+        ( "admissions_equal",
+          "incremental admits exactly the sessions cold admits",
+          ran > 0 && admitted_equal );
+        ( "p99_3x_faster",
+          "incremental beats cold by >= 3x p99 epoch latency",
+          ran > 0 && cold_p99 >= 3.0 *. inc_p99 );
+        ("most_replans_skipped", "most per-epoch re-plan work is skipped", skipped > inc_replans);
+      ]
   in
-  Buffer.add_string buf "{\n";
-  fld false "platform" "\"tiers-small (8 targets)\"";
-  fld false "workload"
-    "\"Poisson 0.08/unit, Pareto hold mean 100, demand 10-35% of standalone\"";
-  fld false "scenario" (Printf.sprintf "\"burst: 3 links at t=%s\"" (Rat.to_string burst_at));
-  fld false "horizon" (Rat.to_string horizon);
-  fld false "seeds" (string_of_int seeds);
-  fld false "offered" (string_of_int !offered);
-  fld false "admitted_incremental" (string_of_int !inc_admitted);
-  fld false "admitted_cold" (string_of_int !cold_admitted);
-  fld false "replans_incremental" (string_of_int !inc_replans);
-  fld false "replans_skipped" (string_of_int !skipped);
-  fld false "replans_cold" (string_of_int !cold_replans);
-  fld false "replan_ratio"
-    (if Float.is_finite replan_ratio then Printf.sprintf "%.4f" replan_ratio
-     else "\"inf\"");
-  fld false "p99_epoch_seconds_incremental" (Printf.sprintf "%.6f" inc_p99);
-  fld false "p99_epoch_seconds_cold" (Printf.sprintf "%.6f" cold_p99);
-  fld false "p99_ratio"
-    (if Float.is_finite p99_ratio then Printf.sprintf "%.4f" p99_ratio else "\"inf\"");
-  fld false "admitted_rate_sum_incremental" (Printf.sprintf "%.6f" !inc_rate);
-  fld false "admitted_rate_sum_cold" (Printf.sprintf "%.6f" !cold_rate);
-  Buffer.add_string buf "  \"shape\": {\n";
-  fld ~indent:"    " false "admissions_equal" (if ok_admit then "true" else "false");
-  fld ~indent:"    " false "p99_3x_faster" (if ok_p99 then "true" else "false");
-  fld ~indent:"    " true "most_replans_skipped" (if ok_skip then "true" else "false");
-  Buffer.add_string buf "  }\n}\n";
-  let fname = bench_json_file 8 in
-  let oc = open_out fname in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "sessions summary: %s\n" fname
+  summary 8 "sessions"
+    [
+      ("platform", str "tiers-small (8 targets)");
+      ("workload", str "Poisson 0.08/unit, Pareto hold mean 100, demand 10-35% of standalone");
+      ("scenario", str ("burst: 3 links at t=" ^ Rat.to_string burst_at));
+      ("horizon", num (Rat.to_float horizon));
+      ("seeds", Json.int seeds);
+      ("offered", Json.int offered);
+      ("admitted_incremental", Json.int inc_admitted);
+      ("admitted_cold", Json.int cold_admitted);
+      ("replans_incremental", Json.int inc_replans);
+      ("replans_skipped", Json.int skipped);
+      ("replans_cold", Json.int cold_replans);
+      ("replan_ratio", num replan_ratio);
+      ("p99_epoch_seconds_incremental", num inc_p99);
+      ("p99_epoch_seconds_cold", num cold_p99);
+      ("p99_ratio", num p99_ratio);
+      ("admitted_rate_sum_incremental", num inc_rate);
+      ("admitted_rate_sum_cold", num cold_rate);
+      ("shape", shape);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* O4 / SLO — burn-rate telemetry and in-lifetime enforcement on S1.    *)
@@ -1214,7 +1099,7 @@ let sessions_bench () =
    the whole-run gauges (BENCH_5, the regression baseline) describe it. *)
 let slo_bench () =
   banner "O4 / SLO — burn-rate telemetry + in-lifetime enforcement on the S1 workload";
-  let seeds = max 1 !trials in
+  let seeds = !trials in
   let horizon = Rat.of_int (if !fast then 200 else 300) in
   (* The S1 platform, burst and seed streams, with the demand fractions
      raised: enforcement only has something to do when several hungry
@@ -1241,7 +1126,6 @@ let slo_bench () =
   let breaches = ref 0 in
   let sum_short_off = ref 0.0 and sum_short_on = ref 0.0 in
   let worst_off = ref 1.0 and worst_on = ref 1.0 in
-  let degraded_off = ref 0 and degraded_on = ref 0 in
   let bare_secs = ref 0.0 and sampled_secs = ref 0.0 in
   let ran = ref 0 in
   (* Mean per-session shortfall: how far below its admitted rate a
@@ -1260,25 +1144,14 @@ let slo_bench () =
               -. Rat.to_float (Rat.div s.Horizon.sr_min_rate s.Horizon.sr_admitted_rate)))
         rep.Horizon.hz_sessions
     in
-    match shorts with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 shorts /. float_of_int (List.length shorts)
+    if shorts = [] then 0.0 else mean shorts
   in
   Printf.printf "seeds: %d; tiers-small (8 targets), horizon %s, burst at %s\n%!" seeds
     (Rat.to_string horizon) (Rat.to_string burst_at);
   Printf.printf "%6s | %9s %9s | %10s %10s | %6s %6s | %8s %8s\n" "seed" "adm-off"
     "adm-on" "short-off" "short-on" "dg-off" "dg-on" "breaches" "digest=";
   for seed = 1 to seeds do
-    let p =
-      Tiers.generate (Random.State.make [| seed; 6271 |]) Tiers.small_params ~n_targets:8
-    in
-    let sessions =
-      Workload.generate (Random.State.make [| seed; 9001 |]) p wl_params ~horizon
-    in
-    let faults =
-      Fault.random_burst (Random.State.make [| seed; 9002 |]) p ~k:3 ~window:Rat.one
-        ~at:burst_at
-    in
+    let p, sessions, faults = s1_instance wl_params ~horizon ~burst_at seed in
     let run ?telemetry ?(slo_enforce = false) () =
       match Horizon.run ~faults ?telemetry ~slo_enforce p sessions ~horizon with
       | Error e -> failwith ("slo bench: " ^ e)
@@ -1315,8 +1188,6 @@ let slo_bench () =
         (fun acc (s : Horizon.session_record) -> acc + s.Horizon.sr_burn_epochs)
         0 rep.Horizon.hz_sessions
     in
-    degraded_off := !degraded_off + burn_epochs off;
-    degraded_on := !degraded_on + burn_epochs enforced;
     Printf.printf "%6d | %9d %9d | %10.4f %10.4f | %6d %6d | %8d %8b\n%!" seed
       bare.Horizon.hz_admitted enforced.Horizon.hz_admitted s_off s_on (burn_epochs off)
       (burn_epochs enforced) n_breach
@@ -1401,53 +1272,40 @@ let slo_bench () =
     duel_off_burn duel_on_burn duel_off_frac duel_on_frac;
   Printf.printf "overhead:    sampling %.1f%% over bare (%.3fs vs %.3fs)\n"
     (100.0 *. overhead) !sampled_secs !bare_secs;
-  let ok_digest = !ran > 0 && !digest_invariant in
-  let ok_admit = !ran > 0 && !admissions_equal && duel_admissions_equal in
-  let ok_short = !sum_short_on <= !sum_short_off +. 1e-9 && !worst_on >= !worst_off -. 1e-9 in
-  let ok_duel = duel_on_burn < duel_off_burn && duel_on_frac > duel_off_frac +. 1e-9 in
-  let ok_breach = !breaches > 0 in
-  Printf.printf "shape check: sampling never perturbs the digest — %s\n"
-    (if ok_digest then "OK" else "MISMATCH");
-  Printf.printf "shape check: enforcement leaves admissions unchanged — %s\n"
-    (if ok_admit then "OK" else "MISMATCH");
-  Printf.printf "shape check: enforcement never worsens delivered-fraction shortfall — %s\n"
-    (if ok_short then "OK" else "MISMATCH");
-  Printf.printf "shape check: enforcement rescues the duel victim — %s\n"
-    (if ok_duel then "OK" else "MISMATCH");
-  Printf.printf "shape check: the burst provokes at least one SLO breach — %s\n"
-    (if ok_breach then "OK" else "MISMATCH");
-  ensure_out_dir ();
-  let buf = Buffer.create 1024 in
-  let fld ?(indent = "  ") last name v =
-    Buffer.add_string buf
-      (Printf.sprintf "%s%S: %s%s\n" indent name v (if last then "" else ","))
+  let shape =
+    checks
+      [
+        ("digest_invariant", "sampling never perturbs the digest", !ran > 0 && !digest_invariant);
+        ( "admissions_equal",
+          "enforcement leaves admissions unchanged",
+          !ran > 0 && !admissions_equal && duel_admissions_equal );
+        ( "shortfall_no_worse",
+          "enforcement never worsens delivered-fraction shortfall",
+          !sum_short_on <= !sum_short_off +. 1e-9 && !worst_on >= !worst_off -. 1e-9 );
+        ( "duel_victim_rescued",
+          "enforcement rescues the duel victim",
+          duel_on_burn < duel_off_burn && duel_on_frac > duel_off_frac +. 1e-9 );
+        ("breach_observed", "the burst provokes at least one SLO breach", !breaches > 0);
+      ]
   in
-  Buffer.add_string buf "{\n";
-  fld false "platform" "\"tiers-small (8 targets)\"";
-  fld false "objective" (Printf.sprintf "%S" (Slo.spec (List.hd objectives)));
-  fld false "horizon" (Rat.to_string horizon);
-  fld false "seeds" (string_of_int seeds);
-  fld false "breaches" (string_of_int !breaches);
-  fld false "mean_shortfall_off" (Printf.sprintf "%.6f" (!sum_short_off /. float_of_int !ran));
-  fld false "mean_shortfall_on" (Printf.sprintf "%.6f" (!sum_short_on /. float_of_int !ran));
-  fld false "worst_delivered_fraction_off" (Printf.sprintf "%.6f" !worst_off);
-  fld false "worst_delivered_fraction_on" (Printf.sprintf "%.6f" !worst_on);
-  fld false "duel_burn_epochs_off" (string_of_int duel_off_burn);
-  fld false "duel_burn_epochs_on" (string_of_int duel_on_burn);
-  fld false "duel_final_fraction_off" (Printf.sprintf "%.6f" duel_off_frac);
-  fld false "duel_final_fraction_on" (Printf.sprintf "%.6f" duel_on_frac);
-  fld false "sampling_overhead" (Printf.sprintf "%.6f" overhead);
-  Buffer.add_string buf "  \"shape\": {\n";
-  fld ~indent:"    " false "digest_invariant" (if ok_digest then "true" else "false");
-  fld ~indent:"    " false "admissions_equal" (if ok_admit then "true" else "false");
-  fld ~indent:"    " false "shortfall_no_worse" (if ok_short then "true" else "false");
-  fld ~indent:"    " false "duel_victim_rescued" (if ok_duel then "true" else "false");
-  fld ~indent:"    " true "breach_observed" (if ok_breach then "true" else "false");
-  Buffer.add_string buf "  }\n}\n";
-  let fname = bench_json_file 9 in
-  let oc = open_out fname in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "slo summary: %s\n" fname
+  summary 9 "slo"
+    [
+      ("platform", str "tiers-small (8 targets)");
+      ("objective", str (Slo.spec (List.hd objectives)));
+      ("horizon", num (Rat.to_float horizon));
+      ("seeds", Json.int seeds);
+      ("breaches", Json.int !breaches);
+      ("mean_shortfall_off", num (!sum_short_off /. float_of_int !ran));
+      ("mean_shortfall_on", num (!sum_short_on /. float_of_int !ran));
+      ("worst_delivered_fraction_off", num !worst_off);
+      ("worst_delivered_fraction_on", num !worst_on);
+      ("duel_burn_epochs_off", Json.int duel_off_burn);
+      ("duel_burn_epochs_on", Json.int duel_on_burn);
+      ("duel_final_fraction_off", num duel_off_frac);
+      ("duel_final_fraction_on", num duel_on_frac);
+      ("sampling_overhead", num overhead);
+      ("shape", shape);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E11 — Theorem 5: prefix gadget.                                      *)
@@ -1480,8 +1338,7 @@ let prefix () =
         end)
       [ k_star - 1; k_star ]
   done;
-  Printf.printf "shape check: throughput-1 scheme exists iff the cover fits the bound — %s\n"
-    (if !all_ok then "OK" else "MISMATCH")
+  check "throughput-1 scheme exists iff the cover fits the bound" !all_ok
 
 (* ------------------------------------------------------------------ *)
 (* P1 — parallel scenario engine: pool + LP-solve cache (BENCH_3).      *)
@@ -1510,11 +1367,6 @@ let pseries () =
   Printf.printf "%s\n" (Platform.describe p);
   Printf.printf "scenario cap: %d; pareto LB audit cap: %d; parallel leg: %d jobs\n%!"
     max_scenarios audit_cap par_jobs;
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: take (k - 1) rest
-  in
   (* The workload is the R2 sweep's expensive core: a robust plan with
      survivor-LB references, then an LB audit of the Pareto front (every
      Pareto candidate re-scored with per-scenario LB references). With the
@@ -1532,7 +1384,7 @@ let pseries () =
       | Ok r -> r
       | Error e -> failwith ("pseries: robust plan failed: " ^ e)
     in
-    let audited = take audit_cap rep.Robust_plan.pareto in
+    let audited = List.filteri (fun i _ -> i < audit_cap) rep.Robust_plan.pareto in
     (* Candidate-level pool (inner scoring sequential: pools don't nest);
        map_stats surfaces worker utilization for the report. Survivors are
        prepared once and shared across the audited candidates. *)
@@ -1594,12 +1446,9 @@ let pseries () =
   Printf.printf "speedup: %.2fx; cache hit rate: %.1f%%; pool tasks per worker: [%s]\n"
     speedup (100. *. hit_rate)
     (String.concat ";" (Array.to_list (Array.map string_of_int par.p1_pool.Pool.per_worker)));
-  Printf.printf "shape check: parallel+cache at least 2x the sequential leg — %s\n"
-    (if speedup >= 2.0 then "OK" else "MISMATCH");
-  Printf.printf "shape check: nonzero LP-cache hit rate — %s\n"
-    (if par.p1_hits > 0 then "OK" else "MISMATCH");
-  Printf.printf "shape check: parallel results bit-identical to sequential — %s\n"
-    (if identical then "OK" else "MISMATCH");
+  check "parallel+cache at least 2x the sequential leg" (speedup >= 2.0);
+  check "nonzero LP-cache hit rate" (par.p1_hits > 0);
+  check "parallel results bit-identical to sequential" identical;
   (* O3 — warm-vs-cold survivor LB leg: every single-failure survivor
      re-solved twice. Cold is the full ablation (no basis chaining, no
      seed); warm threads the nominal optimal basis — whose row names also
@@ -1656,52 +1505,39 @@ let pseries () =
   wleg "cold (no chain, no seed)" cold_d cold_secs;
   wleg "warm (nominal basis)" warm_d warm_secs;
   Printf.printf "warm-vs-cold pivot ratio: %.2fx\n" pivot_ratio;
-  Printf.printf "shape check: warm-vs-cold pivot reduction at least 5x — %s\n"
-    (if pivot_ratio >= 5.0 then "OK" else "MISMATCH");
-  Printf.printf "shape check: warm starts engaged on the warm leg — %s\n"
-    (if warm_d.Lp_counters.warm_hits > 0 then "OK" else "MISMATCH");
-  Printf.printf "shape check: warm survivor LBs agree with cold — %s\n"
-    (if warm_agree then "OK" else "MISMATCH");
-  (* BENCH_3.json: machine-readable summary for CI artifacts. *)
-  ensure_out_dir ();
-  let buf = Buffer.create 1024 in
-  let fld ?(indent = "  ") last name v =
-    Buffer.add_string buf (Printf.sprintf "%s%S: %s%s\n" indent name v (if last then "" else ","))
+  check "warm-vs-cold pivot reduction at least 5x" (pivot_ratio >= 5.0);
+  check "warm starts engaged on the warm leg" (warm_d.Lp_counters.warm_hits > 0);
+  check "warm survivor LBs agree with cold" warm_agree;
+  let leg l =
+    Json.JObj
+      [
+        ("seconds", num l.p1_seconds);
+        ("lp_solves", Json.int l.p1_solves);
+        ("pivots", Json.int l.p1_pivots);
+        ("cache_hits", Json.int l.p1_hits);
+        ("cache_misses", Json.int l.p1_misses);
+        ( "pool_tasks_per_worker",
+          Json.JList (Array.to_list (Array.map Json.int l.p1_pool.Pool.per_worker)) );
+      ]
   in
-  Buffer.add_string buf "{\n";
-  fld false "platform" (Printf.sprintf "%S" (Platform.describe p));
-  fld false "nodes" (string_of_int (Platform.n_nodes p));
-  fld false "scenario_cap" (string_of_int max_scenarios);
-  fld false "pareto_audit_cap" (string_of_int audit_cap);
-  fld false "parallel_jobs" (string_of_int par_jobs);
-  let leg_json name l last =
-    Buffer.add_string buf (Printf.sprintf "  %S: {\n" name);
-    fld ~indent:"    " false "seconds" (Printf.sprintf "%.4f" l.p1_seconds);
-    fld ~indent:"    " false "lp_solves" (string_of_int l.p1_solves);
-    fld ~indent:"    " false "pivots" (string_of_int l.p1_pivots);
-    fld ~indent:"    " false "cache_hits" (string_of_int l.p1_hits);
-    fld ~indent:"    " false "cache_misses" (string_of_int l.p1_misses);
-    fld ~indent:"    " true "pool_tasks_per_worker"
-      (Printf.sprintf "[%s]"
-         (String.concat ","
-            (Array.to_list (Array.map string_of_int l.p1_pool.Pool.per_worker))));
-    Buffer.add_string buf (Printf.sprintf "  }%s\n" (if last then "" else ","))
-  in
-  leg_json "sequential" seq false;
-  leg_json "parallel" par false;
-  fld false "speedup" (Printf.sprintf "%.4f" speedup);
-  fld false "cache_hit_rate" (Printf.sprintf "%.4f" hit_rate);
-  fld false "warm_survivors" (string_of_int (List.length survivors));
-  fld false "warm_cold_pivots" (string_of_int cold_d.Lp_counters.pivots);
-  fld false "warm_warm_pivots" (string_of_int warm_d.Lp_counters.pivots);
-  fld false "warm_pivot_ratio" (Printf.sprintf "%.4f" pivot_ratio);
-  fld false "warm_hits" (string_of_int warm_d.Lp_counters.warm_hits);
-  fld true "bit_identical" (if identical then "true" else "false");
-  Buffer.add_string buf "}\n";
-  let fname = bench_json_file 3 in
-  let oc = open_out fname in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "parallel-engine summary: %s\n" fname
+  summary 3 "parallel-engine"
+    [
+      ("platform", str (Platform.describe p));
+      ("nodes", Json.int (Platform.n_nodes p));
+      ("scenario_cap", Json.int max_scenarios);
+      ("pareto_audit_cap", Json.int audit_cap);
+      ("parallel_jobs", Json.int par_jobs);
+      ("sequential", leg seq);
+      ("parallel", leg par);
+      ("speedup", num speedup);
+      ("cache_hit_rate", num hit_rate);
+      ("warm_survivors", Json.int (List.length survivors));
+      ("warm_cold_pivots", Json.int cold_d.Lp_counters.pivots);
+      ("warm_warm_pivots", Json.int warm_d.Lp_counters.pivots);
+      ("warm_pivot_ratio", num pivot_ratio);
+      ("warm_hits", Json.int warm_d.Lp_counters.warm_hits);
+      ("bit_identical", Json.JBool identical);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* H1 — heuristic portfolio timing. Exists so the whole-run metrics      *)
@@ -1738,98 +1574,99 @@ let hseries () =
   | Some (Metrics.Histogram h) ->
     Printf.printf "heuristics.method_seconds: count %d, sum %.3fs, min %.4fs, max %.4fs\n"
       h.Metrics.h_count h.Metrics.h_sum h.Metrics.h_min h.Metrics.h_max;
-    Printf.printf "shape check: one observation per method per run (%d = %d x %d) — %s\n"
-      h.Metrics.h_count runs n_methods
-      (if h.Metrics.h_count = runs * n_methods then "OK" else "MISMATCH")
-  | _ -> Printf.printf "shape check: heuristics.method_seconds registered — MISMATCH\n"
+    check
+      (Printf.sprintf "one observation per method per run (%d = %d x %d)" h.Metrics.h_count runs
+         n_methods)
+      (h.Metrics.h_count = runs * n_methods)
+  | _ -> check "heuristics.method_seconds registered" false
 
-(* Hand-rolled JSON (no external deps): per-kind R1 retention means and the
-   R2 robust-vs-nominal deltas, for CI artifacts and regression diffing. *)
-let write_bench_json () =
-  ensure_out_dir ();
-  let buf = Buffer.create 1024 in
-  let fld last name v = Buffer.add_string buf (Printf.sprintf "      %S: %s%s\n" name v (if last then "" else ",")) in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"r1_retention_means\": {\n";
-  let kinds = match !r1_table with [] -> [] | (_, cells) :: _ -> List.map fst cells in
-  List.iteri
-    (fun i kind ->
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" kind);
-      List.iteri
-        (fun j (rate, cells) ->
-          Buffer.add_string buf
-            (Printf.sprintf "      \"%.2f\": %.4f%s\n" rate (List.assoc kind cells)
-               (if j = List.length !r1_table - 1 then "" else ",")))
-        !r1_table;
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if i = List.length kinds - 1 then "" else ",")))
-    kinds;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"r2_robust_vs_nominal\": {\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" r.r2_kind);
-      fld false "worst_case_nominal" (Printf.sprintf "%.4f" r.r2_nominal_wc);
-      fld false "worst_case_robust" (Printf.sprintf "%.4f" r.r2_robust_wc);
-      fld false "worst_case_delta" (Printf.sprintf "%.4f" (r.r2_robust_wc -. r.r2_nominal_wc));
-      fld false "mean_nominal" (Printf.sprintf "%.4f" r.r2_nominal_mean);
-      fld false "mean_robust" (Printf.sprintf "%.4f" r.r2_robust_mean);
-      fld false "throughput_nominal" (Printf.sprintf "%.4f" r.r2_nominal_thr);
-      fld false "throughput_robust" (Printf.sprintf "%.4f" r.r2_robust_thr);
-      fld true "throughput_ratio"
-        (if r.r2_nominal_thr > 0.0 then Printf.sprintf "%.4f" (r.r2_robust_thr /. r.r2_nominal_thr)
-         else "null");
-      Buffer.add_string buf
-        (Printf.sprintf "    }%s\n" (if i = List.length !r2_table - 1 then "" else ",")))
-    !r2_table;
-  Buffer.add_string buf "  }\n}\n";
-  let fname = bench_json_file 2 in
-  let oc = open_out fname in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "robustness summary: %s\n" fname
+(* Sections in run order, each with the --only names that select it. The
+   order matters: the soak and SLO gauges are last-write-wins and the
+   regression gate reads them. [sessions] also selects the SLO section
+   because the committed baseline carries its metrics. *)
+let sections =
+  [
+    ([ "fig1" ], fig1);
+    ([ "table_complexity" ], table_complexity);
+    ([ "fig4" ], fig4);
+    ([ "fig5" ], fig5);
+    ([ "fig11" ], fig11_small);
+    ([ "fig11big" ], fig11_big);
+    ([ "fig12" ], fig12);
+    ([ "speed" ], speed);
+    ([ "ablation_cuts"; "ablations" ], ablation_cuts);
+    ([ "ablation_mcph"; "ablations" ], ablation_mcph);
+    ([ "ablation_packing"; "ablations" ], ablation_packing);
+    ([ "resilience" ], resilience);
+    ([ "robust" ], robust);
+    ([ "storms" ], storms);
+    ([ "soak" ], soak_bench);
+    ([ "sessions" ], sessions_bench);
+    ([ "slo"; "sessions" ], slo_bench);
+    ([ "pseries" ], pseries);
+    ([ "hseries" ], hseries);
+    ([ "prefix" ], prefix);
+  ]
 
-(* BENCH_5.json: the metrics-registry snapshot accumulated over the whole
-   bench run — LP solve/pivot totals, per-caller cache hits, pool task
-   counts and utilization, heuristic timings. This file is both a CI
-   artifact and the regression-gate baseline format: committing a copy as
-   bench/baseline.json is what --check-against compares future runs to. *)
-let write_metrics_json () =
-  ensure_out_dir ();
-  let fname = bench_json_file 5 in
-  let oc = open_out fname in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Metrics.to_json (Metrics.snapshot ()));
-      output_char oc '\n');
-  Printf.printf "metrics snapshot: %s\n" fname
+let parse_args () =
+  let positive flag r =
+    Arg.Int (fun n -> if n < 1 then raise (Arg.Bad (flag ^ " must be at least 1")) else r := n)
+  in
+  let specs =
+    [
+      ( "--fast",
+        Arg.Unit
+          (fun () ->
+            fast := true;
+            trials := 2;
+            big_trials := 1),
+        " small sizes: 2 trials, 1 big trial" );
+      ("--trials", positive "--trials" trials, "N trials per data point (default 10)");
+      ("--big-trials", positive "--big-trials" big_trials, "N trials on big platforms (default 3)");
+      ( "--only",
+        Arg.String (fun s -> only := String.split_on_char ',' s),
+        "S1,S2 run only these sections" );
+      ("--out-dir", Arg.Set_string out_dir, "DIR output directory (default bench_out)");
+      ("--jobs", positive "--jobs" jobs, "N worker domains");
+      ("--trace", Arg.String (fun f -> trace_out := Some f), "FILE write a Chrome trace");
+      ( "--check-against",
+        Arg.String (fun f -> check_against := Some f),
+        "FILE gate the run's metrics against a baseline" );
+      ("--check-tolerance", Arg.Set_float check_tolerance, "F counter tolerance (default 0.25)");
+      ( "--check-time-tolerance",
+        Arg.Float (fun x -> check_time_tolerance := Some x),
+        "F wall-time tolerance (default max 1 (4 F))" );
+    ]
+  in
+  let names = List.sort_uniq compare (List.concat_map fst sections) in
+  let usage = "Usage: main.exe [options]; sections: " ^ String.concat ", " names in
+  Arg.parse (Arg.align specs) (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  List.iter
+    (fun name ->
+      if not (List.mem name names) then begin
+        Printf.eprintf "bench: unknown section %S\n%s\n" name usage;
+        exit 2
+      end)
+    !only
 
 let () =
   parse_args ();
   if !trace_out <> None then Trace.enable ();
   let t0 = Unix.gettimeofday () in
-  if want "fig1" then fig1 ();
-  if want "table_complexity" then table_complexity ();
-  if want "fig4" then fig4 ();
-  if want "fig5" then fig5 ();
-  if want "fig11a" || want "fig11b" || want "fig11" then fig11_small ();
-  if want "fig11c" || want "fig11d" || want "fig11big" then fig11_big ();
-  if want "fig12" then fig12 ();
-  if want "speed" then speed ();
-  if want "ablation_cuts" || want "ablations" then ablation_cuts ();
-  if want "ablation_mcph" || want "ablations" then ablation_mcph ();
-  if want "ablation_packing" || want "ablations" then ablation_packing ();
-  if want "resilience" then resilience ();
-  if want "robust" then robust ();
-  if want "storms" then storms ();
-  if want "soak" then soak_bench ();
-  if want "sessions" || want "s1" then sessions_bench ();
-  if want "slo" || want "sessions" || want "s1" then slo_bench ();
-  if want "pseries" then pseries ();
-  if want "hseries" then hseries ();
-  if want "prefix" then prefix ();
-  if !r1_table <> [] || !r2_table <> [] then write_bench_json ();
-  write_metrics_json ();
+  List.iter
+    (fun (names, run) -> if !only = [] || List.exists (fun n -> List.mem n !only) names then run ())
+    sections;
+  if !r1_means <> [] || !r2_rows <> [] then
+    summary 2 "robustness"
+      [ ("r1_retention_means", Json.JObj !r1_means); ("r2_robust_vs_nominal", Json.JObj !r2_rows) ];
+  (* BENCH_5.json: the metrics-registry snapshot accumulated over the whole
+     bench run — LP solve/pivot totals, per-caller cache hits, pool task
+     counts and utilization, heuristic timings. This file is both a CI
+     artifact and the regression-gate baseline format: committing a copy as
+     bench/baseline.json is what --check-against compares future runs to. *)
+  let metrics_json = Filename.concat !out_dir "BENCH_5.json" in
+  write_out "BENCH_5.json" (Json.to_string (Metrics.to_json (Metrics.snapshot ())));
+  Printf.printf "metrics snapshot: %s\n" metrics_json;
   (match !trace_out with
   | None -> ()
   | Some path ->
@@ -1860,5 +1697,5 @@ let () =
       print_string (Regress.to_text report);
       Printf.printf
         "baseline: %s (refresh: rerun the same sections and copy %s over it)\n" baseline
-        (bench_json_file 5);
+        metrics_json;
       if not (Regress.passed report) then exit 1)

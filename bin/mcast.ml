@@ -228,21 +228,16 @@ let print_lp_attribution (delta : Metrics.snapshot) =
       maps tasks h.Metrics.h_sum h.Metrics.h_max (100. *. util)
   | _ -> if maps > 0 then Printf.printf "  pool: %d map(s), %d task(s)\n" maps tasks
 
-(* Reindent an embedded JSON document so the wrapper stays readable; the
-   first line keeps the wrapper's own indentation. *)
-let indent s =
-  match String.split_on_char '\n' (String.trim s) with
-  | [] -> s
-  | first :: rest ->
-    String.concat "\n" (first :: List.map (fun l -> if l = "" then l else "  " ^ l) rest)
-
 let write_profile_json path ~delta prof =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"command\": ";
-  Json.add_string buf (String.concat " " (List.tl (Array.to_list Sys.argv)));
-  Buffer.add_string buf (",\n  \"metrics\": " ^ indent (Metrics.to_json delta));
-  Buffer.add_string buf (",\n  \"profile\": " ^ indent (Trace_stats.to_json prof) ^ "\n}\n");
-  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf);
+  let doc =
+    Json.JObj
+      [
+        ("command", Json.JStr (String.concat " " (List.tl (Array.to_list Sys.argv))));
+        ("metrics", Metrics.to_json delta);
+        ("profile", Trace_stats.to_json prof);
+      ]
+  in
+  Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string doc));
   Printf.printf "profile json: wrote %s\n" path
 
 (* Bracket a subcommand body with the observability layer: start tracing if
@@ -334,7 +329,7 @@ let export_timeseries sink paths =
     List.iter
       (fun path ->
         let text =
-          if Filename.check_suffix path ".json" then Timeseries.to_json s
+          if Filename.check_suffix path ".json" then Json.to_string (Timeseries.to_json s)
           else Timeseries.to_openmetrics s
         in
         Out_channel.with_open_text path (fun oc -> output_string oc text);
@@ -888,7 +883,7 @@ let soak (seed, load) horizon scenario_kind mtbf mttr flap_links flaps
       let incidents = Incident.of_soak ~faults:scenario rep (Timeseries.slo_events s) in
       print_string (Incident.to_text incidents);
       Out_channel.with_open_text path (fun oc ->
-          output_string oc (Incident.to_json incidents));
+          output_string oc (Json.to_string (Incident.to_json incidents)));
       Printf.printf "incidents json: wrote %s\n" path
     | _ -> ());
     export_timeseries sink timeseries;

@@ -204,31 +204,22 @@ let to_text snap =
   Buffer.contents buf
 
 let to_json snap =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n  ";
-      Json.add_string buf name;
-      Buffer.add_string buf ": ";
-      match v with
-      | Counter n -> Buffer.add_string buf (string_of_int n)
-      | Gauge g -> Json.add_float buf g
-      | Histogram h ->
-        Buffer.add_string buf (Printf.sprintf "{\"count\": %d, \"sum\": " h.h_count);
-        Json.add_float buf h.h_sum;
-        Buffer.add_string buf ", \"min\": ";
-        Json.add_float buf h.h_min;
-        Buffer.add_string buf ", \"max\": ";
-        Json.add_float buf h.h_max;
-        Buffer.add_string buf ", \"p50\": ";
-        Json.add_float buf (histo_percentile h 0.50);
-        Buffer.add_string buf ", \"p90\": ";
-        Json.add_float buf (histo_percentile h 0.90);
-        Buffer.add_string buf ", \"p99\": ";
-        Json.add_float buf (histo_percentile h 0.99);
-        Buffer.add_string buf "}")
-    snap;
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  Json.JObj
+    (List.map
+       (fun (name, v) ->
+         ( name,
+           match v with
+           | Counter n -> Json.int n
+           | Gauge g -> Json.JNum g
+           | Histogram h ->
+             Json.JObj
+               [
+                 ("count", Json.int h.h_count);
+                 ("sum", Json.JNum h.h_sum);
+                 ("min", Json.JNum h.h_min);
+                 ("max", Json.JNum h.h_max);
+                 ("p50", Json.JNum (histo_percentile h 0.50));
+                 ("p90", Json.JNum (histo_percentile h 0.90));
+                 ("p99", Json.JNum (histo_percentile h 0.99));
+               ] ))
+       snap)

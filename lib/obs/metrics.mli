@@ -100,8 +100,11 @@ val delta : before:snapshot -> snapshot -> snapshot
 (** Human-readable rendering, one [name value] line per metric. *)
 val to_text : snapshot -> string
 
-(** JSON object keyed by metric name; counters and gauges are numbers,
-    histograms are [{"count":..,"sum":..,"min":..,"max":..,"p50":..,
-    "p90":..,"p99":..}] objects (percentiles via {!histo_percentile},
-    so {!Regress} rules can gate tail latency, not just sums). *)
-val to_json : snapshot -> string
+(** JSON object keyed by metric name, in snapshot order; counters and
+    gauges are numbers, histograms are [{"count":..,"sum":..,"min":..,
+    "max":..,"p50":..,"p90":..,"p99":..}] objects (percentiles via
+    {!histo_percentile}, so {!Regress} rules can gate tail latency, not
+    just sums). {!Json.to_string} prints it one metric per line; this
+    is the [BENCH_5.json] and [bench/baseline.json] format, and
+    {!Regress.flatten_snapshot} flattens the same value. *)
+val to_json : snapshot -> Json.t

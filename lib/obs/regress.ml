@@ -65,189 +65,39 @@ type report = {
 
 (* --- snapshot flattening ---------------------------------------------- *)
 
-let flatten_snapshot snap =
-  List.concat_map
-    (fun (name, v) ->
-      match v with
-      | Metrics.Counter n -> [ (name, float_of_int n) ]
-      | Metrics.Gauge g -> [ (name, g) ]
-      | Metrics.Histogram h ->
-        [
-          (name ^ ".count", float_of_int h.Metrics.h_count);
-          (name ^ ".sum", h.Metrics.h_sum);
-          (name ^ ".min", h.Metrics.h_min);
-          (name ^ ".max", h.Metrics.h_max);
-          (name ^ ".p50", Metrics.histo_percentile h 0.50);
-          (name ^ ".p90", Metrics.histo_percentile h 0.90);
-          (name ^ ".p99", Metrics.histo_percentile h 0.99);
-        ])
-    snap
-
-(* --- minimal JSON reader ---------------------------------------------- *)
-
-(* Just enough JSON to read back what Metrics.to_json and mcast --profile
-   write (plus anything structurally similar). No external deps,
-   like the rest of lib/obs. *)
-
-type json =
-  | JNull
-  | JBool of bool
-  | JNum of float
-  | JStr of string
-  | JList of json list
-  | JObj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'u' ->
-          advance ();
-          let hex = Buffer.create 4 in
-          for _ = 1 to 4 do
-            (match peek () with
-            | Some c -> Buffer.add_char hex c
-            | None -> fail "truncated \\u escape");
-            advance ()
-          done;
-          (match int_of_string_opt ("0x" ^ Buffer.contents hex) with
-          | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-          | Some _ -> Buffer.add_char buf '?'
-          | None -> fail "bad \\u escape");
-          go ()
-        | Some c -> Buffer.add_char buf c; advance (); go ()
-        | None -> fail "unterminated escape")
-      | Some c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> JStr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (advance (); JObj [])
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((k, v) :: acc)
-          | Some '}' -> advance (); List.rev ((k, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        JObj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (advance (); JList [])
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements (v :: acc)
-          | Some ']' -> advance (); List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        JList (elements [])
-      end
-    | Some 't' -> literal "true" (JBool true)
-    | Some 'f' -> literal "false" (JBool false)
-    | Some 'n' -> literal "null" JNull
-    | Some _ -> JNum (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 (* Flatten a JSON object into dotted [name -> float] pairs: numbers keep
    their (dot-joined) path, nested objects recurse — which is exactly how
    Metrics.to_json histograms become name.count / name.sum / ... —
    strings, bools, nulls and arrays are skipped. *)
-let rec flatten_json prefix j acc =
-  match j with
-  | JNum f -> (prefix, f) :: acc
-  | JObj fields ->
-    List.fold_left
-      (fun acc (k, v) ->
-        let key = if prefix = "" then k else prefix ^ "." ^ k in
-        flatten_json key v acc)
-      acc fields
-  | JNull | JBool _ | JStr _ | JList _ -> acc
+let flatten j =
+  let rec go prefix j acc =
+    match j with
+    | Json.JNum f -> (prefix, f) :: acc
+    | Json.JObj fields ->
+      List.fold_left
+        (fun acc (k, v) -> go (if prefix = "" then k else prefix ^ "." ^ k) v acc)
+        acc fields
+    | Json.JNull | Json.JBool _ | Json.JStr _ | Json.JList _ -> acc
+  in
+  List.rev (go "" j [])
+
+let flatten_snapshot snap = flatten (Metrics.to_json snap)
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e -> Error e
   | text -> (
-    match parse_json text with
-    | exception Bad_json e -> Error (path ^ ": " ^ e)
-    | JObj fields ->
+    match Json.parse text with
+    | Error e -> Error (path ^ ": " ^ e)
+    | Ok (Json.JObj fields) ->
       (* mcast --profile nests the registry under "metrics"; a bare
          Metrics.to_json object is the registry itself. *)
-      let root =
-        match List.assoc_opt "metrics" fields with
-        | Some (JObj _ as m) -> m
-        | _ -> JObj fields
-      in
-      Ok (List.rev (flatten_json "" root []))
-    | _ -> Error (path ^ ": expected a top-level JSON object"))
+      Ok
+        (flatten
+           (match List.assoc_opt "metrics" fields with
+           | Some (Json.JObj _ as m) -> m
+           | _ -> Json.JObj fields))
+    | Ok _ -> Error (path ^ ": expected a top-level JSON object"))
 
 (* --- comparison ------------------------------------------------------- *)
 

@@ -9,16 +9,18 @@
     regression-gate job: a perf PR that doubles [lp.pivots.float] on the
     P1 workload fails the build instead of landing silently.
 
-    {b Snapshot sources.} A snapshot is a flat [name -> float] list.
-    {!load} reads one from disk, accepting both file shapes the repo
-    produces: the bare metrics-registry object ([bench_out/BENCH_5.json],
-    written by {!Metrics.to_json}) and the document [mcast <command>
-    --profile FILE] writes (whose metrics live under a top-level ["metrics"] key). Histogram
-    objects flatten to [name.count] / [name.sum] / [name.min] /
-    [name.max] / [name.p50] / [name.p90] / [name.p99]; non-numeric
-    values are ignored. {!flatten_snapshot} does
-    the same for an in-process {!Metrics.snapshot}, so the bench can
-    gate its own live registry against a file.
+    {b Snapshot sources.} A snapshot is a flat [name -> float] list,
+    flattened from the {!Json.t} that {!Metrics.to_json} builds: numbers
+    keep their name, nested objects join keys with dots (so histograms
+    become [name.count] / [name.sum] / [name.min] / [name.max] /
+    [name.p50] / [name.p90] / [name.p99]), and non-numeric values are
+    ignored. {!load} reads a file through {!Json.parse} and accepts
+    both shapes the repo writes: the bare registry object
+    ([bench_out/BENCH_5.json]) and the [mcast <command> --profile FILE]
+    document, whose metrics live under a top-level ["metrics"] key.
+    {!flatten_snapshot} flattens an in-process {!Metrics.snapshot} the
+    same way, so the bench can gate its own live registry against a
+    file.
 
     {b Derived metrics.} Before comparing, both sides gain
     [derived.lp_cache.hit_rate] (total hits over total lookups across

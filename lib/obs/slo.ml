@@ -231,44 +231,3 @@ let in_breach en name =
 let events en = List.rev en.en_events
 
 let breach_epochs en = en.en_breach_epochs
-
-let to_json en =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"objectives\": [";
-  List.iteri
-    (fun i st ->
-      if i > 0 then Buffer.add_char buf ',';
-      let o = st.os_obj in
-      Buffer.add_string buf "\n    {\"name\": ";
-      Json.add_string buf o.o_name;
-      Buffer.add_string buf ", \"spec\": ";
-      Json.add_string buf (spec o);
-      Buffer.add_string buf ", \"budget\": ";
-      Json.add_float buf o.o_budget;
-      Buffer.add_string buf
-        (Printf.sprintf ", \"breached\": %b, \"fast_burn\": " st.os_breached);
-      let fb, sb = match st.os_burn with Some b -> b | None -> (0.0, 0.0) in
-      Json.add_float buf fb;
-      Buffer.add_string buf ", \"slow_burn\": ";
-      Json.add_float buf sb;
-      Buffer.add_string buf "}")
-    en.en_states;
-  Buffer.add_string buf "\n  ],\n  \"events\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"kind\": \"%s\", \"at\": "
-           (match e.e_kind with `Breach -> "breach" | `Recovery -> "recovery"));
-      Json.add_float buf e.e_at;
-      Buffer.add_string buf ", \"objective\": ";
-      Json.add_string buf e.e_objective;
-      Buffer.add_string buf ", \"fast_burn\": ";
-      Json.add_float buf e.e_fast_burn;
-      Buffer.add_string buf ", \"slow_burn\": ";
-      Json.add_float buf e.e_slow_burn;
-      Buffer.add_string buf "}")
-    (events en);
-  Buffer.add_string buf
-    (Printf.sprintf "\n  ],\n  \"breach_epochs\": %d\n}\n" en.en_breach_epochs);
-  Buffer.contents buf

@@ -108,6 +108,3 @@ val events : engine -> event list
     (summed over objectives) — the quantity behind the
     [slo.breach_epochs] regression rule. *)
 val breach_epochs : engine -> int
-
-(** JSON report: objectives with final burn state plus the event log. *)
-val to_json : engine -> string

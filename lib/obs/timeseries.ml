@@ -187,48 +187,35 @@ let window t name ~t0 ~t1 =
 (* --- exporters --------------------------------------------------------- *)
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n  ";
-      Json.add_string buf name;
-      Buffer.add_string buf ": {";
-      let r = match rollup t name with Some r -> r | None -> empty_rollup in
-      Buffer.add_string buf (Printf.sprintf "\"count\": %d, \"sum\": " r.r_count);
-      Json.add_float buf r.r_sum;
-      Buffer.add_string buf ", \"min\": ";
-      Json.add_float buf r.r_min;
-      Buffer.add_string buf ", \"max\": ";
-      Json.add_float buf r.r_max;
-      Buffer.add_string buf ", \"mean\": ";
-      Json.add_float buf (mean r);
-      Buffer.add_string buf ", \"last\": ";
-      Json.add_float buf r.r_last;
-      Buffer.add_string buf (Printf.sprintf ", \"compactions\": %d" (compactions t name));
-      Buffer.add_string buf ", \"points\": [";
-      List.iteri
-        (fun j b ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf "{\"t0\": ";
-          Json.add_float buf b.b_t0;
-          Buffer.add_string buf ", \"t1\": ";
-          Json.add_float buf b.b_t1;
-          Buffer.add_string buf (Printf.sprintf ", \"count\": %d, \"sum\": " b.b_count);
-          Json.add_float buf b.b_sum;
-          Buffer.add_string buf ", \"min\": ";
-          Json.add_float buf b.b_min;
-          Buffer.add_string buf ", \"max\": ";
-          Json.add_float buf b.b_max;
-          Buffer.add_string buf ", \"last\": ";
-          Json.add_float buf b.b_last;
-          Buffer.add_string buf "}")
-        (buckets t name);
-      Buffer.add_string buf "]}")
-    (names t);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let point b =
+    Json.JObj
+      [
+        ("t0", Json.JNum b.b_t0);
+        ("t1", Json.JNum b.b_t1);
+        ("count", Json.int b.b_count);
+        ("sum", Json.JNum b.b_sum);
+        ("min", Json.JNum b.b_min);
+        ("max", Json.JNum b.b_max);
+        ("last", Json.JNum b.b_last);
+      ]
+  in
+  Json.JObj
+    (List.map
+       (fun name ->
+         let r = match rollup t name with Some r -> r | None -> empty_rollup in
+         ( name,
+           Json.JObj
+             [
+               ("count", Json.int r.r_count);
+               ("sum", Json.JNum r.r_sum);
+               ("min", Json.JNum r.r_min);
+               ("max", Json.JNum r.r_max);
+               ("mean", Json.JNum (mean r));
+               ("last", Json.JNum r.r_last);
+               ("compactions", Json.int (compactions t name));
+               ("points", Json.JList (List.map point (buckets t name)));
+             ] ))
+       (names t))
 
 (* OpenMetrics metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. *)
 let sanitize name =

@@ -103,8 +103,9 @@ val compactions : t -> string -> int
 (** JSON object keyed by series name:
     [{"<name>": {"count":..,"sum":..,"min":..,"max":..,"mean":..,
     "last":..,"compactions":..,"points":[{"t0":..,"t1":..,"count":..,
-    "sum":..,"min":..,"max":..,"last":..},..]},..}]. *)
-val to_json : t -> string
+    "sum":..,"min":..,"max":..,"last":..},..]},..}], series in name
+    order. Printed by {!Json.to_string}: one series per line. *)
+val to_json : t -> Json.t
 
 (** OpenMetrics text exposition: per series a [# TYPE <name> gauge]
     header then one [<name> <mean> <t1>] sample line per retained

@@ -275,81 +275,52 @@ let to_text ?(top = 15) p =
   Buffer.contents buf
 
 let to_json p =
-  let buf = Buffer.create 2048 in
-  let field name render =
-    Json.add_string buf name;
-    Buffer.add_string buf ": ";
-    render ()
-  in
-  let sep () = Buffer.add_string buf ", " in
-  Buffer.add_string buf "{";
-  field "wall_seconds" (fun () -> Json.add_float buf p.p_wall);
-  sep ();
-  field "spans" (fun () -> Buffer.add_string buf (string_of_int p.p_spans));
-  sep ();
-  field "instants" (fun () -> Buffer.add_string buf (string_of_int p.p_instants));
-  sep ();
-  field "dropped" (fun () -> Buffer.add_string buf (string_of_int p.p_dropped));
-  sep ();
-  field "names" (fun () ->
-      Buffer.add_string buf "[";
-      List.iteri
-        (fun i s ->
-          if i > 0 then sep ();
-          Buffer.add_string buf "{";
-          field "name" (fun () -> Json.add_string buf s.ns_name);
-          sep ();
-          field "cat" (fun () -> Json.add_string buf s.ns_cat);
-          sep ();
-          field "count" (fun () -> Buffer.add_string buf (string_of_int s.ns_count));
-          sep ();
-          field "total_seconds" (fun () -> Json.add_float buf s.ns_total);
-          sep ();
-          field "self_seconds" (fun () -> Json.add_float buf s.ns_self);
-          sep ();
-          field "min_seconds" (fun () -> Json.add_float buf s.ns_min);
-          sep ();
-          field "max_seconds" (fun () -> Json.add_float buf s.ns_max);
-          Buffer.add_string buf "}")
-        p.p_names;
-      Buffer.add_string buf "]");
-  sep ();
-  field "domains" (fun () ->
-      Buffer.add_string buf "[";
-      List.iteri
-        (fun i d ->
-          if i > 0 then sep ();
-          Buffer.add_string buf "{";
-          field "tid" (fun () -> Buffer.add_string buf (string_of_int d.ds_tid));
-          sep ();
-          field "spans" (fun () -> Buffer.add_string buf (string_of_int d.ds_spans));
-          sep ();
-          field "busy_seconds" (fun () -> Json.add_float buf d.ds_busy);
-          sep ();
-          field "busy_fraction" (fun () -> Json.add_float buf d.ds_busy_fraction);
-          sep ();
-          field "max_idle_seconds" (fun () -> Json.add_float buf d.ds_max_gap);
-          Buffer.add_string buf "}")
-        p.p_domains;
-      Buffer.add_string buf "]");
-  sep ();
-  field "critical_path" (fun () ->
-      Buffer.add_string buf "[";
-      List.iteri
-        (fun i s ->
-          if i > 0 then sep ();
-          Buffer.add_string buf "{";
-          field "name" (fun () -> Json.add_string buf s.st_name);
-          sep ();
-          field "cat" (fun () -> Json.add_string buf s.st_cat);
-          sep ();
-          field "ts_seconds" (fun () -> Json.add_float buf s.st_ts);
-          sep ();
-          field "dur_seconds" (fun () -> Json.add_float buf s.st_dur);
-          sep ();
-          field "self_seconds" (fun () -> Json.add_float buf s.st_self);
-          Buffer.add_string buf "}")
-        p.p_critical;
-      Buffer.add_string buf "]");
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  let num f = Json.JNum f and str s = Json.JStr s in
+  Json.JObj
+    [
+      ("wall_seconds", num p.p_wall);
+      ("spans", Json.int p.p_spans);
+      ("instants", Json.int p.p_instants);
+      ("dropped", Json.int p.p_dropped);
+      ( "names",
+        Json.JList
+          (List.map
+             (fun s ->
+               Json.JObj
+                 [
+                   ("name", str s.ns_name);
+                   ("cat", str s.ns_cat);
+                   ("count", Json.int s.ns_count);
+                   ("total_seconds", num s.ns_total);
+                   ("self_seconds", num s.ns_self);
+                   ("min_seconds", num s.ns_min);
+                   ("max_seconds", num s.ns_max);
+                 ])
+             p.p_names) );
+      ( "domains",
+        Json.JList
+          (List.map
+             (fun d ->
+               Json.JObj
+                 [
+                   ("tid", Json.int d.ds_tid);
+                   ("spans", Json.int d.ds_spans);
+                   ("busy_seconds", num d.ds_busy);
+                   ("busy_fraction", num d.ds_busy_fraction);
+                   ("max_idle_seconds", num d.ds_max_gap);
+                 ])
+             p.p_domains) );
+      ( "critical_path",
+        Json.JList
+          (List.map
+             (fun s ->
+               Json.JObj
+                 [
+                   ("name", str s.st_name);
+                   ("cat", str s.st_cat);
+                   ("ts_seconds", num s.st_ts);
+                   ("dur_seconds", num s.st_dur);
+                   ("self_seconds", num s.st_self);
+                 ])
+             p.p_critical) );
+    ]

@@ -104,6 +104,6 @@ val total_self : profile -> float
 val to_text : ?top:int -> profile -> string
 
 (** The profile as a JSON object ([wall_seconds], [spans], [instants],
-    [dropped], [names], [domains], [critical_path]) — embedded by
-    [mcast --profile] and consumed by {!Regress}. *)
-val to_json : profile -> string
+    [dropped], [names], [domains], [critical_path]) — the ["profile"]
+    member of the document [mcast --profile] writes. *)
+val to_json : profile -> Json.t

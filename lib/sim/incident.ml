@@ -147,49 +147,29 @@ let to_text incidents =
   end
 
 let to_json incidents =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i inc ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n  {\"objective\": ";
-      Json.add_string buf inc.i_objective;
-      Buffer.add_string buf ", \"start\": ";
-      Json.add_float buf inc.i_start;
-      Buffer.add_string buf ", \"end\": ";
-      (match inc.i_end with Some t -> Json.add_float buf t | None -> Buffer.add_string buf "null");
-      Buffer.add_string buf ", \"entries\": [";
-      List.iteri
-        (fun j e ->
-          if j > 0 then Buffer.add_string buf ", ";
-          (match e with
-          | E_fault { at; desc } ->
-            Buffer.add_string buf "{\"kind\": \"fault\", \"at\": ";
-            Json.add_float buf at;
-            Buffer.add_string buf ", \"desc\": ";
-            Json.add_string buf desc
-          | E_breach { at; objective; fast_burn; slow_burn } ->
-            Buffer.add_string buf "{\"kind\": \"breach\", \"at\": ";
-            Json.add_float buf at;
-            Buffer.add_string buf ", \"objective\": ";
-            Json.add_string buf objective;
-            Buffer.add_string buf ", \"fast_burn\": ";
-            Json.add_float buf fast_burn;
-            Buffer.add_string buf ", \"slow_burn\": ";
-            Json.add_float buf slow_burn
-          | E_repair { at; desc } ->
-            Buffer.add_string buf "{\"kind\": \"repair\", \"at\": ";
-            Json.add_float buf at;
-            Buffer.add_string buf ", \"desc\": ";
-            Json.add_string buf desc
-          | E_recovery { at; objective } ->
-            Buffer.add_string buf "{\"kind\": \"recovery\", \"at\": ";
-            Json.add_float buf at;
-            Buffer.add_string buf ", \"objective\": ";
-            Json.add_string buf objective);
-          Buffer.add_string buf "}")
-        inc.i_entries;
-      Buffer.add_string buf "]}")
-    incidents;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  let entry e =
+    let at kind t rest = ("kind", Json.JStr kind) :: ("at", Json.JNum t) :: rest in
+    Json.JObj
+      (match e with
+      | E_fault { at = t; desc } -> at "fault" t [ ("desc", Json.JStr desc) ]
+      | E_breach { at = t; objective; fast_burn; slow_burn } ->
+        at "breach" t
+          [
+            ("objective", Json.JStr objective);
+            ("fast_burn", Json.JNum fast_burn);
+            ("slow_burn", Json.JNum slow_burn);
+          ]
+      | E_repair { at = t; desc } -> at "repair" t [ ("desc", Json.JStr desc) ]
+      | E_recovery { at = t; objective } -> at "recovery" t [ ("objective", Json.JStr objective) ])
+  in
+  Json.JList
+    (List.map
+       (fun inc ->
+         Json.JObj
+           [
+             ("objective", Json.JStr inc.i_objective);
+             ("start", Json.JNum inc.i_start);
+             ("end", match inc.i_end with Some t -> Json.JNum t | None -> Json.JNull);
+             ("entries", Json.JList (List.map entry inc.i_entries));
+           ])
+       incidents)

@@ -61,5 +61,7 @@ val of_soak : faults:Fault.scenario -> Soak.report -> Slo.event list -> incident
     total. "no incidents" when the list is empty. *)
 val to_text : incident list -> string
 
-(** JSON array of incident objects with typed entry lists. *)
-val to_json : incident list -> string
+(** JSON array of incident objects with typed entry lists; an open
+    incident's ["end"] is [null]. Printed by {!Json.to_string}: one
+    incident per line. *)
+val to_json : incident list -> Json.t

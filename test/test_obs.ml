@@ -10,159 +10,11 @@ let fake_clock () =
     t := !t +. 0.001;
     !t
 
-(* --- a minimal JSON reader, enough to parse our own trace output ------ *)
-
-type json =
-  | JNull
-  | JBool of bool
-  | JNum of float
-  | JStr of string
-  | JList of json list
-  | JObj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some 'n' ->
-          Buffer.add_char buf '\n';
-          advance ();
-          go ()
-        | Some 't' ->
-          Buffer.add_char buf '\t';
-          advance ();
-          go ()
-        | Some 'r' ->
-          Buffer.add_char buf '\r';
-          advance ();
-          go ()
-        | Some 'u' ->
-          advance ();
-          (* keep the escape verbatim: tests only check well-formedness *)
-          for _ = 1 to 4 do
-            advance ()
-          done;
-          Buffer.add_char buf '?';
-          go ()
-        | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-        | None -> fail "unterminated escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> JStr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        JObj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected , or }"
-        in
-        JObj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        JList []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected , or ]"
-        in
-        JList (elements [])
-      end
-    | Some 't' -> literal "true" (JBool true)
-    | Some 'f' -> literal "false" (JBool false)
-    | Some 'n' -> literal "null" JNull
-    | Some _ -> JNum (parse_number ())
-    | None -> fail "unexpected end"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let parse_json s =
+  match Json.parse s with Ok v -> v | Error e -> Alcotest.failf "JSON does not parse: %s" e
 
 let obj_field name = function
-  | JObj fields -> List.assoc_opt name fields
+  | Json.JObj fields -> List.assoc_opt name fields
   | _ -> None
 
 (* --- trace tests ------------------------------------------------------ *)
@@ -245,7 +97,7 @@ let test_chrome_json_well_formed () =
   let doc = parse_json (Trace.to_chrome_json ()) in
   let events =
     match obj_field "traceEvents" doc with
-    | Some (JList evs) -> evs
+    | Some (Json.JList evs) -> evs
     | _ -> Alcotest.fail "missing traceEvents array"
   in
   (* two recorded events + the trailing trace.dropped accounting instant *)
@@ -253,41 +105,41 @@ let test_chrome_json_well_formed () =
   (match List.rev events with
   | summary :: _ ->
     Alcotest.(check bool) "last event is trace.dropped" true
-      (obj_field "name" summary = Some (JStr "trace.dropped"));
+      (obj_field "name" summary = Some (Json.JStr "trace.dropped"));
     (match obj_field "args" summary with
     | Some args ->
       Alcotest.(check bool) "dropped count present" true
-        (obj_field "dropped" args = Some (JNum 0.0));
+        (obj_field "dropped" args = Some (Json.JNum 0.0));
       Alcotest.(check bool) "recorded count present" true
-        (obj_field "recorded" args = Some (JNum 2.0))
+        (obj_field "recorded" args = Some (Json.JNum 2.0))
     | None -> Alcotest.fail "trace.dropped missing args")
   | [] -> Alcotest.fail "no events");
   let events = List.filteri (fun i _ -> i < 2) events in
   Alcotest.(check bool) "displayTimeUnit present" true
-    (obj_field "displayTimeUnit" doc = Some (JStr "ms"));
+    (obj_field "displayTimeUnit" doc = Some (Json.JStr "ms"));
   List.iter
     (fun ev ->
       (match obj_field "ph" ev with
-      | Some (JStr ("X" | "i")) -> ()
+      | Some (Json.JStr ("X" | "i")) -> ()
       | _ -> Alcotest.fail "bad or missing ph");
       (match obj_field "ts" ev with
-      | Some (JNum ts) -> Alcotest.(check bool) "ts in microseconds, positive" true (ts > 0.0)
+      | Some (Json.JNum ts) -> Alcotest.(check bool) "ts in microseconds, positive" true (ts > 0.0)
       | _ -> Alcotest.fail "missing ts");
       match obj_field "tid" ev with
-      | Some (JNum _) -> ()
+      | Some (Json.JNum _) -> ()
       | _ -> Alcotest.fail "missing tid")
     events;
   let span = List.hd events in
   (match obj_field "dur" span with
-  | Some (JNum d) ->
+  | Some (Json.JNum d) ->
     (* one fake-clock tick = 1ms = 1000us *)
     Alcotest.(check (float 1.0)) "dur is the clock delta in us" 1000.0 d
   | _ -> Alcotest.fail "span missing dur");
   match obj_field "args" span with
   | Some args ->
-    Alcotest.(check bool) "bool arg survives" true (obj_field "ok" args = Some (JBool true));
+    Alcotest.(check bool) "bool arg survives" true (obj_field "ok" args = Some (Json.JBool true));
     (match obj_field "nan_arg" args with
-    | Some (JStr _) -> () (* non-finite floats are quoted, keeping the JSON valid *)
+    | Some (Json.JStr _) -> () (* non-finite floats are quoted, keeping the JSON valid *)
     | _ -> Alcotest.fail "nan arg not quoted")
   | None -> Alcotest.fail "span missing args"
 
@@ -377,12 +229,12 @@ let test_metrics_renderers () =
     nn = 0 || go 0
   in
   Alcotest.(check bool) "text mentions the counter" true (contains text "test_obs.render");
-  (* to_json must round-trip through a JSON parser; names are keys. *)
-  match obj_field "test_obs.render" (parse_json (Metrics.to_json snap)) with
-  | Some (JNum v) -> Alcotest.(check (float 0.0)) "json value" 12.0 v
+  (* to_json must round-trip through the JSON reader; names are keys. *)
+  match obj_field "test_obs.render" (parse_json (Json.to_string (Metrics.to_json snap))) with
+  | Some (Json.JNum v) -> Alcotest.(check (float 0.0)) "json value" 12.0 v
   | _ -> Alcotest.fail "counter missing from JSON rendering"
 
-(* Full to_json round-trip through the parser above: escaped names,
+(* Full to_json round-trip through Json.to_string and Json.parse: escaped names,
    non-finite floats (quoted, keeping the document valid) and histogram
    objects all survive. *)
 let test_metrics_json_round_trip () =
@@ -394,20 +246,85 @@ let test_metrics_json_round_trip () =
   let h = Metrics.histogram "test_obs.rt_histo" in
   Metrics.observe h 1.5;
   Metrics.observe h 2.5;
-  let doc = parse_json (Metrics.to_json (Metrics.snapshot ())) in
+  let doc = parse_json (Json.to_string (Metrics.to_json (Metrics.snapshot ()))) in
   (match obj_field name doc with
-  | Some (JNum v) -> Alcotest.(check (float 0.0)) "escaped name round-trips" 3.0 v
+  | Some (Json.JNum v) -> Alcotest.(check (float 0.0)) "escaped name round-trips" 3.0 v
   | _ -> Alcotest.fail "escaped counter name missing after round-trip");
   (match obj_field "test_obs.nonfinite" doc with
-  | Some (JStr s) -> Alcotest.(check string) "non-finite gauge quoted" "inf" s
+  | Some (Json.JStr s) -> Alcotest.(check string) "non-finite gauge quoted" "inf" s
   | _ -> Alcotest.fail "non-finite gauge not rendered as a quoted string");
   match obj_field "test_obs.rt_histo" doc with
-  | Some (JObj _ as hj) ->
-    Alcotest.(check bool) "histo count" true (obj_field "count" hj = Some (JNum 2.0));
-    Alcotest.(check bool) "histo sum" true (obj_field "sum" hj = Some (JNum 4.0));
-    Alcotest.(check bool) "histo min" true (obj_field "min" hj = Some (JNum 1.5));
-    Alcotest.(check bool) "histo max" true (obj_field "max" hj = Some (JNum 2.5))
+  | Some (Json.JObj _ as hj) ->
+    Alcotest.(check bool) "histo count" true (obj_field "count" hj = Some (Json.JNum 2.0));
+    Alcotest.(check bool) "histo sum" true (obj_field "sum" hj = Some (Json.JNum 4.0));
+    Alcotest.(check bool) "histo min" true (obj_field "min" hj = Some (Json.JNum 1.5));
+    Alcotest.(check bool) "histo max" true (obj_field "max" hj = Some (Json.JNum 2.5))
   | _ -> Alcotest.fail "histogram not rendered as an object"
+
+(* --- JSON value type ---------------------------------------------------- *)
+
+(* Seeded sweep: every printed document parses back to the same value —
+   nested objects and lists, strings with quotes, backslashes, control
+   and high bytes, integers up to +-2^53 and finite floats. *)
+let test_json_round_trip () =
+  let rng = Random.State.make [| 19 |] in
+  let chars = "ab \"\\/\n\r\t\b\012\000\031\127\195\169{}[]:,0" in
+  let str () =
+    String.init (Random.State.int rng 8) (fun _ ->
+        chars.[Random.State.int rng (String.length chars)])
+  in
+  let num () =
+    match Random.State.int rng 3 with
+    | 0 -> float_of_int (Random.State.int rng 2001 - 1000)
+    | 1 ->
+      let m = Int64.to_float (Random.State.int64 rng 9007199254740993L) in
+      if Random.State.bool rng then -.m else m
+    | _ -> Float.ldexp (Random.State.float rng 2.0 -. 1.0) (Random.State.int rng 200 - 100)
+  in
+  let rec value depth =
+    let items f = List.init (Random.State.int rng 4) (fun _ -> f (depth - 1)) in
+    match Random.State.int rng (if depth = 0 then 4 else 6) with
+    | 0 -> Json.JNull
+    | 1 -> Json.JBool (Random.State.bool rng)
+    | 2 -> Json.JNum (num ())
+    | 3 -> Json.JStr (str ())
+    | 4 -> Json.JList (items value)
+    | _ -> Json.JObj (items (fun d -> (str (), value d)))
+  in
+  for i = 1 to 2000 do
+    let v = value 4 in
+    let text = Json.to_string v in
+    if Json.parse text <> Ok v then Alcotest.failf "case %d does not round-trip:\n%s" i text
+  done
+
+let test_json_layout () =
+  let doc =
+    Json.JObj
+      [
+        ("n", Json.int 3);
+        ( "nested",
+          Json.JObj [ ("xs", Json.JList [ Json.JBool true; Json.JNull ]); ("s", Json.JStr "a\"b") ]
+        );
+        ("empty", Json.JObj []);
+        ("nan", Json.JNum Float.nan);
+        ("inf", Json.JNum Float.infinity);
+      ]
+  in
+  Alcotest.(check string) "top level one per line, nested inline, non-finite quoted"
+    {|{
+  "n": 3,
+  "nested": {"xs": [true, null], "s": "a\"b"},
+  "empty": {},
+  "nan": "nan",
+  "inf": "inf"
+}
+|}
+    (Json.to_string doc);
+  Alcotest.(check string) "empty top-level object" "{\n}\n" (Json.to_string (Json.JObj []));
+  Alcotest.(check string) "top-level array" "[\n  1,\n  []\n]\n"
+    (Json.to_string (Json.JList [ Json.int 1; Json.JList [] ]));
+  Alcotest.(check bool) "trailing garbage is an error" true
+    (Result.is_error (Json.parse "[1, 2] x"))
 
 let suite =
   [
@@ -421,4 +338,6 @@ let suite =
     Alcotest.test_case "metrics delta under concurrency" `Quick test_metrics_delta_concurrent;
     Alcotest.test_case "metrics renderers" `Quick test_metrics_renderers;
     Alcotest.test_case "metrics JSON round-trip" `Quick test_metrics_json_round_trip;
+    Alcotest.test_case "JSON print/parse round-trip sweep" `Quick test_json_round_trip;
+    Alcotest.test_case "JSON layout" `Quick test_json_layout;
   ]

@@ -123,18 +123,18 @@ let test_profile_empty_and_renderers () =
   Alcotest.(check bool) "dropped events surfaced in text" true
     (contains text "5 events dropped");
   Alcotest.(check bool) "top cap mentions the hidden names" true (contains text "more span names");
-  (* JSON must round-trip through test_obs's hand-rolled parser and carry
-     the headline numbers. *)
-  match Test_obs.parse_json (Trace_stats.to_json p) with
-  | Test_obs.JObj fields ->
+  (* JSON must round-trip through the JSON reader and carry the headline
+     numbers. *)
+  match Json.parse (Json.to_string (Trace_stats.to_json p)) with
+  | Ok (Json.JObj fields) ->
     Alcotest.(check bool) "wall_seconds in JSON" true
-      (List.assoc_opt "wall_seconds" fields = Some (Test_obs.JNum 14.0));
+      (List.assoc_opt "wall_seconds" fields = Some (Json.JNum 14.0));
     (match List.assoc_opt "names" fields with
-    | Some (Test_obs.JList names) ->
+    | Some (Json.JList names) ->
       Alcotest.(check int) "one JSON entry per span name" 6 (List.length names)
     | _ -> Alcotest.fail "names array missing")
-  | _ -> Alcotest.fail "profile JSON is not an object"
-  | exception Test_obs.Bad_json e -> Alcotest.failf "profile JSON does not parse: %s" e
+  | Ok _ -> Alcotest.fail "profile JSON is not an object"
+  | Error e -> Alcotest.failf "profile JSON does not parse: %s" e
 
 let test_folded_exact () =
   (* 'a b' sanitizes to a_b, 'c;d' to c:d; both stacks carry 1s of self
