@@ -61,12 +61,30 @@ let platform_kinds =
     ("two-relay", `Two_relay);
   ]
 
+(* The name an enumerated flag's value was given by. *)
+let enum_name choices v = fst (List.find (fun (_, v') -> v' = v) choices)
+
+(* A generated platform draws its targets from a kind-dependent pool, so
+   [--targets] is checked against that pool's size here (exit 1); the
+   fixed paper platforms ignore it. *)
 let platform_of_kind rng kind ~n_targets =
+  let check_targets room =
+    if n_targets < 1 || n_targets > room then
+      failwith
+        (Printf.sprintf "--targets %d: a %s platform takes 1 to %d targets" n_targets
+           (enum_name platform_kinds kind) room)
+  in
   match kind with
-  | `Tiers_small -> Tiers.generate rng Tiers.small_params ~n_targets
-  | `Tiers_big -> Tiers.generate rng Tiers.big_params ~n_targets
+  | `Tiers_small ->
+    check_targets Tiers.small_params.Tiers.lan_hosts;
+    Tiers.generate rng Tiers.small_params ~n_targets
+  | `Tiers_big ->
+    check_targets Tiers.big_params.Tiers.lan_hosts;
+    Tiers.generate rng Tiers.big_params ~n_targets
   | `Random ->
-    Generators.random_connected rng ~nodes:20 ~extra_edges:10 ~min_cost:1 ~max_cost:50
+    let nodes = 20 in
+    check_targets (nodes - 1);
+    Generators.random_connected rng ~nodes ~extra_edges:10 ~min_cost:1 ~max_cost:50
       ~n_targets
   | `Fig1 -> Paper_platforms.fig1 ()
   | `Fig4 -> Paper_platforms.fig4 ()
@@ -78,8 +96,38 @@ let platform_of_kind rng kind ~n_targets =
 let kind_term ~doc =
   Arg.(value & opt (enum platform_kinds) `Tiers_small & info [ "kind" ] ~docv:"KIND" ~doc)
 
+(* Numeric flags with a fixed range get the same treatment: a value outside
+   it is a usage error (exit 124) before the command does any work. *)
+let ranged conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = ranged Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+let nonneg_int = ranged Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
+
+let pos_float =
+  ranged Arg.float ~expected:"a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
+
+let probability =
+  ranged Arg.float ~expected:"a number in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0)
+
+(* Rational flags such as "3" or "3/2". *)
+let rat_in ~expected ok =
+  let parse s =
+    match Rat.of_string s with
+    | r when ok r -> Ok r
+    | _ | (exception _) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, fun fmt r -> Format.pp_print_string fmt (Rat.to_string r))
+
 let periods_arg default =
-  Arg.(value & opt int default & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods to replay.")
+  Arg.(value & opt pos_int default & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods to replay.")
 
 let targets_arg =
   let doc = "Number of multicast targets for generated platforms." in
@@ -99,9 +147,6 @@ let platform_term =
   in
   let kind = kind_term ~doc:"Platform kind when no file is given (see $(b,generate))." in
   Term.(const source $ platform_arg $ kind $ seed_arg $ targets_arg)
-
-(* The name an enumerated flag's value was given by. *)
-let enum_name choices v = fst (List.find (fun (_, v') -> v' = v) choices)
 
 let rat_arg ~what s =
   match Rat.of_string s with
@@ -394,6 +439,7 @@ let with_seed_reporting ~seed f =
 
 let generate kind seed n_targets out obs =
   with_observability obs @@ fun () ->
+  with_seed_reporting ~seed @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let p = platform_of_kind rng kind ~n_targets in
   let text = Platform_io.to_string p in
@@ -714,7 +760,7 @@ let resilience_cmd =
   in
   let storm_k =
     let doc = "Burst size / endpoint count for --storm." in
-    Arg.(value & opt int 3 & info [ "storm-k" ] ~docv:"K" ~doc)
+    Arg.(value & opt pos_int 3 & info [ "storm-k" ] ~docv:"K" ~doc)
   in
   let incremental =
     let doc =
@@ -789,7 +835,7 @@ let robust_cmd =
   in
   let max_scenarios =
     let doc = "Cap on evaluated failure scenarios (larger sets are sampled and logged)." in
-    Arg.(value & opt int 64 & info [ "max-scenarios" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 64 & info [ "max-scenarios" ] ~docv:"N" ~doc)
   in
   let with_lb =
     let doc = "Also solve the Multicast-LB on every survivor (per-scenario reference)." in
@@ -800,7 +846,7 @@ let robust_cmd =
       "Additionally score $(docv) seeded correlated storms (bursts, shared-endpoint \
        outages, subtree outages) alongside the single-failure scenarios."
     in
-    Arg.(value & opt int 0 & info [ "storms" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 0 & info [ "storms" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "robust"
@@ -816,11 +862,11 @@ let mtbf_arg =
     "Mean time between failures for the renewal scenarios (per component; with ~60 \
      links, mtbf 1500 over a 600-unit horizon means roughly 25 failures)."
   in
-  Arg.(value & opt float 1500. & info [ "mtbf" ] ~docv:"T" ~doc)
+  Arg.(value & opt pos_float 1500. & info [ "mtbf" ] ~docv:"T" ~doc)
 
 let mttr_arg =
   let doc = "Mean time to repair for the renewal scenarios." in
-  Arg.(value & opt float 30. & info [ "mttr" ] ~docv:"T" ~doc)
+  Arg.(value & opt pos_float 30. & info [ "mttr" ] ~docv:"T" ~doc)
 
 let soak_scenarios =
   [
@@ -855,9 +901,7 @@ let soak (seed, load) horizon scenario_kind mtbf mttr flap_links flaps
       Fault.flapping_links rng p ~links:flap_links ~flaps ~mean_up ~mean_down
         ~at:Rat.zero
     | `Diurnal ->
-      Fault.diurnal_degradation rng p ~waves
-        ~period:(rat_arg ~what:"--wave-period" wave_period)
-        ~factor:(rat_arg ~what:"--wave-factor" wave_factor)
+      Fault.diurnal_degradation rng p ~waves ~period:wave_period ~factor:wave_factor
         ~rate:wave_rate
   in
   Printf.printf "%s\n" (Platform.describe p);
@@ -911,35 +955,37 @@ let soak_cmd =
   in
   let flap_links =
     let doc = "Number of flapping links (with --scenario flapping)." in
-    Arg.(value & opt int 3 & info [ "flap-links" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 3 & info [ "flap-links" ] ~docv:"N" ~doc)
   in
   let flaps =
     let doc = "Kill/revive cycles per flapping link." in
-    Arg.(value & opt int 6 & info [ "flaps" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 6 & info [ "flaps" ] ~docv:"N" ~doc)
   in
   let mean_up =
     let doc = "Mean up-time between flaps." in
-    Arg.(value & opt float 40. & info [ "mean-up" ] ~docv:"T" ~doc)
+    Arg.(value & opt pos_float 40. & info [ "mean-up" ] ~docv:"T" ~doc)
   in
   let mean_down =
     let doc = "Mean down-time per flap." in
-    Arg.(value & opt float 5. & info [ "mean-down" ] ~docv:"T" ~doc)
+    Arg.(value & opt pos_float 5. & info [ "mean-down" ] ~docv:"T" ~doc)
   in
   let waves =
     let doc = "Number of congestion waves (with --scenario diurnal)." in
-    Arg.(value & opt int 4 & info [ "waves" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 4 & info [ "waves" ] ~docv:"N" ~doc)
   in
   let wave_period =
     let doc = "Length of one congestion wave (rational)." in
-    Arg.(value & opt string "150" & info [ "wave-period" ] ~docv:"T" ~doc)
+    let positive = rat_in ~expected:"a rational > 0" (fun r -> Rat.sign r > 0) in
+    Arg.(value & opt positive (Rat.of_int 150) & info [ "wave-period" ] ~docv:"T" ~doc)
   in
   let wave_factor =
     let doc = "Degradation factor applied during a wave (rational >= 1)." in
-    Arg.(value & opt string "3" & info [ "wave-factor" ] ~docv:"F" ~doc)
+    let at_least_one = rat_in ~expected:"a rational >= 1" (fun r -> Rat.(r >= one)) in
+    Arg.(value & opt at_least_one (Rat.of_int 3) & info [ "wave-factor" ] ~docv:"F" ~doc)
   in
   let wave_rate =
     let doc = "Per-link probability of degrading in each wave." in
-    Arg.(value & opt float 0.25 & info [ "wave-rate" ] ~docv:"P" ~doc)
+    Arg.(value & opt probability 0.25 & info [ "wave-rate" ] ~docv:"P" ~doc)
   in
   let controller =
     let doc =
@@ -1130,7 +1176,7 @@ let sessions_cmd =
   in
   let burst_k =
     let doc = "Entities killed by the burst scenario." in
-    Arg.(value & opt int 4 & info [ "burst-k" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 4 & info [ "burst-k" ] ~docv:"N" ~doc)
   in
   let burst_at =
     let doc = "Burst instant (rational)." in

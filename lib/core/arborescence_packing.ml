@@ -210,13 +210,8 @@ let schedule_of_broadcast (p : Platform.t) (sol : Formulations.solution) =
     else begin
       let set = Tree_set.make pairs in
       (* Rounding can push a port over 1; rescale into feasibility. *)
-      let worst = ref Rat.zero in
-      List.iter
-        (fun v ->
-          worst := Rat.max !worst (Tree_set.send_occupation set v);
-          worst := Rat.max !worst (Tree_set.recv_occupation set v))
-        (Platform.active_nodes broadcast);
-      let set = if Rat.(!worst > one) then Tree_set.scale set (Rat.inv !worst) else set in
+      let worst = Tree_set.worst_occupation set in
+      let set = if Rat.(worst > one) then Tree_set.scale set (Rat.inv worst) else set in
       let sched = Schedule.of_tree_set set in
       Ok (sched, Tree_set.throughput set)
     end

@@ -177,6 +177,18 @@ let solve_sum_colgen (p : Platform.t) groups =
       end
   end
 
+(* Per-node indices into [edges] (an array of [g]'s edges): the ids of each
+   node's out-edges and of its in-edges, each list in decreasing id order. *)
+let edge_index g edges =
+  let out_ids = Array.make (Digraph.n_nodes g) [] in
+  let in_ids = Array.make (Digraph.n_nodes g) [] in
+  Array.iteri
+    (fun e ({ Digraph.src; dst; _ } : Digraph.edge) ->
+      out_ids.(src) <- e :: out_ids.(src);
+      in_ids.(dst) <- e :: in_ids.(dst))
+    edges;
+  (out_ids, in_ids)
+
 (* [groups] lists (destination, allowed origins): each destination must
    receive rho per time unit in total over its origins. A group with
    several origins is modelled as ONE multi-source commodity (conservation
@@ -202,13 +214,7 @@ let solve_sum_dense (p : Platform.t) groups =
       if src <> dest then x.(c).(e) <- Lp_model.add_var m (Printf.sprintf "x_c%d_e%d" c e)
     done
   done;
-  let out_edge_ids = Array.make (Digraph.n_nodes g) [] in
-  let in_edge_ids = Array.make (Digraph.n_nodes g) [] in
-  Array.iteri
-    (fun e ({ Digraph.src; dst; _ } : Digraph.edge) ->
-      out_edge_ids.(src) <- e :: out_edge_ids.(src);
-      in_edge_ids.(dst) <- e :: in_edge_ids.(dst))
-    edges;
+  let out_edge_ids, in_edge_ids = edge_index g edges in
   (* Flow value: each destination's inflow equals rho ((2)/(2b)). *)
   for c = 0 to nc - 1 do
     let _, dest = commodities.(c) in
@@ -348,13 +354,7 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
   else begin
     let edges = Array.of_list (Digraph.edges g) in
     let ne = Array.length edges in
-    let out_edge_ids = Array.make (Digraph.n_nodes g) [] in
-    let in_edge_ids = Array.make (Digraph.n_nodes g) [] in
-    Array.iteri
-      (fun e ({ Digraph.src; dst; _ } : Digraph.edge) ->
-        out_edge_ids.(src) <- e :: out_edge_ids.(src);
-        in_edge_ids.(dst) <- e :: in_edge_ids.(dst))
-      edges;
+    let out_edge_ids, in_edge_ids = edge_index g edges in
     (* Cut pool: every distinct cut ever separated stays in the working LP
        (deduplicated — the naive loop kept re-adding the same cuts and blew
        the LP up to thousands of rows). The pool stays small in practice

@@ -6,14 +6,38 @@ type result = {
 
 let runs = Metrics.counter "mcph.runs"
 
-(* Direct transcription of Fig. 9. The mutable residual costs c' live in a
-   hash table keyed by edge; the tree is a growing set of (parent, child)
-   edges rooted at the source. *)
+type residual = {
+  graph : Digraph.t;
+  costs : (int * int, Rat.t) Hashtbl.t;
+}
+
+let residual g =
+  let costs = Hashtbl.create 64 in
+  Digraph.iter_edges (fun e -> Hashtbl.replace costs (e.Digraph.src, e.Digraph.dst) e.Digraph.cost) g;
+  { graph = g; costs }
+
+let residual_cost r (e : Digraph.edge) = Hashtbl.find r.costs (e.Digraph.src, e.Digraph.dst)
+
+(* Fig. 9 lines 11-13: out-edges of the sender inherit the cost of the
+   committed edge, which then becomes free. *)
+let commit r (u, v) =
+  let committed = Hashtbl.find r.costs (u, v) in
+  if not (Rat.is_zero committed) then begin
+    List.iter
+      (fun (e : Digraph.edge) ->
+        if e.Digraph.dst <> v then
+          Hashtbl.replace r.costs
+            (u, e.Digraph.dst)
+            (Rat.add (Hashtbl.find r.costs (u, e.Digraph.dst)) committed))
+      (Digraph.out_edges r.graph u);
+    Hashtbl.replace r.costs (u, v) Rat.zero
+  end
+
+(* Direct transcription of Fig. 9; the tree is a growing set of (parent,
+   child) edges rooted at the source. *)
 let run_impl (p : Platform.t) =
   let g = p.Platform.graph in
-  let residual = Hashtbl.create 64 in
-  Digraph.iter_edges (fun e -> Hashtbl.replace residual (e.Digraph.src, e.Digraph.dst) e.Digraph.cost) g;
-  let cost (e : Digraph.edge) = Hashtbl.find residual (e.Digraph.src, e.Digraph.dst) in
+  let residual = residual g in
   let in_tree = Array.make (Platform.n_nodes p) false in
   in_tree.(p.Platform.source) <- true;
   let tree_edges = ref [] in
@@ -26,22 +50,7 @@ let run_impl (p : Platform.t) =
           in_tree.(v) <- true
         end)
       edges;
-    (* Fig. 9 lines 11-13: out-edges of each path node inherit the cost of
-       the committed edge, which then becomes free. *)
-    List.iter
-      (fun (u, v) ->
-        let committed = Hashtbl.find residual (u, v) in
-        if not (Rat.is_zero committed) then begin
-          List.iter
-            (fun (e : Digraph.edge) ->
-              if e.Digraph.dst <> v then
-                Hashtbl.replace residual
-                  (u, e.Digraph.dst)
-                  (Rat.add (Hashtbl.find residual (u, e.Digraph.dst)) committed))
-            (Digraph.out_edges g u);
-          Hashtbl.replace residual (u, v) Rat.zero
-        end)
-      edges
+    List.iter (commit residual) edges
   in
   let rec grow remaining =
     match remaining with
@@ -54,7 +63,7 @@ let run_impl (p : Platform.t) =
         List.filter (fun v -> in_tree.(v)) (List.init (Platform.n_nodes p) Fun.id)
       in
       (* Bottleneck path from the current tree under residual costs. *)
-      let r = Paths.minimax g ~cost ~sources:tree_nodes in
+      let r = Paths.minimax g ~cost:(residual_cost residual) ~sources:tree_nodes in
       let best =
         List.fold_left
           (fun acc t ->

@@ -9,6 +9,17 @@
     message, and the committed edge itself becomes free ([c'(i,j) = 0]) —
     reusing it carries no additional cost. *)
 
+(** Fig. 9's re-metric, which {!Repair.patch_tree} replays over surviving
+    edges: [residual g] starts every edge of [g] at its cost,
+    [residual_cost r e] is the current [c'] of [e] (an edge of [g] or of a
+    restriction of it), and [commit r (i, j)] applies lines 11-13 to the
+    committed edge [(i, j)]. *)
+type residual
+
+val residual : Digraph.t -> residual
+val residual_cost : residual -> Digraph.edge -> Rat.t
+val commit : residual -> int * int -> unit
+
 type result = {
   tree : Multicast_tree.t;
   period : Rat.t; (** one-port period of the tree *)

@@ -209,25 +209,7 @@ let patch_tree ~(survivor : Platform.t) (tree : Multicast_tree.t) =
   let children = Array.make n [] in
   List.iter (fun (u, v) -> children.(u) <- v :: children.(u)) surviving;
   Array.iteri (fun u cs -> children.(u) <- List.sort compare cs) children;
-  let residual = Hashtbl.create 64 in
-  Digraph.iter_edges
-    (fun e -> Hashtbl.replace residual (e.Digraph.src, e.Digraph.dst) e.Digraph.cost)
-    g;
-  (* Fig. 9 lines 11-13: the committed edge becomes free; the sender's other
-     out-edges inherit its cost. *)
-  let commit_edge (u, v) =
-    let committed = Hashtbl.find residual (u, v) in
-    if not (Rat.is_zero committed) then begin
-      List.iter
-        (fun (e : Digraph.edge) ->
-          if e.Digraph.dst <> v then
-            Hashtbl.replace residual
-              (u, e.Digraph.dst)
-              (Rat.add (Hashtbl.find residual (u, e.Digraph.dst)) committed))
-        (Digraph.out_edges g u);
-      Hashtbl.replace residual (u, v) Rat.zero
-    end
-  in
+  let residual = Mcph.residual g in
   let in_tree = Array.make n false in
   let tree_edges = ref [] in
   (* Absorb the surviving subtree hanging below [root]: keep its edges,
@@ -243,7 +225,7 @@ let patch_tree ~(survivor : Platform.t) (tree : Multicast_tree.t) =
           if not in_tree.(v) then begin
             in_tree.(v) <- true;
             tree_edges := (u, v) :: !tree_edges;
-            commit_edge (u, v);
+            Mcph.commit residual (u, v);
             Queue.add v q
           end)
         children.(u)
@@ -292,11 +274,7 @@ let patch_tree ~(survivor : Platform.t) (tree : Multicast_tree.t) =
       let keep v = in_tree.(v) || v = r || (alive v && not was_tree_node.(v)) in
       let search_g = Digraph.restrict g ~keep in
       let sources = List.filter (fun v -> in_tree.(v)) (List.init n Fun.id) in
-      let res =
-        Paths.minimax search_g
-          ~cost:(fun e -> Hashtbl.find residual (e.Digraph.src, e.Digraph.dst))
-          ~sources
-      in
+      let res = Paths.minimax search_g ~cost:(Mcph.residual_cost residual) ~sources in
       match Paths.extract_path res r with
       | None -> patch_failed "orphaned subtree at node %d cannot be re-attached" r
       | Some path ->
@@ -308,7 +286,7 @@ let patch_tree ~(survivor : Platform.t) (tree : Multicast_tree.t) =
               tree_edges := (u, v) :: !tree_edges
             end)
           pe;
-        List.iter commit_edge pe;
+        List.iter (Mcph.commit residual) pe;
         absorb r
     end
   in
@@ -333,13 +311,9 @@ let patch_tree_set ~survivor (before : Schedule.t) =
          before.Schedule.trees)
   in
   let base = Tree_set.make pairs in
-  let max_occ = ref Rat.zero in
-  for v = 0 to Platform.n_nodes survivor - 1 do
-    max_occ := Rat.max !max_occ (Tree_set.send_occupation base v);
-    max_occ := Rat.max !max_occ (Tree_set.recv_occupation base v)
-  done;
-  if Rat.is_zero !max_occ then patch_failed "patched tree set has no load"
-  else Tree_set.scale base (Rat.inv !max_occ)
+  let max_occ = Tree_set.worst_occupation base in
+  if Rat.is_zero max_occ then patch_failed "patched tree set has no load"
+  else Tree_set.scale base (Rat.inv max_occ)
 
 let plan_incremental ?(now = Unix.gettimeofday) ?(retention_floor = 0.0)
     ?(fallback = true) ~before (p : Platform.t) damage =

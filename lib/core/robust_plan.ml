@@ -262,17 +262,8 @@ let graft_variants (p : Platform.t) tree ~edges_to_vary ~max_parents_per_edge =
    inverse of the worst port occupation. *)
 let balanced_set trees =
   let base = Tree_set.make (List.map (fun t -> (t, Rat.one)) trees) in
-  let n =
-    match trees with
-    | t :: _ -> Platform.n_nodes t.Multicast_tree.platform
-    | [] -> 0
-  in
-  let max_occ = ref Rat.zero in
-  for v = 0 to n - 1 do
-    max_occ := Rat.max !max_occ (Tree_set.send_occupation base v);
-    max_occ := Rat.max !max_occ (Tree_set.recv_occupation base v)
-  done;
-  if Rat.is_zero !max_occ then None else Some (Tree_set.scale base (Rat.inv !max_occ))
+  let max_occ = Tree_set.worst_occupation base in
+  if Rat.is_zero max_occ then None else Some (Tree_set.scale base (Rat.inv max_occ))
 
 let plans = Metrics.counter "robust.plans"
 
@@ -290,6 +281,10 @@ let plan ?(loss_bound = 0.1) ?(penalties = [ 4; 16 ]) ?(max_scenarios = 64) ?(se
           ("worst_case", Trace.Float r.chosen.cand_score.worst_case);
         ])
   @@ fun () ->
+  (* A negative (or NaN) bound leaves no candidate eligible. *)
+  if not (loss_bound >= 0.0) then
+    Error (Printf.sprintf "robust plan: loss bound %g must be >= 0" loss_bound)
+  else
   match Mcph.run p with
   | None -> Error "robust plan: some target is unreachable"
   | Some r ->

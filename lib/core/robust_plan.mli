@@ -147,7 +147,8 @@ type report = {
     them, the cap applies to the enumeration only). [jobs] (default
     {!Pool.default_jobs}) runs the perturbation searches and scenario
     scoring on a domain pool; reports are bit-identical across job counts.
-    Errors when MCPH itself fails (some target unreachable). *)
+    Errors when [loss_bound] is negative or NaN (no candidate would be
+    eligible) and when MCPH itself fails (some target unreachable). *)
 val plan :
   ?loss_bound:float ->
   ?penalties:int list ->

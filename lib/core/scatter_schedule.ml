@@ -35,13 +35,8 @@ let of_solution (p : Platform.t) (sol : Formulations.solution) =
     try
       let set = Tree_set.make !chains in
       (* Rounding can push a port above one time unit; rescale. *)
-      let worst = ref Rat.zero in
-      List.iter
-        (fun v ->
-          worst := Rat.max !worst (Tree_set.send_occupation set v);
-          worst := Rat.max !worst (Tree_set.recv_occupation set v))
-        (Platform.active_nodes p);
-      let set = if Rat.(!worst > one) then Tree_set.scale set (Rat.inv !worst) else set in
+      let worst = Tree_set.worst_occupation set in
+      let set = if Rat.(worst > one) then Tree_set.scale set (Rat.inv worst) else set in
       Ok (Schedule.of_tree_set set)
     with Invalid_argument e -> Error e
   end

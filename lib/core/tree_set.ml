@@ -35,15 +35,14 @@ let n_nodes s =
   | [] -> 0
   | (t, _) :: _ -> Platform.n_nodes t.Multicast_tree.platform
 
-let is_feasible s =
-  let n = n_nodes s in
-  let rec go v =
-    v >= n
-    || Rat.(send_occupation s v <= one)
-       && Rat.(recv_occupation s v <= one)
-       && go (v + 1)
-  in
-  go 0
+let worst_occupation s =
+  let worst = ref Rat.zero in
+  for v = 0 to n_nodes s - 1 do
+    worst := Rat.max !worst (Rat.max (send_occupation s v) (recv_occupation s v))
+  done;
+  !worst
+
+let is_feasible s = Rat.(worst_occupation s <= one)
 
 let throughput s = List.fold_left (fun acc (_, w) -> Rat.add acc w) Rat.zero s
 

@@ -22,6 +22,11 @@ val send_occupation : t -> int -> Rat.t
 
 val recv_occupation : t -> int -> Rat.t
 
+(** [worst_occupation s] is the largest send or receive occupation over
+    all nodes (zero for a set that loads no port). Scaling the weights by
+    its inverse makes the worst port exactly busy. *)
+val worst_occupation : t -> Rat.t
+
 (** [is_feasible s] checks every port occupation is at most 1. *)
 val is_feasible : t -> bool
 

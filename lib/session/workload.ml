@@ -46,14 +46,6 @@ let validate_params q =
     err "flash crowds need a positive size and window"
   else Ok ()
 
-(* Times live on the same 1/1000 grid as Fault's renewal generators, so
-   epoch arithmetic stays on small exact rationals. *)
-let grid_time x = Rat.of_ints (max 1 (int_of_float (Float.round (x *. 1000.0)))) 1000
-
-let exp_draw rng ~mean =
-  let u = Random.State.float rng 1.0 in
-  -.log (1.0 -. u) *. mean
-
 (* Heavy-tailed holding times: Pareto with tail index alpha and the scale
    chosen so the mean is [hold_mean] (xm = mean * (alpha-1) / alpha).
    Most sessions are short; a few hold capacity for many epochs — the
@@ -103,7 +95,7 @@ let draw_session rng (p : Platform.t) q ~id ~at ~n_targets =
   in
   let demand = Rat.mul frac standalone in
   let priority = Random.State.int rng q.priorities in
-  let holding = grid_time (pareto_draw rng ~mean:q.hold_mean ~alpha:q.hold_alpha) in
+  let holding = Fault.grid_time (pareto_draw rng ~mean:q.hold_mean ~alpha:q.hold_alpha) in
   Session.make ~id ~source ~targets ~demand ~priority ~arrival:at
     ~departure:(Rat.add at holding)
 
@@ -119,26 +111,26 @@ let generate rng (p : Platform.t) q ~horizon =
     q.targets_min + Random.State.int rng (q.targets_max - q.targets_min + 1)
   in
   (* Poisson arrivals: exponential inter-arrival gaps walked to the horizon. *)
-  let t = ref (grid_time (exp_draw rng ~mean:(1.0 /. q.arrival_rate))) in
+  let t = ref (Fault.exp_time rng ~mean:(1.0 /. q.arrival_rate)) in
   while Rat.(!t < horizon) do
     push (draw_session rng p q ~id:!id ~at:!t ~n_targets:(rand_targets ()));
-    t := Rat.add !t (grid_time (exp_draw rng ~mean:(1.0 /. q.arrival_rate)))
+    t := Rat.add !t (Fault.exp_time rng ~mean:(1.0 /. q.arrival_rate))
   done;
   (* Flash crowds: a Poisson process of bursts; each burst packs
      [flash_size] wide-fanout sessions into a short arrival window —
      the renewal-style correlated machinery of Fault.random_burst,
      recast as demand instead of damage. *)
   if q.flash_rate > 0.0 then begin
-    let t = ref (grid_time (exp_draw rng ~mean:(1.0 /. q.flash_rate))) in
+    let t = ref (Fault.exp_time rng ~mean:(1.0 /. q.flash_rate)) in
     while Rat.(!t < horizon) do
       for _ = 1 to q.flash_size do
-        let jitter = grid_time (Random.State.float rng q.flash_window) in
+        let jitter = Fault.grid_time (Random.State.float rng q.flash_window) in
         push
           (draw_session rng p q ~id:!id
              ~at:(Rat.add !t jitter)
              ~n_targets:q.flash_targets)
       done;
-      t := Rat.add !t (grid_time (exp_draw rng ~mean:(1.0 /. q.flash_rate)))
+      t := Rat.add !t (Fault.exp_time rng ~mean:(1.0 /. q.flash_rate))
     done
   end;
   List.sort

@@ -1,8 +1,13 @@
 (** Discrete-event replay of a periodic multicast schedule.
 
-    The simulator unrolls a {!Schedule.t} over a number of periods and
-    replays every transfer as a timed event under one-port semantics. It
-    independently re-verifies what the schedule construction promises:
+    The simulator unrolls a {!Schedule.t} over a number of periods into
+    timed busy intervals, one per transfer per period. One walk over those
+    intervals does the message accounting for both replays: each (tree,
+    edge) pair accrues progress at rate [1/f], where [f] is the link's
+    slowdown factor, and the walk reports every reception and the message
+    in flight at the start of each interval. {!run} is that walk at rate 1
+    plus three checks that independently re-verify what the schedule
+    construction promises:
 
     - {b port exclusivity}: no node ever runs two sends (or two receives)
       concurrently;
@@ -17,7 +22,9 @@
     Message accounting works at whole-message granularity: a busy interval
     carrying [q] messages of cost [c] delivers message boundaries at
     [start + c, start + 2c, ...]; receptions may span consecutive busy
-    intervals of the same (tree, edge) pair. *)
+    intervals of the same (tree, edge) pair. {!run_with_faults} runs the
+    same walk with the scenario's dead links and slowdowns. Both replays
+    measure throughput over the same steady-state window. *)
 
 type delivery = {
   target : int;

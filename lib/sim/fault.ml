@@ -430,14 +430,11 @@ let subtree_outage rng (p : Platform.t) ~at =
 
 (* --- renewal-process generators ------------------------------------------ *)
 
-(* An exponential draw with mean [mean], quantized to the 1/1000 grid so
-   fire times stay small exact rationals. Never zero: timelines need
-   strictly increasing kill/revive times to validate. *)
+let grid_time x = Rat.of_ints (max 1 (int_of_float (Float.round (x *. 1000.0)))) 1000
+
 let exp_time rng ~mean =
   let u = Random.State.float rng 1.0 in
-  let x = -.log (1.0 -. u) *. mean in
-  let ticks = int_of_float (Float.round (x *. 1000.0)) in
-  Rat.of_ints (max 1 ticks) 1000
+  grid_time (-.log (1.0 -. u) *. mean)
 
 let renewal_link_faults rng (p : Platform.t) ~mtbf ~mttr ~horizon =
   if not (mtbf > 0.0) then invalid_arg "renewal_link_faults: mtbf must be positive";

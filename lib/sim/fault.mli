@@ -149,6 +149,14 @@ val subtree_outage : Random.State.t -> Platform.t -> at:Rat.t -> scenario
     accumulating. All fire times are drawn on a 1/1000 grid (small exact
     rationals) and every generated scenario validates by construction. *)
 
+(** [grid_time x] rounds the duration [x] to the 1/1000 grid, never below
+    one tick (timelines need strictly increasing times); [exp_time rng
+    ~mean] is an exponential draw on that grid. Every generated time
+    (faults, controller ticks, session arrivals) lives on it, so
+    simulated-clock arithmetic stays on small exact rationals. *)
+val grid_time : float -> Rat.t
+val exp_time : Random.State.t -> mean:float -> Rat.t
+
 (** [renewal_link_faults rng p ~mtbf ~mttr ~horizon] runs an independent
     alternating renewal process on every undirected link: up-times are
     exponential with mean [mtbf], down-times exponential with mean [mttr],

@@ -174,9 +174,6 @@ let validate_config (p : Platform.t) cfg =
 
 (* --- the soak loop -------------------------------------------------------- *)
 
-(* Times generated on the 1/1000 grid keep controller ticks exact too. *)
-let rat_of_float x = Rat.of_ints (int_of_float (Float.round (x *. 1000.0))) 1000
-
 let group_batches scenario ~horizon =
   let clipped =
     List.filter (fun e -> Rat.(Fault.event_time e <= horizon)) scenario
@@ -305,7 +302,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
     stale := true;
     emit (Stale { at = t; rate = !cur_rate });
     (* retry once the bucket holds a token again, even if no further fault fires *)
-    push_tick (Rat.add t (rat_of_float (Float.max (refill_eta ()) 1.0)))
+    push_tick (Rat.add t (Fault.grid_time (Float.max (refill_eta ()) 1.0)))
   in
   let episode t eff =
     paid := false;
@@ -353,7 +350,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
            capacity is reclaimed even if no further fault ever fires. *)
         note_exhaustion ();
         prev_eff := was;
-        push_tick (Rat.add t (rat_of_float (Float.max (refill_eta ()) 1.0)));
+        push_tick (Rat.add t (Fault.grid_time (Float.max (refill_eta ()) 1.0)));
         emit (Reintegration_skipped { at = t; reason = "re-plan token budget exhausted" })
       end
       else begin
@@ -482,7 +479,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
     (* While components sit suppressed, the fault timeline alone will not
        wake the controller to release them — schedule a tick. *)
     if suppressed () <> [] then
-      push_tick (Rat.add t (rat_of_float (Float.max hold_down 1.0)));
+      push_tick (Rat.add t (Fault.grid_time (Float.max hold_down 1.0)));
     (* Epoch-boundary sampling (PR 10): a pure observer — nothing above
        ever reads the sink back into a decision, so a sampled run takes
        exactly the decisions an unsampled one does. *)

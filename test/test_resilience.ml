@@ -16,19 +16,47 @@ let tiers_platform seed =
 
 (* --- faulty replay ----------------------------------------------------- *)
 
+(* Without faults the faulty replay must agree with the validated one: no
+   losses and exactly the same steady-state rate. Checked on the two-relay
+   schedule and, for 40 seeded Tiers platforms, on the MCPH schedule and
+   the packed Reduced-BC schedule. *)
 let test_no_faults_is_lossless () =
-  let sched = two_relay_sched () in
-  let clean = Result.get_ok (Event_sim.run sched ~periods:12) in
-  let fs = Event_sim.run_with_faults sched ~faults:[] ~periods:12 in
-  Alcotest.(check (list (triple int int int)))
-    "no losses" []
-    (List.map
-       (fun l -> (l.Event_sim.l_tree, l.Event_sim.l_target, l.Event_sim.l_message))
-       fs.Event_sim.f_losses);
-  Alcotest.(check bool) "deliveries happened" true (fs.Event_sim.f_delivered > 0);
-  Alcotest.(check (float 0.02))
-    "same steady-state rate as the clean replay" clean.Event_sim.measured_throughput
-    fs.Event_sim.f_measured_throughput
+  let check name sched ~periods =
+    let clean =
+      match Event_sim.run sched ~periods with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "%s: validated replay failed: %s" name e
+    in
+    let fs = Event_sim.run_with_faults sched ~faults:[] ~periods in
+    Alcotest.(check (list (triple int int int)))
+      (name ^ ": no losses") []
+      (List.map
+         (fun l -> (l.Event_sim.l_tree, l.Event_sim.l_target, l.Event_sim.l_message))
+         fs.Event_sim.f_losses);
+    Alcotest.(check bool) (name ^ ": deliveries happened") true (fs.Event_sim.f_delivered > 0);
+    Alcotest.(check (float 0.0))
+      (name ^ ": same steady-state rate as the validated replay")
+      clean.Event_sim.measured_throughput fs.Event_sim.f_measured_throughput
+  in
+  check "two-relay" (two_relay_sched ()) ~periods:12;
+  for seed = 1 to 40 do
+    let p = tiers_platform seed in
+    let check_sched what sched =
+      check (Printf.sprintf "seed %d %s" seed what) sched
+        ~periods:(Schedule.init_periods sched + 6)
+    in
+    (match Mcph.run p with
+    | None -> Alcotest.failf "seed %d: MCPH found no tree" seed
+    | Some r ->
+      check_sched "MCPH"
+        (Schedule.of_tree_set (Tree_set.make [ (r.Mcph.tree, Rat.inv r.Mcph.period) ])));
+    match Reduced_broadcast.run ~max_tries_per_round:1 p with
+    | None -> Alcotest.failf "seed %d: Reduced-BC failed" seed
+    | Some r -> (
+      match Reduced_broadcast.to_schedule p r with
+      | Error e -> Alcotest.failf "seed %d: Reduced-BC packing failed: %s" seed e
+      | Ok (sched, _) -> check_sched "Reduced-BC" sched)
+  done
 
 let test_kill_edge_loses_subtree () =
   (* Killing 0->1 at time 0 starves relay 1: every delivery of tree 0 (the

@@ -121,6 +121,24 @@ let test_robust_plan_tiers () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "chosen schedule fails check: %s" e)
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let test_loss_bound_rejected () =
+  (* Below zero (or NaN) no candidate, not even the best nominal one, is
+     eligible: the planner reports the bound instead of raising. *)
+  let p = Paper_platforms.two_relay () in
+  List.iter
+    (fun loss_bound ->
+      match Robust_plan.plan ~loss_bound p with
+      | Ok _ -> Alcotest.failf "loss bound %g accepted" loss_bound
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "%S names the loss bound" e) true
+          (contains e "loss bound"))
+    [ -1.0; -1e-9; Float.nan ]
+
 let test_scenario_sampling_cap () =
   let rng = Random.State.make [| 3; 1789 |] in
   let p = Tiers.generate rng Tiers.small_params ~n_targets:6 in
@@ -423,11 +441,6 @@ let test_policy_validation () =
   (match Recovery_loop.validate_policy p ok with
   | Ok () -> ()
   | Error e -> Alcotest.failf "default policy rejected: %s" e);
-  let contains haystack needle =
-    let nh = String.length haystack and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
   let expect_reject what pol needle =
     match Recovery_loop.validate_policy p pol with
     | Ok () -> Alcotest.failf "%s accepted" what
@@ -465,6 +478,7 @@ let suite =
     ("robust beats nominal on two-relay", `Quick, test_robust_beats_nominal_on_two_relay);
     ("robust plan on tiers platform", `Quick, test_robust_plan_tiers);
     ("scenario sampling cap logged", `Quick, test_scenario_sampling_cap);
+    ("negative or NaN loss bound is an error", `Quick, test_loss_bound_rejected);
     ("recovery: no failure, no events", `Quick, test_recovery_no_failure);
     ("recovery: simple one-shot repair", `Quick, test_recovery_simple);
     ("recovery: failure -> retries -> degraded -> recovered", `Quick, test_recovery_full_sequence);
