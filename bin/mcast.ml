@@ -26,19 +26,23 @@
 
 open Cmdliner
 
-let read_platform = function
-  | None -> (
-    match Platform_io.of_string (In_channel.input_all In_channel.stdin) with
-    | Ok p -> p
-    | Error e -> failwith ("stdin: " ^ e))
-  | Some path -> (
-    match Platform_io.load path with
-    | Ok p -> p
-    | Error e -> failwith (path ^ ": " ^ e))
-
 let platform_arg =
   let doc = "Platform description file (defaults to stdin)." in
   Arg.(value & opt (some string) None & info [ "p"; "platform" ] ~docv:"FILE" ~doc)
+
+(* The one platform loader: [-p FILE], or the platform text on stdin. The
+   subcommand calls it inside {!run}, so a failure is a located error. *)
+let load_platform file () =
+  let loaded =
+    match file with
+    | Some path -> Platform_io.load path
+    | None ->
+      Result.map_error (( ^ ) "stdin: ")
+        (Platform_io.of_string (In_channel.input_all In_channel.stdin))
+  in
+  match loaded with Ok p -> p | Error e -> failwith e
+
+let platform_file = Term.(const load_platform $ platform_arg)
 
 let seed_arg =
   let doc = "PRNG seed." in
@@ -126,12 +130,20 @@ let rat_in ~expected ok =
   in
   Arg.conv (parse, fun fmt r -> Format.pp_print_string fmt (Rat.to_string r))
 
+let pos_rat = rat_in ~expected:"a rational > 0" (fun r -> Rat.sign r > 0)
+let nonneg_rat = rat_in ~expected:"a rational >= 0" (fun r -> Rat.sign r >= 0)
+let at_least_one_rat = rat_in ~expected:"a rational >= 1" (fun r -> Rat.(r >= one))
+
 let periods_arg default =
   Arg.(value & opt pos_int default & info [ "periods" ] ~docv:"N" ~doc:"Simulation periods to replay.")
 
 let targets_arg =
   let doc = "Number of multicast targets for generated platforms." in
   Arg.(value & opt int 8 & info [ "targets" ] ~docv:"N" ~doc)
+
+let horizon_arg default =
+  let doc = "Simulated horizon (rational time units)." in
+  Arg.(value & opt pos_rat (Rat.of_int default) & info [ "horizon" ] ~docv:"T" ~doc)
 
 (* [-p FILE], or else a platform of [--kind] with [--targets] targets drawn
    from [--seed]. Evaluates to the seed, from which the stochastic
@@ -140,18 +152,12 @@ let targets_arg =
 let platform_term =
   let source file kind seed n_targets =
     ( seed,
-      fun () ->
-        match file with
-        | Some _ -> read_platform file
-        | None -> platform_of_kind (Random.State.make [| seed |]) kind ~n_targets )
+      match file with
+      | Some _ -> load_platform file
+      | None -> fun () -> platform_of_kind (Random.State.make [| seed |]) kind ~n_targets )
   in
   let kind = kind_term ~doc:"Platform kind when no file is given (see $(b,generate))." in
   Term.(const source $ platform_arg $ kind $ seed_arg $ targets_arg)
-
-let rat_arg ~what s =
-  match Rat.of_string s with
-  | r -> r
-  | exception _ -> failwith (Printf.sprintf "bad %s: %s" what s)
 
 (* The MCPH tree as a checked one-tree schedule: the baseline simulate,
    resilience and soak start from. *)
@@ -285,50 +291,69 @@ let write_profile_json path ~delta prof =
   Out_channel.with_open_text path (fun oc -> output_string oc (Json.to_string doc));
   Printf.printf "profile json: wrote %s\n" path
 
-(* Bracket a subcommand body with the observability layer: start tracing if
-   any traced output was asked for, snapshot the metric registry if a delta
-   will be reported, and on the way out (even on failure) export the trace,
-   print the profile and the deltas. [counters] is evaluated at export time
-   so drivers that sample a Timeseries sink during the run get their series
-   appended to the trace as Perfetto counter tracks. *)
-let with_observability ?(counters = fun () -> []) o f =
+(* Run a subcommand body [f] under the observability layer, with the one
+   error exit every subcommand shares. Tracing starts if any traced output
+   was asked for, and the metric registry is snapshotted if a delta will be
+   reported. After [f] returns or fails, the trace, profile, folded stacks
+   and metrics deltas are written. [counters] is evaluated then, so drivers
+   that sample a Timeseries sink get their series appended to the trace as
+   Perfetto counter tracks. A [Failure] or [Sys_error] from [f] or from
+   those writes is printed as "mcast: <msg>" and the run exits 1; seeded
+   subcommands pass [seed], which is then printed so the failing run can
+   be reproduced verbatim. Any other exception is a bug and propagates. *)
+let run ?seed ?(counters = fun () -> []) o f =
   if o.trace <> None || o.profile <> None || o.folded <> None then
     Trace.enable ~capacity:(1 lsl 18) ();
   let before =
     if o.metrics || o.profile <> None then Some (Metrics.snapshot ()) else None
   in
-  Fun.protect
-    ~finally:(fun () ->
-      let events = Trace.events () and dropped = Trace.dropped () in
-      (match o.trace with
-      | None -> ()
-      | Some path ->
-        Trace.export ~counters:(counters ()) path;
-        Printf.printf "trace: wrote %d events to %s (%d dropped%s)\n" (List.length events)
-          path dropped
-          (if dropped > 0 then ": ring full, trace is partial" else ""));
-      Trace.disable ();
-      let delta = Option.map (fun before -> Metrics.delta ~before (Metrics.snapshot ())) before in
-      (match (o.profile, delta) with
-      | Some path, Some delta ->
-        let prof = Trace_stats.of_events ~dropped events in
-        print_newline ();
-        print_string (Trace_stats.to_text ~top:15 prof);
-        print_lp_attribution delta;
-        write_profile_json path ~delta prof
-      | _ -> ());
-      (match o.folded with
-      | None -> ()
-      | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Folded.of_events events));
-        Printf.printf "folded stacks: wrote %s\n" path);
-      match delta with
-      | Some delta when o.metrics ->
-        print_string "metrics:\n";
-        print_string (Metrics.to_text delta)
-      | _ -> ())
-    f
+  let write_outputs () =
+    let events = Trace.events () and dropped = Trace.dropped () in
+    (match o.trace with
+    | None -> ()
+    | Some path ->
+      Trace.export ~counters:(counters ()) path;
+      Printf.printf "trace: wrote %d events to %s (%d dropped%s)\n" (List.length events)
+        path dropped
+        (if dropped > 0 then ": ring full, trace is partial" else ""));
+    Trace.disable ();
+    let delta = Option.map (fun before -> Metrics.delta ~before (Metrics.snapshot ())) before in
+    (match (o.profile, delta) with
+    | Some path, Some delta ->
+      let prof = Trace_stats.of_events ~dropped events in
+      print_newline ();
+      print_string (Trace_stats.to_text ~top:15 prof);
+      print_lp_attribution delta;
+      write_profile_json path ~delta prof
+    | _ -> ());
+    (match o.folded with
+    | None -> ()
+    | Some path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc (Folded.of_events events));
+      Printf.printf "folded stacks: wrote %s\n" path);
+    match delta with
+    | Some delta when o.metrics ->
+      print_string "metrics:\n";
+      print_string (Metrics.to_text delta)
+    | _ -> ()
+  in
+  let attempt g = try g (); [] with e -> [ (e, Printexc.get_raw_backtrace ()) ] in
+  (* [f] first: [@] evaluates its right operand first. *)
+  let body = attempt f in
+  match body @ attempt write_outputs with
+  | [] -> ()
+  | failures ->
+    List.iter
+      (fun (e, bt) ->
+        match e with
+        | Failure m | Sys_error m -> Printf.eprintf "mcast: %s\n%!" m
+        | e -> Printexc.raise_with_backtrace e bt)
+      failures;
+    Option.iter
+      (fun seed ->
+        Printf.eprintf "effective seed: %d (rerun with --seed %d to reproduce)\n%!" seed seed)
+      seed;
+    exit 1
 
 (* --- time-series / SLO plumbing shared by soak and sessions --- *)
 
@@ -341,7 +366,12 @@ let slo_arg =
      with the standard fast/slow error-budget burn-rate pair. An objective over \
      a series the run never samples is an error (exit 1)."
   in
-  Arg.(value & opt_all string [] & info [ "slo" ] ~docv:"SPEC" ~doc)
+  let objective =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Slo.parse s)),
+        fun fmt o -> Format.pp_print_string fmt (Slo.spec o) )
+  in
+  Arg.(value & opt_all objective [] & info [ "slo" ] ~docv:"SPEC" ~doc)
 
 let timeseries_arg =
   let doc =
@@ -349,14 +379,6 @@ let timeseries_arg =
      JSON rollup document, anything else OpenMetrics text. Repeatable."
   in
   Arg.(value & opt_all string [] & info [ "timeseries" ] ~docv:"FILE" ~doc)
-
-let parse_slo_specs specs =
-  List.map
-    (fun s ->
-      match Slo.parse s with
-      | Ok o -> o
-      | Error e -> failwith (Printf.sprintf "--slo %s: %s" s e))
-    specs
 
 (* The sink exists whenever something will consume it: an export file, SLO
    objectives to evaluate, or a trace to append counter tracks to. *)
@@ -421,25 +443,10 @@ let print_perf_counters () =
     (c.Lp_counters.pivots + c.Lp_counters.exact_pivots)
     s.Lp_cache.hits s.Lp_cache.misses
 
-(* The stochastic subcommands (resilience / robust / soak) share one --seed
-   convention; any nonzero exit names the effective seed so the failing run
-   can be reproduced verbatim from the CI log. *)
-let exit_with_seed ~seed code =
-  if code <> 0 then
-    Printf.eprintf "effective seed: %d (rerun with --seed %d to reproduce)\n%!" seed seed;
-  exit code
-
-let with_seed_reporting ~seed f =
-  try f ()
-  with Failure e ->
-    Printf.eprintf "mcast: %s\n%!" e;
-    exit_with_seed ~seed 1
-
 (* --- generate --- *)
 
 let generate kind seed n_targets out obs =
-  with_observability obs @@ fun () ->
-  with_seed_reporting ~seed @@ fun () ->
+  run ~seed obs @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let p = platform_of_kind rng kind ~n_targets in
   let text = Platform_io.to_string p in
@@ -463,9 +470,9 @@ let generate_cmd =
 
 (* --- bounds --- *)
 
-let bounds file obs =
-  with_observability obs @@ fun () ->
-  let p = read_platform file in
+let bounds load obs =
+  run obs @@ fun () ->
+  let p = load () in
   Printf.printf "%s\n" (Platform.describe p);
   Format.printf "topology: %a@." Topology_stats.pp (Topology_stats.compute p);
   let b = Bounds.compute p in
@@ -484,13 +491,13 @@ let bounds file obs =
 
 let bounds_cmd =
   Cmd.v (Cmd.info "bounds" ~doc:"LP bounds of an instance")
-    Term.(const bounds $ platform_arg $ obs_term)
+    Term.(const bounds $ platform_file $ obs_term)
 
 (* --- heuristics --- *)
 
-let heuristics file tries sources obs =
-  with_observability obs @@ fun () ->
-  let p = read_platform file in
+let heuristics load tries sources obs =
+  run obs @@ fun () ->
+  let p = load () in
   Printf.printf "%s\n" (Platform.describe p);
   let report = Heuristics.run_all ?max_tries_per_round:tries ~max_sources:sources p in
   Printf.printf "%-16s %12s %12s %9s\n" "method" "period" "throughput" "time(s)";
@@ -511,13 +518,13 @@ let heuristics_cmd =
   in
   Cmd.v
     (Cmd.info "heuristics" ~doc:"Run the paper's heuristic portfolio")
-    Term.(const heuristics $ platform_arg $ tries $ sources $ obs_term)
+    Term.(const heuristics $ platform_file $ tries $ sources $ obs_term)
 
 (* --- tree --- *)
 
-let tree file dot_out obs =
-  with_observability obs @@ fun () ->
-  let p = read_platform file in
+let tree load dot_out obs =
+  run obs @@ fun () ->
+  let p = load () in
   match Mcph.run p with
   | None -> failwith "some target is unreachable"
   | Some r ->
@@ -545,13 +552,13 @@ let tree_cmd =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
   Cmd.v (Cmd.info "tree" ~doc:"One-port MCPH multicast tree")
-    Term.(const tree $ platform_arg $ dot $ obs_term)
+    Term.(const tree $ platform_file $ dot $ obs_term)
 
 (* --- simulate --- *)
 
-let simulate file periods obs =
-  with_observability obs @@ fun () ->
-  let sched = mcph_schedule (read_platform file) in
+let simulate load periods obs =
+  run obs @@ fun () ->
+  let sched = mcph_schedule (load ()) in
   Printf.printf "schedule: period %s, %d messages/period, %d transfers\n"
     (Rat.to_string sched.Schedule.period)
     sched.Schedule.messages_per_period
@@ -567,13 +574,13 @@ let simulate file periods obs =
 let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Schedule the MCPH tree and replay it")
-    Term.(const simulate $ platform_arg $ periods_arg 12 $ obs_term)
+    Term.(const simulate $ platform_file $ periods_arg 12 $ obs_term)
 
 (* --- broadcast-schedule --- *)
 
-let broadcast_schedule file periods obs =
-  with_observability obs @@ fun () ->
-  let p = read_platform file in
+let broadcast_schedule load periods obs =
+  run obs @@ fun () ->
+  let p = load () in
   match Formulations.broadcast_eb p with
   | None -> failwith "broadcast infeasible (disconnected platform)"
   | Some sol -> (
@@ -592,13 +599,13 @@ let broadcast_schedule_cmd =
   Cmd.v
     (Cmd.info "broadcast-schedule"
        ~doc:"Pack Broadcast-EB into arborescences, schedule and simulate")
-    Term.(const broadcast_schedule $ platform_arg $ periods_arg 10 $ obs_term)
+    Term.(const broadcast_schedule $ platform_file $ periods_arg 10 $ obs_term)
 
 (* --- scatter-schedule --- *)
 
-let scatter_schedule file periods obs =
-  with_observability obs @@ fun () ->
-  let p = read_platform file in
+let scatter_schedule load periods obs =
+  run obs @@ fun () ->
+  let p = load () in
   match Formulations.multicast_ub p with
   | None -> failwith "some target is unreachable"
   | Some sol -> (
@@ -618,22 +625,20 @@ let scatter_schedule_cmd =
   Cmd.v
     (Cmd.info "scatter-schedule"
        ~doc:"Build and simulate the schedule realizing Multicast-UB")
-    Term.(const scatter_schedule $ platform_arg $ periods_arg 10 $ obs_term)
+    Term.(const scatter_schedule $ platform_file $ periods_arg 10 $ obs_term)
 
 (* --- resilience --- *)
 
 let resilience (seed, load) kill_edges kill_nodes degrades at periods online
     max_attempts drop_order storm storm_k incremental jobs obs =
-  with_observability obs @@ fun () ->
-  with_seed_reporting ~seed @@ fun () ->
+  run ~seed obs @@ fun () ->
   let p = load () in
-  let at = rat_arg ~what:"--at time" at in
   let scenario =
     List.map (fun (u, v) -> Fault.Kill_edge { src = u; dst = v; at }) kill_edges
     @ List.map (fun v -> Fault.Kill_node { node = v; at }) kill_nodes
     @ List.map
         (fun (u, v, f) ->
-          Fault.Degrade_edge { src = u; dst = v; at; factor = rat_arg ~what:"degrade factor" f })
+          Fault.Degrade_edge { src = u; dst = v; at; factor = f })
         degrades
   in
   let scenario =
@@ -697,7 +702,7 @@ let resilience (seed, load) kill_edges kill_nodes degrades at periods online
       print_perf_counters ();
       (* Unrecovered runs exit nonzero so CI and scripts can detect them. *)
       match o.Recovery_loop.final with
-      | `Fallback _ -> exit_with_seed ~seed 1
+      | `Fallback _ -> failwith "recovery failed: the checkpointed schedule stands"
       | _ -> ())
   end
   else
@@ -725,11 +730,14 @@ let resilience_cmd =
   in
   let degrade =
     let doc = "Slow edge U,V down by factor F (a rational >= 1) at time --at (repeatable)." in
-    Arg.(value & opt_all (t3 ~sep:',' int int string) [] & info [ "degrade" ] ~docv:"U,V,F" ~doc)
+    Arg.(
+      value
+      & opt_all (t3 ~sep:',' int int at_least_one_rat) []
+      & info [ "degrade" ] ~docv:"U,V,F" ~doc)
   in
   let at =
     let doc = "Fire time of every fault event (rational)." in
-    Arg.(value & opt string "0" & info [ "at" ] ~docv:"T" ~doc)
+    Arg.(value & opt nonneg_rat Rat.zero & info [ "at" ] ~docv:"T" ~doc)
   in
   let online =
     let doc =
@@ -796,8 +804,7 @@ let storm_failures p ~seed ~storms =
          Fault.damage scenario))
 
 let robust (seed, load) loss_bound max_scenarios with_lb storms jobs obs =
-  with_observability obs @@ fun () ->
-  with_seed_reporting ~seed @@ fun () ->
+  run ~seed obs @@ fun () ->
   let p = load () in
   Printf.printf "%s\n" (Platform.describe p);
   let extra_failures = storm_failures p ~seed ~storms in
@@ -879,14 +886,10 @@ let soak_scenarios =
 
 let soak (seed, load) horizon scenario_kind mtbf mttr flap_links flaps
     mean_up mean_down waves wave_period wave_factor wave_rate controller tokens
-    token_refill hysteresis min_availability show_log (slo, incidents) timeseries obs =
-  let objectives = parse_slo_specs slo in
+    token_refill hysteresis min_availability show_log (objectives, incidents) timeseries obs =
   let sink = make_sink ~timeseries ~objectives obs in
-  with_observability ~counters:(sink_counters sink) obs @@ fun () ->
-  with_seed_reporting ~seed @@ fun () ->
+  run ~seed ~counters:(sink_counters sink) obs @@ fun () ->
   let p = load () in
-  let horizon = rat_arg ~what:"--horizon" horizon in
-  if Rat.sign horizon <= 0 then failwith "--horizon must be positive";
   let rng = Random.State.make [| seed; 7001 |] in
   let scenario =
     match scenario_kind with
@@ -934,16 +937,12 @@ let soak (seed, load) horizon scenario_kind mtbf mttr flap_links flaps
     print_perf_counters ();
     match min_availability with
     | Some m when rep.Soak.sk_availability < m ->
-      Printf.eprintf "soak: availability %.4f below the required %.4f\n%!"
-        rep.Soak.sk_availability m;
-      exit_with_seed ~seed 1
+      failwith
+        (Printf.sprintf "availability %.4f below the required --min-availability %.4f"
+           rep.Soak.sk_availability m)
     | _ -> ()
 
 let soak_cmd =
-  let horizon =
-    let doc = "Simulated soak horizon (rational time units)." in
-    Arg.(value & opt string "600" & info [ "horizon" ] ~docv:"T" ~doc)
-  in
   let scenario =
     let doc =
       "Fault timeline: $(b,renewal) (per-link fail/repair renewal process), \
@@ -975,13 +974,11 @@ let soak_cmd =
   in
   let wave_period =
     let doc = "Length of one congestion wave (rational)." in
-    let positive = rat_in ~expected:"a rational > 0" (fun r -> Rat.sign r > 0) in
-    Arg.(value & opt positive (Rat.of_int 150) & info [ "wave-period" ] ~docv:"T" ~doc)
+    Arg.(value & opt pos_rat (Rat.of_int 150) & info [ "wave-period" ] ~docv:"T" ~doc)
   in
   let wave_factor =
     let doc = "Degradation factor applied during a wave (rational >= 1)." in
-    let at_least_one = rat_in ~expected:"a rational >= 1" (fun r -> Rat.(r >= one)) in
-    Arg.(value & opt at_least_one (Rat.of_int 3) & info [ "wave-factor" ] ~docv:"F" ~doc)
+    Arg.(value & opt at_least_one_rat (Rat.of_int 3) & info [ "wave-factor" ] ~docv:"F" ~doc)
   in
   let wave_rate =
     let doc = "Per-link probability of degrading in each wave." in
@@ -1036,7 +1033,7 @@ let soak_cmd =
        ~doc:"Chaos soak: run the recovery controller continuously over a fail/repair \
              timeline")
     Term.(
-      const soak $ platform_term $ horizon $ scenario
+      const soak $ platform_term $ horizon_arg 600 $ scenario
       $ mtbf_arg $ mttr_arg $ flap_links $ flaps $ mean_up $ mean_down $ waves $ wave_period
       $ wave_factor $ wave_rate $ controller $ tokens $ token_refill $ hysteresis
       $ min_availability $ show_log $ slo_incidents $ timeseries_arg $ obs_term)
@@ -1048,14 +1045,10 @@ let session_scenarios =
 
 let sessions (seed, load) horizon arrival_rate hold_mean demand_lo
     demand_hi flash_rate epoch mode jobs scenario_kind mtbf mttr burst_k burst_at
-    min_admitted show_digest show_epochs slo slo_enforce timeseries obs =
-  let objectives = parse_slo_specs slo in
+    min_admitted show_digest show_epochs objectives slo_enforce timeseries obs =
   let sink = make_sink ~timeseries ~objectives obs in
-  with_observability ~counters:(sink_counters sink) obs @@ fun () ->
-  with_seed_reporting ~seed @@ fun () ->
+  run ~seed ~counters:(sink_counters sink) obs @@ fun () ->
   let p = load () in
-  let horizon = rat_arg ~what:"--horizon" horizon in
-  if Rat.sign horizon <= 0 then failwith "--horizon must be positive";
   let params =
     {
       Workload.default_params with
@@ -1079,14 +1072,13 @@ let sessions (seed, load) horizon arrival_rate hold_mean demand_lo
     | `None -> []
     | `Renewal -> Fault.renewal_link_faults frng p ~mtbf ~mttr ~horizon
     | `Burst ->
-      Fault.random_burst frng p ~k:burst_k ~window:Rat.one
-        ~at:(rat_arg ~what:"--burst-at" burst_at)
+      Fault.random_burst frng p ~k:burst_k ~window:Rat.one ~at:burst_at
     | `Flapping ->
       Fault.flapping_links frng p ~links:3 ~flaps:6 ~mean_up:40. ~mean_down:5.
         ~at:Rat.zero
   in
   let config =
-    { Horizon.epoch = rat_arg ~what:"--epoch" epoch; replan_mode = mode; jobs }
+    { Horizon.epoch; replan_mode = mode; jobs }
   in
   Printf.printf "%s\n" (Platform.describe p);
   Printf.printf "workload: %s\n" (Workload.describe workload);
@@ -1122,16 +1114,12 @@ let sessions (seed, load) horizon arrival_rate hold_mean demand_lo
     print_perf_counters ();
     (match min_admitted with
     | Some m when rep.Horizon.hz_admitted < m ->
-      Printf.eprintf "sessions: admitted %d below the required %d\n%!"
-        rep.Horizon.hz_admitted m;
-      exit_with_seed ~seed 1
+      failwith
+        (Printf.sprintf "%d sessions admitted, below the required --min-admitted %d"
+           rep.Horizon.hz_admitted m)
     | _ -> ())
 
 let sessions_cmd =
-  let horizon =
-    let doc = "Simulated horizon (rational time units)." in
-    Arg.(value & opt string "300" & info [ "horizon" ] ~docv:"T" ~doc)
-  in
   let arrival_rate =
     let doc = "Mean session arrivals per time unit." in
     Arg.(value & opt float 0.1 & info [ "arrival-rate" ] ~docv:"R" ~doc)
@@ -1154,7 +1142,7 @@ let sessions_cmd =
   in
   let epoch =
     let doc = "Planning epoch length (rational time units)." in
-    Arg.(value & opt string "5" & info [ "epoch" ] ~docv:"T" ~doc)
+    Arg.(value & opt pos_rat (Rat.of_int 5) & info [ "epoch" ] ~docv:"T" ~doc)
   in
   let mode =
     let doc =
@@ -1180,7 +1168,7 @@ let sessions_cmd =
   in
   let burst_at =
     let doc = "Burst instant (rational)." in
-    Arg.(value & opt string "150" & info [ "burst-at" ] ~docv:"T" ~doc)
+    Arg.(value & opt nonneg_rat (Rat.of_int 150) & info [ "burst-at" ] ~docv:"T" ~doc)
   in
   let min_admitted =
     let doc = "Exit nonzero when fewer than $(docv) sessions are admitted (CI gate)." in
@@ -1210,7 +1198,7 @@ let sessions_cmd =
        ~doc:"Online session engine: rolling-horizon admission, incremental \
              re-planning and priority preemption over a churning session stream")
     Term.(
-      const sessions $ platform_term $ horizon
+      const sessions $ platform_term $ horizon_arg 300
       $ arrival_rate $ hold_mean $ demand_lo $ demand_hi $ flash_rate $ epoch $ mode
       $ jobs_arg $ scenario $ mtbf_arg $ mttr_arg $ burst_k $ burst_at $ min_admitted
       $ show_digest $ show_epochs $ slo_arg $ slo_enforce $ timeseries_arg $ obs_term)
@@ -1218,7 +1206,7 @@ let sessions_cmd =
 (* --- prefix --- *)
 
 let prefix_cmd_run seed universe n_sets bound obs =
-  with_observability obs @@ fun () ->
+  run obs @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let cover = Set_cover.random rng ~universe ~n_sets ~density:0.4 in
   Format.printf "instance: %a@." Set_cover.pp cover;
@@ -1246,7 +1234,7 @@ let prefix_cmd =
 (* --- gadget --- *)
 
 let gadget seed universe n_sets bound obs =
-  with_observability obs @@ fun () ->
+  run obs @@ fun () ->
   let rng = Random.State.make [| seed |] in
   let cover = Set_cover.random rng ~universe ~n_sets ~density:0.35 in
   Format.printf "instance: %a@." Set_cover.pp cover;

@@ -15,13 +15,9 @@ let period_of = function
   | None -> infinity
   | Some (s : Formulations.solution) -> s.Formulations.period
 
-let lb_period b = period_of b.lb
-let ub_period b = period_of b.ub
-let broadcast_period b = period_of b.broadcast
-
 let check b ~n_targets =
   let tol = 1e-5 in
-  let lb = lb_period b and ub = ub_period b and bc = broadcast_period b in
+  let lb = period_of b.lb and ub = period_of b.ub and bc = period_of b.broadcast in
   if lb > ub *. (1.0 +. tol) then
     Error (Printf.sprintf "LB period %g exceeds UB period %g" lb ub)
   else if ub > (float_of_int n_targets *. lb *. (1.0 +. tol)) +. tol then

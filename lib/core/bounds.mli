@@ -15,13 +15,7 @@ type t = {
 (** Solve all three programs. *)
 val compute : Platform.t -> t
 
-(** [lb_period b] / [ub_period b] / [broadcast_period b] as floats,
-    [infinity] when the corresponding program was infeasible. *)
-val lb_period : t -> float
-
-val ub_period : t -> float
-val broadcast_period : t -> float
-
 (** [check b ~n_targets] verifies the §5.1 inequality chain up to the float
-    tolerance; returns an error description on violation. *)
+    tolerance, taking an infeasible program's period as infinite; returns
+    an error description on violation. *)
 val check : t -> n_targets:int -> (unit, string) Result.t

@@ -105,7 +105,7 @@ let enumerate_trees ?(max_trees = 200_000) (p : Platform.t) =
      failwith "Complexity.enumerate_trees: instance too large for exhaustive enumeration");
   !acc
 
-let best_single_tree ?(max_states = 2_000_000) (p : Platform.t) =
+let best_single_tree (p : Platform.t) =
   let g = p.Platform.graph in
   let n = Platform.n_nodes p in
   let send = Array.make n Rat.zero and recv = Array.make n Rat.zero in
@@ -128,7 +128,7 @@ let best_single_tree ?(max_states = 2_000_000) (p : Platform.t) =
       edges
   in
   (try
-     enumerate_core p ~max_states
+     enumerate_core p ~max_states:2_000_000
        ~on_add:(apply 1) ~on_remove:(apply (-1))
        ~prune:(fun () ->
          (* Port occupations only grow as the tree grows: cut the branch as

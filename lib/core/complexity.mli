@@ -17,12 +17,12 @@
     [|C|+1 .. |C|+N] the element targets. *)
 val gadget : Set_cover.t -> bound:int -> Platform.t
 
-(** [best_single_tree ?max_trees p] finds a multicast tree of minimum
-    one-port period by exhaustive branch-and-bound over pruned trees
-    (every leaf a target). Returns [None] when some target is unreachable.
-    Raises [Failure] after generating [max_trees] partial states (default
-    [2_000_000]) — the instance is too big for exact search. *)
-val best_single_tree : ?max_states:int -> Platform.t -> Multicast_tree.t option
+(** [best_single_tree p] finds a multicast tree of minimum one-port period
+    by exhaustive branch-and-bound over pruned trees (every leaf a target).
+    Returns [None] when some target is unreachable. Raises [Failure] after
+    generating 2 000 000 partial states — the instance is too big for exact
+    search. *)
+val best_single_tree : Platform.t -> Multicast_tree.t option
 
 (** [enumerate_trees ?max_trees p] lists every pruned multicast tree
     (distinct edge sets). Raises [Failure] beyond [max_trees] (default

@@ -110,6 +110,3 @@ val multisource_ub : Platform.t -> sources:int list -> solution option
     formulation by instance size). Exposed for cross-validation in the test
     suite and the ablation bench. *)
 val multicast_ub_colgen : Platform.t -> solution option
-
-(** Numeric tolerance used when interpreting LP values. *)
-val eps : float

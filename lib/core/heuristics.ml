@@ -15,20 +15,19 @@ let method_names =
 
 let method_seconds = Metrics.histogram "heuristics.method_seconds"
 
-let timed ~now name f =
-  let t0 = now () in
+let timed name f =
+  let t0 = Unix.gettimeofday () in
   let period =
     Trace.with_span ~cat:"heuristic" ("heuristic." ^ name)
       ~result:(fun period -> [ ("period", Trace.Float period) ])
       f
   in
-  let wall_time = now () -. t0 in
+  let wall_time = Unix.gettimeofday () -. t0 in
   Metrics.observe method_seconds wall_time;
   let period = if period <= 0.0 then infinity else period in
   { name; period; throughput = 1.0 /. period; wall_time }
 
-let run_all ?(now = Unix.gettimeofday) ?max_tries_per_round ?max_sources p =
-  let timed name f = timed ~now name f in
+let run_all ?max_tries_per_round ?max_sources p =
   let lp_period = function
     | None -> infinity
     | Some (s : Formulations.solution) -> s.Formulations.period

@@ -18,15 +18,13 @@ type report = {
     "MCPH", "Augm. MC", "Red. BC", "Multisource MC". *)
 val method_names : string list
 
-(** [run_all ?now ?max_tries_per_round ?max_sources p] runs every method.
+(** [run_all ?max_tries_per_round ?max_sources p] runs every method.
     [max_tries_per_round] bounds the LP probes per improvement round of the
-    refined heuristics (None = paper-faithful exhaustive probing). [now]
-    (default [Unix.gettimeofday]) is the clock behind [wall_time]; inject a
-    fake one for deterministic timing in tests. Each method runs inside a
+    refined heuristics (None = paper-faithful exhaustive probing). Each
+    method's [wall_time] is measured with [Unix.gettimeofday]; it runs inside a
     [heuristic.<name>] trace span and its wall time feeds the
     [heuristics.method_seconds] histogram (PR 4). *)
 val run_all :
-  ?now:(unit -> float) ->
   ?max_tries_per_round:int ->
   ?max_sources:int ->
   Platform.t ->

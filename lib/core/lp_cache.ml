@@ -4,7 +4,6 @@ let hits = Atomic.make 0
 let misses = Atomic.make 0
 let enabled_flag = Atomic.make true
 let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
 
 (* Rat.to_string is canonical (reduced form), so equal costs always print
    equally and the fingerprint is injective on what the LPs read. *)
@@ -46,8 +45,6 @@ let lb_table :
     (string, (Formulations.solution * Formulations.warm_basis option) option) Hashtbl.t =
   Hashtbl.create 64
 
-let ub_table : (string, Formulations.solution option) Hashtbl.t = Hashtbl.create 64
-
 let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
@@ -58,27 +55,6 @@ let with_lock f =
 let caller_counter outcome caller =
   Metrics.counter (Printf.sprintf "lp_cache.%s.%s" outcome caller)
 
-let cached ~kind table solve ?(caller = "unknown") p =
-  if not (enabled ()) then solve p
-  else
-    fst
-      (Trace.with_span ~cat:"cache" ("lp_cache." ^ kind)
-         ~result:(fun (_, outcome) ->
-           [ ("caller", Trace.Str caller); ("outcome", Trace.Str outcome) ])
-         (fun () ->
-           let key = fingerprint p in
-           match with_lock (fun () -> Hashtbl.find_opt table key) with
-           | Some sol ->
-             ignore (Atomic.fetch_and_add hits 1);
-             Metrics.incr (caller_counter "hits" caller);
-             (sol, "hit")
-           | None ->
-             ignore (Atomic.fetch_and_add misses 1);
-             Metrics.incr (caller_counter "misses" caller);
-             let sol = solve p in
-             with_lock (fun () -> Hashtbl.replace table key sol);
-             (sol, "miss")))
-
 (* The LB table stores the solution together with the optimal basis, so a
    hit can warm-start future related solves just like a fresh solve could.
    [?warm] only matters on a miss. On degenerate LPs it can steer which
@@ -86,20 +62,36 @@ let cached ~kind table solve ?(caller = "unknown") p =
    callers to derive [warm] deterministically from platform state (the
    nominal LB basis is itself a deterministic solve) — then cached and
    uncached runs see identical warm inputs and stay bit-identical. *)
-let multicast_lb_full ?caller ?warm p =
-  cached ~kind:"lb" lb_table (Formulations.multicast_lb_warm ?warm) ?caller p
+let multicast_lb_full ?(caller = "unknown") ?warm p =
+  let solve () = Formulations.multicast_lb_warm ?warm p in
+  if not (Atomic.get enabled_flag) then solve ()
+  else
+    fst
+      (Trace.with_span ~cat:"cache" "lp_cache.lb"
+         ~result:(fun (_, outcome) ->
+           [ ("caller", Trace.Str caller); ("outcome", Trace.Str outcome) ])
+         (fun () ->
+           let key = fingerprint p in
+           match with_lock (fun () -> Hashtbl.find_opt lb_table key) with
+           | Some sol ->
+             ignore (Atomic.fetch_and_add hits 1);
+             Metrics.incr (caller_counter "hits" caller);
+             (sol, "hit")
+           | None ->
+             ignore (Atomic.fetch_and_add misses 1);
+             Metrics.incr (caller_counter "misses" caller);
+             let sol = solve () in
+             with_lock (fun () -> Hashtbl.replace lb_table key sol);
+             (sol, "miss")))
 
 let multicast_lb ?caller ?warm p = Option.map fst (multicast_lb_full ?caller ?warm p)
 
 (* The nominal-basis lookup used by Repair/Robust_plan to seed survivor
    solves: solves (and caches) the platform's LB on a miss. *)
 let multicast_lb_basis ?caller p = Option.bind (multicast_lb_full ?caller p) snd
-let multicast_ub ?caller p = cached ~kind:"ub" ub_table Formulations.multicast_ub ?caller p
 let stats () = { hits = Atomic.get hits; misses = Atomic.get misses }
 
 let reset () =
-  with_lock (fun () ->
-      Hashtbl.reset lb_table;
-      Hashtbl.reset ub_table);
+  with_lock (fun () -> Hashtbl.reset lb_table);
   Atomic.set hits 0;
   Atomic.set misses 0

@@ -1,7 +1,7 @@
 (** Memoizing front-end for the multicast LP bounds.
 
-    The robust planner and the benches solve {!Formulations.multicast_lb} /
-    {!Formulations.multicast_ub} on {e survivor platforms} — the platform
+    The robust planner and the benches solve {!Formulations.multicast_lb}
+    on {e survivor platforms} — the platform
     with one link or node removed — and the same survivor recurs many times:
     once per candidate schedule per scenario, and again during rescoring.
     This module keys solved bounds by a canonical platform fingerprint so
@@ -15,7 +15,7 @@
     hit returns {e the} value a fresh solve would produce (the solver is
     deterministic), keeping cached and uncached runs bit-identical.
 
-    Thread-safety: the tables are mutex-protected and the hit/miss counters
+    Thread-safety: the table is mutex-protected and the hit/miss counters
     atomic, so concurrent lookups from a {!Pool} are safe. Two domains
     missing on the same key both solve and store; the second store
     overwrites with an identical value, which is harmless.
@@ -51,12 +51,7 @@ val multicast_lb :
 val multicast_lb_basis :
   ?caller:string -> Platform.t -> Formulations.warm_basis option
 
-(** {!Formulations.multicast_ub} through the cache; [caller] as in
-    {!multicast_lb}. *)
-val multicast_ub : ?caller:string -> Platform.t -> Formulations.solution option
-
-(** Aggregate hit/miss counts since the last {!reset}, across both tables
-    and all callers (the per-caller split lives in the {!Metrics} registry). *)
+(** Aggregate hit/miss counts since the last {!reset}, across all callers (the per-caller split lives in the {!Metrics} registry). *)
 type stats = { hits : int; misses : int }
 
 val stats : unit -> stats
@@ -68,5 +63,3 @@ val reset : unit -> unit
     (counting neither hits nor misses). Bench-only: it exists so BENCH_3
     can measure the pre-cache baseline. Default enabled. *)
 val set_enabled : bool -> unit
-
-val enabled : unit -> bool

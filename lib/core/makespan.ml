@@ -62,7 +62,7 @@ let multi_port_makespan (t : Multicast_tree.t) =
   in
   down tree.Out_tree.root
 
-let best_makespan_tree ?max_states (p : Platform.t) =
+let best_makespan_tree (p : Platform.t) =
   (* Reuse the exhaustive tree enumeration; evaluate each candidate's exact
      one-port makespan. Unlike periods, makespans are not monotone under
      edge additions in a simple per-port way, so no branch-and-bound here:
@@ -75,6 +75,6 @@ let best_makespan_tree ?max_states (p : Platform.t) =
          match !best with
          | Some (_, b) when Rat.(b <= ms) -> ()
          | _ -> best := Some (tree, ms))
-       (Complexity.enumerate_trees ?max_trees:max_states p)
+       (Complexity.enumerate_trees p)
    with Failure _ -> ());
   Option.map fst !best

@@ -36,4 +36,4 @@ val multi_port_makespan : Multicast_tree.t -> Rat.t
     for the multicast tree minimizing {!one_port_makespan}; pairs with
     {!Complexity.best_single_tree} — which minimizes the period — to show
     the two objectives pick different trees. *)
-val best_makespan_tree : ?max_states:int -> Platform.t -> Multicast_tree.t option
+val best_makespan_tree : Platform.t -> Multicast_tree.t option

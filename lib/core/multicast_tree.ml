@@ -47,10 +47,3 @@ let steiner_cost t = Steiner.steiner_cost t.platform.Platform.graph t.tree
 
 let prune t =
   { t with tree = Out_tree.prune t.tree ~keep:(Platform.is_target t.platform) }
-
-let pp fmt t =
-  let g = t.platform.Platform.graph in
-  Format.fprintf fmt "tree(period %a):" Rat.pp (period t);
-  List.iter
-    (fun (u, v) -> Format.fprintf fmt " %s->%s" (Digraph.label g u) (Digraph.label g v))
-    (edges t)

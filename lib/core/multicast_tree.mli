@@ -41,5 +41,3 @@ val steiner_cost : t -> Rat.t
 
 (** [prune t] drops branches with no target (keeps the result valid). *)
 val prune : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -161,8 +161,8 @@ let score_prepared ?(with_lb = false) ?jobs (p : Platform.t) (sched : Schedule.t
   in
   { nominal; worst_case; mean; scenario_scores }
 
-let score ?with_lb ?jobs (p : Platform.t) (sched : Schedule.t) ~failures =
-  score_prepared ?with_lb ?jobs p sched ~prepared:(prepare ?jobs p failures)
+let score ?with_lb (p : Platform.t) (sched : Schedule.t) ~failures =
+  score_prepared ?with_lb p sched ~prepared:(prepare p failures)
 
 type candidate = {
   label : string;
@@ -267,7 +267,7 @@ let balanced_set trees =
 
 let plans = Metrics.counter "robust.plans"
 
-let plan ?(loss_bound = 0.1) ?(penalties = [ 4; 16 ]) ?(max_scenarios = 64) ?(seed = 0)
+let plan ?(loss_bound = 0.1) ?(max_scenarios = 64) ?(seed = 0)
     ?(with_lb = false) ?(extra_failures = []) ?jobs (p : Platform.t) =
   Metrics.incr plans;
   Trace.with_span ~cat:"robust" "robust.plan"
@@ -363,7 +363,7 @@ let plan ?(loss_bound = 0.1) ?(penalties = [ 4; 16 ]) ?(max_scenarios = 64) ?(se
              (fun (f, links) -> penalized_mcph p links (Rat.of_int f))
              (List.concat_map
                 (fun f -> [ (f, critical_tree_edges); (f, tree_edges) ])
-                penalties))
+                [ 4; 16 ]))
       in
       let grafts =
         graft_variants p t0 ~edges_to_vary:critical_tree_edges ~max_parents_per_edge:2

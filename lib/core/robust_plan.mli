@@ -62,17 +62,16 @@ type score = {
   scenario_scores : scenario_score list;
 }
 
-(** [score ?with_lb ?jobs p sched ~failures] evaluates the fixed schedule
+(** [score ?with_lb p sched ~failures] evaluates the fixed schedule
     against each failure: {!Repair.apply_damage} produces the survivor, and
     a tree of [sched] still counts iff its surviving edges reach every
     surviving target. [with_lb] (default [false] — one LP per scenario)
     additionally solves Multicast-LB on each survivor as the per-scenario
     reference, through {!Lp_cache} (survivors recur across candidates).
-    [jobs] (default {!Pool.default_jobs}) scores scenarios on a domain pool;
-    the result is bit-identical for every job count (see {!Pool.map}). *)
+    Scenarios are scored on a {!Pool.default_jobs} domain pool; the result
+    is bit-identical for every job count (see {!Pool.map}). *)
 val score :
   ?with_lb:bool ->
-  ?jobs:int ->
   Platform.t ->
   Schedule.t ->
   failures:failure list ->
@@ -96,7 +95,8 @@ val prepare : ?jobs:int -> Platform.t -> failure list -> prepared_failure list
 
 (** [score_prepared] is {!score} over an already-{!prepare}d failure list;
     [score p sched ~failures] is [score_prepared p sched
-    ~prepared:(prepare p failures)]. *)
+    ~prepared:(prepare p failures)]; [jobs] (default {!Pool.default_jobs})
+    sets the pool's size. *)
 val score_prepared :
   ?with_lb:bool ->
   ?jobs:int ->
@@ -132,10 +132,10 @@ type report = {
 
 (** [plan p] builds the robust plan. Candidate tree sets perturb the MCPH
     construction two ways: {e edge-penalty reweighting} (re-run MCPH with
-    the critical links' costs inflated by each factor in [penalties],
-    default [[4; 16]], yielding trees that avoid them) and {e redundant
-    sibling subtrees} (re-attach the child of a critical tree edge to an
-    alternative in-tree parent, yielding single-edge variants); the
+    the critical links' costs inflated by 4 and by 16, yielding trees that
+    avoid them) and {e redundant sibling subtrees} (re-attach the child of
+    a critical tree edge to an alternative in-tree parent, yielding
+    single-edge variants); the
     candidates are the trees alone, optimal ({!Tree_set.best_weights}) and
     balanced pairings with the baseline, and the optimally weighted full
     portfolio. Scenario sets larger than [max_scenarios] (default [64]) are
@@ -151,7 +151,6 @@ type report = {
     eligible) and when MCPH itself fails (some target unreachable). *)
 val plan :
   ?loss_bound:float ->
-  ?penalties:int list ->
   ?max_scenarios:int ->
   ?seed:int ->
   ?with_lb:bool ->

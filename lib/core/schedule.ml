@@ -113,19 +113,6 @@ let of_tree_set s =
 
 let with_transfers sched transfers = { sched with transfers }
 
-let occupations sched =
-  let platform = sched.trees.(0).Multicast_tree.platform in
-  let n = Platform.n_nodes platform in
-  let send = Array.make n Rat.zero and recv = Array.make n Rat.zero in
-  List.iter
-    (fun tr ->
-      let d = Rat.sub tr.finish tr.start in
-      send.(tr.src) <- Rat.add send.(tr.src) d;
-      recv.(tr.dst) <- Rat.add recv.(tr.dst) d)
-    sched.transfers;
-  let per_period a = Array.map (fun x -> Rat.div x sched.period) a in
-  (per_period send, per_period recv)
-
 let check sched =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let platform = sched.trees.(0).Multicast_tree.platform in
@@ -212,8 +199,3 @@ let init_periods sched =
     !d
   in
   Array.fold_left (fun acc t -> max acc (deepest t)) 0 sched.trees
-
-let pp fmt sched =
-  Format.fprintf fmt "schedule: period %a, %d msgs/period (throughput %a), %d transfers"
-    Rat.pp sched.period sched.messages_per_period Rat.pp sched.throughput
-    (List.length sched.transfers)

@@ -44,17 +44,6 @@ val of_tree_set : Tree_set.t -> t
     schedules that {!check} and the simulator must then reject. *)
 val with_transfers : t -> transfer list -> t
 
-(** [occupations sched] is the fraction of each node's send and receive
-    port the schedule occupies per time unit, as [(send, recv)] arrays
-    indexed by node id: the summed transfer durations touching the port
-    in one period, divided by the period. Each entry is in [[0, 1]] for
-    any schedule that passes {!check}. This is the accounting unit of
-    {e capacity sharing}: the session engine ({!Horizon}) admits a new
-    session only when the per-port sums of every co-scheduled session's
-    occupations stay at most one, and hands the residuals to
-    {!Formulations.multicast_lb_warm} as port capacities. *)
-val occupations : t -> Rat.t array * Rat.t array
-
 (** [check sched] re-verifies the schedule: transfers use platform edges of
     their tree, per-node port exclusivity holds at every instant, each tree
     edge carries exactly [m_k] messages per period, and every transfer fits
@@ -64,5 +53,3 @@ val check : t -> (unit, string) Result.t
 (** Worst-case pipeline depth (periods before the first message reaches the
     deepest target). *)
 val init_periods : t -> int
-
-val pp : Format.formatter -> t -> unit

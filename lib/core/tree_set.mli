@@ -17,11 +17,6 @@ val make : (Multicast_tree.t * Rat.t) list -> t
 
 val trees : t -> (Multicast_tree.t * Rat.t) list
 
-(** Aggregated port occupations per time unit. *)
-val send_occupation : t -> int -> Rat.t
-
-val recv_occupation : t -> int -> Rat.t
-
 (** [worst_occupation s] is the largest send or receive occupation over
     all nodes (zero for a set that loads no port). Scaling the weights by
     its inverse makes the worst port exactly busy. *)

@@ -123,5 +123,3 @@ let reverse g =
   Array.blit g.labels 0 r.labels 0 g.n;
   iter_edges (fun e -> add_edge r ~src:e.dst ~dst:e.src ~cost:e.cost) g;
   r
-
-let total_cost g = fold_edges (fun acc e -> Rat.add acc e.cost) Rat.zero g

@@ -36,9 +36,6 @@ val set_cost : t -> src:int -> dst:int -> cost:Rat.t -> unit
 
 val mem_edge : t -> src:int -> dst:int -> bool
 
-(** [find_edge g ~src ~dst] returns the edge or raises [Not_found]. *)
-val find_edge : t -> src:int -> dst:int -> edge
-
 val find_edge_opt : t -> src:int -> dst:int -> edge option
 
 (** [cost g ~src ~dst] is the cost of an existing edge; raises [Not_found]
@@ -82,6 +79,3 @@ val restrict : t -> keep:(int -> bool) -> t
 
 (** [reverse g] has every edge flipped, costs preserved. *)
 val reverse : t -> t
-
-(** Total cost of all edges (a conventional Steiner-style measure). *)
-val total_cost : t -> Rat.t

@@ -1,5 +1,4 @@
-let digraph ?(highlight_nodes = []) ?(diamond_nodes = []) ?(highlight_edges = [])
-    ?edge_label g =
+let digraph ?(highlight_nodes = []) ?(diamond_nodes = []) ?(highlight_edges = []) g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph platform {\n  rankdir=TB;\n  node [shape=circle];\n";
   for v = 0 to Digraph.n_nodes g - 1 do
@@ -12,13 +11,7 @@ let digraph ?(highlight_nodes = []) ?(diamond_nodes = []) ?(highlight_edges = []
   done;
   Digraph.iter_edges
     (fun e ->
-      let lbl =
-        match edge_label with
-        | Some f -> f e
-        | None -> Some (Rat.to_string e.cost)
-      in
-      let attrs = ref [] in
-      (match lbl with Some s -> attrs := Printf.sprintf "label=\"%s\"" s :: !attrs | None -> ());
+      let attrs = ref [ Printf.sprintf "label=\"%s\"" (Rat.to_string e.cost) ] in
       if List.mem (e.src, e.dst) highlight_edges then
         attrs := "style=bold" :: "color=black" :: "penwidth=2" :: !attrs;
       Buffer.add_string buf

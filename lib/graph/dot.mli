@@ -1,14 +1,13 @@
 (** Graphviz DOT export, for the Fig. 12-style topology dumps. *)
 
-(** [digraph ?highlight_nodes ?highlight_edges ?edge_label g] renders a DOT
-    description. Highlighted nodes are drawn filled (the paper's target
-    shading); highlighted edges bold. [edge_label] overrides the default
-    cost label; return [None] to omit the label. *)
+(** [digraph ?highlight_nodes ?diamond_nodes ?highlight_edges g] renders a
+    DOT description with each edge labelled by its cost. Highlighted nodes
+    are drawn filled (the paper's target shading), diamond nodes as
+    diamonds; highlighted edges bold. *)
 val digraph :
   ?highlight_nodes:int list ->
   ?diamond_nodes:int list ->
   ?highlight_edges:(int * int) list ->
-  ?edge_label:(Digraph.edge -> string option) ->
   Digraph.t ->
   string
 

@@ -54,8 +54,6 @@ let edges t =
   done;
   !acc
 
-let size t = Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 t.members
-
 let depth t v =
   if not (mem t v) then invalid_arg "Out_tree.depth: not a member";
   let rec go v acc = if t.parent.(v) < 0 then acc else go t.parent.(v) (acc + 1) in

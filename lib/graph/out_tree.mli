@@ -21,7 +21,6 @@ val mem : t -> int -> bool
 val parent : t -> int -> int option
 val children : t -> int -> int list
 val edges : t -> (int * int) list
-val size : t -> int
 
 (** [depth t v] is the number of edges from the root to [v].
     Raises [Invalid_argument] if [v] is not a member. *)

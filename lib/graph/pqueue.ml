@@ -6,7 +6,6 @@ type ('p, 'v) t = {
 
 let create compare = { compare; heap = [||]; size = 0 }
 let is_empty q = q.size = 0
-let length q = q.size
 
 let swap q i j =
   let t = q.heap.(i) in
@@ -43,10 +42,9 @@ let push q p v =
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
-let peek q = if q.size = 0 then raise Not_found else q.heap.(0)
-
 let pop q =
-  let top = peek q in
+  if q.size = 0 then raise Not_found;
+  let top = q.heap.(0) in
   q.size <- q.size - 1;
   if q.size > 0 then begin
     q.heap.(0) <- q.heap.(q.size);

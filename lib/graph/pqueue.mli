@@ -11,7 +11,6 @@ type ('p, 'v) t
 val create : ('p -> 'p -> int) -> ('p, 'v) t
 
 val is_empty : ('p, 'v) t -> bool
-val length : ('p, 'v) t -> int
 
 (** [push q p v] inserts value [v] with priority [p]. *)
 val push : ('p, 'v) t -> 'p -> 'v -> unit
@@ -19,6 +18,3 @@ val push : ('p, 'v) t -> 'p -> 'v -> unit
 (** [pop q] removes and returns a minimum-priority entry.
     Raises [Not_found] when empty. *)
 val pop : ('p, 'v) t -> 'p * 'v
-
-(** [peek q] returns the minimum entry without removing it. *)
-val peek : ('p, 'v) t -> 'p * 'v

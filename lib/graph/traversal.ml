@@ -16,26 +16,6 @@ let bfs_depth g src =
   done;
   depth
 
-let bfs_order g src =
-  let n = Digraph.n_nodes g in
-  let seen = Array.make n false in
-  let q = Queue.create () in
-  let order = ref [] in
-  seen.(src) <- true;
-  Queue.push src q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    order := v :: !order;
-    List.iter
-      (fun w ->
-        if not seen.(w) then begin
-          seen.(w) <- true;
-          Queue.push w q
-        end)
-      (Digraph.succs g v)
-  done;
-  List.rev !order
-
 let reachable g src =
   let depth = bfs_depth g src in
   Array.map (fun d -> d >= 0) depth
@@ -43,74 +23,3 @@ let reachable g src =
 let reaches_all g src targets =
   let r = reachable g src in
   List.for_all (fun t -> r.(t)) targets
-
-let dfs_postorder g =
-  let n = Digraph.n_nodes g in
-  let seen = Array.make n false in
-  let order = ref [] in
-  (* Explicit stack to stay safe on deep graphs. *)
-  let rec visit v =
-    seen.(v) <- true;
-    List.iter (fun w -> if not seen.(w) then visit w) (Digraph.succs g v);
-    order := v :: !order
-  in
-  for v = 0 to n - 1 do
-    if not seen.(v) then visit v
-  done;
-  List.rev !order
-
-let scc g =
-  (* Kosaraju: DFS finishing order on g, then collect trees on the reverse. *)
-  let order = List.rev (dfs_postorder g) in
-  let gr = Digraph.reverse g in
-  let n = Digraph.n_nodes g in
-  let comp = Array.make n (-1) in
-  let components = ref [] in
-  let collect root id =
-    let stack = ref [ root ] in
-    let members = ref [] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | v :: rest ->
-        stack := rest;
-        if comp.(v) < 0 then begin
-          comp.(v) <- id;
-          members := v :: !members;
-          List.iter (fun w -> if comp.(w) < 0 then stack := w :: !stack) (Digraph.succs gr v)
-        end
-    done;
-    !members
-  in
-  let next_id = ref 0 in
-  List.iter
-    (fun v ->
-      if comp.(v) < 0 then begin
-        components := collect v !next_id :: !components;
-        incr next_id
-      end)
-    order;
-  !components
-
-let topological_sort g =
-  let n = Digraph.n_nodes g in
-  let indeg = Array.init n (fun v -> Digraph.in_degree g v) in
-  let q = Queue.create () in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.push v q
-  done;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    order := v :: !order;
-    incr count;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.push w q)
-      (Digraph.succs g v)
-  done;
-  if !count = n then Some (List.rev !order) else None
-
-let is_dag g = topological_sort g <> None

@@ -1,8 +1,4 @@
-(** Reachability, orderings and components on {!Digraph}. *)
-
-(** [bfs_order g src] is the list of nodes reachable from [src], in
-    breadth-first order ([src] first). *)
-val bfs_order : Digraph.t -> int -> int list
+(** Reachability on {!Digraph}. *)
 
 (** [bfs_depth g src] is an array mapping each node to its hop distance from
     [src], or [-1] when unreachable. The depth of the platform graph bounds
@@ -15,17 +11,3 @@ val reachable : Digraph.t -> int -> bool array
 (** [reaches_all g src targets] is true when every node of [targets] is
     reachable from [src] — the feasibility test for a multicast instance. *)
 val reaches_all : Digraph.t -> int -> int list -> bool
-
-(** Post-order depth-first finishing order over the whole graph. *)
-val dfs_postorder : Digraph.t -> int list
-
-(** Strongly connected components (Kosaraju), largest-first is not
-    guaranteed; each component is a node list. *)
-val scc : Digraph.t -> int list list
-
-(** [is_dag g] is true when the graph has no directed cycle. *)
-val is_dag : Digraph.t -> bool
-
-(** [topological_sort g] returns a topological order of the nodes, or [None]
-    when the graph has a cycle. *)
-val topological_sort : Digraph.t -> int list option

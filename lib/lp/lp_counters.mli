@@ -10,11 +10,7 @@
     per-solve counts live in the solution records
     ({!Lp_model.solution.pivots}, {!Simplex_exact.solution.pivots});
     nothing in the solvers reads these counters back, so they cannot
-    affect results.
-
-    [reset] is not linearizable against in-flight solves; call it only from
-    sequential sections (benchmark setup, CLI entry), or use [snapshot] +
-    [since] for race-free window accounting. *)
+    affect results. Use [snapshot] + [since] for window accounting. *)
 
 type snapshot = {
   float_solves : int;
@@ -42,10 +38,5 @@ val record_warm_hit : unit -> unit
 (** Current totals (atomic reads; consistent enough for reporting). *)
 val snapshot : unit -> snapshot
 
-(** Zero every counter. Sequential sections only (see above). *)
-val reset : unit -> unit
-
 (** [since before] is the per-field delta from [before] to now. *)
 val since : snapshot -> snapshot
-
-val pp : Format.formatter -> snapshot -> unit

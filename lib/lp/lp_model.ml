@@ -70,23 +70,3 @@ let set_objective m ~maximize expr =
 
 let objective m = (m.maximize, m.obj)
 let rows m = Array.of_list (List.rev m.rows)
-
-let pp_expr m fmt expr =
-  let first = ref true in
-  List.iter
-    (fun (c, v) ->
-      if !first then Format.fprintf fmt "%g %s" c m.names.(v)
-      else if c >= 0.0 then Format.fprintf fmt " + %g %s" c m.names.(v)
-      else Format.fprintf fmt " - %g %s" (-.c) m.names.(v);
-      first := false)
-    expr
-
-let pp fmt m =
-  Format.fprintf fmt "%s: %a@\nsubject to@\n"
-    (if m.maximize then "maximize" else "minimize")
-    (pp_expr m) m.obj;
-  List.iter
-    (fun (expr, cmp, rhs) ->
-      let op = match cmp with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-      Format.fprintf fmt "  %a %s %g@\n" (pp_expr m) expr op rhs)
-    (List.rev m.rows)

@@ -63,6 +63,3 @@ val set_objective : t -> maximize:bool -> expr -> unit
 val objective : t -> bool * expr
 
 val rows : t -> (expr * cmp * float) array
-
-(** Pretty-print in LP-ish text format, for debugging and the CLI. *)
-val pp : Format.formatter -> t -> unit

@@ -50,16 +50,13 @@ type solution = {
 
 type status = Optimal of solution | Infeasible | Unbounded | Stalled
 
-(** Default value of [?max_iter]: the overall pivot budget of one
-    {!solve} call. The dual re-solve of a warm attempt is additionally
-    capped at [32 + m] pivots — a repaired basis that has not converged
-    by then is degenerate-cycling, and surrendering to the cold path is
-    cheaper than grinding (the dual engine also latches to Bland's
-    lowest-index rules after [m] iterations for the same reason). *)
-val max_iterations : int
-
-(** [solve ?max_iter ?warm model]. [Stalled] means the iteration budget
-    ran out or the numerics gave way — {!Solver_chain} then re-solves the
+(** [solve ?max_iter ?warm model]. [max_iter] (default 200 000) is the
+    overall pivot budget of the call. The dual re-solve of a warm attempt
+    is additionally capped at [32 + m] pivots — a repaired basis that has
+    not converged by then is degenerate-cycling, and surrendering to the
+    cold path is cheaper than grinding (the dual engine also latches to
+    Bland's lowest-index rules after [m] iterations for the same reason).
+    [Stalled] means the iteration budget ran out or the numerics gave way — {!Solver_chain} then re-solves the
     model on the exact engine. Tests use tiny caps to provoke stalls
     deterministically. *)
 val solve : ?max_iter:int -> ?warm:warm -> Lp_model.t -> status

@@ -20,4 +20,3 @@ let store key warm = with_lock (fun () -> Hashtbl.replace table key warm)
 let find key = with_lock (fun () -> Hashtbl.find_opt table key)
 let remove key = with_lock (fun () -> Hashtbl.remove table key)
 let clear () = with_lock (fun () -> Hashtbl.reset table)
-let size () = with_lock (fun () -> Hashtbl.length table)

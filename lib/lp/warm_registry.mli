@@ -33,6 +33,3 @@ val remove : string -> unit
 
 (** Drop every slot (test isolation between runs). *)
 val clear : unit -> unit
-
-(** Number of live slots. *)
-val size : unit -> int

@@ -39,8 +39,7 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 
 (** [set_counter c v] overwrites the value. Not linearizable against
-    in-flight [add]s — sequential sections only (CLI entry, bench setup);
-    exists so {!Lp_counters.reset} keeps its PR 3 semantics. *)
+    in-flight [add]s — sequential sections only. *)
 val set_counter : counter -> int -> unit
 
 (** [gauge name] returns the registered gauge (a last-write-wins float,

@@ -136,14 +136,11 @@ let save path p =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string p))
 
+(* A [Sys_error] from opening names the file itself; one from reading
+   (say, of a directory) does not. *)
 let load path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | s -> of_string s
-        | exception End_of_file -> Error (path ^ ": truncated read")
-        | exception Sys_error m -> Error m)
+  let prefix = path ^ ": " in
+  match In_channel.with_open_text path In_channel.input_all with
+  | s -> Result.map_error (fun e -> prefix ^ e) (of_string s)
+  | exception Sys_error m ->
+    Error (if String.starts_with ~prefix m then m else prefix ^ m)

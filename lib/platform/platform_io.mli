@@ -22,8 +22,9 @@ val to_string : Platform.t -> string
     exception escapes. *)
 val of_string : string -> (Platform.t, string) Result.t
 
-(** File wrappers around the string functions. [load] turns I/O failures
-    (missing file, truncated read) into [Error] as well. *)
+(** File wrappers around the string functions. [load path] reports every
+    failure — an I/O error (missing file, a directory) or a parse error —
+    as [Error "PATH: ..."], naming [path] exactly once. *)
 val save : string -> Platform.t -> unit
 
 val load : string -> (Platform.t, string) Result.t

@@ -39,7 +39,6 @@ val mul : t -> t -> t
     Raises [Division_by_zero] when [b] is zero. *)
 val divmod : t -> t -> t * t
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 (** Greatest common divisor; [gcd zero x = x]. *)

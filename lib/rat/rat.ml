@@ -44,7 +44,6 @@ let compare a b =
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 let neg q = { n = Zint.neg q.n; d = q.d }
-let abs q = { n = Zint.abs q.n; d = q.d }
 
 let add a b =
   make (Zint.add (Zint.mul a.n b.d) (Zint.mul b.n a.d)) (Zint.mul a.d b.d)

@@ -45,7 +45,6 @@ val min : t -> t -> t
 val max : t -> t -> t
 
 val neg : t -> t
-val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

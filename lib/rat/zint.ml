@@ -48,7 +48,6 @@ let compare a b =
     else Nat.compare y.mag x.mag
 
 let neg = function S n -> S (-n) | B b -> B { b with sg = -b.sg }
-let abs = function S n -> S (Stdlib.abs n) | B b -> B { b with sg = 1 }
 
 (* --- magnitude paths, taken on overflow or when an operand is big --- *)
 

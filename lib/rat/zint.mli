@@ -34,7 +34,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val neg : t -> t
-val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

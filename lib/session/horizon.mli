@@ -25,7 +25,7 @@
       not fit.
 
     {b Capacity sharing.} Sessions meet only through per-node port
-    occupations (see {!Schedule.occupations}): a session running at rate
+    occupations (see {!Multicast_tree.send_occupation}): a session running at rate
     [y] occupies [y * o_v] of each port [v] its tree touches. All
     admission arithmetic is exact ({!Rat}); admitted rates are floored
     onto the [1/960] lattice, so the per-port sums provably never
@@ -76,15 +76,11 @@ type config = {
 (** Epoch 5, incremental re-planning, sequential. *)
 val default_config : config
 
-val validate_config : config -> (unit, string) result
-
 type outcome =
   | Completed  (** departed on schedule *)
   | Active  (** still live when the horizon ended *)
   | Rejected  (** never admitted *)
   | Preempted  (** evicted for a higher-priority arrival *)
-
-val outcome_name : outcome -> string
 
 (** Per-session summary. [sr_min_rate] is the lowest rate the session
     was ever held at while live (zero if it was ever suspended);

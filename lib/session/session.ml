@@ -50,11 +50,3 @@ let admission_order a b =
   match compare b.priority a.priority with
   | 0 -> ( match Rat.compare a.arrival b.arrival with 0 -> compare a.id b.id | c -> c)
   | c -> c
-
-let holding s = Rat.sub s.departure s.arrival
-
-let describe s =
-  Printf.sprintf "session %d: %d->%s demand %s prio %d [%s, %s)" s.id s.source
-    (String.concat "," (List.map string_of_int s.targets))
-    (Rat.to_string s.demand) s.priority (Rat.to_string s.arrival)
-    (Rat.to_string s.departure)

@@ -5,8 +5,8 @@
     departing on one shared platform, each a multicast problem of its
     own: a source node, a target set, a demanded steady-state throughput
     and a priority that decides who yields when capacity runs out. A
-    session occupies the shared platform's ports ({!Schedule.occupations})
-    for its whole residence [[arrival, departure)]; the {!Horizon}
+    session occupies the shared platform's ports
+    ({!Multicast_tree.send_occupation}) for its whole residence [[arrival, departure)]; the {!Horizon}
     planner decides per epoch what rate each live session actually
     gets. *)
 
@@ -49,9 +49,3 @@ val platform_for : Platform.t -> t -> (Platform.t, string) result
     then id ascending — the deterministic order in which the {!Horizon}
     planner considers a batch of arrivals. *)
 val admission_order : t -> t -> int
-
-(** [holding s] is [departure - arrival]. *)
-val holding : t -> Rat.t
-
-(** One-line description for logs. *)
-val describe : t -> string

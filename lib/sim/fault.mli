@@ -72,12 +72,8 @@ val damage_at : scenario -> at:Rat.t -> Repair.damage
 (** The event's fire time. *)
 val event_time : event -> Rat.t
 
-(** [scenario_end s] is the latest fire time ([Rat.zero] for the empty
-    scenario). *)
-val scenario_end : scenario -> Rat.t
-
-(** [damage s] is the scenario's end state — [damage_at] at
-    {!scenario_end}. An entity killed and later revived is {e not} damage;
+(** [damage s] is the scenario's end state — [damage_at] at its latest
+    fire time. An entity killed and later revived is {e not} damage;
     with kill-only scenarios this is the union of all kills, exactly the
     pre-revival behaviour. *)
 val damage : scenario -> Repair.damage

@@ -130,5 +130,4 @@ val run :
     the suffix of the controller's [recovery.*] trace instants (PR 4). *)
 val event_name : event -> string
 
-val pp_event : Format.formatter -> event -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

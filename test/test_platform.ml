@@ -1,5 +1,9 @@
 (* Tests for platform instances, generators and the Tiers topology. *)
 
+let strongly_connected g =
+  let all = List.init (Digraph.n_nodes g) Fun.id in
+  List.for_all (fun v -> Traversal.reaches_all g v all) all
+
 let test_make_validation () =
   let g = Digraph.create 3 in
   Digraph.add_edge g ~src:0 ~dst:1 ~cost:Rat.one;
@@ -60,7 +64,7 @@ let test_random_connected () =
     Alcotest.(check bool) "feasible" true (Platform.is_feasible p);
     Alcotest.(check int) "target count" 4 (List.length p.Platform.targets);
     (* Symmetric construction: strongly connected. *)
-    Alcotest.(check int) "one scc" 1 (List.length (Traversal.scc p.Platform.graph))
+    Alcotest.(check bool) "strongly connected" true (strongly_connected p.Platform.graph)
   done
 
 let test_fork () =
@@ -90,7 +94,7 @@ let test_tiers_shape () =
     (fun t -> Alcotest.(check bool) "targets are LAN hosts" true (List.mem t (Platform.lan_nodes p)))
     p.Platform.targets;
   Alcotest.(check bool) "feasible" true (Platform.is_feasible p);
-  Alcotest.(check int) "strongly connected" 1 (List.length (Traversal.scc p.Platform.graph));
+  Alcotest.(check bool) "strongly connected" true (strongly_connected p.Platform.graph);
   Alcotest.(check int) "big node count" 65 (Tiers.node_count Tiers.big_params)
 
 let test_tiers_determinism () =
@@ -137,12 +141,35 @@ let test_topology_stats () =
   Alcotest.(check int) "nodes" 30 s.Topology_stats.nodes;
   Alcotest.(check int) "lan hosts" 17 s.Topology_stats.lan_hosts;
   Alcotest.(check bool) "eccentricity positive" true (s.Topology_stats.source_ecc > 0);
-  Alcotest.(check bool) "heterogeneous links" true (s.Topology_stats.heterogeneity > 2.0);
-  Alcotest.(check bool) "cost order" true
-    Rat.(s.Topology_stats.min_cost <= s.Topology_stats.max_cost);
+  (match s.Topology_stats.costs with
+  | None -> Alcotest.fail "cost figures missing"
+  | Some c ->
+    Alcotest.(check bool) "heterogeneous links" true (c.Topology_stats.heterogeneity > 2.0);
+    Alcotest.(check bool) "cost order" true
+      Rat.(c.Topology_stats.min_cost <= c.Topology_stats.max_cost));
   (* stats follow restriction *)
   let smaller = Platform.remove_node p (List.hd (Platform.intermediates p)) in
   let s' = Topology_stats.compute smaller in
   Alcotest.(check int) "one fewer node" 29 s'.Topology_stats.nodes
 
-let suite = suite @ [ ("topology stats", `Quick, test_topology_stats) ]
+(* What [mcast bounds] does with a platform that has nodes but no links:
+   statistics without cost figures, and every bound infeasible. *)
+let test_edgeless_platform () =
+  let p = Platform.make (Digraph.create 3) ~source:0 ~targets:[ 2 ] in
+  let s = Topology_stats.compute p in
+  Alcotest.(check int) "edges" 0 s.Topology_stats.edges;
+  Alcotest.(check bool) "no cost figures" true (s.Topology_stats.costs = None);
+  Alcotest.(check string) "printed"
+    "3 nodes, 0 edges, 3 LAN hosts; source eccentricity 0; no links; max degree out 0 / in 0"
+    (Format.asprintf "%a" Topology_stats.pp s);
+  let b = Bounds.compute p in
+  Alcotest.(check bool) "every bound infeasible" true
+    (b.Bounds.lb = None && b.Bounds.ub = None && b.Bounds.broadcast = None);
+  Alcotest.(check (result unit string)) "bound chain" (Ok ()) (Bounds.check b ~n_targets:1)
+
+let suite =
+  suite
+  @ [
+      ("topology stats", `Quick, test_topology_stats);
+      ("topology stats: edgeless platform", `Quick, test_edgeless_platform);
+    ]

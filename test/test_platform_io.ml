@@ -78,10 +78,35 @@ let test_error_line_numbers () =
   expect_line "nodes 3\nsource 0\ntargets 1\nedge 0 1 2\nedge 0 1 3\n" 5;
   expect_line "nodes 3\nsource 0\ntargets 1\nedge 1 1 2\n" 4
 
-let test_load_missing_file () =
-  match Platform_io.load "/nonexistent/mcast-platform.txt" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "loading a missing file must be an Error"
+(* Every load failure comes back as an [Error] that starts with the path
+   and names it exactly once. *)
+let expect_located_error path =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let prefix = path ^ ": " in
+  match Platform_io.load path with
+  | Ok _ -> Alcotest.failf "loading %s must be an Error" path
+  | Error e ->
+    Alcotest.(check bool) (e ^ " starts with the path") true (String.starts_with ~prefix e);
+    let rest = String.sub e (String.length prefix) (String.length e - String.length prefix) in
+    Alcotest.(check bool) (e ^ " names the path once") false (contains rest path)
+
+let test_load_missing_file () = expect_located_error "/nonexistent/mcast-platform.txt"
+
+let test_load_directory_and_malformed () =
+  let dir = Filename.temp_dir "mcast" "" in
+  let bad = Filename.temp_file "mcast" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.rmdir dir;
+      Sys.remove bad)
+    (fun () ->
+      expect_located_error dir;
+      Out_channel.with_open_text bad (fun oc -> output_string oc "nodes 3\nsource x\n");
+      expect_located_error bad)
 
 let test_file_io () =
   let p = Paper_platforms.two_relay () in
@@ -101,5 +126,6 @@ let suite =
     ("parse errors", `Quick, test_parse_errors);
     ("errors cite line numbers", `Quick, test_error_line_numbers);
     ("load missing file", `Quick, test_load_missing_file);
+    ("load directory and malformed file", `Quick, test_load_directory_and_malformed);
     ("file io", `Quick, test_file_io);
   ]
