@@ -339,6 +339,31 @@ type warm_basis = Revised_simplex.warm
    cheap. *)
 let cap_of caps j = match caps with None -> 1.0 | Some a -> Float.max 0.0 a.(j)
 
+(* Relax-only rhs perturbation: the cut LPs are massively degenerate
+   (hundreds of near-parallel cut rows); nudging each right-hand side by
+   a distinct tiny slack breaks the ties that make Dantzig crawl. Every
+   nudge relaxes, so feasibility is preserved and the optimum moves by
+   O(1e-7). The nudge is keyed to the row's {e name} (a stable function
+   of the platform), not its insertion order: a row must keep its rhs
+   bit-for-bit across cut rounds and across nominal/survivor models, or
+   every warm-started re-solve would see each reordered row as a fresh
+   noise-level primal violation and the dual simplex would pivot once
+   per row to fix pure noise. Each row's nudge is computed here and only
+   here, once per call for a port row and once per cut. The nudge is
+   absolute, so on a platform whose port rows carry costs in the
+   thousands it can lift the LB visibly; a nudge relative to the row's
+   scale would be a change to this function alone. *)
+let nudge name = 1e-8 *. float_of_int (1 + (Hashtbl.hash name mod 97))
+
+(* A pooled cut row, rho <= the sum of n_e over [ids], with everything a
+   round needs of it, made once when the cut enters the pool. *)
+type cut = {
+  ids : int array; (* the crossing edges, ascending *)
+  name : string; (* "cut:u>v,..." over the sorted endpoint pairs *)
+  slack : string; (* its slack column's name in a warm basis *)
+  rhs : float; (* its nudge: the row is rho - sum n_e <= rhs *)
+}
+
 let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
     (p : Platform.t) =
   let g = p.Platform.graph in
@@ -352,20 +377,79 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
   | _ -> ());
   if not (Traversal.reaches_all g source targets) then None
   else begin
+    let n = Digraph.n_nodes g in
     let edges = Array.of_list (Digraph.edges g) in
     let ne = Array.length edges in
     let out_edge_ids, in_edge_ids = edge_index g edges in
+    let cost e = Rat.to_float edges.(e).Digraph.cost in
+    (* One live LP per call. Its columns are rho (column 0), then one
+       occupation n_u_v per edge (column 1 + e), then one slack per row.
+       Its rows are the port rows, out j then in j for every node j with
+       such edges, then the pooled cuts newest first. Everything but the
+       cuts is built here, once; all names are stable functions of the
+       platform (variables by edge endpoints, port rows by node id, cuts
+       by their edge set), which is what makes the basis leaving the call
+       portable to a survivor platform or the next epoch. *)
+    let nv = 1 + ne in
+    let var_names =
+      Array.init nv (fun j ->
+          if j = 0 then "rho"
+          else
+            let { Digraph.src; dst; _ } = edges.(j - 1) in
+            "n_" ^ string_of_int src ^ "_" ^ string_of_int dst)
+    in
+    let ports =
+      List.init n (fun j ->
+          [
+            ("out" ^ string_of_int j, out_edge_ids.(j), cap_of send_cap j);
+            ("in" ^ string_of_int j, in_edge_ids.(j), cap_of recv_cap j);
+          ])
+      |> List.concat |> List.filter (fun (_, ids, _) -> ids <> []) |> Array.of_list
+    in
+    let n_port = Array.length ports in
+    let port_names = Array.map (fun (name, _, _) -> name) ports in
+    let port_slacks = Array.map Revised_simplex.slack_name port_names in
+    let port_rhs = Array.map (fun (name, _, cap) -> cap +. nudge name) ports in
+    (* Each edge column's port entries, by ascending row. *)
+    let port_entries = Array.make ne [] in
+    Array.iteri
+      (fun i (_, ids, _) ->
+        List.iter (fun e -> port_entries.(e) <- (i, cost e) :: port_entries.(e)) ids)
+      ports;
+    let port_rows = Array.map (fun l -> Array.of_list (List.rev_map fst l)) port_entries in
+    let port_vals = Array.map (fun l -> Array.of_list (List.rev_map snd l)) port_entries in
     (* Cut pool: every distinct cut ever separated stays in the working LP
        (deduplicated — the naive loop kept re-adding the same cuts and blew
        the LP up to thousands of rows). The pool stays small in practice
-       (~1-2 cuts per edge), so each per-round LP re-solve is cheap. *)
+       (~1-2 cuts per edge), so each per-round LP re-solve is cheap.
+       [crossing.(e)] counts the pooled cuts that edge e crosses. *)
     let pool : (int list, unit) Hashtbl.t = Hashtbl.create 64 in
-    let cuts = ref [] in
+    let cuts = ref [] and n_cuts = ref 0 in
+    let crossing = Array.make ne 0 in
     let add_cut cut_edges =
-      let key = List.sort_uniq compare cut_edges in
+      let key = List.sort_uniq Int.compare cut_edges in
       if not (Hashtbl.mem pool key) then begin
         Hashtbl.replace pool key ();
-        cuts := key :: !cuts
+        let pairs =
+          List.sort
+            (fun (u, v) (u', v') -> if u <> u' then Int.compare u u' else Int.compare v v')
+            (List.map (fun e -> (edges.(e).Digraph.src, edges.(e).Digraph.dst)) key)
+        in
+        let b = Buffer.create 64 in
+        Buffer.add_string b "cut:";
+        List.iteri
+          (fun i (u, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_string b (string_of_int u);
+            Buffer.add_char b '>';
+            Buffer.add_string b (string_of_int v))
+          pairs;
+        let name = Buffer.contents b in
+        List.iter (fun e -> crossing.(e) <- crossing.(e) + 1) key;
+        cuts :=
+          { ids = Array.of_list key; name; slack = Revised_simplex.slack_name name; rhs = nudge name }
+          :: !cuts;
+        incr n_cuts
       end
     in
     (* Initial trivial cuts keep rho bounded: around the source and around
@@ -411,152 +495,152 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
             if ids <> [] then add_cut ids
           end)
         w.Revised_simplex.wrows);
-    let cap_edges values nv =
-      Array.mapi
-        (fun e ({ Digraph.src; dst; _ } : Digraph.edge) ->
-          (src, dst, max 0.0 values.(nv.(e))))
-        edges
+    (* This round's LP in the engine's standard form. A cut row
+       rho - sum n_e >= -nudge is stored negated, as the engine would
+       normalize it: rho - sum n_e <= nudge. *)
+    let form () =
+      let cuts = Array.of_list !cuts in
+      let nc = Array.length cuts in
+      (* Each edge column holds its port entries, then -1 on every cut
+         row it crosses, filled in row order below. *)
+      let fill = Array.map Array.length port_rows in
+      let edge_col e =
+        let k = fill.(e) in
+        let rows = Array.make (k + crossing.(e)) 0 in
+        let vals = Array.make (k + crossing.(e)) (-1.0) in
+        Array.blit port_rows.(e) 0 rows 0 k;
+        Array.blit port_vals.(e) 0 vals 0 k;
+        (rows, vals)
+      in
+      let cols =
+        Array.init nv (fun j ->
+            if j = 0 then (Array.init nc (fun k -> n_port + k), Array.make nc 1.0)
+            else edge_col (j - 1))
+      in
+      Array.iteri
+        (fun k c ->
+          Array.iter
+            (fun e ->
+              (fst cols.(1 + e)).(fill.(e)) <- n_port + k;
+              fill.(e) <- fill.(e) + 1)
+            c.ids)
+        cuts;
+      Revised_simplex.le_form ~objective:[ (1.0, 0) ] ~cols
+        ~rhs:(Array.append port_rhs (Array.map (fun c -> c.rhs) cuts))
+        ~col_names:(Array.concat [ var_names; port_slacks; Array.map (fun c -> c.slack) cuts ])
+        ~row_names:(Array.append port_names (Array.map (fun c -> c.name) cuts))
     in
-    let rounds_used = ref 0 in
-    let best_seen = ref None in
-    (* Warm-start state: the basis of the previous round's optimum (or the
-       caller's, round 0). Cut rows only ever relax the previous optimum's
+    (* The same LP as a model, for the exact rung of the solver chain. *)
+    let model () =
+      let m = Lp_model.create () in
+      Array.iter (fun nm -> ignore (Lp_model.add_var m nm)) var_names;
+      Array.iteri
+        (fun i (name, ids, _) ->
+          Lp_model.add_constraint m ~name (List.map (fun e -> (cost e, 1 + e)) ids) Le port_rhs.(i))
+        ports;
+      List.iter
+        (fun c ->
+          Lp_model.add_constraint m ~name:c.name
+            ((-1.0, 0) :: List.map (fun e -> (1.0, 1 + e)) (Array.to_list c.ids))
+            Ge (-.c.rhs))
+        !cuts;
+      Lp_model.set_objective m ~maximize:true [ (1.0, 0) ];
+      m
+    in
+    (* Warm-start state: the caller's basis, by name, until a round of
+       this loop yields one; then that round's basis as column indices,
+       with its cut count. Cut rows only ever relax the previous optimum's
        dual feasibility — a new violated row enters with its slack basic —
        so chaining turns each round after the first into a short dual
-       re-solve. All names are stable functions of the platform (variables
-       by edge endpoints, rows via ?name below), which is what makes the
-       basis portable both round-to-round and across survivor platforms. *)
-    let warm_ref = ref warm in
+       re-solve. The rows a round adds sit between the port rows and the
+       older cuts, so an older basis maps onto the new LP by shifting its
+       cut slacks past the new rows, which are the only ones it lacks. *)
+    let start = ref (Option.map (fun w -> `Caller w) warm) in
+    let start_of = function
+      | `Caller w -> Revised_simplex.Named w
+      | `Round (basic, nc) ->
+        let shift = !n_cuts - nc and first_cut = nv + n_port in
+        Revised_simplex.Indexed
+          {
+            basic = Array.map (fun j -> if j < first_cut then j else j + shift) basic;
+            is_new_row = (fun i -> i >= n_port && i < n_port + shift);
+          }
+    in
+    let net = Maxflow.create ~n ~edges:(Array.map (fun e -> (e.Digraph.src, e.Digraph.dst)) edges) in
+    let caps values = Array.init ne (fun e -> max 0.0 values.(1 + e)) in
+    let rounds_used = ref 0 in
+    let best_seen = ref None in
     let rec iterate round =
       rounds_used := round;
-      (* Fresh model: ports + all pooled cuts. *)
-      let m = Lp_model.create () in
-      let rho = Lp_model.add_var m "rho" in
-      let nv =
-        Array.init ne (fun e ->
-            Lp_model.add_var m
-              (Printf.sprintf "n_%d_%d" edges.(e).Digraph.src edges.(e).Digraph.dst))
-      in
-      let cut_name cut =
-        let pairs =
-          List.sort compare
-            (List.map (fun e -> (edges.(e).Digraph.src, edges.(e).Digraph.dst)) cut)
-        in
-        "cut:"
-        ^ String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) pairs)
-      in
-      let port_row ids =
-        List.map (fun e -> (Rat.to_float edges.(e).Digraph.cost, nv.(e))) ids
-      in
-      (* Relax-only rhs perturbation: the cut LPs are massively degenerate
-         (hundreds of near-parallel cut rows); nudging each right-hand side
-         by a distinct tiny slack breaks the ties that make Dantzig crawl.
-         Every nudge relaxes, so feasibility is preserved and the optimum
-         moves by O(1e-7). The nudge is keyed to the row's {e name} (a
-         stable function of the platform), not its insertion order: a row
-         must keep its rhs bit-for-bit across cut rounds and across
-         nominal/survivor models, or every warm-started re-solve would see
-         each reordered row as a fresh noise-level primal violation and
-         the dual simplex would pivot once per row to fix pure noise. *)
-      let eps_of name = 1e-8 *. float_of_int (1 + (Hashtbl.hash name mod 97)) in
-      for j = 0 to Digraph.n_nodes g - 1 do
-        let out = port_row out_edge_ids.(j) in
-        let out_name = Printf.sprintf "out%d" j in
-        if out <> [] then
-          Lp_model.add_constraint m ~name:out_name out Le
-            (cap_of send_cap j +. eps_of out_name);
-        let inp = port_row in_edge_ids.(j) in
-        let in_name = Printf.sprintf "in%d" j in
-        if inp <> [] then
-          Lp_model.add_constraint m ~name:in_name inp Le
-            (cap_of recv_cap j +. eps_of in_name)
-      done;
-      List.iter
-        (fun cut ->
-          let name = cut_name cut in
-          Lp_model.add_constraint m ~name
-            ((-1.0, rho) :: List.map (fun e -> (1.0, nv.(e))) cut)
-            Ge (-.eps_of name))
-        !cuts;
-      Lp_model.set_objective m ~maximize:true [ (1.0, rho) ];
-      match Solver_chain.solve_warm ?warm:!warm_ref m with
+      let nc = !n_cuts in
+      match Solver_chain.solve_form ?start:(Option.map start_of !start) (form ()) ~model with
       | (Solver_chain.Infeasible | Solver_chain.Unbounded), _ -> None
-      | Solver_chain.Optimal (sol, _), basis ->
-        if chain && basis <> None then warm_ref := basis;
+      | Solver_chain.Optimal (sol, _), revised ->
+        if chain then
+          Option.iter (fun r -> start := Some (`Round (r.Revised_simplex.basic, nc))) revised;
+        let basis = Option.map (fun r -> r.Revised_simplex.basis) revised in
+        let r = sol.Lp_model.values.(0) in
         (* Track the tightest relaxation seen: rho must be non-increasing as
            cuts accumulate; a numerical wobble upward is ignored in favour
            of the stored best. *)
-        let keep =
-          match !best_seen with
-          | Some (r_best, _, _, _, _) when r_best <= sol.Lp_model.values.(rho) -> !best_seen
-          | _ -> Some (sol.Lp_model.values.(rho), sol, rho, nv, basis)
-        in
-        best_seen := keep;
-        if round >= 400 then Option.map (fun (_, s, r, n, b) -> (s, r, n, b)) !best_seen
+        (match !best_seen with
+        | Some (r_best, _, _) when r_best <= r -> ()
+        | _ -> best_seen := Some (r, sol, basis));
+        if round >= 400 then Option.map (fun (_, s, b) -> (s, b)) !best_seen
         else begin
-          let r = sol.Lp_model.values.(rho) in
-          let caps = cap_edges sol.Lp_model.values nv in
+          let caps = caps sol.Lp_model.values in
           let violated = ref 0 in
           List.iter
             (fun t ->
-              let mf = Maxflow.solve ~n:(Digraph.n_nodes g) ~edges:caps ~s:source ~t () in
               (* The tolerance sits safely above the rhs perturbation
                  (at most ~1e-6), else separation would chase the nudges
-                 forever. The LB is exact up to this absolute slack. *)
-              if mf.Maxflow.value < r -. 3e-6 then begin
+                 forever. The LB is exact up to this absolute slack. The
+                 flow stops once it carries r: a flow that falls short of
+                 r never met the limit, so it ran exactly as an unlimited
+                 one would, and its cuts are the same. *)
+              if Maxflow.run net ~cap:caps ~s:source ~t ~limit:r () < r -. 3e-6 then begin
                 incr violated;
-                let cut_s =
-                  List.filter
-                    (fun e ->
-                      mf.Maxflow.source_side.(edges.(e).Digraph.src)
-                      && not mf.Maxflow.source_side.(edges.(e).Digraph.dst))
-                    (List.init ne Fun.id)
-                in
-                add_cut cut_s;
-                (* The sink-side min cut is usually distinct; adding both
-                   sharply reduces the zigzagging of the cut loop (see the
+                (* Both minimum cuts, read in one pass over the edges. The
+                   sink-side cut is usually distinct; adding both sharply
+                   reduces the zigzagging of the cut loop (see the
                    ablation_cuts bench section). *)
-                if two_sided then begin
-                  let cut_t =
-                    List.filter
-                      (fun e ->
-                        (not mf.Maxflow.sink_side.(edges.(e).Digraph.src))
-                        && mf.Maxflow.sink_side.(edges.(e).Digraph.dst))
-                      (List.init ne Fun.id)
-                  in
-                  if cut_t <> cut_s then add_cut cut_t
-                end
+                let src_side, snk_side = Maxflow.cut_sides net ~s:source ~t in
+                let cut_s = ref [] and cut_t = ref [] in
+                for e = ne - 1 downto 0 do
+                  let { Digraph.src; dst; _ } = edges.(e) in
+                  if src_side.(src) && not src_side.(dst) then cut_s := e :: !cut_s;
+                  if (not snk_side.(src)) && snk_side.(dst) then cut_t := e :: !cut_t
+                done;
+                add_cut !cut_s;
+                if two_sided && !cut_t <> !cut_s then add_cut !cut_t
               end)
             targets;
           (* On convergence return the CURRENT solution: it satisfies every
              pooled cut, which the stored minimum (an earlier round plus
              perturbation noise) need not. best_seen only serves the
              round-cap fallback. *)
-          if !violated = 0 then Some (sol, rho, nv, basis) else iterate (round + 1)
+          if !violated = 0 then Some (sol, basis) else iterate (round + 1)
         end
     in
     match iterate 0 with
     | None -> None
-    | Some (sol, rho, nv, basis) ->
-      let throughput = sol.Lp_model.values.(rho) in
+    | Some (sol, basis) ->
+      let throughput = sol.Lp_model.values.(0) in
       if throughput < eps then None
       else begin
         (* Recover per-target flows of value rho under the optimal edge
            occupations, for node contributions and schedule building. *)
-        let caps = cap_edges sol.Lp_model.values nv in
-        let node_inflow = Array.make (Digraph.n_nodes g) 0.0 in
+        let caps = caps sol.Lp_model.values in
+        let node_inflow = Array.make n 0.0 in
         let usage = Array.make ne 0.0 in
         let commodity_flows =
           List.map
             (fun t ->
-              let mf =
-                Maxflow.solve ~n:(Digraph.n_nodes g) ~edges:caps ~s:source ~t
-                  ~limit:throughput ()
-              in
+              ignore (Maxflow.run net ~cap:caps ~s:source ~t ~limit:throughput ());
               let flows =
                 List.filter_map
                   (fun e ->
-                    let f = mf.Maxflow.edge_flow.(e) in
+                    let f = Maxflow.flow net e in
                     if f > eps then begin
                       node_inflow.(edges.(e).Digraph.dst) <-
                         node_inflow.(edges.(e).Digraph.dst) +. f;

@@ -55,8 +55,9 @@ val multicast_lb : Platform.t -> solution option
     by one Multicast-LB solve and consumed by a related one. The LB
     model's names are stable functions of the platform — variables keyed
     by edge endpoints, port rows by node id, cut rows by their edge set —
-    so a basis ports round-to-round inside the cut loop and from a
-    nominal platform to its survivors. *)
+    so a basis ports from a nominal platform to its survivors and from
+    one epoch to the next. Inside the cut loop, rounds hand their basis
+    on by column index instead. *)
 type warm_basis = Revised_simplex.warm
 
 (** [multicast_lb_warm ?warm ?chain ?send_cap ?recv_cap p] is

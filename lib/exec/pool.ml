@@ -16,6 +16,21 @@ let maps_run = Metrics.counter "pool.maps"
 let task_seconds = Metrics.histogram "pool.task_seconds"
 let utilization = Metrics.gauge "pool.utilization"
 
+(* Tasks run per worker number, summed over every map so far. *)
+let totals = ref [||]
+let totals_lock = Mutex.create ()
+
+let add_totals per_worker =
+  Mutex.protect totals_lock (fun () ->
+      let t = !totals in
+      let get a w = if w < Array.length a then a.(w) else 0 in
+      totals :=
+        Array.init
+          (max (Array.length t) (Array.length per_worker))
+          (fun w -> get t w + get per_worker w))
+
+let worker_tasks () = Mutex.protect totals_lock (fun () -> Array.copy !totals)
+
 (* Each worker claims tasks via [next] and writes results to distinct
    indices of [results] — disjoint writes, so no lock is needed. Workers
    never share anything else; ordering falls out of the index.
@@ -68,6 +83,7 @@ let run_pool ?(oversubscribe = false) ~jobs f tasks =
     Array.iter Domain.join domains
   end;
   let wall_seconds = Unix.gettimeofday () -. t0 in
+  add_totals per_worker;
   let busy_seconds = Array.fold_left ( +. ) 0.0 busy in
   if wall_seconds > 0.0 then
     Metrics.set_gauge utilization (busy_seconds /. (wall_seconds *. float_of_int jobs));

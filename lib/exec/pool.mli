@@ -63,6 +63,12 @@ val default_jobs : unit -> int
     values above the core count are capped unless [~oversubscribe:true]. *)
 val map : ?oversubscribe:bool -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
+(** [worker_tasks ()] is, for each worker number, the tasks it has run
+    over every map since the program started ([0] is the calling
+    domain). The difference of two readings shows which workers a
+    stretch of work used, across maps the caller does not see. *)
+val worker_tasks : unit -> int array
+
 (** Like {!map} but each task's outcome is captured as a [result]. *)
 val map_result :
   ?oversubscribe:bool -> ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list

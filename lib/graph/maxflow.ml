@@ -7,89 +7,147 @@ type result = {
 
 let eps = 1e-12
 
-(* Adjacency representation with paired residual arcs: arc 2i is the i-th
-   input edge, arc 2i+1 its reverse. *)
-type net = {
+(* Paired residual arcs: arc 2i is the i-th input edge, arc 2i+1 its
+   reverse. Each node's arcs sit in [arcs] from [start.(v)] to
+   [start.(v+1)], newest input edge first (and an edge's reverse arc
+   before its forward arc), which is the order the search visits them.
+   Every other array is a buffer that each [run] overwrites. *)
+type t = {
+  n : int;
   head : int array; (* arc -> head node *)
+  start : int array;
+  arcs : int array;
+  base : float array; (* capacity per input edge, as last given *)
   cap : float array; (* residual capacity per arc *)
-  adj : int list array; (* node -> arcs out of it *)
+  level : int array;
+  next : int array; (* per node: next slot of [arcs] the search tries *)
+  queue : int array;
+  source_side : bool array;
+  sink_side : bool array;
 }
 
-let build ~n ~edges =
+let create ~n ~edges =
   let m = Array.length edges in
   let head = Array.make (2 * m) 0 in
-  let cap = Array.make (2 * m) 0.0 in
-  let adj = Array.make n [] in
+  let start = Array.make (n + 1) 0 in
   Array.iteri
-    (fun i (u, v, c) ->
-      if c < 0.0 then invalid_arg "Maxflow: negative capacity";
+    (fun i (u, v) ->
       head.(2 * i) <- v;
-      cap.(2 * i) <- c;
-      adj.(u) <- (2 * i) :: adj.(u);
       head.((2 * i) + 1) <- u;
-      cap.((2 * i) + 1) <- 0.0;
-      adj.(v) <- ((2 * i) + 1) :: adj.(v))
+      start.(u + 1) <- start.(u + 1) + 1;
+      start.(v + 1) <- start.(v + 1) + 1)
     edges;
-  { head; cap; adj }
+  for v = 0 to n - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let fill = Array.sub start 0 n in
+  let arcs = Array.make (2 * m) 0 in
+  let push v a =
+    arcs.(fill.(v)) <- a;
+    fill.(v) <- fill.(v) + 1
+  in
+  for i = m - 1 downto 0 do
+    let u, v = edges.(i) in
+    push v ((2 * i) + 1);
+    push u (2 * i)
+  done;
+  {
+    n;
+    head;
+    start;
+    arcs;
+    base = Array.make m 0.0;
+    cap = Array.make (2 * m) 0.0;
+    level = Array.make n (-1);
+    next = Array.make n 0;
+    queue = Array.make (max n 1) 0;
+    source_side = Array.make n false;
+    sink_side = Array.make n false;
+  }
 
-let solve ~n ~edges ~s ~t ?(limit = infinity) () =
+(* Breadth-first search from [s], which the caller has marked: [enter a]
+   marks the head of arc [a] and says whether the search goes on from
+   it. *)
+let bfs net s enter =
+  let q = net.queue in
+  q.(0) <- s;
+  let qh = ref 0 and qt = ref 1 in
+  while !qh < !qt do
+    let v = q.(!qh) in
+    incr qh;
+    for k = net.start.(v) to net.start.(v + 1) - 1 do
+      let a = net.arcs.(k) in
+      if enter a then begin
+        q.(!qt) <- net.head.(a);
+        incr qt
+      end
+    done
+  done
+
+let run net ~cap ~s ~t ?(limit = infinity) () =
   if s = t then invalid_arg "Maxflow.solve: source equals sink";
-  let net = build ~n ~edges in
-  let level = Array.make n (-1) in
-  let bfs () =
+  if Array.length cap <> Array.length net.base then
+    invalid_arg "Maxflow.run: one capacity per edge";
+  let n = net.n and head = net.head and rc = net.cap and level = net.level in
+  for i = 0 to Array.length cap - 1 do
+    let c = cap.(i) in
+    if c < 0.0 then invalid_arg "Maxflow: negative capacity";
+    net.base.(i) <- c;
+    rc.(2 * i) <- c;
+    rc.((2 * i) + 1) <- 0.0
+  done;
+  (* Levels by breadth-first search; written out rather than through
+     [bfs], since it runs once per phase of every flow. *)
+  let levels () =
     Array.fill level 0 n (-1);
     level.(s) <- 0;
-    let q = Queue.create () in
-    Queue.push s q;
-    while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      List.iter
-        (fun a ->
-          let w = net.head.(a) in
-          if level.(w) < 0 && net.cap.(a) > eps then begin
-            level.(w) <- level.(v) + 1;
-            Queue.push w q
-          end)
-        net.adj.(v)
+    let q = net.queue in
+    q.(0) <- s;
+    let qh = ref 0 and qt = ref 1 in
+    while !qh < !qt do
+      let v = q.(!qh) in
+      incr qh;
+      for k = net.start.(v) to net.start.(v + 1) - 1 do
+        let a = net.arcs.(k) in
+        let w = head.(a) in
+        if level.(w) < 0 && rc.(a) > eps then begin
+          level.(w) <- level.(v) + 1;
+          q.(!qt) <- w;
+          incr qt
+        end
+      done
     done;
     level.(t) >= 0
   in
   (* Blocking flow by DFS with an arc iterator per node. *)
-  let iter = Array.make n [] in
+  let next = net.next and arcs = net.arcs in
   let rec dfs v pushed =
     if v = t then pushed
     else begin
-      let rec try_arcs () =
-        match iter.(v) with
-        | [] -> 0.0
-        | a :: rest ->
-          let w = net.head.(a) in
-          if net.cap.(a) > eps && level.(w) = level.(v) + 1 then begin
-            let got = dfs w (min pushed net.cap.(a)) in
-            if got > eps then begin
-              net.cap.(a) <- net.cap.(a) -. got;
-              net.cap.(a lxor 1) <- net.cap.(a lxor 1) +. got;
-              got
-            end
-            else begin
-              iter.(v) <- rest;
-              try_arcs ()
-            end
-          end
-          else begin
-            iter.(v) <- rest;
-            try_arcs ()
-          end
-      in
-      try_arcs ()
+      let stop = net.start.(v + 1) in
+      let got = ref 0.0 in
+      while !got = 0.0 && next.(v) < stop do
+        let a = arcs.(next.(v)) in
+        let w = head.(a) in
+        let c = rc.(a) in
+        let g =
+          if c > eps && level.(w) = level.(v) + 1 then dfs w (if pushed <= c then pushed else c)
+          else 0.0
+        in
+        if g > eps then begin
+          rc.(a) <- rc.(a) -. g;
+          rc.(a lxor 1) <- rc.(a lxor 1) +. g;
+          got := g
+        end
+        else next.(v) <- next.(v) + 1
+      done;
+      !got
     end
   in
   let total = ref 0.0 in
   let continue_ = ref true in
-  while !continue_ && !total < limit -. eps && bfs () do
-    for v = 0 to n - 1 do
-      iter.(v) <- net.adj.(v)
-    done;
+  while !continue_ && !total < limit -. eps && levels () do
+    Array.blit net.start 0 next 0 n;
     let inner = ref true in
     while !inner do
       let got = dfs s (limit -. !total) in
@@ -101,41 +159,45 @@ let solve ~n ~edges ~s ~t ?(limit = infinity) () =
     done;
     if !total >= limit -. eps then continue_ := false
   done;
-  let edge_flow =
-    Array.mapi (fun i (_, _, c) -> c -. net.cap.(2 * i)) edges
-  in
+  !total
+
+let flow net e = net.base.(e) -. net.cap.(2 * e)
+
+let cut_sides net ~s ~t =
+  let rc = net.cap and head = net.head in
   (* Min-cut side: nodes reachable from s in the residual network. *)
-  let source_side = Array.make n false in
-  let q = Queue.create () in
-  source_side.(s) <- true;
-  Queue.push s q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    List.iter
-      (fun a ->
-        let w = net.head.(a) in
-        if (not source_side.(w)) && net.cap.(a) > eps then begin
-          source_side.(w) <- true;
-          Queue.push w q
-        end)
-      net.adj.(v)
-  done;
+  let src = net.source_side in
+  Array.fill src 0 net.n false;
+  src.(s) <- true;
+  bfs net s (fun a ->
+      let w = head.(a) in
+      (not src.(w))
+      && rc.(a) > eps
+      &&
+      (src.(w) <- true;
+       true));
   (* Nodes that can reach t in the residual: reverse BFS — v can step to w
      when the residual arc v->w (the pair of some arc b out of w) has
      capacity left. *)
-  let sink_side = Array.make n false in
-  let q = Queue.create () in
-  sink_side.(t) <- true;
-  Queue.push t q;
-  while not (Queue.is_empty q) do
-    let w = Queue.pop q in
-    List.iter
-      (fun b ->
-        let v = net.head.(b) in
-        if (not sink_side.(v)) && net.cap.(b lxor 1) > eps then begin
-          sink_side.(v) <- true;
-          Queue.push v q
-        end)
-      net.adj.(w)
-  done;
-  { value = !total; edge_flow; source_side; sink_side }
+  let snk = net.sink_side in
+  Array.fill snk 0 net.n false;
+  snk.(t) <- true;
+  bfs net t (fun b ->
+      let v = head.(b) in
+      (not snk.(v))
+      && rc.(b lxor 1) > eps
+      &&
+      (snk.(v) <- true;
+       true));
+  (src, snk)
+
+let solve ~n ~edges ~s ~t ?limit () =
+  let net = create ~n ~edges:(Array.map (fun (u, v, _) -> (u, v)) edges) in
+  let value = run net ~cap:(Array.map (fun (_, _, c) -> c) edges) ~s ~t ?limit () in
+  let source_side, sink_side = cut_sides net ~s ~t in
+  {
+    value;
+    edge_flow = Array.init (Array.length edges) (flow net);
+    source_side = Array.copy source_side;
+    sink_side = Array.copy sink_side;
+  }

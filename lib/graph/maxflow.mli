@@ -21,3 +21,26 @@ type result = {
     [source_side] describes a minimum cut when [limit] was not reached. *)
 val solve :
   n:int -> edges:(int * int * float) array -> s:int -> t:int -> ?limit:float -> unit -> result
+
+(** A network of fixed topology whose buffers every {!run} reuses: the
+    cut loop solves one flow per target per round on the same edges, and
+    only the capacities change. {!solve} is {!create} plus one {!run}. *)
+type t
+
+(** [create ~n ~edges] is the network on [n] nodes with the [(src, dst)]
+    [edges]. *)
+val create : n:int -> edges:(int * int) array -> t
+
+(** [run net ~cap ~s ~t ?limit ()] is the value of a maximum [s]→[t] flow
+    under capacities [cap] (one per edge, same order as {!create}'s), as
+    {!solve} computes it. The flow and the residual network stay in [net]
+    until the next run. *)
+val run : t -> cap:float array -> s:int -> t:int -> ?limit:float -> unit -> float
+
+(** [flow net e] is the last run's flow on edge [e]. *)
+val flow : t -> int -> float
+
+(** [cut_sides net ~s ~t] is the last run's [(source_side, sink_side)], as
+    in {!result}, given that run's [s] and [t]. The arrays are [net]'s
+    buffers: the next call overwrites them. *)
+val cut_sides : t -> s:int -> t:int -> bool array * bool array

@@ -12,18 +12,27 @@
    of the exercise, the basis is a first-class value that can be
    exported by name and re-imported to warm-start a related model.
 
-   Warm starts: a basis is an array of column names (structural variables
-   by their Lp_model name, slack of row r as "s:<row name>", artificials
-   as "a:<row name>"). [solve ?warm] resolves those names against the
-   current model, completes the set with slacks of uncovered rows,
-   factorizes, and then runs dual simplex (if the basis prices dual
-   feasible — the common case when rows were added to a previously solved
-   model) or primal phase 2 (if it is primal feasible). Any trouble on
-   the warm path — unresolvable basis, singular factorization, neither
-   feasible, stall, numerical drift — falls back to a cold solve inside
-   this module, so warm starts can change performance but never
-   verdicts: only [Optimal] ever escapes the warm path. Models with
-   artificial columns (Ge/Eq rows) skip the warm path entirely. *)
+   Warm starts: an optimal solution exports its basis twice, as the
+   basic column indices of the solved model ([basic]) and as an array of
+   column names ([basis]: structural variables by their Lp_model name,
+   slack of row r as "s:<row name>", artificials as "a:<row name>") with
+   that model's row names. A caller that re-solves a model it grows
+   itself (the cut loop of Multicast-LB, which only adds rows) hands the
+   previous round's indices back ([Indexed]), already mapped to the new
+   model, with the rows that model did not have; no name is hashed. Any
+   other basis — another platform's, a previous epoch's, one from a
+   cache — comes by name ([Named]), and the name front end resolves it
+   against the current model. Both front ends feed one repair, which
+   completes the set with slacks of uncovered rows; the solve then
+   factorizes and runs
+   dual simplex (if the basis prices dual feasible — the common case
+   when rows were added to a previously solved model) or primal phase 2
+   (if it is primal feasible). Any trouble on the warm path —
+   unresolvable basis, singular factorization, neither feasible, stall,
+   numerical drift — falls back to a cold solve inside this module, so
+   warm starts can change performance but never verdicts: only
+   [Optimal] ever escapes the warm path. Models with artificial columns
+   (Ge/Eq rows) skip the warm path entirely. *)
 
 type warm = {
   wcols : string array;
@@ -36,8 +45,11 @@ type solution = {
   row_duals : float array;
   pivots : int;
   basis : warm;
+  basic : int array;
   warm_used : bool;
 }
+
+type start = Named of warm | Indexed of { basic : int array; is_new_row : int -> bool }
 
 type status = Optimal of solution | Infeasible | Unbounded | Stalled
 
@@ -95,6 +107,8 @@ type std = {
   init_basic : int array; (* cold-start basis: slack or artificial per row *)
 }
 
+let slack_name row = "s:" ^ row
+
 let build model =
   let maximize, obj = Lp_model.objective model in
   let rows = Lp_model.rows model in
@@ -143,13 +157,13 @@ let build model =
       match cmp with
       | Lp_model.Le ->
         acc.(!slack) <- [ (i, 1.0) ];
-        col_names.(!slack) <- "s:" ^ row_names.(i);
+        col_names.(!slack) <- slack_name row_names.(i);
         slack_of_row.(i) <- !slack;
         init_basic.(i) <- !slack;
         incr slack
       | Ge ->
         acc.(!slack) <- [ (i, -1.0) ];
-        col_names.(!slack) <- "s:" ^ row_names.(i);
+        col_names.(!slack) <- slack_name row_names.(i);
         slack_of_row.(i) <- !slack;
         incr slack;
         acc.(!art) <- [ (i, 1.0) ];
@@ -193,6 +207,36 @@ let build model =
     slack_of_row;
     init_basic;
   }
+
+type form = std
+
+(* What [build] makes of "maximize [objective] subject to A x <= rhs,
+   x >= 0" with every rhs >= 0, for a caller that holds A by columns
+   already: column j < nv is [cols.(j)], then the slack of row i is
+   column nv + i. *)
+let le_form ~objective ~cols ~rhs ~col_names ~row_names =
+  let nv = Array.length cols and m = Array.length rhs in
+  let ncols = nv + m in
+  let sign = -1.0 in
+  let cost = Array.make ncols 0.0 in
+  List.iter (fun (c, v) -> cost.(v) <- cost.(v) +. (sign *. c)) objective;
+  let slacks = Array.init m (fun i -> nv + i) in
+  {
+    m;
+    ncols;
+    nv;
+    art_start = ncols;
+    cols = Array.init ncols (fun j -> if j < nv then cols.(j) else ([| j - nv |], [| 1.0 |]));
+    b = rhs;
+    cost;
+    sign;
+    col_names;
+    row_names;
+    slack_of_row = slacks;
+    init_basic = slacks;
+  }
+
+let dims std = (std.nv, std.m)
 
 let dot (rows, vals) y =
   let s = ref 0.0 in
@@ -448,6 +492,7 @@ let extract std bs x_b ~pivots ~warm_used =
         wcols = Array.map (fun j -> std.col_names.(j)) header;
         wrows = std.row_names;
       };
+    basic = Array.copy header;
     warm_used;
   }
 
@@ -509,29 +554,11 @@ let cold std ~max_iter pivots =
 
 module Int_set = Set.Make (Int)
 
-(* Resolve a warm basis against this model and repair it into a
-   nonsingular basis of the current one:
-
-   - drop unknown column names and duplicates;
-   - rows of this model whose {e name} the source model never had are
-     genuinely new — their slacks go basic up front;
-   - Gaussian-eliminate the resolved columns with pivot rows restricted
-     to the {e shared} rows, keeping a maximal independent subset;
-   - complete with the slacks of whatever shared rows end unpivoted.
-
-   The row-name restriction is the load-bearing part. When the new
-   model only added rows (the cut-generation loop, nominal-to-survivor
-   re-solves), the old basis is nonsingular on the shared rows, so
-   every resolved column pivots there and the result is exactly the
-   block-triangular [B 0; C I]: nonsingular, and priced identically to
-   the old optimum (dual feasible), leaving the dual simplex a short
-   re-solve. Unrestricted magnitude pivoting instead happily pivots an
-   old column on a new cut row (their ±1 entries dominate the
-   cost-sized port entries), silently swapping a different slack into
-   the basis and destroying dual feasibility. Only all-Le models are
-   offered the warm path, so every row has a slack and completion
-   always reaches m columns. *)
-let resolve_warm std warm =
+(* Name front end of the warm repair, for a basis from another model:
+   the basic columns that resolve by name, in header order, without
+   duplicates and at most m of them, and which rows of this model the
+   source model never had (by name). *)
+let resolve_names std warm =
   let tbl = Hashtbl.create (2 * std.ncols) in
   for j = std.ncols - 1 downto 0 do
     Hashtbl.replace tbl std.col_names.(j) j
@@ -547,9 +574,46 @@ let resolve_warm std warm =
         incr count
       | _ -> ())
     warm.wcols;
-  let resolved = List.rev !resolved in
   let old_rows = Hashtbl.create (2 * Array.length warm.wrows) in
   Array.iter (fun nm -> Hashtbl.replace old_rows nm ()) warm.wrows;
+  (List.rev !resolved, fun i -> not (Hashtbl.mem old_rows std.row_names.(i)))
+
+(* Index front end, for a basis the caller has already mapped onto this
+   model: the same filter as [resolve_names], with no name to look up. *)
+let resolve_indices std basic =
+  let seen = Array.make std.ncols false in
+  let resolved = ref [] and count = ref 0 in
+  Array.iter
+    (fun j ->
+      if j >= 0 && j < std.ncols && (not seen.(j)) && !count < std.m then begin
+        seen.(j) <- true;
+        resolved := j :: !resolved;
+        incr count
+      end)
+    basic;
+  List.rev !resolved
+
+(* Repair a resolved basis into a nonsingular basis of this model:
+
+   - rows the source model never had ([is_new_row]) are genuinely new —
+     their slacks go basic up front;
+   - Gaussian-eliminate the [resolved] columns with pivot rows restricted
+     to the {e shared} rows, keeping a maximal independent subset;
+   - complete with the slacks of whatever shared rows end unpivoted.
+
+   The row restriction is the load-bearing part. When the new
+   model only added rows (the cut-generation loop, nominal-to-survivor
+   re-solves), the old basis is nonsingular on the shared rows, so
+   every resolved column pivots there and the result is exactly the
+   block-triangular [B 0; C I]: nonsingular, and priced identically to
+   the old optimum (dual feasible), leaving the dual simplex a short
+   re-solve. Unrestricted magnitude pivoting instead happily pivots an
+   old column on a new cut row (their ±1 entries dominate the
+   cost-sized port entries), silently swapping a different slack into
+   the basis and destroying dual feasibility. Only all-Le models are
+   offered the warm path, so every row has a slack and completion
+   always reaches m columns. *)
+let repair std resolved ~is_new_row =
   let header = Array.make std.m (-1) in
   let pos = ref 0 in
   let row_used = Array.make std.m false in
@@ -557,18 +621,17 @@ let resolve_warm std warm =
      resolved column that happens to be such a slack (a name collision
      across models) loses its slot to the forced assignment. *)
   let forced = Hashtbl.create 16 in
-  Array.iteri
-    (fun i nm ->
-      if not (Hashtbl.mem old_rows nm) then begin
-        row_used.(i) <- true;
-        let s = std.slack_of_row.(i) in
-        if (not (Hashtbl.mem forced s)) && !pos < std.m then begin
-          Hashtbl.replace forced s ();
-          header.(!pos) <- s;
-          incr pos
-        end
-      end)
-    std.row_names;
+  for i = 0 to std.m - 1 do
+    if is_new_row i then begin
+      row_used.(i) <- true;
+      let s = std.slack_of_row.(i) in
+      if (not (Hashtbl.mem forced s)) && !pos < std.m then begin
+        Hashtbl.replace forced s ();
+        header.(!pos) <- s;
+        incr pos
+      end
+    end
+  done;
   let resolved = List.filter (fun j -> not (Hashtbl.mem forced j)) resolved in
   (* Left-looking sparse elimination, term for term the right-looking
      dense one: column c receives the updates of the earlier pivots in
@@ -669,8 +732,13 @@ let resolve_warm std warm =
    but not to wander. *)
 let dual_budget std = 32 + std.m
 
-let try_warm std warm ~max_iter pivots =
-  match resolve_warm std warm with
+let try_warm std start ~max_iter pivots =
+  let resolved, is_new_row =
+    match start with
+    | Named warm -> resolve_names std warm
+    | Indexed { basic; is_new_row } -> (resolve_indices std basic, is_new_row)
+  in
+  match repair std resolved ~is_new_row with
   | None -> None
   | Some header -> (
     match Basis.create ~cols:std.cols ~header with
@@ -705,14 +773,13 @@ let try_warm std warm ~max_iter pivots =
         else None
       with Numerical -> None))
 
-let solve ?(max_iter = max_iterations) ?warm model =
-  let std = build model in
+let solve_form ?(max_iter = max_iterations) ?start std =
   Lp_counters.record_float_solve ();
   let pivots = ref 0 in
   let warm_sol =
-    match warm with
-    | Some w when std.ncols = std.art_start && std.m > 0 ->
-      try_warm std w ~max_iter pivots
+    match start with
+    | Some start when std.ncols = std.art_start && std.m > 0 ->
+      try_warm std start ~max_iter pivots
     | _ -> None
   in
   let result =
@@ -724,3 +791,6 @@ let solve ?(max_iter = max_iterations) ?warm model =
   in
   Lp_counters.record_pivots !pivots;
   result
+
+let solve ?max_iter ?warm model =
+  solve_form ?max_iter ?start:(Option.map (fun w -> Named w) warm) (build model)

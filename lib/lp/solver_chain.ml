@@ -34,8 +34,8 @@ let fallbacks = Metrics.counter "solver_chain.fallbacks"
 (* Span args are built in the ?result closure, so a disabled trace pays
    only the closure allocation — the per-solve span is the finest-grained
    one in the codebase and sits under every LP caller. *)
-let span_args model status =
-  let size = [ ("vars", Trace.Int (Lp_model.n_vars model)); ("rows", Trace.Int (Lp_model.n_constraints model)) ] in
+let span_args (vars, rows) status =
+  let size = [ ("vars", Trace.Int vars); ("rows", Trace.Int rows) ] in
   match status with
   | Optimal (sol, engine) ->
     ("engine", Trace.Str (match engine with `Revised -> "revised" | `Exact -> "exact"))
@@ -45,11 +45,13 @@ let span_args model status =
   | Infeasible -> ("outcome", Trace.Str "infeasible") :: size
   | Unbounded -> ("outcome", Trace.Str "unbounded") :: size
 
-let solve_warm ?max_iter ?warm model =
+(* The chain proper: [revised ()] on the float engine, then [model ()]
+   on the exact one when that stalls or comes back non-finite. *)
+let chain ~size ~revised ~model =
   Trace.with_span ~cat:"lp" "lp.solve"
-    ~result:(fun (st, _) -> span_args model st)
+    ~result:(fun (st, _) -> span_args (size ()) st)
     (fun () ->
-      match Revised_simplex.solve ?max_iter ?warm model with
+      match revised () with
       | Revised_simplex.Optimal r
         when Float.is_finite r.Revised_simplex.objective
              && Array.for_all Float.is_finite r.Revised_simplex.values ->
@@ -61,11 +63,26 @@ let solve_warm ?max_iter ?warm model =
                 pivots = r.Revised_simplex.pivots;
               },
               `Revised ),
-          Some r.Revised_simplex.basis )
+          Some r )
       | Revised_simplex.Infeasible -> (Infeasible, None)
       | Revised_simplex.Unbounded -> (Unbounded, None)
       | Revised_simplex.Stalled | Revised_simplex.Optimal _ ->
         Metrics.incr fallbacks;
-        (solve_exact model, None))
+        (solve_exact (model ()), None))
+
+let solve_warm ?max_iter ?warm model =
+  let st, r =
+    chain
+      ~size:(fun () -> (Lp_model.n_vars model, Lp_model.n_constraints model))
+      ~revised:(fun () -> Revised_simplex.solve ?max_iter ?warm model)
+      ~model:(fun () -> model)
+  in
+  (st, Option.map (fun r -> r.Revised_simplex.basis) r)
+
+let solve_form ?start form ~model =
+  chain
+    ~size:(fun () -> Revised_simplex.dims form)
+    ~revised:(fun () -> Revised_simplex.solve_form ?start form)
+    ~model
 
 let solve_with_fallback ?max_iter model = fst (solve_warm ?max_iter model)

@@ -41,6 +41,18 @@ val solve_warm :
   Lp_model.t ->
   status * Revised_simplex.warm option
 
+(** [solve_form ?start form ~model] runs the chain on a model its caller
+    keeps in standard form ({!Revised_simplex.le_form}), seeding the
+    revised engine with [start]. [model ()] must build the same model as
+    an {!Lp_model}; it is called only when the exact rung runs. Returns
+    the status plus the revised engine's solution when it won, whose
+    [basic] indices seed the caller's next [Indexed] start. *)
+val solve_form :
+  ?start:Revised_simplex.start ->
+  Revised_simplex.form ->
+  model:(unit -> Lp_model.t) ->
+  status * Revised_simplex.solution option
+
 (** [solve_with_fallback ?max_iter model] is [solve_warm] without basis
     plumbing: cold solve, basis dropped. *)
 val solve_with_fallback : ?max_iter:int -> Lp_model.t -> status

@@ -63,7 +63,13 @@ let test_pool_exception_capture () =
 
 let test_pool_stats () =
   let xs = List.init 37 Fun.id in
+  let totals_before = Pool.worker_tasks () in
   let _, st = Pool.map_stats ~oversubscribe:true ~jobs:4 (fun x -> x) xs in
+  let totals = Pool.worker_tasks () in
+  Alcotest.(check (list int)) "worker totals grow by per_worker"
+    (Array.to_list st.Pool.per_worker)
+    (List.init st.Pool.jobs (fun w ->
+         totals.(w) - if w < Array.length totals_before then totals_before.(w) else 0));
   Alcotest.(check int) "tasks counted" 37 st.Pool.tasks;
   Alcotest.(check int) "per_worker length" st.Pool.jobs (Array.length st.Pool.per_worker);
   Alcotest.(check int) "per_worker sums to tasks" 37

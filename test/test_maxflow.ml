@@ -38,6 +38,12 @@ let test_limit () =
   Alcotest.(check (float 1e-6)) "stops at the limit" 2.0 r.Maxflow.value;
   Alcotest.(check (float 1e-6)) "edge flow capped" 2.0 r.Maxflow.edge_flow.(0)
 
+let test_capacity_count () =
+  let net = Maxflow.create ~n:3 ~edges:[| (0, 1); (1, 2) |] in
+  Alcotest.check_raises "one capacity per edge"
+    (Invalid_argument "Maxflow.run: one capacity per edge") (fun () ->
+      ignore (Maxflow.run net ~cap:[| 1.0 |] ~s:0 ~t:2 ()))
+
 let test_min_cut_capacity () =
   (* Both returned cuts must have capacity equal to the flow value. *)
   let edges =
@@ -99,6 +105,29 @@ let maxflow_props =
             0.0 edges
         in
         abs_float (r.Maxflow.value -. cut) < 1e-6);
+    (* One network run over several capacity sets, sinks and limits
+       answers as a fresh one-shot solve each time: no run sees state a
+       previous run left in the shared buffers. *)
+    prop "reused network equals fresh solves" 100 arb_net (fun edges ->
+        let edges = List.filter (fun (u, v, _) -> u <> v) edges in
+        QCheck.assume (edges <> []);
+        let arr = Array.of_list edges in
+        let net = Maxflow.create ~n:6 ~edges:(Array.map (fun (u, v, _) -> (u, v)) arr) in
+        List.for_all
+          (fun (scale, t, limit) ->
+            let cap = Array.mapi (fun i (_, _, c) -> c *. float_of_int (1 + ((i * scale) mod 3))) arr in
+            let fresh =
+              Maxflow.solve ~n:6 ~edges:(Array.mapi (fun i (u, v, _) -> (u, v, cap.(i))) arr)
+                ~s:0 ~t ?limit ()
+            in
+            let value = Maxflow.run net ~cap ~s:0 ~t ?limit () in
+            let src, snk = Maxflow.cut_sides net ~s:0 ~t in
+            value = fresh.Maxflow.value
+            && Array.for_all Fun.id
+                 (Array.mapi (fun i f -> Maxflow.flow net i = f) fresh.Maxflow.edge_flow)
+            && src = fresh.Maxflow.source_side
+            && snk = fresh.Maxflow.sink_side)
+          [ (1, 5, None); (2, 4, Some 2.0); (1, 5, None); (3, 3, None); (2, 5, Some 1.5) ]);
     prop "edge flows within capacity" 150 arb_net (fun edges ->
         let edges = List.filter (fun (u, v, _) -> u <> v) edges in
         QCheck.assume (edges <> []);
@@ -120,6 +149,7 @@ let suite =
     ("classic diamond", `Quick, test_classic_diamond);
     ("disconnected", `Quick, test_disconnected);
     ("flow limit", `Quick, test_limit);
+    ("run: one capacity per edge", `Quick, test_capacity_count);
     ("min cut capacities", `Quick, test_min_cut_capacity);
     ("flow conservation", `Quick, test_conservation);
   ]

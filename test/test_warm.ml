@@ -120,8 +120,92 @@ let test_sweep_exact_oracle () =
     (Printf.sprintf "oracle checked enough cases (%d)" !checked)
     true (!checked >= 12)
 
+(* Bit-for-bit pin of the Multicast-LB cut loop. Over twelve seeded
+   Tiers-small platforms it solves each one cold, with residual port
+   capacities, and warm from the previous platform's basis (a foreign
+   basis whose names only partly resolve), then one survivor with a
+   deleted edge warm from its nominal basis, so the cut import drops
+   pairs. Every solve adds its throughput's bits, its cut-round count,
+   its pivot count and its returned basis to one digest. A change that
+   claims to leave the loop's work alone must leave the digest as it
+   is. *)
+let cut_loop_digest () =
+  let buf = Buffer.create 65536 in
+  let rounds () =
+    match Metrics.find (Metrics.snapshot ()) "formulations.lb_cut_rounds" with
+    | Some (Metrics.Histogram h) -> h.Metrics.h_sum
+    | _ -> 0.0
+  in
+  let solve ?warm ?send_cap ?recv_cap p =
+    let r0 = rounds () and before = Lp_counters.snapshot () in
+    let r = Formulations.multicast_lb_warm ?warm ?send_cap ?recv_cap p in
+    let pivots = (Lp_counters.since before).Lp_counters.pivots in
+    (match r with
+    | None -> Buffer.add_string buf "none\n"
+    | Some (s, b) ->
+      Printf.bprintf buf "%Ld %.0f %d\n"
+        (Int64.bits_of_float s.Formulations.throughput)
+        (rounds () -. r0) pivots;
+      Option.iter
+        (fun (w : Formulations.warm_basis) ->
+          Array.iter (Printf.bprintf buf "%s;") w.Revised_simplex.wcols;
+          Buffer.add_char buf '|';
+          Array.iter (Printf.bprintf buf "%s;") w.Revised_simplex.wrows;
+          Buffer.add_char buf '\n')
+        b);
+    Option.bind r snd
+  in
+  let sibling = ref None and last = ref None in
+  for seed = 0 to 11 do
+    let rng = Random.State.make [| seed; 2004 |] in
+    let p = Tiers.generate rng Tiers.small_params ~n_targets:(3 + (seed mod 6)) in
+    let n = Platform.n_nodes p in
+    let basis = solve p in
+    let caps () = Array.init n (fun _ -> 0.25 +. Random.State.float rng 0.75) in
+    let send_cap = caps () in
+    let recv_cap = caps () in
+    ignore (solve ~send_cap ~recv_cap p);
+    ignore (solve ?warm:!sibling p);
+    sibling := basis;
+    last := Some (p, basis)
+  done;
+  (match !last with
+  | Some (p, (Some w as warm)) ->
+    (* The first edge that some pooled cut crosses and whose loss keeps
+       every target reachable. *)
+    let in_cut (e : Digraph.edge) =
+      let pair = Printf.sprintf "%d>%d" e.Digraph.src e.Digraph.dst in
+      Array.exists
+        (fun row ->
+          String.starts_with ~prefix:"cut:" row
+          && List.mem pair
+               (String.split_on_char ',' (String.sub row 4 (String.length row - 4))))
+        w.Revised_simplex.wrows
+    in
+    let survivor =
+      List.find_map
+        (fun (e : Digraph.edge) ->
+          if not (in_cut e) then None
+          else
+            match
+              Repair.survivor p (Repair.damage ~dead_edges:[ (e.Digraph.src, e.Digraph.dst) ] ())
+            with
+            | Ok s -> Some s
+            | Error _ -> None)
+        (Digraph.edges p.Platform.graph)
+    in
+    (match survivor with
+    | Some s -> ignore (solve ?warm s)
+    | None -> Alcotest.fail "no survivor with a deleted cut edge")
+  | _ -> Alcotest.fail "last platform has no basis");
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_cut_loop_digest () =
+  Alcotest.(check string) "cut-loop digest" "90d4d698e0ce3048ee4c0eaeac8d0e7d" (cut_loop_digest ())
+
 let suite =
   [
+    ("cut loop: bit-for-bit digest", `Quick, test_cut_loop_digest);
     ("warm sweep: agreement and pivot reduction", `Slow, test_sweep_agree_and_fewer_pivots);
     ("warm sweep: exact oracle subsample", `Slow, test_sweep_exact_oracle);
   ]
