@@ -117,7 +117,7 @@ let pack (p : Platform.t) ~capacities ~rho =
       (* Master LP over the current columns. *)
       let m = Lp_model.create () in
       let cols = Array.of_list !columns in
-      let y = Array.mapi (fun j _ -> Lp_model.add_var m (Printf.sprintf "y%d" j)) cols in
+      let y = Array.map (fun _ -> Lp_model.add_var m) cols in
       Array.iteri
         (fun i ((_, _) as e, cap) ->
           ignore e;

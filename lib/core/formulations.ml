@@ -50,8 +50,8 @@ let solve_sum_colgen (p : Platform.t) groups =
     let rec iterate round =
       let cols = Array.of_list !columns in
       let m = Lp_model.create () in
-      let rho = Lp_model.add_var m "rho" in
-      let y = Array.mapi (fun j _ -> Lp_model.add_var m (Printf.sprintf "p%d" j)) cols in
+      let rho = Lp_model.add_var m in
+      let y = Array.map (fun _ -> Lp_model.add_var m) cols in
       (* value rows, one per group: sum of its path weights = rho *)
       for gid = 0 to ng - 1 do
         let expr = ref [ (-1.0, rho) ] in
@@ -203,7 +203,7 @@ let solve_sum_dense (p : Platform.t) groups =
   let commodities = Array.of_list (List.map (fun (dest, origins) -> (origins, dest)) groups) in
   let nc = Array.length commodities in
   let m = Lp_model.create () in
-  let rho = Lp_model.add_var m "rho" in
+  let rho = Lp_model.add_var m in
   (* x.(c).(e): flow of commodity c on edge e; -1 when the edge is excluded
      for that commodity (out of its destination). *)
   let x = Array.make_matrix nc ne (-1) in
@@ -211,7 +211,7 @@ let solve_sum_dense (p : Platform.t) groups =
     let _, dest = commodities.(c) in
     for e = 0 to ne - 1 do
       let { Digraph.src; _ } = edges.(e) in
-      if src <> dest then x.(c).(e) <- Lp_model.add_var m (Printf.sprintf "x_c%d_e%d" c e)
+      if src <> dest then x.(c).(e) <- Lp_model.add_var m
     done
   done;
   let out_edge_ids, in_edge_ids = edge_index g edges in
@@ -325,14 +325,16 @@ let solve_sum (p : Platform.t) groups =
    every LP tiny (one variable per edge).                               *)
 (* ------------------------------------------------------------------ *)
 
-type warm_basis = Revised_simplex.warm
+type lb_row = Out of int | In of int | Cut of int array
+type lb_col = Rho | Occ of int * int | Slack of lb_row
+type warm_basis = { basic : lb_col array; rows : lb_row array }
 
 (* Port capacities (the session engine's capacity sharing, PR 9): the
    one-port rows default to the paper's full time unit, but a caller
    co-scheduling several sessions on one platform passes the *residual*
    capacity of every send/receive port — one time unit minus what the
    other sessions' plans already occupy. Only the right-hand sides
-   change: variables, row names and coefficients are identical to the
+   change: variables, rows and coefficients are identical to the
    full-capacity model, so a warm basis ports freely between epochs
    whose residuals differ — a pure-rhs re-solve is the dual simplex's
    best case, which is what makes per-epoch incremental re-optimization
@@ -343,24 +345,36 @@ let cap_of caps j = match caps with None -> 1.0 | Some a -> Float.max 0.0 a.(j)
    (hundreds of near-parallel cut rows); nudging each right-hand side by
    a distinct tiny slack breaks the ties that make Dantzig crawl. Every
    nudge relaxes, so feasibility is preserved and the optimum moves by
-   O(1e-7). The nudge is keyed to the row's {e name} (a stable function
-   of the platform), not its insertion order: a row must keep its rhs
-   bit-for-bit across cut rounds and across nominal/survivor models, or
-   every warm-started re-solve would see each reordered row as a fresh
-   noise-level primal violation and the dual simplex would pivot once
-   per row to fix pure noise. Each row's nudge is computed here and only
-   here, once per call for a port row and once per cut. The nudge is
+   O(1e-7). The nudge is keyed to the row's {e identity} (a stable
+   function of the platform), not its insertion order: a row must keep
+   its rhs bit-for-bit across cut rounds and across nominal/survivor
+   models, or every warm-started re-solve would see each reordered row
+   as a fresh noise-level primal violation and the dual simplex would
+   pivot once per row to fix pure noise. The key is the row's text,
+   "out<j>", "in<j>" or "cut:u>v,..." over the sorted endpoint pairs;
+   it is written here and nowhere else. Each row's nudge is computed
+   once per call for a port row and once per cut. The nudge is
    absolute, so on a platform whose port rows carry costs in the
    thousands it can lift the LB visibly; a nudge relative to the row's
    scale would be a change to this function alone. *)
-let nudge name = 1e-8 *. float_of_int (1 + (Hashtbl.hash name mod 97))
+let nudge row =
+  let key =
+    match row with
+    | Out j -> "out" ^ string_of_int j
+    | In j -> "in" ^ string_of_int j
+    | Cut ends ->
+      "cut:"
+      ^ String.concat ","
+          (List.init (Array.length ends / 2) (fun k ->
+               string_of_int ends.(2 * k) ^ ">" ^ string_of_int ends.((2 * k) + 1)))
+  in
+  1e-8 *. float_of_int (1 + (Hashtbl.hash key mod 97))
 
 (* A pooled cut row, rho <= the sum of n_e over [ids], with everything a
    round needs of it, made once when the cut enters the pool. *)
 type cut = {
   ids : int array; (* the crossing edges, ascending *)
-  name : string; (* "cut:u>v,..." over the sorted endpoint pairs *)
-  slack : string; (* its slack column's name in a warm basis *)
+  row : lb_row; (* its identity, [Cut ends] *)
   rhs : float; (* its nudge: the row is rho - sum n_e <= rhs *)
 }
 
@@ -383,33 +397,25 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
     let out_edge_ids, in_edge_ids = edge_index g edges in
     let cost e = Rat.to_float edges.(e).Digraph.cost in
     (* One live LP per call. Its columns are rho (column 0), then one
-       occupation n_u_v per edge (column 1 + e), then one slack per row.
-       Its rows are the port rows, out j then in j for every node j with
+       occupation per edge (column 1 + e), then one slack per row. Its
+       rows are the port rows, out j then in j for every node j with
        such edges, then the pooled cuts newest first. Everything but the
-       cuts is built here, once; all names are stable functions of the
-       platform (variables by edge endpoints, port rows by node id, cuts
-       by their edge set), which is what makes the basis leaving the call
-       portable to a survivor platform or the next epoch. *)
+       cuts is built here, once. A basis leaves the call keyed by what
+       its columns and rows are on the platform ([warm_basis]: edges by
+       endpoints, port rows by node id, cuts by their edge set), which
+       is what makes it portable to a survivor platform or the next
+       epoch. *)
     let nv = 1 + ne in
-    let var_names =
-      Array.init nv (fun j ->
-          if j = 0 then "rho"
-          else
-            let { Digraph.src; dst; _ } = edges.(j - 1) in
-            "n_" ^ string_of_int src ^ "_" ^ string_of_int dst)
-    in
     let ports =
       List.init n (fun j ->
           [
-            ("out" ^ string_of_int j, out_edge_ids.(j), cap_of send_cap j);
-            ("in" ^ string_of_int j, in_edge_ids.(j), cap_of recv_cap j);
+            (Out j, out_edge_ids.(j), cap_of send_cap j);
+            (In j, in_edge_ids.(j), cap_of recv_cap j);
           ])
       |> List.concat |> List.filter (fun (_, ids, _) -> ids <> []) |> Array.of_list
     in
     let n_port = Array.length ports in
-    let port_names = Array.map (fun (name, _, _) -> name) ports in
-    let port_slacks = Array.map Revised_simplex.slack_name port_names in
-    let port_rhs = Array.map (fun (name, _, cap) -> cap +. nudge name) ports in
+    let port_rhs = Array.map (fun (row, _, cap) -> cap +. nudge row) ports in
     (* Each edge column's port entries, by ascending row. *)
     let port_entries = Array.make ne [] in
     Array.iteri
@@ -424,82 +430,80 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
        (~1-2 cuts per edge), so each per-round LP re-solve is cheap.
        [crossing.(e)] counts the pooled cuts that edge e crosses. *)
     let pool : (int list, unit) Hashtbl.t = Hashtbl.create 64 in
-    let cuts = ref [] and n_cuts = ref 0 in
+    let pooled = ref [] in
     let crossing = Array.make ne 0 in
-    let add_cut cut_edges =
+    (* An imported cut keeps its [row] if equal, so related bases share it. *)
+    let add_cut ?row cut_edges =
       let key = List.sort_uniq Int.compare cut_edges in
       if not (Hashtbl.mem pool key) then begin
         Hashtbl.replace pool key ();
         let pairs =
-          List.sort
-            (fun (u, v) (u', v') -> if u <> u' then Int.compare u u' else Int.compare v v')
+          List.sort compare
             (List.map (fun e -> (edges.(e).Digraph.src, edges.(e).Digraph.dst)) key)
         in
-        let b = Buffer.create 64 in
-        Buffer.add_string b "cut:";
-        List.iteri
-          (fun i (u, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b (string_of_int u);
-            Buffer.add_char b '>';
-            Buffer.add_string b (string_of_int v))
-          pairs;
-        let name = Buffer.contents b in
+        let ends = Array.of_list (List.concat_map (fun (u, v) -> [ u; v ]) pairs) in
+        let row = match row with Some (Cut e as row) when e = ends -> row | _ -> Cut ends in
         List.iter (fun e -> crossing.(e) <- crossing.(e) + 1) key;
-        cuts :=
-          { ids = Array.of_list key; name; slack = Revised_simplex.slack_name name; rhs = nudge name }
-          :: !cuts;
-        incr n_cuts
+        pooled := { ids = Array.of_list key; row; rhs = nudge row } :: !pooled
       end
     in
     (* Initial trivial cuts keep rho bounded: around the source and around
        each target. *)
     add_cut out_edge_ids.(source);
     List.iter (fun t -> add_cut in_edge_ids.(t)) targets;
-    (* Warm cut-pool import: the warm basis carries the source model's row
-       names, and a cut row's name ("cut:u>v,...") is a complete, portable
-       serialization of the cut itself. Re-materializing those cuts up
-       front lets round 0 build the producer's final model directly, so
-       the warm basis re-solves it in a handful of dual pivots instead of
-       replaying the whole cut-generation loop against a trivial pool.
-       Pairs whose edge no longer exists are dropped — a node-partition
-       cut stays valid under edge deletion, fewer crossing edges only
-       tighten it — and cuts with no surviving edges are skipped rather
-       than imported as an empty (rho <= 0) row. *)
-    (match warm with
-    | None -> ()
-    | Some w ->
-      let edge_id = Hashtbl.create ne in
-      Array.iteri
-        (fun e ({ Digraph.src; dst; _ } : Digraph.edge) ->
-          Hashtbl.replace edge_id (src, dst) e)
-        edges;
-      Array.iter
-        (fun nm ->
-          if String.length nm > 4 && String.sub nm 0 4 = "cut:" then begin
-            let ids =
-              List.filter_map
-                (fun pair ->
-                  match String.index_opt pair '>' with
-                  | None -> None
-                  | Some k -> (
-                    match
-                      ( int_of_string_opt (String.sub pair 0 k),
-                        int_of_string_opt
-                          (String.sub pair (k + 1) (String.length pair - k - 1)) )
-                    with
-                    | Some u, Some v -> Hashtbl.find_opt edge_id (u, v)
-                    | _ -> None))
-                (String.split_on_char ',' (String.sub nm 4 (String.length nm - 4)))
+    (* The rows of the LP over the cuts [cuts], in order. *)
+    let rows_of cuts =
+      Array.append (Array.map (fun (row, _, _) -> row) ports) (Array.map (fun c -> c.row) cuts)
+    in
+    (* The caller's basis. Its cut rows are complete descriptions of the
+       cuts themselves, so they join the pool up front: round 0 then
+       builds the producer's final model directly, and the basis
+       re-solves it in a handful of dual pivots instead of replaying the
+       whole cut-generation loop against a trivial pool. Pairs whose edge
+       no longer exists are dropped — a node-partition cut stays valid
+       under edge deletion, fewer crossing edges only tighten it — and
+       cuts with no surviving edges are skipped rather than imported as
+       an empty (rho <= 0) row. [caller cuts] then maps the basis onto
+       the LP whose cuts are [cuts]: edges by endpoints, a slack by its
+       row's identity, so a cut that lost pairs is a new row. *)
+    let caller =
+      Option.map
+        (fun w ->
+          let edge_id = Hashtbl.create ne in
+          Array.iteri
+            (fun e ({ Digraph.src; dst; _ } : Digraph.edge) ->
+              Hashtbl.replace edge_id (src, dst) e)
+            edges;
+          Array.iter
+            (function
+              | Cut ends as row ->
+                let ids =
+                  List.filter_map
+                    (fun k -> Hashtbl.find_opt edge_id (ends.(2 * k), ends.((2 * k) + 1)))
+                    (List.init (Array.length ends / 2) Fun.id)
+                in
+                if ids <> [] then add_cut ~row ids
+              | Out _ | In _ -> ())
+            w.rows;
+          let old = Hashtbl.create (Array.length w.rows) in
+          Array.iter (fun row -> Hashtbl.replace old row ()) w.rows;
+          fun cuts ->
+            let rows = rows_of cuts in
+            let row_of = Hashtbl.create (Array.length rows) in
+            Array.iteri (fun i row -> Hashtbl.replace row_of row i) rows;
+            let col = function
+              | Rho -> 0
+              | Occ (u, v) -> Option.fold (Hashtbl.find_opt edge_id (u, v)) ~none:(-1) ~some:succ
+              | Slack r -> Option.fold (Hashtbl.find_opt row_of r) ~none:(-1) ~some:(( + ) nv)
             in
-            if ids <> [] then add_cut ids
-          end)
-        w.Revised_simplex.wrows);
-    (* This round's LP in the engine's standard form. A cut row
-       rho - sum n_e >= -nudge is stored negated, as the engine would
-       normalize it: rho - sum n_e <= nudge. *)
-    let form () =
-      let cuts = Array.of_list !cuts in
+            let is_new_row i = not (Hashtbl.mem old rows.(i)) in
+            { Revised_simplex.basic = Array.map col w.basic; is_new_row })
+        warm
+    in
+    (* A round's LP in the engine's standard form, over the cuts [cuts].
+       A cut row rho - sum n_e >= -nudge is stored negated, as the engine
+       would normalize it: rho - sum n_e <= nudge. *)
+    let form cuts =
       let nc = Array.length cuts in
       (* Each edge column holds its port entries, then -1 on every cut
          row it crosses, filled in row order below. *)
@@ -527,44 +531,53 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
         cuts;
       Revised_simplex.le_form ~objective:[ (1.0, 0) ] ~cols
         ~rhs:(Array.append port_rhs (Array.map (fun c -> c.rhs) cuts))
-        ~col_names:(Array.concat [ var_names; port_slacks; Array.map (fun c -> c.slack) cuts ])
-        ~row_names:(Array.append port_names (Array.map (fun c -> c.name) cuts))
     in
     (* The same LP as a model, for the exact rung of the solver chain. *)
-    let model () =
+    let model cuts () =
       let m = Lp_model.create () in
-      Array.iter (fun nm -> ignore (Lp_model.add_var m nm)) var_names;
+      for _ = 1 to nv do
+        ignore (Lp_model.add_var m)
+      done;
       Array.iteri
-        (fun i (name, ids, _) ->
-          Lp_model.add_constraint m ~name (List.map (fun e -> (cost e, 1 + e)) ids) Le port_rhs.(i))
+        (fun i (_, ids, _) ->
+          Lp_model.add_constraint m (List.map (fun e -> (cost e, 1 + e)) ids) Le port_rhs.(i))
         ports;
-      List.iter
+      Array.iter
         (fun c ->
-          Lp_model.add_constraint m ~name:c.name
+          Lp_model.add_constraint m
             ((-1.0, 0) :: List.map (fun e -> (1.0, 1 + e)) (Array.to_list c.ids))
             Ge (-.c.rhs))
-        !cuts;
+        cuts;
       Lp_model.set_objective m ~maximize:true [ (1.0, 0) ];
       m
     in
-    (* Warm-start state: the caller's basis, by name, until a round of
-       this loop yields one; then that round's basis as column indices,
-       with its cut count. Cut rows only ever relax the previous optimum's
-       dual feasibility — a new violated row enters with its slack basic —
-       so chaining turns each round after the first into a short dual
-       re-solve. The rows a round adds sit between the port rows and the
-       older cuts, so an older basis maps onto the new LP by shifting its
-       cut slacks past the new rows, which are the only ones it lacks. *)
-    let start = ref (Option.map (fun w -> `Caller w) warm) in
-    let start_of = function
-      | `Caller w -> Revised_simplex.Named w
-      | `Round (basic, nc) ->
-        let shift = !n_cuts - nc and first_cut = nv + n_port in
-        Revised_simplex.Indexed
-          {
-            basic = Array.map (fun j -> if j < first_cut then j else j + shift) basic;
-            is_new_row = (fun i -> i >= n_port && i < n_port + shift);
-          }
+    (* Warm-start state, as the map onto a round's LP: the caller's
+       basis, mapped afresh each round, until a round of this loop yields
+       one; then that round's basis as column indices. Cut rows only
+       ever relax the previous optimum's dual feasibility — a new violated
+       row enters with its slack basic — so chaining turns each round
+       after the first into a short dual re-solve. The rows a round adds
+       sit between the port rows and the older cuts, so an older basis
+       maps onto the new LP by shifting its cut slacks past the new rows,
+       which are the only ones it lacks. *)
+    let start = ref caller in
+    let chained (basic, old) cuts =
+      let shift = Array.length cuts - Array.length old and first_cut = nv + n_port in
+      {
+        Revised_simplex.basic = Array.map (fun j -> if j < first_cut then j else j + shift) basic;
+        is_new_row = (fun i -> i >= n_port && i < n_port + shift);
+      }
+    in
+    (* The basis leaving the call, in the typed form: a round's basic
+       indices into the LP over [cuts]. *)
+    let export (basic, cuts) =
+      let rows = rows_of cuts in
+      let col j =
+        if j = 0 then Rho
+        else if j < nv then Occ (edges.(j - 1).Digraph.src, edges.(j - 1).Digraph.dst)
+        else Slack rows.(j - nv)
+      in
+      { basic = Array.map col basic; rows }
     in
     let net = Maxflow.create ~n ~edges:(Array.map (fun e -> (e.Digraph.src, e.Digraph.dst)) edges) in
     let caps values = Array.init ne (fun e -> max 0.0 values.(1 + e)) in
@@ -572,13 +585,15 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
     let best_seen = ref None in
     let rec iterate round =
       rounds_used := round;
-      let nc = !n_cuts in
-      match Solver_chain.solve_form ?start:(Option.map start_of !start) (form ()) ~model with
+      let cuts = Array.of_list !pooled in
+      match
+        Solver_chain.solve_form ?start:(Option.map (fun f -> f cuts) !start) (form cuts)
+          ~model:(model cuts)
+      with
       | (Solver_chain.Infeasible | Solver_chain.Unbounded), _ -> None
       | Solver_chain.Optimal (sol, _), revised ->
-        if chain then
-          Option.iter (fun r -> start := Some (`Round (r.Revised_simplex.basic, nc))) revised;
-        let basis = Option.map (fun r -> r.Revised_simplex.basis) revised in
+        let basis = Option.map (fun (r : Revised_simplex.solution) -> (r.basic, cuts)) revised in
+        if chain then Option.iter (fun b -> start := Some (chained b)) basis;
         let r = sol.Lp_model.values.(0) in
         (* Track the tightest relaxation seen: rho must be non-increasing as
            cuts accumulate; a numerical wobble upward is ignored in favour
@@ -625,6 +640,7 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
     match iterate 0 with
     | None -> None
     | Some (sol, basis) ->
+      let basis = Option.map export basis in
       let throughput = sol.Lp_model.values.(0) in
       if throughput < eps then None
       else begin

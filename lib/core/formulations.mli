@@ -51,14 +51,23 @@ val multicast_ub : Platform.t -> solution option
     must dominate the anti-degeneracy rhs perturbation). *)
 val multicast_lb : Platform.t -> solution option
 
-(** A simplex basis by column name ({!Revised_simplex.warm}), as produced
-    by one Multicast-LB solve and consumed by a related one. The LB
-    model's names are stable functions of the platform — variables keyed
-    by edge endpoints, port rows by node id, cut rows by their edge set —
-    so a basis ports from a nominal platform to its survivors and from
-    one epoch to the next. Inside the cut loop, rounds hand their basis
-    on by column index instead. *)
-type warm_basis = Revised_simplex.warm
+(** A Multicast-LB row, by what it constrains on the platform: the send
+    port of node [j] ([Out j]), its receive port ([In j]), or a
+    source→target cut, given by the endpoints of its crossing edges as
+    sorted pairs flattened into [u0 v0 u1 v1 ...]. *)
+type lb_row = Out of int | In of int | Cut of int array
+
+(** A Multicast-LB column: the throughput ρ, the occupation of edge
+    [(u, v)], or the slack of a row. *)
+type lb_col = Rho | Occ of int * int | Slack of lb_row
+
+(** A simplex basis of one Multicast-LB solve, for a related one: the
+    basic columns in header order, and every row of the model it came
+    from (so a receiving model can tell its new rows from merely
+    non-binding ones). Keyed by what its columns and rows are on the
+    platform rather than by position, it ports from a nominal platform
+    to its survivors and from one epoch to the next. *)
+type warm_basis = { basic : lb_col array; rows : lb_row array }
 
 (** [multicast_lb_warm ?warm ?chain ?send_cap ?recv_cap p] is
     {!multicast_lb} returning the optimal basis of the final cut-loop LP
@@ -75,7 +84,7 @@ type warm_basis = Revised_simplex.warm
     unit minus what co-scheduled sessions already occupy on that port.
     The optimum is then the best throughput a {e single} session can
     extract from the platform's leftover capacity. Only the rhs changes:
-    variables, row names and coefficients are those of the
+    variables, rows and coefficients are those of the
     full-capacity model, so one session's basis warm-starts its own
     re-solve at the next epoch even though every residual moved — a
     pure-rhs re-solve is the dual simplex's best case. Raises

@@ -1,4 +1,4 @@
-(* Keyed store of portable warm bases (Revised_simplex.warm). The session
+(* Keyed store of portable warm bases (Formulations.warm_basis). The session
    engine keeps one slot per live session ("session:<id>"), written after
    every LP re-solve and dropped at departure; nothing here interprets the
    basis — it is opaque payload between two solves of related models.
@@ -10,7 +10,7 @@
    is the simplest correct choice. *)
 
 let lock = Mutex.create ()
-let table : (string, Revised_simplex.warm) Hashtbl.t = Hashtbl.create 64
+let table : (string, Formulations.warm_basis) Hashtbl.t = Hashtbl.create 64
 
 let with_lock f =
   Mutex.lock lock;

@@ -1,15 +1,15 @@
 (** Keyed registry of portable warm-start bases.
 
-    {!Revised_simplex.warm} bases are portable {e objects}: a solve
-    exports one by name, and any later solve of a {e related} model (same
-    variable/row naming scheme) can import it. This registry is the
-    between-solves parking lot — a domain-safe map from a caller-chosen
-    key to the most recent basis for that key.
+    {!Formulations.warm_basis} bases are portable {e objects}: a
+    Multicast-LB solve exports one, keyed by edge endpoints and row
+    identity, and any later solve of a {e related} platform can import
+    it. This registry is the between-solves parking lot — a domain-safe
+    map from a caller-chosen key to the most recent basis for that key.
 
     The motivating client is the online session engine ({!Horizon}): each
     live multicast session keeps its latest Multicast-LB basis under
     ["session:<id>"], so the next epoch's re-solve of that session —
-    same platform naming, different residual-capacity right-hand sides —
+    same platform, different residual-capacity right-hand sides —
     starts from it and finishes in a handful of dual pivots. Slots are
     written after every re-solve and dropped when the session departs,
     so the registry's size tracks the live-session count.
@@ -23,10 +23,10 @@
     verdict. *)
 
 (** [store key warm] replaces the basis under [key]. *)
-val store : string -> Revised_simplex.warm -> unit
+val store : string -> Formulations.warm_basis -> unit
 
 (** [find key] is the most recently stored basis, if any. *)
-val find : string -> Revised_simplex.warm option
+val find : string -> Formulations.warm_basis option
 
 (** [remove key] drops the slot (no-op when absent). *)
 val remove : string -> unit

@@ -1,10 +1,8 @@
-(** Linear-program builder with named variables.
+(** Linear-program builder over indexed variables.
 
     All variables are implicitly non-negative, which matches every
     formulation in the paper (fractions of messages, occupation times,
-    throughput). Constraints may be added incrementally; the multicast
-    formulations use this for lazy generation of the [n_jk >= x_i_jk]
-    max-occupation rows. *)
+    throughput). *)
 
 type t
 
@@ -31,29 +29,16 @@ type solution = {
 
 val create : unit -> t
 
-(** [add_var m name] registers a fresh variable and returns its index.
-    Names must be unique; reuse raises [Invalid_argument]. *)
-val add_var : t -> string -> int
-
-(** [var m name] is the index of a registered variable.
-    Raises [Not_found]. *)
-val var : t -> string -> int
+(** [add_var m] registers a fresh variable and returns its index
+    (0, 1, ... in registration order). *)
+val add_var : t -> int
 
 val n_vars : t -> int
-val var_name : t -> int -> string
 
-(** [add_constraint m ?name expr cmp rhs] appends a row. [name] (default
-    ["r<index>"]) identifies the row in warm-start bases ({!Revised_simplex}):
-    a slack basic for this row is recorded under the row's name, so models
-    naming their rows stably can port bases across structurally different
-    instances. Names need not be unique — only warm-start resolution reads
-    them, and it takes the first match. *)
-val add_constraint : t -> ?name:string -> expr -> cmp -> float -> unit
+(** [add_constraint m expr cmp rhs] appends a row. *)
+val add_constraint : t -> expr -> cmp -> float -> unit
 
 val n_constraints : t -> int
-
-(** Row names, in the order {!rows} returns them. *)
-val row_names : t -> string array
 
 (** [set_objective m ~maximize expr] installs the objective. *)
 val set_objective : t -> maximize:bool -> expr -> unit

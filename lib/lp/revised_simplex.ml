@@ -9,22 +9,17 @@
    column. The factors and etas are stored sparsely, so a solve costs
    O(m + nnz(L + U) + nnz(etas)) and a pivot O(m + nnz(A) + those
    nonzeros) instead of the O(m * n) of a dense tableau — and, the point
-   of the exercise, the basis is a first-class value that can be
-   exported by name and re-imported to warm-start a related model.
+   of the exercise, the basis is a first-class value that can seed a
+   re-solve of a related model.
 
-   Warm starts: an optimal solution exports its basis twice, as the
-   basic column indices of the solved model ([basic]) and as an array of
-   column names ([basis]: structural variables by their Lp_model name,
-   slack of row r as "s:<row name>", artificials as "a:<row name>") with
-   that model's row names. A caller that re-solves a model it grows
-   itself (the cut loop of Multicast-LB, which only adds rows) hands the
-   previous round's indices back ([Indexed]), already mapped to the new
-   model, with the rows that model did not have; no name is hashed. Any
-   other basis — another platform's, a previous epoch's, one from a
-   cache — comes by name ([Named]), and the name front end resolves it
-   against the current model. Both front ends feed one repair, which
-   completes the set with slacks of uncovered rows; the solve then
-   factorizes and runs
+   Warm starts: an optimal solution exports its basis as the basic
+   column indices of the solved model ([basic]). The engine knows no
+   names: a caller that re-solves a related model (the cut loop of
+   Multicast-LB, which only adds rows, or another platform's or epoch's
+   basis that Formulations carries in its own typed form) maps the basis
+   onto the new model's column indices itself and says which rows the
+   basis's own model did not have ([start]). A repair completes the set
+   with slacks of uncovered rows; the solve then factorizes and runs
    dual simplex (if the basis prices dual feasible — the common case
    when rows were added to a previously solved model) or primal phase 2
    (if it is primal feasible). Any trouble on the warm path —
@@ -34,22 +29,16 @@
    [Optimal] ever escapes the warm path. Models with artificial columns
    (Ge/Eq rows) skip the warm path entirely. *)
 
-type warm = {
-  wcols : string array;
-  wrows : string array;
-}
-
 type solution = {
   values : float array;
   objective : float;
   row_duals : float array;
   pivots : int;
-  basis : warm;
   basic : int array;
   warm_used : bool;
 }
 
-type start = Named of warm | Indexed of { basic : int array; is_new_row : int -> bool }
+type start = { basic : int array; is_new_row : int -> bool }
 
 type status = Optimal of solution | Infeasible | Unbounded | Stalled
 
@@ -101,18 +90,13 @@ type std = {
   b : float array;
   cost : float array; (* internal minimization costs over all columns *)
   sign : float; (* -1 when maximizing: external obj = sign * internal *)
-  col_names : string array;
-  row_names : string array; (* input row names, for warm-basis portability *)
   slack_of_row : int array; (* slack/surplus column of each row *)
   init_basic : int array; (* cold-start basis: slack or artificial per row *)
 }
 
-let slack_name row = "s:" ^ row
-
 let build model =
   let maximize, obj = Lp_model.objective model in
   let rows = Lp_model.rows model in
-  let row_names = Lp_model.row_names model in
   let nv = Lp_model.n_vars model in
   let norm =
     Array.map
@@ -144,10 +128,6 @@ let build model =
     (fun i (expr, _, _) -> List.iter (fun (c, v) -> acc.(v) <- (i, c) :: acc.(v)) expr)
     norm;
   let b = Array.make m 0.0 in
-  let col_names = Array.make ncols "" in
-  for v = 0 to nv - 1 do
-    col_names.(v) <- Lp_model.var_name model v
-  done;
   let slack_of_row = Array.make m (-1) in
   let init_basic = Array.make m (-1) in
   let slack = ref nv and art = ref art_start in
@@ -157,22 +137,18 @@ let build model =
       match cmp with
       | Lp_model.Le ->
         acc.(!slack) <- [ (i, 1.0) ];
-        col_names.(!slack) <- slack_name row_names.(i);
         slack_of_row.(i) <- !slack;
         init_basic.(i) <- !slack;
         incr slack
       | Ge ->
         acc.(!slack) <- [ (i, -1.0) ];
-        col_names.(!slack) <- slack_name row_names.(i);
         slack_of_row.(i) <- !slack;
         incr slack;
         acc.(!art) <- [ (i, 1.0) ];
-        col_names.(!art) <- "a:" ^ row_names.(i);
         init_basic.(i) <- !art;
         incr art
       | Eq ->
         acc.(!art) <- [ (i, 1.0) ];
-        col_names.(!art) <- "a:" ^ row_names.(i);
         init_basic.(i) <- !art;
         incr art)
     norm;
@@ -202,8 +178,6 @@ let build model =
     b;
     cost;
     sign;
-    col_names;
-    row_names;
     slack_of_row;
     init_basic;
   }
@@ -214,7 +188,7 @@ type form = std
    x >= 0" with every rhs >= 0, for a caller that holds A by columns
    already: column j < nv is [cols.(j)], then the slack of row i is
    column nv + i. *)
-let le_form ~objective ~cols ~rhs ~col_names ~row_names =
+let le_form ~objective ~cols ~rhs =
   let nv = Array.length cols and m = Array.length rhs in
   let ncols = nv + m in
   let sign = -1.0 in
@@ -230,8 +204,6 @@ let le_form ~objective ~cols ~rhs ~col_names ~row_names =
     b = rhs;
     cost;
     sign;
-    col_names;
-    row_names;
     slack_of_row = slacks;
     init_basic = slacks;
   }
@@ -487,11 +459,6 @@ let extract std bs x_b ~pivots ~warm_used =
     objective = std.sign *. !internal;
     row_duals;
     pivots;
-    basis =
-      {
-        wcols = Array.map (fun j -> std.col_names.(j)) header;
-        wrows = std.row_names;
-      };
     basic = Array.copy header;
     warm_used;
   }
@@ -554,32 +521,8 @@ let cold std ~max_iter pivots =
 
 module Int_set = Set.Make (Int)
 
-(* Name front end of the warm repair, for a basis from another model:
-   the basic columns that resolve by name, in header order, without
-   duplicates and at most m of them, and which rows of this model the
-   source model never had (by name). *)
-let resolve_names std warm =
-  let tbl = Hashtbl.create (2 * std.ncols) in
-  for j = std.ncols - 1 downto 0 do
-    Hashtbl.replace tbl std.col_names.(j) j
-  done;
-  let seen = Hashtbl.create 64 in
-  let resolved = ref [] and count = ref 0 in
-  Array.iter
-    (fun nm ->
-      match Hashtbl.find_opt tbl nm with
-      | Some j when (not (Hashtbl.mem seen j)) && !count < std.m ->
-        Hashtbl.replace seen j ();
-        resolved := j :: !resolved;
-        incr count
-      | _ -> ())
-    warm.wcols;
-  let old_rows = Hashtbl.create (2 * Array.length warm.wrows) in
-  Array.iter (fun nm -> Hashtbl.replace old_rows nm ()) warm.wrows;
-  (List.rev !resolved, fun i -> not (Hashtbl.mem old_rows std.row_names.(i)))
-
-(* Index front end, for a basis the caller has already mapped onto this
-   model: the same filter as [resolve_names], with no name to look up. *)
+(* The columns of a start that exist in this model, in header order,
+   without duplicates and at most m of them. *)
 let resolve_indices std basic =
   let seen = Array.make std.ncols false in
   let resolved = ref [] and count = ref 0 in
@@ -618,8 +561,8 @@ let repair std resolved ~is_new_row =
   let pos = ref 0 in
   let row_used = Array.make std.m false in
   (* New rows first: slack basic, row off-limits to the elimination. A
-     resolved column that happens to be such a slack (a name collision
-     across models) loses its slot to the forced assignment. *)
+     resolved column that happens to be such a slack (a caller mapping
+     that collides across models) loses its slot to the forced assignment. *)
   let forced = Hashtbl.create 16 in
   for i = 0 to std.m - 1 do
     if is_new_row i then begin
@@ -732,13 +675,8 @@ let repair std resolved ~is_new_row =
    but not to wander. *)
 let dual_budget std = 32 + std.m
 
-let try_warm std start ~max_iter pivots =
-  let resolved, is_new_row =
-    match start with
-    | Named warm -> resolve_names std warm
-    | Indexed { basic; is_new_row } -> (resolve_indices std basic, is_new_row)
-  in
-  match repair std resolved ~is_new_row with
+let try_warm std { basic; is_new_row } ~max_iter pivots =
+  match repair std (resolve_indices std basic) ~is_new_row with
   | None -> None
   | Some header -> (
     match Basis.create ~cols:std.cols ~header with
@@ -792,5 +730,4 @@ let solve_form ?(max_iter = max_iterations) ?start std =
   Lp_counters.record_pivots !pivots;
   result
 
-let solve ?max_iter ?warm model =
-  solve_form ?max_iter ?start:(Option.map (fun w -> Named w) warm) (build model)
+let solve ?max_iter ?start model = solve_form ?max_iter ?start (build model)

@@ -10,32 +10,22 @@
     slack per inequality and one artificial per Ge/Eq row, and evicts
     zero-valued basic artificials eagerly.
 
-    The optimal basis is exported twice: by index into the model it
-    came from ([basic]), and by {e name} ([basis]) — structural variables
-    by their {!Lp_model} name, the slack of a row named [r] as
-    [slack_name r], plus the full row-name list of the source model. A
-    caller that grows one model itself (the Multicast-LB cut loop) hands
-    the indices back, mapped to the grown model ({!Indexed}); any other
-    basis comes by name ({!Named}) and can seed a {e related} model (same
-    naming scheme, possibly different rows/columns). Both front ends feed
-    one repair into a nonsingular basis of the new model (rows the source
-    model never had get their slacks basic; resolved columns are
-    eliminated strictly within the shared rows, which reconstructs the
-    dual-feasible block basis when rows were only added), and the solve
-    re-optimizes with dual simplex (basis dual feasible) or primal phase 2
-    (basis primal feasible). The warm path
-    is verdict-neutral: every failure mode falls back to a cold solve
-    internally, so only [Optimal] can ever come out of it, and models
-    with artificials (Ge/Eq rows after normalization) skip it
-    entirely. *)
-
-(** A basis by name, portable across related models: the basic columns
-    plus every row name of the model it came from (so a receiving model
-    can tell its genuinely new rows from merely non-binding ones). *)
-type warm = {
-  wcols : string array;  (** basic columns, in header order *)
-  wrows : string array;  (** all rows of the source model, input order *)
-}
+    The optimal basis is exported as column indices of the model it
+    came from ([basic]). The engine stores no names: a caller re-solving
+    a {e related} model (the Multicast-LB cut loop, which only adds
+    rows, or a survivor platform or the next epoch, whose basis
+    [Formulations] carries in its own typed form) maps that basis onto
+    the new model's column indices itself and flags the rows the
+    basis's own model did not have ({!start}). A repair turns it into a
+    nonsingular basis of the new model (rows the source model never had
+    get their slacks basic; the given columns are eliminated strictly
+    within the shared rows, which reconstructs the dual-feasible block
+    basis when rows were only added), and the solve re-optimizes with
+    dual simplex (basis dual feasible) or primal phase 2 (basis primal
+    feasible). The warm path is verdict-neutral: every failure mode
+    falls back to a cold solve internally, so only [Optimal] can ever
+    come out of it, and models with artificials (Ge/Eq rows after
+    normalization) skip it entirely. *)
 
 type solution = {
   values : float array;  (** one value per structural variable *)
@@ -46,10 +36,10 @@ type solution = {
   pivots : int;
       (** pivots spent in this call, warm attempt and any cold restart
           included *)
-  basis : warm;  (** the optimal basis, ready to warm-start a relative *)
   basic : int array;
-      (** the same basis as column indices of the solved model, in header
-          order (structural variables first, then one slack per row) *)
+      (** the optimal basis as column indices of the solved model, in
+          header order (structural variables first, then one slack per
+          row) *)
   warm_used : bool;
       (** true iff the result came from the warm path (counted in
           [lp.warm.hits]) *)
@@ -57,17 +47,13 @@ type solution = {
 
 type status = Optimal of solution | Infeasible | Unbounded | Stalled
 
-(** A warm start: a basis from another model, by name, or one the
-    caller has mapped onto this model's column indices itself, with the
-    rows the basis's own model did not have. *)
-type start =
-  | Named of warm
-  | Indexed of { basic : int array; is_new_row : int -> bool }
+(** A warm start: a basis the caller has mapped onto this model's
+    column indices, in header order, and the rows the basis's own model
+    did not have. Negative, out-of-range and repeated indices are
+    dropped, and at most one index per row is kept. *)
+type start = { basic : int array; is_new_row : int -> bool }
 
-(** [slack_name r] names the slack column of row [r] in a {!warm}. *)
-val slack_name : string -> string
-
-(** [solve ?max_iter ?warm model]. [max_iter] (default 200 000) is the
+(** [solve ?max_iter ?start model]. [max_iter] (default 200 000) is the
     overall pivot budget of the call. The dual re-solve of a warm attempt
     is additionally capped at [32 + m] pivots — a repaired basis that has
     not converged by then is degenerate-cycling, and surrendering to the
@@ -76,27 +62,21 @@ val slack_name : string -> string
     [Stalled] means the iteration budget ran out or the numerics gave way — {!Solver_chain} then re-solves the
     model on the exact engine. Tests use tiny caps to provoke stalls
     deterministically. *)
-val solve : ?max_iter:int -> ?warm:warm -> Lp_model.t -> status
+val solve : ?max_iter:int -> ?start:start -> Lp_model.t -> status
 
 (** A model in the engine's standard form. *)
 type form
 
-(** [le_form ~objective ~cols ~rhs ~col_names ~row_names] is the standard
+(** [le_form ~objective ~cols ~rhs] is the standard
     form of: maximize [objective] subject to [A x <= rhs], [x >= 0], for
     a caller that keeps [A] by columns: [cols.(j)] is column [j] as
     (row indices ascending, values), and every [rhs.(i)] is [>= 0]. It is
     what {!solve} builds from the equivalent {!Lp_model} (row [i] with
-    [rhs.(i)], variable [j] with [cols.(j)]), so both solve identically.
-    [col_names] names the structural columns and then the slack of each
-    row ({!slack_name}), [row_names] the rows; only a {!Named} start and
-    the exported [basis] read them. *)
+    [rhs.(i)], variable [j] with [cols.(j)]), so both solve identically:
+    column [j] is variable [j], then column [nv + i] is the slack of row
+    [i]. *)
 val le_form :
-  objective:(float * int) list ->
-  cols:(int array * float array) array ->
-  rhs:float array ->
-  col_names:string array ->
-  row_names:string array ->
-  form
+  objective:(float * int) list -> cols:(int array * float array) array -> rhs:float array -> form
 
 (** [dims f] is [(structural variables, rows)]. *)
 val dims : form -> int * int

@@ -70,19 +70,15 @@ let chain ~size ~revised ~model =
         Metrics.incr fallbacks;
         (solve_exact (model ()), None))
 
-let solve_warm ?max_iter ?warm model =
-  let st, r =
-    chain
-      ~size:(fun () -> (Lp_model.n_vars model, Lp_model.n_constraints model))
-      ~revised:(fun () -> Revised_simplex.solve ?max_iter ?warm model)
-      ~model:(fun () -> model)
-  in
-  (st, Option.map (fun r -> r.Revised_simplex.basis) r)
-
 let solve_form ?start form ~model =
   chain
     ~size:(fun () -> Revised_simplex.dims form)
     ~revised:(fun () -> Revised_simplex.solve_form ?start form)
     ~model
 
-let solve_with_fallback ?max_iter model = fst (solve_warm ?max_iter model)
+let solve_with_fallback ?max_iter model =
+  fst
+    (chain
+       ~size:(fun () -> (Lp_model.n_vars model, Lp_model.n_constraints model))
+       ~revised:(fun () -> Revised_simplex.solve ?max_iter model)
+       ~model:(fun () -> model))

@@ -44,6 +44,10 @@ let objective ?name ?budget ?(fast_window = 10.0) ?(slow_window = 50.0) ?(fast_b
 
 let spec o = spec_of ~series:o.o_series ~dir:o.o_dir ~threshold:o.o_threshold
 
+(* A NaN threshold never breaches and an infinite one always does. *)
+let finite v =
+  Option.bind (float_of_string_opt v) (fun f -> if Float.is_finite f then Some f else None)
+
 let parse s =
   let s = String.trim s in
   let split_on_op () =
@@ -65,7 +69,7 @@ let parse s =
       match String.split_on_char ',' rest with
       | [] -> Error (Printf.sprintf "SLO spec %S: missing threshold" s)
       | thr :: opts -> (
-        match float_of_string_opt (String.trim thr) with
+        match finite (String.trim thr) with
         | None -> Error (Printf.sprintf "SLO spec %S: bad threshold %S" s thr)
         | Some threshold -> (
           let budget = ref None
@@ -85,7 +89,7 @@ let parse s =
                   let k = String.trim (String.sub opt 0 i)
                   and v = String.trim (String.sub opt (i + 1) (String.length opt - i - 1)) in
                   let fv () =
-                    match float_of_string_opt v with
+                    match finite v with
                     | Some f -> Some f
                     | None ->
                       err := Some (Printf.sprintf "bad value %S for %s" v k);

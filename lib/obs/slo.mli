@@ -70,7 +70,8 @@ val objective :
 (** Parse a CLI spec: [series>=0.95] or [series<=2.5], optionally
     followed by comma-separated tuning keys —
     [soak.availability>=0.99,fast=20,slow=100,fastburn=3,slowburn=1,budget=0.01,hold=25].
-    Unknown keys and malformed numbers are errors. *)
+    Unknown keys, malformed numbers and non-finite ones ([nan], [inf])
+    are errors. *)
 val parse : string -> (objective, string) result
 
 (** Canonical one-line description ([series>=0.95] form). *)

@@ -15,6 +15,10 @@ let to_string (p : Platform.t) =
     g;
   Buffer.contents buf
 
+(* Checked before any per-node array is allocated; the paper's platforms
+   have tens of nodes. *)
+let max_nodes = 100_000
+
 type parse_state = {
   (* scalar directives remember the line that set them, to report duplicates *)
   mutable nodes : (int * int) option;
@@ -38,6 +42,8 @@ let of_string s =
       | [ "nodes"; n ] -> (
         match (st.nodes, int_of_string_opt n) with
         | Some (_, prev), _ -> dup "nodes" lineno prev
+        | None, Some n when n > max_nodes ->
+          err "line %d: node count %d above the limit of %d" lineno n max_nodes
         | None, Some n when n > 0 ->
           st.nodes <- Some (n, lineno);
           Ok ()
@@ -84,6 +90,7 @@ let of_string s =
       | Ok () -> go (lineno + 1) rest
       | Error _ as e -> e)
   in
+  let outside n v = v < 0 || v >= n in
   (* Fold Result through a list, keeping the first error. *)
   let iter_result f l =
     List.fold_left (fun acc x -> match acc with Ok () -> f x | e -> e) (Ok ()) l
@@ -95,12 +102,17 @@ let of_string s =
     | None, _, _ -> Error "missing 'nodes' directive"
     | _, None, _ -> Error "missing 'source' directive"
     | _, _, None -> Error "missing 'targets' directive"
+    | Some (n, _), Some (source, lineno), _ when outside n source ->
+      err "line %d: source %d out of range (platform has %d nodes)" lineno source n
+    | Some (n, _), _, Some (targets, lineno) when List.exists (outside n) targets ->
+      err "line %d: target %d out of range (platform has %d nodes)" lineno
+        (List.find (outside n) targets) n
     | Some (n, _), Some (source, _), Some (targets, _) -> (
       let g = Digraph.create n in
       let labelled =
         iter_result
           (fun (v, name, lineno) ->
-            if v < 0 || v >= n then
+            if outside n v then
               err "line %d: label node %d out of range (platform has %d nodes)" lineno v n
             else begin
               Digraph.set_label g v name;
@@ -114,7 +126,7 @@ let of_string s =
         let added =
           iter_result
             (fun (u, v, cost, lineno) ->
-              if u < 0 || u >= n || v < 0 || v >= n then
+              if outside n u || outside n v then
                 err "line %d: edge %d->%d out of range (platform has %d nodes)" lineno u v n
               else if u = v then err "line %d: self-loop edge %d->%d" lineno u v
               else if Digraph.mem_edge g ~src:u ~dst:v then

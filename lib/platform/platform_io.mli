@@ -16,10 +16,11 @@
 (** [to_string p] renders an instance. *)
 val to_string : Platform.t -> string
 
-(** [of_string s] parses an instance. Every malformed input — bad integers
-    or costs, duplicate directives, out-of-range or duplicate edges and
-    labels — is reported as [Error] with the offending line number; no
-    exception escapes. *)
+(** [of_string s] parses an instance of at most 100 000 nodes. Every
+    malformed input — bad integers or costs, a node count above that
+    limit, duplicate directives, an out-of-range source or target,
+    out-of-range or duplicate edges and labels — is reported as [Error]
+    with the offending line number; no exception escapes. *)
 val of_string : string -> (Platform.t, string) Result.t
 
 (** File wrappers around the string functions. [load path] reports every

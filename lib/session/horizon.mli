@@ -31,7 +31,7 @@
     onto the [1/960] lattice, so the per-port sums provably never
     exceed one. The LP sees the same residuals as float [send_cap] /
     [recv_cap] right-hand sides ({!Formulations.multicast_lb_warm}) —
-    row names are unchanged across epochs, which is what makes the
+    the rows are unchanged across epochs, which is what makes the
     previous epoch's basis portable.
 
     {b Determinism.} Planning decisions depend only on exact rational

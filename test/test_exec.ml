@@ -153,7 +153,7 @@ let test_cache_disabled_passthrough () =
 let test_pivots_not_accumulated () =
   let solve_once () =
     let m = Lp_model.create () in
-    let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+    let x = Lp_model.add_var m and y = Lp_model.add_var m in
     Lp_model.add_constraint m [ (1.0, x) ] Lp_model.Le 4.0;
     Lp_model.add_constraint m [ (2.0, y) ] Lp_model.Le 12.0;
     Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Lp_model.Le 18.0;

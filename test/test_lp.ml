@@ -23,7 +23,7 @@ let solve_revised m =
    optimum 36 at (2, 6). *)
 let test_float_classic () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x) ] Le 4.0;
   Lp_model.add_constraint m [ (2.0, y) ] Le 12.0;
   Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Le 18.0;
@@ -37,7 +37,7 @@ let test_float_classic () =
    Optimum 8 at (4, 0) since 2 < 3. *)
 let test_float_phase1 () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Ge 4.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 1.0;
   Lp_model.set_objective m ~maximize:false [ (2.0, x); (3.0, y) ];
@@ -48,7 +48,7 @@ let test_float_phase1 () =
 let test_float_equality () =
   (* max x + y st x + y = 3, x - y = 1 -> unique point (2,1). *)
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Eq 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x); (1.0, y) ];
@@ -59,7 +59,7 @@ let test_float_equality () =
 
 let test_float_infeasible () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" in
+  let x = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x) ] Le 1.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 2.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
@@ -69,7 +69,7 @@ let test_float_infeasible () =
 
 let test_float_unbounded () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Le 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
   match chain_no_retry m with
@@ -79,7 +79,7 @@ let test_float_unbounded () =
 let test_float_negative_rhs () =
   (* max -x st -x >= -5  i.e. x <= 5; optimum 0 at x = 0 (x >= 0). *)
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" in
+  let x = Lp_model.add_var m in
   Lp_model.add_constraint m [ (-1.0, x) ] Ge (-5.0);
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
   let s = solve_revised m in
@@ -89,7 +89,7 @@ let test_float_redundant_equalities () =
   (* Linearly dependent equality rows: phase 1 ends with a redundant row
      that no structural column can take over. *)
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (2.0, x); (2.0, y) ] Eq 6.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
@@ -99,7 +99,7 @@ let test_float_redundant_equalities () =
 let test_float_degenerate () =
   (* Highly degenerate LP (many constraints tight at the optimum). *)
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Le 1.0;
   Lp_model.add_constraint m [ (1.0, x) ] Le 1.0;
   Lp_model.add_constraint m [ (1.0, y) ] Le 1.0;
@@ -111,12 +111,8 @@ let test_float_degenerate () =
 
 let test_model_accessors () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" in
+  let x = Lp_model.add_var m in
   Alcotest.(check int) "n_vars" 1 (Lp_model.n_vars m);
-  Alcotest.(check int) "var lookup" x (Lp_model.var m "x");
-  Alcotest.(check string) "name" "x" (Lp_model.var_name m x);
-  Alcotest.(check bool) "duplicate rejected" true
-    (try ignore (Lp_model.add_var m "x"); false with Invalid_argument _ -> true);
   Lp_model.add_constraint m [ (1.0, x) ] Le 2.0;
   Alcotest.(check int) "n_constraints" 1 (Lp_model.n_constraints m)
 
@@ -171,7 +167,7 @@ let test_exact_statuses () =
    exactly the failure mode solve_with_fallback must absorb. *)
 let stall_model () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" in
+  let x = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x) ] Le 3.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
@@ -182,16 +178,13 @@ let test_fallback_on_stall () =
   (match Revised_simplex.solve ~max_iter:0 m with
   | Revised_simplex.Stalled -> ()
   | _ -> Alcotest.fail "expected the capped revised engine to stall");
-  (* The retry counts once under solver_chain.fallbacks, and no basis
-     escapes it: the exact engine has none to hand back, so a caller
-     threading bases restarts cold. *)
+  (* The retry counts once under solver_chain.fallbacks. *)
   let before = Metrics.counter_value fallbacks in
-  (match Solver_chain.solve_warm ~max_iter:0 m with
-  | Solver_chain.Optimal (sol, `Exact), None ->
+  (match Solver_chain.solve_with_fallback ~max_iter:0 m with
+  | Solver_chain.Optimal (sol, `Exact) ->
     check_f "exact objective" 3.0 sol.Lp_model.objective;
     check_f "exact x" 3.0 sol.Lp_model.values.(0)
-  | Solver_chain.Optimal (_, `Exact), Some _ -> Alcotest.fail "basis leaked from the exact fallback"
-  | Solver_chain.Optimal (_, `Revised), _ -> Alcotest.fail "revised engine should have stalled"
+  | Solver_chain.Optimal (_, `Revised) -> Alcotest.fail "revised engine should have stalled"
   | _ -> Alcotest.fail "fallback did not recover the optimum");
   Alcotest.(check int) "one fallback counted" (before + 1) (Metrics.counter_value fallbacks)
 
@@ -204,7 +197,7 @@ let test_fallback_passthrough () =
   | _ -> Alcotest.fail "expected a revised-engine optimum");
   (* ...and infeasibility is never masked by the fallback. *)
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" in
+  let x = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x) ] Le 1.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 2.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
@@ -231,7 +224,7 @@ let test_fallback_duals () =
 let test_exact_duals_match_float () =
   let mk () =
     let m = Lp_model.create () in
-    let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+    let x = Lp_model.add_var m and y = Lp_model.add_var m in
     Lp_model.add_constraint m [ (1.0, x) ] Le 4.0;
     Lp_model.add_constraint m [ (2.0, y) ] Le 12.0;
     Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Le 18.0;
@@ -273,7 +266,7 @@ let test_bland_latch_is_one_way () =
    claimed optimum violated the equality by 1e-2. *)
 let near_degenerate_model () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x); (-1e-8, y) ] Eq 0.0;
   Lp_model.add_constraint m [ (1.0, y) ] Le 1e6;
   Lp_model.set_objective m ~maximize:true [ (1.0, y) ];
@@ -302,7 +295,7 @@ let test_tiny_pivot_eviction_revised () =
 
 let test_revised_classic () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x) ] Le 4.0;
   Lp_model.add_constraint m [ (2.0, y) ] Le 12.0;
   Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Le 18.0;
@@ -316,8 +309,7 @@ let test_revised_classic () =
     check_f "dual row 0" 0.0 s.Revised_simplex.row_duals.(0);
     check_f "dual row 1" 1.5 s.Revised_simplex.row_duals.(1);
     check_f "dual row 2" 1.0 s.Revised_simplex.row_duals.(2);
-    Alcotest.(check int) "basis size" 3
-      (Array.length s.Revised_simplex.basis.Revised_simplex.wcols);
+    Alcotest.(check int) "basis size" 3 (Array.length s.Revised_simplex.basic);
     Alcotest.(check bool) "cold solve" false s.Revised_simplex.warm_used
   | _ -> Alcotest.fail "revised engine failed the classic model"
 
@@ -327,21 +319,24 @@ let test_revised_classic () =
    pivots than a cold solve of the extended model. *)
 let warm_base_model () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
-  Lp_model.add_constraint m ~name:"cx" [ (1.0, x) ] Le 10.0;
-  Lp_model.add_constraint m ~name:"cy" [ (1.0, y) ] Le 10.0;
-  Lp_model.add_constraint m ~name:"mix" [ (1.0, x); (2.0, y) ] Le 25.0;
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
+  Lp_model.add_constraint m [ (1.0, x) ] Le 10.0;
+  Lp_model.add_constraint m [ (1.0, y) ] Le 10.0;
+  Lp_model.add_constraint m [ (1.0, x); (2.0, y) ] Le 25.0;
   Lp_model.set_objective m ~maximize:true [ (2.0, x); (1.0, y) ];
   m
 
 let warm_extended_model () =
   let m = warm_base_model () in
   (* Cuts off the old optimum (10, 7.5): stated as Ge with negative rhs so
-     it normalizes to a Le row, keeping the model artificial-free. *)
-  Lp_model.add_constraint m ~name:"cut"
-    [ (-1.0, Lp_model.var m "x"); (-1.0, Lp_model.var m "y") ]
-    Ge (-12.0);
+     it normalizes to a Le row, keeping the model artificial-free. It is
+     the last row, so the base model's columns keep their indices (x, y,
+     then one slack per row) and only the new row's slack is added. *)
+  Lp_model.add_constraint m [ (-1.0, 0); (-1.0, 1) ] Ge (-12.0);
   m
+
+(* A start that keeps every column index of [basic] and flags no row. *)
+let same_rows basic = { Revised_simplex.basic; is_new_row = (fun _ -> false) }
 
 let test_revised_warm_dual_resolve () =
   let base =
@@ -356,7 +351,10 @@ let test_revised_warm_dual_resolve () =
     | _ -> Alcotest.fail "cold extended solve failed"
   in
   check_f "cold extended objective" 22.0 cold.Revised_simplex.objective;
-  match Revised_simplex.solve ~warm:base.Revised_simplex.basis (warm_extended_model ()) with
+  let start =
+    { Revised_simplex.basic = base.Revised_simplex.basic; is_new_row = (fun i -> i = 3) }
+  in
+  match Revised_simplex.solve ~start (warm_extended_model ()) with
   | Revised_simplex.Optimal warm ->
     Alcotest.(check bool) "warm path used" true warm.Revised_simplex.warm_used;
     check_f "warm extended objective" 22.0 warm.Revised_simplex.objective;
@@ -370,13 +368,8 @@ let test_revised_warm_dual_resolve () =
 (* A nonsense warm basis must cost only a cold restart, never a wrong
    verdict. *)
 let test_revised_warm_garbage () =
-  let warm =
-    {
-      Revised_simplex.wcols = [| "no_such_var"; "s:no_such_row"; "x" |];
-      wrows = [| "no_such_row"; "cx" |];
-    }
-  in
-  match Revised_simplex.solve ~warm (warm_base_model ()) with
+  let start = same_rows [| -1; 99; 0; 0; 4; max_int; min_int |] in
+  match Revised_simplex.solve ~start (warm_base_model ()) with
   | Revised_simplex.Optimal s ->
     check_f "objective unchanged" 27.5 s.Revised_simplex.objective
   | _ -> Alcotest.fail "garbage warm basis changed the verdict"
@@ -385,15 +378,11 @@ let test_revised_warm_garbage () =
    skipped (artificials present), not crash or misbehave. *)
 let test_revised_warm_skipped_on_artificials () =
   let m = Lp_model.create () in
-  let x = Lp_model.add_var m "x" and y = Lp_model.add_var m "y" in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Eq 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x); (1.0, y) ];
-  match
-    Revised_simplex.solve
-      ~warm:{ Revised_simplex.wcols = [| "x"; "y" |]; wrows = [| "r0"; "r1" |] }
-      m
-  with
+  match Revised_simplex.solve ~start:(same_rows [| x; y |]) m with
   | Revised_simplex.Optimal s ->
     check_f "objective" 3.0 s.Revised_simplex.objective;
     Alcotest.(check bool) "warm path skipped" false s.Revised_simplex.warm_used
@@ -669,7 +658,7 @@ let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name 
 
 let model_of_rand_lp lp =
   let m = Lp_model.create () in
-  let vars = Array.init lp.nv (fun i -> Lp_model.add_var m (Printf.sprintf "v%d" i)) in
+  let vars = Array.init lp.nv (fun _ -> Lp_model.add_var m) in
   List.iter
     (fun (coefs, rhs) ->
       let expr =
@@ -724,7 +713,8 @@ let revised_agrees lp =
          lp.rows_i
     && Array.for_all (fun v -> v >= -1e-9) r.Revised_simplex.values
     &&
-    (match Revised_simplex.solve ~warm:r.Revised_simplex.basis (model_of_rand_lp lp) with
+    let start = same_rows r.Revised_simplex.basic in
+    (match Revised_simplex.solve ~start (model_of_rand_lp lp) with
     | Revised_simplex.Optimal w ->
       w.Revised_simplex.warm_used
       && close exact w.Revised_simplex.objective

@@ -23,6 +23,7 @@ let () =
       ("exec", Test_exec.suite);
       ("obs", Test_obs.suite);
       ("slo", Test_slo.suite);
+      ("fuzz", Test_fuzz.suite);
       ("profile", Test_profile.suite);
       ("prefix", Test_prefix.suite);
     ]

@@ -76,7 +76,15 @@ let test_error_line_numbers () =
   expect_line "nodes 3\nnodes 4\n" 2;
   expect_line "nodes 3\nsource 0\ntargets 1\ntargets 2\n" 4;
   expect_line "nodes 3\nsource 0\ntargets 1\nedge 0 1 2\nedge 0 1 3\n" 5;
-  expect_line "nodes 3\nsource 0\ntargets 1\nedge 1 1 2\n" 4
+  expect_line "nodes 3\nsource 0\ntargets 1\nedge 1 1 2\n" 4;
+  (* The source and targets cite their own lines, wherever they sit. *)
+  expect_line "source 5\nnodes 3\ntargets 1\n" 1;
+  expect_line "nodes 3\nsource 0\n\ntargets 1 7\n" 4;
+  expect_line "nodes 3\ntargets -1\nsource 0\n" 2;
+  (* A node count above the limit is refused before anything is
+     allocated: [max_int] used to escape as [Invalid_argument]. *)
+  expect_line (Printf.sprintf "nodes %d\nsource 0\ntargets 1\n" max_int) 1;
+  expect_line "nodes 100001\nsource 0\ntargets 1\n" 1
 
 (* Every load failure comes back as an [Error] that starts with the path
    and names it exactly once. *)

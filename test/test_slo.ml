@@ -138,7 +138,18 @@ let test_slo_parse () =
       match Slo.parse bad with
       | Ok _ -> Alcotest.failf "spec %S should not parse" bad
       | Error _ -> ())
-    [ "nonsense"; "series>=abc"; ">=0.5"; "s>=0.5,bogus"; "s>=0.5,frob=1" ]
+    [
+      "nonsense";
+      "series>=abc";
+      ">=0.5";
+      "s>=0.5,bogus";
+      "s>=0.5,frob=1";
+      (* a NaN threshold never breaches and an infinite one always does *)
+      "horizon.throughput>=nan";
+      "s<=-inf";
+      "s>=0.5,fast=nan";
+      "s>=0.5,budget=inf";
+    ]
 
 let test_slo_default_budget () =
   (* "availability >= 0.99" grants the 1% the threshold leaves over. *)

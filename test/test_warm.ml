@@ -120,6 +120,23 @@ let test_sweep_exact_oracle () =
     (Printf.sprintf "oracle checked enough cases (%d)" !checked)
     true (!checked >= 12)
 
+(* A Multicast-LB row and column as text: "out<j>", "in<j>",
+   "cut:u>v,..."; "rho", "n_u_v" and "s:<row>". The digest below was
+   first taken over bases kept in this text. *)
+let row_text = function
+  | Formulations.Out j -> Printf.sprintf "out%d" j
+  | Formulations.In j -> Printf.sprintf "in%d" j
+  | Formulations.Cut ends ->
+    "cut:"
+    ^ String.concat ","
+        (List.init (Array.length ends / 2) (fun k ->
+             Printf.sprintf "%d>%d" ends.(2 * k) ends.((2 * k) + 1)))
+
+let col_text = function
+  | Formulations.Rho -> "rho"
+  | Formulations.Occ (u, v) -> Printf.sprintf "n_%d_%d" u v
+  | Formulations.Slack r -> "s:" ^ row_text r
+
 (* Bit-for-bit pin of the Multicast-LB cut loop. Over twelve seeded
    Tiers-small platforms it solves each one cold, with residual port
    capacities, and warm from the previous platform's basis (a foreign
@@ -148,9 +165,9 @@ let cut_loop_digest () =
         (rounds () -. r0) pivots;
       Option.iter
         (fun (w : Formulations.warm_basis) ->
-          Array.iter (Printf.bprintf buf "%s;") w.Revised_simplex.wcols;
+          Array.iter (fun c -> Printf.bprintf buf "%s;" (col_text c)) w.basic;
           Buffer.add_char buf '|';
-          Array.iter (Printf.bprintf buf "%s;") w.Revised_simplex.wrows;
+          Array.iter (fun r -> Printf.bprintf buf "%s;" (row_text r)) w.rows;
           Buffer.add_char buf '\n')
         b);
     Option.bind r snd
@@ -174,13 +191,14 @@ let cut_loop_digest () =
     (* The first edge that some pooled cut crosses and whose loss keeps
        every target reachable. *)
     let in_cut (e : Digraph.edge) =
-      let pair = Printf.sprintf "%d>%d" e.Digraph.src e.Digraph.dst in
       Array.exists
-        (fun row ->
-          String.starts_with ~prefix:"cut:" row
-          && List.mem pair
-               (String.split_on_char ',' (String.sub row 4 (String.length row - 4))))
-        w.Revised_simplex.wrows
+        (function
+          | Formulations.Cut ends ->
+            List.exists
+              (fun k -> ends.(2 * k) = e.Digraph.src && ends.((2 * k) + 1) = e.Digraph.dst)
+              (List.init (Array.length ends / 2) Fun.id)
+          | Formulations.Out _ | Formulations.In _ -> false)
+        w.Formulations.rows
     in
     let survivor =
       List.find_map
