@@ -77,10 +77,6 @@ let summary n label fields =
 let num f = Json.JNum f
 let str s = Json.JStr s
 
-let period_of = function
-  | None -> infinity
-  | Some (s : Formulations.solution) -> s.Formulations.period
-
 (* The robustness experiments (R1/R2) each fill one member of
    BENCH_2.json, written at the end of the run for CI to archive and diff. *)
 let r1_means : (string * Json.t) list ref = ref []
@@ -177,8 +173,8 @@ let fig5 () =
   List.iter
     (fun n ->
       let p = Paper_platforms.fig5 ~n_targets:n in
-      let lb = period_of (Formulations.multicast_lb p) in
-      let ub = period_of (Formulations.multicast_ub p) in
+      let lb = Formulations.period_of (Formulations.multicast_lb p) in
+      let ub = Formulations.period_of (Formulations.multicast_ub p) in
       let ratio = ub /. lb in
       if abs_float (ratio -. float_of_int n) > 0.15 then ok := false;
       Printf.printf "%10d %12.4f %12.4f %12.3f %10d\n" n lb ub ratio n)
@@ -419,7 +415,7 @@ let ablation_mcph () =
     let tm = one_port (Steiner.minimum_cost_path_tree p) in
     let pd = one_port (Steiner.pruned_dijkstra_tree p) in
     let kmb = one_port (Steiner.kmb_tree p) in
-    let lb = period_of (Formulations.multicast_lb p) in
+    let lb = Formulations.period_of (Formulations.multicast_lb p) in
     incr n;
     if mcph <= tm +. 1e-9 && mcph <= pd +. 1e-9 && mcph <= kmb +. 1e-9 then incr wins;
     Printf.printf "%6d | %10.1f %10.1f %10.1f %10.1f | %10.1f

@@ -510,11 +510,11 @@ let heuristics load tries sources obs =
 let heuristics_cmd =
   let tries =
     let doc = "Cap LP probes per improvement round (default: exhaustive)." in
-    Arg.(value & opt (some int) None & info [ "tries" ] ~docv:"K" ~doc)
+    Arg.(value & opt (some pos_int) None & info [ "tries" ] ~docv:"K" ~doc)
   in
   let sources =
     let doc = "Maximum secondary-source count for Multisource MC." in
-    Arg.(value & opt int 4 & info [ "max-sources" ] ~docv:"K" ~doc)
+    Arg.(value & opt pos_int 4 & info [ "max-sources" ] ~docv:"K" ~doc)
   in
   Cmd.v
     (Cmd.info "heuristics" ~doc:"Run the paper's heuristic portfolio")
@@ -748,7 +748,7 @@ let resilience_cmd =
   in
   let max_attempts =
     let doc = "Re-plan attempts before entering degraded mode (with --online)." in
-    Arg.(value & opt int 5 & info [ "max-attempts" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 5 & info [ "max-attempts" ] ~docv:"N" ~doc)
   in
   let drop_order =
     let doc =
@@ -1203,13 +1203,28 @@ let sessions_cmd =
       $ jobs_arg $ scenario $ mtbf_arg $ mttr_arg $ burst_k $ burst_at $ min_admitted
       $ show_digest $ show_epochs $ slo_arg $ slo_enforce $ timeseries_arg $ obs_term)
 
-(* --- prefix --- *)
+(* --- prefix and gadget --- *)
 
-let prefix_cmd_run seed universe n_sets bound obs =
-  run obs @@ fun () ->
-  let rng = Random.State.make [| seed |] in
-  let cover = Set_cover.random rng ~universe ~n_sets ~density:0.4 in
+(* The set-cover instance flags of [prefix] and [gadget]; only the default
+   universe size differs. *)
+let cover_args ~universe =
+  let flag name default ~docv ~doc = Arg.(value & opt pos_int default & info [ name ] ~docv ~doc) in
+  Term.(
+    const (fun universe n_sets bound -> (universe, n_sets, bound))
+    $ flag "universe" universe ~docv:"N" ~doc:"Universe size."
+    $ flag "sets" 4 ~docv:"K" ~doc:"Number of subsets."
+    $ flag "bound" 2 ~docv:"B" ~doc:"Cover size bound.")
+
+(* The seeded random instance both commands start from, printed. *)
+let random_cover seed ~density (universe, n_sets, bound) =
+  if bound > n_sets then failwith (Printf.sprintf "--bound %d exceeds --sets %d" bound n_sets);
+  let cover = Set_cover.random (Random.State.make [| seed |]) ~universe ~n_sets ~density in
   Format.printf "instance: %a@." Set_cover.pp cover;
+  cover
+
+let prefix_cmd_run seed ((_, _, bound) as args) obs =
+  run obs @@ fun () ->
+  let cover = random_cover seed ~density:0.4 args in
   match Set_cover.minimum cover with
   | None -> print_endline "instance not coverable"
   | Some chosen ->
@@ -1224,20 +1239,13 @@ let prefix_cmd_run seed universe n_sets bound obs =
         (Prefix_schedule.is_feasible occ))
 
 let prefix_cmd =
-  let universe = Arg.(value & opt int 5 & info [ "universe" ] ~docv:"N" ~doc:"Universe size.") in
-  let n_sets = Arg.(value & opt int 4 & info [ "sets" ] ~docv:"K" ~doc:"Number of subsets.") in
-  let bound = Arg.(value & opt int 2 & info [ "bound" ] ~docv:"B" ~doc:"Cover size bound.") in
   Cmd.v
     (Cmd.info "prefix" ~doc:"Theorem 5 parallel-prefix gadget walk-through")
-    Term.(const prefix_cmd_run $ seed_arg $ universe $ n_sets $ bound $ obs_term)
+    Term.(const prefix_cmd_run $ seed_arg $ cover_args ~universe:5 $ obs_term)
 
-(* --- gadget --- *)
-
-let gadget seed universe n_sets bound obs =
+let gadget seed ((_, _, bound) as args) obs =
   run obs @@ fun () ->
-  let rng = Random.State.make [| seed |] in
-  let cover = Set_cover.random rng ~universe ~n_sets ~density:0.35 in
-  Format.printf "instance: %a@." Set_cover.pp cover;
+  let cover = random_cover seed ~density:0.35 args in
   let k_star =
     match Set_cover.minimum cover with
     | Some m -> List.length m
@@ -1256,12 +1264,9 @@ let gadget seed universe n_sets bound obs =
       s.Formulations.throughput
 
 let gadget_cmd =
-  let universe = Arg.(value & opt int 6 & info [ "universe" ] ~docv:"N" ~doc:"Universe size.") in
-  let n_sets = Arg.(value & opt int 4 & info [ "sets" ] ~docv:"K" ~doc:"Number of subsets.") in
-  let bound = Arg.(value & opt int 2 & info [ "bound" ] ~docv:"B" ~doc:"Cover size bound.") in
   Cmd.v
     (Cmd.info "gadget" ~doc:"Set-cover gadget and the NP-hardness correspondence")
-    Term.(const gadget $ seed_arg $ universe $ n_sets $ bound $ obs_term)
+    Term.(const gadget $ seed_arg $ cover_args ~universe:6 $ obs_term)
 
 let main_cmd =
   let doc = "steady-state pipelined multicast on heterogeneous platforms" in

@@ -5,58 +5,31 @@ type result = {
   solution : Formulations.solution;
 }
 
-let period_of = function
-  | None -> infinity
-  | Some (s : Formulations.solution) -> s.Formulations.period
-
-(* Broadcast-EB on the sub-platform induced by [kept]; [None] if the
-   restriction disconnects a target (or the source from anyone). *)
-let broadcast_on (p : Platform.t) kept =
-  let sub = Platform.restrict p ~keep:(fun v -> List.mem v kept) in
-  Formulations.broadcast_eb sub
+let restrict (p : Platform.t) kept = Platform.restrict p ~keep:(fun v -> List.mem v kept)
 
 let run ?max_tries_per_round (p : Platform.t) =
   match Formulations.multicast_lb p with
   | None -> None
   | Some lb ->
-    let initial_kept = p.Platform.source :: p.Platform.targets in
-    let rec improve kept best =
-      let outside =
-        List.filter (fun v -> not (List.mem v kept)) (Platform.active_nodes p)
-      in
-      (* Largest contribution to target flow first (Fig. 7 line 4). *)
-      let candidates =
-        List.sort
-          (fun a b -> compare lb.Formulations.node_inflow.(b) lb.Formulations.node_inflow.(a))
-          outside
-      in
-      let candidates =
-        match max_tries_per_round with
-        | None -> candidates
-        | Some k -> List.filteri (fun i _ -> i < k) candidates
-      in
-      let rec try_candidates = function
-        | [] -> (kept, best)
-        | m :: rest ->
-          let kept' = m :: kept in
-          let sol' = broadcast_on p kept' in
-          if period_of sol' <= period_of best then improve kept' sol'
-          else try_candidates rest
-      in
-      try_candidates candidates
+    let inflow = lb.Formulations.node_inflow in
+    (* Outside nodes, largest contribution to target flow in the
+       full-platform Multicast-LB first (Fig. 7 line 4). *)
+    let candidates kept _ =
+      List.sort
+        (fun a b -> compare inflow.(b) inflow.(a))
+        (List.filter (fun v -> not (List.mem v kept)) (Platform.active_nodes p))
     in
-    let kept, best = improve initial_kept (broadcast_on p initial_kept) in
-    (match best with
-    | None -> None
-    | Some solution ->
-      Some
-        {
-          period = solution.Formulations.period;
-          throughput = solution.Formulations.throughput;
-          kept = List.sort compare kept;
-          solution;
-        })
+    Refine.greedy ?max_tries_per_round ~candidates
+      ~step:(fun kept m -> m :: kept)
+      ~solve:(fun kept -> Formulations.broadcast_eb (restrict p kept))
+      (p.Platform.source :: p.Platform.targets)
+    |> Option.map (fun (kept, (solution : Formulations.solution)) ->
+           {
+             period = solution.period;
+             throughput = solution.throughput;
+             kept = List.sort compare kept;
+             solution;
+           })
 
 let to_schedule (p : Platform.t) r =
-  let sub = Platform.restrict p ~keep:(fun v -> List.mem v r.kept) in
-  Arborescence_packing.schedule_of_broadcast sub r.solution
+  Arborescence_packing.schedule_of_broadcast (restrict p r.kept) r.solution

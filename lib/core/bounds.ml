@@ -11,12 +11,9 @@ let compute p =
     broadcast = Formulations.broadcast_eb p;
   }
 
-let period_of = function
-  | None -> infinity
-  | Some (s : Formulations.solution) -> s.Formulations.period
-
 let check b ~n_targets =
   let tol = 1e-5 in
+  let period_of = Formulations.period_of in
   let lb = period_of b.lb and ub = period_of b.ub and bc = period_of b.broadcast in
   if lb > ub *. (1.0 +. tol) then
     Error (Printf.sprintf "LB period %g exceeds UB period %g" lb ub)

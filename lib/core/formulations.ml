@@ -8,6 +8,8 @@ type solution = {
   commodity_flows : ((int * int) * ((int * int) * float) list) list;
 }
 
+let period_of = function None -> infinity | Some s -> s.period
+
 (* ------------------------------------------------------------------ *)
 (* Scatter-style programs (Multicast-UB, MulticastMultiSource-UB):
    per-edge occupation is the sum of the commodities crossing it

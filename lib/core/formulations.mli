@@ -36,6 +36,10 @@ type solution = {
           decomposition and schedule reconstruction *)
 }
 
+(** [period_of s] is [s]'s period, and [infinity] for an infeasible
+    program ([None]). *)
+val period_of : solution option -> float
+
 (** [multicast_ub p] solves Multicast-UB. [None] when some target is
     unreachable (ρ = 0). *)
 val multicast_ub : Platform.t -> solution option

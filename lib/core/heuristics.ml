@@ -28,15 +28,11 @@ let timed name f =
   { name; period; throughput = 1.0 /. period; wall_time }
 
 let run_all ?max_tries_per_round ?max_sources p =
-  let lp_period = function
-    | None -> infinity
-    | Some (s : Formulations.solution) -> s.Formulations.period
-  in
   let entries =
     [
-      timed "scatter" (fun () -> lp_period (Formulations.multicast_ub p));
-      timed "lower bound" (fun () -> lp_period (Formulations.multicast_lb p));
-      timed "broadcast" (fun () -> lp_period (Formulations.broadcast_eb p));
+      timed "scatter" (fun () -> Formulations.period_of (Formulations.multicast_ub p));
+      timed "lower bound" (fun () -> Formulations.period_of (Formulations.multicast_lb p));
+      timed "broadcast" (fun () -> Formulations.period_of (Formulations.broadcast_eb p));
       timed "MCPH" (fun () ->
           match Mcph.run p with
           | None -> infinity

@@ -6,43 +6,18 @@ type result = {
 }
 
 let run ?(max_sources = 4) ?max_tries_per_round (p : Platform.t) =
-  match Formulations.multisource_ub p ~sources:[ p.Platform.source ] with
-  | None -> None
-  | Some initial ->
-    let rec improve sources (best : Formulations.solution) =
-      if List.length sources >= max_sources then (sources, best)
-      else begin
-        let outside =
-          List.filter (fun v -> not (List.mem v sources)) (Platform.active_nodes p)
-        in
-        let candidates =
-          List.sort
-            (fun a b ->
-              compare best.Formulations.node_inflow.(b) best.Formulations.node_inflow.(a))
-            outside
-        in
-        let candidates =
-          match max_tries_per_round with
-          | None -> candidates
-          | Some k -> List.filteri (fun i _ -> i < k) candidates
-        in
-        let rec try_candidates = function
-          | [] -> (sources, best)
-          | m :: rest -> (
-            let sources' = sources @ [ m ] in
-            match Formulations.multisource_ub p ~sources:sources' with
-            | Some sol when sol.Formulations.period <= best.Formulations.period ->
-              improve sources' sol
-            | Some _ | None -> try_candidates rest)
-        in
-        try_candidates candidates
-      end
-    in
-    let sources, solution = improve [ p.Platform.source ] initial in
-    Some
-      {
-        period = solution.Formulations.period;
-        throughput = solution.Formulations.throughput;
-        sources;
-        solution;
-      }
+  (* Outside nodes, largest contribution to the incumbent's target inflow
+     first; none once [max_sources] sources are in. *)
+  let candidates sources = function
+    | Some (best : Formulations.solution) when List.length sources < max_sources ->
+      List.sort
+        (fun a b -> compare best.node_inflow.(b) best.node_inflow.(a))
+        (List.filter (fun v -> not (List.mem v sources)) (Platform.active_nodes p))
+    | Some _ | None -> []
+  in
+  Refine.greedy ?max_tries_per_round ~candidates
+    ~step:(fun sources m -> sources @ [ m ])
+    ~solve:(fun sources -> Formulations.multisource_ub p ~sources)
+    [ p.Platform.source ]
+  |> Option.map (fun (sources, (solution : Formulations.solution)) ->
+         { period = solution.period; throughput = solution.throughput; sources; solution })

@@ -2,10 +2,10 @@
 
     Keep the target set fixed but promote well-placed nodes to secondary
     sources: a secondary source first receives the whole message from the
-    earlier sources and then re-emits it. Candidates are probed in
-    decreasing order of their flow contribution in the current
-    MulticastMultiSource-UB solution; an addition is kept when the period
-    does not degrade. The scatter-style LP is schedulable, so the result is
+    earlier sources and then re-emits it. Each {!Refine.greedy} round
+    probes the outside nodes in decreasing order of their flow
+    contribution in the current MulticastMultiSource-UB solution, and keeps
+    an addition when the period does not degrade. The scatter-style LP is schedulable, so the result is
     an achievable period (the paper's figures list this as
     "Multisource MC"). *)
 

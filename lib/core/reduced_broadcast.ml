@@ -1,4 +1,4 @@
-type result = {
+type result = Augmented_multicast.result = {
   period : float;
   throughput : float;
   kept : int list;
@@ -6,50 +6,26 @@ type result = {
 }
 
 let run ?max_tries_per_round (p : Platform.t) =
-  match Formulations.broadcast_eb p with
-  | None -> None
-  | Some initial ->
-    let rec improve cur (best : Formulations.solution) =
-      (* Candidates: removable nodes (neither source nor target), least
-         contribution to target inflow first. *)
-      let candidates =
-        List.sort
-          (fun a b -> compare best.Formulations.node_inflow.(a) best.Formulations.node_inflow.(b))
-          (Platform.intermediates cur)
-      in
-      let candidates =
-        match max_tries_per_round with
-        | None -> candidates
-        | Some k -> List.filteri (fun i _ -> i < k) candidates
-      in
-      let rec try_candidates = function
-        | [] -> (cur, best)
-        | m :: rest -> (
-          let reduced = Platform.remove_node cur m in
-          match Formulations.broadcast_eb reduced with
-          | Some sol when sol.Formulations.period <= best.Formulations.period ->
-            improve reduced sol
-          | Some _ | None -> try_candidates rest)
-      in
-      try_candidates candidates
-    in
-    let final_platform, solution = improve p initial in
-    let kept =
-      List.filter
-        (fun v ->
-          v = final_platform.Platform.source
-          || Digraph.out_degree final_platform.Platform.graph v > 0
-          || Digraph.in_degree final_platform.Platform.graph v > 0)
-        (List.init (Platform.n_nodes final_platform) Fun.id)
-    in
-    Some
-      {
-        period = solution.Formulations.period;
-        throughput = solution.Formulations.throughput;
-        kept;
-        solution;
-      }
-
-let to_schedule (p : Platform.t) r =
-  let reduced = Platform.restrict p ~keep:(fun v -> List.mem v r.kept) in
-  Arborescence_packing.schedule_of_broadcast reduced r.solution
+  (* Removable nodes (neither source nor target), least contribution to
+     the incumbent's target inflow first. *)
+  let candidates cur = function
+    | None -> []
+    | Some (best : Formulations.solution) ->
+      List.sort
+        (fun a b -> compare best.node_inflow.(a) best.node_inflow.(b))
+        (Platform.intermediates cur)
+  in
+  (* The state is the platform built by successive [remove_node]s, not a
+     one-shot restrict to the same nodes: that would order the LP's
+     columns differently. *)
+  Refine.greedy ?max_tries_per_round ~candidates ~step:Platform.remove_node
+    ~solve:Formulations.broadcast_eb p
+  |> Option.map (fun ((final : Platform.t), (solution : Formulations.solution)) ->
+         let g = final.graph in
+         let kept =
+           List.filter
+             (fun v ->
+               v = final.source || Digraph.out_degree g v > 0 || Digraph.in_degree g v > 0)
+             (List.init (Platform.n_nodes final) Fun.id)
+         in
+         { period = solution.period; throughput = solution.throughput; kept; solution })

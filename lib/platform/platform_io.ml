@@ -107,6 +107,8 @@ let of_string s =
     | Some (n, _), _, Some (targets, lineno) when List.exists (outside n) targets ->
       err "line %d: target %d out of range (platform has %d nodes)" lineno
         (List.find (outside n) targets) n
+    | _, Some (source, _), Some (targets, lineno) when List.mem source targets ->
+      err "line %d: source %d is also listed as a target" lineno source
     | Some (n, _), Some (source, _), Some (targets, _) -> (
       let g = Digraph.create n in
       let labelled =
@@ -141,8 +143,8 @@ let of_string s =
         in
         match added with
         | Error _ as e -> e
-        | Ok () -> (
-          try Ok (Platform.make g ~source ~targets) with Invalid_argument m -> Error m))))
+        (* Every precondition of [Platform.make] is checked above. *)
+        | Ok () -> Ok (Platform.make g ~source ~targets))))
 
 let save path p =
   let oc = open_out path in

@@ -277,6 +277,45 @@ let test_run_all_report () =
   (* Achievable heuristics cannot beat the LB; scatter is the worst bound. *)
   Alcotest.(check bool) "LB <= scatter" true (lb <= ub +. feps)
 
+(* Everything observable of the three refined heuristics over seeded
+   Tiers-small platforms, exhaustive and capped at two probes a round: the
+   period's bits, the kept or source list and the float LP solves. The pin
+   fixes the candidate order, the per-round cap and the accept rule. *)
+let refined_digest () =
+  let buf = Buffer.create 4096 in
+  let record name run show =
+    let before = Lp_counters.snapshot () in
+    let r = run () in
+    let solves = (Lp_counters.since before).Lp_counters.float_solves in
+    match r with
+    | None -> Printf.bprintf buf "%s none %d\n" name solves
+    | Some r ->
+      let period, nodes = show r in
+      Printf.bprintf buf "%s %h %s %d\n" name period
+        (String.concat "," (List.map string_of_int nodes))
+        solves
+  in
+  List.iter
+    (fun (seed, n_targets) ->
+      let p = Tiers.generate (Random.State.make [| seed; 2006 |]) Tiers.small_params ~n_targets in
+      List.iter
+        (fun max_tries_per_round ->
+          record "amc"
+            (fun () -> Augmented_multicast.run ?max_tries_per_round p)
+            (fun r -> (r.Augmented_multicast.period, r.Augmented_multicast.kept));
+          record "rbc"
+            (fun () -> Reduced_broadcast.run ?max_tries_per_round p)
+            (fun r -> (r.Reduced_broadcast.period, r.Reduced_broadcast.kept));
+          record "msrc"
+            (fun () -> Multisource.run ?max_tries_per_round p)
+            (fun r -> (r.Multisource.period, r.Multisource.sources)))
+        [ None; Some 2 ])
+    [ (1, 8); (2, 8); (3, 3); (4, 17); (5, 8); (6, 5) ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_refined_digest () =
+  Alcotest.(check string) "refined-heuristics digest" "f2d1bc8cad7293d41ffed8c3e7bd82bc" (refined_digest ())
+
 (* --- properties --- *)
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
@@ -339,5 +378,6 @@ let suite =
     ("augmented multicast", `Quick, test_augmented_multicast);
     ("multisource heuristic", `Quick, test_multisource_heuristic);
     ("run_all report", `Quick, test_run_all_report);
+    ("refined heuristics: bit-for-bit digest", `Quick, test_refined_digest);
   ]
   @ core_props

@@ -27,7 +27,7 @@ let test_reduced_broadcast_realizable () =
   match Reduced_broadcast.run ~max_tries_per_round:2 p with
   | None -> Alcotest.fail "red bc"
   | Some r ->
-    check_realizes "Red. BC" r.Reduced_broadcast.period (Reduced_broadcast.to_schedule p r)
+    check_realizes "Red. BC" r.Reduced_broadcast.period (Augmented_multicast.to_schedule p r)
 
 let test_augmented_multicast_realizable () =
   let rng = Random.State.make [| 43 |] in

@@ -81,6 +81,9 @@ let test_error_line_numbers () =
   expect_line "source 5\nnodes 3\ntargets 1\n" 1;
   expect_line "nodes 3\nsource 0\n\ntargets 1 7\n" 4;
   expect_line "nodes 3\ntargets -1\nsource 0\n" 2;
+  (* So does a source listed among the targets. *)
+  expect_line "nodes 3\nsource 1\ntargets 1 2\nedge 1 2 1\n" 3;
+  expect_line "nodes 3\ntargets 2 0\nsource 0\n" 2;
   (* A node count above the limit is refused before anything is
      allocated: [max_int] used to escape as [Invalid_argument]. *)
   expect_line (Printf.sprintf "nodes %d\nsource 0\ntargets 1\n" max_int) 1;

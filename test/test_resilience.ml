@@ -53,7 +53,7 @@ let test_no_faults_is_lossless () =
     match Reduced_broadcast.run ~max_tries_per_round:1 p with
     | None -> Alcotest.failf "seed %d: Reduced-BC failed" seed
     | Some r -> (
-      match Reduced_broadcast.to_schedule p r with
+      match Augmented_multicast.to_schedule p r with
       | Error e -> Alcotest.failf "seed %d: Reduced-BC packing failed: %s" seed e
       | Ok (sched, _) -> check_sched "Reduced-BC" sched)
   done
