@@ -322,7 +322,7 @@ let run ?seed ?(counters = fun () -> []) o f =
     | Some path, Some delta ->
       let prof = Trace_stats.of_events ~dropped events in
       print_newline ();
-      print_string (Trace_stats.to_text ~top:15 prof);
+      print_string (Trace_stats.to_text prof);
       print_lp_attribution delta;
       write_profile_json path ~delta prof
     | _ -> ());
@@ -689,7 +689,6 @@ let resilience (seed, load) kill_edges kill_nodes degrades at periods online
     let policy =
       let d = Recovery_loop.default_policy p in
       {
-        d with
         Recovery_loop.max_attempts;
         horizon_periods = periods;
         drop_order = (if drop_order = [] then d.Recovery_loop.drop_order else drop_order);

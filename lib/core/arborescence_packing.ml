@@ -137,7 +137,7 @@ let pack (p : Platform.t) ~capacities ~rho =
         Le rho;
       Lp_model.set_objective m ~maximize:true
         (Array.to_list (Array.map (fun v -> (1.0, v)) y));
-      match Solver_chain.solve_with_fallback m with
+      match Solver_chain.solve (Revised_simplex.of_model m) with
       | Solver_chain.Infeasible | Solver_chain.Unbounded -> !best
       | Solver_chain.Optimal (sol, tag) ->
         let trees =

@@ -85,7 +85,7 @@ let solve_sum_colgen (p : Platform.t) groups =
       done;
       let port_rows = Array.of_list (List.rev !port_rows) in
       Lp_model.set_objective m ~maximize:true [ (1.0, rho) ];
-      match Solver_chain.solve_with_fallback m with
+      match Solver_chain.solve (Revised_simplex.of_model m) with
       | Solver_chain.Infeasible | Solver_chain.Unbounded -> None
       | Solver_chain.Optimal (sol, `Exact) ->
         (* Exact fallback means the float engine had trouble on this
@@ -93,7 +93,7 @@ let solve_sum_colgen (p : Platform.t) groups =
            that is numerically shaky (the exact duals exist but one
            degenerate master rarely prices a useful column). *)
         Some (cols, y, sol)
-      | Solver_chain.Optimal (sol, `Revised) ->
+      | Solver_chain.Optimal (sol, `Revised _) ->
         if round >= 300 then Some (cols, y, sol)
         else begin
           (* Duals: pi_out/pi_in per node (port rows), mu per group (value
@@ -263,7 +263,7 @@ let solve_sum_dense (p : Platform.t) groups =
     if inp <> [] then Lp_model.add_constraint m inp Le 1.0
   done;
   Lp_model.set_objective m ~maximize:true [ (1.0, rho) ];
-  match Solver_chain.solve_with_fallback m with
+  match Solver_chain.solve (Revised_simplex.of_model m) with
   | Solver_chain.Infeasible | Solver_chain.Unbounded -> None
   | Solver_chain.Optimal (sol, _) ->
     let v i = sol.Lp_model.values.(i) in
@@ -310,9 +310,15 @@ let solve_sum_dense (p : Platform.t) groups =
       Some { throughput; period = 1.0 /. throughput; node_inflow; edge_usage; commodity_flows }
     end
 
-(* Arc formulation for small instances (lower constant factors), path
-   column generation beyond that: the arc LP grows as |groups| * |E|
-   columns and becomes the bottleneck on the 65-node platforms. *)
+(* Arc formulation for small instances, path column generation beyond
+   that: the arc LP grows as |groups| * |E| columns and becomes the
+   bottleneck on the 65-node platforms. The arc LP is not the faster one
+   on small instances either (colgen solves each portfolio deck instance's
+   UB in at most 1 ms, the arc LP in 9-44 ms); it stays for its optimal
+   vertex. Multisource MC's greedy follows the UB solution it is given,
+   and colgen's vertex, same optimum, changes that trajectory: the
+   small-4 deck instance's period goes 128.2 -> 154.3 and the Fig. 11(b)
+   density-1.0 ratio at 4 trials 1.64 -> 2.04. *)
 let solve_sum (p : Platform.t) groups =
   let size = List.length groups * Digraph.n_edges p.Platform.graph in
   if size <= 2000 then solve_sum_dense p groups else solve_sum_colgen p groups
@@ -502,9 +508,10 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
             { Revised_simplex.basic = Array.map col w.basic; is_new_row })
         warm
     in
-    (* A round's LP in the engine's standard form, over the cuts [cuts].
-       A cut row rho - sum n_e >= -nudge is stored negated, as the engine
-       would normalize it: rho - sum n_e <= nudge. *)
+    (* A round's LP in the engine's standard form, over the cuts [cuts];
+       both rungs of the solver chain read it. A cut row
+       -rho + sum n_e >= -nudge is stored negated, as the engine would
+       normalize it: rho - sum n_e <= nudge. *)
     let form cuts =
       let nc = Array.length cuts in
       (* Each edge column holds its port entries, then -1 on every cut
@@ -533,25 +540,6 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
         cuts;
       Revised_simplex.le_form ~objective:[ (1.0, 0) ] ~cols
         ~rhs:(Array.append port_rhs (Array.map (fun c -> c.rhs) cuts))
-    in
-    (* The same LP as a model, for the exact rung of the solver chain. *)
-    let model cuts () =
-      let m = Lp_model.create () in
-      for _ = 1 to nv do
-        ignore (Lp_model.add_var m)
-      done;
-      Array.iteri
-        (fun i (_, ids, _) ->
-          Lp_model.add_constraint m (List.map (fun e -> (cost e, 1 + e)) ids) Le port_rhs.(i))
-        ports;
-      Array.iter
-        (fun c ->
-          Lp_model.add_constraint m
-            ((-1.0, 0) :: List.map (fun e -> (1.0, 1 + e)) (Array.to_list c.ids))
-            Ge (-.c.rhs))
-        cuts;
-      Lp_model.set_objective m ~maximize:true [ (1.0, 0) ];
-      m
     in
     (* Warm-start state, as the map onto a round's LP: the caller's
        basis, mapped afresh each round, until a round of this loop yields
@@ -588,13 +576,10 @@ let solve_max ?(two_sided = true) ?warm ?(chain = true) ?send_cap ?recv_cap
     let rec iterate round =
       rounds_used := round;
       let cuts = Array.of_list !pooled in
-      match
-        Solver_chain.solve_form ?start:(Option.map (fun f -> f cuts) !start) (form cuts)
-          ~model:(model cuts)
-      with
-      | (Solver_chain.Infeasible | Solver_chain.Unbounded), _ -> None
-      | Solver_chain.Optimal (sol, _), revised ->
-        let basis = Option.map (fun (r : Revised_simplex.solution) -> (r.basic, cuts)) revised in
+      match Solver_chain.solve ?start:(Option.map (fun f -> f cuts) !start) (form cuts) with
+      | Solver_chain.Infeasible | Solver_chain.Unbounded -> None
+      | Solver_chain.Optimal (sol, engine) ->
+        let basis = match engine with `Revised basic -> Some (basic, cuts) | `Exact -> None in
         if chain then Option.iter (fun b -> start := Some (chained b)) basis;
         let r = sol.Lp_model.values.(0) in
         (* Track the tightest relaxation seen: rho must be non-increasing as

@@ -29,18 +29,9 @@
    [Optimal] ever escapes the warm path. Models with artificial columns
    (Ge/Eq rows) skip the warm path entirely. *)
 
-type solution = {
-  values : float array;
-  objective : float;
-  row_duals : float array;
-  pivots : int;
-  basic : int array;
-  warm_used : bool;
-}
-
 type start = { basic : int array; is_new_row : int -> bool }
 
-type status = Optimal of solution | Infeasible | Unbounded | Stalled
+type status = Optimal of Lp_model.solution * int array | Infeasible | Unbounded | Stalled
 
 let epsilon = 1e-9
 let max_iterations = 200_000
@@ -94,7 +85,7 @@ type std = {
   init_basic : int array; (* cold-start basis: slack or artificial per row *)
 }
 
-let build model =
+let of_model model =
   let maximize, obj = Lp_model.objective model in
   let rows = Lp_model.rows model in
   let nv = Lp_model.n_vars model in
@@ -184,7 +175,7 @@ let build model =
 
 type form = std
 
-(* What [build] makes of "maximize [objective] subject to A x <= rhs,
+(* What [of_model] makes of "maximize [objective] subject to A x <= rhs,
    x >= 0" with every rhs >= 0, for a caller that holds A by columns
    already: column j < nv is [cols.(j)], then the slack of row i is
    column nv + i. *)
@@ -209,6 +200,35 @@ let le_form ~objective ~cols ~rhs =
   }
 
 let dims std = (std.nv, std.m)
+
+(* The program a form holds, as a model: row i is its structural entries,
+   with the comparison its slack column names (+1 slack Le, -1 surplus
+   Ge, none Eq) and rhs b.(i); the objective is the costs with the sign
+   flip undone. *)
+let to_model std =
+  let m = Lp_model.create () in
+  for _ = 1 to std.nv do
+    ignore (Lp_model.add_var m)
+  done;
+  let exprs = Array.make std.m [] in
+  for j = std.nv - 1 downto 0 do
+    let rows, vals = std.cols.(j) in
+    Array.iteri (fun k i -> exprs.(i) <- (vals.(k), j) :: exprs.(i)) rows
+  done;
+  Array.iteri
+    (fun i expr ->
+      let cmp =
+        match std.slack_of_row.(i) with
+        | -1 -> Lp_model.Eq
+        | s -> if (snd std.cols.(s)).(0) > 0.0 then Lp_model.Le else Lp_model.Ge
+      in
+      Lp_model.add_constraint m expr cmp std.b.(i))
+    exprs;
+  Lp_model.set_objective m ~maximize:(std.sign < 0.0)
+    (List.filter_map
+       (fun j -> if std.cost.(j) = 0.0 then None else Some (std.sign *. std.cost.(j), j))
+       (List.init std.nv Fun.id));
+  m
 
 let dot (rows, vals) y =
   let s = ref 0.0 in
@@ -437,7 +457,7 @@ let dual std bs is_basic ~max_iter pivots =
   done;
   Option.get !result
 
-let extract std bs x_b ~pivots ~warm_used =
+let extract std bs x_b ~pivots =
   let m = std.m in
   let header = Basis.header bs in
   let values = Array.make std.nv 0.0 in
@@ -454,24 +474,18 @@ let extract std bs x_b ~pivots ~warm_used =
      documents them: for a minimization y itself, sign-flipped when the
      objective was negated for maximization. *)
   let row_duals = Array.map (fun yi -> std.sign *. yi) y in
-  {
-    values;
-    objective = std.sign *. !internal;
-    row_duals;
-    pivots;
-    basic = Array.copy header;
-    warm_used;
-  }
+  Optimal
+    ({ Lp_model.values; objective = std.sign *. !internal; row_duals; pivots }, Array.copy header)
 
-(* Phase 2 from a primal-feasible basis, then extraction. [None] means
-   the caller must fall back (stall / numerical trouble); Unbounded is
-   only trusted from a cold start. *)
-let finish std bs is_basic ~max_iter pivots ~warm_used =
+(* Phase 2 from a primal-feasible basis, then extraction. [`Fallback]
+   means a warm caller must fall back (stall / numerical trouble);
+   Unbounded is only trusted from a cold start. *)
+let finish std bs is_basic ~max_iter pivots ~warm =
   let allow j = j < std.art_start in
   match primal std bs is_basic std.cost ~allow ~max_iter pivots with
-  | P_optimal, x_b -> `Done (Optimal (extract std bs x_b ~pivots:!pivots ~warm_used))
-  | P_unbounded, _ -> if warm_used then `Fallback else `Done Unbounded
-  | P_stalled, _ -> if warm_used then `Fallback else `Done Stalled
+  | P_optimal, x_b -> `Done (extract std bs x_b ~pivots:!pivots)
+  | P_unbounded, _ -> if warm then `Fallback else `Done Unbounded
+  | P_stalled, _ -> if warm then `Fallback else `Done Stalled
 
 let cold std ~max_iter pivots =
   let header = Array.copy std.init_basic in
@@ -515,11 +529,9 @@ let cold std ~max_iter pivots =
     | P_stalled -> Stalled
     | P_unbounded -> Infeasible (* phase-1 objective is bounded below by 0 *)
     | P_optimal -> (
-      match finish std bs is_basic ~max_iter pivots ~warm_used:false with
+      match finish std bs is_basic ~max_iter pivots ~warm:false with
       | `Done st -> st
       | `Fallback -> Stalled (* unreachable: cold finish never asks to fall back *)))
-
-module Int_set = Set.Make (Int)
 
 (* The columns of a start that exist in this model, in header order,
    without duplicates and at most m of them. *)
@@ -578,11 +590,12 @@ let repair std resolved ~is_new_row =
   let resolved = List.filter (fun j -> not (Hashtbl.mem forced j)) resolved in
   (* Left-looking sparse elimination, term for term the right-looking
      dense one: column c receives the updates of the earlier pivots in
-     pivot order (a set of pending pivots, added when their row
-     enters c's pattern), then picks its pivot — the first row of
-     largest magnitude above 1e-9 — among the shared rows still unused.
-     A pivot keeps its column's entries on the rows still unused, the
-     only ones later columns read. *)
+     pivot order (the pending pivots, flagged when their row enters c's
+     pattern, scanned upward: a pivot's column only reaches rows that
+     were unused when it was made, so it only flags later pivots), then
+     picks its pivot — the first row of largest magnitude above 1e-9 —
+     among the shared rows still unused. A pivot keeps its column's
+     entries on the rows still unused, the only ones later columns read. *)
   let m = std.m in
   let work = Array.make m 0.0 in
   let pattern = Array.make m 0 and in_pattern = Array.make m false and np = ref 0 in
@@ -590,14 +603,19 @@ let repair std resolved ~is_new_row =
   (* pivot p: its row, its value, and its column's entries *)
   let piv_row = Array.make m 0 and piv_val = Array.make m 0.0 and n_piv = ref 0 in
   let col_rows = Array.make m [||] and col_vals = Array.make m [||] in
-  let pending = ref Int_set.empty in
+  let buf_rows = Array.make m 0 and buf_vals = Array.make m 0.0 in
+  let pending = Array.make m false and lo = ref m and hi = ref (-1) in
   let touch i =
     if not in_pattern.(i) then begin
       in_pattern.(i) <- true;
       pattern.(!np) <- i;
       incr np;
       let p = pivot_of_row.(i) in
-      if p >= 0 then pending := Int_set.add p !pending
+      if p >= 0 then begin
+        pending.(p) <- true;
+        if p < !lo then lo := p;
+        if p > !hi then hi := p
+      end
     end
   in
   List.iter
@@ -608,17 +626,24 @@ let repair std resolved ~is_new_row =
         touch i;
         work.(i) <- work.(i) +. vs.(e)
       done;
-      while not (Int_set.is_empty !pending) do
-        let p = Int_set.min_elt !pending in
-        pending := Int_set.remove p !pending;
-        let f = work.(piv_row.(p)) /. piv_val.(p) in
-        if f <> 0.0 then
-          Array.iteri
-            (fun k i ->
+      let p = ref !lo in
+      while !p <= !hi do
+        if pending.(!p) then begin
+          pending.(!p) <- false;
+          let f = work.(piv_row.(!p)) /. piv_val.(!p) in
+          if f <> 0.0 then begin
+            let rows = col_rows.(!p) and vals = col_vals.(!p) in
+            for k = 0 to Array.length rows - 1 do
+              let i = rows.(k) in
               touch i;
-              work.(i) <- work.(i) -. (f *. col_vals.(p).(k)))
-            col_rows.(p)
+              work.(i) <- work.(i) -. (f *. vals.(k))
+            done
+          end
+        end;
+        incr p
       done;
+      lo := m;
+      hi := -1;
       let best = ref (-1) and best_v = ref 1e-9 in
       for q = 0 to !np - 1 do
         let i = pattern.(q) in
@@ -642,14 +667,17 @@ let repair std resolved ~is_new_row =
         piv_row.(p) <- r;
         piv_val.(p) <- work.(r);
         pivot_of_row.(r) <- p;
-        let rows =
-          Array.of_list
-            (List.filter
-               (fun i -> (not row_used.(i)) && work.(i) <> 0.0)
-               (List.init !np (Array.get pattern)))
-        in
-        col_rows.(p) <- rows;
-        col_vals.(p) <- Array.map (Array.get work) rows;
+        let k = ref 0 in
+        for q = 0 to !np - 1 do
+          let i = pattern.(q) in
+          if (not row_used.(i)) && work.(i) <> 0.0 then begin
+            buf_rows.(!k) <- i;
+            buf_vals.(!k) <- work.(i);
+            incr k
+          end
+        done;
+        col_rows.(p) <- Array.sub buf_rows 0 !k;
+        col_vals.(p) <- Array.sub buf_vals 0 !k;
         n_piv := p + 1);
       for q = 0 to !np - 1 do
         let i = pattern.(q) in
@@ -695,8 +723,8 @@ let try_warm std { basic; is_new_row } ~max_iter pivots =
         done;
         let primal_ok = Array.for_all (fun v -> v >= -.warm_tol) x_b in
         let finish_warm () =
-          match finish std bs is_basic ~max_iter pivots ~warm_used:true with
-          | `Done (Optimal sol) -> Some sol
+          match finish std bs is_basic ~max_iter pivots ~warm:true with
+          | `Done (Optimal _ as optimal) -> Some optimal
           | `Done _ | `Fallback -> None
         in
         if !dual_ok then begin
@@ -711,23 +739,21 @@ let try_warm std { basic; is_new_row } ~max_iter pivots =
         else None
       with Numerical -> None))
 
-let solve_form ?(max_iter = max_iterations) ?start std =
+let solve ?(max_iter = max_iterations) ?start std =
   Lp_counters.record_float_solve ();
   let pivots = ref 0 in
-  let warm_sol =
+  let warm =
     match start with
     | Some start when std.ncols = std.art_start && std.m > 0 ->
       try_warm std start ~max_iter pivots
     | _ -> None
   in
   let result =
-    match warm_sol with
-    | Some sol ->
+    match warm with
+    | Some optimal ->
       Lp_counters.record_warm_hit ();
-      Optimal sol
+      optimal
     | None -> ( try cold std ~max_iter pivots with Numerical -> Stalled)
   in
   Lp_counters.record_pivots !pivots;
   result
-
-let solve ?max_iter ?start model = solve_form ?max_iter ?start (build model)

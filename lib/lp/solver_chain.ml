@@ -1,5 +1,5 @@
 type status =
-  | Optimal of Lp_model.solution * [ `Revised | `Exact ]
+  | Optimal of Lp_model.solution * [ `Revised of int array | `Exact ]
   | Infeasible
   | Unbounded
 
@@ -38,47 +38,24 @@ let span_args (vars, rows) status =
   let size = [ ("vars", Trace.Int vars); ("rows", Trace.Int rows) ] in
   match status with
   | Optimal (sol, engine) ->
-    ("engine", Trace.Str (match engine with `Revised -> "revised" | `Exact -> "exact"))
+    ("engine", Trace.Str (match engine with `Revised _ -> "revised" | `Exact -> "exact"))
     :: ("pivots", Trace.Int sol.Lp_model.pivots)
     :: ("objective", Trace.Float sol.Lp_model.objective)
     :: size
   | Infeasible -> ("outcome", Trace.Str "infeasible") :: size
   | Unbounded -> ("outcome", Trace.Str "unbounded") :: size
 
-(* The chain proper: [revised ()] on the float engine, then [model ()]
-   on the exact one when that stalls or comes back non-finite. *)
-let chain ~size ~revised ~model =
+let solve ?max_iter ?start form =
   Trace.with_span ~cat:"lp" "lp.solve"
-    ~result:(fun (st, _) -> span_args (size ()) st)
+    ~result:(fun st -> span_args (Revised_simplex.dims form) st)
     (fun () ->
-      match revised () with
-      | Revised_simplex.Optimal r
-        when Float.is_finite r.Revised_simplex.objective
-             && Array.for_all Float.is_finite r.Revised_simplex.values ->
-        ( Optimal
-            ( {
-                Lp_model.values = r.Revised_simplex.values;
-                objective = r.Revised_simplex.objective;
-                row_duals = r.Revised_simplex.row_duals;
-                pivots = r.Revised_simplex.pivots;
-              },
-              `Revised ),
-          Some r )
-      | Revised_simplex.Infeasible -> (Infeasible, None)
-      | Revised_simplex.Unbounded -> (Unbounded, None)
+      match Revised_simplex.solve ?max_iter ?start form with
+      | Revised_simplex.Optimal (sol, basic)
+        when Float.is_finite sol.Lp_model.objective
+             && Array.for_all Float.is_finite sol.Lp_model.values ->
+        Optimal (sol, `Revised basic)
+      | Revised_simplex.Infeasible -> Infeasible
+      | Revised_simplex.Unbounded -> Unbounded
       | Revised_simplex.Stalled | Revised_simplex.Optimal _ ->
         Metrics.incr fallbacks;
-        (solve_exact (model ()), None))
-
-let solve_form ?start form ~model =
-  chain
-    ~size:(fun () -> Revised_simplex.dims form)
-    ~revised:(fun () -> Revised_simplex.solve_form ?start form)
-    ~model
-
-let solve_with_fallback ?max_iter model =
-  fst
-    (chain
-       ~size:(fun () -> (Lp_model.n_vars model, Lp_model.n_constraints model))
-       ~revised:(fun () -> Revised_simplex.solve ?max_iter model)
-       ~model:(fun () -> model))
+        solve_exact (Revised_simplex.to_model form))

@@ -1,13 +1,15 @@
 (** Solver robustness chain: revised simplex, then exact fallback.
 
-    Every model runs through the same two rungs. {!Revised_simplex} goes
-    first — sparse pricing, factorized basis, and the engine that can
-    start warm from a basis given by column index. If it stalls or
-    returns non-finite numbers (degraded or near-degenerate platforms
-    from the resilience subsystem produce such LPs), the {e same} model
-    is re-solved on {!Simplex_exact}: every [Lp_model] coefficient is a
-    float, hence a dyadic rational, so the exact re-solve is faithful to
-    the model as stated. The exact engine stays the cross-check oracle in tests.
+    Every LP is one {!Revised_simplex.form}, and both rungs read it.
+    {!Revised_simplex} goes first — sparse pricing, factorized basis,
+    and the engine that can start warm from a basis given by column
+    index. If it stalls or returns non-finite numbers (degraded or
+    near-degenerate platforms from the resilience subsystem produce such
+    LPs), the {e same} program, {!Revised_simplex.to_model} of the form,
+    is re-solved on {!Simplex_exact}: every coefficient is a float, hence
+    a dyadic rational, so the exact re-solve is faithful to the program
+    as the float engine saw it, column for column. The exact engine
+    stays the cross-check oracle in tests.
 
     Both engines report duals: exact duals are converted with
     {!Rat.to_float}, so cut- and column-generation loops can price after
@@ -23,27 +25,18 @@
     {!Lp_counters} (a typed view over the metrics registry). *)
 
 type status =
-  | Optimal of Lp_model.solution * [ `Revised | `Exact ]
-      (** which engine produced the accepted solution *)
+  | Optimal of Lp_model.solution * [ `Revised of int array | `Exact ]
+      (** which engine produced the accepted solution; [`Revised basic]
+          carries the revised engine's optimal basis, column indices of
+          the form it solved, which seed the caller's next start *)
   | Infeasible
   | Unbounded
 
-(** [solve_form ?start form ~model] runs the chain on a model its caller
-    keeps in standard form ({!Revised_simplex.le_form}), seeding the
-    revised engine with [start]. [model ()] must build the same model as
-    an {!Lp_model}; it is called only when the exact rung runs. Returns
-    the status plus the revised engine's solution when it won, whose
-    [basic] indices seed the caller's next start. *)
-val solve_form :
-  ?start:Revised_simplex.start ->
-  Revised_simplex.form ->
-  model:(unit -> Lp_model.t) ->
-  status * Revised_simplex.solution option
-
-(** [solve_with_fallback ?max_iter model] runs the chain on [model],
-    cold. [max_iter] is forwarded to the revised engine; the exact
-    fallback runs uncapped. *)
-val solve_with_fallback : ?max_iter:int -> Lp_model.t -> status
+(** [solve ?max_iter ?start form] runs the chain on [form], seeding the
+    revised engine with [start]. [max_iter] is forwarded to the revised
+    engine; the exact rung solves {!Revised_simplex.to_model}[ form],
+    uncapped. *)
+val solve : ?max_iter:int -> ?start:Revised_simplex.start -> Revised_simplex.form -> status
 
 (** [solve_exact model] solves the model directly on {!Simplex_exact}
     (coefficients converted exactly); exposed for tests and cross-checks. *)

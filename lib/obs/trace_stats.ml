@@ -226,7 +226,10 @@ let total_self p = List.fold_left (fun a s -> a +. s.ns_self) 0.0 p.p_names
 
 (* --- rendering -------------------------------------------------------- *)
 
-let to_text ?(top = 15) p =
+(* Rows of the self-time table. *)
+let top = 15
+
+let to_text p =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "profile: %d spans, %d instants%s; traced wall-clock %.4f s\n" p.p_spans p.p_instants

@@ -98,10 +98,10 @@ val compute : unit -> profile
     p_wall] for a parallel one. *)
 val total_self : profile -> float
 
-(** Human-readable profile: the top-[top] (default 15) self-time table,
-    the self-vs-wall sum line, the per-domain utilization table, and the
+(** Human-readable profile: the top-15 self-time table, the
+    self-vs-wall sum line, the per-domain utilization table, and the
     critical path. *)
-val to_text : ?top:int -> profile -> string
+val to_text : profile -> string
 
 (** The profile as a JSON object ([wall_seconds], [spans], [instants],
     [dropped], [names], [domains], [critical_path]) — the ["profile"]

@@ -26,7 +26,10 @@ let describe_event = function
   | Fault.Clear_degrade { src; dst; at } ->
     (Rat.to_float at, Printf.sprintf "clear degrade %d->%d" src dst)
 
-let build ?(lookback = 25.0) ?(faults = []) ?(repairs = []) slo_events =
+(* How far before a breach a fault or repair still belongs to it. *)
+let lookback = 25.0
+
+let build ?(faults = []) ?(repairs = []) slo_events =
   let fault_points = List.map describe_event faults in
   let last_time =
     List.fold_left

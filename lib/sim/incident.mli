@@ -30,24 +30,23 @@ type incident = {
   i_entries : entry list;  (** causally ordered (time-ascending) *)
 }
 
-(** [build ?lookback ?faults ?repairs slo_events] pairs each [`Breach]
+(** [build ?faults ?repairs slo_events] pairs each [`Breach]
     with the next [`Recovery] of the same objective and attaches
-    context: fault events with time in [\[breach - lookback, end\]]
-    (default lookback [25.] — faults {e after} the breach but before
-    recovery also belong to the incident, they prolong it) and repair
-    actions with time in [\[breach - lookback, end\]]. An unrecovered
+    context: fault events with time in [\[breach - 25, end\]]
+    (faults {e after} the breach but before recovery also belong to the
+    incident, they prolong it) and repair actions with time in
+    [\[breach - 25, end\]]. An unrecovered
     incident extends to the last known event time. Fault events are
     rendered via their constructor ("kill edge 3->7 at t=150", ...);
     repairs are free-form [(time, description)] pairs from the driver
     (adopted schedules, re-plans, re-integrations). *)
 val build :
-  ?lookback:float ->
   ?faults:Fault.scenario ->
   ?repairs:(float * string) list ->
   Slo.event list ->
   incident list
 
-(** [of_soak ~faults report slo_events] is {!build} (default lookback)
+(** [of_soak ~faults report slo_events] is {!build}
     for one {!Soak.run}: [faults] is the scenario the soak ran against,
     [slo_events] the events of the sink it sampled into
     ({!Timeseries.slo_events}), and the repairs are read from the

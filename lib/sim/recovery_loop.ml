@@ -9,38 +9,19 @@ type event =
   | Recovered of { at : Rat.t; throughput : float; degraded : bool }
   | Gave_up of { attempts : int; reason : string }
 
-type policy = {
-  max_attempts : int;
-  base_backoff : Rat.t;
-  backoff_factor : int;
-  replan_deadline : float;
-  drop_order : int list;
-  horizon_periods : int;
-  prefer_incremental : bool;
-}
+type policy = { max_attempts : int; drop_order : int list; horizon_periods : int }
 
 let default_policy (p : Platform.t) =
-  {
-    max_attempts = 5;
-    base_backoff = Rat.one;
-    backoff_factor = 2;
-    replan_deadline = 1.0;
-    drop_order = List.rev p.Platform.targets;
-    horizon_periods = 12;
-    prefer_incremental = true;
-  }
+  { max_attempts = 5; drop_order = List.rev p.Platform.targets; horizon_periods = 12 }
+
+(* Wall-clock seconds a re-plan attempt may take. *)
+let replan_deadline = 1.0
 
 let validate_policy (p : Platform.t) pol =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let n = Platform.n_nodes p in
   if pol.max_attempts < 1 then
     err "policy: max_attempts must be >= 1 (got %d)" pol.max_attempts
-  else if pol.backoff_factor < 1 then
-    err "policy: backoff_factor must be >= 1 (got %d)" pol.backoff_factor
-  else if Rat.sign pol.base_backoff < 0 then
-    err "policy: base_backoff must be >= 0 (got %s)" (Rat.to_string pol.base_backoff)
-  else if not (pol.replan_deadline > 0.0) then
-    err "policy: replan_deadline must be positive (got %g)" pol.replan_deadline
   else if pol.horizon_periods < 1 then
     err "policy: horizon_periods must be >= 1 (got %d)" pol.horizon_periods
   else
@@ -64,8 +45,6 @@ type outcome = {
 }
 
 let fault_time = Fault.event_time
-
-let rec int_pow b = function 0 -> 1 | n -> b * int_pow b (n - 1)
 
 let event_name = function
   | Failure_observed _ -> "failure-observed"
@@ -161,8 +140,8 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
           ~time:(sim_offset +. Rat.to_float !clock)
           dt
       | None -> ());
-      if dt > pol.replan_deadline then begin
-        emit (Deadline_exceeded { n; seconds = dt; deadline = pol.replan_deadline });
+      if dt > replan_deadline then begin
+        emit (Deadline_exceeded { n; seconds = dt; deadline = replan_deadline });
         emit (Fallback_to_checkpoint { n });
         Error "re-plan deadline exceeded"
       end
@@ -184,8 +163,10 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
       }
     in
     (* Phase 1: re-plan for the full surviving target set, with exponential
-       backoff in simulated time between attempts. *)
-    let rec full_loop k last_err =
+       backoff in simulated time between attempts: [delay] starts at one
+       time unit and doubles in exact arithmetic, so no attempt count
+       overflows it. *)
+    let rec full_loop k delay last_err =
       if k > pol.max_attempts then Error last_err
       else
         match attempt p with
@@ -193,27 +174,22 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
         | Error e ->
           emit (Replan_failed { n = !attempts; reason = e });
           if k < pol.max_attempts then begin
-            let delay =
-              Rat.mul pol.base_backoff (Rat.of_int (int_pow pol.backoff_factor (k - 1)))
-            in
             clock := Rat.add !clock delay;
             emit (Backoff { n = !attempts; delay; resume_at = !clock })
           end;
-          full_loop (k + 1) e
+          full_loop (k + 1) (Rat.add delay delay) e
     in
-    (* Phase 0 (when the policy prefers it): one incremental-repair rung —
-       patch the running schedule in O(damage). A failed patch escalates to
-       the full-re-plan ladder immediately; it never consumes one of the
-       [max_attempts] full-re-plan slots and never backs off first, because
-       escalation is a different strategy, not a retry of the same one. *)
+    (* Phase 0: one incremental-repair rung — patch the running schedule
+       in O(damage). A failed patch escalates to the full-re-plan ladder
+       immediately; it never consumes one of the [max_attempts]
+       full-re-plan slots and never backs off first, because escalation is
+       a different strategy, not a retry of the same one. *)
     let phase1 =
-      if not pol.prefer_incremental then full_loop 1 "no attempt made"
-      else
-        match attempt ~incremental:true p with
-        | Ok rep -> Ok rep
-        | Error e ->
-          emit (Replan_failed { n = !attempts; reason = e });
-          full_loop 1 e
+      match attempt ~incremental:true p with
+      | Ok rep -> Ok rep
+      | Error e ->
+        emit (Replan_failed { n = !attempts; reason = e });
+        full_loop 1 Rat.one e
     in
     match phase1 with
     | Ok rep ->

@@ -5,12 +5,16 @@
     detects the deliveries the faults cost, and drives the planner under a
     retry/timeout/backoff policy:
 
-    - each re-plan attempt gets a wall-clock {e deadline}
-      ([replan_deadline]); an attempt that overruns it is abandoned and the
-      controller falls back to the last checkpointed good schedule before
-      retrying;
-    - failed attempts back off {e exponentially in simulated time}
-      ([base_backoff * backoff_factor^(n-1)]) up to [max_attempts];
+    - the first attempt patches the running schedule
+      ({!Repair.plan_incremental}, O(damage)); a failed patch escalates to
+      full re-plans at once, without using one of their [max_attempts].
+      The patch sets no retention floor: any patch that schedules and
+      passes {!Schedule.check} is accepted, whatever it retains;
+    - each re-plan attempt gets a wall-clock {e deadline} of one second;
+      an attempt that overruns it is abandoned and the controller falls
+      back to the last checkpointed good schedule before retrying;
+    - failed full re-plans back off {e exponentially in simulated time}
+      ([2^(n-1)] time units after the [n]-th) up to [max_attempts];
     - when the survivor cannot serve every remaining target, the controller
       enters {e degraded mode}: it drops targets one at a time in the
       caller-supplied [drop_order] until planning succeeds, serving the
@@ -21,7 +25,7 @@
 
     The controller works in simulated time: the clock starts at the first
     fault event and advances by the backoff delays; wall-clock is only used
-    against [replan_deadline]. *)
+    against the per-attempt deadline. *)
 
 type event =
   | Failure_observed of { at : Rat.t; losses : int; scenario : string }
@@ -44,31 +48,20 @@ type event =
 
 type policy = {
   max_attempts : int;  (** full-target re-plan attempts before degrading *)
-  base_backoff : Rat.t;  (** simulated-time delay after the first failure *)
-  backoff_factor : int;  (** exponential growth factor ([>= 1]) *)
-  replan_deadline : float;  (** wall-clock seconds allowed per attempt *)
   drop_order : int list;
       (** targets in the order they may be sacrificed in degraded mode;
           targets not listed are never dropped *)
   horizon_periods : int;  (** replay horizon for failure detection *)
-  prefer_incremental : bool;
-      (** try one {!Repair.plan_incremental} rung (O(damage) patch of the
-          running schedule) before the full-re-plan ladder; a failed patch
-          escalates immediately without consuming a [max_attempts] slot.
-          The rung sets no retention floor: any patch that schedules and
-          passes {!Schedule.check} is accepted, whatever it retains. *)
 }
 
-(** [default_policy p]: 5 attempts, backoff of one time unit doubling,
-    1s deadline, drop order = reversed target list (the highest-numbered
-    target is sacrificed first), 12-period horizon, incremental-first. *)
+(** [default_policy p]: 5 attempts, drop order = reversed target list
+    (the highest-numbered target is sacrificed first), 12-period
+    horizon. *)
 val default_policy : Platform.t -> policy
 
 (** [validate_policy p pol] is the check {!run} performs on entry: rejects
-    [max_attempts < 1], [backoff_factor < 1], negative [base_backoff],
-    non-positive [replan_deadline], [horizon_periods < 1] and [drop_order]
-    ids outside the platform's node range, each with a descriptive
-    message. *)
+    [max_attempts < 1], [horizon_periods < 1] and [drop_order] ids outside
+    the platform's node range, each with a descriptive message. *)
 val validate_policy : Platform.t -> policy -> (unit, string) result
 
 (** The planning function the controller drives — injectable so tests can
@@ -98,8 +91,8 @@ type outcome = {
 (** [run p sched scenario] drives the loop. The policy is validated on
     entry ({!validate_policy}) — an invalid one is a caller bug reported as
     [Error], not silent misbehavior. The scenario must validate against
-    [p]; the initial schedule is the first checkpoint. When the policy
-    prefers it (the default), attempt 1 is an incremental patch of [sched]
+    [p]; the initial schedule is the first checkpoint. Attempt 1 is an
+    incremental patch of [sched]
     ({!Repair.plan_incremental} with [fallback:false]) and the injected
     [planner] is only consulted on escalation and in degraded mode. [now]
     (default [Unix.gettimeofday]) is the wall clock the per-attempt deadline

@@ -158,21 +158,21 @@ let test_pivots_not_accumulated () =
     Lp_model.add_constraint m [ (2.0, y) ] Lp_model.Le 12.0;
     Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Lp_model.Le 18.0;
     Lp_model.set_objective m ~maximize:true [ (3.0, x); (5.0, y) ];
-    match Revised_simplex.solve m with
-    | Revised_simplex.Optimal s -> s
+    match Revised_simplex.solve (Revised_simplex.of_model m) with
+    | Revised_simplex.Optimal (s, _) -> s
     | _ -> Alcotest.fail "revised engine failed the classic model"
   in
   let s1 = solve_once () in
   let s2 = solve_once () in
-  Alcotest.(check bool) "solve pivots" true (s1.Revised_simplex.pivots > 0);
+  Alcotest.(check bool) "solve pivots" true (s1.Lp_model.pivots > 0);
   (* the second solve reports its own count, not a running total *)
-  Alcotest.(check int) "per-solve pivots" s1.Revised_simplex.pivots s2.Revised_simplex.pivots;
+  Alcotest.(check int) "per-solve pivots" s1.Lp_model.pivots s2.Lp_model.pivots;
   (* and the global counters advance by exactly the per-solve amounts *)
   let before = Lp_counters.snapshot () in
   let s3 = solve_once () in
   let d = Lp_counters.since before in
   Alcotest.(check int) "one float solve" 1 d.Lp_counters.float_solves;
-  Alcotest.(check int) "pivot delta matches" s3.Revised_simplex.pivots d.Lp_counters.pivots
+  Alcotest.(check int) "pivot delta matches" s3.Lp_model.pivots d.Lp_counters.pivots
 
 (* --- Robust_plan: jobs 1 and jobs 4 are bit-identical ------------------- *)
 

@@ -8,15 +8,25 @@ let check_f = Alcotest.(check (float feps))
    its first rung: no exact retry, and [`Revised] on every optimum. *)
 let fallbacks = Metrics.counter "solver_chain.fallbacks"
 
+(* Every solve reads a model through its standard form. *)
+let chain ?max_iter m = Solver_chain.solve ?max_iter (Revised_simplex.of_model m)
+let revised ?max_iter ?start m = Revised_simplex.solve ?max_iter ?start (Revised_simplex.of_model m)
+
+(* Whether a solve started warm shows only in [lp.warm.hits]. *)
+let warm_hits f =
+  let before = Lp_counters.snapshot () in
+  let r = f () in
+  (r, (Lp_counters.since before).Lp_counters.warm_hits)
+
 let chain_no_retry m =
   let before = Metrics.counter_value fallbacks in
-  let st = Solver_chain.solve_with_fallback m in
+  let st = chain m in
   Alcotest.(check int) "no exact retry" before (Metrics.counter_value fallbacks);
   st
 
 let solve_revised m =
   match chain_no_retry m with
-  | Solver_chain.Optimal (s, `Revised) -> s
+  | Solver_chain.Optimal (s, `Revised _) -> s
   | _ -> Alcotest.fail "expected a revised-engine optimum"
 
 (* maximize 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18  (Dantzig's classic):
@@ -164,7 +174,7 @@ let test_exact_statuses () =
 
 (* max x st x <= 3, x >= 1. The Ge row forces a phase-1 artificial, so with
    a zero iteration budget the revised engine stalls deterministically —
-   exactly the failure mode solve_with_fallback must absorb. *)
+   exactly the failure mode the solver chain must absorb. *)
 let stall_model () =
   let m = Lp_model.create () in
   let x = Lp_model.add_var m in
@@ -175,24 +185,24 @@ let stall_model () =
 
 let test_fallback_on_stall () =
   let m = stall_model () in
-  (match Revised_simplex.solve ~max_iter:0 m with
+  (match revised ~max_iter:0 m with
   | Revised_simplex.Stalled -> ()
   | _ -> Alcotest.fail "expected the capped revised engine to stall");
   (* The retry counts once under solver_chain.fallbacks. *)
   let before = Metrics.counter_value fallbacks in
-  (match Solver_chain.solve_with_fallback ~max_iter:0 m with
+  (match chain ~max_iter:0 m with
   | Solver_chain.Optimal (sol, `Exact) ->
     check_f "exact objective" 3.0 sol.Lp_model.objective;
     check_f "exact x" 3.0 sol.Lp_model.values.(0)
-  | Solver_chain.Optimal (_, `Revised) -> Alcotest.fail "revised engine should have stalled"
+  | Solver_chain.Optimal (_, `Revised _) -> Alcotest.fail "revised engine should have stalled"
   | _ -> Alcotest.fail "fallback did not recover the optimum");
   Alcotest.(check int) "one fallback counted" (before + 1) (Metrics.counter_value fallbacks)
 
 let test_fallback_passthrough () =
   (* A healthy model stays on the first engine of the chain... *)
   let m = stall_model () in
-  (match Solver_chain.solve_with_fallback m with
-  | Solver_chain.Optimal (sol, `Revised) ->
+  (match chain m with
+  | Solver_chain.Optimal (sol, `Revised _) ->
     check_f "revised objective" 3.0 sol.Lp_model.objective
   | _ -> Alcotest.fail "expected a revised-engine optimum");
   (* ...and infeasibility is never masked by the fallback. *)
@@ -201,7 +211,7 @@ let test_fallback_passthrough () =
   Lp_model.add_constraint m [ (1.0, x) ] Le 1.0;
   Lp_model.add_constraint m [ (1.0, x) ] Ge 2.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x) ];
-  match Solver_chain.solve_with_fallback ~max_iter:0 m with
+  match chain ~max_iter:0 m with
   | Solver_chain.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible from the exact engine"
 
@@ -211,7 +221,7 @@ let test_fallback_passthrough () =
    a dual through it. *)
 let test_fallback_duals () =
   let m = stall_model () in
-  match Solver_chain.solve_with_fallback ~max_iter:0 m with
+  match chain ~max_iter:0 m with
   | Solver_chain.Optimal (sol, `Exact) ->
     Alcotest.(check int) "dual per row" 2 (Array.length sol.Lp_model.row_duals);
     (* max x st x <= 3 (binding, shadow price 1), x >= 1 (slack). *)
@@ -286,9 +296,9 @@ let test_tiny_pivot_eviction_chain () =
   check_near_degenerate "chain" s.Lp_model.values s.Lp_model.objective
 
 let test_tiny_pivot_eviction_revised () =
-  match Revised_simplex.solve (near_degenerate_model ()) with
-  | Revised_simplex.Optimal s ->
-    check_near_degenerate "revised" s.Revised_simplex.values s.Revised_simplex.objective
+  match revised (near_degenerate_model ()) with
+  | Revised_simplex.Optimal (s, _) ->
+    check_near_degenerate "revised" s.Lp_model.values s.Lp_model.objective
   | _ -> Alcotest.fail "revised engine failed the near-degenerate model"
 
 (* --- revised engine: cold correctness, warm starts, dual simplex --- *)
@@ -300,17 +310,17 @@ let test_revised_classic () =
   Lp_model.add_constraint m [ (2.0, y) ] Le 12.0;
   Lp_model.add_constraint m [ (3.0, x); (2.0, y) ] Le 18.0;
   Lp_model.set_objective m ~maximize:true [ (3.0, x); (5.0, y) ];
-  match Revised_simplex.solve m with
-  | Revised_simplex.Optimal s ->
-    check_f "objective" 36.0 s.Revised_simplex.objective;
-    check_f "x" 2.0 s.Revised_simplex.values.(x);
-    check_f "y" 6.0 s.Revised_simplex.values.(y);
+  match warm_hits (fun () -> revised m) with
+  | Revised_simplex.Optimal (s, basic), hits ->
+    check_f "objective" 36.0 s.Lp_model.objective;
+    check_f "x" 2.0 s.Lp_model.values.(x);
+    check_f "y" 6.0 s.Lp_model.values.(y);
     (* Unique primal/dual optimum: duals 0, 3/2 and 1. *)
-    check_f "dual row 0" 0.0 s.Revised_simplex.row_duals.(0);
-    check_f "dual row 1" 1.5 s.Revised_simplex.row_duals.(1);
-    check_f "dual row 2" 1.0 s.Revised_simplex.row_duals.(2);
-    Alcotest.(check int) "basis size" 3 (Array.length s.Revised_simplex.basic);
-    Alcotest.(check bool) "cold solve" false s.Revised_simplex.warm_used
+    check_f "dual row 0" 0.0 s.Lp_model.row_duals.(0);
+    check_f "dual row 1" 1.5 s.Lp_model.row_duals.(1);
+    check_f "dual row 2" 1.0 s.Lp_model.row_duals.(2);
+    Alcotest.(check int) "basis size" 3 (Array.length basic);
+    Alcotest.(check int) "cold solve" 0 hits
   | _ -> Alcotest.fail "revised engine failed the classic model"
 
 (* Warm start across a model change that invalidates primal feasibility
@@ -339,39 +349,36 @@ let warm_extended_model () =
 let same_rows basic = { Revised_simplex.basic; is_new_row = (fun _ -> false) }
 
 let test_revised_warm_dual_resolve () =
-  let base =
-    match Revised_simplex.solve (warm_base_model ()) with
-    | Revised_simplex.Optimal s -> s
+  let base, base_basic =
+    match revised (warm_base_model ()) with
+    | Revised_simplex.Optimal (s, basic) -> (s, basic)
     | _ -> Alcotest.fail "base solve failed"
   in
-  check_f "base objective" 27.5 base.Revised_simplex.objective;
+  check_f "base objective" 27.5 base.Lp_model.objective;
   let cold =
-    match Revised_simplex.solve (warm_extended_model ()) with
-    | Revised_simplex.Optimal s -> s
+    match revised (warm_extended_model ()) with
+    | Revised_simplex.Optimal (s, _) -> s
     | _ -> Alcotest.fail "cold extended solve failed"
   in
-  check_f "cold extended objective" 22.0 cold.Revised_simplex.objective;
-  let start =
-    { Revised_simplex.basic = base.Revised_simplex.basic; is_new_row = (fun i -> i = 3) }
-  in
-  match Revised_simplex.solve ~start (warm_extended_model ()) with
-  | Revised_simplex.Optimal warm ->
-    Alcotest.(check bool) "warm path used" true warm.Revised_simplex.warm_used;
-    check_f "warm extended objective" 22.0 warm.Revised_simplex.objective;
+  check_f "cold extended objective" 22.0 cold.Lp_model.objective;
+  let start = { Revised_simplex.basic = base_basic; is_new_row = (fun i -> i = 3) } in
+  match warm_hits (fun () -> revised ~start (warm_extended_model ())) with
+  | Revised_simplex.Optimal (warm, _), hits ->
+    Alcotest.(check int) "warm path used" 1 hits;
+    check_f "warm extended objective" 22.0 warm.Lp_model.objective;
     Alcotest.(check bool)
-      (Printf.sprintf "warm pivots (%d) < cold pivots (%d)" warm.Revised_simplex.pivots
-         cold.Revised_simplex.pivots)
+      (Printf.sprintf "warm pivots (%d) < cold pivots (%d)" warm.Lp_model.pivots
+         cold.Lp_model.pivots)
       true
-      (warm.Revised_simplex.pivots < cold.Revised_simplex.pivots)
+      (warm.Lp_model.pivots < cold.Lp_model.pivots)
   | _ -> Alcotest.fail "warm extended solve failed"
 
 (* A nonsense warm basis must cost only a cold restart, never a wrong
    verdict. *)
 let test_revised_warm_garbage () =
   let start = same_rows [| -1; 99; 0; 0; 4; max_int; min_int |] in
-  match Revised_simplex.solve ~start (warm_base_model ()) with
-  | Revised_simplex.Optimal s ->
-    check_f "objective unchanged" 27.5 s.Revised_simplex.objective
+  match revised ~start (warm_base_model ()) with
+  | Revised_simplex.Optimal (s, _) -> check_f "objective unchanged" 27.5 s.Lp_model.objective
   | _ -> Alcotest.fail "garbage warm basis changed the verdict"
 
 (* Warm caller on a model with equality rows: the warm path must be
@@ -382,10 +389,10 @@ let test_revised_warm_skipped_on_artificials () =
   Lp_model.add_constraint m [ (1.0, x); (1.0, y) ] Eq 3.0;
   Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Eq 1.0;
   Lp_model.set_objective m ~maximize:true [ (1.0, x); (1.0, y) ];
-  match Revised_simplex.solve ~start:(same_rows [| x; y |]) m with
-  | Revised_simplex.Optimal s ->
-    check_f "objective" 3.0 s.Revised_simplex.objective;
-    Alcotest.(check bool) "warm path skipped" false s.Revised_simplex.warm_used
+  match warm_hits (fun () -> revised ~start:(same_rows [| x; y |]) m) with
+  | Revised_simplex.Optimal (s, _), hits ->
+    check_f "objective" 3.0 s.Lp_model.objective;
+    Alcotest.(check int) "warm path skipped" 0 hits
   | _ -> Alcotest.fail "equality model failed"
 
 (* --- Basis: sparse solves against a dense reference --- *)
@@ -686,39 +693,76 @@ let exact_of_rand_lp lp =
            Rat.of_int rhs ))
        lp.rows_i)
 
-(* The solver chain answers on its revised rung, with the exact optimum. *)
+(* A model on the exact engine, every coefficient converted exactly. *)
+let exact_of_model m =
+  let maximize, obj = Lp_model.objective m in
+  let conv = List.map (fun (c, v) -> (Rat.of_float_exact c, v)) in
+  Simplex_exact.solve_exn ~n_vars:(Lp_model.n_vars m) ~maximize ~objective:(conv obj)
+    (Array.to_list
+       (Array.map
+          (fun (expr, cmp, rhs) -> (conv expr, cmp, Rat.of_float_exact rhs))
+          (Lp_model.rows m)))
+
+let same_exact (a : Simplex_exact.solution) (b : Simplex_exact.solution) =
+  Rat.equal a.objective b.objective
+  && Array.for_all2 Rat.equal a.values b.values
+  && Array.for_all2 Rat.equal a.row_duals b.row_duals
+
+(* What the exact rung of the chain solves for [m]. *)
+let round_trip m = Revised_simplex.to_model (Revised_simplex.of_model m)
+
+(* [m] with every odd row stated negated, as [Ge] with a negative rhs:
+   the shape of a Multicast-LB cut row. *)
+let negate_odd_rows m =
+  let m' = Lp_model.create () in
+  for _ = 1 to Lp_model.n_vars m do
+    ignore (Lp_model.add_var m')
+  done;
+  Array.iteri
+    (fun i (expr, cmp, rhs) ->
+      if i mod 2 = 0 then Lp_model.add_constraint m' expr cmp rhs
+      else Lp_model.add_constraint m' (List.map (fun (c, v) -> (-.c, v)) expr) Ge (-.rhs))
+    (Lp_model.rows m);
+  let maximize, obj = Lp_model.objective m in
+  Lp_model.set_objective m' ~maximize obj;
+  m'
+
+(* The solver chain answers on its revised rung, with the exact optimum;
+   and its exact rung, reading the standard form back, solves the very
+   program it was given, negated rows included. *)
 let engines_agree lp =
   let exact = exact_of_rand_lp lp in
-  match Solver_chain.solve_with_fallback (model_of_rand_lp lp) with
-  | Solver_chain.Optimal (s, `Revised) ->
+  let m = model_of_rand_lp lp in
+  (match chain m with
+  | Solver_chain.Optimal (s, `Revised _) ->
     abs_float (s.Lp_model.objective -. Rat.to_float exact.Simplex_exact.objective) < 1e-6
-  | _ -> false
+  | _ -> false)
+  && List.for_all
+       (fun m -> same_exact (exact_of_model m) (exact_of_model (round_trip m)))
+       [ m; negate_odd_rows m ]
 
 (* Revised vs exact vs warm-restarted-revised: the revised optimum must
    be feasible and match the exact objective, and re-solving warm from the
    revised engine's own optimal basis must stay at the optimum. *)
 let revised_agrees lp =
   let exact = Rat.to_float (exact_of_rand_lp lp).Simplex_exact.objective in
-  match Revised_simplex.solve (model_of_rand_lp lp) with
-  | Revised_simplex.Optimal r ->
+  match revised (model_of_rand_lp lp) with
+  | Revised_simplex.Optimal (r, basic) ->
     let close a b = abs_float (a -. b) < 1e-6 *. (1.0 +. abs_float a) in
-    close exact r.Revised_simplex.objective
+    close exact r.Lp_model.objective
     && List.for_all
          (fun (coefs, rhs) ->
            let lhs = ref 0.0 in
            Array.iteri
-             (fun i c -> lhs := !lhs +. (float_of_int c *. r.Revised_simplex.values.(i)))
+             (fun i c -> lhs := !lhs +. (float_of_int c *. r.Lp_model.values.(i)))
              coefs;
            !lhs <= float_of_int rhs +. 1e-6)
          lp.rows_i
-    && Array.for_all (fun v -> v >= -1e-9) r.Revised_simplex.values
+    && Array.for_all (fun v -> v >= -1e-9) r.Lp_model.values
     &&
-    let start = same_rows r.Revised_simplex.basic in
-    (match Revised_simplex.solve ~start (model_of_rand_lp lp) with
-    | Revised_simplex.Optimal w ->
-      w.Revised_simplex.warm_used
-      && close exact w.Revised_simplex.objective
-      && w.Revised_simplex.pivots <= r.Revised_simplex.pivots
+    (match warm_hits (fun () -> revised ~start:(same_rows basic) (model_of_rand_lp lp)) with
+    | Revised_simplex.Optimal (w, _), hits ->
+      hits = 1 && close exact w.Lp_model.objective && w.Lp_model.pivots <= r.Lp_model.pivots
     | _ -> false)
   | _ -> false
 
@@ -734,6 +778,77 @@ let exact_is_feasible lp =
       Rat.( <= ) !lhs (Rat.of_int rhs))
     lp.rows_i
   && Array.for_all (fun v -> Rat.sign v >= 0) s.Simplex_exact.values
+
+(* --- the exact rung reads the float engine's standard form --- *)
+
+(* Le, Ge and Eq rows, two of them with a negative rhs: [to_model] holds
+   each row normalized, with the comparison its slack names, and the
+   exact engine solves it to the same rationals as the model itself. *)
+let test_to_model_mixed_rows () =
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m and z = Lp_model.add_var m in
+  Lp_model.add_constraint m [ (1.0, x); (1.0, y); (1.0, z) ] Le 4.0;
+  Lp_model.add_constraint m [ (1.0, x); (-1.0, y) ] Ge (-1.0);
+  Lp_model.add_constraint m [ (1.0, x); (1.0, z) ] Ge 1.0;
+  Lp_model.add_constraint m [ (1.0, y); (-1.0, z) ] Eq 1.0;
+  Lp_model.add_constraint m [ (-1.0, x); (-2.0, z) ] Le (-0.5);
+  Lp_model.set_objective m ~maximize:true [ (1.0, x); (2.0, y) ];
+  let back = round_trip m in
+  Alcotest.(check int) "variables" 3 (Lp_model.n_vars back);
+  Alcotest.(check (list string))
+    "normalized comparisons" [ "Le"; "Le"; "Ge"; "Eq"; "Ge" ]
+    (Array.to_list
+       (Array.map
+          (fun (_, cmp, _) ->
+            match cmp with Lp_model.Le -> "Le" | Ge -> "Ge" | Eq -> "Eq")
+          (Lp_model.rows back)));
+  Alcotest.(check (list (float 0.0)))
+    "normalized rhs" [ 4.0; 1.0; 1.0; 1.0; 0.5 ]
+    (Array.to_list (Array.map (fun (_, _, rhs) -> rhs) (Lp_model.rows back)));
+  let a = exact_of_model m and b = exact_of_model back in
+  Alcotest.check rat "objective" a.Simplex_exact.objective b.Simplex_exact.objective;
+  Alcotest.(check bool) "same exact solution" true (same_exact a b)
+
+(* A Multicast-LB round in miniature: rho and two edge occupations, port
+   rows, and two cut rows. The form holds each cut as rho - n_e <= nudge;
+   a stalled float rung hands it to the exact engine, which must find
+   the optimum of the rows as the cut loop used to write them for it,
+   -rho + n_e >= -nudge. *)
+let test_to_model_cut_rows () =
+  let nudges = [| 0.25; 0.125 |] in
+  let closure = Lp_model.create () in
+  let rho = Lp_model.add_var closure in
+  let n = Array.init 2 (fun _ -> Lp_model.add_var closure) in
+  Lp_model.add_constraint closure [ (2.0, n.(0)); (3.0, n.(1)) ] Le 1.0;
+  Lp_model.add_constraint closure [ (1.0, n.(0)) ] Le 1.0;
+  Lp_model.add_constraint closure [ (1.0, n.(1)) ] Le 1.0;
+  Array.iteri
+    (fun k nudge -> Lp_model.add_constraint closure [ (-1.0, rho); (1.0, n.(k)) ] Ge (-.nudge))
+    nudges;
+  Lp_model.set_objective closure ~maximize:true [ (1.0, rho) ];
+  let form =
+    Revised_simplex.le_form ~objective:[ (1.0, 0) ]
+      ~cols:
+        [|
+          ([| 3; 4 |], [| 1.0; 1.0 |]);
+          ([| 0; 1; 3 |], [| 2.0; 1.0; -1.0 |]);
+          ([| 0; 2; 4 |], [| 3.0; 1.0; -1.0 |]);
+        |]
+      ~rhs:[| 1.0; 1.0; 1.0; nudges.(0); nudges.(1) |]
+  in
+  let reference = exact_of_model closure in
+  Alcotest.check rat "hand-checked optimum" (q 3 8) reference.Simplex_exact.objective;
+  match Solver_chain.solve ~max_iter:0 form with
+  | Solver_chain.Optimal (sol, `Exact) ->
+    let floats a = Array.to_list (Array.map Rat.to_float a) in
+    Alcotest.(check (float 0.0))
+      "objective" (Rat.to_float reference.Simplex_exact.objective) sol.Lp_model.objective;
+    Alcotest.(check (list (float 0.0)))
+      "values" (floats reference.Simplex_exact.values) (Array.to_list sol.Lp_model.values);
+    Alcotest.(check (list (float 0.0)))
+      "duals" (floats reference.Simplex_exact.row_duals) (Array.to_list sol.Lp_model.row_duals)
+  | Solver_chain.Optimal (_, `Revised _) -> Alcotest.fail "the capped float rung answered"
+  | _ -> Alcotest.fail "expected the exact rung's optimum"
 
 let lp_props =
   [
@@ -767,6 +882,8 @@ let suite =
     ("revised: warm dual re-solve beats cold", `Quick, test_revised_warm_dual_resolve);
     ("revised: garbage warm basis is harmless", `Quick, test_revised_warm_garbage);
     ("revised: warm skipped on artificials", `Quick, test_revised_warm_skipped_on_artificials);
+    ("to_model: mixed rows solve the same program", `Quick, test_to_model_mixed_rows);
+    ("to_model: exact rung solves the cut rows", `Quick, test_to_model_cut_rows);
   ]
   @ lp_props
   @ [

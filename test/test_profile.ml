@@ -114,7 +114,7 @@ let test_profile_empty_and_renderers () =
   Alcotest.(check bool) "empty to_text renders" true
     (String.length (Trace_stats.to_text empty) > 0);
   let p = Trace_stats.of_events ~dropped:5 sample_events in
-  let text = Trace_stats.to_text ~top:2 p in
+  let text = Trace_stats.to_text p in
   let contains haystack needle =
     let nh = String.length haystack and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -122,7 +122,13 @@ let test_profile_empty_and_renderers () =
   in
   Alcotest.(check bool) "dropped events surfaced in text" true
     (contains text "5 events dropped");
-  Alcotest.(check bool) "top cap mentions the hidden names" true (contains text "more span names");
+  Alcotest.(check bool) "six names fit the table" false (contains text "more span names");
+  let many =
+    Trace_stats.of_events
+      (List.init 17 (fun i -> span (Printf.sprintf "S%02d" i) (float_of_int i) 1.0))
+  in
+  Alcotest.(check bool) "top cap mentions the hidden names" true
+    (contains (Trace_stats.to_text many) "2 more span names below the top 15");
   (* JSON must round-trip through the JSON reader and carry the headline
      numbers. *)
   match Json.parse (Json.to_string (Trace_stats.to_json p)) with

@@ -211,12 +211,14 @@ let test_recovery_simple () =
   | _ -> Alcotest.fail "expected full recovery"
 
 let test_recovery_full_sequence () =
-  (* The acceptance sequence: failure -> backoff retries -> degraded mode ->
-     recovery. Links 1->4 and 2->4 die, so target 4 is alive but
-     unreachable: full-set planning cannot succeed. A flaky planner fails
-     the first two attempts outright (exercising the backoff), the third
-     reaches the real planner's "unreachable target" verdict, and degraded
-     mode then drops target 4 and recovers serving target 3 only. *)
+  (* The acceptance sequence: failure -> failed patch -> backoff retries ->
+     degraded mode -> recovery. Links 1->4 and 2->4 die, so target 4 is
+     alive but unreachable: neither the incremental patch nor full-set
+     planning can succeed. The failed patch escalates to the full re-plans
+     without backing off. A flaky planner fails the first two of them
+     outright (exercising the backoff), the third reaches the real
+     planner's "unreachable target" verdict, and degraded mode then drops
+     target 4 and recovers serving target 3 only. *)
   let p = Paper_platforms.two_relay () in
   let sched = two_relay_sched () in
   let scenario =
@@ -231,32 +233,25 @@ let test_recovery_full_sequence () =
     if !calls <= 2 then Error "transient planner outage (injected)"
     else Repair.plan ?before plat damage
   in
-  let policy =
-    {
-      (Recovery_loop.default_policy p) with
-      Recovery_loop.max_attempts = 3;
-      base_backoff = q 1 2;
-      backoff_factor = 2;
-      prefer_incremental = false;
-    }
-  in
+  let policy = { (Recovery_loop.default_policy p) with Recovery_loop.max_attempts = 3 } in
   let o = run_ok ~policy ~planner:flaky p sched scenario in
   Alcotest.(check (list string)) "full event sequence"
     [
       "failure-observed";
+      "replan-attempt"; "replan-failed";
       "replan-attempt"; "replan-failed"; "backoff";
       "replan-attempt"; "replan-failed"; "backoff";
       "replan-attempt"; "replan-failed";
       "degraded"; "replan-attempt"; "recovered";
     ]
     (List.map Recovery_loop.event_name o.Recovery_loop.events);
-  (* backoff is exponential in simulated time: 1/2 then 1 *)
+  (* backoff is exponential in simulated time: 1 then 2 *)
   let delays =
     List.filter_map
       (function Recovery_loop.Backoff { delay; _ } -> Some delay | _ -> None)
       o.Recovery_loop.events
   in
-  Alcotest.(check (list string)) "exponential backoff delays" [ "1/2"; "1" ]
+  Alcotest.(check (list string)) "exponential backoff delays" [ "1"; "2" ]
     (List.map Rat.to_string delays);
   match o.Recovery_loop.final with
   | `Degraded (rep, dropped) ->
@@ -271,30 +266,24 @@ let test_recovery_full_sequence () =
   | _ -> Alcotest.fail "expected degraded recovery"
 
 let test_recovery_deadline_fallback () =
-  (* A planner that overruns the per-attempt deadline: the controller logs
-     the overrun, falls back to the checkpoint, and (with max_attempts = 1
-     and no droppable recovery possible for a slow planner) gives up,
-     leaving the checkpointed schedule in force. The overrun is driven by a
-     fake clock advancing 0.05s per reading — no sleeping, no sensitivity
-     to machine load. *)
+  (* Attempts that overrun the one-second deadline: the controller logs
+     each overrun, falls back to the checkpoint, and (with max_attempts = 1
+     and no droppable recovery possible for a slow planner) gives up after
+     the patch and the one full re-plan, leaving the checkpointed schedule
+     in force. The overrun is driven by a fake clock advancing 1.5 s per
+     reading — no sleeping, no sensitivity to machine load. *)
   let p = Paper_platforms.two_relay () in
   let sched = two_relay_sched () in
   let scenario = [ Fault.Kill_node { node = 1; at = Rat.zero } ] in
   let fake_time = ref 0.0 in
   let now () =
     let t = !fake_time in
-    fake_time := t +. 0.05;
+    fake_time := t +. 1.5;
     t
   in
   let slow ?before:_ _ _ = Error "slow planner never answers in time" in
   let policy =
-    {
-      (Recovery_loop.default_policy p) with
-      Recovery_loop.max_attempts = 1;
-      replan_deadline = 0.01;
-      drop_order = [];
-      prefer_incremental = false;
-    }
+    { (Recovery_loop.default_policy p) with Recovery_loop.max_attempts = 1; drop_order = [] }
   in
   let o = run_ok ~now ~policy ~planner:slow p sched scenario in
   check_detection policy o sched scenario;
@@ -302,13 +291,40 @@ let test_recovery_deadline_fallback () =
     (o.Recovery_loop.detection.Event_sim.f_losses <> []);
   Alcotest.(check (list string)) "deadline sequence"
     [
-      "failure-observed"; "replan-attempt"; "deadline-exceeded";
-      "fallback-to-checkpoint"; "replan-failed"; "gave-up";
+      "failure-observed";
+      "replan-attempt"; "deadline-exceeded"; "fallback-to-checkpoint"; "replan-failed";
+      "replan-attempt"; "deadline-exceeded"; "fallback-to-checkpoint"; "replan-failed";
+      "gave-up";
     ]
     (List.map Recovery_loop.event_name o.Recovery_loop.events);
   match o.Recovery_loop.final with
   | `Fallback s -> Alcotest.(check bool) "checkpoint is the original schedule" true (s == sched)
   | _ -> Alcotest.fail "expected fallback to the checkpoint"
+
+let test_recovery_backoff_doubles_exactly () =
+  (* 70 failing full re-plans back off 1, 2, 4, ..., 2^68 time units,
+     past the native-int range, so the simulated clock ends at 2^69 - 1
+     (an int power of two wrapped it to t=-1 after 64 attempts). *)
+  let p = Paper_platforms.two_relay () in
+  let scenario =
+    [
+      Fault.Kill_edge { src = 1; dst = 4; at = Rat.zero };
+      Fault.Kill_edge { src = 2; dst = 4; at = Rat.zero };
+    ]
+  in
+  let failing ?before:_ _ _ = Error "planner outage (injected)" in
+  let policy = { (Recovery_loop.default_policy p) with Recovery_loop.max_attempts = 70 } in
+  let o = run_ok ~policy ~planner:failing p (two_relay_sched ()) scenario in
+  let rec powers r k = if k = 0 then [] else r :: powers (Rat.add r r) (k - 1) in
+  let expected = powers Rat.one 70 in
+  Alcotest.(check (list string)) "delays double exactly"
+    (List.map Rat.to_string (List.filteri (fun k _ -> k < 69) expected))
+    (List.filter_map
+       (function Recovery_loop.Backoff { delay; _ } -> Some (Rat.to_string delay) | _ -> None)
+       o.Recovery_loop.events);
+  Alcotest.(check string) "clock at 2^69 - 1"
+    (Rat.to_string (Rat.sub (List.nth expected 69) Rat.one))
+    (Rat.to_string o.Recovery_loop.sim_time)
 
 let test_recovery_drop_order_respected () =
   (* Same severed target 4, but the caller's priority protects 4 and
@@ -449,14 +465,6 @@ let test_policy_validation () =
         (contains e needle)
   in
   expect_reject "max_attempts 0" { ok with Recovery_loop.max_attempts = 0 } "max_attempts";
-  expect_reject "backoff_factor 0" { ok with Recovery_loop.backoff_factor = 0 } "backoff_factor";
-  expect_reject "negative base_backoff"
-    { ok with Recovery_loop.base_backoff = Rat.of_int (-1) }
-    "base_backoff";
-  expect_reject "zero replan_deadline" { ok with Recovery_loop.replan_deadline = 0.0 }
-    "replan_deadline";
-  expect_reject "nan replan_deadline" { ok with Recovery_loop.replan_deadline = Float.nan }
-    "replan_deadline";
   expect_reject "horizon_periods 0" { ok with Recovery_loop.horizon_periods = 0 }
     "horizon_periods";
   expect_reject "drop_order id out of range" { ok with Recovery_loop.drop_order = [ 99 ] }
@@ -484,6 +492,7 @@ let suite =
     ("recovery: failure -> retries -> degraded -> recovered", `Quick, test_recovery_full_sequence);
     ("recovery: deadline -> checkpoint fallback", `Quick, test_recovery_deadline_fallback);
     ("recovery: drop order respected", `Quick, test_recovery_drop_order_respected);
+    ("recovery: backoff doubles exactly", `Quick, test_recovery_backoff_doubles_exactly);
     ("random node kills spare source and a target", `Quick, test_random_node_kills);
     ("mixed kills cover links and nodes", `Quick, test_random_mixed_kills);
     ("repair baseline tag explicit", `Quick, test_repair_baseline_tag);

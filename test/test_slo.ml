@@ -272,7 +272,7 @@ let test_incident_chain () =
       };
     ]
   in
-  match Incident.build ~lookback:25.0 ~faults ~repairs events with
+  match Incident.build ~faults ~repairs events with
   | [ inc ] ->
     Alcotest.(check string) "objective" "soak.availability>=0.99" inc.Incident.i_objective;
     Alcotest.(check (float 0.0)) "starts at the breach" 152.0 inc.Incident.i_start;
@@ -322,7 +322,7 @@ let test_incident_unrecovered_and_unrelated () =
       };
     ]
   in
-  match Incident.build ~lookback:25.0 ~faults events with
+  match Incident.build ~faults events with
   | [ inc ] ->
     Alcotest.(check bool) "never recovered" true (inc.Incident.i_end = None);
     let n_faults =

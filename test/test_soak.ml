@@ -296,7 +296,7 @@ let test_incidents_of_soak () =
           | _ -> None)
         rep.Soak.sk_log
     in
-    let reference = Incident.build ~lookback:25.0 ~faults ~repairs events in
+    let reference = Incident.build ~faults ~repairs events in
     let incidents = Incident.of_soak ~faults rep events in
     Alcotest.(check bool) "of_soak equals the reference join" true (incidents = reference);
     Alcotest.(check int) "four incidents" 4 (List.length incidents);
