@@ -13,44 +13,117 @@ type stats = {
   deliveries : delivery list;
 }
 
-(* Absolute-time busy interval of one unrolled transfer. *)
-type event = {
-  e_src : int;
-  e_dst : int;
-  e_tree : int;
-  e_start : Rat.t;
-  e_finish : Rat.t;
+(* One transfer of the period pattern: [s_id] is its position in the
+   transfer list, [s_pair] numbers its (tree, edge) pair and [s_edge] its
+   edge, both once per replay in first-seen order, and [s_depth] is the
+   depth of its tail in its tree. *)
+type slot = {
+  s_id : int;
+  s_src : int;
+  s_dst : int;
+  s_tree : int;
+  s_pair : int;
+  s_edge : int;
+  s_depth : int;
+  s_start : Rat.t;
+  s_finish : Rat.t;
+  s_span : Rat.t;  (* s_finish - s_start *)
 }
+
+(* Busy interval of one unrolled transfer: the slot's copy in the period
+   starting at [offset], from absolute time [e_start]. *)
+type event = {
+  slot : slot;
+  offset : Rat.t;
+  e_start : Rat.t;
+}
+
+let e_finish e = Rat.add e.offset e.slot.s_finish
+
+let by_time start_a finish_a start_b finish_b =
+  let c = Rat.compare start_a start_b in
+  if c <> 0 then c else Rat.compare finish_a finish_b
+
+(* The period pattern of one replay. *)
+type pattern = {
+  slots : slot list;  (* one per transfer, in transfer order *)
+  n_pairs : int;
+  endpoints : (int * int) array;  (* edge id -> (src, dst) *)
+}
+
+let pattern (sched : Schedule.t) =
+  let pairs = Hashtbl.create 64 and edges = Hashtbl.create 64 in
+  let id tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.add tbl key i;
+      i
+  in
+  let slots =
+    List.mapi
+      (fun i (tr : Schedule.transfer) ->
+        let { Schedule.src; dst; tree; start; finish } = tr in
+        {
+          s_id = i;
+          s_src = src;
+          s_dst = dst;
+          s_tree = tree;
+          s_pair = id pairs (tree, src, dst);
+          s_edge = id edges (src, dst);
+          s_depth = Out_tree.depth sched.Schedule.trees.(tree).Multicast_tree.tree src;
+          s_start = start;
+          s_finish = finish;
+          s_span = Rat.sub finish start;
+        })
+      sched.Schedule.transfers
+  in
+  let endpoints = Array.make (Hashtbl.length edges) (0, 0) in
+  Hashtbl.iter (fun e i -> endpoints.(i) <- e) edges;
+  { slots; n_pairs = Hashtbl.length pairs; endpoints }
 
 (* Unroll the schedule with the initialization phase: an edge whose tail
    sits at depth d of its tree idles for the first d periods, then repeats
    the periodic pattern — so batch p of messages crosses depth-d edges
-   during period p + d, a full period after the tail received it. *)
-let unroll (sched : Schedule.t) ~periods =
-  let trees = sched.Schedule.trees in
-  let depth_of tree v = Out_tree.depth tree.Multicast_tree.tree v in
-  let events = ref [] in
-  List.iter
-    (fun (tr : Schedule.transfer) ->
-      let d = depth_of trees.(tr.Schedule.tree) tr.Schedule.src in
-      for p = d to periods - 1 do
-        let offset = Rat.mul (Rat.of_int p) sched.Schedule.period in
-        events :=
-          {
-            e_src = tr.Schedule.src;
-            e_dst = tr.Schedule.dst;
-            e_tree = tr.Schedule.tree;
-            e_start = Rat.add offset tr.Schedule.start;
-            e_finish = Rat.add offset tr.Schedule.finish;
-          }
-          :: !events
-      done)
-    sched.Schedule.transfers;
-  List.sort
-    (fun a b ->
-      let c = Rat.compare a.e_start b.e_start in
-      if c <> 0 then c else Rat.compare a.e_finish b.e_finish)
+   during period p + d, a full period after the tail received it. The
+   intervals come out sorted by (start, finish), ties in reverse transfer
+   order. When every transfer starts inside [0, period), as every built
+   schedule does, period p's copies all start before period p + 1's, so
+   sorting the pattern once and emitting its copies period by period gives
+   that order; otherwise every copy is sorted. *)
+let unroll (sched : Schedule.t) { slots; _ } ~periods =
+  let period = sched.Schedule.period in
+  let copy offset s = { slot = s; offset; e_start = Rat.add offset s.s_start } in
+  let in_period s = Rat.sign s.s_start >= 0 && Rat.(s.s_start < period) in
+  if List.for_all in_period slots then begin
+    let sorted =
+      Array.of_list
+        (List.stable_sort
+           (fun a b -> by_time a.s_start a.s_finish b.s_start b.s_finish)
+           (List.rev slots))
+    in
+    let events = ref [] in
+    for p = periods - 1 downto 0 do
+      let offset = Rat.mul (Rat.of_int p) period in
+      for i = Array.length sorted - 1 downto 0 do
+        if sorted.(i).s_depth <= p then events := copy offset sorted.(i) :: !events
+      done
+    done;
     !events
+  end
+  else begin
+    let events = ref [] in
+    List.iter
+      (fun s ->
+        for p = s.s_depth to periods - 1 do
+          let e = copy (Rat.mul (Rat.of_int p) period) s in
+          events := (e, e_finish e) :: !events
+        done)
+      slots;
+    List.map fst
+      (List.sort (fun (a, fa) (b, fb) -> by_time a.e_start fa b.e_start fb) !events)
+  end
 
 (* floor(q) for a non-negative rational, as an int. *)
 let floor_int q =
@@ -68,57 +141,73 @@ type reception = {
   r_complete : Rat.t;
 }
 
-(* The replay walk, shared by both replays. Each (tree, edge) pair accrues
-   progress over its busy intervals at rate 1/f, where [factor e] is the
-   link's slowdown factor f during interval [e], or [None] when the link is
-   dead and the interval carries nothing. With c the edge cost, message m of
-   the pair starts crossing once progress passes m * c and is received when
-   progress reaches (m + 1) * c; receptions may span consecutive intervals.
-   Returns every reception, in walk order, and each carrying interval paired
-   with the message in flight at its start (floor(progress / c)). *)
-let walk (sched : Schedule.t) events ~factor =
+(* The replay walk, shared by both replays. Each (tree, edge) pair counts
+   its progress in messages: with c the edge cost, a busy interval of
+   length s moves it by s / (c f), where [factor e] is the link's slowdown
+   factor f during interval [e], or [None] when the link is dead and the
+   interval carries nothing. Message m of the pair starts crossing once
+   progress passes m and is received when progress reaches m + 1;
+   receptions may span consecutive intervals. Returns every reception, in
+   walk order, and each carrying interval paired with the message in flight
+   at its start (the floor of the progress). *)
+let walk (sched : Schedule.t) { slots; n_pairs; _ } events ~factor =
   let g = sched.Schedule.trees.(0).Multicast_tree.platform.Platform.graph in
-  let progress = Hashtbl.create 64 in
+  (* Edge costs are positive, so zero marks a pair not looked up yet; a
+     slot's healthy progress, span / c, is kept once computed. *)
+  let cost = Array.make n_pairs Rat.zero
+  and healthy = Array.make (List.length slots) Rat.zero in
+  let progress = Array.make n_pairs Rat.zero and crossed = Array.make n_pairs 0 in
   let receptions = ref [] and in_flight = ref [] in
   List.iter
     (fun e ->
       match factor e with
       | None -> ()
       | Some f ->
-        let key = (e.e_tree, e.e_src, e.e_dst) in
-        let before = Option.value ~default:Rat.zero (Hashtbl.find_opt progress key) in
-        (* Exact scaling costs a gcd per operation; a healthy link (f = 1)
-           needs none. *)
-        let healthy = Rat.equal f Rat.one in
-        let span = Rat.sub e.e_finish e.e_start in
-        let after = Rat.add before (if healthy then span else Rat.div span f) in
-        Hashtbl.replace progress key after;
-        let c = Digraph.cost g ~src:e.e_src ~dst:e.e_dst in
-        let first = floor_int (Rat.div before c) in
-        in_flight := (e, first) :: !in_flight;
-        (* The first message was already crossing at the interval's start;
-           each later one starts when its predecessor completes. *)
-        let rec record msg t_begin =
-          let completion = Rat.mul (Rat.of_int (msg + 1)) c in
-          if Rat.(completion <= after) then begin
-            let elapsed = Rat.sub completion before in
-            let t_complete =
-              Rat.add e.e_start (if healthy then elapsed else Rat.mul f elapsed)
-            in
-            receptions :=
-              {
-                r_tree = e.e_tree;
-                r_src = e.e_src;
-                r_dst = e.e_dst;
-                r_msg = msg;
-                r_begin = t_begin;
-                r_complete = t_complete;
-              }
-              :: !receptions;
-            record (msg + 1) t_complete
+        let s = e.slot and id = e.slot.s_pair in
+        if Rat.is_zero cost.(id) then cost.(id) <- Digraph.cost g ~src:s.s_src ~dst:s.s_dst;
+        (* Time one message takes at this rate, and the progress of this
+           interval. Exact scaling costs a gcd per operation; a healthy link
+           (f = 1) needs none. *)
+        let per_msg, moved =
+          if Rat.equal f Rat.one then begin
+            if Rat.is_zero healthy.(s.s_id) then
+              healthy.(s.s_id) <- Rat.div s.s_span cost.(id);
+            (cost.(id), healthy.(s.s_id))
           end
+          else
+            let per_msg = Rat.mul cost.(id) f in
+            (per_msg, Rat.div s.s_span per_msg)
         in
-        record first e.e_start)
+        let before = progress.(id) and first = crossed.(id) in
+        let after = Rat.add before moved in
+        let last = floor_int after in
+        progress.(id) <- after;
+        crossed.(id) <- last;
+        in_flight := (e, first) :: !in_flight;
+        (* Messages first .. last - 1 complete in this interval. The first
+           was already crossing at its start and completes once its
+           remaining fraction has moved; each later one starts when its
+           predecessor completes. *)
+        let rec record msg t_begin t_complete =
+          receptions :=
+            {
+              r_tree = s.s_tree;
+              r_src = s.s_src;
+              r_dst = s.s_dst;
+              r_msg = msg;
+              r_begin = t_begin;
+              r_complete = t_complete;
+            }
+            :: !receptions;
+          if msg + 1 < last then record (msg + 1) t_complete (Rat.add t_complete per_msg)
+        in
+        if first < last then begin
+          let remaining =
+            if Zint.equal (Rat.den before) Zint.one then per_msg
+            else Rat.mul (Rat.sub (Rat.of_int (first + 1)) before) per_msg
+          in
+          record first e.e_start (Rat.add e.e_start remaining)
+        end)
     events;
   (List.rev !receptions, List.rev !in_flight)
 
@@ -177,6 +266,13 @@ let steady_rate (sched : Schedule.t) ~periods complete =
 let replays = Metrics.counter "sim.replays"
 let faulty_replays = Metrics.counter "sim.faulty_replays"
 
+(* Per-(tree, node) tables keyed by message, tree k's node v at k * n + v. *)
+let by_message (sched : Schedule.t) n =
+  Array.init (Array.length sched.Schedule.trees * n) (fun _ -> Hashtbl.create 8)
+
+let n_nodes (sched : Schedule.t) =
+  Platform.n_nodes sched.Schedule.trees.(0).Multicast_tree.platform
+
 let run (sched : Schedule.t) ~periods =
   if periods < 1 then invalid_arg "Event_sim.run: need at least one period";
   Metrics.incr replays;
@@ -191,29 +287,36 @@ let run (sched : Schedule.t) ~periods =
         ])
   @@ fun () ->
   let trees = sched.Schedule.trees in
-  let n = Platform.n_nodes trees.(0).Multicast_tree.platform in
-  let events = unroll sched ~periods in
+  let n = n_nodes sched in
+  let pat = pattern sched in
+  let events = unroll sched pat ~periods in
   (* 1. Port exclusivity. *)
   let busy_send = Array.make n Rat.zero and busy_recv = Array.make n Rat.zero in
   let exclusivity_ok =
     List.for_all
       (fun e ->
-        let ok = Rat.(busy_send.(e.e_src) <= e.e_start) && Rat.(busy_recv.(e.e_dst) <= e.e_start) in
-        busy_send.(e.e_src) <- Rat.max busy_send.(e.e_src) e.e_finish;
-        busy_recv.(e.e_dst) <- Rat.max busy_recv.(e.e_dst) e.e_finish;
+        let src = e.slot.s_src and dst = e.slot.s_dst in
+        let ok = Rat.(busy_send.(src) <= e.e_start) && Rat.(busy_recv.(dst) <= e.e_start) in
+        let finish = e_finish e in
+        busy_send.(src) <- Rat.max busy_send.(src) finish;
+        busy_recv.(dst) <- Rat.max busy_recv.(dst) finish;
         ok)
       events
   in
   if not exclusivity_ok then Error "one-port violation: overlapping transfers on a port"
   else begin
     (* 2. Message accounting: the walk at rate 1. recv_time.(tree).(node)
-       lists (msg, completion time), latest first; the source holds
-       everything from time zero. *)
-    let receptions, in_flight = walk sched events ~factor:(fun _ -> Some Rat.one) in
+       lists (msg, completion time), latest first, and [received] maps each
+       (tree, node)'s messages to the latest of those times; the source
+       holds everything from time zero. *)
+    let receptions, in_flight = walk sched pat events ~factor:(fun _ -> Some Rat.one) in
     let recv_time = Array.init (Array.length trees) (fun _ -> Array.make n []) in
+    let received = by_message sched n in
     List.iter
       (fun r ->
-        recv_time.(r.r_tree).(r.r_dst) <- (r.r_msg, r.r_complete) :: recv_time.(r.r_tree).(r.r_dst))
+        recv_time.(r.r_tree).(r.r_dst) <-
+          (r.r_msg, r.r_complete) :: recv_time.(r.r_tree).(r.r_dst);
+        Hashtbl.replace received.((r.r_tree * n) + r.r_dst) r.r_msg r.r_complete)
       receptions;
     (* 3. Causality: the sender of an interval starts pushing the message
        in flight at its start, so it must have received that message in
@@ -221,19 +324,20 @@ let run (sched : Schedule.t) ~periods =
     let causality_violation =
       List.find_map
         (fun (e, msg) ->
-          if e.e_src = root_of sched e.e_tree then None
+          let src = e.slot.s_src and k = e.slot.s_tree in
+          if src = root_of sched k then None
           else
-            match List.assoc_opt msg recv_time.(e.e_tree).(e.e_src) with
+            match Hashtbl.find_opt received.((k * n) + src) msg with
             | Some t when Rat.(t <= e.e_start) -> None
             | Some t ->
               Some
                 (Printf.sprintf
                    "node %d forwards tree-%d message %d at %s before receiving it at %s"
-                   e.e_src e.e_tree msg (Rat.to_string e.e_start) (Rat.to_string t))
+                   src k msg (Rat.to_string e.e_start) (Rat.to_string t))
             | None ->
               Some
-                (Printf.sprintf "node %d forwards tree-%d message %d it never receives"
-                   e.e_src e.e_tree msg))
+                (Printf.sprintf "node %d forwards tree-%d message %d it never receives" src k
+                   msg))
         in_flight
     in
     match causality_violation with
@@ -323,11 +427,38 @@ type fault_stats = {
   f_measured_throughput : float;
 }
 
+
+(* The fault index of edge (src, dst): the instants at which the scenario
+   can change the edge's state (its own kills, revives, degradations and
+   clears, and its endpoints' kills and revives), sorted, and the factor in
+   force from each, [None] while dead. Entry 0 of the factors is the state
+   before the first instant: healthy. {!Fault.edge_dead} and
+   {!Fault.slowdown} read only those events, so their verdict at one
+   instant holds until the next. *)
+let fault_index faults (src, dst) =
+  let touches = function
+    | Fault.Kill_edge { src = u; dst = v; _ }
+    | Fault.Revive_edge { src = u; dst = v; _ }
+    | Fault.Degrade_edge { src = u; dst = v; _ }
+    | Fault.Clear_degrade { src = u; dst = v; _ } -> u = src && v = dst
+    | Fault.Kill_node { node; _ } | Fault.Revive_node { node; _ } -> node = src || node = dst
+  in
+  let times =
+    List.sort_uniq Rat.compare (List.map Fault.event_time (List.filter touches faults))
+  in
+  let state at =
+    if Fault.edge_dead faults ~src ~dst ~at then None
+    else Some (Fault.slowdown faults ~src ~dst ~at)
+  in
+  (Array.of_list times, Array.of_list (Some Rat.one :: List.map state times))
+
 (* Replay a fixed schedule against a fault scenario. The schedule is NOT
    re-timed: ports keep their nominal reservations, so a transfer whose
    link died makes no progress during its slot, and a degraded link
    accrues progress at rate [1/factor] — messages complete later (or
-   never, within the horizon). The walk yields tentative receptions with
+   never, within the horizon). The walk reads each interval's factor from
+   its edge's fault index through a cursor, which only moves forward since
+   intervals come in start order. It yields tentative receptions with
    begin/completion times; they are validated in completion order: a
    reception only counts if the sender is the tree root or itself held a
    validly-received copy by the moment transmission began, so losses
@@ -343,26 +474,37 @@ let run_with_faults (sched : Schedule.t) ~faults ~periods =
         ("losses", Trace.Int (List.length s.f_losses));
       ])
   @@ fun () ->
+  let pat = pattern sched in
+  let index = Array.map (fault_index faults) pat.endpoints in
+  let cursor = Array.make (Array.length index) 0 in
   let factor e =
-    if Fault.edge_dead faults ~src:e.e_src ~dst:e.e_dst ~at:e.e_start then None
-    else Some (Fault.slowdown faults ~src:e.e_src ~dst:e.e_dst ~at:e.e_start)
+    let edge = e.slot.s_edge in
+    let times, factors = index.(edge) in
+    let i = ref cursor.(edge) in
+    while !i < Array.length times && Rat.(times.(!i) <= e.e_start) do
+      incr i
+    done;
+    cursor.(edge) <- !i;
+    factors.(!i)
   in
-  let receptions, _ = walk sched (unroll sched ~periods) ~factor in
+  let receptions, _ = walk sched pat (unroll sched pat ~periods) ~factor in
   let sorted = List.sort (fun a b -> Rat.compare a.r_complete b.r_complete) receptions in
-  let valid = Hashtbl.create 64 in
-  (* (tree, node, msg) -> completion time *)
+  let n = n_nodes sched in
+  (* (tree, node) -> msg -> completion time *)
+  let valid = by_message sched n in
   List.iter
     (fun r ->
       let k = r.r_tree in
       let sender_ok =
         r.r_src = root_of sched k
         ||
-        match Hashtbl.find_opt valid (k, r.r_src, r.r_msg) with
+        match Hashtbl.find_opt valid.((k * n) + r.r_src) r.r_msg with
         | Some t -> Rat.(t <= r.r_begin)
         | None -> false
       in
-      if sender_ok && not (Hashtbl.mem valid (k, r.r_dst, r.r_msg)) then
-        Hashtbl.replace valid (k, r.r_dst, r.r_msg) r.r_complete)
+      let held = valid.((k * n) + r.r_dst) in
+      if sender_ok && not (Hashtbl.mem held r.r_msg) then
+        Hashtbl.replace held r.r_msg r.r_complete)
     sorted;
   (* Account deliveries and losses against the fault-free expectation. *)
   let delivered = ref [] and losses = ref [] in
@@ -371,7 +513,7 @@ let run_with_faults (sched : Schedule.t) ~faults ~periods =
       List.iter
         (fun t ->
           for m = 0 to owed sched ~periods k t - 1 do
-            match Hashtbl.find_opt valid (k, t, m) with
+            match Hashtbl.find_opt valid.((k * n) + t) m with
             | Some time -> delivered := (k, m, time) :: !delivered
             | None -> losses := { l_tree = k; l_target = t; l_message = m } :: !losses
           done)

@@ -1,12 +1,19 @@
 (** Discrete-event replay of a periodic multicast schedule.
 
     The simulator unrolls a {!Schedule.t} over a number of periods into
-    timed busy intervals, one per transfer per period. One walk over those
-    intervals does the message accounting for both replays: each (tree,
-    edge) pair accrues progress at rate [1/f], where [f] is the link's
-    slowdown factor, and the walk reports every reception and the message
-    in flight at the start of each interval. {!run} is that walk at rate 1
-    plus three checks that independently re-verify what the schedule
+    timed busy intervals, one per transfer per period. A schedule's
+    transfers form one period pattern: the replay sorts it once by (start,
+    finish), ties in reverse transfer order, and emits its copies period by
+    period, which is the order of a full sort whenever every transfer starts
+    inside [[0, period)] (a pattern that does not, which only
+    {!Schedule.with_transfers} can build, has every copy sorted instead).
+    Each (tree, edge) pair of the pattern gets an integer id once per
+    replay, and one walk over the intervals does the message accounting for
+    both replays: each pair counts its progress in messages, an interval of
+    length [s] moving it by [s / (c f)] with [c] the edge cost and [f] the
+    link's slowdown factor, and the walk reports every reception and the
+    message in flight at the start of each interval. {!run} is that walk at
+    rate 1 plus three checks that independently re-verify what the schedule
     construction promises:
 
     - {b port exclusivity}: no node ever runs two sends (or two receives)
@@ -14,7 +21,8 @@
     - {b causality}: a node only forwards messages it has already fully
       received (the source owns all messages from the start; a node at
       depth [d] of tree [k] forwards message [m] only after its own
-      reception of [m], which happens one period earlier);
+      reception of [m], which happens one period earlier). Each (tree,
+      node)'s receptions are looked up by message in a table;
     - {b delivery completeness}: a target at depth [d] of tree [k] is owed
       messages [0 .. (periods - d) * m_k - 1] within the horizon, each
       exactly once — dropped and duplicated deliveries are both reported.
@@ -23,8 +31,13 @@
     carrying [q] messages of cost [c] delivers message boundaries at
     [start + c, start + 2c, ...]; receptions may span consecutive busy
     intervals of the same (tree, edge) pair. {!run_with_faults} runs the
-    same walk with the scenario's dead links and slowdowns. Both replays
-    measure throughput over the same steady-state window. *)
+    same walk with the scenario's dead links and slowdowns, read from a
+    per-edge fault index built once per replay: the instants at which the
+    scenario changes the edge's state, each with the factor
+    {!Fault.edge_dead} and {!Fault.slowdown} give from then on. Intervals
+    come in start order, so the walk reads the index through a cursor that
+    only moves forward. Both replays measure throughput over the same
+    steady-state window. *)
 
 type delivery = {
   target : int;

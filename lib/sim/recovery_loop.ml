@@ -61,7 +61,7 @@ let runs = Metrics.counter "recovery.runs"
 let replan_attempts = Metrics.counter "recovery.replan_attempts"
 let replan_seconds = Metrics.histogram "recovery.replan_seconds"
 
-let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
+let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset ~detection
     (p : Platform.t) (sched : Schedule.t) (scenario : Fault.scenario) =
   Metrics.incr runs;
   Trace.with_span ~cat:"recovery" "recovery.run"
@@ -77,8 +77,13 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
             | `Fallback _ -> "fallback") );
       ])
   @@ fun () ->
-  let horizon = max pol.horizon_periods (Schedule.init_periods sched + 3) in
-  let fs = Event_sim.run_with_faults sched ~faults:scenario ~periods:horizon in
+  let fs =
+    match detection with
+    | Some fs -> fs
+    | None ->
+      Event_sim.run_with_faults sched ~faults:scenario
+        ~periods:(max pol.horizon_periods (Schedule.init_periods sched + 3))
+  in
   if fs.Event_sim.f_losses = [] then
     {
       events = [];
@@ -244,7 +249,7 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset
   end
 
 let run ?(now = Unix.gettimeofday) ?policy ?(planner : planner option) ?telemetry
-    ?(sim_offset = 0.0) (p : Platform.t) (sched : Schedule.t)
+    ?(sim_offset = 0.0) ?detection (p : Platform.t) (sched : Schedule.t)
     (scenario : Fault.scenario) =
   (* The default planner threads the injected clock into Repair.plan, so a
      fake-clock run never reads the wall clock anywhere on the re-plan path
@@ -258,7 +263,8 @@ let run ?(now = Unix.gettimeofday) ?policy ?(planner : planner option) ?telemetr
   let pol = match policy with Some pol -> pol | None -> default_policy p in
   match validate_policy p pol with
   | Error e -> Error e
-  | Ok () -> Ok (run_validated ~now ~pol ~planner ~telemetry ~sim_offset p sched scenario)
+  | Ok () ->
+    Ok (run_validated ~now ~pol ~planner ~telemetry ~sim_offset ~detection p sched scenario)
 
 let pp_event fmt = function
   | Failure_observed e ->

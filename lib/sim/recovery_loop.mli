@@ -106,13 +106,20 @@ type outcome = {
     [recovery.replan_seconds] time series at simulated time
     [sim_offset + clock] (PR 10) — {!Soak} passes its sink and the episode
     time so repair latency lines up with the driver's other series. Pure
-    observation: the sink is never read back into a decision. *)
+    observation: the sink is never read back into a decision.
+
+    [?detection] is a detection replay the caller already holds, the
+    {!outcome.detection} of an earlier run on the same [sched] and
+    scenario under the same policy; the loop then reads it instead of
+    replaying again. {!Soak} passes it when a stale schedule is retried
+    against unchanged damage. *)
 val run :
   ?now:(unit -> float) ->
   ?policy:policy ->
   ?planner:planner ->
   ?telemetry:Timeseries.t ->
   ?sim_offset:float ->
+  ?detection:Event_sim.fault_stats ->
   Platform.t ->
   Schedule.t ->
   Fault.scenario ->

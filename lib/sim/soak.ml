@@ -82,6 +82,7 @@ let token_exhaustions_m = Metrics.counter "soak.token_exhaustions"
 let availability_g = Metrics.gauge "soak.availability"
 let delivered_g = Metrics.gauge "soak.delivered_fraction"
 let replans_per_hour_g = Metrics.gauge "recovery.replans_per_hour"
+let replay_memo_hits_m = Metrics.counter "sim.replay_memo_hits"
 
 (* --- components and health ----------------------------------------------- *)
 
@@ -231,6 +232,18 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
      from cache — zero tokens, zero planner work. *)
   let cache = ref (Damage_map.singleton Repair.no_damage (sched, thr0, true)) in
   let remember key = cache := Damage_map.add key (!cur, !cur_rate, !full_cov) !cache in
+  (* Replay memo: replays of the running schedule that left it stale, keyed
+     by damage and dropped once another schedule is adopted. A stale retry
+     against unchanged damage would replay exactly the same, so it reads
+     the remembered replay instead. *)
+  let replayed = ref (sched, []) in
+  let recall eff =
+    if fst !replayed != !cur then replayed := (!cur, []);
+    let hit = List.find_opt (fun (d, _) -> Repair.damage_equal d eff) (snd !replayed) in
+    if Option.is_some hit then Metrics.incr replay_memo_hits_m;
+    Option.map snd hit
+  in
+  let note eff fs = replayed := (!cur, (eff, fs) :: snd !replayed) in
   let ticks = ref [] in
   let emit e = log := e :: !log in
   (* A tick is only a "wake me up by then" request: if an earlier tick is
@@ -306,9 +319,10 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
   in
   let episode t eff =
     paid := false;
+    let remembered = recall eff in
     match
       Recovery_loop.run ~now ~policy:cfg.policy ~planner:gated_planner ?telemetry
-        ~sim_offset:(Rat.to_float t) p !cur (scenario_of_damage eff)
+        ~sim_offset:(Rat.to_float t) ?detection:remembered p !cur (scenario_of_damage eff)
     with
     | Error e ->
       (* the policy was validated on entry, so this cannot happen *)
@@ -337,6 +351,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
         | `Fallback _ ->
           (* the loop's detection replay is exactly the replay of the
              running schedule against this damage *)
+          if Option.is_none remembered then note eff o.Recovery_loop.detection;
           go_stale t o.Recovery_loop.detection;
           Fallback
       in
@@ -384,8 +399,15 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
       emit (Episode { at = t; outcome = Recovered; patched = false })
     | Error _ ->
       go_stale t
-        (Event_sim.run_with_faults !cur ~faults:(scenario_of_damage eff)
-           ~periods:(replay_periods !cur))
+        (match recall eff with
+        | Some fs -> fs
+        | None ->
+          let fs =
+            Event_sim.run_with_faults !cur ~faults:(scenario_of_damage eff)
+              ~periods:(replay_periods !cur)
+          in
+          note eff fs;
+          fs)
   in
   let epoch t evs =
     accrue t;

@@ -37,6 +37,16 @@
       handful of joint states) the remembered schedule is re-adopted for
       free — no token, no planner work, logged as a [cached] episode. The
       {!Naive} ablation never uses the cache.
+    - {e Replay memo} (both controllers): a failed recovery leaves the
+      running schedule stale, and a later epoch retries it; while the
+      damage is unchanged the retry would replay the same schedule against
+      the same damage again. The soak keeps each replay that left the
+      running schedule stale, keyed by damage, for as long as that schedule
+      stays in force, and a retry reads it instead of replaying: as the
+      detection it hands {!Recovery_loop.run}, or as the naive controller's
+      stale rate. Each reuse counts in [sim.replay_memo_hits], so
+      [sim.faulty_replays] plus the hits is the replay count without the
+      memo. Outputs are identical either way.
     - {e Capacity re-integration with hysteresis}: when damage only {e
       shrinks} (heals, suppression releases), the controller re-plans to
       reclaim the capacity only when the nominal throughput exceeds the

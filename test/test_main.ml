@@ -17,6 +17,7 @@ let () =
       ("schedule", Test_schedule.suite);
       ("resilience", Test_resilience.suite);
       ("soak", Test_soak.suite);
+      ("replay", Test_replay.suite);
       ("sessions", Test_sessions.suite);
       ("robust", Test_robust.suite);
       ("warm", Test_warm.suite);

@@ -1,8 +1,9 @@
 (* Tests for the chaos soak driver: fake-clock determinism, the
    damped-vs-naive controller ablation, patch-only operation with an empty
    token bucket, a seeded property sweep asserting the soak loop never
-   crashes and never adopts an unchecked schedule, and the one-replay-per-
-   episode budget on fallbacks. *)
+   crashes and never adopts an unchecked schedule, the one-replay-per-
+   episode budget on fallbacks, and the replay memo that serves stale
+   retries. *)
 
 (* A deterministic wall clock: strictly increasing, no Unix dependence, so
    two runs with fresh instances behave identically. *)
@@ -189,41 +190,60 @@ let test_soak_property_sweep () =
         r.Soak.sk_schedules
   done
 
+(* A damped soak with a 2-token bucket, under link renewal fast enough to
+   drain it: episodes fall back and stale schedules are retried. Returns
+   the report and how far each replay counter moved during the run. *)
+let stale_heavy_soak seed =
+  let counters = [ "sim.faulty_replays"; "sim.replay_memo_hits"; "recovery.runs" ] in
+  let read () = List.map (fun c -> Metrics.counter_value (Metrics.counter c)) counters in
+  let p = tiers seed ~n_targets:8 in
+  let horizon = Rat.of_int 400 in
+  let scenario =
+    Fault.renewal_link_faults
+      (Random.State.make [| seed; 6151 |])
+      p ~mtbf:60.0 ~mttr:10.0 ~horizon
+  in
+  let config =
+    { (Soak.default_config p) with Soak.token_capacity = 2; token_refill = 40.0 }
+  in
+  let before = read () in
+  match Soak.run ~now:(fake_clock ()) ~config p (mcph_sched p) scenario ~horizon with
+  | Error e -> Alcotest.failf "seed %d: soak failed: %s" seed e
+  | Ok r ->
+    let moved = List.combine counters (List.map2 ( - ) (read ()) before) in
+    (r, fun c -> List.assoc c moved)
+
 let test_fallback_reuses_detection_replay () =
   (* When every re-plan attempt fails, the controller keeps the running
      schedule and reads its surviving rate from the recovery loop's own
-     detection replay, so a damped soak makes exactly one faulty replay per
-     recovery episode. A tiny token bucket makes episodes fall back. *)
-  let replays = Metrics.counter "sim.faulty_replays" in
-  let runs = Metrics.counter "recovery.runs" in
+     detection replay, so each recovery episode costs one faulty replay,
+     or none when the replay memo already holds it. *)
   let fallbacks = ref 0 in
   List.iter
     (fun seed ->
-      let p = tiers seed ~n_targets:8 in
-      let horizon = Rat.of_int 400 in
-      let scenario =
-        Fault.renewal_link_faults
-          (Random.State.make [| seed; 6151 |])
-          p ~mtbf:60.0 ~mttr:10.0 ~horizon
-      in
-      let config =
-        { (Soak.default_config p) with Soak.token_capacity = 2; token_refill = 40.0 }
-      in
-      let replays0 = Metrics.counter_value replays and runs0 = Metrics.counter_value runs in
-      match Soak.run ~now:(fake_clock ()) ~config p (mcph_sched p) scenario ~horizon with
-      | Error e -> Alcotest.failf "seed %d: soak failed: %s" seed e
-      | Ok r ->
-        List.iter
-          (function
-            | Soak.Episode { outcome = Soak.Fallback; _ } -> incr fallbacks
-            | _ -> ())
-          r.Soak.sk_log;
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d: one faulty replay per recovery run" seed)
-          (Metrics.counter_value runs - runs0)
-          (Metrics.counter_value replays - replays0))
+      let r, moved = stale_heavy_soak seed in
+      List.iter
+        (function
+          | Soak.Episode { outcome = Soak.Fallback; _ } -> incr fallbacks
+          | _ -> ())
+        r.Soak.sk_log;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: one faulty replay or memo hit per recovery run" seed)
+        (moved "recovery.runs")
+        (moved "sim.faulty_replays" + moved "sim.replay_memo_hits"))
     [ 1; 2 ];
   Alcotest.(check bool) "some episode fell back" true (!fallbacks > 0)
+
+let test_stale_retries_hit_the_memo () =
+  (* A stale schedule retried against unchanged damage reads the replay
+     memo instead of replaying again. *)
+  let hits =
+    List.map (fun seed -> (snd (stale_heavy_soak seed)) "sim.replay_memo_hits") [ 1; 2 ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "memo hits (%s) > 0" (String.concat ", " (List.map string_of_int hits)))
+    true
+    (List.fold_left ( + ) 0 hits > 0)
 
 let test_delivered_within_lb_bound () =
   (* The paper's bound on what any schedule delivers is the Multicast-LB
@@ -329,6 +349,7 @@ let suite =
     ("soak property sweep: 200 seeded cases", `Slow, test_soak_property_sweep);
     ("never-broken coverage has availability exactly 1", `Quick, test_full_coverage_is_exactly_one);
     ("fallback reuses the detection replay", `Quick, test_fallback_reuses_detection_replay);
+    ("stale retries read the replay memo", `Quick, test_stale_retries_hit_the_memo);
     ("delivered integral within horizon x Multicast-LB", `Quick, test_delivered_within_lb_bound);
     ("incident timelines of a soak", `Quick, test_incidents_of_soak);
   ]
