@@ -117,6 +117,9 @@ let nonneg_int = ranged Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
 let pos_float =
   ranged Arg.float ~expected:"a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
 
+let nonneg_float =
+  ranged Arg.float ~expected:"a finite number >= 0" (fun x -> Float.is_finite x && x >= 0.0)
+
 let probability =
   ranged Arg.float ~expected:"a number in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0)
 
@@ -994,19 +997,19 @@ let soak_cmd =
   in
   let tokens =
     let doc = "Full-re-plan token bucket capacity (0 = incremental patches only)." in
-    Arg.(value & opt int 4 & info [ "tokens" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 4 & info [ "tokens" ] ~docv:"N" ~doc)
   in
   let token_refill =
     let doc = "Simulated time to regain one re-plan token." in
-    Arg.(value & opt float 60. & info [ "token-refill" ] ~docv:"T" ~doc)
+    Arg.(value & opt pos_float 60. & info [ "token-refill" ] ~docv:"T" ~doc)
   in
   let hysteresis =
     let doc = "Minimum relative throughput gain to re-integrate healed capacity." in
-    Arg.(value & opt float 0.05 & info [ "hysteresis" ] ~docv:"F" ~doc)
+    Arg.(value & opt nonneg_float 0.05 & info [ "hysteresis" ] ~docv:"F" ~doc)
   in
   let min_availability =
     let doc = "Exit nonzero when availability lands below $(docv) (CI gate)." in
-    Arg.(value & opt (some float) None & info [ "min-availability" ] ~docv:"F" ~doc)
+    Arg.(value & opt (some probability) None & info [ "min-availability" ] ~docv:"F" ~doc)
   in
   let show_log =
     let doc = "Print the full timestamped controller event log." in
@@ -1171,7 +1174,7 @@ let sessions_cmd =
   in
   let min_admitted =
     let doc = "Exit nonzero when fewer than $(docv) sessions are admitted (CI gate)." in
-    Arg.(value & opt (some int) None & info [ "min-admitted" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some nonneg_int) None & info [ "min-admitted" ] ~docv:"N" ~doc)
   in
   let show_digest =
     let doc =

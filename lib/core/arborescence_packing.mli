@@ -4,14 +4,15 @@
     The broadcast companion paper (ref. [6] in §5.1.4) shows the
     Broadcast-EB optimum is achievable; the construction packs the
     per-edge occupations [n_jk] into weighted spanning arborescences
-    (weighted Edmonds' theorem). This module computes the packing by LP
-    column generation: the master LP maximizes the total weight of the
-    known arborescences within the edge capacities, and the pricing
-    problem — an arborescence of minimum total dual price — is solved by
-    Chu–Liu/Edmonds ({!Arborescence.minimum}). A greedy bottleneck peeling
-    (directed Prim on residuals) seeds the column pool and serves as a
-    fallback. On every experiment platform the packing realizes the full
-    LP value (the [achieved] field reports the fraction). *)
+    (weighted Edmonds' theorem). This module computes the packing by
+    column generation on the one live restricted master ({!Colgen}): the
+    master maximizes the total weight of the known arborescences within
+    the edge capacities, and the pricing problem — an arborescence of
+    minimum total dual price — is solved by Chu–Liu/Edmonds
+    ({!Arborescence.minimum}). A greedy bottleneck peeling (directed Prim
+    on residuals) seeds the column pool. On every experiment platform the
+    packing realizes the full LP value (the [achieved] field reports the
+    fraction). *)
 
 type packing = {
   trees : ((int * int) list * float) list;
@@ -23,6 +24,12 @@ type packing = {
     source spanning all active nodes, within the given per-edge
     capacities. *)
 val pack : Platform.t -> capacities:((int * int) * float) list -> rho:float -> packing
+
+(** The master {!pack} solves: one row per edge of positive capacity, then
+    the total weight capped at [rho]; one column per arborescence (its
+    edges). Exposed so tests can re-solve its final pool cold. *)
+val master :
+  Platform.t -> capacities:((int * int) * float) list -> rho:float -> (int * int) list Colgen.master
 
 (** The greedy bottleneck peeling alone (the ablation baseline): always a
     valid packing, usually below the optimum. *)

@@ -13,171 +13,116 @@ let period_of = function None -> infinity | Some s -> s.period
 (* ------------------------------------------------------------------ *)
 (* Scatter-style programs (Multicast-UB, MulticastMultiSource-UB):
    per-edge occupation is the sum of the commodities crossing it
-   (constraint (10)), so the flows appear directly in the port rows.    *)
+   (constraint (10)), so the flows appear directly in the port rows.
+
+   Their Dantzig-Wolfe reformulation, used when the arc formulation
+   would be large, is a path master: one value row per destination
+   group, rho - (its path weights) <= 0, then the out-port (row ng + 2u)
+   and in-port (row ng + 2u + 1) of every node u; the rho column, then
+   one column per origin->destination path. Pricing a group = cheapest
+   path from any of its origins under the port duals (multi-source
+   Dijkstra). Exact, like the arc formulation, up to the float LP
+   tolerances.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Dantzig-Wolfe reformulation of the scatter programs, used when the
-   arc formulation would be large: the master LP has one row per port
-   plus one value row per destination group, and one column per
-   origin->destination path. Pricing a group = cheapest path from any of
-   its origins under the port duals (multi-source Dijkstra), so columns
-   are generated until no path beats its group's value dual. Exact, like
-   the arc formulation, up to the float LP tolerances.                   *)
-
-let solve_sum_colgen (p : Platform.t) groups =
+let path_master_of (p : Platform.t) groups =
   let g = p.Platform.graph in
   let n = Digraph.n_nodes g in
   let groups = Array.of_list groups in
   let ng = Array.length groups in
-  (* Feasibility: every destination reachable from some origin. *)
-  let reachable_ok =
-    Array.for_all
-      (fun (dest, origins) ->
-        List.exists (fun o -> (Traversal.reachable g o).(dest)) origins)
-      groups
-  in
-  if not reachable_ok then None
+  let reachable (dest, origins) = List.exists (fun o -> (Traversal.reachable g o).(dest)) origins in
+  if not (Array.for_all reachable groups) then None
   else begin
-    (* Initial columns: one shortest path (by time) per group. *)
-    let initial_path (dest, origins) =
-      let r = Paths.dijkstra g ~sources:origins in
-      Option.get (Paths.extract_path r dest)
+    let edges = Array.of_list (Digraph.edges g) in
+    let edge_id = Hashtbl.create (Array.length edges) in
+    Array.iteri (fun e (d : Digraph.edge) -> Hashtbl.replace edge_id ((d.src * n) + d.dst) e) edges;
+    (* Each path edge (u,v) charges c_uv to u's out-port and v's in-port. *)
+    let column gid path =
+      let ports =
+        List.concat_map
+          (fun (u, v) ->
+            let c = Rat.to_float (Digraph.cost g ~src:u ~dst:v) in
+            [ (ng + (2 * u), c); (ng + (2 * v) + 1, c) ])
+          (Paths.path_edges path)
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      in
+      {
+        Colgen.item = Some (gid, path);
+        rows = Array.of_list (gid :: List.map fst ports);
+        vals = Array.of_list (-1.0 :: List.map snd ports);
+        obj = 0.0;
+      }
     in
-    let columns = ref (Array.to_list (Array.mapi (fun gid grp -> (gid, initial_path grp)) groups)) in
-    let seen = Hashtbl.create 64 in
-    List.iter (fun (gid, path) -> Hashtbl.replace seen (gid, path) ()) !columns;
-    (* Port cost of a path: each edge (u,v) charges c_uv to u's out-port and
-       v's in-port. *)
-    let rec iterate round =
-      let cols = Array.of_list !columns in
-      let m = Lp_model.create () in
-      let rho = Lp_model.add_var m in
-      let y = Array.map (fun _ -> Lp_model.add_var m) cols in
-      (* value rows, one per group: sum of its path weights = rho *)
-      for gid = 0 to ng - 1 do
-        let expr = ref [ (-1.0, rho) ] in
-        Array.iteri (fun j (gj, _) -> if gj = gid then expr := (1.0, y.(j)) :: !expr) cols;
-        Lp_model.add_constraint m !expr Eq 0.0
-      done;
-      (* port rows: out then in, for every node *)
-      let out_expr = Array.make n [] and in_expr = Array.make n [] in
+    let cheapest ?(cost = fun (d : Digraph.edge) -> d.cost) gid =
+      let dest, origins = groups.(gid) in
+      let r = Paths.dijkstra_cost g ~cost ~sources:origins in
+      Option.map (column gid) (Paths.extract_path r dest)
+    in
+    (* Edge price c_uv * (pi_out u + pi_in v), computed once per round. *)
+    let prices = Array.make (Array.length edges) Rat.zero in
+    let price duals =
       Array.iteri
-        (fun j (_, path) ->
-          List.iter
-            (fun (u, v) ->
-              let c = Rat.to_float (Digraph.cost g ~src:u ~dst:v) in
-              out_expr.(u) <- (c, y.(j)) :: out_expr.(u);
-              in_expr.(v) <- (c, y.(j)) :: in_expr.(v))
-            (Paths.path_edges path))
-        cols;
-      (* Row order bookkeeping for duals: value rows 0..ng-1, then ports. *)
-      let port_rows = ref [] in
-      for v = 0 to n - 1 do
-        if out_expr.(v) <> [] then begin
-          Lp_model.add_constraint m out_expr.(v) Le 1.0;
-          port_rows := (`Out v) :: !port_rows
-        end;
-        if in_expr.(v) <> [] then begin
-          Lp_model.add_constraint m in_expr.(v) Le 1.0;
-          port_rows := (`In v) :: !port_rows
-        end
-      done;
-      let port_rows = Array.of_list (List.rev !port_rows) in
-      Lp_model.set_objective m ~maximize:true [ (1.0, rho) ];
-      match Solver_chain.solve (Revised_simplex.of_model m) with
-      | Solver_chain.Infeasible | Solver_chain.Unbounded -> None
-      | Solver_chain.Optimal (sol, `Exact) ->
-        (* Exact fallback means the float engine had trouble on this
-           master: accept its optimum rather than keep pricing on a model
-           that is numerically shaky (the exact duals exist but one
-           degenerate master rarely prices a useful column). *)
-        Some (cols, y, sol)
-      | Solver_chain.Optimal (sol, `Revised _) ->
-        if round >= 300 then Some (cols, y, sol)
-        else begin
-          (* Duals: pi_out/pi_in per node (port rows), mu per group (value
-             rows, indices 0..ng-1). *)
-          let pi_out = Array.make n 0.0 and pi_in = Array.make n 0.0 in
-          Array.iteri
-            (fun i kind ->
-              let d = max 0.0 sol.Lp_model.row_duals.(ng + i) in
-              match kind with `Out v -> pi_out.(v) <- d | `In v -> pi_in.(v) <- d)
-            port_rows;
-          (* Pricing: for each group, cheapest path under edge price
-             c_uv * (pi_out u + pi_in v); a column improves when its price
-             is below the group's value dual mu_g. *)
-          let price (e : Digraph.edge) =
-            let c = Rat.to_float e.Digraph.cost in
-            Rat.of_float_approx ~max_den:1_000_000
-              (c *. (pi_out.(e.Digraph.src) +. pi_in.(e.Digraph.dst)) +. 1e-12)
-          in
-          let added = ref 0 in
-          Array.iteri
-            (fun gid (dest, origins) ->
-              (* A path column's reduced cost is -(mu_g + price): it improves
-                 while price < -mu_g (the value-row duals are negative, they
-                 sum to -1 by rho's optimality). *)
-              let mu = sol.Lp_model.row_duals.(gid) in
-              let r = Paths.dijkstra_cost g ~cost:price ~sources:origins in
-              match (Paths.extract_path r dest, r.Paths.dist.(dest)) with
-              | Some path, Some d ->
-                if
-                  Rat.to_float d +. mu < -1e-7
-                  && not (Hashtbl.mem seen (gid, path))
-                then begin
-                  Hashtbl.replace seen (gid, path) ();
-                  columns := (gid, path) :: !columns;
-                  incr added
-                end
-              | _ -> ())
-            groups;
-          if !added = 0 then Some (cols, y, sol) else iterate (round + 1)
-        end
+        (fun e ({ Digraph.src; dst; cost } : Digraph.edge) ->
+          let pi = max 0.0 duals.(ng + (2 * src)) +. max 0.0 duals.(ng + (2 * dst) + 1) in
+          prices.(e) <- Rat.of_float_approx ~max_den:1_000_000 ((Rat.to_float cost *. pi) +. 1e-12))
+        edges;
+      let cost (d : Digraph.edge) = prices.(Hashtbl.find edge_id ((d.src * n) + d.dst)) in
+      List.filter_map (cheapest ~cost) (List.init ng Fun.id)
     in
-    match iterate 0 with
-    | None -> None
-    | Some (cols, y, sol) ->
-      let throughput = sol.Lp_model.values.(0) in
-      if throughput < eps then None
-      else begin
-        (* Reassemble per-group edge flows from the path weights. *)
-        let node_inflow = Array.make n 0.0 in
-        let usage = Hashtbl.create 64 in
-        let per_group = Array.make ng [] in
-        Array.iteri
-          (fun j (gid, path) ->
-            let w = sol.Lp_model.values.(y.(j)) in
-            if w > eps then
-              List.iter
-                (fun (u, v) ->
-                  node_inflow.(v) <- node_inflow.(v) +. w;
-                  Hashtbl.replace usage (u, v)
-                    (w +. Option.value ~default:0.0 (Hashtbl.find_opt usage (u, v)));
-                  per_group.(gid) <-
-                    ((u, v), w) :: per_group.(gid))
-                (Paths.path_edges path))
-          cols;
-        let merge flows =
-          let t = Hashtbl.create 16 in
-          List.iter
-            (fun (e, w) ->
-              Hashtbl.replace t e (w +. Option.value ~default:0.0 (Hashtbl.find_opt t e)))
-            flows;
-          Hashtbl.fold (fun e w acc -> (e, w) :: acc) t []
-        in
-        let commodity_flows =
-          Array.to_list
-            (Array.mapi
-               (fun gid (dest, origins) ->
-                 ((List.hd origins, dest), merge per_group.(gid)))
-               groups)
-        in
-        let edge_usage = Hashtbl.fold (fun e w acc -> (e, w) :: acc) usage [] in
-        Some
-          { throughput; period = 1.0 /. throughput; node_inflow; edge_usage; commodity_flows }
-      end
+    let rho =
+      { Colgen.item = None; rows = Array.init ng Fun.id; vals = Array.make ng 1.0; obj = 1.0 }
+    in
+    Some
+      {
+        Colgen.rhs = Array.init (ng + (2 * n)) (fun i -> if i < ng then 0.0 else 1.0);
+        (* Initial columns: one shortest path (by time) per group. *)
+        initial = rho :: List.filter_map cheapest (List.init ng Fun.id);
+        price;
+      }
   end
+
+let solve_sum_colgen (p : Platform.t) groups =
+  match Option.bind (path_master_of p groups) Colgen.solve with
+  | None -> None
+  | Some { Colgen.pool; solution = sol; _ } ->
+    let throughput = sol.Lp_model.values.(0) in
+    if throughput < eps then None
+    else begin
+      let groups = Array.of_list groups in
+      let y j = sol.Lp_model.values.(j) in
+      (* A value row is rho - (path weights) <= 0: tight at the optimum,
+         but a degenerate vertex may over-deliver a group, so each group's
+         weights are scaled to carry exactly rho. *)
+      let carried = Array.make (Array.length groups) 0.0 in
+      Array.iteri
+        (fun j c -> Option.iter (fun (gid, _) -> carried.(gid) <- carried.(gid) +. y j) c.Colgen.item)
+        pool;
+      let node_inflow = Array.make (Digraph.n_nodes p.Platform.graph) 0.0 in
+      let usage = Hashtbl.create 64 and flows = Array.map (fun _ -> Hashtbl.create 16) groups in
+      let add t e w = Hashtbl.replace t e (w +. Option.value ~default:0.0 (Hashtbl.find_opt t e)) in
+      Array.iteri
+        (fun j c ->
+          Option.iter
+            (fun (gid, path) ->
+              let w = y j *. throughput /. carried.(gid) in
+              if w > eps then
+                List.iter
+                  (fun (u, v) ->
+                    node_inflow.(v) <- node_inflow.(v) +. w;
+                    add usage (u, v) w;
+                    add flows.(gid) (u, v) w)
+                  (Paths.path_edges path))
+            c.Colgen.item)
+        pool;
+      let to_list t = Hashtbl.fold (fun e w acc -> (e, w) :: acc) t [] in
+      let commodity_flows =
+        List.mapi
+          (fun gid (dest, origins) -> ((List.hd origins, dest), to_list flows.(gid)))
+          (Array.to_list groups)
+      in
+      let edge_usage = to_list usage in
+      Some { throughput; period = 1.0 /. throughput; node_inflow; edge_usage; commodity_flows }
+    end
 
 (* Per-node indices into [edges] (an array of [g]'s edges): the ids of each
    node's out-edges and of its in-edges, each list in decreasing id order. *)
@@ -691,13 +636,11 @@ let formulation_span name (p : Platform.t) solve =
       | Some (s : solution) -> [ ("throughput", Trace.Float s.throughput) ]))
     solve
 
-let multicast_ub (p : Platform.t) =
-  formulation_span "formulations.multicast_ub" p (fun () ->
-      solve_sum p (List.map (fun t -> (t, [ p.Platform.source ])) p.Platform.targets))
+let multicast_groups (p : Platform.t) =
+  List.map (fun t -> (t, [ p.Platform.source ])) p.Platform.targets
 
-let multicast_ub_colgen (p : Platform.t) =
-  formulation_span "formulations.multicast_ub_colgen" p (fun () ->
-      solve_sum_colgen p (List.map (fun t -> (t, [ p.Platform.source ])) p.Platform.targets))
+let multicast_ub (p : Platform.t) =
+  formulation_span "formulations.multicast_ub" p (fun () -> solve_sum p (multicast_groups p))
 
 let solve_max_counted ?two_sided ?warm ?chain ?send_cap ?recv_cap p =
   let r = solve_max ?two_sided ?warm ?chain ?send_cap ?recv_cap p in
@@ -729,7 +672,7 @@ let broadcast_eb (p : Platform.t) =
 let multicast_lb_stats ?two_sided (p : Platform.t) =
   Option.map (fun (s, r, _) -> (s, r)) (solve_max_counted ?two_sided p)
 
-let multisource_ub_impl (p : Platform.t) ~sources =
+let multisource_groups (p : Platform.t) ~sources =
   (match sources with
   | s0 :: _ when s0 = p.Platform.source -> ()
   | _ -> invalid_arg "Formulations.multisource_ub: sources must start with the platform source");
@@ -751,8 +694,17 @@ let multisource_ub_impl (p : Platform.t) ~sources =
   List.iter
     (fun t -> if not (List.mem t sources) then groups := (t, sources) :: !groups)
     p.Platform.targets;
-  solve_sum p !groups
+  !groups
 
 let multisource_ub (p : Platform.t) ~sources =
   formulation_span "formulations.multisource_ub" p (fun () ->
-      multisource_ub_impl p ~sources)
+      solve_sum p (multisource_groups p ~sources))
+
+let scatter_groups ?sources p =
+  match sources with None -> multicast_groups p | Some sources -> multisource_groups p ~sources
+
+let path_master ?sources p = path_master_of p (scatter_groups ?sources p)
+
+let multicast_ub_colgen ?sources (p : Platform.t) =
+  formulation_span "formulations.multicast_ub_colgen" p (fun () ->
+      solve_sum_colgen p (scatter_groups ?sources p))

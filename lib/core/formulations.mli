@@ -119,8 +119,16 @@ val multicast_lb_stats :
     [None] when a destination is unreachable. *)
 val multisource_ub : Platform.t -> sources:int list -> solution option
 
-(** [multicast_ub_colgen p] forces the Dantzig–Wolfe path-column solver for
-    Multicast-UB ({!multicast_ub} picks between it and the dense arc
-    formulation by instance size). Exposed for cross-validation in the test
-    suite and the ablation bench. *)
-val multicast_ub_colgen : Platform.t -> solution option
+(** [path_master ?sources p] is the column-generation master of
+    Multicast-UB, or with [sources] of MulticastMultiSource-UB (validated
+    as {!multisource_ub} does): one value row per destination group,
+    ρ − (its path weights) ≤ 0, then each node's out- and in-port; the ρ
+    column ([None]) first, then paths ([Some (group, nodes)]). [None] when
+    a destination is unreachable. Exposed so tests can re-solve it cold. *)
+val path_master : ?sources:int list -> Platform.t -> (int * int list) option Colgen.master option
+
+(** [multicast_ub_colgen ?sources p] solves {!path_master} (which
+    {!multicast_ub} and {!multisource_ub} use above an instance size) and
+    reassembles each group's flow from its path weights, scaled to carry
+    exactly ρ. Exposed for cross-validation in the test suite. *)
+val multicast_ub_colgen : ?sources:int list -> Platform.t -> solution option

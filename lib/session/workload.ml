@@ -29,9 +29,12 @@ let default_params =
 
 let validate_params q =
   let err m = Error ("workload: " ^ m) in
-  if not (q.arrival_rate > 0.0) then err "arrival_rate must be positive"
-  else if not (q.hold_mean > 0.0) then err "hold_mean must be positive"
-  else if not (q.hold_alpha > 1.0) then err "hold_alpha must exceed 1 (finite mean)"
+  (* Comparisons alone let NaN and infinity through. *)
+  let positive x = Float.is_finite x && x > 0.0 in
+  if not (positive q.arrival_rate) then err "arrival_rate must be positive and finite"
+  else if not (positive q.hold_mean) then err "hold_mean must be positive and finite"
+  else if not (Float.is_finite q.hold_alpha && q.hold_alpha > 1.0) then
+    err "hold_alpha must be finite and exceed 1 (finite mean)"
   else if
     not
       (fst q.demand_frac > 0.0
@@ -41,9 +44,10 @@ let validate_params q =
   else if q.targets_min < 1 || q.targets_max < q.targets_min then
     err "targets range must be a nonempty positive range"
   else if q.priorities < 1 then err "priorities must be >= 1"
-  else if q.flash_rate < 0.0 then err "flash_rate must be >= 0"
-  else if q.flash_rate > 0.0 && (q.flash_size < 1 || not (q.flash_window > 0.0)) then
-    err "flash crowds need a positive size and window"
+  else if not (Float.is_finite q.flash_rate && q.flash_rate >= 0.0) then
+    err "flash_rate must be finite and >= 0"
+  else if q.flash_rate > 0.0 && (q.flash_size < 1 || not (positive q.flash_window)) then
+    err "flash crowds need a positive size and a positive finite window"
   else Ok ()
 
 (* Heavy-tailed holding times: Pareto with tail index alpha and the scale

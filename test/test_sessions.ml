@@ -393,10 +393,32 @@ let test_slo_enforce_duel_rescue () =
   Alcotest.(check bool) "duel: without enforcement it stays degraded" true
     Rat.(vo.Horizon.sr_final_rate < vo.Horizon.sr_admitted_rate)
 
+(* NaN and infinity in any float rate or time are rejected; validation
+   only, so no workload is ever generated from them. *)
+let test_params_reject_non_finite () =
+  let d = Workload.default_params in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun (field, q) ->
+          match Workload.validate_params q with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "%s = %g accepted" field x)
+        [
+          ("arrival_rate", { d with Workload.arrival_rate = x });
+          ("hold_mean", { d with Workload.hold_mean = x });
+          ("hold_alpha", { d with Workload.hold_alpha = x });
+          ("flash_rate", { d with Workload.flash_rate = x });
+          ("flash_window", { d with Workload.flash_window = x });
+        ])
+    [ Float.nan; Float.infinity ];
+  Alcotest.(check bool) "defaults valid" true (Workload.validate_params d = Ok ())
+
 let suite =
   [
     ("workload generator keeps its contract", `Quick, test_workload_contract);
     ("workload streams are seed-stable", `Quick, test_workload_seed_stability);
+    ("workload parameters reject NaN and infinity", `Quick, test_params_reject_non_finite);
     ("fake clock makes runs deterministic", `Quick, test_run_deterministic);
     ("an out-of-range epoch count is an Error", `Quick, test_epoch_count_out_of_range);
     ("warm and cold modes admit identically", `Quick, test_warm_cold_equal_admissions);
