@@ -840,11 +840,11 @@ let robust (seed, load) loss_bound max_scenarios with_lb storms jobs obs =
 let robust_cmd =
   let loss_bound =
     let doc = "Maximum tolerated nominal-throughput loss (fraction of the best nominal)." in
-    Arg.(value & opt float 0.1 & info [ "loss-bound" ] ~docv:"F" ~doc)
+    Arg.(value & opt nonneg_float 0.1 & info [ "loss-bound" ] ~docv:"F" ~doc)
   in
   let max_scenarios =
     let doc = "Cap on evaluated failure scenarios (larger sets are sampled and logged)." in
-    Arg.(value & opt nonneg_int 64 & info [ "max-scenarios" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 64 & info [ "max-scenarios" ] ~docv:"N" ~doc)
   in
   let with_lb =
     let doc = "Also solve the Multicast-LB on every survivor (per-scenario reference)." in

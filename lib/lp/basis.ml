@@ -8,14 +8,24 @@
    the eta inverses oldest-to-newest; BTRAN applies the transposed eta
    inverses newest-to-oldest then the transposed LU solve.
 
-   The elimination runs on a dense m x m workspace with partial pivoting
-   (first row of largest magnitude), after which L and U are compressed
-   twice: by rows for FTRAN and by columns for BTRAN, each with entries
-   in ascending index order, plus U's diagonal. Etas keep only the
-   nonzeros of w (minus the pivot entry, stored beside its row). Every
-   solve walks stored nonzeros in the order the textbook dense loops
-   visit indices, so each result is the dense computation term for term
-   with the exact-zero terms left out — the same numbers, at a cost of
+   The elimination is left-looking and sparse (Gilbert and Peierls,
+   SIAM J. Sci. Stat. Comput. 9(5), 1988): each header column in turn is
+   scattered into an m-vector, takes the earlier pivots' updates in
+   ascending pivot order, and pivots on its unpivoted row of largest
+   magnitude, ties going to the row first in the row order that the
+   dense right-looking kernel (partial pivoting, the pivot row swapped
+   into place) would have at that step. Every update is that kernel's
+   [x -. f *. u] on the same operands, so the pivots, multipliers and
+   factors are its own, at a cost of O(m + nnz(L + U)) plus a scan over
+   the pivots between the lowest and highest one a column touches. (A
+   multiplier that underflows to zero is dropped; the dense kernel kept
+   the unscaled entry in that case.) L and U are stored twice: by rows
+   for FTRAN and by columns for BTRAN, each with entries in ascending
+   index order, plus U's diagonal. Etas keep only the nonzeros of w
+   (minus the pivot entry, stored beside its row). Every solve walks
+   stored nonzeros in the order the textbook dense loops visit indices,
+   so each result is the dense computation term for term with the
+   exact-zero terms left out — the same numbers, at a cost of
    O(m + nnz(L + U) + nnz(etas)) per solve instead of O(m^2 + k m).
 
    The eta file is bounded: once [refactor_interval] updates accumulate,
@@ -81,7 +91,6 @@ type t = {
   m : int;
   cols : (int array * float array) array;
   header : int array; (* owned jointly with the caller; [update] mutates it *)
-  lu : float array array; (* elimination workspace: L below diagonal (unit), U on/above *)
   perm : int array; (* perm.(i) = original row now at position i *)
   diag : float array; (* U's diagonal *)
   l_rows : lines; (* strict lower triangle of L, by row *)
@@ -89,6 +98,12 @@ type t = {
   l_cols : lines;
   u_cols : lines;
   cursor : int array; (* transposition scratch *)
+  (* elimination scratch, clean between refactorizations *)
+  work : float array; (* the column being eliminated, by original row *)
+  pattern : int array; (* original rows [work] touches *)
+  in_pattern : bool array;
+  pending : bool array; (* pivots whose row entered the pattern, by pivot *)
+  pos : int array; (* pos.(r) = position of original row r, inverse of [perm] *)
   etas : lines; (* nonzeros of each w_t, pivot entry excluded *)
   eta_row : int array;
   eta_piv : float array; (* w_t.(r_t) *)
@@ -97,91 +112,127 @@ type t = {
 
 let header t = t.header
 
-(* Compress the eliminated workspace into the sparse factors. *)
-let compress t =
-  let m = t.m and lu = t.lu in
-  let nl = ref 0 and nu = ref 0 in
-  for i = 0 to m - 1 do
-    let li = lu.(i) in
-    for j = 0 to i - 1 do
-      let x = Array.unsafe_get li j in
-      if x <> 0.0 then begin
-        push t.l_rows !nl j x;
-        incr nl
-      end
-    done;
-    t.l_rows.start.(i + 1) <- !nl;
-    t.diag.(i) <- li.(i);
-    for j = i + 1 to m - 1 do
-      let x = Array.unsafe_get li j in
-      if x <> 0.0 then begin
-        push t.u_rows !nu j x;
-        incr nu
-      end
-    done;
-    t.u_rows.start.(i + 1) <- !nu
-  done;
-  transpose m t.l_rows t.l_cols t.cursor;
-  transpose m t.u_rows t.u_cols t.cursor
-
+(* Left-looking: header column c is scattered into [work], receives the
+   updates of the earlier pivots in pivot order, then picks its pivot.
+   Pivot p's row sits at position p from then on, so a row r is pivoted
+   before step c exactly when pos.(r) < c, and then pos.(r) is its pivot.
+   While c is eliminated, [l_cols] holds L by column over original rows
+   in pattern order; once every pivot is known its rows are renamed to
+   their final positions and the counting transposes sort both L and U. *)
 let refactor t =
+  Lp_counters.record_factorization ();
   let m = t.m in
-  let lu = t.lu in
+  let work = t.work and pattern = t.pattern and in_pattern = t.in_pattern in
+  let pending = t.pending and pos = t.pos and perm = t.perm in
+  let lc = t.l_cols and uc = t.u_cols in
   for i = 0 to m - 1 do
-    Array.fill lu.(i) 0 m 0.0
-  done;
-  for p = 0 to m - 1 do
-    let rows, vals = t.cols.(t.header.(p)) in
-    for k = 0 to Array.length rows - 1 do
-      lu.(rows.(k)).(p) <- lu.(rows.(k)).(p) +. vals.(k)
-    done
-  done;
-  for i = 0 to m - 1 do
-    t.perm.(i) <- i
+    perm.(i) <- i;
+    pos.(i) <- i
   done;
   t.n_etas <- 0;
-  let ok = ref true in
-  let col = ref 0 in
-  while !ok && !col < m do
-    let c = !col in
-    let best = ref c and best_v = ref (abs_float lu.(c).(c)) in
-    for r = c + 1 to m - 1 do
-      let v = abs_float lu.(r).(c) in
-      if v > !best_v then begin
-        best_v := v;
-        best := r
+  let np = ref 0 and lo = ref m and hi = ref (-1) in
+  (* A pivot's column only reaches rows unpivoted when it was made, so
+     it only flags later pivots and the upward scan meets them all. *)
+  let touch c r =
+    if not (Array.unsafe_get in_pattern r) then begin
+      Array.unsafe_set in_pattern r true;
+      Array.unsafe_set pattern !np r;
+      incr np;
+      let p = Array.unsafe_get pos r in
+      if p < c then begin
+        Array.unsafe_set pending p true;
+        if p < !lo then lo := p;
+        if p > !hi then hi := p
       end
+    end
+  in
+  let nl = ref 0 and nu = ref 0 in
+  let singular = ref false and c = ref 0 in
+  while (not !singular) && !c < m do
+    let c' = !c in
+    let rows, vals = t.cols.(t.header.(c')) in
+    for k = 0 to Array.length rows - 1 do
+      let r = rows.(k) in
+      touch c' r;
+      work.(r) <- work.(r) +. vals.(k)
     done;
-    if !best_v <= singular_tol then ok := false
-    else begin
-      if !best <> c then begin
-        let tmp = lu.(c) in
-        lu.(c) <- lu.(!best);
-        lu.(!best) <- tmp;
-        let tp = t.perm.(c) in
-        t.perm.(c) <- t.perm.(!best);
-        t.perm.(!best) <- tp
-      end;
-      let piv = lu.(c).(c) in
-      for r = c + 1 to m - 1 do
-        let f = lu.(r).(c) /. piv in
-        if f <> 0.0 then begin
-          lu.(r).(c) <- f;
-          let lr = lu.(r) and lc = lu.(c) in
-          for j = c + 1 to m - 1 do
-            Array.unsafe_set lr j
-              (Array.unsafe_get lr j -. (f *. Array.unsafe_get lc j))
+    (* work.(r) -. (f *. u): the dense kernel's row update, same operands;
+       a zero u changes nothing but the sign of a zero, so it is skipped. *)
+    let p = ref !lo in
+    while !p <= !hi do
+      let p' = !p in
+      if pending.(p') then begin
+        pending.(p') <- false;
+        let u = work.(perm.(p')) in
+        if u <> 0.0 then begin
+          push uc !nu p' u;
+          incr nu;
+          for k = lc.start.(p') to lc.start.(p' + 1) - 1 do
+            let r = Array.unsafe_get lc.idx k in
+            touch c' r;
+            Array.unsafe_set work r
+              (Array.unsafe_get work r -. (Array.unsafe_get lc.v k *. u))
           done
         end
-      done
+      end;
+      incr p
+    done;
+    lo := m;
+    hi := -1;
+    uc.start.(c' + 1) <- !nu;
+    (* The dense kernel's pivot: largest magnitude, ties to the row first
+       in the current order. *)
+    let best = ref (-1) and best_v = ref 0.0 in
+    for q = 0 to !np - 1 do
+      let r = pattern.(q) in
+      if pos.(r) >= c' then begin
+        let v = abs_float work.(r) in
+        if v > !best_v || (v = !best_v && !best >= 0 && pos.(r) < pos.(!best)) then begin
+          best_v := v;
+          best := r
+        end
+      end
+    done;
+    if !best_v <= singular_tol then singular := true
+    else begin
+      let w = !best in
+      let pw = pos.(w) and rc = perm.(c') in
+      perm.(pw) <- rc;
+      pos.(rc) <- pw;
+      perm.(c') <- w;
+      pos.(w) <- c';
+      let piv = work.(w) in
+      t.diag.(c') <- piv;
+      for q = 0 to !np - 1 do
+        let r = pattern.(q) in
+        if pos.(r) > c' then begin
+          let f = work.(r) /. piv in
+          if f <> 0.0 then begin
+            push lc !nl r f;
+            incr nl
+          end
+        end
+      done;
+      lc.start.(c' + 1) <- !nl
     end;
-    incr col
+    for q = 0 to !np - 1 do
+      let r = pattern.(q) in
+      work.(r) <- 0.0;
+      in_pattern.(r) <- false
+    done;
+    np := 0;
+    incr c
   done;
-  if !ok then begin
-    compress t;
+  if !singular then Error "singular basis"
+  else begin
+    for k = 0 to !nl - 1 do
+      lc.idx.(k) <- pos.(lc.idx.(k))
+    done;
+    transpose m lc t.l_rows t.cursor;
+    transpose m t.l_rows lc t.cursor;
+    transpose m uc t.u_rows t.cursor;
     Ok ()
   end
-  else Error "singular basis"
 
 let create ~cols ~header =
   let m = Array.length header in
@@ -190,7 +241,6 @@ let create ~cols ~header =
       m;
       cols;
       header;
-      lu = Array.init m (fun _ -> Array.make m 0.0);
       perm = Array.init m Fun.id;
       diag = Array.make m 0.0;
       l_rows = lines m;
@@ -198,6 +248,11 @@ let create ~cols ~header =
       l_cols = lines m;
       u_cols = lines m;
       cursor = Array.make m 0;
+      work = Array.make m 0.0;
+      pattern = Array.make m 0;
+      in_pattern = Array.make m false;
+      pending = Array.make m false;
+      pos = Array.make m 0;
       etas = lines refactor_interval;
       eta_row = Array.make refactor_interval 0;
       eta_piv = Array.make refactor_interval 0.0;

@@ -8,9 +8,13 @@
     rebuilt from scratch, and callers can force an earlier rebuild when
     {!residual} shows the eta file has drifted.
 
-    The factorization is a dense partial-pivoting elimination whose L
-    and U factors are then stored sparsely (by rows and by columns), and
-    each eta keeps only the nonzeros of its pivot column. FTRAN and BTRAN
+    The factorization is a left-looking sparse elimination that makes
+    the pivots and multipliers of a dense partial-pivoting LU (largest
+    magnitude, ties to the row first in the dense kernel's current row
+    order) in time proportional to [m] plus the factors' nonzeros. L and
+    U are stored sparsely (by rows and by columns), each
+    {!refactor} counts under the [lp.factorizations] metric, and each
+    eta keeps only the nonzeros of its pivot column. FTRAN and BTRAN
     walk those nonzeros in the order a dense triangular solve visits
     indices, so they return exactly what the dense solves would (up to
     the sign of a zero) at a cost proportional to [m] plus the stored

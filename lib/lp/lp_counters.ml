@@ -7,6 +7,7 @@ let exact_solves = Metrics.counter "lp.solves.exact"
 let float_pivots = Metrics.counter "lp.pivots.float"
 let exact_pivots_c = Metrics.counter "lp.pivots.exact"
 let warm_hits_c = Metrics.counter "lp.warm.hits"
+let factorizations = Metrics.counter "lp.factorizations"
 
 type snapshot = {
   float_solves : int;
@@ -21,6 +22,7 @@ let record_exact_solve () = Metrics.incr exact_solves
 let record_pivots n = Metrics.add float_pivots n
 let record_exact_pivots n = Metrics.add exact_pivots_c n
 let record_warm_hit () = Metrics.incr warm_hits_c
+let record_factorization () = Metrics.incr factorizations
 
 let snapshot () =
   {

@@ -237,13 +237,18 @@ let dot (rows, vals) y =
   done;
   !s
 
-let dense_col std j =
-  let v = Array.make std.m 0.0 in
+(* B^-1 a_j, with a_j scattered into [buf]: an all-zero m-vector that
+   is all-zero again on return. *)
+let ftran_col std bs buf j =
   let rows, vals = std.cols.(j) in
   for k = 0 to Array.length rows - 1 do
-    v.(rows.(k)) <- v.(rows.(k)) +. vals.(k)
+    buf.(rows.(k)) <- buf.(rows.(k)) +. vals.(k)
   done;
-  v
+  let w = Basis.ftran bs buf in
+  for k = 0 to Array.length rows - 1 do
+    buf.(rows.(k)) <- 0.0
+  done;
+  w
 
 (* x_B = B^-1 b, with the stability check: when the relative residual of
    the eta-file solve exceeds [residual_tol], refactorize early and
@@ -269,7 +274,7 @@ type phase_result = P_optimal | P_unbounded | P_stalled
 let primal std bs is_basic cost ~allow ~max_iter pivots =
   let m = std.m in
   let header = Basis.header bs in
-  let cb = Array.make m 0.0 in
+  let cb = Array.make m 0.0 and buf = Array.make m 0.0 in
   for i = 0 to m - 1 do
     cb.(i) <- cost.(header.(i))
   done;
@@ -316,7 +321,7 @@ let primal std bs is_basic cost ~allow ~max_iter pivots =
       match q with
       | None -> result := Some P_optimal
       | Some q ->
-        let w = Basis.ftran bs (dense_col std q) in
+        let w = ftran_col std bs buf q in
         let r = ref (-1) in
         (* Artificials basic at zero are evicted eagerly: when a
            structural column enters and touches such a row at all (either
@@ -390,7 +395,7 @@ let primal std bs is_basic cost ~allow ~max_iter pivots =
 let dual std bs is_basic ~max_iter pivots =
   let m = std.m in
   let header = Basis.header bs in
-  let cb = Array.make m 0.0 in
+  let cb = Array.make m 0.0 and buf = Array.make m 0.0 in
   let iter = ref 0 in
   let result = ref None in
   while !result = None do
@@ -415,9 +420,9 @@ let dual std bs is_basic ~max_iter pivots =
           cb.(i) <- std.cost.(header.(i))
         done;
         let y = Basis.btran bs cb in
-        let er = Array.make m 0.0 in
-        er.(!r) <- 1.0;
-        let rho = Basis.btran bs er in
+        buf.(!r) <- 1.0;
+        let rho = Basis.btran bs buf in
+        buf.(!r) <- 0.0;
         let q = ref (-1) and best = ref infinity and best_a = ref 0.0 in
         for j = 0 to std.ncols - 1 do
           if not is_basic.(j) then begin
@@ -442,7 +447,7 @@ let dual std bs is_basic ~max_iter pivots =
         done;
         if !q < 0 then result := Some `Primal_infeasible
         else begin
-          let w = Basis.ftran bs (dense_col std !q) in
+          let w = ftran_col std bs buf !q in
           let leave = header.(!r) in
           match Basis.update bs ~row:!r ~col:!q ~w with
           | Error _ -> raise Numerical

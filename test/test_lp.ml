@@ -511,8 +511,9 @@ end
    on rows sigma(q), q < p — a row-permuted upper triangle, so the basis
    is nonsingular, while the off-diagonal magnitudes force row swaps.
    The [m] spare columns hold one to three entries anywhere; the header
-   starts as the triangle. *)
-let random_sparse_basis rng m =
+   starts as the triangle. [magnitude rng lo hi] draws each entry's
+   magnitude from [lo, hi]. *)
+let random_sparse_basis ~magnitude rng m =
   let sigma = Array.init m Fun.id in
   for i = m - 1 downto 1 do
     let j = Random.State.int rng (i + 1) in
@@ -521,7 +522,7 @@ let random_sparse_basis rng m =
     sigma.(j) <- t
   done;
   let value lo hi =
-    let v = lo +. Random.State.float rng (hi -. lo) in
+    let v = magnitude rng lo hi in
     if Random.State.bool rng then v else -.v
   in
   let column entries =
@@ -542,6 +543,12 @@ let random_sparse_basis rng m =
   in
   (Array.append tri spare, Array.init m Fun.id)
 
+let real_magnitude rng lo hi = lo +. Random.State.float rng (hi -. lo)
+
+(* Entries as the LP's bases carry them: mostly 1, else 2, so pivot
+   candidates tie on magnitude all the time and the tie-break decides. *)
+let integer_magnitude rng _ _ = if Random.State.int rng 4 = 0 then 2.0 else 1.0
+
 (* Right-hand sides with a mix of zeros, so both dense and sparse inputs
    are covered. *)
 let random_rhs rng m =
@@ -557,42 +564,106 @@ let check_solves rng label bs reference =
       Alcotest.failf "%s: btran #%d differs from the dense solve" label k
   done
 
+(* Factor [header] with both kernels and drive them through [updates]
+   eta updates: the solves must equal the dense ones exactly after
+   [create], after every eta, and across the automatic refactorization
+   at update [refactor_interval + 1]. *)
+let drive_against_dense rng label cols header ~updates =
+  let m = Array.length header in
+  match (Basis.create ~cols ~header, Dense_basis.create cols header) with
+  | Error e, _ -> Alcotest.failf "%s: nonsingular basis rejected: %s" label e
+  | _, None -> Alcotest.failf "%s: dense reference found the basis singular" label
+  | Ok bs, Some reference ->
+    check_solves rng (label ^ ", fresh") bs reference;
+    let basic = Array.make (Array.length cols) false in
+    Array.iter (fun j -> basic.(j) <- true) header;
+    for u = 1 to updates do
+      (* enter a random non-basic column on its largest pivot *)
+      let candidates = List.filter (fun j -> not basic.(j)) (List.init (Array.length cols) Fun.id) in
+      let q = List.nth candidates (Random.State.int rng (List.length candidates)) in
+      let a = Array.make m 0.0 in
+      let rows, vals = cols.(q) in
+      Array.iteri (fun k r -> a.(r) <- a.(r) +. vals.(k)) rows;
+      let w = Basis.ftran bs a in
+      let row = ref 0 in
+      Array.iteri (fun i x -> if abs_float x > abs_float w.(!row) then row := i) w;
+      let leave = (Basis.header bs).(!row) in
+      (match Basis.update bs ~row:!row ~col:q ~w with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s, update %d: %s" label u e);
+      Dense_basis.update reference ~row:!row ~col:q ~w;
+      basic.(leave) <- false;
+      basic.(q) <- true;
+      check_solves rng (Printf.sprintf "%s, update %d" label u) bs reference
+    done
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
 let test_basis_matches_dense () =
-  (* Seeded bases of 3-40 rows, each driven through more eta updates than
-     one refactorization interval: the solves must equal the dense ones
-     exactly after [create], after every eta, and across the automatic
-     refactorization at update [refactor_interval + 1]. *)
+  (* Seeded bases of 3-40 rows with real entries. *)
   for seed = 1 to 12 do
     let rng = Random.State.make [| seed; 4111 |] in
     let m = 3 + Random.State.int rng 38 in
-    let cols, header = random_sparse_basis rng m in
+    let cols, header = random_sparse_basis ~magnitude:real_magnitude rng m in
+    drive_against_dense rng (Printf.sprintf "seed %d" seed) cols header
+      ~updates:(Basis.refactor_interval + 6)
+  done;
+  (* Entries of magnitude 1 and 2 on 3-60 rows, then on a basis as large
+     as the biggest the LP meets (586 rows), its columns shuffled so that
+     several unpivoted rows compete from the first factorization on:
+     exact ties for the pivot, where the winner is the tied row first in
+     the current (swapped) row order, not the one with the lowest
+     original index. *)
+  List.iter
+    (fun (seed, m, updates) ->
+      let rng = Random.State.make [| seed; 4127 |] in
+      let m = match m with Some m -> m | None -> 3 + Random.State.int rng 58 in
+      let cols, header = random_sparse_basis ~magnitude:integer_magnitude rng m in
+      shuffle rng header;
+      drive_against_dense rng (Printf.sprintf "integer seed %d" seed) cols header ~updates)
+    (List.init 16 (fun s -> (s + 1, None, Basis.refactor_interval + 6))
+    @ [ (17, Some 240, Basis.refactor_interval + 2); (18, Some 600, Basis.refactor_interval + 2) ])
+
+let test_basis_dependent_column () =
+  let refused label cols header =
     match (Basis.create ~cols ~header, Dense_basis.create cols header) with
-    | Error e, _ -> Alcotest.failf "seed %d: nonsingular basis rejected: %s" seed e
-    | _, None -> Alcotest.failf "seed %d: dense reference found the basis singular" seed
-    | Ok bs, Some reference ->
-      check_solves rng (Printf.sprintf "seed %d, fresh" seed) bs reference;
-      let basic = Array.make (Array.length cols) false in
-      Array.iter (fun j -> basic.(j) <- true) header;
-      for u = 1 to Basis.refactor_interval + 6 do
-        (* enter a random non-basic column on its largest pivot *)
-        let candidates = List.filter (fun j -> not basic.(j)) (List.init (Array.length cols) Fun.id) in
-        let q = List.nth candidates (Random.State.int rng (List.length candidates)) in
-        let a = Array.make m 0.0 in
-        let rows, vals = cols.(q) in
-        Array.iteri (fun k r -> a.(r) <- a.(r) +. vals.(k)) rows;
-        let w = Basis.ftran bs a in
-        let row = ref 0 in
-        Array.iteri (fun i x -> if abs_float x > abs_float w.(!row) then row := i) w;
-        let leave = (Basis.header bs).(!row) in
-        (match Basis.update bs ~row:!row ~col:q ~w with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "seed %d, update %d: %s" seed u e);
-        Dense_basis.update reference ~row:!row ~col:q ~w;
-        basic.(leave) <- false;
-        basic.(q) <- true;
-        check_solves rng (Printf.sprintf "seed %d, update %d" seed u) bs reference
-      done
-  done
+    | Error _, None -> ()
+    | Ok _, _ -> Alcotest.failf "%s: dependent column accepted" label
+    | Error _, Some _ -> Alcotest.failf "%s: dense reference factored the basis" label
+  in
+  (* A header column that is 0.1 times one earlier column plus a third
+     of another, in a shuffled header so that the earlier pivots leave
+     multipliers: it eliminates to zero on the rows still unpivoted. *)
+  for seed = 1 to 12 do
+    let rng = Random.State.make [| seed; 4133 |] in
+    let m = 4 + Random.State.int rng 57 in
+    let cols, header = random_sparse_basis ~magnitude:integer_magnitude rng m in
+    shuffle rng header;
+    let p = 2 + Random.State.int rng (m - 2) in
+    let p1 = Random.State.int rng p in
+    let p2 = (p1 + 1 + Random.State.int rng (p - 1)) mod p in
+    let sum = Array.make m 0.0 in
+    List.iter
+      (fun (q, coef) ->
+        let rows, vals = cols.(header.(q)) in
+        Array.iteri (fun k r -> sum.(r) <- sum.(r) +. (coef *. vals.(k))) rows)
+      [ (p1, 0.1); (p2, 1.0 /. 3.0) ];
+    let rows = List.filter (fun r -> sum.(r) <> 0.0) (List.init m Fun.id) in
+    let dependent = (Array.of_list rows, Array.of_list (List.map (fun r -> sum.(r)) rows)) in
+    let cols = Array.append cols [| dependent |] in
+    header.(p) <- Array.length cols - 1;
+    refused (Printf.sprintf "seed %d, column %d" seed p) cols header
+  done;
+  (* One that leaves a nonzero pivot of 1e-13, below [singular_tol]. *)
+  refused "near-dependent"
+    [| ([| 0; 1 |], [| 1.0; 1.0 |]); ([| 0; 1 |], [| 1.0; 1.0 +. 1e-13 |]) |]
+    [| 0; 1 |]
 
 let test_basis_singular () =
   (* A repeated column, and a row no header column touches. *)
@@ -888,6 +959,7 @@ let suite =
   @ lp_props
   @ [
       ("basis: sparse solves equal the dense ones", `Quick, test_basis_matches_dense);
+      ("basis: a dependent column is singular in both kernels", `Quick, test_basis_dependent_column);
       ("basis: singular header is an error", `Quick, test_basis_singular);
       ("basis: tiny pivot is an error", `Quick, test_basis_tiny_pivot);
     ]
