@@ -10,10 +10,16 @@
     The fingerprint covers everything the LPs read: node count, source,
     target set, active-node set, and the full edge list with exact rational
     costs (edges sorted, so construction order is irrelevant). Node kinds
-    and labels are excluded — the LPs never look at them. Two platforms with
-    equal fingerprints therefore have identical LP solutions, and a cache
-    hit returns {e the} value a fresh solve would produce (the solver is
-    deterministic), keeping cached and uncached runs bit-identical.
+    and labels are excluded — the LPs never look at them. The edge order
+    is not covered, and the LP's column order, hence the optimal vertex it
+    returns, follows it: two platforms with equal fingerprints built along
+    different {!Platform.restrict} paths can return different LB periods
+    (the period bits differed on 11 of 20 Tiers-small platforms restricted
+    once and twice). A hit therefore returns the value a fresh solve of the
+    {e first} platform stored under that key produced. The solver is
+    deterministic, so cached and uncached runs stay bit-identical as long
+    as every platform looked up under one key was built the same way. The
+    caveat stands until restriction keeps the parent's edge order.
 
     Thread-safety: the table is mutex-protected and the hit/miss counters
     atomic, so concurrent lookups from a {!Pool} are safe. Two domains

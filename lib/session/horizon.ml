@@ -401,6 +401,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
     Repair.apply_damage (Platform.with_targets p all) dmg
   in
   let pending = ref sessions in
+  let timeline = Fault.timeline faults in
   let failure = ref None in
   (try
      for i = 1 to n_epochs do
@@ -422,7 +423,7 @@ let run ?(now = Unix.gettimeofday) ?(config = default_config) ?(faults = []) ?te
              end)
            (live_by_id ());
          (* 2. damage state *)
-         let dmg = Fault.damage_at faults ~at:t in
+         let dmg = Fault.damage_at timeline ~at:t in
          if not (Repair.damage_equal dmg !dmg_ref) then begin
            (match damaged_view dmg with
            | Ok pd -> pd_ref := pd

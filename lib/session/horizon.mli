@@ -5,7 +5,8 @@
     [epoch] time units the planner:
 
     + retires departed sessions and refreshes the failure state
-      ({!Fault.damage_at} composed into a damage-restricted carrier
+      ({!Fault.damage_at} on the fault scenario's {!Fault.timeline},
+      built once per run, composed into a damage-restricted carrier
       platform);
     + re-plans live sessions — in [`Incremental] mode only those whose
       residual capacity actually changed: a session with a broken tree,

@@ -428,14 +428,13 @@ type fault_stats = {
 }
 
 
-(* The fault index of edge (src, dst): the instants at which the scenario
-   can change the edge's state (its own kills, revives, degradations and
-   clears, and its endpoints' kills and revives), sorted, and the factor in
+(* The fault index of edge (src, dst): the instants of the timeline's
+   steps whose events touch the edge (its own kills, revives, degradations
+   and clears, and its endpoints' kills and revives), and the factor in
    force from each, [None] while dead. Entry 0 of the factors is the state
-   before the first instant: healthy. {!Fault.edge_dead} and
-   {!Fault.slowdown} read only those events, so their verdict at one
-   instant holds until the next. *)
-let fault_index faults (src, dst) =
+   before the first instant: healthy. Other steps leave the edge's state
+   alone, so its state at one instant holds until the next. *)
+let fault_index steps (src, dst) =
   let touches = function
     | Fault.Kill_edge { src = u; dst = v; _ }
     | Fault.Revive_edge { src = u; dst = v; _ }
@@ -443,14 +442,11 @@ let fault_index faults (src, dst) =
     | Fault.Clear_degrade { src = u; dst = v; _ } -> u = src && v = dst
     | Fault.Kill_node { node; _ } | Fault.Revive_node { node; _ } -> node = src || node = dst
   in
-  let times =
-    List.sort_uniq Rat.compare (List.map Fault.event_time (List.filter touches faults))
-  in
-  let state at =
-    if Fault.edge_dead faults ~src ~dst ~at then None
-    else Some (Fault.slowdown faults ~src ~dst ~at)
-  in
-  (Array.of_list times, Array.of_list (Some Rat.one :: List.map state times))
+  let hits = List.filter (fun st -> List.exists touches st.Fault.fired) steps in
+  ( Array.of_list (List.map (fun st -> st.Fault.at) hits),
+    Array.of_list
+      (Some Rat.one :: List.map (fun st -> Fault.edge_factor st.Fault.damage ~src ~dst) hits)
+  )
 
 (* Replay a fixed schedule against a fault scenario. The schedule is NOT
    re-timed: ports keep their nominal reservations, so a transfer whose
@@ -475,7 +471,8 @@ let run_with_faults (sched : Schedule.t) ~faults ~periods =
       ])
   @@ fun () ->
   let pat = pattern sched in
-  let index = Array.map (fault_index faults) pat.endpoints in
+  let steps = Fault.steps (Fault.timeline faults) in
+  let index = Array.map (fault_index steps) pat.endpoints in
   let cursor = Array.make (Array.length index) 0 in
   let factor e =
     let edge = e.slot.s_edge in

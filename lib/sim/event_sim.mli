@@ -32,9 +32,10 @@
     [start + c, start + 2c, ...]; receptions may span consecutive busy
     intervals of the same (tree, edge) pair. {!run_with_faults} runs the
     same walk with the scenario's dead links and slowdowns, read from a
-    per-edge fault index built once per replay: the instants at which the
-    scenario changes the edge's state, each with the factor
-    {!Fault.edge_dead} and {!Fault.slowdown} give from then on. Intervals
+    per-edge fault index built once per replay from the scenario's
+    {!Fault.timeline}: the instants of the steps whose events touch the
+    edge or an endpoint, each with the edge's reading of that step's
+    damage ({!Fault.edge_factor}) from then on. Intervals
     come in start order, so the walk reads the index through a cursor that
     only moves forward. Both replays measure throughput over the same
     steady-state window. *)

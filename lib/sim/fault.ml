@@ -139,66 +139,6 @@ let validate (p : Platform.t) s =
     | Ok () ->
       check_all Hashtbl.fold (fun v -> Printf.sprintf "node %d" v) node_tl)
 
-(* --- time-varying state -------------------------------------------------- *)
-
-(* The latest kill/revive at-or-before [at] decides the entity's state
-   (validation guarantees kills and revives never tie). No event: alive. *)
-let dead_in events ~at =
-  let latest =
-    List.fold_left
-      (fun acc (t, k) ->
-        if Rat.(t <= at) then
-          match acc with Some (t', _) when Rat.(t' >= t) -> acc | _ -> Some (t, k)
-        else acc)
-      None events
-  in
-  match latest with Some (_, `Kill) -> true | _ -> false
-
-let edge_events s ~src ~dst =
-  List.filter_map
-    (function
-      | Kill_edge e when e.src = src && e.dst = dst -> Some (e.at, `Kill)
-      | Revive_edge e when e.src = src && e.dst = dst -> Some (e.at, `Revive)
-      | _ -> None)
-    s
-
-let node_events s v =
-  List.filter_map
-    (function
-      | Kill_node k when k.node = v -> Some (k.at, `Kill)
-      | Revive_node k when k.node = v -> Some (k.at, `Revive)
-      | _ -> None)
-    s
-
-let edge_dead s ~src ~dst ~at =
-  dead_in (edge_events s ~src ~dst) ~at
-  || dead_in (node_events s src) ~at
-  || dead_in (node_events s dst) ~at
-
-let slowdown s ~src ~dst ~at =
-  let evs =
-    List.filter_map
-      (function
-        | Degrade_edge d when d.src = src && d.dst = dst && Rat.(d.at <= at) ->
-          Some (d.at, `Degrade d.factor)
-        | Clear_degrade c when c.src = src && c.dst = dst && Rat.(c.at <= at) ->
-          Some (c.at, `Clear)
-        | _ -> None)
-      s
-  in
-  let rank = function `Clear -> 0 | `Degrade _ -> 1 in
-  let evs =
-    (* Clears apply before degrades firing at the same instant, so a
-       simultaneous clear+degrade leaves the fresh factor in force. *)
-    List.stable_sort
-      (fun (a, ka) (b, kb) ->
-        match Rat.compare a b with 0 -> compare (rank ka) (rank kb) | c -> c)
-      evs
-  in
-  List.fold_left
-    (fun acc (_, k) -> match k with `Clear -> Rat.one | `Degrade f -> Rat.mul acc f)
-    Rat.one evs
-
 let event_time = function
   | Kill_edge { at; _ }
   | Kill_node { at; _ }
@@ -207,61 +147,86 @@ let event_time = function
   | Revive_node { at; _ }
   | Clear_degrade { at; _ } -> at
 
-(* An event is in force at [at] when it fired at or before [at] and nothing
-   undoing it has fired since: no revive after a kill, no clear after a
-   degradation (a clear firing at the degradation's own instant applies
-   first, so it does not undo it). Validated kill/revive timelines
-   alternate, so a kill in force is exactly {!edge_dead}'s latest-event-wins
-   verdict, and the degradations in force on an edge multiply to its
-   {!slowdown}; Repair.damage dedups the kills and nets the factors. *)
-let damage_at s ~at =
-  let in_force t0 undoes =
-    Rat.(t0 <= at)
-    && not
-         (List.exists
-            (fun ev ->
-              undoes ev
-              &&
-              let t = event_time ev in
-              Rat.(t0 < t && t <= at))
-            s)
+(* --- the fault timeline --------------------------------------------------- *)
+
+type step = { at : Rat.t; fired : event list; damage : Repair.damage }
+type timeline = step array
+
+module Edge = struct
+  type t = int * int
+
+  let compare = compare
+end
+
+module Edges = Set.Make (Edge)
+module Nodes = Set.Make (Int)
+module Factors = Map.Make (Edge)
+
+let apply (edges, nodes, factors) = function
+  | Kill_edge e -> (Edges.add (e.src, e.dst) edges, nodes, factors)
+  | Revive_edge e -> (Edges.remove (e.src, e.dst) edges, nodes, factors)
+  | Kill_node k -> (edges, Nodes.add k.node nodes, factors)
+  | Revive_node k -> (edges, Nodes.remove k.node nodes, factors)
+  | Degrade_edge d ->
+    let f = Option.value ~default:Rat.one (Factors.find_opt (d.src, d.dst) factors) in
+    (edges, nodes, Factors.add (d.src, d.dst) (Rat.mul f d.factor) factors)
+  | Clear_degrade c -> (edges, nodes, Factors.remove (c.src, c.dst) factors)
+
+(* One stable sort by instant, then one fold over the instants. At one
+   instant clears apply before degrades, so a simultaneous clear and
+   degrade leave the fresh factor, and a degrade stated twice multiplies
+   twice. The other events apply last-stated first: a kill and a revive of
+   one entity at one instant, which [validate] rejects, leave the one
+   stated first in force. *)
+let timeline s =
+  let sorted = List.stable_sort (fun a b -> Rat.compare (event_time a) (event_time b)) s in
+  let rec span at acc = function
+    | ev :: rest when Rat.equal (event_time ev) at -> span at (ev :: acc) rest
+    | rest -> (List.rev acc, rest)
   in
-  Repair.damage
-    ~dead_edges:
-      (List.filter_map
-         (function
-           | Kill_edge k
-             when in_force k.at (function
-                    | Revive_edge r -> r.src = k.src && r.dst = k.dst
-                    | _ -> false) ->
-             Some (k.src, k.dst)
-           | _ -> None)
-         s)
-    ~dead_nodes:
-      (List.filter_map
-         (function
-           | Kill_node k
-             when in_force k.at (function Revive_node r -> r.node = k.node | _ -> false) ->
-             Some k.node
-           | _ -> None)
-         s)
-    ~degraded:
-      (List.filter_map
-         (function
-           | Degrade_edge d
-             when in_force d.at (function
-                    | Clear_degrade c -> c.src = d.src && c.dst = d.dst
-                    | _ -> false) ->
-             Some ((d.src, d.dst), d.factor)
-           | _ -> None)
-         s)
-    ()
+  let rec fold state = function
+    | [] -> []
+    | ev :: _ as l ->
+      let at = event_time ev in
+      let fired, rest = span at [] l in
+      let clears, others =
+        List.partition (function Clear_degrade _ -> true | _ -> false) fired
+      in
+      let ((edges, nodes, factors) as state) =
+        List.fold_left apply (List.fold_left apply state clears) (List.rev others)
+      in
+      let damage =
+        Repair.damage ~dead_edges:(Edges.elements edges) ~dead_nodes:(Nodes.elements nodes)
+          ~degraded:(Factors.bindings factors) ()
+      in
+      { at; fired; damage } :: fold state rest
+  in
+  Array.of_list (fold (Edges.empty, Nodes.empty, Factors.empty) sorted)
 
-let scenario_end = function
-  | [] -> Rat.zero
-  | ev :: rest -> List.fold_left (fun acc e -> Rat.max acc (event_time e)) (event_time ev) rest
+let steps = Array.to_list
 
-let damage s = damage_at s ~at:(scenario_end s)
+(* The damage after the first [n] steps: healthy before the first. *)
+let after tl n = if n = 0 then Repair.no_damage else tl.(n - 1).damage
+
+(* Binary search: the steps before [lo] fire at or before [at], the steps
+   from [hi] on after it. *)
+let damage_at tl ~at =
+  let rec search lo hi =
+    if lo = hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if Rat.(tl.(mid).at <= at) then search (mid + 1) hi else search lo mid
+  in
+  after tl (search 0 (Array.length tl))
+
+let damage s =
+  let tl = timeline s in
+  after tl (Array.length tl)
+
+let edge_factor { Repair.dead_edges; dead_nodes; degraded } ~src ~dst =
+  if List.mem (src, dst) dead_edges || List.mem src dead_nodes || List.mem dst dead_nodes
+  then None
+  else Some (Option.value ~default:Rat.one (List.assoc_opt (src, dst) degraded))
 
 let random_link_kills rng (p : Platform.t) ~rate ~at =
   let g = p.Platform.graph in

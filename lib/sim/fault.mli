@@ -6,11 +6,16 @@
     and be repaired ([Revive_node]), a link can degrade — transfers over it
     take [factor] times longer from then on ([Degrade_edge]) — and the
     accumulated degradation can clear ([Clear_degrade]). Damage is therefore
-    a {e time-varying} set, not a monotone one: the simulator consults the
-    scenario state at each transfer's start time
-    ({!Event_sim.run_with_faults}), the one-shot recovery planner consumes
-    the end-state ({!damage}), and the chaos soak driver ({!Soak}) walks the
-    whole timeline through {!damage_at}. *)
+    a {e time-varying} set, not a monotone one.
+
+    One rule defines it: {!timeline} folds a scenario, once, into the
+    instants at which it changes the platform, each with the damage in
+    force from then on. Every reader looks steps up instead of rescanning
+    the events: the replay builds each link's fault index from them
+    ({!Event_sim.run_with_faults}), the chaos soak driver ({!Soak}) and the
+    session planner ({!Horizon}) read the damage of each epoch through
+    {!damage_at}, and the one-shot recovery planner consumes the end state
+    ({!damage}). *)
 
 type event =
   | Kill_edge of { src : int; dst : int; at : Rat.t }
@@ -29,8 +34,7 @@ type scenario = event list
 (** [validate p s] checks node ids in range, referenced edges present in the
     platform, factors [>= 1] and fire times [>= 0].
 
-    Overlap and ordering semantics (normative for the simulator, {!damage}
-    and {!damage_at}):
+    Overlap and ordering semantics (normative for {!timeline}):
     - {e Duplicate events are idempotent.} Killing (or reviving) the same
       entity twice {e at the same time} is the same event stated twice; it
       validates and counts once.
@@ -41,42 +45,59 @@ type scenario = event list
       intervening revive, double revives, and a kill and revive at the same
       instant (the state would be ambiguous).
     - {e Degrading a dead edge is a no-op.} A [Degrade_edge] firing while
-      the edge (or an endpoint node) is dead validates but has no effect:
-      the replay consults kills first ({!edge_dead} short-circuits
-      {!slowdown}), and the recovery planner removes dead edges before
-      applying degradation factors.
+      the edge (or an endpoint node) is dead validates, and its factor is
+      kept in the damage, but the replay reads kills first, and the
+      recovery planner removes dead edges before applying degradation
+      factors.
     - Degrading the same edge repeatedly is not an overlap at all: the
-      factors compose multiplicatively until a [Clear_degrade] resets them
-      ({!slowdown}). A clear firing together with a degrade at the same
-      instant applies first, so the fresh factor survives. *)
+      factors compose multiplicatively until a [Clear_degrade] resets them.
+      A clear firing together with a degrade at the same instant applies
+      first, so the fresh factor survives. *)
 val validate : Platform.t -> scenario -> (unit, string) result
-
-(** [edge_dead s ~src ~dst ~at] — is the edge out of service at time [at]?
-    The {e latest} kill or revive fired at-or-before [at] (of the edge
-    itself or of an endpoint node) decides; with no revivals this reduces to
-    "has a kill fired at or before [at]". *)
-val edge_dead : scenario -> src:int -> dst:int -> at:Rat.t -> bool
-
-(** [slowdown s ~src ~dst ~at] is the product of the degradation factors
-    fired at or before [at], restarting from [Rat.one] at each
-    [Clear_degrade] ([Rat.one] when pristine). *)
-val slowdown : scenario -> src:int -> dst:int -> at:Rat.t -> Rat.t
-
-(** [damage_at s ~at] is the scenario's state at time [at] in the recovery
-    planner's vocabulary: entities whose latest kill/revive at-or-before
-    [at] is a kill, and edges whose net degradation factor at [at] is above
-    one, built through {!Repair.damage} and so in its canonical form
-    (sorted, each entity once, one net factor per edge). *)
-val damage_at : scenario -> at:Rat.t -> Repair.damage
 
 (** The event's fire time. *)
 val event_time : event -> Rat.t
 
-(** [damage s] is the scenario's end state — [damage_at] at its latest
-    fire time. An entity killed and later revived is {e not} damage;
-    with kill-only scenarios this is the union of all kills, exactly the
-    pre-revival behaviour. *)
+(** One instant at which the scenario changes the platform. *)
+type step = {
+  at : Rat.t;
+  fired : event list;  (** the events firing at [at], in scenario order *)
+  damage : Repair.damage;
+      (** the damage in force from [at] until the next step, in
+          {!Repair.damage}'s canonical form *)
+}
+
+(** A scenario folded into its steps, in increasing instant order. *)
+type timeline
+
+(** [timeline s] sorts [s] once by fire time (a stable sort) and folds the
+    instants in order. An entity is dead from its kill until its revive;
+    an edge is also out of service while an endpoint node is dead, which
+    the damage states as the dead node. An edge's factor is the product
+    of the degrades fired since its latest [Clear_degrade], which applies
+    before the degrades of its own instant; an edge back at factor one is
+    not degraded. A kill and a revive of one entity at one instant, which
+    {!validate} rejects, leave the one stated first in force. Costs one
+    sort plus, per instant, the size of the damage in force. *)
+val timeline : scenario -> timeline
+
+(** The steps in increasing instant order. *)
+val steps : timeline -> step list
+
+(** [damage_at tl ~at] is the damage in force at time [at]: the damage of
+    the latest step at or before [at], {!Repair.no_damage} before the
+    first. A binary search over the steps, O(log steps). *)
+val damage_at : timeline -> at:Rat.t -> Repair.damage
+
+(** [damage s] is the scenario's end state, the damage of the last step of
+    its timeline. An entity killed and later revived is {e not} damage;
+    with kill-only scenarios this is the union of all kills. *)
 val damage : scenario -> Repair.damage
+
+(** [edge_factor d ~src ~dst] reads the link [src -> dst] under the damage
+    [d] as the replay does: [None] while the edge or an endpoint node is
+    dead, else [Some] its slowdown factor ([Rat.one] when not degraded). *)
+val edge_factor : Repair.damage -> src:int -> dst:int -> Rat.t option
 
 (** [random_link_kills rng p ~rate ~at] kills each {e undirected} link
     (both directions) independently with probability [rate], all at time

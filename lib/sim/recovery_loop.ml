@@ -44,7 +44,9 @@ type outcome = {
   detection : Event_sim.fault_stats;
 }
 
-let fault_time = Fault.event_time
+let detect pol sched scenario =
+  Event_sim.run_with_faults sched ~faults:scenario
+    ~periods:(max pol.horizon_periods (Schedule.init_periods sched + 3))
 
 let event_name = function
   | Failure_observed _ -> "failure-observed"
@@ -77,13 +79,7 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset ~detecti
             | `Fallback _ -> "fallback") );
       ])
   @@ fun () ->
-  let fs =
-    match detection with
-    | Some fs -> fs
-    | None ->
-      Event_sim.run_with_faults sched ~faults:scenario
-        ~periods:(max pol.horizon_periods (Schedule.init_periods sched + 3))
-  in
+  let fs = match detection with Some fs -> fs | None -> detect pol sched scenario in
   if fs.Event_sim.f_losses = [] then
     {
       events = [];
@@ -99,10 +95,9 @@ let run_validated ~now ~pol ~(planner : planner) ~telemetry ~sim_offset ~detecti
       events := e :: !events
     in
     let t_fail =
-      match scenario with
+      match Fault.steps (Fault.timeline scenario) with
       | [] -> Rat.zero
-      | ev :: rest ->
-        List.fold_left (fun acc e -> Rat.min acc (fault_time e)) (fault_time ev) rest
+      | first :: _ -> first.Fault.at
     in
     let clock = ref t_fail in
     emit

@@ -82,11 +82,14 @@ type outcome = {
   attempts_used : int;
   sim_time : Rat.t;  (** simulated clock when the controller stopped *)
   detection : Event_sim.fault_stats;
-      (** the detection replay {!run} made on entry: [sched] against the
-          scenario over [max horizon_periods (Schedule.init_periods sched + 3)]
-          periods. A caller that keeps [sched] running after [`Fallback]
+      (** the detection replay {!run} made on entry, {!detect}. A caller that keeps [sched] running after [`Fallback]
           reads its surviving rate here instead of replaying again. *)
 }
+
+(** [detect policy sched scenario] is the detection replay: [sched]
+    against [scenario] over [max horizon_periods (Schedule.init_periods
+    sched + 3)] periods ({!Event_sim.run_with_faults}). *)
+val detect : policy -> Schedule.t -> Fault.scenario -> Event_sim.fault_stats
 
 (** [run p sched scenario] drives the loop. The policy is validated on
     entry ({!validate_policy}) — an invalid one is a caller bug reported as

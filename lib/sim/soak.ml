@@ -175,24 +175,6 @@ let validate_config (p : Platform.t) cfg =
 
 (* --- the soak loop -------------------------------------------------------- *)
 
-let group_batches scenario ~horizon =
-  let clipped =
-    List.filter (fun e -> Rat.(Fault.event_time e <= horizon)) scenario
-  in
-  let sorted =
-    List.stable_sort
-      (fun a b -> Rat.compare (Fault.event_time a) (Fault.event_time b))
-      clipped
-  in
-  let rec group = function
-    | [] -> []
-    | e :: _ as l ->
-      let t = Fault.event_time e in
-      let batch, rest = List.partition (fun e' -> Rat.equal (Fault.event_time e') t) l in
-      (t, batch) :: group rest
-  in
-  (List.length clipped, group sorted)
-
 let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
     scenario ~horizon =
   Metrics.incr runs_m;
@@ -204,11 +186,9 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
         ("full_replans", Trace.Int r.sk_full_replans);
       ])
   @@ fun () ->
-  let n_events, batches = group_batches scenario ~horizon in
+  let timeline = Fault.timeline scenario in
+  let steps = List.filter (fun st -> Rat.(st.Fault.at <= horizon)) (Fault.steps timeline) in
   let thr0 = Rat.to_float sched.Schedule.throughput in
-  let replay_periods s =
-    max cfg.policy.Recovery_loop.horizon_periods (Schedule.init_periods s + 3)
-  in
   (* running state *)
   let cur = ref sched and cur_rate = ref thr0 and full_cov = ref true in
   let stale = ref false in
@@ -402,10 +382,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
         (match recall eff with
         | Some fs -> fs
         | None ->
-          let fs =
-            Event_sim.run_with_faults !cur ~faults:(scenario_of_damage eff)
-              ~periods:(replay_periods !cur)
-          in
+          let fs = Recovery_loop.detect cfg.policy !cur (scenario_of_damage eff) in
           note eff fs;
           fs)
   in
@@ -450,7 +427,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
             end
           end)
         (dedup (List.filter_map flap_of evs));
-    let actual = Fault.damage_at scenario ~at:t in
+    let actual = Fault.damage_at timeline ~at:t in
     Hashtbl.iter
       (fun c h ->
         if h.suppressed then begin
@@ -519,29 +496,29 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
       observe "soak.tokens" !tokens;
       observe "soak.suppressed" (float_of_int (List.length (suppressed ())))
   in
-  let rec drive batches =
-    match (batches, !ticks) with
+  let rec drive steps =
+    match (steps, !ticks) with
     | [], [] -> ()
     | [], tk :: rest ->
       ticks := rest;
       epoch tk [];
       drive []
-    | (bt, evs) :: brest, [] ->
-      epoch bt evs;
-      drive brest
-    | (bt, evs) :: brest, tk :: trest ->
-      if Rat.(tk < bt) then begin
+    | st :: srest, [] ->
+      epoch st.Fault.at st.Fault.fired;
+      drive srest
+    | st :: srest, tk :: trest ->
+      if Rat.(tk < st.Fault.at) then begin
         ticks := trest;
         epoch tk [];
-        drive batches
+        drive steps
       end
       else begin
-        if Rat.equal tk bt then ticks := trest;
-        epoch bt evs;
-        drive brest
+        if Rat.equal tk st.Fault.at then ticks := trest;
+        epoch st.Fault.at st.Fault.fired;
+        drive srest
       end
   in
-  drive batches;
+  drive steps;
   accrue horizon;
   let hf = Rat.to_float horizon in
   let availability = Rat.to_float (Rat.div !avail horizon) in
@@ -556,7 +533,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
   let r =
     {
       sk_horizon = hf;
-      sk_events = n_events;
+      sk_events = List.fold_left (fun n st -> n + List.length st.Fault.fired) 0 steps;
       sk_epochs = !epochs;
       sk_availability = availability;
       sk_degraded_time = !degraded;

@@ -3,8 +3,9 @@
     The one-shot {!Recovery_loop} handles a single failure episode; this
     driver runs it {e continuously} over a horizon where components die,
     heal and flap ({!Fault} revival events and renewal generators). The
-    controller decides, at every instant the fault timeline changes the
-    platform, whether to live with the running schedule, patch it
+    controller decides, at every step of the scenario's {!Fault.timeline}
+    inside the horizon, and at the wake-up ticks it schedules itself,
+    whether to live with the running schedule, patch it
     incrementally, or spend a full re-plan — and aggregates what the
     service actually delivered over the whole horizon.
 
@@ -44,7 +45,8 @@
       running schedule stale, keyed by damage, for as long as that schedule
       stays in force, and a retry reads it instead of replaying: as the
       detection it hands {!Recovery_loop.run}, or as the naive controller's
-      stale rate. Each reuse counts in [sim.replay_memo_hits], so
+      stale rate. Both controllers replay through
+      {!Recovery_loop.detect}, so both use the loop's detection horizon. Each reuse counts in [sim.replay_memo_hits], so
       [sim.faulty_replays] plus the hits is the replay count without the
       memo. Outputs are identical either way.
     - {e Capacity re-integration with hysteresis}: when damage only {e
@@ -118,7 +120,7 @@ type soak_event =
 type report = {
   sk_horizon : float;
   sk_events : int;  (** fault events inside the horizon *)
-  sk_epochs : int;  (** decision instants (event batches + controller ticks) *)
+  sk_epochs : int;  (** decision instants (timeline steps + controller ticks) *)
   sk_availability : float;
       (** fraction of the horizon at full target coverage: every target of
           the nominal platform served by the running schedule. Covered time

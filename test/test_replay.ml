@@ -1,8 +1,9 @@
 (* Differential test of the replay kernel. [Reference] is the replay as it
    stood before the period pattern was sorted once and the walk moved to
    pair ids, message units and a per-edge fault index: it unrolls and sorts
-   every period copy, keys progress by (tree, src, dst), and asks
-   Fault.edge_dead/Fault.slowdown for every interval. Over a seeded sweep of
+   every period copy, keys progress by (tree, src, dst), and asks the
+   per-edge fault predicates [Fault_reference.edge_dead] and
+   [Fault_reference.slowdown] for every interval. Over a seeded sweep of
    platforms, schedules, time-varying scenarios and hand-corrupted
    schedules, Event_sim must return structurally equal results and equal
    error strings. *)
@@ -254,8 +255,8 @@ module Reference = struct
 
   let run_with_faults (sched : Schedule.t) ~faults ~periods : Event_sim.fault_stats =
     let factor e =
-      if Fault.edge_dead faults ~src:e.e_src ~dst:e.e_dst ~at:e.e_start then None
-      else Some (Fault.slowdown faults ~src:e.e_src ~dst:e.e_dst ~at:e.e_start)
+      if Fault_reference.edge_dead faults ~src:e.e_src ~dst:e.e_dst ~at:e.e_start then None
+      else Some (Fault_reference.slowdown faults ~src:e.e_src ~dst:e.e_dst ~at:e.e_start)
     in
     let receptions, _ = walk sched (unroll sched ~periods) ~factor in
     let sorted = List.sort (fun a b -> Rat.compare a.r_complete b.r_complete) receptions in

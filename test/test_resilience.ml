@@ -234,7 +234,7 @@ let test_revival_ordering () =
   ok [ Fault.Clear_degrade { src = 0; dst = 1; at = Rat.one } ]
 
 let test_time_varying_predicates () =
-  (* edge_dead / slowdown / damage_at follow the latest-event-wins rule. *)
+  (* The timeline's damage follows the latest-event-wins rule. *)
   let s =
     [
       Fault.Kill_edge { src = 0; dst = 1; at = Rat.one };
@@ -246,27 +246,35 @@ let test_time_varying_predicates () =
       Fault.Clear_degrade { src = 1; dst = 3; at = Rat.of_int 5 };
     ]
   in
-  let dead at = Fault.edge_dead s ~src:0 ~dst:1 ~at:(Rat.of_int at) in
+  let tl = Fault.timeline s in
+  let edge at src dst = Fault.edge_factor (Fault.damage_at tl ~at:(Rat.of_int at)) ~src ~dst in
+  let dead at = Option.is_none (edge at 0 1) in
   Alcotest.(check bool) "alive before the kill" false (dead 0);
   Alcotest.(check bool) "dead at the kill instant" true (dead 1);
   Alcotest.(check bool) "still dead mid-window" true (dead 2);
   Alcotest.(check bool) "alive again at the revival" false (dead 3);
   (* a dead endpoint node kills the edge too, until the node revives *)
-  let via_node at = Fault.edge_dead s ~src:0 ~dst:2 ~at:(Rat.of_int at) in
+  let via_node at = Option.is_none (edge at 0 2) in
   Alcotest.(check bool) "edge up while the endpoint lives" false (via_node 1);
   Alcotest.(check bool) "endpoint death takes the edge down" true (via_node 2);
   Alcotest.(check bool) "endpoint revival restores the edge" false (via_node 4);
   (* degradation composes multiplicatively and resets at Clear_degrade *)
-  let slow at = Fault.slowdown s ~src:1 ~dst:3 ~at:(Rat.of_int at) in
+  let slow at = Option.get (edge at 1 3) in
   Alcotest.(check bool) "pristine before" (Rat.equal Rat.one (slow 0)) true;
   Alcotest.(check bool) "first factor" (Rat.equal (Rat.of_int 2) (slow 1)) true;
   Alcotest.(check bool) "factors compose" (Rat.equal (Rat.of_int 6) (slow 2)) true;
   Alcotest.(check bool) "clear resets" (Rat.equal Rat.one (slow 5)) true;
-  (* damage_at snapshots the same state in the planner's vocabulary *)
-  let d2 = Fault.damage_at s ~at:(Rat.of_int 2) in
+  (* the damage in the planner's vocabulary *)
+  let d2 = Fault.damage_at tl ~at:(Rat.of_int 2) in
   Alcotest.(check (list (pair int int))) "edge dead mid-window" [ (0, 1) ] d2.Repair.dead_edges;
   Alcotest.(check (list int)) "node dead mid-window" [ 2 ] d2.Repair.dead_nodes;
   Alcotest.(check bool) "degradation visible mid-window" true (d2.Repair.degraded <> []);
+  Alcotest.(check (list string)) "one step per instant, events in scenario order"
+    [ "1:2"; "2:2"; "3:1"; "4:1"; "5:1" ]
+    (List.map
+       (fun st ->
+         Printf.sprintf "%s:%d" (Rat.to_string st.Fault.at) (List.length st.Fault.fired))
+       (Fault.steps tl));
   (* the end state has everything healed: kill-then-revive is not damage *)
   let d_end = Fault.damage s in
   Alcotest.(check bool) "end state pristine" true (Repair.damage_equal d_end Repair.no_damage)
@@ -863,11 +871,62 @@ let test_canonical_damage_sweep () =
         s.Platform.graph
   done
 
+(* [s]'s timeline against the rules it replaced ({!Fault_reference}):
+   before the first event, at every event instant and at the midpoint of
+   every two consecutive instants, the damage must be canonical and equal
+   to the reference [damage_at], and every edge of [p] must read as the
+   reference [edge_dead] and [slowdown] say. *)
+let check_against_reference ~case (p : Platform.t) s =
+  let tl = Fault.timeline s in
+  let instants = List.sort_uniq Rat.compare (List.map Fault.event_time s) in
+  let rec midpoints = function
+    | a :: (b :: _ as rest) -> Rat.div (Rat.add a b) (Rat.of_int 2) :: midpoints rest
+    | _ -> []
+  in
+  let before = match instants with [] -> [ Rat.zero ] | t0 :: _ -> [ Rat.sub t0 Rat.one ] in
+  (* The reference predicates of an edge read only the events on the edge
+     and its endpoints, so each edge is asked about those events alone. *)
+  let per_edge =
+    Digraph.fold_edges
+      (fun acc e ->
+        let src = e.Digraph.src and dst = e.Digraph.dst in
+        let touches = function
+          | Fault.Kill_node { node; _ } | Fault.Revive_node { node; _ } ->
+            node = src || node = dst
+          | Fault.Kill_edge { src = u; dst = v; _ }
+          | Fault.Revive_edge { src = u; dst = v; _ }
+          | Fault.Degrade_edge { src = u; dst = v; _ }
+          | Fault.Clear_degrade { src = u; dst = v; _ } -> u = src && v = dst
+        in
+        ((src, dst), List.filter touches s) :: acc)
+      [] p.Platform.graph
+  in
+  List.iter
+    (fun at ->
+      let fail what = Alcotest.failf "%s, t=%s: %s" case (Rat.to_string at) what in
+      let d = Fault.damage_at tl ~at in
+      if not (is_canonical d) then fail "damage not canonical";
+      if not (Repair.damage_equal d (Fault_reference.damage_at s ~at)) then
+        fail "damage differs from the reference damage_at";
+      List.iter
+        (fun ((src, dst), s) ->
+          let want =
+            if Fault_reference.edge_dead s ~src ~dst ~at then None
+            else Some (Fault_reference.slowdown s ~src ~dst ~at)
+          in
+          if not (Option.equal Rat.equal want (Fault.edge_factor d ~src ~dst)) then
+            fail (Printf.sprintf "edge %d->%d differs from edge_dead/slowdown" src dst))
+        per_edge)
+    (before @ instants @ midpoints instants);
+  let last = List.fold_left Rat.max Rat.zero instants in
+  if not (Repair.damage_equal (Fault.damage s) (Fault_reference.damage_at s ~at:last)) then
+    Alcotest.failf "%s: end state differs from the reference" case
+
 let test_damage_at_is_canonical () =
-  (* Fault.damage_at on shuffled scenarios with repeated events: always
-     canonical, and in agreement with the edge_dead / slowdown predicates
-     the replay uses. Link-only timelines pin dead edges and factors;
-     node-only timelines pin dead nodes. *)
+  (* The timeline is the equality oracle's subject: on shuffled scenarios
+     with repeated events it must agree with the earlier rules. Link-only
+     timelines pin dead edges and factors; node-only timelines pin dead
+     nodes. *)
   for seed = 1 to 30 do
     let rng = Random.State.make [| 777; seed |] in
     let p = tiers_platform seed in
@@ -881,35 +940,57 @@ let test_damage_at_is_canonical () =
     in
     let nodes = restated (Fault.renewal_node_faults rng p ~mtbf:80. ~mttr:20. ~horizon) in
     List.iter
-      (fun s ->
-        match Fault.validate p s with
+      (fun (name, s) ->
+        (match Fault.validate p s with
         | Error e -> Alcotest.failf "seed %d: scenario rejected: %s" seed e
-        | Ok () -> ())
-      [ links; nodes ];
-    for k = 0 to 60 do
-      let at = q (k * 5) 1 in
-      let case what = Printf.sprintf "seed %d, t=%d: %s" seed (k * 5) what in
-      let dl = Fault.damage_at links ~at and dn = Fault.damage_at nodes ~at in
-      Alcotest.(check bool) (case "canonical (links)") true (is_canonical dl);
-      Alcotest.(check bool) (case "canonical (nodes)") true (is_canonical dn);
-      Alcotest.(check (list int)) (case "no dead nodes from link faults") [] dl.Repair.dead_nodes;
-      Digraph.iter_edges
-        (fun e ->
-          let src = e.Digraph.src and dst = e.Digraph.dst in
-          Alcotest.(check bool) (case "dead edge agrees with edge_dead")
-            (Fault.edge_dead links ~src ~dst ~at)
-            (List.mem (src, dst) dl.Repair.dead_edges);
-          let factor =
-            Option.value ~default:Rat.one (List.assoc_opt (src, dst) dl.Repair.degraded)
-          in
-          Alcotest.(check bool) (case "factor agrees with slowdown") true
-            (Rat.equal factor (Fault.slowdown links ~src ~dst ~at));
-          Alcotest.(check bool) (case "dead node agrees with edge_dead")
-            (Fault.edge_dead nodes ~src ~dst ~at)
-            (List.mem src dn.Repair.dead_nodes || List.mem dst dn.Repair.dead_nodes))
-        p.Platform.graph
-    done
-  done
+        | Ok () -> ());
+        check_against_reference ~case:(Printf.sprintf "seed %d, %s" seed name) p s)
+      [ ("links", links); ("nodes", nodes) ]
+  done;
+  (* Hand-built ties on the two-relay platform. *)
+  let p = Paper_platforms.two_relay () in
+  let degrade src dst at factor = Fault.Degrade_edge { src; dst; at = q at 1; factor } in
+  let clear src dst at = Fault.Clear_degrade { src; dst; at = q at 1 } in
+  let factor s at src dst =
+    Fault.edge_factor (Fault.damage_at (Fault.timeline s) ~at:(q at 1)) ~src ~dst
+  in
+  let check_factor what want got =
+    Alcotest.(check (option string)) what
+      (Option.map Rat.to_string want) (Option.map Rat.to_string got)
+  in
+  (* a clear and a degrade at one instant, in either order: the clear
+     applies first, so the fresh factor survives *)
+  let cleared_then = [ degrade 1 3 1 (q 2 1); clear 1 3 2; degrade 1 3 2 (q 3 1) ] in
+  let degraded_then = [ degrade 1 3 1 (q 2 1); degrade 1 3 2 (q 3 1); clear 1 3 2 ] in
+  check_factor "clear then degrade at one instant" (Some (q 3 1)) (factor cleared_then 2 1 3);
+  check_factor "degrade then clear at one instant" (Some (q 3 1)) (factor degraded_then 2 1 3);
+  (* a degrade stated twice multiplies twice *)
+  let twice = [ degrade 0 1 1 (q 2 1); degrade 0 1 1 (q 2 1); clear 0 1 3 ] in
+  check_factor "degrade stated twice" (Some (q 4 1)) (factor twice 2 0 1);
+  (* a degrade on an edge whose endpoint is dead: the edge reads dead, the
+     factor is kept and shows once the endpoint revives *)
+  let under_dead =
+    [
+      Fault.Kill_node { node = 1; at = q 1 1 };
+      degrade 0 1 2 (q 3 2);
+      Fault.Revive_node { node = 1; at = q 4 1 };
+      clear 0 1 5;
+    ]
+  in
+  check_factor "degrade under a dead endpoint" None (factor under_dead 2 0 1);
+  check_factor "the factor shows after the revive" (Some (q 3 2)) (factor under_dead 4 0 1);
+  List.iter
+    (fun (name, s) ->
+      (match Fault.validate p s with
+      | Error e -> Alcotest.failf "%s: scenario rejected: %s" name e
+      | Ok () -> ());
+      check_against_reference ~case:name p s)
+    [
+      ("clear then degrade", cleared_then);
+      ("degrade then clear", degraded_then);
+      ("degrade twice", twice);
+      ("degrade under a dead endpoint", under_dead);
+    ]
 
 let suite =
   [

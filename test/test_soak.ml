@@ -2,8 +2,8 @@
    damped-vs-naive controller ablation, patch-only operation with an empty
    token bucket, a seeded property sweep asserting the soak loop never
    crashes and never adopts an unchecked schedule, the one-replay-per-
-   episode budget on fallbacks, and the replay memo that serves stale
-   retries. *)
+   episode budget on fallbacks, the replay memo that serves stale
+   retries, and the scenario order of the flaps logged at one instant. *)
 
 (* A deterministic wall clock: strictly increasing, no Unix dependence, so
    two runs with fresh instances behave identically. *)
@@ -341,6 +341,32 @@ let test_incidents_of_soak () =
     Alcotest.(check bool) "some incident runs fault -> breach -> repair -> recovery" true
       (List.exists (fun inc -> chain [ 'f'; 'b'; 'r'; 'v' ] (kinds inc)) incidents)
 
+let test_batch_keeps_scenario_order () =
+  (* Two links flap at one instant: that epoch logs their Flap events in
+     scenario order, and reversing the scenario reverses them. *)
+  let p = Paper_platforms.two_relay () in
+  let sched = mcph_sched p in
+  let kill src dst at = Fault.Kill_edge { src; dst; at = Rat.of_int at } in
+  let revive src dst at = Fault.Revive_edge { src; dst; at = Rat.of_int at } in
+  let scenario = [ kill 1 3 5; kill 2 4 5; revive 1 3 10; revive 2 4 10 ] in
+  let flaps s =
+    match Soak.run ~now:(fake_clock ()) p sched s ~horizon:(Rat.of_int 20) with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+      List.filter_map
+        (function
+          | Soak.Flap { at; what; up; _ } ->
+            Some (Printf.sprintf "%s %s %s" (Rat.to_string at) what (if up then "up" else "down"))
+          | _ -> None)
+        r.Soak.sk_log
+  in
+  Alcotest.(check (list string)) "scenario order"
+    [ "5 link 1-3 down"; "5 link 2-4 down"; "10 link 1-3 up"; "10 link 2-4 up" ]
+    (flaps scenario);
+  Alcotest.(check (list string)) "reversed scenario, reversed order"
+    [ "5 link 2-4 down"; "5 link 1-3 down"; "10 link 2-4 up"; "10 link 1-3 up" ]
+    (flaps (List.rev scenario))
+
 let suite =
   [
     ("fake clock makes soaks deterministic", `Quick, test_fake_clock_determinism);
@@ -352,4 +378,5 @@ let suite =
     ("stale retries read the replay memo", `Quick, test_stale_retries_hit_the_memo);
     ("delivered integral within horizon x Multicast-LB", `Quick, test_delivered_within_lb_bound);
     ("incident timelines of a soak", `Quick, test_incidents_of_soak);
+    ("flaps at one instant keep scenario order", `Quick, test_batch_keeps_scenario_order);
   ]
