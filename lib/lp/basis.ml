@@ -6,7 +6,9 @@
    B_k = B_0 E_1 ... E_k where eta E_t replaces column r_t of the
    identity with w_t = B_{t-1}^{-1} a_q. FTRAN applies the LU solve then
    the eta inverses oldest-to-newest; BTRAN applies the transposed eta
-   inverses newest-to-oldest then the transposed LU solve.
+   inverses newest-to-oldest then the transposed LU solve. So a caller
+   that keeps x = B^-1 b across pivots needs only the newest eta inverse
+   after each update ([advance]), and gets a fresh FTRAN's bits.
 
    The elimination is left-looking and sparse (Gilbert and Peierls,
    SIAM J. Sci. Stat. Comput. 9(5), 1988): each header column in turn is
@@ -98,7 +100,8 @@ type t = {
   l_cols : lines;
   u_cols : lines;
   cursor : int array; (* transposition scratch *)
-  (* elimination scratch, clean between refactorizations *)
+  (* elimination scratch, clean between refactorizations ([residual]
+     borrows [work] there and leaves it clean) *)
   work : float array; (* the column being eliminated, by original row *)
   pattern : int array; (* original rows [work] touches *)
   in_pattern : bool array;
@@ -261,6 +264,18 @@ let create ~cols ~header =
   in
   match refactor t with Ok () -> Ok t | Error e -> Error e
 
+(* x := E_e^-1 x, in place. *)
+let eta_inverse t x e =
+  let { start; idx; v } = t.etas in
+  let r = t.eta_row.(e) in
+  let xr = x.(r) /. t.eta_piv.(e) in
+  if xr <> 0.0 then
+    for k = start.(e) to start.(e + 1) - 1 do
+      let i = Array.unsafe_get idx k in
+      Array.unsafe_set x i (Array.unsafe_get x i -. (Array.unsafe_get v k *. xr))
+    done;
+  x.(r) <- xr
+
 (* Solve B x = b:  L U x = P b, then undo the etas in application order. *)
 let ftran t b =
   let m = t.m in
@@ -284,16 +299,8 @@ let ftran t b =
     done;
     x.(i) <- !s /. t.diag.(i)
   done;
-  let { start; idx; v } = t.etas in
   for e = 0 to t.n_etas - 1 do
-    let r = t.eta_row.(e) in
-    let xr = x.(r) /. t.eta_piv.(e) in
-    if xr <> 0.0 then
-      for k = start.(e) to start.(e + 1) - 1 do
-        let i = Array.unsafe_get idx k in
-        Array.unsafe_set x i (Array.unsafe_get x i -. (Array.unsafe_get v k *. xr))
-      done;
-    x.(r) <- xr
+    eta_inverse t x e
   done;
   x
 
@@ -333,6 +340,16 @@ let btran t c =
   done;
   y
 
+(* [ftran]'s last step, on the FTRAN made before the newest eta was
+   appended: the same operands, so the same bits. *)
+let advance t x =
+  let e = t.n_etas - 1 in
+  if e < 0 then false
+  else begin
+    eta_inverse t x e;
+    true
+  end
+
 let update t ~row ~col ~w =
   if abs_float w.(row) <= singular_tol then Error "pivot element too small"
   else begin
@@ -357,9 +374,11 @@ let update t ~row ~col ~w =
     end
   end
 
+(* B x is summed into [work], the elimination scratch, which is all-zero
+   between refactorizations and is left so. *)
 let residual t ~b ~x =
   let m = t.m in
-  let r = Array.make m 0.0 in
+  let r = t.work in
   for p = 0 to m - 1 do
     let xp = x.(p) in
     if xp <> 0.0 then begin
@@ -372,6 +391,7 @@ let residual t ~b ~x =
   let num = ref 0.0 and den = ref 1.0 in
   for i = 0 to m - 1 do
     let d = abs_float (r.(i) -. b.(i)) in
+    r.(i) <- 0.0;
     if d > !num then num := d;
     let bi = abs_float b.(i) in
     if bi > !den then den := bi

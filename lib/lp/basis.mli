@@ -49,6 +49,16 @@ val ftran : t -> float array -> float array
 (** [btran t c] solves [Bᵀ y = c]. Returns a fresh array. *)
 val btran : t -> float array -> float array
 
+(** [advance t x] carries a solution of [B x = b] across the last
+    {!update}: [x], the result of [ftran t b] before that update, becomes
+    [ftran t b] after it, bit for bit, in place and at the cost of the
+    newest eta's nonzeros ([ftran] applies the etas oldest to newest, so
+    this is its last step on the same operands). Call it once after each
+    update. [false], leaving [x] alone, when the update refactorized
+    instead of appending an eta: then only a fresh [ftran] gives the
+    solution. *)
+val advance : t -> float array -> bool
+
 (** [update t ~row ~col ~w] replaces the basic column at position [row]
     with column [col], where [w = ftran t a_col] is the pivot column in
     the current basis. Mutates [header]; appends an eta, or refactorizes
@@ -63,5 +73,6 @@ val refactor : t -> (unit, string) result
 
 (** [residual t ~b ~x] is the relative residual
     [‖B x − b‖∞ / max(1, ‖b‖∞)] — a cheap stability probe for a
-    previously FTRAN'd solution. *)
+    previously FTRAN'd solution. It allocates nothing: [B x] is summed
+    in a scratch vector the basis owns. *)
 val residual : t -> b:float array -> x:float array -> float

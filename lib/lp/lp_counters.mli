@@ -4,8 +4,10 @@
     how many pivots it spent — maintained atomically so that concurrent
     solves on separate domains count correctly. The storage is the
     {!Metrics} registry (names [lp.solves.float], [lp.solves.exact],
-    [lp.pivots.float], [lp.pivots.exact], and [lp.factorizations], the
-    {!Basis} refactorizations, [create]'s included), so the same tallies appear in
+    [lp.pivots.float], [lp.pivots.exact], [lp.factorizations], the
+    {!Basis} refactorizations, [create]'s included, and [lp.ftrans] and
+    [lp.btrans], the float engine's {!Basis.ftran} and {!Basis.btran}
+    calls), so the same tallies appear in
     every metrics snapshot; this module remains the typed, record-shaped
     view the solvers and benches use. These are {e telemetry only}:
     per-solve counts live in the solution records
@@ -37,6 +39,10 @@ val record_exact_pivots : int -> unit
 val record_warm_hit : unit -> unit
 
 val record_factorization : unit -> unit
+
+val record_ftrans : int -> unit
+
+val record_btrans : int -> unit
 
 (** Current totals (atomic reads; consistent enough for reporting). *)
 val snapshot : unit -> snapshot

@@ -564,10 +564,18 @@ let check_solves rng label bs reference =
       Alcotest.failf "%s: btran #%d differs from the dense solve" label k
   done
 
+let same_bits x y =
+  Array.length x = Array.length y
+  && Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) x y
+
 (* Factor [header] with both kernels and drive them through [updates]
    eta updates: the solves must equal the dense ones exactly after
-   [create], after every eta, and across the automatic refactorization
-   at update [refactor_interval + 1]. *)
+   [create], after every eta, across the automatic refactorization at
+   update [refactor_interval + 1] and across the explicit one after
+   update [refactor_interval + 2]. A solution of B x = b carried by
+   [Basis.advance], or solved afresh when an update or [refactor]
+   rebuilt the factors, must equal [Basis.ftran bs b] bit for bit
+   throughout (signs of zeros included). *)
 let drive_against_dense rng label cols header ~updates =
   let m = Array.length header in
   match (Basis.create ~cols ~header, Dense_basis.create cols header) with
@@ -575,6 +583,8 @@ let drive_against_dense rng label cols header ~updates =
   | _, None -> Alcotest.failf "%s: dense reference found the basis singular" label
   | Ok bs, Some reference ->
     check_solves rng (label ^ ", fresh") bs reference;
+    let b = random_rhs (Random.State.copy rng) m in
+    let x = ref (Basis.ftran bs b) in
     let basic = Array.make (Array.length cols) false in
     Array.iter (fun j -> basic.(j) <- true) header;
     for u = 1 to updates do
@@ -594,7 +604,20 @@ let drive_against_dense rng label cols header ~updates =
       Dense_basis.update reference ~row:!row ~col:q ~w;
       basic.(leave) <- false;
       basic.(q) <- true;
-      check_solves rng (Printf.sprintf "%s, update %d" label u) bs reference
+      let advanced = Basis.advance bs !x in
+      if advanced <> (u <> Basis.refactor_interval + 1) then
+        Alcotest.failf "%s, update %d: advance returned %b" label u advanced;
+      if not advanced then x := Basis.ftran bs b;
+      if u = Basis.refactor_interval + 2 then begin
+        (match Basis.refactor bs with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s, refactor after update %d: %s" label u e);
+        ignore (Dense_basis.factor reference);
+        x := Basis.ftran bs b
+      end;
+      check_solves rng (Printf.sprintf "%s, update %d" label u) bs reference;
+      if not (same_bits !x (Basis.ftran bs b)) then
+        Alcotest.failf "%s, update %d: carried x_B differs from a fresh FTRAN" label u
     done
 
 let shuffle rng a =
@@ -696,6 +719,111 @@ let test_basis_tiny_pivot () =
   match Basis.update bs ~row:1 ~col:2 ~w:[| 1.0; 2.0 *. Basis.singular_tol |] with
   | Ok () -> Alcotest.(check (array int)) "header updated" [| 0; 2 |] (Basis.header bs)
   | Error e -> Alcotest.fail e
+
+(* --- the engine against the one kept in revised_reference.ml --- *)
+
+(* A seeded LP in le_form's shape: [n] columns of one to four positive
+   entries on [m] rows, a positive objective, and rhs in [1, 10], a fifth
+   of them 0 (primal degenerate). Half the LPs have every entry and cost
+   1 (dual degenerate: ties everywhere); the others a third of their
+   entries 1 and costs in 1..5. Every column has an entry, so the LP is
+   bounded. *)
+let random_le_lp rng ~m ~n =
+  let unit = Random.State.bool rng in
+  let entry () = if unit || Random.State.int rng 3 = 0 then 1.0 else 0.5 +. Random.State.float rng 2.5 in
+  let cols =
+    Array.init n (fun _ ->
+        let rows = List.sort_uniq compare (List.init (1 + Random.State.int rng 4) (fun _ -> Random.State.int rng m)) in
+        (Array.of_list rows, Array.of_list (List.map (fun _ -> entry ()) rows)))
+  in
+  let objective = List.init n (fun j -> ((if unit then 1.0 else 1.0 +. Float.of_int (Random.State.int rng 5)), j)) in
+  let rhs = Array.init m (fun _ -> if Random.State.int rng 5 = 0 then 0.0 else 1.0 +. Random.State.float rng 9.0) in
+  (objective, cols, rhs)
+
+(* Both engines on one program and start: both optimal, with the same
+   values, objective, row duals, pivots and basis, bit for bit. Returns
+   the optimum and its basis, and whether the engine under test started
+   warm. *)
+let engines_match label ?start ~objective ~cols ~rhs () =
+  let (mine, warm), theirs =
+    ( warm_hits (fun () ->
+          Revised_simplex.solve
+            ?start:(Option.map (fun (basic, is_new_row) -> { Revised_simplex.basic; is_new_row }) start)
+            (Revised_simplex.le_form ~objective ~cols ~rhs)),
+      Revised_reference.solve
+        ?start:(Option.map (fun (basic, is_new_row) -> { Revised_reference.basic; is_new_row }) start)
+        (Revised_reference.le_form ~objective ~cols ~rhs) )
+  in
+  match (mine, theirs) with
+  | Revised_simplex.Optimal (s, basic), Revised_reference.Optimal (r, basic') ->
+    let fail what = Alcotest.failf "%s: %s differ from the reference engine's" label what in
+    if not (same_bits s.Lp_model.values r.Lp_model.values) then fail "values";
+    if not (same_bits [| s.Lp_model.objective |] [| r.Lp_model.objective |]) then fail "objectives";
+    if not (same_bits s.Lp_model.row_duals r.Lp_model.row_duals) then fail "row duals";
+    if s.Lp_model.pivots <> r.Lp_model.pivots then fail "pivots";
+    if basic <> basic' then fail "bases";
+    (s, basic, warm > 0)
+  | _ -> Alcotest.failf "%s: not both optimal" label
+
+(* Cold solves, warm re-solves after the rhs moved (an epoch's
+   re-solve) and warm re-solves after cut rows were appended, flagged
+   new (a cut round): the engine must reproduce the reference engine bit
+   for bit. The sweep must reach the dual's Bland latch (seen as a warm
+   re-solve of at least [m] pivots, which in this sweep always latches) and
+   the 64-eta refactorization (a solve of more than
+   [Basis.refactor_interval] pivots). *)
+let test_revised_matches_reference () =
+  let latched = ref 0 and refactored = ref 0 in
+  for seed = 1 to 100 do
+    let rng = Random.State.make [| seed; 4153 |] in
+    let m = if seed mod 4 = 0 then 70 + Random.State.int rng 30 else 2 + Random.State.int rng 6 in
+    let n = m + Random.State.int rng (2 * m) in
+    let objective, cols, rhs = random_le_lp rng ~m ~n in
+    let label = Printf.sprintf "seed %d" seed in
+    let note ~rows (s, _, warm) =
+      let pivots = s.Lp_model.pivots in
+      if warm && pivots >= rows then incr latched;
+      if pivots > Basis.refactor_interval then incr refactored
+    in
+    let ((optimum, basic, _) as cold) = engines_match (label ^ ", cold") ~objective ~cols ~rhs () in
+    note ~rows:m cold;
+    (* rhs moved: half the rows redrawn *)
+    let rhs' = Array.map (fun r -> if Random.State.bool rng then Random.State.float rng 10.0 else r) rhs in
+    note ~rows:m
+      (engines_match (label ^ ", rhs moved") ~start:(basic, fun _ -> false) ~objective ~cols
+         ~rhs:rhs' ());
+    (* up to m + 1 cut rows over a few structural columns each, rhs a
+       fifth of their activity at the optimum, appended after the old
+       rows *)
+    let k = 1 + Random.State.int rng (1 + m) in
+    let values = optimum.Lp_model.values in
+    let extra = Array.make n [] in
+    let cut_rhs =
+      Array.init k (fun c ->
+          let activity = ref 0.0 in
+          List.iter
+            (fun j ->
+              if not (List.mem_assoc (m + c) extra.(j)) then begin
+                let v = 0.5 +. Random.State.float rng 1.5 in
+                extra.(j) <- (m + c, v) :: extra.(j);
+                activity := !activity +. (v *. values.(j))
+              end)
+            (List.init (2 + Random.State.int rng 5) (fun _ -> Random.State.int rng n));
+          0.2 *. !activity)
+    in
+    let cols' =
+      Array.mapi
+        (fun j (rows, vals) ->
+          let more = List.rev extra.(j) in
+          (Array.append rows (Array.of_list (List.map fst more)), Array.append vals (Array.of_list (List.map snd more))))
+        cols
+    in
+    note ~rows:(m + k)
+      (engines_match (label ^ ", rows added") ~start:(basic, fun i -> i >= m) ~objective ~cols:cols'
+         ~rhs:(Array.append rhs cut_rhs) ())
+  done;
+  if !latched = 0 then Alcotest.fail "no warm re-solve reached the Bland latch";
+  if !refactored = 0 then Alcotest.fail "no solve reached the 64-eta refactorization"
 
 (* --- engines agree on random bounded instances --- *)
 
@@ -962,4 +1090,5 @@ let suite =
       ("basis: a dependent column is singular in both kernels", `Quick, test_basis_dependent_column);
       ("basis: singular header is an error", `Quick, test_basis_singular);
       ("basis: tiny pivot is an error", `Quick, test_basis_tiny_pivot);
+      ("revised: bit for bit the reference engine", `Quick, test_revised_matches_reference);
     ]
