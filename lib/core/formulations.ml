@@ -261,9 +261,10 @@ let solve_sum_dense (p : Platform.t) groups =
    on small instances either (colgen solves each portfolio deck instance's
    UB in at most 1 ms, the arc LP in 9-44 ms); it stays for its optimal
    vertex. Multisource MC's greedy follows the UB solution it is given,
-   and colgen's vertex, same optimum, changes that trajectory: the
-   small-4 deck instance's period goes 128.2 -> 154.3 and the Fig. 11(b)
-   density-1.0 ratio at 4 trials 1.64 -> 2.04. *)
+   and colgen's vertex, same optimum, changes that trajectory: with the
+   arc LP off, every Multicast-UB period stays, but Multisource MC's
+   period on Tiers-small platform 3 at target density 0.4 goes
+   77.36 -> 129.04, and on platform 5 at density 0.7 80.04 -> 87.30. *)
 let solve_sum (p : Platform.t) groups =
   let size = List.length groups * Digraph.n_edges p.Platform.graph in
   if size <= 2000 then solve_sum_dense p groups else solve_sum_colgen p groups

@@ -100,12 +100,17 @@ type t = {
   l_cols : lines;
   u_cols : lines;
   cursor : int array; (* transposition scratch *)
-  (* elimination scratch, clean between refactorizations ([residual]
-     borrows [work] there and leaves it clean) *)
+  (* elimination scratch, clean between steps ([residual] borrows [work]
+     there and leaves it clean) *)
   work : float array; (* the column being eliminated, by original row *)
   pattern : int array; (* original rows [work] touches *)
+  mutable np : int; (* rows in [pattern] *)
   in_pattern : bool array;
   pending : bool array; (* pivots whose row entered the pattern, by pivot *)
+  mutable lo : int; (* lowest and highest pending pivot *)
+  mutable hi : int;
+  mutable nl : int; (* entries of L and U made so far *)
+  mutable nu : int;
   pos : int array; (* pos.(r) = position of original row r, inverse of [perm] *)
   etas : lines; (* nonzeros of each w_t, pivot entry excluded *)
   eta_row : int array;
@@ -115,154 +120,234 @@ type t = {
 
 let header t = t.header
 
-(* Left-looking: header column c is scattered into [work], receives the
-   updates of the earlier pivots in pivot order, then picks its pivot.
+(* No row pivoted, no factor entry, no eta. *)
+let reset t =
+  for i = 0 to t.m - 1 do
+    t.perm.(i) <- i;
+    t.pos.(i) <- i
+  done;
+  t.n_etas <- 0;
+  t.nl <- 0;
+  t.nu <- 0
+
+(* Left-looking: the column of step c is scattered into [work], receives
+   the updates of the earlier pivots in pivot order, then picks its pivot.
    Pivot p's row sits at position p from then on, so a row r is pivoted
    before step c exactly when pos.(r) < c, and then pos.(r) is its pivot.
-   While c is eliminated, [l_cols] holds L by column over original rows
-   in pattern order; once every pivot is known its rows are renamed to
-   their final positions and the counting transposes sort both L and U. *)
-let refactor t =
-  Lp_counters.record_factorization ();
-  let m = t.m in
+   While steps run, [l_cols] holds L by column over original rows in
+   pattern order; once every pivot is known its rows are renamed to their
+   final positions and the counting transposes sort both L and U
+   ([finish]).
+
+   Row r enters step c's pattern. A pivot's column only reaches rows
+   unpivoted when it was made, so it only flags later pivots and the
+   upward scan from [lo] meets them all. *)
+let touch t c r =
+  if not (Array.unsafe_get t.in_pattern r) then begin
+    Array.unsafe_set t.in_pattern r true;
+    Array.unsafe_set t.pattern t.np r;
+    t.np <- t.np + 1;
+    let p = Array.unsafe_get t.pos r in
+    if p < c then begin
+      Array.unsafe_set t.pending p true;
+      if p < t.lo then t.lo <- p;
+      if p > t.hi then t.hi <- p
+    end
+  end
+
+(* Step c on column [j]: true when j pivots, taking position c, on its
+   unpivoted row of largest magnitude above [tol], ties going to the row
+   first in the dense kernel's current order or, with [by_row], to the
+   lowest row index. Otherwise j's U entries are undone and the
+   factorization is as it was before the step. *)
+let eliminate t c j ~tol ~by_row =
   let work = t.work and pattern = t.pattern and in_pattern = t.in_pattern in
   let pending = t.pending and pos = t.pos and perm = t.perm in
   let lc = t.l_cols and uc = t.u_cols in
-  for i = 0 to m - 1 do
-    perm.(i) <- i;
-    pos.(i) <- i
+  let rows, vals = t.cols.(j) in
+  for k = 0 to Array.length rows - 1 do
+    let r = rows.(k) in
+    touch t c r;
+    work.(r) <- work.(r) +. vals.(k)
   done;
-  t.n_etas <- 0;
-  let np = ref 0 and lo = ref m and hi = ref (-1) in
-  (* A pivot's column only reaches rows unpivoted when it was made, so
-     it only flags later pivots and the upward scan meets them all. *)
-  let touch c r =
-    if not (Array.unsafe_get in_pattern r) then begin
-      Array.unsafe_set in_pattern r true;
-      Array.unsafe_set pattern !np r;
-      incr np;
-      let p = Array.unsafe_get pos r in
-      if p < c then begin
-        Array.unsafe_set pending p true;
-        if p < !lo then lo := p;
-        if p > !hi then hi := p
+  (* work.(r) -. (f *. u): the dense kernel's row update, same operands;
+     a zero u changes nothing but the sign of a zero, so it is skipped. *)
+  let p = ref t.lo in
+  while !p <= t.hi do
+    let p' = !p in
+    if pending.(p') then begin
+      pending.(p') <- false;
+      let u = work.(perm.(p')) in
+      if u <> 0.0 then begin
+        push uc t.nu p' u;
+        t.nu <- t.nu + 1;
+        for k = lc.start.(p') to lc.start.(p' + 1) - 1 do
+          let r = Array.unsafe_get lc.idx k in
+          touch t c r;
+          Array.unsafe_set work r
+            (Array.unsafe_get work r -. (Array.unsafe_get lc.v k *. u))
+        done
+      end
+    end;
+    incr p
+  done;
+  t.lo <- t.m;
+  t.hi <- -1;
+  let best = ref (-1) and best_v = ref 0.0 in
+  for q = 0 to t.np - 1 do
+    let r = pattern.(q) in
+    if pos.(r) >= c then begin
+      let v = abs_float work.(r) in
+      if
+        v > !best_v
+        || v = !best_v && !best >= 0 && (if by_row then r < !best else pos.(r) < pos.(!best))
+      then begin
+        best_v := v;
+        best := r
       end
     end
-  in
-  let nl = ref 0 and nu = ref 0 in
-  let singular = ref false and c = ref 0 in
-  while (not !singular) && !c < m do
-    let c' = !c in
-    let rows, vals = t.cols.(t.header.(c')) in
-    for k = 0 to Array.length rows - 1 do
-      let r = rows.(k) in
-      touch c' r;
-      work.(r) <- work.(r) +. vals.(k)
-    done;
-    (* work.(r) -. (f *. u): the dense kernel's row update, same operands;
-       a zero u changes nothing but the sign of a zero, so it is skipped. *)
-    let p = ref !lo in
-    while !p <= !hi do
-      let p' = !p in
-      if pending.(p') then begin
-        pending.(p') <- false;
-        let u = work.(perm.(p')) in
-        if u <> 0.0 then begin
-          push uc !nu p' u;
-          incr nu;
-          for k = lc.start.(p') to lc.start.(p' + 1) - 1 do
-            let r = Array.unsafe_get lc.idx k in
-            touch c' r;
-            Array.unsafe_set work r
-              (Array.unsafe_get work r -. (Array.unsafe_get lc.v k *. u))
-          done
-        end
-      end;
-      incr p
-    done;
-    lo := m;
-    hi := -1;
-    uc.start.(c' + 1) <- !nu;
-    (* The dense kernel's pivot: largest magnitude, ties to the row first
-       in the current order. *)
-    let best = ref (-1) and best_v = ref 0.0 in
-    for q = 0 to !np - 1 do
+  done;
+  let pivoted = !best_v > tol in
+  if pivoted then begin
+    uc.start.(c + 1) <- t.nu;
+    let w = !best in
+    let pw = pos.(w) and rc = perm.(c) in
+    perm.(pw) <- rc;
+    pos.(rc) <- pw;
+    perm.(c) <- w;
+    pos.(w) <- c;
+    let piv = work.(w) in
+    t.diag.(c) <- piv;
+    for q = 0 to t.np - 1 do
       let r = pattern.(q) in
-      if pos.(r) >= c' then begin
-        let v = abs_float work.(r) in
-        if v > !best_v || (v = !best_v && !best >= 0 && pos.(r) < pos.(!best)) then begin
-          best_v := v;
-          best := r
+      if pos.(r) > c then begin
+        let f = work.(r) /. piv in
+        if f <> 0.0 then begin
+          push lc t.nl r f;
+          t.nl <- t.nl + 1
         end
       end
     done;
-    if !best_v <= singular_tol then singular := true
-    else begin
-      let w = !best in
-      let pw = pos.(w) and rc = perm.(c') in
-      perm.(pw) <- rc;
-      pos.(rc) <- pw;
-      perm.(c') <- w;
-      pos.(w) <- c';
-      let piv = work.(w) in
-      t.diag.(c') <- piv;
-      for q = 0 to !np - 1 do
-        let r = pattern.(q) in
-        if pos.(r) > c' then begin
-          let f = work.(r) /. piv in
-          if f <> 0.0 then begin
-            push lc !nl r f;
-            incr nl
-          end
-        end
-      done;
-      lc.start.(c' + 1) <- !nl
-    end;
-    for q = 0 to !np - 1 do
-      let r = pattern.(q) in
-      work.(r) <- 0.0;
-      in_pattern.(r) <- false
-    done;
-    np := 0;
+    lc.start.(c + 1) <- t.nl
+  end
+  else t.nu <- uc.start.(c);
+  for q = 0 to t.np - 1 do
+    let r = pattern.(q) in
+    work.(r) <- 0.0;
+    in_pattern.(r) <- false
+  done;
+  t.np <- 0;
+  pivoted
+
+(* Once every position holds a pivot: L's rows renamed to their final
+   positions, and both factors sorted by the counting transposes. *)
+let finish t =
+  let lc = t.l_cols in
+  for k = 0 to t.nl - 1 do
+    lc.idx.(k) <- t.pos.(lc.idx.(k))
+  done;
+  transpose t.m lc t.l_rows t.cursor;
+  transpose t.m t.l_rows lc t.cursor;
+  transpose t.m t.u_cols t.u_rows t.cursor
+
+(* The header's columns in order, each pivoting above [singular_tol]. *)
+let factor t =
+  reset t;
+  let c = ref 0 in
+  while !c < t.m && eliminate t !c t.header.(!c) ~tol:singular_tol ~by_row:false do
     incr c
   done;
-  if !singular then Error "singular basis"
+  if !c < t.m then Error "singular basis"
   else begin
-    for k = 0 to !nl - 1 do
-      lc.idx.(k) <- pos.(lc.idx.(k))
-    done;
-    transpose m lc t.l_rows t.cursor;
-    transpose m t.l_rows lc t.cursor;
-    transpose m uc t.u_rows t.cursor;
+    finish t;
     Ok ()
   end
 
-let create ~cols ~header =
+let refactor t =
+  Lp_counters.record_factorization ();
+  factor t
+
+let make ~cols ~header =
   let m = Array.length header in
-  let t =
-    {
-      m;
-      cols;
-      header;
-      perm = Array.init m Fun.id;
-      diag = Array.make m 0.0;
-      l_rows = lines m;
-      u_rows = lines m;
-      l_cols = lines m;
-      u_cols = lines m;
-      cursor = Array.make m 0;
-      work = Array.make m 0.0;
-      pattern = Array.make m 0;
-      in_pattern = Array.make m false;
-      pending = Array.make m false;
-      pos = Array.make m 0;
-      etas = lines refactor_interval;
-      eta_row = Array.make refactor_interval 0;
-      eta_piv = Array.make refactor_interval 0.0;
-      n_etas = 0;
-    }
+  {
+    m;
+    cols;
+    header;
+    perm = Array.init m Fun.id;
+    diag = Array.make m 0.0;
+    l_rows = lines m;
+    u_rows = lines m;
+    l_cols = lines m;
+    u_cols = lines m;
+    cursor = Array.make m 0;
+    work = Array.make m 0.0;
+    pattern = Array.make m 0;
+    np = 0;
+    in_pattern = Array.make m false;
+    pending = Array.make m false;
+    lo = m;
+    hi = -1;
+    nl = 0;
+    nu = 0;
+    pos = Array.make m 0;
+    etas = lines refactor_interval;
+    eta_row = Array.make refactor_interval 0;
+    eta_piv = Array.make refactor_interval 0.0;
+    n_etas = 0;
+  }
+
+let create ~cols ~header =
+  let t = make ~cols ~header in
+  Result.map (fun () -> t) (refactor t)
+
+(* A warm header's columns are dropped at this pivot magnitude, well above
+   [singular_tol]: a column that barely pivots is better left to a slack. *)
+let drop_tol = 1e-9
+
+(* The forced slacks pivot on their own rows first, so the candidates can
+   only pivot on shared rows. That is what keeps a start whose model only
+   gained rows (a cut round, a survivor re-solve) dual feasible: its old
+   basis is nonsingular on the shared rows, every candidate pivots there,
+   and the header is the block-triangular [B 0; C I], priced as the old
+   optimum. Free pivoting would put an old column on a new cut row (their
+   ±1 entries dominate cost-sized ones) and swap another slack in.
+
+   When the kept candidates leave no row unpivoted the header is decided
+   whatever the tie rule, and the pass has made [create]'s factors.
+   Otherwise the tie rule decides which rows stay unpivoted, hence which
+   slacks complete the header: a second pass picks them with ties to the
+   lowest row index, and [factor] then makes [create]'s factors of that
+   header. *)
+let warm ~cols ~forced ~candidates ~slack_of_row =
+  let m = Array.length slack_of_row in
+  let t = make ~cols ~header:(Array.make m (-1)) in
+  Lp_counters.record_factorization ();
+  let n = ref 0 in
+  let place ~by_row j =
+    if !n < m && eliminate t !n j ~tol:drop_tol ~by_row then begin
+      t.header.(!n) <- j;
+      incr n
+    end
   in
-  match refactor t with Ok () -> Ok t | Error e -> Error e
+  let pick ~by_row =
+    reset t;
+    n := 0;
+    List.iter (place ~by_row) forced;
+    List.iter (place ~by_row) candidates
+  in
+  pick ~by_row:false;
+  if !n = m then begin
+    finish t;
+    Ok t
+  end
+  else begin
+    Lp_counters.record_rank_deficient ();
+    pick ~by_row:true;
+    for i = 0 to m - 1 do
+      if t.pos.(i) >= !n then place ~by_row:true slack_of_row.(i)
+    done;
+    if !n < m then Error "singular basis" else Result.map (fun () -> t) (factor t)
+  end
 
 (* x := E_e^-1 x, in place. *)
 let eta_inverse t x e =

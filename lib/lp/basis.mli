@@ -11,10 +11,12 @@
     The factorization is a left-looking sparse elimination that makes
     the pivots and multipliers of a dense partial-pivoting LU (largest
     magnitude, ties to the row first in the dense kernel's current row
-    order) in time proportional to [m] plus the factors' nonzeros. L and
-    U are stored sparsely (by rows and by columns), each
-    {!refactor} counts under the [lp.factorizations] metric, and each
-    eta keeps only the nonzeros of its pivot column. FTRAN and BTRAN
+    order) in time proportional to [m] plus the factors' nonzeros;
+    {!warm} runs it over the columns of a warm start to pick the basis
+    as it factorizes it. L and U are stored sparsely (by rows and by
+    columns), each {!refactor} and each {!warm} counts under the
+    [lp.factorizations] metric, and each eta keeps only the nonzeros of
+    its pivot column. FTRAN and BTRAN
     walk those nonzeros in the order a dense triangular solve visits
     indices, so they return exactly what the dense solves would (up to
     the sign of a zero) at a cost proportional to [m] plus the stored
@@ -38,6 +40,30 @@ val singular_tol : float
 val create :
   cols:(int array * float array) array ->
   header:int array ->
+  (t, string) result
+
+(** [warm ~cols ~forced ~candidates ~slack_of_row] picks and factorizes
+    the basis of a warm start in one elimination, the one {!refactor}
+    runs. The columns are eliminated in the order [forced] (the slacks of
+    the rows the start's own model did not have, in ascending row order),
+    then [candidates] (the start's columns); a column whose largest
+    remaining pivot is at most 1e-9 is dropped, its work undone, and
+    takes no position. So each forced slack pivots on its own row, and the
+    candidates only on the other rows: a candidate equal to a forced slack
+    is dropped. Every row left unpivoted then gets its slack from
+    [slack_of_row], in ascending row order. Which rows are left then
+    depends on how pivot ties are broken, so the kept candidates and the
+    rows they leave are re-picked in a second pass with ties to the
+    lowest row index; those starts count under
+    [lp.warm.rank_deficient]. The factors are bit for bit those of
+    {!create} on the returned header, and one factorization is counted.
+    Keeps [cols] as {!create} does. [Error _] if a slack fails to
+    pivot. *)
+val warm :
+  cols:(int array * float array) array ->
+  forced:int list ->
+  candidates:int list ->
+  slack_of_row:int array ->
   (t, string) result
 
 (** The live header array (shared, not a copy). *)

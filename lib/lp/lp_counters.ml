@@ -8,6 +8,7 @@ let float_pivots = Metrics.counter "lp.pivots.float"
 let exact_pivots_c = Metrics.counter "lp.pivots.exact"
 let warm_hits_c = Metrics.counter "lp.warm.hits"
 let factorizations = Metrics.counter "lp.factorizations"
+let rank_deficient = Metrics.counter "lp.warm.rank_deficient"
 let ftrans = Metrics.counter "lp.ftrans"
 let btrans = Metrics.counter "lp.btrans"
 
@@ -25,6 +26,7 @@ let record_pivots n = Metrics.add float_pivots n
 let record_exact_pivots n = Metrics.add exact_pivots_c n
 let record_warm_hit () = Metrics.incr warm_hits_c
 let record_factorization () = Metrics.incr factorizations
+let record_rank_deficient () = Metrics.incr rank_deficient
 let record_ftrans n = Metrics.add ftrans n
 let record_btrans n = Metrics.add btrans n
 

@@ -5,7 +5,10 @@
     solves on separate domains count correctly. The storage is the
     {!Metrics} registry (names [lp.solves.float], [lp.solves.exact],
     [lp.pivots.float], [lp.pivots.exact], [lp.factorizations], the
-    {!Basis} refactorizations, [create]'s included, and [lp.ftrans] and
+    {!Basis} refactorizations, [create]'s and [warm]'s included,
+    [lp.warm.rank_deficient], the warm starts whose kept columns left a
+    shared row to its slack, so that {!Basis.warm} picked the header in a
+    second pass, and [lp.ftrans] and
     [lp.btrans], the float engine's {!Basis.ftran} and {!Basis.btran}
     calls), so the same tallies appear in
     every metrics snapshot; this module remains the typed, record-shaped
@@ -39,6 +42,8 @@ val record_exact_pivots : int -> unit
 val record_warm_hit : unit -> unit
 
 val record_factorization : unit -> unit
+
+val record_rank_deficient : unit -> unit
 
 val record_ftrans : int -> unit
 

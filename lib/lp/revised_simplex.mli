@@ -18,13 +18,14 @@
     rows, or a survivor platform or the next epoch, whose basis
     [Formulations] carries in its own typed form) maps that basis onto
     the new model's column indices itself and flags the rows the
-    basis's own model did not have ({!start}). A repair turns it into a
-    nonsingular basis of the new model (rows the source model never had
-    get their slacks basic; the given columns are eliminated strictly
-    within the shared rows, which reconstructs the dual-feasible block
-    basis when rows were only added), and the solve re-optimizes with
-    dual simplex (basis dual feasible) or primal phase 2 (basis primal
-    feasible). The warm path is verdict-neutral: every failure mode
+    basis's own model did not have ({!start}). {!Basis.warm} turns it
+    into a nonsingular basis of the new model and its factors in one
+    elimination (rows the source model never had get their slacks basic;
+    the given columns pivot only on the shared rows, dependent ones are
+    dropped and rows left over get their slacks, which reconstructs the
+    dual-feasible block basis when rows were only added), and the solve
+    re-optimizes with dual simplex (basis dual feasible) or primal
+    phase 2 (basis primal feasible). The warm path is verdict-neutral: every failure mode
     falls back to a cold solve internally, so only [Optimal] can ever
     come out of it, and models with artificials (Ge/Eq rows after
     normalization) skip it entirely. *)
@@ -80,7 +81,7 @@ type start = { basic : int array; is_new_row : int -> bool }
 
 (** [solve ?max_iter ?start f]. [max_iter] (default 200 000) is the
     overall pivot budget of the call. The dual re-solve of a warm attempt
-    is additionally capped at [32 + m] pivots — a repaired basis that has
+    is additionally capped at [32 + m] pivots — a warm basis that has
     not converged by then is degenerate-cycling, and surrendering to the
     cold path is cheaper than grinding (the dual engine also latches to
     Bland's lowest-index rules after [m] iterations for the same reason).

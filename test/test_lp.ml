@@ -825,6 +825,154 @@ let test_revised_matches_reference () =
   if !latched = 0 then Alcotest.fail "no warm re-solve reached the Bland latch";
   if !refactored = 0 then Alcotest.fail "no solve reached the 64-eta refactorization"
 
+(* --- Basis.warm against the reference engine's repair --- *)
+
+let factorizations = Metrics.counter "lp.factorizations"
+let rank_deficient = Metrics.counter "lp.warm.rank_deficient"
+
+(* One warm start of an le_form program with structural columns [cols]
+   and [m] rows: [Basis.warm] must return the header the reference
+   engine's [repair] picks, count one factorization, and solve as
+   [Basis.create] on that header does, bit for bit. Returns the header
+   and whether the start took the second pass. *)
+let check_warm label ~cols ~m ~basic ~is_new_row =
+  let std = Revised_reference.le_form ~objective:[] ~cols ~rhs:(Array.make m 0.0) in
+  let resolved = Revised_reference.resolve_indices std basic in
+  let forced =
+    List.filter_map
+      (fun i -> if is_new_row i then Some std.Revised_reference.slack_of_row.(i) else None)
+      (List.init m Fun.id)
+  in
+  let all_cols = std.Revised_reference.cols in
+  let f0 = Metrics.counter_value factorizations and r0 = Metrics.counter_value rank_deficient in
+  let warm =
+    Basis.warm ~cols:all_cols ~forced ~candidates:resolved
+      ~slack_of_row:std.Revised_reference.slack_of_row
+  in
+  if Metrics.counter_value factorizations <> f0 + 1 then
+    Alcotest.failf "%s: not one factorization" label;
+  match (warm, Revised_reference.repair std resolved ~is_new_row) with
+  | Ok bs, Some header -> (
+    if Basis.header bs <> header then Alcotest.failf "%s: not the reference header" label;
+    match Basis.create ~cols:all_cols ~header:(Array.copy header) with
+    | Error e -> Alcotest.failf "%s: create: %s" label e
+    | Ok fresh ->
+      let b = Array.init m (fun i -> Float.of_int ((i * 7 mod 11) - 3)) in
+      if not (same_bits (Basis.ftran bs b) (Basis.ftran fresh b)) then
+        Alcotest.failf "%s: ftran differs from create's" label;
+      if not (same_bits (Basis.btran bs b) (Basis.btran fresh b)) then
+        Alcotest.failf "%s: btran differs from create's" label;
+      (header, Metrics.counter_value rank_deficient > r0))
+  | Error e, _ -> Alcotest.failf "%s: %s" label e
+  | Ok _, None -> Alcotest.failf "%s: the reference found no header" label
+
+(* A start's column as recorded: a structural column, or the slack of a
+   recorded row. *)
+type start_entry = Col of int | Slack_of of int
+
+(* The recorded starts of test/warm_ports.txt (its header gives the
+   format), each as (structural columns, row count, start, new rows). *)
+let recorded_warm_starts () =
+  let int = int_of_string in
+  let values = ref [||] and rows = Hashtbl.create 4096 in
+  let ids = ref [||] and nv = ref 0 and start = ref [||] and starts = ref [] in
+  let entry e =
+    match String.index_opt e '=' with
+    | Some k -> (int (String.sub e 0 k), !values.(int (String.sub e (k + 1) (String.length e - k - 1))))
+    | None when String.ends_with ~suffix:"+" e -> (int (String.sub e 0 (String.length e - 1)), 1.0)
+    | None -> (int e, -1.0)
+  in
+  let token prev t =
+    match t.[0] with
+    | '@' -> Scanf.sscanf t "@%d,%d" (fun i n -> Array.sub prev i n)
+    | 's' -> [| Slack_of (int (String.sub t 1 (String.length t - 1))) |]
+    | _ -> [| Col (int t) |]
+  in
+  let program new_rows =
+    let ids = !ids and nv = !nv in
+    let m = Array.length ids in
+    let cols = Array.make nv [] and row_of = Hashtbl.create m in
+    for i = m - 1 downto 0 do
+      Hashtbl.replace row_of ids.(i) i;
+      List.iter (fun (j, v) -> cols.(j) <- (i, v) :: cols.(j)) (Hashtbl.find rows ids.(i))
+    done;
+    let cols = Array.map (fun l -> (Array.of_list (List.map fst l), Array.of_list (List.map snd l))) cols in
+    let basic = Array.map (function Col j -> j | Slack_of r -> nv + Hashtbl.find row_of r) !start in
+    let is_new = Array.make m false in
+    List.iter
+      (fun r -> Scanf.sscanf r "%d-%d" (fun a b -> Array.fill is_new a (b - a + 1) true))
+      new_rows;
+    (cols, m, basic, is_new)
+  in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | "v" :: xs -> values := Array.of_list (List.map float_of_string xs)
+      | "r" :: es -> Hashtbl.replace rows (Hashtbl.length rows) (List.map entry es)
+      | "p" :: n :: front :: back :: mid ->
+        let prev = !ids and back = int back in
+        nv := int n;
+        ids :=
+          Array.concat
+            [
+              Array.sub prev 0 (int front);
+              Array.of_list (List.map int mid);
+              Array.sub prev (Array.length prev - back) back;
+            ]
+      | "b" :: ts ->
+        let prev = !start in
+        start := Array.concat (List.map (token prev) ts)
+      | "n" :: new_rows -> starts := program new_rows :: !starts
+      | _ -> ())
+    (String.split_on_char '\n' Warm_ports.text);
+  List.rev !starts
+
+(* The 609 warm starts of the cut-loop digest sweep: 11 leave a shared row
+   to a slack, so the second pass is exercised too. *)
+let test_warm_recorded () =
+  let starts = recorded_warm_starts () in
+  Alcotest.(check int) "recorded warm starts" 609 (List.length starts);
+  let deficient =
+    List.mapi
+      (fun k (cols, m, basic, is_new) ->
+        snd (check_warm (Printf.sprintf "start %d" k) ~cols ~m ~basic ~is_new_row:(Array.get is_new)))
+      starts
+  in
+  Alcotest.(check int) "rank-deficient starts" 11 (List.length (List.filter Fun.id deficient))
+
+(* Hand-built starts, each over the columns [cols] of a program of [m]
+   rows (structural columns 0..n-1, slack of row i at n + i). *)
+let test_warm_hand_built () =
+  let case label ~cols ~m ~basic ~new_rows ~expect ~deficient =
+    let header, second_pass = check_warm label ~cols ~m ~basic ~is_new_row:(fun i -> List.mem i new_rows) in
+    Alcotest.(check (array int)) (label ^ ": header") expect header;
+    Alcotest.(check bool) (label ^ ": second pass") deficient second_pass
+  in
+  let x = ([| 0; 1; 2 |], [| 1.0; 2.0; 3.0 |]) and y = ([| 1; 2 |], [| 1.0; 1.0 |]) in
+  case "no candidates" ~cols:[| x; y |] ~m:3 ~basic:[||] ~new_rows:[] ~expect:[| 2; 3; 4 |]
+    ~deficient:true;
+  case "all slacks new" ~cols:[| x; y |] ~m:3 ~basic:[| 0; 1 |] ~new_rows:[ 0; 1; 2 ]
+    ~expect:[| 2; 3; 4 |] ~deficient:false;
+  (* 2x is dependent on x: dropped, and row 0 is left to its slack *)
+  let x2 = ([| 0; 1; 2 |], [| 2.0; 4.0; 6.0 |]) in
+  case "dependent candidate" ~cols:[| x; x2; y |] ~m:3 ~basic:[| 0; 1; 2 |] ~new_rows:[]
+    ~expect:[| 0; 2; 3 |] ~deficient:true;
+  (* z's pivot left after x is 5e-10, at most 1e-9: dropped, though it is
+     above the singular tolerance of a fixed header *)
+  let z = ([| 0; 1; 2 |], [| 1.0; 2.0; 3.0 +. 5e-10 |]) in
+  case "pivot below 1e-9" ~cols:[| x; z; y |] ~m:3 ~basic:[| 0; 1; 2 |] ~new_rows:[]
+    ~expect:[| 0; 2; 3 |] ~deficient:true;
+  (* the slack of new row 2 is also a candidate: it keeps its forced
+     position and its candidate copy is dropped *)
+  case "candidate equal to a forced slack" ~cols:[| x; y |] ~m:3 ~basic:[| 4; 0; 1 |]
+    ~new_rows:[ 2 ] ~expect:[| 4; 0; 1 |] ~deficient:false;
+  (* u pivots on row 2, moving row 0 to position 2; w ties rows 0 and 1,
+     the factorization's order prefers row 1 and the row index row 0, so
+     only the second pass leaves row 1 to its slack as repair does *)
+  let w = ([| 0; 1 |], [| 1.0; 1.0 |]) and u = ([| 1; 2 |], [| 1.0; 2.0 |]) in
+  case "tie rules differ" ~cols:[| u; w |] ~m:3 ~basic:[| 0; 1 |] ~new_rows:[]
+    ~expect:[| 0; 1; 3 |] ~deficient:true
+
 (* --- engines agree on random bounded instances --- *)
 
 (* Random LP: maximize a non-negative objective over rows sum(coef x) <= rhs
@@ -1091,4 +1239,6 @@ let suite =
       ("basis: singular header is an error", `Quick, test_basis_singular);
       ("basis: tiny pivot is an error", `Quick, test_basis_tiny_pivot);
       ("revised: bit for bit the reference engine", `Quick, test_revised_matches_reference);
+      ("basis: warm starts of the cut loop give repair's header", `Quick, test_warm_recorded);
+      ("basis: hand-built warm starts", `Quick, test_warm_hand_built);
     ]
