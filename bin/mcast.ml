@@ -632,6 +632,19 @@ let scatter_schedule_cmd =
 
 (* --- resilience --- *)
 
+(* The survivor's Multicast-LB, the reference the repaired throughput is
+   judged against. Repair solves no LP, so the command prices it here,
+   warm-started from the nominal platform's optimal basis. A patched
+   repair is left unpriced, so an incremental run solves no LP at all. *)
+let print_survivor_lb p (rep : Repair.report) =
+  match rep.Repair.repair_method with
+  | `Patched -> print_endline "survivor LB: skipped (patched)"
+  | `Full_replan | `Fell_back _ -> (
+    let warm = Lp_cache.multicast_lb_basis ~caller:"resilience" p in
+    match Lp_cache.multicast_lb ~caller:"resilience" ?warm rep.Repair.survivor with
+    | None -> print_endline "survivor LB: infeasible"
+    | Some s -> Printf.printf "survivor LB: throughput %.6f\n" s.Formulations.throughput)
+
 let resilience (seed, load) kill_edges kill_nodes degrades at periods online
     max_attempts drop_order storm storm_k incremental jobs obs =
   run ~seed obs @@ fun () ->
@@ -701,6 +714,13 @@ let resilience (seed, load) kill_edges kill_nodes degrades at periods online
     | Error e -> failwith ("recovery policy rejected: " ^ e)
     | Ok o -> (
       Format.printf "%a@." Recovery_loop.pp_outcome o;
+      (match o.Recovery_loop.final with
+      | `Recovered rep -> print_survivor_lb p rep
+      | `Degraded (rep, _) ->
+        (* A degraded plan ran on the nominal platform cut down to the
+           targets it kept: its LB is warm-started from that platform. *)
+        print_survivor_lb (Platform.with_targets p rep.Repair.survivor.Platform.targets) rep
+      | `No_failure | `Fallback _ -> ());
       print_perf_counters ();
       (* Unrecovered runs exit nonzero so CI and scripts can detect them. *)
       match o.Recovery_loop.final with
@@ -719,6 +739,7 @@ let resilience (seed, load) kill_edges kill_nodes degrades at periods online
       "repaired schedule verified: Schedule.check OK, replay measured %.6f over %d periods\n"
       stats.Event_sim.measured_throughput stats.Event_sim.periods;
     Format.printf "%a@." Repair.pp_report rep;
+    print_survivor_lb p rep;
     print_perf_counters ()
 
 let resilience_cmd =

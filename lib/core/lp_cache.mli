@@ -1,9 +1,12 @@
 (** Memoizing front-end for the multicast LP bounds.
 
-    The robust planner and the benches solve {!Formulations.multicast_lb}
-    on {e survivor platforms} — the platform
-    with one link or node removed — and the same survivor recurs many times:
-    once per candidate schedule per scenario, and again during rescoring.
+    Its callers solve {!Formulations.multicast_lb} on {e survivor
+    platforms} (the platform with links or nodes removed): the robust
+    planner with [with_lb], the [mcast resilience] command, which prints
+    the repaired platform's bound, and the benches (P1, and R3's priced
+    full re-plan leg). {!Repair} and the recovery drivers above it solve no
+    LP. In the robust planner the same survivor recurs many times: once
+    per candidate schedule per scenario, and again during rescoring.
     This module keys solved bounds by a canonical platform fingerprint so
     recurrences cost a hash lookup instead of a simplex run.
 
@@ -51,8 +54,8 @@ val multicast_lb :
   Formulations.solution option
 
 (** [multicast_lb_basis ?caller p] is the optimal LB basis of [p], solving
-    (and caching) its LB on a miss — the warm-start seed the resilience
-    layer threads into each survivor's {!multicast_lb}. [None] when the
+    (and caching) its LB on a miss — the warm-start seed each caller
+    threads into its survivors' {!multicast_lb}. [None] when the
     LB is infeasible or the revised engine did not produce the basis. *)
 val multicast_lb_basis :
   ?caller:string -> Platform.t -> Formulations.warm_basis option

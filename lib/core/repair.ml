@@ -52,7 +52,6 @@ type report = {
   throughput_before : float;
   throughput_after : float;
   retention : float;
-  lb_after : float option;
   replan_seconds : float;
   refill_periods : int;
   lost_targets : int list;
@@ -154,15 +153,6 @@ let plan ?(now = Unix.gettimeofday) ?before (p : Platform.t) damage =
       let schedule = Schedule.of_tree_set set in
       let replan_seconds = now () -. t0 in
       let throughput_after = Rat.to_float schedule.Schedule.throughput in
-      let lb_after =
-        (* Survivor LB solves warm-start from the nominal platform's
-           optimal basis: one link/node of damage leaves most of the
-           basis valid, so the re-solve is a short dual correction. *)
-        let warm = Lp_cache.multicast_lb_basis ~caller:"repair" p in
-        Option.map
-          (fun (s : Formulations.solution) -> s.Formulations.throughput)
-          (Lp_cache.multicast_lb ~caller:"repair" ?warm survivor)
-      in
       Ok
         {
           survivor;
@@ -172,7 +162,6 @@ let plan ?(now = Unix.gettimeofday) ?before (p : Platform.t) damage =
           throughput_before;
           throughput_after;
           retention = throughput_after /. throughput_before;
-          lb_after;
           replan_seconds;
           refill_periods = Schedule.init_periods schedule;
           lost_targets = lost_targets p damage;
@@ -372,7 +361,6 @@ let plan_incremental ?(now = Unix.gettimeofday) ?(retention_floor = 0.0)
             throughput_before;
             throughput_after;
             retention;
-            lb_after = None;
             replan_seconds;
             refill_periods = Schedule.init_periods schedule;
             lost_targets = lost_targets p damage;
@@ -381,18 +369,14 @@ let plan_incremental ?(now = Unix.gettimeofday) ?(retention_floor = 0.0)
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "repair (%s): throughput %.6f -> %.6f (retention %.1f%% vs %s baseline), LB after %s, \
-     re-plan %.3fs, re-fill %d periods%s"
+    "repair (%s): throughput %.6f -> %.6f (retention %.1f%% vs %s baseline), re-plan %.3fs, \
+     re-fill %d periods%s"
     (match r.repair_method with
     | `Full_replan -> "full re-plan"
     | `Patched -> "patched"
     | `Fell_back m -> "fell back: " ^ m)
     r.throughput_before r.throughput_after (100. *. r.retention)
     (match r.baseline with `Given -> "given" | `Fresh_mcph -> "fresh-MCPH")
-    (match (r.lb_after, r.repair_method) with
-    | None, `Patched -> "skipped"
-    | None, _ -> "infeasible"
-    | Some b, _ -> Printf.sprintf "%.6f" b)
     r.replan_seconds r.refill_periods
     (match r.lost_targets with
     | [] -> ""

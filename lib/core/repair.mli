@@ -11,9 +11,11 @@
     (wall-clock spent constructing the new schedule) and the {e pipeline
     re-fill} ({!Schedule.init_periods} of the new schedule — periods before
     the first post-repair message reaches the deepest target). The
-    steady-state loss is [throughput_before - throughput_after]; the LP
-    lower bound re-solved on the survivor ([lb_after]) says how much of the
-    drop is intrinsic to the degraded platform rather than to the planner. *)
+    steady-state loss is [throughput_before - throughput_after]. Repair
+    solves no LP: a caller that wants to know how much of the drop is
+    intrinsic to the degraded platform rather than to the planner prices
+    the survivor's Multicast-LB itself ({!Lp_cache.multicast_lb} on
+    [survivor], as [mcast resilience] does). *)
 
 (** A damage state, always in canonical form: both dead sets sorted
     without duplicates, and [degraded] holding one entry per edge, sorted by
@@ -86,8 +88,6 @@ type report = {
       (** steady-state throughput of the pre-failure schedule *)
   throughput_after : float;
   retention : float;  (** [throughput_after / throughput_before] *)
-  lb_after : float option;
-      (** Multicast-LB throughput on the survivor ([None] if infeasible) *)
   replan_seconds : float;
   refill_periods : int;  (** pipeline depth of the repaired schedule *)
   lost_targets : int list;  (** targets that died with their node *)
@@ -100,8 +100,8 @@ type report = {
     ([baseline = `Fresh_mcph]) — an explicit choice, not a silent default:
     see {!report.baseline}. [now] (default [Unix.gettimeofday]) is the clock
     behind [replan_seconds]; tests inject a fake one so timing assertions
-    are deterministic. [lb_after] is solved through {!Lp_cache}. Errors when
-    the survivor cannot serve the remaining targets. *)
+    are deterministic. MCPH is the only planner run; no LP is solved.
+    Errors when the survivor cannot serve the remaining targets. *)
 val plan :
   ?now:(unit -> float) ->
   ?before:Schedule.t ->
@@ -117,9 +117,9 @@ val plan :
     out-edges carrying their committed load — Fig. 9 lines 11-13 replayed
     over the survivors); fragments serving only dead targets are dropped.
     The patched set keeps the schedule's relative tree weights, rescaled so
-    the worst port occupation is exactly one — no LP solve, so [lb_after] is
-    [None] and [replan_seconds] covers patching plus schedule construction,
-    the same span {!plan}'s timer covers (MCPH plus schedule construction).
+    the worst port occupation is exactly one, with no LP solve.
+    [replan_seconds] covers patching plus schedule construction, the same
+    span {!plan}'s timer covers (MCPH plus schedule construction).
 
     The result is tagged [`Patched] on success. When the patch cannot be
     built, fails {!Schedule.check}, or retains less than [retention_floor]
@@ -139,6 +139,6 @@ val plan_incremental :
   damage ->
   (report, string) result
 
-(** One-line report: repair method, throughput before/after, retention, LB
-    reference, re-plan time, re-fill depth, lost targets. *)
+(** One-line report: repair method, throughput before/after, retention,
+    re-plan time, re-fill depth, lost targets. *)
 val pp_report : Format.formatter -> report -> unit

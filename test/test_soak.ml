@@ -282,6 +282,48 @@ let test_delivered_within_lb_bound () =
   case ~seed:2 ~scenario:`Renewal_mixed ~horizon:3000;
   case ~seed:42 ~scenario:`Renewal ~horizon:600
 
+let test_recovery_solves_no_lp () =
+  (* Recovery plans with MCPH and patches; only a caller that prints the
+     survivor's Multicast-LB solves it. Both soak controllers, the recovery
+     loop and both repair entry points run a seeded renewal timeline, and
+     none may start an LP solve. The cache is emptied first so that a
+     bound stored by an earlier test cannot hide a solve. *)
+  Lp_cache.reset ();
+  let p = Tiers.generate (Random.State.make [| 42 |]) Tiers.small_params ~n_targets:8 in
+  let sched = mcph_sched p in
+  let horizon = Rat.of_int 600 in
+  let faults =
+    Fault.renewal_link_faults (Random.State.make [| 42; 7001 |]) p ~mtbf:300. ~mttr:30. ~horizon
+  in
+  let start = Lp_counters.snapshot () in
+  let no_lp what =
+    let d = Lp_counters.since start in
+    Alcotest.(check (pair int int))
+      (what ^ ": float and exact solves unchanged")
+      (0, 0)
+      (d.Lp_counters.float_solves, d.Lp_counters.exact_solves)
+  in
+  List.iter
+    (fun (what, config) ->
+      (match Soak.run ~now:(fake_clock ()) ~config p sched faults ~horizon with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+        Alcotest.(check bool) (what ^ " re-plans in full") true (r.Soak.sk_full_replans > 0));
+      no_lp what)
+    [ ("damped soak", Soak.default_config p); ("naive soak", Soak.naive_config p) ];
+  (match Recovery_loop.run ~now:(fake_clock ()) p sched faults with
+  | Error e -> Alcotest.fail e
+  | Ok _ -> no_lp "recovery loop");
+  let planned =
+    List.filter
+      (fun (step : Fault.step) ->
+        ignore (Repair.plan_incremental ~before:sched p step.Fault.damage);
+        Result.is_ok (Repair.plan ~before:sched p step.Fault.damage))
+      (Fault.steps (Fault.timeline faults))
+  in
+  Alcotest.(check bool) "some step re-plans" true (planned <> []);
+  no_lp "repair"
+
 let test_incidents_of_soak () =
   (* [Incident.of_soak] must join the controller log exactly as the
      reference below does: every episode except cached re-adoptions, and
@@ -377,6 +419,7 @@ let suite =
     ("fallback reuses the detection replay", `Quick, test_fallback_reuses_detection_replay);
     ("stale retries read the replay memo", `Quick, test_stale_retries_hit_the_memo);
     ("delivered integral within horizon x Multicast-LB", `Quick, test_delivered_within_lb_bound);
+    ("recovery stack solves no LP", `Quick, test_recovery_solves_no_lp);
     ("incident timelines of a soak", `Quick, test_incidents_of_soak);
     ("flaps at one instant keep scenario order", `Quick, test_batch_keeps_scenario_order);
   ]
