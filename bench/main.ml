@@ -867,6 +867,11 @@ let soak_bench () =
   let seeds = !trials in
   let horizon = Rat.of_int 400 in
   let runs = ref [] in
+  (* Each leg's replay work over the seeds: the faulty replays it made
+     and the replays its memo served. *)
+  let faulty_m = Metrics.counter "sim.faulty_replays"
+  and hits_m = Metrics.counter "sim.replay_memo_hits" in
+  let naive_work = ref (0, 0) and damped_work = ref (0, 0) in
   Printf.printf
     "seeds: %d; flapping 3 links x 6 flaps (mean up 40, down 5), horizon %s\n%!" seeds
     (Rat.to_string horizon);
@@ -885,13 +890,19 @@ let soak_bench () =
         Fault.flapping_links rng p ~links:3 ~flaps:6 ~mean_up:40.0 ~mean_down:5.0
           ~at:Rat.zero
       in
-      let run config =
+      let run config work =
+        let f0 = Metrics.counter_value faulty_m and h0 = Metrics.counter_value hits_m in
         match Soak.run ~config p sched scenario ~horizon with
         | Error e -> failwith ("soak bench: " ^ e)
-        | Ok rep -> rep
+        | Ok rep ->
+          let f, h = !work in
+          work :=
+            ( f + Metrics.counter_value faulty_m - f0,
+              h + Metrics.counter_value hits_m - h0 );
+          rep
       in
-      let naive = run (Soak.naive_config p) in
-      let damped = run (Soak.default_config p) in
+      let naive = run (Soak.naive_config p) naive_work in
+      let damped = run (Soak.default_config p) damped_work in
       runs := (naive, damped) :: !runs;
       Printf.printf "%6d %8d | %10d %10d | %10.3f %10.3f | %9d\n" seed
         damped.Soak.sk_events naive.Soak.sk_full_replans damped.Soak.sk_full_replans
@@ -929,6 +940,9 @@ let soak_bench () =
     naive_delivered damped_delivered nominal_integral delivered_ratio;
   Printf.printf "availability:   naive mean %.4f, damped mean %.4f\n" (avail naive)
     (avail damped);
+  let (naive_faulty, naive_hits), (damped_faulty, damped_hits) = (!naive_work, !damped_work) in
+  Printf.printf "replays:        naive %d faulty + %d memo hits, damped %d + %d\n"
+    naive_faulty naive_hits damped_faulty damped_hits;
   Printf.printf
     "damped extras:  %d patches, %d suppressions, %d re-integrations, %d token \
      exhaustions over %d epochs\n"
@@ -967,6 +981,10 @@ let soak_bench () =
       ("suppressions", Json.int suppressions);
       ("reintegrations", Json.int reintegrations);
       ("token_exhaustions", Json.int exhaustions);
+      ("faulty_replays_naive", Json.int naive_faulty);
+      ("replay_memo_hits_naive", Json.int naive_hits);
+      ("faulty_replays_damped", Json.int damped_faulty);
+      ("replay_memo_hits_damped", Json.int damped_hits);
       ("shape", shape);
     ]
 

@@ -144,6 +144,29 @@ let scenario_of_damage (d : Repair.damage) : Fault.scenario =
       (fun ((src, dst), factor) -> Fault.Degrade_edge { src; dst; at = Rat.zero; factor })
       d.Repair.degraded
 
+(* The replay of [scenario_of_damage eff] reads the damage only through
+   each transfer link's [Fault.edge_factor]: every event fires at time 0,
+   so each link's fault index holds just that factor. Listing a
+   schedule's distinct transfer links once, the factors over them key
+   the replay exactly. *)
+let replay_key (sched : Schedule.t) =
+  let seen = Hashtbl.create 32 in
+  let links =
+    Array.of_list
+      (List.filter_map
+         (fun (tr : Schedule.transfer) ->
+           let e = (tr.Schedule.src, tr.Schedule.dst) in
+           if Hashtbl.mem seen e then None
+           else begin
+             Hashtbl.replace seen e ();
+             Some e
+           end)
+         sched.Schedule.transfers)
+  in
+  fun eff -> Array.map (fun (src, dst) -> Fault.edge_factor eff ~src ~dst) links
+
+let same_key = Array.for_all2 (Option.equal Rat.equal)
+
 module Damage_map = Map.Make (struct
   type t = Repair.damage
 
@@ -212,18 +235,30 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
      from cache — zero tokens, zero planner work. *)
   let cache = ref (Damage_map.singleton Repair.no_damage (sched, thr0, true)) in
   let remember key = cache := Damage_map.add key (!cur, !cur_rate, !full_cov) !cache in
-  (* Replay memo: replays of the running schedule that left it stale, keyed
-     by damage and dropped once another schedule is adopted. A stale retry
-     against unchanged damage would replay exactly the same, so it reads
-     the remembered replay instead. *)
-  let replayed = ref (sched, []) in
-  let recall eff =
-    if fst !replayed != !cur then replayed := (!cur, []);
-    let hit = List.find_opt (fun (d, _) -> Repair.damage_equal d eff) (snd !replayed) in
-    if Option.is_some hit then Metrics.incr replay_memo_hits_m;
-    Option.map snd hit
+  (* Replay memo: every replay of a schedule against a damage, kept per
+     schedule (by physical identity) for the whole run and keyed by
+     [replay_key]. A replay whose key repeats would come out the same, so
+     it reads the remembered one instead. *)
+  let memos = ref [] in
+  let replay s eff =
+    let key, seen =
+      match List.assq_opt s !memos with
+      | Some m -> m
+      | None ->
+        let m = (replay_key s, ref []) in
+        memos := (s, m) :: !memos;
+        m
+    in
+    let k = key eff in
+    match List.find_opt (fun (k', _) -> same_key k k') !seen with
+    | Some (_, fs) ->
+      Metrics.incr replay_memo_hits_m;
+      fs
+    | None ->
+      let fs = Recovery_loop.detect cfg.policy s (scenario_of_damage eff) in
+      seen := (k, fs) :: !seen;
+      fs
   in
-  let note eff fs = replayed := (!cur, (eff, fs) :: snd !replayed) in
   let ticks = ref [] in
   let emit e = log := e :: !log in
   (* A tick is only a "wake me up by then" request: if an earlier tick is
@@ -299,10 +334,10 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
   in
   let episode t eff =
     paid := false;
-    let remembered = recall eff in
     match
       Recovery_loop.run ~now ~policy:cfg.policy ~planner:gated_planner ?telemetry
-        ~sim_offset:(Rat.to_float t) ?detection:remembered p !cur (scenario_of_damage eff)
+        ~sim_offset:(Rat.to_float t) ~detection:(replay !cur eff) p !cur
+        (scenario_of_damage eff)
     with
     | Error e ->
       (* the policy was validated on entry, so this cannot happen *)
@@ -331,7 +366,6 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
         | `Fallback _ ->
           (* the loop's detection replay is exactly the replay of the
              running schedule against this damage *)
-          if Option.is_none remembered then note eff o.Recovery_loop.detection;
           go_stale t o.Recovery_loop.detection;
           Fallback
       in
@@ -377,14 +411,7 @@ let run_validated ~now ~cfg ~telemetry (p : Platform.t) (sched : Schedule.t)
       (* the naive ablation writes the cache too but never reads it *)
       adopt ~key:eff rep ~extra_dropped:[];
       emit (Episode { at = t; outcome = Recovered; patched = false })
-    | Error _ ->
-      go_stale t
-        (match recall eff with
-        | Some fs -> fs
-        | None ->
-          let fs = Recovery_loop.detect cfg.policy !cur (scenario_of_damage eff) in
-          note eff fs;
-          fs)
+    | Error _ -> go_stale t (replay !cur eff)
   in
   let epoch t evs =
     accrue t;

@@ -38,17 +38,23 @@
       handful of joint states) the remembered schedule is re-adopted for
       free — no token, no planner work, logged as a [cached] episode. The
       {!Naive} ablation never uses the cache.
-    - {e Replay memo} (both controllers): a failed recovery leaves the
-      running schedule stale, and a later epoch retries it; while the
-      damage is unchanged the retry would replay the same schedule against
-      the same damage again. The soak keeps each replay that left the
-      running schedule stale, keyed by damage, for as long as that schedule
-      stays in force, and a retry reads it instead of replaying: as the
-      detection it hands {!Recovery_loop.run}, or as the naive controller's
-      stale rate. Both controllers replay through
-      {!Recovery_loop.detect}, so both use the loop's detection horizon. Each reuse counts in [sim.replay_memo_hits], so
-      [sim.faulty_replays] plus the hits is the replay count without the
-      memo. Outputs are identical either way.
+    - {e Replay memo} (both controllers): every replay of a schedule
+      against a damage — the detection replay of each recovery episode,
+      whatever its outcome, and the naive controller's stale-rate replay —
+      is kept for the whole run, per schedule (by physical identity, so a
+      schedule that schedule memory re-adopts keeps its replays), keyed by
+      {!replay_key}: the damage's {!Fault.edge_factor} on each of the
+      schedule's distinct transfer links. The key is exact: the soak
+      replays its damage with every event at time 0, and the replay reads
+      faults only through each transfer link's factor, so two damages with
+      equal keys replay the schedule identically, whatever they do to
+      links and nodes the schedule does not use. A replay whose key is
+      already held reads the held one instead: as the detection it hands
+      {!Recovery_loop.run}, or as the naive controller's stale rate. Both
+      controllers replay through {!Recovery_loop.detect}, so both use the
+      loop's detection horizon. Each reuse counts in
+      [sim.replay_memo_hits], so [sim.faulty_replays] plus the hits is the
+      replay count without the memo. Outputs are identical either way.
     - {e Capacity re-integration with hysteresis}: when damage only {e
       shrinks} (heals, suppression releases), the controller re-plans to
       reclaim the capacity only when the nominal throughput exceeds the
@@ -80,6 +86,13 @@ val default_config : Platform.t -> config
 
 (** {!default_config} with the {!Naive} controller. *)
 val naive_config : Platform.t -> config
+
+(** [replay_key sched] lists [sched]'s distinct transfer links once; the
+    returned function maps a damage to its {!Fault.edge_factor} on each of
+    them, in that order. Keys compare with [Option.equal Rat.equal]
+    pointwise. Two damages with equal keys replay [sched] identically
+    when every event fires at time 0: this keys the replay memo. *)
+val replay_key : Schedule.t -> Repair.damage -> Rat.t option array
 
 (** How a recovery episode ended. *)
 type outcome =

@@ -511,8 +511,87 @@ let test_tie_order () =
       (Printf.sprintf "node %d forwards tree-0 message 0 it never receives" last_relay)
       e
 
+(* A damage as the soak replays it: every event fires at time 0. *)
+let at_zero (d : Repair.damage) =
+  List.map (fun (src, dst) -> Fault.Kill_edge { src; dst; at = Rat.zero }) d.Repair.dead_edges
+  @ List.map (fun node -> Fault.Kill_node { node; at = Rat.zero }) d.Repair.dead_nodes
+  @ List.map
+      (fun ((src, dst), factor) -> Fault.Degrade_edge { src; dst; at = Rat.zero; factor })
+      d.Repair.degraded
+
+let test_replay_key () =
+  (* The soak keys its replay memo by [Soak.replay_key]: the damage's
+     factor on each of the schedule's own links. Faults on links no
+     transfer uses, and kills of nodes no transfer touches, leave both the
+     key and the time-zero replay alone; a change to one schedule link's
+     factor changes the key. *)
+  let rng = Random.State.make [| 6547 |] in
+  let off_schedule = ref 0 in
+  List.iter
+    (fun (name, (sched : Schedule.t)) ->
+      let p = sched.Schedule.trees.(0).Multicast_tree.platform in
+      let used =
+        List.sort_uniq compare
+          (List.map
+             (fun (tr : Schedule.transfer) -> (tr.Schedule.src, tr.Schedule.dst))
+             sched.Schedule.transfers)
+      in
+      let touched = List.sort_uniq compare (List.concat_map (fun (u, v) -> [ u; v ]) used) in
+      let off_links =
+        List.filter
+          (fun e -> not (List.mem e used))
+          (List.map (fun e -> (e.Digraph.src, e.Digraph.dst)) (Digraph.edges p.Platform.graph))
+      in
+      let off_nodes =
+        List.filter
+          (fun v -> not (List.mem v touched))
+          (List.init (Platform.n_nodes p) Fun.id)
+      in
+      off_schedule := !off_schedule + List.length off_links + List.length off_nodes;
+      let shuffled =
+        List.map snd
+          (List.sort compare (List.map (fun e -> (Random.State.bits rng, e)) used))
+      in
+      let dead, slow, live =
+        match shuffled with
+        | a :: b :: c :: _ -> (a, b, c)
+        | _ -> Alcotest.failf "%s: fewer than 3 transfer links" name
+      in
+      let base ?(dead_edges = []) ?(dead_nodes = []) ?(factor = Rat.of_ints 3 2)
+          ?(degraded = []) () =
+        Repair.damage ~dead_edges:(dead :: dead_edges) ~dead_nodes
+          ~degraded:((slow, factor) :: degraded) ()
+      in
+      let d = base () in
+      let off_degrades = List.filteri (fun i _ -> i mod 2 = 0) off_links in
+      let off =
+        base
+          ~dead_edges:(List.filteri (fun i _ -> i mod 2 = 1) off_links)
+          ~dead_nodes:off_nodes
+          ~degraded:(List.map (fun e -> (e, Rat.of_int 3)) off_degrades)
+          ()
+      in
+      let key = Soak.replay_key sched in
+      let same a b = Array.for_all2 (Option.equal Rat.equal) (key a) (key b) in
+      let periods = Schedule.init_periods sched + 3 in
+      let replay d = Event_sim.run_with_faults sched ~faults:(at_zero d) ~periods in
+      if not (same d off) then Alcotest.failf "%s: off-schedule faults change the key" name;
+      if replay d <> replay off then
+        Alcotest.failf "%s: off-schedule faults change the replay" name;
+      List.iter
+        (fun (what, changed) ->
+          if same d changed then Alcotest.failf "%s: %s leaves the key alone" name what)
+        [
+          ("an edge kill", base ~dead_edges:[ live ] ());
+          ("another degrade factor", base ~factor:(Rat.of_int 2) ());
+          ("an endpoint node kill", base ~dead_nodes:[ snd slow ] ());
+        ])
+    (schedules ());
+  Alcotest.(check bool) "some faults fall off the schedules" true (!off_schedule > 0)
+
 let suite =
   [
     ("replay kernel matches the reference", `Quick, test_differential);
     ("tied intervals keep reverse transfer order", `Quick, test_tie_order);
+    ("the soak's replay key reads only the schedule's links", `Quick, test_replay_key);
   ]

@@ -3,7 +3,8 @@
    token bucket, a seeded property sweep asserting the soak loop never
    crashes and never adopts an unchecked schedule, the one-replay-per-
    episode budget on fallbacks, the replay memo that serves stale
-   retries, and the scenario order of the flaps logged at one instant. *)
+   retries and faults off the schedule's links, and the scenario order of
+   the flaps logged at one instant. *)
 
 (* A deterministic wall clock: strictly increasing, no Unix dependence, so
    two runs with fresh instances behave identically. *)
@@ -245,6 +246,56 @@ let test_stale_retries_hit_the_memo () =
     true
     (List.fold_left ( + ) 0 hits > 0)
 
+let test_off_schedule_faults_replay_once () =
+  (* Renewal faults on links the running schedule never uses cost it no
+     message: every episode is [No_failure], and the replay memo, keyed by
+     the factors on the schedule's own links, replays the schedule once
+     for the whole run. *)
+  let counters = [ "sim.faulty_replays"; "sim.replay_memo_hits"; "recovery.runs" ] in
+  let read () = List.map (fun c -> Metrics.counter_value (Metrics.counter c)) counters in
+  let p = tiers 1 ~n_targets:8 in
+  let sched = mcph_sched p in
+  let link u v = (min u v, max u v) in
+  let used =
+    List.map
+      (fun (tr : Schedule.transfer) -> link tr.Schedule.src tr.Schedule.dst)
+      sched.Schedule.transfers
+  in
+  let horizon = Rat.of_int 600 in
+  let scenario =
+    List.filter
+      (function
+        | Fault.Kill_edge { src; dst; _ } | Fault.Revive_edge { src; dst; _ } ->
+          not (List.mem (link src dst) used)
+        | _ -> false)
+      (Fault.renewal_link_faults
+         (Random.State.make [| 1; 6157 |])
+         p ~mtbf:300.0 ~mttr:20.0 ~horizon)
+  in
+  let before = read () in
+  match Soak.run ~now:(fake_clock ()) p sched scenario ~horizon with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    let moved = List.combine counters (List.map2 ( - ) (read ()) before) in
+    let moved c = List.assoc c moved in
+    (* recurring states re-adopt the running schedule from schedule
+       memory, without a recovery run *)
+    let outcomes =
+      List.filter_map
+        (function
+          | Soak.Episode { outcome; _ } when outcome <> Soak.Cached -> Some outcome
+          | _ -> None)
+        r.Soak.sk_log
+    in
+    Alcotest.(check bool) "several recovery runs" true (moved "recovery.runs" > 1);
+    Alcotest.(check (list string)) "every recovery episode is no-failure"
+      (List.init (moved "recovery.runs") (fun _ -> "no-failure"))
+      (List.map Soak.outcome_name outcomes);
+    Alcotest.(check int) "one faulty replay" 1 (moved "sim.faulty_replays");
+    Alcotest.(check int) "every other run hits the memo"
+      (moved "recovery.runs" - 1)
+      (moved "sim.replay_memo_hits")
+
 let test_delivered_within_lb_bound () =
   (* The paper's bound on what any schedule delivers is the Multicast-LB
      throughput. Re-plans may adopt trees better than the initial MCPH
@@ -418,6 +469,7 @@ let suite =
     ("never-broken coverage has availability exactly 1", `Quick, test_full_coverage_is_exactly_one);
     ("fallback reuses the detection replay", `Quick, test_fallback_reuses_detection_replay);
     ("stale retries read the replay memo", `Quick, test_stale_retries_hit_the_memo);
+    ("off-schedule faults replay once", `Quick, test_off_schedule_faults_replay_once);
     ("delivered integral within horizon x Multicast-LB", `Quick, test_delivered_within_lb_bound);
     ("recovery stack solves no LP", `Quick, test_recovery_solves_no_lp);
     ("incident timelines of a soak", `Quick, test_incidents_of_soak);
